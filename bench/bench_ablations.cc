@@ -1,6 +1,6 @@
 // Copyright 2026 The ARSP Authors.
 //
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for this repo's design choices (ARCHITECTURE.md):
 //   * ENUM's exponential blow-up (why the paper's Fig. 5 reports INF),
 //   * Theorem-5 O(d) F-dominance test vs the Theorem-2 vertex test,
 //   * KDTT+ fused construction vs KDTT build-then-traverse,

@@ -8,7 +8,8 @@
 //   (c) NBA-like, vary m% of the player count;
 //   (d) NBA-like, vary d ∈ 2..8;
 //   (e) NBA-like, vary c ∈ 1..7.
-// Simulators replace the proprietary datasets — see DESIGN.md.
+// Simulators replace the proprietary datasets — see ARCHITECTURE.md,
+// "Deviations from the paper".
 
 #include <benchmark/benchmark.h>
 

@@ -132,8 +132,6 @@ void RunSerialVsParallel(benchmark::State& state,
       static_cast<double>(parallel_result.tasks_stolen);
   state.counters["serial_ns"] = serial_ns;
   state.counters["parallel_ns"] = parallel_ns;
-  state.counters["speedup_info"] =
-      parallel_ns > 0.0 ? serial_ns / parallel_ns : 0.0;
 }
 
 void BM_Parallel_Nba(benchmark::State& state) {

@@ -6,32 +6,19 @@
 // with O(1) incremental apply/undo as candidates move into the dominating
 // set D of a node.
 //
-// Deviation from the printed pseudocode (documented in DESIGN.md): at a
-// leaf, the case χ = 1 caused by the instance's *own* object still has
-// non-zero probability — the paper handles this case in its DUAL-M variant
-// (§IV-B) and we apply the same rule here.
+// Deviation from the printed pseudocode (see ARCHITECTURE.md, "Deviations
+// from the paper"): at a leaf, the case χ = 1 caused by the instance's
+// *own* object still has non-zero probability — the paper handles this case
+// in its DUAL-M variant (§IV-B) and we apply the same rule here.
 //
-// Parallel execution: a traversal runs on one or more TraversalLane's —
-// each lane owns a private AspTraversalState, counters and a GoalChannel.
-// Lanes never share mutable state except through SharedGoalState (goal
-// pushdown under parallelism), whose decisions are monotone, so lanes can
-// proceed with stale snapshots without ever producing a wrong value.
+// Each worker lane of the traversal driver (traversal_driver.cc) owns one.
 
 #ifndef ARSP_CORE_ASP_TRAVERSAL_STATE_H_
 #define ARSP_CORE_ASP_TRAVERSAL_STATE_H_
 
-#include <atomic>
-#include <cstdint>
-#include <mutex>
-#include <utility>
 #include <vector>
 
-#include "src/common/macros.h"
 #include "src/core/arsp_result.h"
-#include "src/core/solver.h"
-#include "src/geometry/point.h"
-#include "src/prefs/score_mapper.h"
-#include "src/simd/kernels.h"
 
 namespace arsp {
 namespace internal {
@@ -48,12 +35,14 @@ class AspTraversalState {
   /// *bitwise* — an entered-and-exited subtree is indistinguishable from
   /// one never entered. That exactness is what lets goal pruning, scoped
   /// (sharded) solves, and path-replayed parallel tasks return values
-  /// bit-identical to a full serial solve.
+  /// bit-identical to a full serial solve. `prob` is the Add's argument, so
+  /// a log can also be replayed.
   struct Change {
     int object;
+    int old_chi;
+    double prob;
     double old_sigma;
     double old_beta;
-    int old_chi;
   };
 
   double beta() const { return beta_; }
@@ -70,7 +59,7 @@ class AspTraversalState {
   /// σ[object] += prob, maintaining β and χ; appends to `undo_log`.
   void Add(int object, double prob, std::vector<Change>* undo_log) {
     double& s = sigma_[static_cast<size_t>(object)];
-    undo_log->push_back(Change{object, s, beta_, chi_});
+    undo_log->push_back(Change{object, chi_, prob, s, beta_});
     const double old_value = s;
     s += prob;
     const bool was_full = old_value >= 1.0 - kProbabilityEps;
@@ -83,19 +72,19 @@ class AspTraversalState {
     }
   }
 
-  /// Reverts the changes in `undo_log`, newest first, restoring σ, β and χ
-  /// bitwise to their values before the corresponding Add calls. The log
-  /// must cover a contiguous suffix of Adds (which is what the node-local
-  /// logs of every traversal are): σ is restored per change, while β and χ
-  /// come from the snapshot in the oldest change — no floating-point
+  /// Reverts the changes in undo_log[from, end), newest first, restoring σ,
+  /// β and χ bitwise to their values before the corresponding Add calls.
+  /// They must be a contiguous suffix of Adds (which is what a node's Adds
+  /// on top of its ancestors' are): σ is restored per change, while β and
+  /// χ come from the snapshot in the oldest change — no floating-point
   /// arithmetic, hence no drift, on the unwind path.
-  void Undo(const std::vector<Change>& undo_log) {
-    if (undo_log.empty()) return;
-    for (auto it = undo_log.rbegin(); it != undo_log.rend(); ++it) {
-      sigma_[static_cast<size_t>(it->object)] = it->old_sigma;
+  void Undo(const std::vector<Change>& undo_log, size_t from = 0) {
+    if (undo_log.size() <= from) return;
+    for (size_t i = undo_log.size(); i-- > from;) {
+      sigma_[static_cast<size_t>(undo_log[i].object)] = undo_log[i].old_sigma;
     }
-    beta_ = undo_log.front().old_beta;
-    chi_ = undo_log.front().old_chi;
+    beta_ = undo_log[from].old_beta;
+    chi_ = undo_log[from].old_chi;
   }
 
   /// Final rskyline probability of an instance of `object` with existence
@@ -118,323 +107,6 @@ class AspTraversalState {
   double beta_ = 1.0;
   int chi_ = 0;
 };
-
-/// Per-lane traversal counters. Lanes accumulate privately and the driver
-/// sums them at merge time; every field is an associative-commutative sum
-/// (or, for early_exit_depth, a max), so the merged totals equal the serial
-/// totals no matter how subtrees were distributed over lanes.
-struct TraversalCounters {
-  int64_t dominance_tests = 0;
-  int64_t nodes_visited = 0;
-  int64_t nodes_pruned = 0;
-  int64_t early_exit_depth = 0;
-
-  void MergeFrom(const TraversalCounters& other) {
-    dominance_tests += other.dominance_tests;
-    nodes_visited += other.nodes_visited;
-    nodes_pruned += other.nodes_pruned;
-    if (other.early_exit_depth > early_exit_depth) {
-      early_exit_depth = other.early_exit_depth;
-    }
-  }
-
-  /// Copies the totals into a fresh result's counter fields.
-  void StoreInto(ArspResult* result) const {
-    result->dominance_tests = dominance_tests;
-    result->nodes_visited = nodes_visited;
-    result->nodes_pruned = nodes_pruned;
-    result->early_exit_depth = early_exit_depth;
-  }
-};
-
-/// Cross-lane goal-pushdown state: wraps the query's single authoritative
-/// GoalPruner behind a mutex and republishes its decided-object mask as an
-/// epoch-stamped snapshot that lanes copy between tasks. Because pruner
-/// decisions are monotone (an object, once decided, never becomes
-/// undecided, and the global goal-met flag never clears), a lane acting on
-/// a stale snapshot only *misses* pruning opportunities — it can never
-/// skip work it still needed, so correctness is unconditional and the
-/// final answer set matches serial. Defined in
-/// src/core/parallel_traversal.cc.
-class SharedGoalState {
- public:
-  /// `pruner` may be null (full goal): then the state is inert and every
-  /// channel built on it behaves as inactive.
-  explicit SharedGoalState(GoalPruner* pruner);
-
-  bool active() const { return pruner_ != nullptr; }
-
-  /// Global early-exit flag: set once GoalMet() held under the lock.
-  bool stopped() const { return stop_.load(std::memory_order_acquire); }
-
-  /// Applies a batch of (instance id, probability) resolutions to the
-  /// authoritative pruner under the lock, then republishes the decided
-  /// mask (epoch bump) if any new object decision landed.
-  void Flush(const std::vector<std::pair<int, double>>& resolutions);
-
-  /// Copies the latest published mask into `mask` iff `*epoch_seen` is
-  /// stale, updating `*epoch_seen` / `*any_decided`.
-  void RefreshSnapshot(std::vector<unsigned char>* mask,
-                       uint64_t* epoch_seen, bool* any_decided) const;
-
- private:
-  void PublishLocked();
-
-  GoalPruner* const pruner_;
-  mutable std::mutex mu_;
-  std::vector<unsigned char> published_;  // decided mask copy, under mu_
-  int published_count_ = 0;               // decided count at last publish
-  std::atomic<uint64_t> epoch_{1};
-  std::atomic<bool> stop_{false};
-};
-
-/// A lane's view of goal pushdown; one of three modes:
-///  * inactive (default) — full goal, every query is a cheap no-op;
-///  * direct — serial execution: calls straight into the GoalPruner;
-///  * buffered — parallel execution: resolutions accumulate locally and
-///    flush in batches to the SharedGoalState; decided/stopped queries are
-///    answered from the lane's snapshot (refreshed between tasks).
-/// The buffered mode is what makes goal pushdown race-free under
-/// parallelism: the pruner itself is only ever touched under the shared
-/// lock, and snapshots are plain lane-private copies.
-class GoalChannel {
- public:
-  static constexpr size_t kFlushBatch = 4096;
-
-  GoalChannel() = default;
-  /// Direct mode; a null pruner degrades to inactive.
-  explicit GoalChannel(GoalPruner* pruner) : pruner_(pruner) {}
-  /// Buffered mode; `instance_objects` maps local instance id → object id
-  /// (needed to answer AllDecided from the object-indexed snapshot). An
-  /// inert `shared` degrades to inactive.
-  GoalChannel(SharedGoalState* shared, const int* instance_objects)
-      : shared_(shared != nullptr && shared->active() ? shared : nullptr),
-        objects_(instance_objects) {}
-
-  bool active() const { return pruner_ != nullptr || shared_ != nullptr; }
-
-  /// Global early-exit: the goal is met, stop traversing everywhere.
-  bool GoalMet() const {
-    if (pruner_ != nullptr) return pruner_->GoalMet();
-    if (shared_ != nullptr) return shared_->stopped();
-    return false;
-  }
-
-  /// True when every instance in ids[0..count) belongs to a decided
-  /// object. Buffered mode answers from the lane snapshot — stale is fine,
-  /// it only under-reports (see SharedGoalState).
-  bool AllDecided(const int* ids, int count) const {
-    if (pruner_ != nullptr) return pruner_->AllDecided(ids, count);
-    if (shared_ == nullptr || !snapshot_any_) return false;
-    for (int i = 0; i < count; ++i) {
-      const int object = objects_[ids[i]];
-      if (snapshot_[static_cast<size_t>(object)] == 0) return false;
-    }
-    return true;
-  }
-
-  /// Reports one instance's exact probability. Callers guard loops with
-  /// active() so the full-goal path pays nothing per instance.
-  void Resolve(int instance, double prob) {
-    if (pruner_ != nullptr) {
-      pruner_->Resolve(instance, prob);
-      return;
-    }
-    if (shared_ != nullptr) {
-      buffer_.emplace_back(instance, prob);
-      if (buffer_.size() >= kFlushBatch) Flush();
-    }
-  }
-
-  /// Pushes buffered resolutions to the shared pruner (no-op otherwise).
-  /// Call at task end — resolutions must not outlive their task, or a
-  /// long-running lane could starve the global goal check.
-  void Flush() {
-    if (shared_ != nullptr && !buffer_.empty()) {
-      shared_->Flush(buffer_);
-      buffer_.clear();
-    }
-  }
-
-  /// Refreshes the decided-mask snapshot; call between tasks.
-  void BeginTask() {
-    if (shared_ != nullptr) {
-      shared_->RefreshSnapshot(&snapshot_, &epoch_seen_, &snapshot_any_);
-    }
-  }
-
- private:
-  GoalPruner* pruner_ = nullptr;     // direct mode
-  SharedGoalState* shared_ = nullptr;  // buffered mode
-  const int* objects_ = nullptr;
-  std::vector<std::pair<int, double>> buffer_;
-  std::vector<unsigned char> snapshot_;  // decided mask, object-indexed
-  uint64_t epoch_seen_ = 0;
-  bool snapshot_any_ = false;
-};
-
-/// Everything one worker needs to traverse a subtree: private (σ, β, χ)
-/// state, classification scratch, counters and its goal channel. Lane 0 is
-/// the calling thread's (and the only lane in serial mode); helper workers
-/// get lanes 1..W-1. The `stopped` flag is lane-sticky: once a lane has
-/// observed goal-met it records the depth and skips everything else handed
-/// to it.
-struct TraversalLane {
-  TraversalLane(int num_objects, GoalChannel channel_in)
-      : state(num_objects), channel(std::move(channel_in)) {}
-
-  AspTraversalState state;
-  std::vector<unsigned char> class_scratch;
-  TraversalCounters counters;
-  GoalChannel channel;
-  bool stopped = false;  // this lane saw the global goal-met early exit
-
-  /// True when rows order[begin..end) at `depth` need not be visited
-  /// (goal met globally, or every instance belongs to a decided object).
-  /// Skipping is sound because a subtree's σ updates are local to it
-  /// (undone on unwind) — they can never change another instance's value.
-  bool SkipSubtree(const std::vector<int>& order, int begin, int end,
-                   int depth) {
-    if (!channel.active()) return false;
-    if (stopped) return true;
-    if (channel.GoalMet()) {
-      stopped = true;
-      counters.early_exit_depth = depth;
-      return true;
-    }
-    if (channel.AllDecided(order.data() + begin, end - begin)) {
-      ++counters.nodes_pruned;
-      return true;
-    }
-    return false;
-  }
-};
-
-// Helpers shared by the kd/quad/multi-way ASP runners, which all walk the
-// same SoA score storage (ScoreSpan; row index == local instance id) with
-// an `order` permutation. One definition here keeps the three traversals'
-// corner computation, candidate filtering, terminal emission, and goal
-// gating in lockstep — a change to any of these rules is a change to all
-// solvers.
-
-/// Tight [pmin, pmax] corners of rows order[begin..end) (end > begin),
-/// tightened by the dispatched ScoreCorners kernel (strict-inequality
-/// updates: ties keep the first occurrence, identically to the scalar
-/// reference on every arch).
-inline void ComputeScoreCorners(const ScoreSpan& scores,
-                                const std::vector<int>& order, int begin,
-                                int end, std::vector<double>* pmin,
-                                std::vector<double>* pmax) {
-  const int dim = scores.dim;
-  const double* first = scores.row(order[static_cast<size_t>(begin)]);
-  pmin->assign(first, first + dim);
-  pmax->assign(first, first + dim);
-  if (end - begin > 1) {
-    simd::Ops().ScoreCorners(scores.coords, dim,
-                             order.data() + begin + 1, end - begin - 1,
-                             pmin->data(), pmax->data());
-  }
-}
-
-/// Moves candidates into D (σ) when they dominate pmin, keeps them in
-/// `kept` when they dominate pmax; everything else is discarded for this
-/// subtree. The two dominance tests per candidate run batched through the
-/// ClassifyCorners kernel into `class_scratch` (lane-owned, resized on
-/// demand — the classification is fully consumed before any recursion, so
-/// one scratch serves every level); the scalar loop then applies the
-/// σ/kept side effects in candidate order. Counts one dominance test per
-/// candidate into `counters`, as the scalar loop always has. When
-/// `adds_out` is non-null, every (object, prob) fed to state->Add is also
-/// appended there — the parallel driver records these per-node deltas into
-/// a PathChain so spawned tasks can replay the root→node σ path with the
-/// exact same Add sequence (hence bitwise-equal state).
-inline void FilterAspCandidates(const ScoreSpan& scores,
-                                const std::vector<int>& parent_candidates,
-                                const double* pmin, const double* pmax,
-                                AspTraversalState* state,
-                                std::vector<int>* kept,
-                                std::vector<AspTraversalState::Change>*
-                                    undo_log,
-                                std::vector<unsigned char>* class_scratch,
-                                TraversalCounters* counters,
-                                std::vector<std::pair<int, double>>*
-                                    adds_out = nullptr) {
-  const int count = static_cast<int>(parent_candidates.size());
-  if (count == 0) return;
-  if (class_scratch->size() < static_cast<size_t>(count)) {
-    class_scratch->resize(static_cast<size_t>(count));
-  }
-  simd::Ops().ClassifyCorners(scores.coords, scores.dim,
-                              parent_candidates.data(), count, pmin, pmax,
-                              class_scratch->data());
-  counters->dominance_tests += count;
-  const unsigned char* classes = class_scratch->data();
-  for (int c = 0; c < count; ++c) {
-    const int cid = parent_candidates[static_cast<size_t>(c)];
-    if (classes[c] == simd::kClassDominatesMin) {
-      const int object = scores.object(cid);
-      const double prob = scores.prob(cid);
-      state->Add(object, prob, undo_log);
-      if (adds_out != nullptr) adds_out->emplace_back(object, prob);
-    } else if (classes[c] == simd::kClassDominatesMax) {
-      kept->push_back(cid);
-    }
-  }
-}
-
-/// Terminal handling shared by every traversal mode; returns true when the
-/// subtree [begin, end) of `order` is fully resolved (leaf emitted or
-/// pruned):
-///   χ ≥ 2        — two foreign full dominators: everything is zero;
-///   χ = 1        — only instances coinciding with pmin (where σ is exact)
-///                  can survive (see DESIGN.md);
-///   pmin == pmax — true leaf; σ is exact for every (coincident) instance.
-/// A terminal determines the exact probability of *every* instance in the
-/// range (zeros included), so it is also the goal-pushdown resolution
-/// point: when the channel is active each instance is reported to it once.
-/// Probabilities land in `probs` (instance-indexed); since every instance
-/// appears in exactly one terminal and subtree ranges are disjoint,
-/// parallel lanes write disjoint entries — the merge is the identity.
-inline bool HandleAspTerminal(const ScoreSpan& scores,
-                              const std::vector<int>& order, int begin,
-                              int end, const double* pmin, const double* pmax,
-                              const AspTraversalState& state, double* probs,
-                              TraversalCounters* counters,
-                              GoalChannel* channel) {
-  if (state.chi() >= 2) {
-    if (channel->active()) {
-      for (int i = begin; i < end; ++i) {
-        channel->Resolve(order[static_cast<size_t>(i)], 0.0);
-      }
-    }
-    ++counters->nodes_pruned;
-    return true;
-  }
-  if (state.chi() == 1) {
-    for (int i = begin; i < end; ++i) {
-      const int id = order[static_cast<size_t>(i)];
-      double prob = 0.0;
-      if (CoordsEqual(scores.row(id), pmin, scores.dim)) {
-        prob = state.LeafProbability(scores.object(id), scores.prob(id));
-        probs[static_cast<size_t>(id)] = prob;
-      }
-      if (channel->active()) channel->Resolve(id, prob);
-    }
-    ++counters->nodes_pruned;
-    return true;
-  }
-  if (CoordsEqual(pmin, pmax, scores.dim)) {
-    for (int i = begin; i < end; ++i) {
-      const int id = order[static_cast<size_t>(i)];
-      const double prob =
-          state.LeafProbability(scores.object(id), scores.prob(id));
-      probs[static_cast<size_t>(id)] = prob;
-      if (channel->active()) channel->Resolve(id, prob);
-    }
-    return true;
-  }
-  return false;
-}
 
 }  // namespace internal
 }  // namespace arsp

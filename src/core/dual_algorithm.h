@@ -10,7 +10,8 @@
 // (O(n^{d+ε}) space). We substitute a kd-tree: each probe intersects an
 // orthant box with the half-space below h_{t,k} and reports the per-object
 // probability mass. The query pattern (2^{d-1} probes per instance) and the
-// reduction are exactly the paper's; see DESIGN.md "Substitutions".
+// reduction are exactly the paper's; see ARCHITECTURE.md, "Deviations from
+// the paper".
 
 #ifndef ARSP_CORE_DUAL_ALGORITHM_H_
 #define ARSP_CORE_DUAL_ALGORITHM_H_

@@ -4,241 +4,104 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
-#include <optional>
-#include <utility>
 #include <vector>
 
-#include "src/core/asp_traversal_state.h"
-#include "src/core/parallel_traversal.h"
+#include "src/common/macros.h"
 #include "src/core/solver.h"
+#include "src/core/traversal_driver.h"
+#include "src/geometry/point.h"
 #include "src/prefs/score_mapper.h"
 
 namespace arsp {
 
 namespace {
 
-using internal::AspTraversalState;
-using internal::GoalChannel;
-using internal::ParallelExecutor;
-using internal::PathChain;
-using internal::TraversalLane;
+using internal::DepthScratch;
+using internal::PartitionPolicy;
+using internal::TraversalNode;
 
-// Runs over the context's SoA score storage (ScoreSpan): rows are local
-// instance ids, object ids are view-local. The hot candidate loops touch
-// only the three dense arrays (coords, probs, objects) — no Instance or
-// Point indirection.
-//
-// All traversal state lives in the TraversalLane the caller passes to the
-// Run entry points; the runner itself holds only immutable inputs plus the
-// shared `order` permutation and prebuilt nodes. With a ParallelExecutor,
-// the walk above `frontier_depth` runs on the caller's lane and each child
-// subtree at the frontier becomes one task: the task replays the captured
-// root→subtree PathChain into its own lane (bitwise the serial Add
-// sequence) and descends. Subtree ranges are disjoint and never revisited
-// by ancestors, so concurrent tasks write disjoint order_/probs_ slices.
-class KdAspRunner {
+// KDTT+: each node splits at the median of its widest dimension, and the
+// tree is built only as far as the traversal descends.
+class MedianSplit : public PartitionPolicy {
  public:
-  KdAspRunner(ScoreSpan scores, double* probs, ParallelExecutor* executor,
-              int frontier_depth)
-      : scores_(scores),
-        dim_(scores.dim),
-        order_(static_cast<size_t>(scores.n)),
-        probs_(probs),
-        executor_(executor),
-        frontier_depth_(frontier_depth) {
-    std::iota(order_.begin(), order_.end(), 0);
+  using PartitionPolicy::PartitionPolicy;
+
+  int branch_factor() const override { return 2; }
+
+  void Split(const TraversalNode& node, const double* corners,
+             DepthScratch* scratch) override {
+    const int mid = PartitionAtMedian(node.begin, node.end, corners);
+    scratch->children.push_back({node.begin, mid, -1});
+    scratch->children.push_back({mid, node.end, -1});
   }
 
-  // KDTT+: construction fused with traversal.
-  void RunIntegrated(TraversalLane& lane) {
-    if (scores_.n == 0) return;
-    std::vector<int> candidates(order_);
-    RecurseIntegrated(lane, 0, scores_.n, candidates, 1, nullptr);
-  }
-
-  // KDTT: build the full kd-tree (serially — construction is the cheap,
-  // memory-bound phase), then pre-order traverse it.
-  void RunPrebuilt(TraversalLane& lane) {
-    if (scores_.n == 0) return;
-    const int root = Build(0, scores_.n);
-    std::vector<int> candidates(order_);
-    Traverse(lane, root, candidates, 1, nullptr);
-  }
-
- private:
-  struct Node {
-    int begin, end;
-    int left = -1, right = -1;
-    std::vector<double> pmin, pmax;
-  };
-
-  int WidestDim(const double* pmin, const double* pmax) const {
-    int dim = 0;
-    double widest = -1.0;
-    for (int k = 0; k < dim_; ++k) {
-      const double extent = pmax[k] - pmin[k];
-      if (extent > widest) {
-        widest = extent;
-        dim = k;
-      }
-    }
-    return dim;
-  }
-
-  void PartitionRange(int begin, int end, int mid, int split_dim) {
+ protected:
+  // Puts the lower half of rows order[begin, end) on the widest dimension
+  // of `corners` before the returned midpoint.
+  int PartitionAtMedian(int begin, int end, const double* corners) {
+    const int mid = begin + (end - begin) / 2;
+    const int split_dim = WidestDim(corners);
     std::nth_element(order_.begin() + begin, order_.begin() + mid,
                      order_.begin() + end, [this, split_dim](int a, int b) {
                        return scores_.row(a)[split_dim] <
                               scores_.row(b)[split_dim];
                      });
+    return mid;
   }
-
-  void RecurseIntegrated(TraversalLane& lane, int begin, int end,
-                         const std::vector<int>& parent_candidates, int depth,
-                         const std::shared_ptr<const PathChain>& chain) {
-    if (lane.SkipSubtree(order_, begin, end, depth)) return;
-    ++lane.counters.nodes_visited;
-    std::vector<double> pmin, pmax;
-    internal::ComputeScoreCorners(scores_, order_, begin, end, &pmin, &pmax);
-
-    // Above the frontier, record this node's Add-deltas so frontier tasks
-    // can replay the root→subtree path. Inside a task depth starts at the
-    // frontier, so capture (and spawning) never re-fires there.
-    const bool capture = executor_ != nullptr && depth < frontier_depth_;
-    std::vector<std::pair<int, double>> adds;
-    std::vector<int> kept;
-    std::vector<AspTraversalState::Change> undo_log;
-    internal::FilterAspCandidates(scores_, parent_candidates, pmin.data(),
-                                  pmax.data(), &lane.state, &kept, &undo_log,
-                                  &lane.class_scratch, &lane.counters,
-                                  capture ? &adds : nullptr);
-
-    if (!internal::HandleAspTerminal(scores_, order_, begin, end, pmin.data(),
-                                     pmax.data(), lane.state, probs_,
-                                     &lane.counters, &lane.channel)) {
-      const int mid = begin + (end - begin) / 2;
-      PartitionRange(begin, end, mid, WidestDim(pmin.data(), pmax.data()));
-      if (capture) {
-        auto node_chain =
-            std::make_shared<const PathChain>(chain, std::move(adds));
-        if (depth + 1 == frontier_depth_) {
-          auto shared_kept =
-              std::make_shared<const std::vector<int>>(std::move(kept));
-          SpawnIntegrated(node_chain, begin, mid, shared_kept);
-          SpawnIntegrated(node_chain, mid, end, shared_kept);
-        } else {
-          RecurseIntegrated(lane, begin, mid, kept, depth + 1, node_chain);
-          RecurseIntegrated(lane, mid, end, kept, depth + 1, node_chain);
-        }
-      } else {
-        RecurseIntegrated(lane, begin, mid, kept, depth + 1, nullptr);
-        RecurseIntegrated(lane, mid, end, kept, depth + 1, nullptr);
-      }
-    }
-    lane.state.Undo(undo_log);
-  }
-
-  void SpawnIntegrated(const std::shared_ptr<const PathChain>& chain,
-                       int begin, int end,
-                       const std::shared_ptr<const std::vector<int>>& kept) {
-    executor_->Spawn([this, chain, begin, end, kept](TraversalLane& lane) {
-      if (lane.stopped) return;  // global goal-met: skip even the replay
-      std::vector<AspTraversalState::Change> replay_log;
-      chain->Replay(&lane.state, &replay_log);
-      RecurseIntegrated(lane, begin, end, *kept, frontier_depth_, nullptr);
-      lane.state.Undo(replay_log);
-    });
-  }
-
-  int Build(int begin, int end) {
-    const int node_id = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-    nodes_.back().begin = begin;
-    nodes_.back().end = end;
-    std::vector<double> pmin, pmax;
-    internal::ComputeScoreCorners(scores_, order_, begin, end, &pmin, &pmax);
-    nodes_[static_cast<size_t>(node_id)].pmin = pmin;
-    nodes_[static_cast<size_t>(node_id)].pmax = pmax;
-    if (end - begin > 1 && !CoordsEqual(pmin.data(), pmax.data(), dim_)) {
-      const int mid = begin + (end - begin) / 2;
-      PartitionRange(begin, end, mid, WidestDim(pmin.data(), pmax.data()));
-      const int left = Build(begin, mid);
-      const int right = Build(mid, end);
-      nodes_[static_cast<size_t>(node_id)].left = left;
-      nodes_[static_cast<size_t>(node_id)].right = right;
-    }
-    return node_id;
-  }
-
-  void Traverse(TraversalLane& lane, int node_id,
-                const std::vector<int>& parent_candidates, int depth,
-                const std::shared_ptr<const PathChain>& chain) {
-    const Node& node = nodes_[static_cast<size_t>(node_id)];
-    if (lane.SkipSubtree(order_, node.begin, node.end, depth)) return;
-    ++lane.counters.nodes_visited;
-
-    const bool capture = executor_ != nullptr && depth < frontier_depth_;
-    std::vector<std::pair<int, double>> adds;
-    std::vector<int> kept;
-    std::vector<AspTraversalState::Change> undo_log;
-    internal::FilterAspCandidates(scores_, parent_candidates,
-                                  node.pmin.data(), node.pmax.data(),
-                                  &lane.state, &kept, &undo_log,
-                                  &lane.class_scratch, &lane.counters,
-                                  capture ? &adds : nullptr);
-
-    if (!internal::HandleAspTerminal(scores_, order_, node.begin, node.end,
-                                     node.pmin.data(), node.pmax.data(),
-                                     lane.state, probs_, &lane.counters,
-                                     &lane.channel)) {
-      ARSP_DCHECK(node.left >= 0 && node.right >= 0);
-      if (capture) {
-        auto node_chain =
-            std::make_shared<const PathChain>(chain, std::move(adds));
-        if (depth + 1 == frontier_depth_) {
-          auto shared_kept =
-              std::make_shared<const std::vector<int>>(std::move(kept));
-          SpawnPrebuilt(node_chain, node.left, shared_kept);
-          SpawnPrebuilt(node_chain, node.right, shared_kept);
-        } else {
-          Traverse(lane, node.left, kept, depth + 1, node_chain);
-          Traverse(lane, node.right, kept, depth + 1, node_chain);
-        }
-      } else {
-        Traverse(lane, node.left, kept, depth + 1, nullptr);
-        Traverse(lane, node.right, kept, depth + 1, nullptr);
-      }
-    }
-    lane.state.Undo(undo_log);
-  }
-
-  void SpawnPrebuilt(const std::shared_ptr<const PathChain>& chain,
-                     int node_id,
-                     const std::shared_ptr<const std::vector<int>>& kept) {
-    executor_->Spawn([this, chain, node_id, kept](TraversalLane& lane) {
-      if (lane.stopped) return;
-      std::vector<AspTraversalState::Change> replay_log;
-      chain->Replay(&lane.state, &replay_log);
-      Traverse(lane, node_id, *kept, frontier_depth_, nullptr);
-      lane.state.Undo(replay_log);
-    });
-  }
-
-  const ScoreSpan scores_;
-  const int dim_;
-  std::vector<int> order_;
-  std::vector<Node> nodes_;
-  double* const probs_;  // result->instance_probs, disjoint subtree writes
-  ParallelExecutor* const executor_;  // null = serial
-  const int frontier_depth_;
 };
 
-// Solver façade over both traversal modes; "kdtt+" fuses construction with
-// the traversal, "kdtt" builds the full tree first. The mode is part of the
+// KDTT: the same median-split tree, built whole before the traversal (the
+// construction is the cheap, memory-bound phase) into flat arrays in
+// pre-order, so a node's left child is the next node.
+class PrebuiltKdTree : public MedianSplit {
+ public:
+  explicit PrebuiltKdTree(const ScoreSpan& scores) : MedianSplit(scores) {
+    Build(0, scores.n);
+  }
+
+  const double* Corners(const TraversalNode& node, double*) const override {
+    return &corners_[static_cast<size_t>(node.id) * CornerStride()];
+  }
+
+  void Split(const TraversalNode& node, const double*,
+             DepthScratch* scratch) override {
+    ARSP_DCHECK(right_[static_cast<size_t>(node.id)] >= 0);
+    const int mid = node.begin + (node.end - node.begin) / 2;
+    scratch->children.push_back({node.begin, mid, node.id + 1});
+    scratch->children.push_back(
+        {mid, node.end, right_[static_cast<size_t>(node.id)]});
+  }
+
+ private:
+  size_t CornerStride() const { return 2 * static_cast<size_t>(scores_.dim); }
+
+  int Build(int begin, int end) {
+    const int id = static_cast<int>(right_.size());
+    right_.push_back(-1);
+    corners_.resize(corners_.size() + CornerStride());
+    double* pmin = &corners_[static_cast<size_t>(id) * CornerStride()];
+    double* pmax = pmin + scores_.dim;
+    ComputeCorners(begin, end, pmin, pmax);
+    // A single row, or rows sharing one point, is a leaf: the traversal's
+    // pmin == pmax terminal always stops there.
+    if (end - begin > 1 && !CoordsEqual(pmin, pmax, scores_.dim)) {
+      const int mid = PartitionAtMedian(begin, end, pmin);
+      Build(begin, mid);  // id + 1; may reallocate corners_
+      const int right = Build(mid, end);
+      right_[static_cast<size_t>(id)] = right;
+    }
+    return id;
+  }
+
+  std::vector<double> corners_;  // node id → [pmin | pmax]
+  std::vector<int> right_;       // node id → right child id, -1 for leaves
+};
+
+// Solver façade over both modes; "kdtt+" fuses construction with the
+// traversal, "kdtt" builds the full tree first. The mode is part of the
 // solver's registered identity (two names), not an option — options must
 // never make name() disagree with what the registry handed out.
-class KdttSolver : public ArspSolver {
+class KdttSolver : public internal::TraversalSolver {
  public:
   explicit KdttSolver(bool integrated) : integrated_(integrated) {}
 
@@ -252,76 +115,16 @@ class KdttSolver : public ArspSolver {
                  "(Algorithm 1, the paper's default)"
                : "kd-tree traversal over a fully prebuilt tree";
   }
-  uint32_t capabilities() const override {
-    return kCapGoalPushdown | kCapIntraQueryParallel;
-  }
-
-  Status Configure(const SolverOptions& options) override {
-    ARSP_RETURN_IF_ERROR(
-        options.ExpectOnly({"parallelism", "frontier_depth"}));
-    ARSP_RETURN_IF_ERROR(
-        internal::ReadParallelOptions(options, &parallelism_,
-                                      &frontier_depth_));
-    return Status::OK();
-  }
 
  protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
-    const DatasetView& view = context.view();
-    ArspResult result;
-    result.instance_probs.assign(
-        static_cast<size_t>(view.num_instances()), 0.0);
-    if (view.num_instances() == 0) return result;
-    const ScoreSpan scores = context.scores();
-    GoalPruner pruner(context.goal(), view, &scores);
-    GoalPruner* active = pruner.active() ? &pruner : nullptr;
-
-    std::optional<internal::SharedGoalState> shared;
-    std::optional<ParallelExecutor> executor;
-    if (parallelism_ >= 2) {
-      shared.emplace(active);
-      executor.emplace(parallelism_, view.num_objects(), &*shared,
-                       scores.objects);
-      if (!executor->parallel()) {  // core budget granted a single worker
-        executor.reset();
-        shared.reset();
-      }
-    }
-    if (executor.has_value()) {
-      const int frontier =
-          frontier_depth_ > 0
-              ? frontier_depth_
-              : internal::DefaultFrontierDepth(2, executor->num_workers());
-      KdAspRunner runner(scores, result.instance_probs.data(), &*executor,
-                         frontier);
-      if (integrated_) {
-        runner.RunIntegrated(executor->main_lane());
-      } else {
-        runner.RunPrebuilt(executor->main_lane());
-      }
-      executor->RunAndWait();
-      executor->MergedCounters().StoreInto(&result);
-      result.tasks_spawned = executor->tasks_spawned();
-      result.tasks_stolen = executor->tasks_stolen();
-      result.parallel_workers = executor->num_workers();
-    } else {
-      TraversalLane lane(view.num_objects(), GoalChannel(active));
-      KdAspRunner runner(scores, result.instance_probs.data(), nullptr, 0);
-      if (integrated_) {
-        runner.RunIntegrated(lane);
-      } else {
-        runner.RunPrebuilt(lane);
-      }
-      lane.counters.StoreInto(&result);
-    }
-    pruner.Finish(&result);
-    return result;
+  std::unique_ptr<PartitionPolicy> MakePolicy(
+      const ScoreSpan& scores) const override {
+    if (integrated_) return std::make_unique<MedianSplit>(scores);
+    return std::make_unique<PrebuiltKdTree>(scores);
   }
 
  private:
   const bool integrated_;
-  int parallelism_ = 1;
-  int frontier_depth_ = 0;  // 0 = auto
 };
 
 ARSP_REGISTER_SOLVER(kdtt, "kdtt",

@@ -4,134 +4,53 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
-#include <optional>
-#include <utility>
-#include <vector>
+#include <string>
 
-#include "src/core/asp_traversal_state.h"
-#include "src/core/parallel_traversal.h"
+#include "src/common/macros.h"
 #include "src/core/solver.h"
+#include "src/core/traversal_driver.h"
 #include "src/prefs/score_mapper.h"
 
 namespace arsp {
 
 namespace {
 
-using internal::AspTraversalState;
-using internal::GoalChannel;
-using internal::ParallelExecutor;
-using internal::PathChain;
-using internal::TraversalLane;
+using internal::DepthScratch;
+using internal::PartitionPolicy;
+using internal::TraversalNode;
 
-// Runs over the context's SoA score storage; see KdAspRunner for the
-// conventions (row index == local instance id, view-local object ids) and
-// for the frontier-spawning parallel scheme — here each slab at the
-// frontier becomes one task.
-class MultiWayAspRunner {
+// Sorts a node's rows along its widest dimension and splits them into
+// `fanout` equal slabs (1-D STR slicing). Slabs inherit small extents on
+// the split dimension, improving min-corner dominance tests.
+class SlabSplit : public PartitionPolicy {
  public:
-  MultiWayAspRunner(ScoreSpan scores, int fanout, double* probs,
-                    ParallelExecutor* executor, int frontier_depth)
-      : scores_(scores),
-        dim_(scores.dim),
-        order_(static_cast<size_t>(scores.n)),
-        fanout_(fanout),
-        probs_(probs),
-        executor_(executor),
-        frontier_depth_(frontier_depth) {
+  SlabSplit(const ScoreSpan& scores, int fanout)
+      : PartitionPolicy(scores), fanout_(fanout) {
     ARSP_CHECK_MSG(fanout >= 2, "MWTT fanout must be >= 2 (got %d)", fanout);
-    std::iota(order_.begin(), order_.end(), 0);
   }
 
-  void Run(TraversalLane& lane) {
-    if (scores_.n == 0) return;
-    std::vector<int> candidates(order_);
-    Recurse(lane, 0, scores_.n, candidates, 1, nullptr);
+  int branch_factor() const override { return fanout_; }
+
+  void Split(const TraversalNode& node, const double* corners,
+             DepthScratch* scratch) override {
+    const int split_dim = WidestDim(corners);
+    std::sort(order_.begin() + node.begin, order_.begin() + node.end,
+              [this, split_dim](int a, int b) {
+                return scores_.row(a)[split_dim] < scores_.row(b)[split_dim];
+              });
+    const int total = node.end - node.begin;
+    const int slab = std::max(1, (total + fanout_ - 1) / fanout_);
+    for (int chunk = node.begin; chunk < node.end; chunk += slab) {
+      scratch->children.push_back(
+          {chunk, std::min(node.end, chunk + slab), -1});
+    }
   }
 
  private:
-  void Recurse(TraversalLane& lane, int begin, int end,
-               const std::vector<int>& parent_candidates, int depth,
-               const std::shared_ptr<const PathChain>& chain) {
-    if (lane.SkipSubtree(order_, begin, end, depth)) return;
-    ++lane.counters.nodes_visited;
-    std::vector<double> pmin, pmax;
-    internal::ComputeScoreCorners(scores_, order_, begin, end, &pmin, &pmax);
-
-    const bool capture = executor_ != nullptr && depth < frontier_depth_;
-    std::vector<std::pair<int, double>> adds;
-    std::vector<int> kept;
-    std::vector<AspTraversalState::Change> undo_log;
-    internal::FilterAspCandidates(scores_, parent_candidates, pmin.data(),
-                                  pmax.data(), &lane.state, &kept, &undo_log,
-                                  &lane.class_scratch, &lane.counters,
-                                  capture ? &adds : nullptr);
-
-    if (!internal::HandleAspTerminal(scores_, order_, begin, end, pmin.data(),
-                                     pmax.data(), lane.state, probs_,
-                                     &lane.counters, &lane.channel)) {
-      // Sort the range along the widest dimension and recurse on `fanout`
-      // equal slabs (1-D STR slicing). Slabs inherit small extents on the
-      // split dimension, improving min-corner dominance tests.
-      int split_dim = 0;
-      double widest = -1.0;
-      for (int k = 0; k < dim_; ++k) {
-        if (pmax[static_cast<size_t>(k)] - pmin[static_cast<size_t>(k)] >
-            widest) {
-          widest = pmax[static_cast<size_t>(k)] - pmin[static_cast<size_t>(k)];
-          split_dim = k;
-        }
-      }
-      std::sort(order_.begin() + begin, order_.begin() + end,
-                [this, split_dim](int a, int b) {
-                  return scores_.row(a)[split_dim] <
-                         scores_.row(b)[split_dim];
-                });
-      const int total = end - begin;
-      const int slab = std::max(1, (total + fanout_ - 1) / fanout_);
-      const bool spawn = capture && depth + 1 == frontier_depth_;
-      std::shared_ptr<const PathChain> node_chain;
-      std::shared_ptr<const std::vector<int>> shared_kept;
-      if (capture) {
-        node_chain = std::make_shared<const PathChain>(chain, std::move(adds));
-        if (spawn) {
-          shared_kept =
-              std::make_shared<const std::vector<int>>(std::move(kept));
-        }
-      }
-      for (int chunk = begin; chunk < end; chunk += slab) {
-        const int chunk_end = std::min(end, chunk + slab);
-        if (spawn) {
-          Spawn(node_chain, chunk, chunk_end, shared_kept);
-        } else {
-          Recurse(lane, chunk, chunk_end, kept, depth + 1, node_chain);
-        }
-      }
-    }
-    lane.state.Undo(undo_log);
-  }
-
-  void Spawn(const std::shared_ptr<const PathChain>& chain, int begin,
-             int end, const std::shared_ptr<const std::vector<int>>& kept) {
-    executor_->Spawn([this, chain, begin, end, kept](TraversalLane& lane) {
-      if (lane.stopped) return;  // global goal-met: skip even the replay
-      std::vector<AspTraversalState::Change> replay_log;
-      chain->Replay(&lane.state, &replay_log);
-      Recurse(lane, begin, end, *kept, frontier_depth_, nullptr);
-      lane.state.Undo(replay_log);
-    });
-  }
-
-  const ScoreSpan scores_;
-  const int dim_;
-  std::vector<int> order_;
   const int fanout_;
-  double* const probs_;  // result->instance_probs, disjoint subtree writes
-  ParallelExecutor* const executor_;  // null = serial
-  const int frontier_depth_;
 };
 
-class MwttSolver : public ArspSolver {
+class MwttSolver : public internal::TraversalSolver {
  public:
   explicit MwttSolver(int fanout = MwttOptions{}.fanout) : fanout_(fanout) {}
 
@@ -141,13 +60,9 @@ class MwttSolver : public ArspSolver {
     return "multi-way tree traversal (equal slabs along the widest mapped "
            "dimension); option fanout=N";
   }
-  uint32_t capabilities() const override {
-    return kCapGoalPushdown | kCapIntraQueryParallel;
-  }
 
   Status Configure(const SolverOptions& options) override {
-    ARSP_RETURN_IF_ERROR(
-        options.ExpectOnly({"fanout", "parallelism", "frontier_depth"}));
+    ARSP_RETURN_IF_ERROR(options.ExpectOnly({"fanout", "parallelism"}));
     StatusOr<int64_t> fanout = options.IntOr("fanout", fanout_);
     if (!fanout.ok()) return fanout.status();
     if (*fanout < 2) {
@@ -155,63 +70,17 @@ class MwttSolver : public ArspSolver {
                                      std::to_string(*fanout));
     }
     fanout_ = static_cast<int>(*fanout);
-    ARSP_RETURN_IF_ERROR(
-        internal::ReadParallelOptions(options, &parallelism_,
-                                      &frontier_depth_));
-    return Status::OK();
+    return ReadParallelism(options);
   }
 
  protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
-    const DatasetView& view = context.view();
-    ArspResult result;
-    result.instance_probs.assign(
-        static_cast<size_t>(view.num_instances()), 0.0);
-    if (view.num_instances() == 0) return result;
-    const ScoreSpan scores = context.scores();
-    GoalPruner pruner(context.goal(), view, &scores);
-    GoalPruner* active = pruner.active() ? &pruner : nullptr;
-
-    std::optional<internal::SharedGoalState> shared;
-    std::optional<ParallelExecutor> executor;
-    if (parallelism_ >= 2) {
-      shared.emplace(active);
-      executor.emplace(parallelism_, view.num_objects(), &*shared,
-                       scores.objects);
-      if (!executor->parallel()) {  // core budget granted a single worker
-        executor.reset();
-        shared.reset();
-      }
-    }
-    if (executor.has_value()) {
-      const int frontier =
-          frontier_depth_ > 0
-              ? frontier_depth_
-              : internal::DefaultFrontierDepth(fanout_,
-                                               executor->num_workers());
-      MultiWayAspRunner runner(scores, fanout_, result.instance_probs.data(),
-                               &*executor, frontier);
-      runner.Run(executor->main_lane());
-      executor->RunAndWait();
-      executor->MergedCounters().StoreInto(&result);
-      result.tasks_spawned = executor->tasks_spawned();
-      result.tasks_stolen = executor->tasks_stolen();
-      result.parallel_workers = executor->num_workers();
-    } else {
-      TraversalLane lane(view.num_objects(), GoalChannel(active));
-      MultiWayAspRunner runner(scores, fanout_, result.instance_probs.data(),
-                               nullptr, 0);
-      runner.Run(lane);
-      lane.counters.StoreInto(&result);
-    }
-    pruner.Finish(&result);
-    return result;
+  std::unique_ptr<PartitionPolicy> MakePolicy(
+      const ScoreSpan& scores) const override {
+    return std::make_unique<SlabSplit>(scores, fanout_);
   }
 
  private:
   int fanout_;
-  int parallelism_ = 1;
-  int frontier_depth_ = 0;  // 0 = auto
 };
 
 ARSP_REGISTER_SOLVER(mwtt, "mwtt",

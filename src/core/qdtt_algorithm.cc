@@ -5,145 +5,77 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <numeric>
-#include <optional>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "src/core/asp_traversal_state.h"
-#include "src/core/parallel_traversal.h"
 #include "src/core/solver.h"
+#include "src/core/traversal_driver.h"
 #include "src/prefs/score_mapper.h"
 
 namespace arsp {
 
 namespace {
 
-using internal::AspTraversalState;
-using internal::GoalChannel;
-using internal::ParallelExecutor;
-using internal::PathChain;
-using internal::TraversalLane;
+using internal::DepthScratch;
+using internal::PartitionPolicy;
+using internal::TraversalNode;
 
-// Runs over the context's SoA score storage; see KdAspRunner for the
-// conventions (row index == local instance id, view-local object ids) and
-// for the frontier-spawning parallel scheme — here each non-empty quadrant
-// chunk at the frontier becomes one task.
-class QuadAspRunner {
+// Quadrant codes pack one bit per mapped dimension into a uint64_t.
+constexpr int kMaxQuadrantDims = 63;
+
+// Partitions a node's rows into quadrants around its box centre by sorting
+// on the quadrant code; only non-empty quadrants become children (no 2^{d'}
+// allocation, though the fan-out still hurts in high dimensions).
+class QuadrantSplit : public PartitionPolicy {
  public:
-  QuadAspRunner(ScoreSpan scores, double* probs, ParallelExecutor* executor,
-                int frontier_depth)
-      : scores_(scores),
-        dim_(scores.dim),
-        order_(static_cast<size_t>(scores.n)),
-        probs_(probs),
-        executor_(executor),
-        frontier_depth_(frontier_depth) {
-    ARSP_CHECK_MSG(scores_.n == 0 || dim_ <= 63,
-                   "QDTT+ quadrant codes support at most 63 mapped "
-                   "dimensions; use KDTT+ or B&B for larger vertex sets");
-    std::iota(order_.begin(), order_.end(), 0);
+  using PartitionPolicy::PartitionPolicy;
+
+  // Quadrant fan-out is at most 2^d' but usually far smaller; estimate
+  // conservatively so the frontier depth lands near the task-count target.
+  int branch_factor() const override {
+    return std::min(8, 1 << std::min(scores_.dim, 3));
   }
 
-  void Run(TraversalLane& lane) {
-    if (scores_.n == 0) return;
-    std::vector<int> candidates(order_);
-    Recurse(lane, 0, scores_.n, candidates, 1, nullptr);
+  void Split(const TraversalNode& node, const double* corners,
+             DepthScratch* scratch) override {
+    const int dim = scores_.dim;
+    std::vector<double>& center = scratch->center;
+    center.resize(static_cast<size_t>(dim));
+    for (int k = 0; k < dim; ++k) {
+      center[static_cast<size_t>(k)] = 0.5 * (corners[k] + corners[dim + k]);
+    }
+    std::sort(order_.begin() + node.begin, order_.begin() + node.end,
+              [this, &center](int a, int b) {
+                return QuadrantCode(a, center.data()) <
+                       QuadrantCode(b, center.data());
+              });
+    int chunk = node.begin;
+    while (chunk < node.end) {
+      const uint64_t code =
+          QuadrantCode(order_[static_cast<size_t>(chunk)], center.data());
+      int chunk_end = chunk + 1;
+      while (chunk_end < node.end &&
+             QuadrantCode(order_[static_cast<size_t>(chunk_end)],
+                          center.data()) == code) {
+        ++chunk_end;
+      }
+      scratch->children.push_back({chunk, chunk_end, -1});
+      chunk = chunk_end;
+    }
   }
 
  private:
-  uint64_t QuadrantCode(const double* p, const double* center) const {
+  uint64_t QuadrantCode(int row, const double* center) const {
+    const double* p = scores_.row(row);
     uint64_t code = 0;
-    for (int k = 0; k < dim_; ++k) {
+    for (int k = 0; k < scores_.dim; ++k) {
       code = (code << 1) | (p[k] > center[k] ? 1u : 0u);
     }
     return code;
   }
-
-  void Recurse(TraversalLane& lane, int begin, int end,
-               const std::vector<int>& parent_candidates, int depth,
-               const std::shared_ptr<const PathChain>& chain) {
-    if (lane.SkipSubtree(order_, begin, end, depth)) return;
-    ++lane.counters.nodes_visited;
-    std::vector<double> pmin, pmax;
-    internal::ComputeScoreCorners(scores_, order_, begin, end, &pmin, &pmax);
-
-    const bool capture = executor_ != nullptr && depth < frontier_depth_;
-    std::vector<std::pair<int, double>> adds;
-    std::vector<int> kept;
-    std::vector<AspTraversalState::Change> undo_log;
-    internal::FilterAspCandidates(scores_, parent_candidates, pmin.data(),
-                                  pmax.data(), &lane.state, &kept, &undo_log,
-                                  &lane.class_scratch, &lane.counters,
-                                  capture ? &adds : nullptr);
-
-    if (!internal::HandleAspTerminal(scores_, order_, begin, end, pmin.data(),
-                                     pmax.data(), lane.state, probs_,
-                                     &lane.counters, &lane.channel)) {
-      // Partition the range into quadrants around the box center by sorting
-      // on the quadrant code; only non-empty quadrants recurse (no 2^{d'}
-      // allocation, though the fan-out still hurts in high dimensions).
-      std::vector<double> center(static_cast<size_t>(dim_));
-      for (int k = 0; k < dim_; ++k) {
-        center[static_cast<size_t>(k)] =
-            0.5 * (pmin[static_cast<size_t>(k)] + pmax[static_cast<size_t>(k)]);
-      }
-      std::sort(order_.begin() + begin, order_.begin() + end,
-                [this, &center](int a, int b) {
-                  return QuadrantCode(scores_.row(a), center.data()) <
-                         QuadrantCode(scores_.row(b), center.data());
-                });
-      const bool spawn = capture && depth + 1 == frontier_depth_;
-      std::shared_ptr<const PathChain> node_chain;
-      std::shared_ptr<const std::vector<int>> shared_kept;
-      if (capture) {
-        node_chain = std::make_shared<const PathChain>(chain, std::move(adds));
-        if (spawn) {
-          shared_kept =
-              std::make_shared<const std::vector<int>>(std::move(kept));
-        }
-      }
-      int chunk = begin;
-      while (chunk < end) {
-        const uint64_t code = QuadrantCode(
-            scores_.row(order_[static_cast<size_t>(chunk)]), center.data());
-        int chunk_end = chunk + 1;
-        while (chunk_end < end &&
-               QuadrantCode(scores_.row(order_[static_cast<size_t>(chunk_end)]),
-                            center.data()) == code) {
-          ++chunk_end;
-        }
-        if (spawn) {
-          Spawn(node_chain, chunk, chunk_end, shared_kept);
-        } else {
-          Recurse(lane, chunk, chunk_end, kept, depth + 1, node_chain);
-        }
-        chunk = chunk_end;
-      }
-    }
-    lane.state.Undo(undo_log);
-  }
-
-  void Spawn(const std::shared_ptr<const PathChain>& chain, int begin,
-             int end, const std::shared_ptr<const std::vector<int>>& kept) {
-    executor_->Spawn([this, chain, begin, end, kept](TraversalLane& lane) {
-      if (lane.stopped) return;  // global goal-met: skip even the replay
-      std::vector<AspTraversalState::Change> replay_log;
-      chain->Replay(&lane.state, &replay_log);
-      Recurse(lane, begin, end, *kept, frontier_depth_, nullptr);
-      lane.state.Undo(replay_log);
-    });
-  }
-
-  const ScoreSpan scores_;
-  const int dim_;
-  std::vector<int> order_;
-  double* const probs_;  // result->instance_probs, disjoint subtree writes
-  ParallelExecutor* const executor_;  // null = serial
-  const int frontier_depth_;
 };
 
-class QdttSolver : public ArspSolver {
+class QdttSolver : public internal::TraversalSolver {
  public:
   const char* name() const override { return "qdtt+"; }
   const char* display_name() const override { return "QDTT+"; }
@@ -152,71 +84,30 @@ class QdttSolver : public ArspSolver {
            "fused with pruning";
   }
   uint32_t capabilities() const override {
-    return kCapExponentialInVertices | kCapGoalPushdown |
-           kCapIntraQueryParallel;
+    return TraversalSolver::capabilities() | kCapExponentialInVertices;
   }
 
-  Status Configure(const SolverOptions& options) override {
-    ARSP_RETURN_IF_ERROR(
-        options.ExpectOnly({"parallelism", "frontier_depth"}));
-    ARSP_RETURN_IF_ERROR(
-        internal::ReadParallelOptions(options, &parallelism_,
-                                      &frontier_depth_));
+  // The mapped dimension d' is the region's vertex count. A larger region
+  // is refused here, as a recoverable error a daemon can answer, rather
+  // than producing truncated quadrant codes mid-solve.
+  Status ValidateContext(const ExecutionContext& context) const override {
+    ARSP_RETURN_IF_ERROR(TraversalSolver::ValidateContext(context));
+    const int vertices = context.region().num_vertices();
+    if (vertices > kMaxQuadrantDims) {
+      return Status::FailedPrecondition(
+          "QDTT+ quadrant codes support at most " +
+          std::to_string(kMaxQuadrantDims) + " mapped dimensions, got " +
+          std::to_string(vertices) +
+          " preference-region vertices; use KDTT+ or B&B");
+    }
     return Status::OK();
   }
 
  protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
-    const DatasetView& view = context.view();
-    ArspResult result;
-    result.instance_probs.assign(
-        static_cast<size_t>(view.num_instances()), 0.0);
-    if (view.num_instances() == 0) return result;
-    const ScoreSpan scores = context.scores();
-    GoalPruner pruner(context.goal(), view, &scores);
-    GoalPruner* active = pruner.active() ? &pruner : nullptr;
-
-    std::optional<internal::SharedGoalState> shared;
-    std::optional<ParallelExecutor> executor;
-    if (parallelism_ >= 2) {
-      shared.emplace(active);
-      executor.emplace(parallelism_, view.num_objects(), &*shared,
-                       scores.objects);
-      if (!executor->parallel()) {  // core budget granted a single worker
-        executor.reset();
-        shared.reset();
-      }
-    }
-    if (executor.has_value()) {
-      // Quadrant fan-out is at most 2^d' but usually far smaller; estimate
-      // conservatively so auto depth lands near the task-count target.
-      const int branch = std::min(8, 1 << std::min(scores.dim, 3));
-      const int frontier =
-          frontier_depth_ > 0
-              ? frontier_depth_
-              : internal::DefaultFrontierDepth(branch,
-                                               executor->num_workers());
-      QuadAspRunner runner(scores, result.instance_probs.data(), &*executor,
-                           frontier);
-      runner.Run(executor->main_lane());
-      executor->RunAndWait();
-      executor->MergedCounters().StoreInto(&result);
-      result.tasks_spawned = executor->tasks_spawned();
-      result.tasks_stolen = executor->tasks_stolen();
-      result.parallel_workers = executor->num_workers();
-    } else {
-      TraversalLane lane(view.num_objects(), GoalChannel(active));
-      QuadAspRunner runner(scores, result.instance_probs.data(), nullptr, 0);
-      runner.Run(lane);
-      lane.counters.StoreInto(&result);
-    }
-    pruner.Finish(&result);
-    return result;
+  std::unique_ptr<PartitionPolicy> MakePolicy(
+      const ScoreSpan& scores) const override {
+    return std::make_unique<QuadrantSplit>(scores);
   }
-
- private:
-  int parallelism_ = 1;
-  int frontier_depth_ = 0;  // 0 = auto
 };
 
 ARSP_REGISTER_SOLVER(qdtt_plus, "qdtt+",

@@ -1,0 +1,578 @@
+// Copyright 2026 The ARSP Authors.
+//
+// Parallel execution. A serial traversal is a pre-order walk whose
+// per-subtree work touches only (a) the subtree's slice of the shared
+// `order` permutation, (b) the instance_probs entries of that slice, and
+// (c) the worker-private (σ, β, χ) state — so a subtree is a self-contained
+// work item once the root→subtree σ path has been replayed. The driver:
+//
+//  * splits the traversal at a *frontier depth* D: the walk above D runs on
+//    the calling thread (lane 0) as in serial, and every child subtree at
+//    depth D becomes one TaskArena task;
+//  * hands each task the root→subtree path of Adds — the descending lane's
+//    undo log at the frontier parent — which the task replays into its
+//    lane's state before descending.
+//    Replay performs the exact same Add calls in the exact same order as
+//    the serial walk, and Add/Undo are bitwise-exact, so the subtree
+//    computes bit-identical values no matter which lane runs it;
+//  * merges lanes at the end: instance probabilities need no merge at all
+//    (disjoint writes — the canonical node-index order of the output array
+//    IS the merge order), and counters are associative sums (see
+//    TraversalCounters).
+//
+// Goal pushdown under parallelism flows through SharedGoalState: lanes
+// buffer resolutions and flush them to the single authoritative GoalPruner
+// under a lock; decided masks and the global early-exit flag come back as
+// epoch-published snapshots that lanes poll between tasks. Monotone pruning
+// only, so no torn decisions.
+
+#include "src/core/traversal_driver.h"
+
+#include <algorithm>
+#include <atomic>
+#include <deque>
+#include <mutex>
+#include <numeric>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/task_arena.h"
+#include "src/geometry/point.h"
+#include "src/simd/kernels.h"
+
+namespace arsp {
+namespace internal {
+
+namespace {
+
+/// Per-lane traversal counters. Lanes accumulate privately and the driver
+/// sums them at the end; every field is an associative-commutative sum
+/// (or, for early_exit_depth, a max), so the merged totals equal the serial
+/// totals no matter how subtrees were distributed over lanes.
+struct TraversalCounters {
+  int64_t dominance_tests = 0;
+  int64_t nodes_visited = 0;
+  int64_t nodes_pruned = 0;
+  int64_t early_exit_depth = 0;
+};
+
+/// Cross-lane goal-pushdown state: wraps the query's single authoritative
+/// GoalPruner behind a mutex and republishes its decided-object mask as an
+/// epoch-stamped snapshot that lanes copy between tasks. Because pruner
+/// decisions are monotone (an object, once decided, never becomes
+/// undecided, and the global goal-met flag never clears), a lane acting on
+/// a stale snapshot only *misses* pruning opportunities — it can never
+/// skip work it still needed, so correctness is unconditional and the
+/// final answer set matches serial.
+class SharedGoalState {
+ public:
+  /// `pruner` may be null (full goal): then the state is inert and every
+  /// channel built on it behaves as inactive.
+  explicit SharedGoalState(GoalPruner* pruner)
+      : pruner_(pruner != nullptr && pruner->active() ? pruner : nullptr) {
+    if (pruner_ != nullptr) {
+      // Publish the construction-time mask: scoped goals pre-decide
+      // out-of-scope objects, and lanes should see those from task one.
+      std::lock_guard<std::mutex> lock(mu_);
+      PublishLocked();
+    }
+  }
+
+  bool active() const { return pruner_ != nullptr; }
+
+  /// Global early-exit flag: set once GoalMet() held under the lock.
+  bool stopped() const { return stop_.load(std::memory_order_acquire); }
+
+  /// Applies a batch of (instance id, probability) resolutions to the
+  /// authoritative pruner under the lock, then republishes the decided
+  /// mask (epoch bump) if any new object decision landed.
+  void Flush(const std::vector<std::pair<int, double>>& resolutions) {
+    if (pruner_ == nullptr || resolutions.empty()) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& r : resolutions) {
+      pruner_->Resolve(r.first, r.second);
+    }
+    if (pruner_->GoalMet()) {
+      stop_.store(true, std::memory_order_release);
+    }
+    if (pruner_->decided_count() != published_count_) {
+      PublishLocked();
+    }
+  }
+
+  /// Copies the latest published mask into `mask` iff `*epoch_seen` is
+  /// stale, updating `*epoch_seen` / `*any_decided`.
+  void RefreshSnapshot(std::vector<unsigned char>* mask, uint64_t* epoch_seen,
+                       bool* any_decided) const {
+    if (pruner_ == nullptr) return;
+    const uint64_t current = epoch_.load(std::memory_order_acquire);
+    if (current == *epoch_seen) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    *mask = published_;
+    *any_decided = published_count_ > 0;
+    // Re-read under the lock: the copy above is consistent with at least
+    // this epoch.
+    *epoch_seen = epoch_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  void PublishLocked() {
+    published_ = pruner_->decided_mask();
+    published_count_ = pruner_->decided_count();
+    epoch_.fetch_add(1, std::memory_order_release);
+  }
+
+  GoalPruner* const pruner_;
+  mutable std::mutex mu_;
+  std::vector<unsigned char> published_;  // decided mask copy, under mu_
+  int published_count_ = 0;               // decided count at last publish
+  std::atomic<uint64_t> epoch_{1};
+  std::atomic<bool> stop_{false};
+};
+
+/// A lane's view of goal pushdown; one of three modes:
+///  * inactive — full goal, every query is a cheap no-op;
+///  * direct — serial execution: calls straight into the GoalPruner;
+///  * buffered — parallel execution: resolutions accumulate locally and
+///    flush in batches to the SharedGoalState; decided/stopped queries are
+///    answered from the lane's snapshot (refreshed between tasks).
+/// The buffered mode is what makes goal pushdown race-free under
+/// parallelism: the pruner itself is only ever touched under the shared
+/// lock, and snapshots are plain lane-private copies.
+class GoalChannel {
+ public:
+  static constexpr size_t kFlushBatch = 4096;
+
+  /// Direct mode; a null pruner degrades to inactive.
+  explicit GoalChannel(GoalPruner* pruner) : pruner_(pruner) {}
+  /// Buffered mode; `instance_objects` maps local instance id → object id
+  /// (needed to answer AllDecided from the object-indexed snapshot). An
+  /// inert `shared` degrades to inactive.
+  GoalChannel(SharedGoalState* shared, const int* instance_objects)
+      : shared_(shared->active() ? shared : nullptr),
+        objects_(instance_objects) {}
+
+  bool active() const { return pruner_ != nullptr || shared_ != nullptr; }
+
+  /// Global early-exit: the goal is met, stop traversing everywhere.
+  bool GoalMet() const {
+    if (pruner_ != nullptr) return pruner_->GoalMet();
+    if (shared_ != nullptr) return shared_->stopped();
+    return false;
+  }
+
+  /// True when every instance in ids[0..count) belongs to a decided
+  /// object. Buffered mode answers from the lane snapshot — stale is fine,
+  /// it only under-reports (see SharedGoalState).
+  bool AllDecided(const int* ids, int count) const {
+    if (pruner_ != nullptr) return pruner_->AllDecided(ids, count);
+    if (shared_ == nullptr || !snapshot_any_) return false;
+    for (int i = 0; i < count; ++i) {
+      const int object = objects_[ids[i]];
+      if (snapshot_[static_cast<size_t>(object)] == 0) return false;
+    }
+    return true;
+  }
+
+  /// Reports one instance's exact probability. Callers guard loops with
+  /// active() so the full-goal path pays nothing per instance.
+  void Resolve(int instance, double prob) {
+    if (pruner_ != nullptr) {
+      pruner_->Resolve(instance, prob);
+      return;
+    }
+    if (shared_ != nullptr) {
+      buffer_.emplace_back(instance, prob);
+      if (buffer_.size() >= kFlushBatch) Flush();
+    }
+  }
+
+  /// Pushes buffered resolutions to the shared pruner (no-op otherwise).
+  /// Call at task end — resolutions must not outlive their task, or a
+  /// long-running lane could starve the global goal check.
+  void Flush() {
+    if (shared_ != nullptr && !buffer_.empty()) {
+      shared_->Flush(buffer_);
+      buffer_.clear();
+    }
+  }
+
+  /// Refreshes the decided-mask snapshot; call between tasks.
+  void BeginTask() {
+    if (shared_ != nullptr) {
+      shared_->RefreshSnapshot(&snapshot_, &epoch_seen_, &snapshot_any_);
+    }
+  }
+
+ private:
+  GoalPruner* pruner_ = nullptr;     // direct mode
+  SharedGoalState* shared_ = nullptr;  // buffered mode
+  const int* objects_ = nullptr;
+  std::vector<std::pair<int, double>> buffer_;
+  std::vector<unsigned char> snapshot_;  // decided mask, object-indexed
+  uint64_t epoch_seen_ = 0;
+  bool snapshot_any_ = false;
+};
+
+/// Everything one worker needs to traverse a subtree: private (σ, β, χ)
+/// state, classification and per-depth scratch, counters and its goal
+/// channel. Lane 0 is the calling thread's (and the only lane in serial
+/// mode); helper workers get lanes 1..W-1. The `stopped` flag is
+/// lane-sticky: once a lane has observed goal-met it records the depth and
+/// skips everything else handed to it.
+struct TraversalLane {
+  TraversalLane(int num_objects, GoalChannel channel_in)
+      : state(num_objects), channel(std::move(channel_in)) {}
+
+  AspTraversalState state;
+  std::vector<unsigned char> class_scratch;
+  TraversalCounters counters;
+  GoalChannel channel;
+  bool stopped = false;  // this lane saw the global goal-met early exit
+  // Indexed by depth (the root is depth 1). A deque, so a reference to one
+  // level stays valid while deeper levels are appended.
+  std::deque<DepthScratch> depths;
+  // The Adds of every node on the current path, root first (a task's
+  // replayed path first); each node unwinds its own suffix.
+  std::vector<AspTraversalState::Change> undo;
+
+  DepthScratch& AtDepth(int depth) {
+    while (depths.size() <= static_cast<size_t>(depth)) depths.emplace_back();
+    return depths[static_cast<size_t>(depth)];
+  }
+
+  /// True when rows order[begin..end) at `depth` need not be visited
+  /// (goal met globally, or every instance belongs to a decided object).
+  /// Skipping is sound because a subtree's σ updates are local to it
+  /// (undone on unwind) — they can never change another instance's value.
+  bool SkipSubtree(const std::vector<int>& order, int begin, int end,
+                   int depth) {
+    if (!channel.active()) return false;
+    if (stopped) return true;
+    if (channel.GoalMet()) {
+      stopped = true;
+      counters.early_exit_depth = depth;
+      return true;
+    }
+    if (channel.AllDecided(order.data() + begin, end - begin)) {
+      ++counters.nodes_pruned;
+      return true;
+    }
+    return false;
+  }
+};
+
+/// Per-worker multiplier in DefaultFrontierDepth's task-count target.
+constexpr int kTaskFactor = 8;
+
+/// Frontier depth for a traversal with the given branching factor: the
+/// smallest depth whose level holds at least kTaskFactor tasks per worker
+/// (so steal-half has slack to balance irregular subtrees), clamped to
+/// [2, 12] — at least one split level, at most ~4k tasks even for binary
+/// trees.
+int DefaultFrontierDepth(int branch_factor, int workers) {
+  if (branch_factor < 2) branch_factor = 2;
+  const int64_t target = static_cast<int64_t>(kTaskFactor) * workers;
+  int depth = 2;
+  int64_t level_tasks = branch_factor;  // tasks spawned from depth D-1
+  while (depth < 12 && level_tasks < target) {
+    level_tasks *= branch_factor;
+    ++depth;
+  }
+  return depth;
+}
+
+// What the sibling tasks of one frontier parent share: the root→parent
+// Adds in serial order, and the parent's kept candidates.
+struct TaskSeed {
+  std::vector<AspTraversalState::Change> path;
+  std::vector<int> candidates;
+};
+
+// Algorithm 1 over one PartitionPolicy, on one lane per worker (see the
+// file comment for the parallel scheme).
+class TraversalDriver {
+ public:
+  // Serial unless `parallelism` >= 2 and the core budget grants a helper.
+  // `pruner` is null for the full goal.
+  TraversalDriver(PartitionPolicy& policy, double* probs, int num_objects,
+                  GoalPruner* pruner, int parallelism)
+      : policy_(policy),
+        scores_(policy.scores()),
+        order_(policy.order()),
+        probs_(probs) {
+    if (parallelism >= 2) {
+      arena_.emplace(parallelism);
+      if (arena_->num_workers() < 2) arena_.reset();
+    }
+    if (!arena_.has_value()) {
+      lanes_.emplace_back(num_objects, GoalChannel(pruner));
+      return;
+    }
+    frontier_depth_ =
+        DefaultFrontierDepth(policy.branch_factor(), arena_->num_workers());
+    shared_.emplace(pruner);
+    for (int w = 0; w < arena_->num_workers(); ++w) {
+      lanes_.emplace_back(num_objects,
+                          GoalChannel(&*shared_, scores_.objects));
+      lanes_.back().channel.BeginTask();
+    }
+  }
+
+  // Tasks hold `this`.
+  TraversalDriver(const TraversalDriver&) = delete;
+  TraversalDriver& operator=(const TraversalDriver&) = delete;
+
+  void Run() {
+    // The root's candidates are every row, in the policy's initial order
+    // (a prebuilt tree has already permuted it): the Add order follows it.
+    const std::vector<int> candidates(order_);
+    Visit(lanes_[0], TraversalNode{0, scores_.n, 0}, candidates, 1);
+    if (arena_.has_value()) {
+      // Lane 0's descent has unwound, so the caller joins the tasks; then
+      // flush lane 0, whose descent may have buffered resolutions too.
+      arena_->RunAndWait();
+      lanes_[0].channel.Flush();
+    }
+  }
+
+  // Adds the lane counters into a fresh result (see TraversalCounters).
+  void StoreCounters(ArspResult* result) const {
+    for (const TraversalLane& lane : lanes_) {
+      result->dominance_tests += lane.counters.dominance_tests;
+      result->nodes_visited += lane.counters.nodes_visited;
+      result->nodes_pruned += lane.counters.nodes_pruned;
+      result->early_exit_depth =
+          std::max(result->early_exit_depth, lane.counters.early_exit_depth);
+    }
+    if (arena_.has_value()) {
+      result->tasks_spawned = arena_->tasks_spawned();
+      result->tasks_stolen = arena_->tasks_stolen();
+      result->parallel_workers = arena_->num_workers();
+    }
+  }
+
+ private:
+  void Visit(TraversalLane& lane, const TraversalNode& node,
+             const std::vector<int>& candidates, int depth) {
+    if (lane.SkipSubtree(order_, node.begin, node.end, depth)) return;
+    ++lane.counters.nodes_visited;
+    DepthScratch& scratch = lane.AtDepth(depth);
+    scratch.corners.resize(2 * static_cast<size_t>(scores_.dim));
+    const double* pmin = policy_.Corners(node, scratch.corners.data());
+    const double* pmax = pmin + scores_.dim;
+
+    const size_t undo_mark = lane.undo.size();
+    Filter(lane, candidates, pmin, pmax, &scratch);
+    if (!EmitTerminal(lane, node, pmin, pmax)) {
+      scratch.children.clear();
+      policy_.Split(node, pmin, &scratch);
+      // Inside a task depth starts at the frontier, so spawning never
+      // re-fires there.
+      if (depth + 1 == frontier_depth_) {
+        Spawn(lane, scratch);
+      } else {
+        for (const TraversalNode& child : scratch.children) {
+          Visit(lane, child, scratch.kept, depth + 1);
+        }
+      }
+    }
+    lane.state.Undo(lane.undo, undo_mark);
+    lane.undo.resize(undo_mark);
+  }
+
+  // Moves candidates into D (σ) when they dominate pmin, keeps them in
+  // scratch->kept when they dominate pmax; everything else is discarded for
+  // this subtree. The two dominance tests per candidate run batched through
+  // the ClassifyCorners kernel into the lane's class scratch (fully
+  // consumed before any recursion, so one buffer serves every level); the
+  // scalar loop then applies the σ/kept side effects in candidate order.
+  // Counts one dominance test per candidate.
+  void Filter(TraversalLane& lane, const std::vector<int>& candidates,
+              const double* pmin, const double* pmax,
+              DepthScratch* scratch) {
+    scratch->kept.clear();
+    const int count = static_cast<int>(candidates.size());
+    if (count == 0) return;
+    if (lane.class_scratch.size() < static_cast<size_t>(count)) {
+      lane.class_scratch.resize(static_cast<size_t>(count));
+    }
+    simd::Ops().ClassifyCorners(scores_.coords, scores_.dim,
+                                candidates.data(), count, pmin, pmax,
+                                lane.class_scratch.data());
+    lane.counters.dominance_tests += count;
+    const unsigned char* classes = lane.class_scratch.data();
+    for (int c = 0; c < count; ++c) {
+      const int cid = candidates[static_cast<size_t>(c)];
+      if (classes[c] == simd::kClassDominatesMin) {
+        lane.state.Add(scores_.object(cid), scores_.prob(cid), &lane.undo);
+      } else if (classes[c] == simd::kClassDominatesMax) {
+        scratch->kept.push_back(cid);
+      }
+    }
+  }
+
+  // Terminal rules; returns true when the node's rows are fully resolved
+  // (leaf emitted or pruned):
+  //   χ ≥ 2        — two foreign full dominators: everything is zero;
+  //   χ = 1        — only instances coinciding with pmin (where σ is exact)
+  //                  can survive (see ARCHITECTURE.md, "Deviations from
+  //                  the paper");
+  //   pmin == pmax — true leaf; σ is exact for every (coincident) instance.
+  // A terminal determines the exact probability of *every* instance in the
+  // range (zeros included), so it is also the goal-pushdown resolution
+  // point: when the channel is active each instance is reported to it once.
+  // Every instance appears in exactly one terminal and subtree ranges are
+  // disjoint, so parallel lanes write disjoint probs_ entries.
+  bool EmitTerminal(TraversalLane& lane, const TraversalNode& node,
+                    const double* pmin, const double* pmax) {
+    const AspTraversalState& state = lane.state;
+    GoalChannel& channel = lane.channel;
+    if (state.chi() >= 2) {
+      if (channel.active()) {
+        for (int i = node.begin; i < node.end; ++i) {
+          channel.Resolve(order_[static_cast<size_t>(i)], 0.0);
+        }
+      }
+      ++lane.counters.nodes_pruned;
+      return true;
+    }
+    if (state.chi() == 1) {
+      for (int i = node.begin; i < node.end; ++i) {
+        const int id = order_[static_cast<size_t>(i)];
+        double prob = 0.0;
+        if (CoordsEqual(scores_.row(id), pmin, scores_.dim)) {
+          prob = state.LeafProbability(scores_.object(id), scores_.prob(id));
+          probs_[static_cast<size_t>(id)] = prob;
+        }
+        if (channel.active()) channel.Resolve(id, prob);
+      }
+      ++lane.counters.nodes_pruned;
+      return true;
+    }
+    if (CoordsEqual(pmin, pmax, scores_.dim)) {
+      for (int i = node.begin; i < node.end; ++i) {
+        const int id = order_[static_cast<size_t>(i)];
+        const double prob =
+            state.LeafProbability(scores_.object(id), scores_.prob(id));
+        probs_[static_cast<size_t>(id)] = prob;
+        if (channel.active()) channel.Resolve(id, prob);
+      }
+      return true;
+    }
+    return false;
+  }
+
+  // Turns each child of the frontier parent into one task. A task
+  // refreshes its lane's goal snapshot before the body and flushes its
+  // buffered resolutions after, so a task is the unit of goal-state
+  // propagation.
+  void Spawn(const TraversalLane& lane, const DepthScratch& parent) {
+    const auto shared_seed =
+        std::make_shared<const TaskSeed>(TaskSeed{lane.undo, parent.kept});
+    for (const TraversalNode& child : parent.children) {
+      arena_->Submit([this, shared_seed, child](int worker) {
+        TraversalLane& task_lane = lanes_[static_cast<size_t>(worker)];
+        task_lane.channel.BeginTask();
+        if (!task_lane.stopped) {  // after global goal-met, skip the replay
+          for (const AspTraversalState::Change& add : shared_seed->path) {
+            task_lane.state.Add(add.object, add.prob, &task_lane.undo);
+          }
+          Visit(task_lane, child, shared_seed->candidates, frontier_depth_);
+          task_lane.state.Undo(task_lane.undo);
+          task_lane.undo.clear();
+        }
+        task_lane.channel.Flush();
+      });
+    }
+  }
+
+  PartitionPolicy& policy_;
+  const ScoreSpan scores_;
+  const std::vector<int>& order_;
+  double* const probs_;  // result->instance_probs, disjoint subtree writes
+  int frontier_depth_ = 0;  // 0 = serial: no tasks
+  // Destroyed in reverse: the arena joins its helpers before the lanes and
+  // the shared goal state they use go away.
+  std::optional<SharedGoalState> shared_;
+  std::deque<TraversalLane> lanes_;  // never moved: workers hold references
+  std::optional<TaskArena> arena_;
+};
+
+}  // namespace
+
+PartitionPolicy::PartitionPolicy(const ScoreSpan& scores)
+    : scores_(scores), order_(static_cast<size_t>(scores.n)) {
+  std::iota(order_.begin(), order_.end(), 0);
+}
+
+const double* PartitionPolicy::Corners(const TraversalNode& node,
+                                       double* scratch) const {
+  ComputeCorners(node.begin, node.end, scratch, scratch + scores_.dim);
+  return scratch;
+}
+
+void PartitionPolicy::ComputeCorners(int begin, int end, double* pmin,
+                                     double* pmax) const {
+  const int dim = scores_.dim;
+  const double* first = scores_.row(order_[static_cast<size_t>(begin)]);
+  std::copy(first, first + dim, pmin);
+  std::copy(first, first + dim, pmax);
+  if (end - begin > 1) {
+    simd::Ops().ScoreCorners(scores_.coords, dim, order_.data() + begin + 1,
+                             end - begin - 1, pmin, pmax);
+  }
+}
+
+int PartitionPolicy::WidestDim(const double* corners) const {
+  const double* pmin = corners;
+  const double* pmax = corners + scores_.dim;
+  int dim = 0;
+  double widest = -1.0;
+  for (int k = 0; k < scores_.dim; ++k) {
+    if (pmax[k] - pmin[k] > widest) {
+      widest = pmax[k] - pmin[k];
+      dim = k;
+    }
+  }
+  return dim;
+}
+
+Status TraversalSolver::Configure(const SolverOptions& options) {
+  ARSP_RETURN_IF_ERROR(options.ExpectOnly({"parallelism"}));
+  return ReadParallelism(options);
+}
+
+Status TraversalSolver::ReadParallelism(const SolverOptions& options) {
+  StatusOr<int64_t> parallelism = options.IntOr("parallelism", parallelism_);
+  if (!parallelism.ok()) return parallelism.status();
+  if (*parallelism < 1) {
+    return Status::InvalidArgument("parallelism must be >= 1, got " +
+                                   std::to_string(*parallelism));
+  }
+  parallelism_ = static_cast<int>(*parallelism);
+  return Status::OK();
+}
+
+StatusOr<ArspResult> TraversalSolver::SolveImpl(ExecutionContext& context) {
+  const DatasetView& view = context.view();
+  ArspResult result;
+  result.instance_probs.assign(static_cast<size_t>(view.num_instances()),
+                               0.0);
+  if (view.num_instances() == 0) return result;
+  const ScoreSpan scores = context.scores();
+  const std::unique_ptr<PartitionPolicy> policy = MakePolicy(scores);
+  GoalPruner pruner(context.goal(), view, &scores);
+  TraversalDriver driver(*policy, result.instance_probs.data(),
+                         view.num_objects(),
+                         pruner.active() ? &pruner : nullptr, parallelism_);
+  driver.Run();
+  driver.StoreCounters(&result);
+  pruner.Finish(&result);
+  return result;
+}
+
+}  // namespace internal
+}  // namespace arsp

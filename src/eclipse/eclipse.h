@@ -10,8 +10,8 @@
 //  * EclipseBrute    — all-pairs Theorem-5 tests over the whole dataset
 //                      (ground truth for tests).
 //  * EclipsePairwise — O(s²) pairwise tests over the skyline; models the
-//                      reporting-phase cost of QUAD [2] (see DESIGN.md
-//                      "Substitutions").
+//                      reporting-phase cost of QUAD [2] (see
+//                      ARCHITECTURE.md, "Deviations from the paper").
 //  * EclipseDualS    — the paper's DUAL-S: per candidate, 2^{d-1} emptiness
 //                      probes (orthant ∧ half-space of Eq. 6) on a kd-tree
 //                      over the skyline. O(s · 2^{d-1} log s) probes.

@@ -5,7 +5,8 @@
 // cnt/l/ϕ knobs). The "real" datasets the paper evaluates (IIP iceberg
 // sightings, CAR listings, NBA game logs) are not redistributable, so we
 // ship statistical simulators that reproduce the structural properties the
-// paper's analysis relies on — see DESIGN.md "Substitutions".
+// paper's analysis relies on — see ARCHITECTURE.md, "Deviations from the
+// paper".
 
 #ifndef ARSP_UNCERTAIN_GENERATORS_H_
 #define ARSP_UNCERTAIN_GENERATORS_H_
@@ -25,7 +26,8 @@ enum class Distribution { kIndependent, kAntiCorrelated, kCorrelated };
 const char* DistributionName(Distribution dist);
 
 /// Knobs of the §V-A synthetic generator; defaults are the paper's defaults
-/// scaled down (see DESIGN.md) — pass explicit values in benchmarks.
+/// scaled down (see ARCHITECTURE.md, "Deviations from the paper") — pass
+/// explicit values in benchmarks.
 struct SyntheticConfig {
   int num_objects = 512;     ///< m
   int max_instances = 20;    ///< cnt; n_i ~ Uniform[1, cnt]

@@ -2,7 +2,8 @@
 //
 // Focused regression tests for the kd-ASP* traversal: the χ pruning rules,
 // the own-object-full corner case the printed Algorithm 1 misses (see
-// DESIGN.md), duplicate leaves, and the KDTT vs KDTT+ construction modes.
+// ARCHITECTURE.md, "Deviations from the paper"), duplicate leaves, and the
+// KDTT vs KDTT+ construction modes.
 
 #include <gtest/gtest.h>
 

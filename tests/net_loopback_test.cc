@@ -465,6 +465,31 @@ TEST_F(NetLoopbackTest, BadRequestsAreCleanErrorsAndTheConnectionSurvives) {
   EXPECT_TRUE(response->complete);
 }
 
+TEST_F(NetLoopbackTest, QdttBeyondItsVertexLimitIsAnErrorReply) {
+  net::ArspClient client = Connect();
+  net::LoadDatasetRequest load;
+  load.name = "wide";
+  load.source = net::LoadSource::kCsvText;
+  load.payload =
+      "a,0.9,1,8,2,7,3,6,4,5\n"
+      "b,0.8,3,4,5,6,7,8,1,2\n"
+      "c,0.7,5,2,8,1,6,3,7,4\n";
+  ASSERT_TRUE(client.LoadDataset(load).ok());
+
+  // Seven ratio ranges in d = 8: a 128-vertex region, past the 63 mapped
+  // dimensions a quadrant code holds.
+  net::QueryRequestWire request = WireQuery("wide", "qdtt+");
+  request.constraint_spec =
+      "wr:0.5,2,0.5,2,0.5,2,0.5,2,0.5,2,0.5,2,0.5,2";
+  EXPECT_EQ(client.Query(request).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The daemon is still up: the same connection and a fresh one answer.
+  EXPECT_TRUE(client.Ping().ok());
+  net::ArspClient fresh = Connect();
+  EXPECT_TRUE(fresh.Ping().ok());
+}
+
 TEST_F(NetLoopbackTest, ShutdownMessageDrainsTheServer) {
   net::ArspClient client = Connect();
   ASSERT_TRUE(client.Shutdown().ok());

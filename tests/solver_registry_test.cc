@@ -92,6 +92,20 @@ TEST(Capabilities, Dual2dMsRejectsMultiInstanceObjects) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(Capabilities, QdttRejectsMoreVerticesThanQuadrantCodesHold) {
+  // Seven ratio ranges in d = 8 span a 2^7 = 128-vertex region: more
+  // mapped dimensions than a 64-bit quadrant code holds.
+  const UncertainDataset dataset = RandomDataset(10, 2, 8, 0.0, 6);
+  ExecutionContext context(dataset, RandomWr(8, 6));
+  ASSERT_GT(context.region().num_vertices(), 63);
+  auto solver = SolverRegistry::Create("qdtt+");
+  ASSERT_TRUE(solver.ok());
+  auto result = (*solver)->Solve(context);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("63"), std::string::npos);
+}
+
 TEST(Capabilities, GeneralSolversAcceptWeightRatioContexts) {
   // A weight-ratio context serves general-F solvers through the lazily
   // derived preference region.
@@ -112,6 +126,17 @@ TEST(Options, UnknownKeyIsRejected) {
   ASSERT_FALSE(solver.ok());
   EXPECT_EQ(solver.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(solver.status().message().find("fanout"), std::string::npos);
+}
+
+TEST(Options, FrontierDepthIsNotAnOption) {
+  // The traversal solvers derive the parallel frontier depth from the
+  // worker count and their branching factor.
+  for (const char* name : {"kdtt", "kdtt+", "qdtt+", "mwtt"}) {
+    auto solver = SolverRegistry::Create(
+        name, SolverOptions().SetInt("frontier_depth", 4));
+    ASSERT_FALSE(solver.ok()) << name;
+    EXPECT_EQ(solver.status().code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 TEST(Options, TypeMismatchIsRejected) {
