@@ -13,14 +13,17 @@
 //     the gate compares shapes, not absolute container speed.
 //   Kernel/*    — each simd kernel on fixed-size streams, through the
 //     active dispatch table (ARSP_KERNEL overrides).
-//   Hotpath/*   — whole solves on the Fig. 6 NBA config, exporting the
-//     deterministic work counters (dominance_tests, nodes_visited,
+//   Hotpath/*   — whole solves on the Fig. 6 NBA config, plus the
+//     weight-ratio top-10 on CAR-like data that `auto` routes, exporting
+//     the deterministic work counters (dominance_tests, nodes_visited,
 //     arsp_size) that bench_diff checks for exact equality.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -198,17 +201,12 @@ const UncertainDataset& NbaDataset() {
   return *dataset;
 }
 
-void RunHotpath(benchmark::State& state, const std::string& algo) {
-  const UncertainDataset& dataset = NbaDataset();
-  const PreferenceRegion region = MakeWrRegion(dataset.dim(), 3);
-  ArspResult result;
-  for (auto _ : state) {
-    result = RunAlgo(algo, dataset, region);
-    benchmark::DoNotOptimize(result.instance_probs.data());
-  }
-  // Deterministic work counters: bench_diff requires these to match the
-  // committed baseline exactly (a drifted counter means the algorithm
-  // changed, not just the machine).
+// Deterministic work counters: bench_diff requires these to match the
+// committed baseline exactly (a drifted counter means the algorithm
+// changed, not just the machine).
+void ExportWorkCounters(benchmark::State& state,
+                        const UncertainDataset& dataset,
+                        const ArspResult& result) {
   state.counters["n"] = static_cast<double>(dataset.num_instances());
   state.counters["m"] = static_cast<double>(dataset.num_objects());
   state.counters["arsp_size"] = static_cast<double>(CountNonZero(result));
@@ -217,12 +215,69 @@ void RunHotpath(benchmark::State& state, const std::string& algo) {
   state.counters["nodes_visited"] = static_cast<double>(result.nodes_visited);
 }
 
+void RunHotpath(benchmark::State& state, const std::string& algo) {
+  const UncertainDataset& dataset = NbaDataset();
+  const PreferenceRegion region = MakeWrRegion(dataset.dim(), 3);
+  ArspResult result;
+  for (auto _ : state) {
+    result = RunAlgo(algo, dataset, region);
+    benchmark::DoNotOptimize(result.instance_probs.data());
+  }
+  ExportWorkCounters(state, dataset, result);
+}
+
+// ------------------------------------- weight-ratio top-10 (auto's choice)
+
+// The serving benchmark's personal_topk shape: CAR-like data (m = 200,
+// d = 4, generator seed 1) and a cold top-10 under real
+// WeightRatioConstraints, so DUAL runs its own ratio geometry instead of
+// the WR region. The ranges sit at the middle of that workload's draws
+// (l = 0.65, h = 2.25·l). DUAL is the paper's choice for such queries
+// (§V); KDTT+ is what `auto` picks.
+const UncertainDataset& CarDataset() {
+  static const auto* dataset =
+      new UncertainDataset(GenerateCarLike(ScaledM(200), 1));
+  return *dataset;
+}
+
+void RunCarWr(benchmark::State& state, const std::string& algo) {
+  const UncertainDataset& dataset = CarDataset();
+  auto wr = WeightRatioConstraints::Create(
+      std::vector<std::pair<double, double>>(3, {0.65, 1.4625}));
+  ARSP_CHECK(wr.ok());
+  QueryRequest request;
+  request.dataset = bench_util::SharedHandle(dataset);
+  request.constraints = ConstraintSpec::WeightRatios(*wr);
+  request.solver = algo;
+  request.derived.kind = DerivedKind::kTopKObjects;
+  request.derived.k = 10;
+  request.use_cache = false;
+  request.pool_context = false;
+  std::shared_ptr<const ArspResult> result;
+  for (auto _ : state) {
+    StatusOr<QueryResponse> response =
+        bench_util::SharedEngine().Solve(request);
+    ARSP_CHECK_MSG(response.ok(), "%s", response.status().ToString().c_str());
+    result = response->result;
+    benchmark::DoNotOptimize(result.get());
+  }
+  ExportWorkCounters(state, dataset, *result);
+}
+
 void RegisterHotpath() {
   for (const char* algo : kKernelizedAlgos) {
     benchmark::RegisterBenchmark(
         ("Hotpath/NBA/" + AlgoName(algo)).c_str(),
         [algo = std::string(algo)](benchmark::State& state) {
           RunHotpath(state, algo);
+        })
+        ->Unit(benchmark::kMillisecond);
+  }
+  for (const char* algo : {"dual", "kdtt+"}) {
+    benchmark::RegisterBenchmark(
+        ("Hotpath/CAR-wr/" + AlgoName(algo)).c_str(),
+        [algo = std::string(algo)](benchmark::State& state) {
+          RunCarWr(state, algo);
         })
         ->Unit(benchmark::kMillisecond);
   }

@@ -2,7 +2,8 @@
 //
 // The storage-trait seam of the out-of-core data plane: a Column<T> is one
 // contiguous typed array that is either *owned* (an AlignedVector built in
-// memory — datasets from CSV/generators, indexes from bulk loaders) or
+// memory — datasets from CSV/generators, indexes from bulk loaders; blocks
+// of 64 KiB and up are private mappings, see aligned.h) or
 // *borrowed* (a read-only span into an mmap'ed snapshot section — see
 // src/io/snapshot.h). Consumers read through data()/operator[] and cannot
 // tell the difference; only construction and mutation know. This is what

@@ -40,4 +40,14 @@
   } while (0)
 #endif
 
+// Defined when this translation unit is built under AddressSanitizer (GCC
+// and Clang spell the test differently).
+#if defined(__SANITIZE_ADDRESS__)
+#define ARSP_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ARSP_ASAN 1
+#endif
+#endif
+
 #endif  // ARSP_COMMON_MACROS_H_

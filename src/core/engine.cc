@@ -34,7 +34,7 @@ class AutoSolver : public ArspSolver {
   const char* display_name() const override { return "AUTO"; }
   const char* description() const override {
     return "picks a concrete solver from capability flags and data shape "
-           "(KDTT+ default, DUAL for weight ratios; paper §V)";
+           "(LOOP for tiny inputs, KDTT+ otherwise, weight ratios included)";
   }
 
   Status Configure(const SolverOptions& options) override {
@@ -57,9 +57,6 @@ class AutoSolver : public ArspSolver {
 ARSP_REGISTER_SOLVER(auto_select, "auto",
                      [] { return std::make_unique<AutoSolver>(); });
 
-// DUAL-2D-MS builds a quadratically sized angular index; "auto" only
-// considers it below this instance count.
-constexpr int kAutoDual2dMaxInstances = 2048;
 // Below this instance count the quadratic LOOP scan beats tree setup.
 constexpr int kAutoLoopMaxInstances = 64;
 
@@ -101,19 +98,13 @@ void LinkAutoSolver() {}
 }  // namespace internal
 
 std::string AutoSelectSolverName(const ExecutionContext& context) {
-  const DatasetView& view = context.view();
-  const int n = view.num_instances();
-  // Candidates in preference order per the paper's §V guidance; the first
-  // one whose capability flags accept the context wins, so the policy can
-  // never hand out an inapplicable solver.
+  // Candidates in preference order; the first one whose capability flags
+  // accept the context wins, so the policy can never hand out an
+  // inapplicable solver.
   std::vector<std::string> candidates;
-  if (context.has_weight_ratios()) {
-    if (view.dim() == 2 && n <= kAutoDual2dMaxInstances) {
-      candidates.push_back("dual-2d-ms");  // §V-D: IIP niche
-    }
-    candidates.push_back("dual");  // §V: DUAL wins under weight ratios
+  if (context.view().num_instances() <= kAutoLoopMaxInstances) {
+    candidates.push_back("loop");
   }
-  if (n <= kAutoLoopMaxInstances) candidates.push_back("loop");
   candidates.push_back("kdtt+");  // §V: the general-purpose default
   for (const std::string& name : candidates) {
     auto solver = SolverRegistry::Create(name);

@@ -15,10 +15,10 @@
 //    constraints, solver, options) in front of ArspSolver::Solve;
 //  * SolveBatch fanning requests across a fixed thread pool (pooled
 //    contexts are safe to share — ExecutionContext lazy-init is locked);
-//  * "auto" solver selection from capability flags and data shape,
-//    following the paper's §V guidance (KDTT+ default, DUAL for weight
-//    ratios). "auto" is also a registry entry, so raw SolverRegistry users
-//    and `arsp_cli --algo auto` get the same policy;
+//  * "auto" solver selection from capability flags and data shape (LOOP
+//    for tiny inputs, KDTT+ otherwise, weight ratios included — the DUAL
+//    family stays explicit-only). "auto" is also a registry entry, so raw
+//    SolverRegistry users and `arsp_cli --algo auto` get the same policy;
 //  * AddView(handle, spec) — zero-copy DatasetView windows (full / m%
 //    prefix / arbitrary object subset) registered as first-class query
 //    targets. Pooled view queries derive their ExecutionContext from the
@@ -411,10 +411,12 @@ class ArspEngine {
   std::unique_ptr<ThreadPool> pool_;  ///< lazily created; guarded by mu_
 };
 
-/// The solver name the "auto" policy picks for this context: DUAL-2D-MS in
-/// its small-2d-IIP niche, DUAL under weight ratios, LOOP for tiny inputs
-/// where tree setup dominates, KDTT+ otherwise — restricted to solvers
-/// whose capability flags accept the context (§V guidance).
+/// The solver name the "auto" policy picks for this context: LOOP for tiny
+/// inputs where tree setup dominates, KDTT+ otherwise — restricted to
+/// solvers whose capability flags accept the context. Weight-ratio contexts
+/// follow the same rule: this DUAL and DUAL-2D-MS lose to KDTT+ on every
+/// measured shape (ARCHITECTURE.md, "Deviations from the paper"), so they
+/// run only when named.
 std::string AutoSelectSolverName(const ExecutionContext& context);
 
 }  // namespace arsp

@@ -533,9 +533,14 @@ ColumnBytes ExecutionContext::IndexMemoryFootprint() const {
     bytes += cached.tree->memory_bytes();
   }
   if (scores_.has_value()) {
-    bytes.Add(scores_->coords);
-    bytes.Add(scores_->probs);
-    bytes.Add(scores_->objects);
+    // Borrowed probs/objects are the dataset's own columns (MapView over a
+    // full or prefix view), not memory this context holds.
+    const auto add_owned = [&bytes](const auto& column) {
+      if (!column.borrowed()) bytes.Add(column);
+    };
+    add_owned(scores_->coords);
+    add_owned(scores_->probs);
+    add_owned(scores_->objects);
   } else if (span_ready_ && parent_ == nullptr) {
     // Span without owned storage on a root context: snapshot-attached
     // scores.

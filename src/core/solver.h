@@ -253,7 +253,7 @@ class GoalPruner {
  private:
   /// Existence probability / owning object of local instance `i`, through
   /// the span's dense streams when one was provided (bit-identical values
-  /// either way — MapView copies them from the view).
+  /// either way — MapView borrows or copies them from the view's base).
   double InstanceProb(int i) const {
     return probs_ != nullptr ? probs_[static_cast<size_t>(i)]
                              : view_.prob(i);

@@ -42,13 +42,25 @@ ScoreBuffer ScoreMapper::MapView(const DatasetView& view) const {
   ScoreBuffer out;
   out.dim = mapped_dim();
   const int n = view.num_instances();
-  out.coords.resize(static_cast<size_t>(n) * static_cast<size_t>(out.dim));
-  out.probs.resize(static_cast<size_t>(n));
-  out.objects.resize(static_cast<size_t>(n));
-  double* rows = out.coords.mutable_data();
+  const size_t rows = static_cast<size_t>(n);
+  out.coords.resize(rows * static_cast<size_t>(out.dim));
+  double* coords = out.coords.mutable_data();
   for (int i = 0; i < n; ++i) {
-    MapRowInto(view.coords(i), rows + static_cast<size_t>(i) *
-                                          static_cast<size_t>(out.dim));
+    MapRowInto(view.coords(i), coords + static_cast<size_t>(i) *
+                                            static_cast<size_t>(out.dim));
+  }
+  if (view.is_prefix()) {
+    // Local ids are base ids here, so the base's first n probabilities and
+    // object ids already are these streams.
+    const UncertainDataset& base = view.base();
+    out.probs = Column<double>::Borrowed(base.probs_column().data(), rows);
+    out.objects = Column<int32_t>::Borrowed(
+        base.instance_objects_column().data(), rows);
+    return out;
+  }
+  out.probs.resize(rows);
+  out.objects.resize(rows);
+  for (int i = 0; i < n; ++i) {
     out.probs.at_mut(static_cast<size_t>(i)) = view.prob(i);
     out.objects.at_mut(static_cast<size_t>(i)) = view.object_of(i);
   }

@@ -40,8 +40,9 @@ namespace arsp {
 /// Structure-of-arrays score storage for one DatasetView, in local instance
 /// order (row index == local instance id). Each stream is a Column — owned
 /// 64-byte-aligned storage when mapped in memory, borrowed spans when served
-/// from a snapshot's pre-mapped scores section (zero copy either way for
-/// consumers, which only ever see a ScoreSpan).
+/// from a snapshot's pre-mapped scores section or, for probs/objects, from
+/// the base dataset's own columns (zero copy either way for consumers,
+/// which only ever see a ScoreSpan).
 struct ScoreBuffer {
   int dim = 0;                  ///< mapped dimensionality d'
   Column<double> coords;        ///< size() * dim, row-major
@@ -152,7 +153,9 @@ class ScoreMapper {
   std::vector<Point> MapAll(const std::vector<Point>& points) const;
 
   /// Maps every instance of `view` into a SoA buffer (local instance order,
-  /// local object ids).
+  /// local object ids). For a full or prefix view, probs/objects borrow the
+  /// base dataset's columns, so the buffer must not outlive the base; a
+  /// subset view's are owned copies.
   ScoreBuffer MapView(const DatasetView& view) const;
 
  private:

@@ -29,9 +29,10 @@
 // bit-identical ArspResults per dispatch arch on top of the per-kernel
 // sweeps.
 //
-// Alignment contract: ScoreBuffer allocates its coord/prob streams on
-// 64-byte boundaries (cache-line aligned, zero false sharing between
-// buffers); kernels must NOT rely on it — spans may window a parent buffer
+// Alignment contract: owned Column storage (ScoreBuffer's coord stream,
+// the dataset columns its prob stream borrows) starts on 64-byte
+// boundaries (cache-line aligned, zero false sharing between buffers);
+// kernels must NOT rely on it — spans may window a parent buffer
 // at any row offset and callers pass arbitrary stack arrays — so every
 // implementation uses unaligned loads. Alignment is a throughput hint, not
 // a precondition.

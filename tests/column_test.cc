@@ -9,12 +9,18 @@
 
 #include "src/common/column.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/aligned.h"
+#include "src/common/macros.h"
 
 namespace arsp {
 namespace {
@@ -135,6 +141,44 @@ TEST(ColumnBytesTest, SplitsResidentFromMapped) {
   EXPECT_EQ(bytes.resident, 6 * sizeof(double));
   EXPECT_EQ(bytes.mapped, 5 * sizeof(int32_t));
 }
+
+// Owned storage of kPageMappedMinBytes and up gets its own mapping, so
+// freeing it gives the pages back: once the column is gone its range is not
+// mapped at all, where a heap block would stay mapped for reuse.
+TEST(ColumnPageMapped, LargeOwnedStorageIsUnmappedOnFree) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t bytes = kPageMappedMinBytes;
+  std::vector<unsigned char> residency((bytes + page - 1) / page);
+  void* address = nullptr;
+  {
+    Column<double> column;
+    column.resize(bytes / sizeof(double), 1.0);
+    address = const_cast<double*>(column.data());
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(address) % page, 0u);
+    EXPECT_EQ(mincore(address, bytes, residency.data()), 0);
+  }
+  errno = 0;
+  EXPECT_EQ(mincore(address, bytes, residency.data()), -1);
+  EXPECT_EQ(errno, ENOMEM);
+}
+
+#ifdef ARSP_ASAN
+// A mapping hands out whole pages, but AddressSanitizer must still report
+// the first byte past the block: the slack is poisoned, and so is a guard
+// page behind a block that fills its pages exactly.
+TEST(ColumnPageMappedDeathTest, OverflowIsReportedUnderAsan) {
+  const size_t exact = kPageMappedMinBytes / sizeof(double);
+  for (const size_t count : {exact, exact + 3}) {
+    EXPECT_DEATH(
+        {
+          AlignedVector<double> storage(count, 0.0);
+          volatile double* data = storage.data();
+          data[count] = 1.0;
+        },
+        "AddressSanitizer");
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace arsp

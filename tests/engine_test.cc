@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "src/core/queries.h"
 #include "tests/test_util.h"
@@ -282,43 +284,50 @@ TEST(ArspEngineTest, BatchReportsPerRequestErrors) {
 // ----------------------------------------------------------- auto selection
 
 TEST(AutoSelection, RespectsCapabilityFlags) {
-  // General preference region: the DUAL family is inapplicable, so "auto"
-  // must never hand it out regardless of shape.
-  const UncertainDataset d2 = RandomDataset(10, 1, 2, 0.0, 19);
-  ExecutionContext general(d2, WrRegion(2, 1));
-  const std::string general_choice = AutoSelectSolverName(general);
-  auto general_solver = SolverRegistry::Create(general_choice);
-  ASSERT_TRUE(general_solver.ok());
-  EXPECT_TRUE((*general_solver)->ValidateContext(general).ok());
-  EXPECT_EQ((*general_solver)->capabilities() & kCapRequiresWeightRatios,
-            0u);
-
-  // Weight ratios at d=3: DUAL applies, DUAL-2D-MS must not be chosen.
-  const UncertainDataset d3 = RandomDataset(40, 3, 3, 0.0, 20);
-  ExecutionContext wr3(d3, RandomWr(3, 20));
-  EXPECT_EQ(AutoSelectSolverName(wr3), "dual");
-
-  // Weight ratios at d=2 with multi-instance objects: DUAL-2D-MS's
-  // single-instance capability flag disqualifies it; DUAL steps in.
-  const UncertainDataset multi2 = RandomDataset(40, 3, 2, 0.0, 21);
-  ExecutionContext wr2multi(multi2, RandomWr(2, 21));
-  EXPECT_EQ(AutoSelectSolverName(wr2multi), "dual");
-
-  // The DUAL-2D-MS niche: d=2, single-instance, small n.
-  const UncertainDataset single2 = RandomDataset(40, 1, 2, 0.5, 22);
-  ExecutionContext wr2single(single2, RandomWr(2, 22));
-  EXPECT_EQ(AutoSelectSolverName(wr2single), "dual-2d-ms");
+  // Every shape resolves to a solver whose ValidateContext accepts it:
+  // LOOP up to 64 instances, KDTT+ above. Weight ratios follow the same
+  // rule — d=3, multi-instance d=2 and single-instance d=2 (where
+  // DUAL-2D-MS applies) all resolve like a general region, and the DUAL
+  // family is never handed out.
+  struct Case {
+    UncertainDataset dataset;
+    bool ratios;
+    const char* want;
+  };
+  std::vector<Case> cases;
+  cases.push_back({RandomDataset(10, 1, 2, 0.0, 19), false, "loop"});
+  cases.push_back({RandomDataset(200, 1, 2, 0.0, 19), false, "kdtt+"});
+  cases.push_back({RandomDataset(20, 3, 3, 0.0, 20), true, "loop"});
+  cases.push_back({RandomDataset(70, 3, 3, 0.0, 20), true, "kdtt+"});
+  cases.push_back({RandomDataset(20, 3, 2, 0.0, 21), true, "loop"});
+  cases.push_back({RandomDataset(70, 3, 2, 0.0, 21), true, "kdtt+"});
+  cases.push_back({RandomDataset(40, 1, 2, 0.5, 22), true, "loop"});
+  cases.push_back({RandomDataset(500, 1, 2, 0.5, 22), true, "kdtt+"});
+  for (const Case& c : cases) {
+    const int dim = c.dataset.dim();
+    const std::unique_ptr<ExecutionContext> context =
+        c.ratios
+            ? std::make_unique<ExecutionContext>(c.dataset, RandomWr(dim, 20))
+            : std::make_unique<ExecutionContext>(c.dataset, WrRegion(dim, 1));
+    const std::string choice = AutoSelectSolverName(*context);
+    EXPECT_EQ(choice, c.want) << "n=" << c.dataset.num_instances()
+                              << " d=" << dim << " ratios=" << c.ratios;
+    auto solver = SolverRegistry::Create(choice);
+    ASSERT_TRUE(solver.ok());
+    EXPECT_TRUE((*solver)->ValidateContext(*context).ok());
+    EXPECT_EQ((*solver)->capabilities() & kCapRequiresWeightRatios, 0u);
+  }
 }
 
 TEST(AutoSelection, EngineResolvesAutoToConcreteSolverAndMatchesIt) {
   ArspEngine engine;
   const DatasetHandle handle =
-      engine.AddDataset(RandomDataset(30, 3, 3, 0.2, 23));
+      engine.AddDataset(RandomDataset(70, 3, 3, 0.2, 23));
   auto auto_resp = engine.Solve(WrRequest(handle, 3, 23, "auto"));
   ASSERT_TRUE(auto_resp.ok());
-  EXPECT_EQ(auto_resp->solver, "dual");
+  EXPECT_EQ(auto_resp->solver, "kdtt+");
   // An explicit request for the resolved solver shares the cache entry.
-  auto explicit_resp = engine.Solve(WrRequest(handle, 3, 23, "dual"));
+  auto explicit_resp = engine.Solve(WrRequest(handle, 3, 23, "kdtt+"));
   ASSERT_TRUE(explicit_resp.ok());
   EXPECT_TRUE(explicit_resp->cache_hit);
   EXPECT_EQ(explicit_resp->result.get(), auto_resp->result.get());
@@ -332,8 +341,8 @@ TEST(AutoSelection, SolverNamesAreCaseInsensitive) {
       engine.AddDataset(RandomDataset(20, 3, 3, 0.0, 27));
   auto upper = engine.Solve(WrRequest(handle, 3, 27, "AUTO"));
   ASSERT_TRUE(upper.ok());
-  EXPECT_EQ(upper->solver, "dual");
-  auto lower = engine.Solve(WrRequest(handle, 3, 27, "Dual"));
+  EXPECT_EQ(upper->solver, "loop");
+  auto lower = engine.Solve(WrRequest(handle, 3, 27, "Loop"));
   ASSERT_TRUE(lower.ok());
   EXPECT_TRUE(lower->cache_hit);
   EXPECT_EQ(lower->result.get(), upper->result.get());
@@ -346,32 +355,36 @@ TEST(AutoSelection, RegistryAutoEntryDelegates) {
   ASSERT_TRUE(auto_solver.ok());
   auto via_auto = (*auto_solver)->Solve(context);
   ASSERT_TRUE(via_auto.ok());
-  auto dual = SolverRegistry::Create("dual");
-  ASSERT_TRUE(dual.ok());
-  auto via_dual = (*dual)->Solve(context);
-  ASSERT_TRUE(via_dual.ok());
-  EXPECT_EQ(MaxAbsDiff(*via_auto, *via_dual), 0.0);
+  auto resolved = SolverRegistry::Create(AutoSelectSolverName(context));
+  ASSERT_TRUE(resolved.ok());
+  auto via_resolved = (*resolved)->Solve(context);
+  ASSERT_TRUE(via_resolved.ok());
+  EXPECT_EQ(MaxAbsDiff(*via_auto, *via_resolved), 0.0);
 }
 
 TEST(AutoSelection, RegistryAutoEntryForwardsOptions) {
   // Options given to the registry "auto" entry reach the resolved solver —
-  // the same behavior as the engine path. Here auto resolves to DUAL-2D-MS
-  // (d=2, single-instance, small n), which accepts max_memory_bytes.
-  const UncertainDataset dataset = RandomDataset(15, 1, 2, 0.0, 29);
+  // the same behavior as the engine path. Here auto resolves to KDTT+
+  // (above LOOP's 64-instance cutoff), which accepts `parallelism`.
+  const UncertainDataset dataset = RandomDataset(100, 1, 2, 0.0, 29);
   ExecutionContext context(dataset, RandomWr(2, 29));
-  ASSERT_EQ(AutoSelectSolverName(context), "dual-2d-ms");
+  ASSERT_EQ(AutoSelectSolverName(context), "kdtt+");
   auto good = SolverRegistry::Create(
-      "auto", SolverOptions().SetInt("max_memory_bytes", 1 << 20));
+      "auto", SolverOptions().SetInt("parallelism", 2));
   ASSERT_TRUE(good.ok());
   EXPECT_TRUE((*good)->Solve(context).ok());
-  // Unknown options are validated against the resolved solver at Solve
-  // time (resolution needs the context, so Configure cannot check them).
-  auto bad = SolverRegistry::Create(
-      "auto", SolverOptions().SetInt("not_an_option", 1));
-  ASSERT_TRUE(bad.ok());
-  auto result = (*bad)->Solve(context);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  // Option values and unknown keys are validated against the resolved
+  // solver at Solve time (resolution needs the context, so Configure
+  // cannot check them): only KDTT+ itself can refuse parallelism=0.
+  for (const SolverOptions& options :
+       {SolverOptions().SetInt("parallelism", 0),
+        SolverOptions().SetInt("not_an_option", 1)}) {
+    auto bad = SolverRegistry::Create("auto", options);
+    ASSERT_TRUE(bad.ok());
+    auto result = (*bad)->Solve(context);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ------------------------------------------------------------ derived specs

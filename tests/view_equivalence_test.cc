@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -185,6 +186,57 @@ TEST(ScoreMapperSoA, GatherMatchesDirectMapping) {
   ASSERT_EQ(gathered.objects.size(), direct.objects.size());
   for (size_t i = 0; i < direct.objects.size(); ++i) {
     EXPECT_EQ(gathered.objects[i], direct.objects[i]) << i;
+  }
+}
+
+TEST(ScoreMapperSoA, MapViewBorrowsBaseColumnsForFullAndPrefixViews) {
+  // Full and prefix views need no copy of probs/objects: local ids are base
+  // ids, so the base's columns are the streams. A subset view remaps ids
+  // and gets owned copies. Either way the span matches the copied mapping
+  // bit for bit.
+  const UncertainDataset dataset = RandomDataset(30, 3, 3, 0.2, 109);
+  const PreferenceRegion region = testing_util::WrRegion(3, 2);
+  const ScoreMapper mapper(region);
+  struct Case {
+    DatasetView view;
+    bool borrowed;
+  };
+  const std::vector<Case> cases = {
+      {DatasetView(dataset), true},
+      {DatasetView::Create(dataset, ViewSpec::Prefix(12)).value(), true},
+      {DatasetView::Create(dataset, ViewSpec::Subset({1, 4, 9, 20})).value(),
+       false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.view.CacheKey());
+    const ScoreBuffer buffer = mapper.MapView(c.view);
+    EXPECT_FALSE(buffer.coords.borrowed());
+    EXPECT_EQ(buffer.probs.borrowed(), c.borrowed);
+    EXPECT_EQ(buffer.objects.borrowed(), c.borrowed);
+    if (c.borrowed) {
+      EXPECT_EQ(buffer.probs.data(), dataset.probs_column().data());
+      EXPECT_EQ(buffer.objects.data(),
+                dataset.instance_objects_column().data());
+    }
+    const int n = c.view.num_instances();
+    const int dim = mapper.mapped_dim();
+    std::vector<double> coords(static_cast<size_t>(n * dim));
+    std::vector<double> probs(static_cast<size_t>(n));
+    std::vector<int> objects(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      mapper.MapRowInto(c.view.coords(i),
+                        &coords[static_cast<size_t>(i * dim)]);
+      probs[static_cast<size_t>(i)] = c.view.prob(i);
+      objects[static_cast<size_t>(i)] = c.view.object_of(i);
+    }
+    const ScoreSpan span = ScoreSpan::Of(buffer);
+    ASSERT_EQ(span.n, n);
+    ASSERT_EQ(span.dim, dim);
+    EXPECT_EQ(std::memcmp(span.coords, coords.data(),
+                          coords.size() * sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(span.probs, probs.data(),
+                          probs.size() * sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(span.objects, objects.data(),
+                          objects.size() * sizeof(int)), 0);
   }
 }
 
