@@ -65,21 +65,5 @@ std::vector<int> ShardPlan::HoldersFor(const std::string& dataset) const {
   return holders;
 }
 
-std::vector<std::pair<int, int>> ShardPlan::EvenPartition(int num_objects,
-                                                          int parts) {
-  std::vector<std::pair<int, int>> ranges;
-  if (parts <= 0) return ranges;
-  ranges.reserve(static_cast<size_t>(parts));
-  const int base = num_objects / parts;
-  const int extra = num_objects % parts;
-  int begin = 0;
-  for (int p = 0; p < parts; ++p) {
-    const int size = base + (p < extra ? 1 : 0);
-    ranges.emplace_back(begin, begin + size);
-    begin += size;
-  }
-  return ranges;
-}
-
 }  // namespace cluster
 }  // namespace arsp

@@ -1,8 +1,7 @@
 // Copyright 2026 The ARSP Authors.
 //
 // ShardPlan — placement policy for the cluster layer: which shards hold
-// which named datasets, and how a query's evaluation work is partitioned
-// across the holders.
+// which named datasets.
 //
 // Placement is a consistent-hash ring over shard names with virtual nodes:
 // a dataset name hashes to a point on the ring and is placed on the next
@@ -11,14 +10,11 @@
 // property, asserted by shard_plan_test), instead of reshuffling everything
 // the way `hash(name) % S` would.
 //
-// Work partitioning is deliberately NOT subset sharding. Rskyline
-// probabilities couple every object to every other object through
-// F-dominance, so a shard holding a subset of the objects computes *wrong*
-// probabilities — there is no local fix-up. Instead every holder has the
-// full dataset and the coordinator splits the *evaluation scope* (a
-// contiguous range of view-local object ids, see QueryGoal::WithScope):
-// each holder evaluates its range against the full dataset, which keeps
-// every per-instance value bit-identical to an unsharded solve.
+// Placement is deliberately NOT subset sharding. Rskyline probabilities
+// couple every object to every other object through F-dominance, so a
+// shard holding a subset of the objects computes *wrong* probabilities —
+// there is no local fix-up. Every holder has the full dataset, and the
+// Coordinator routes each query whole to one of them.
 
 #ifndef ARSP_CLUSTER_SHARD_PLAN_H_
 #define ARSP_CLUSTER_SHARD_PLAN_H_
@@ -33,8 +29,9 @@ namespace cluster {
 
 struct ShardPlanOptions {
   /// Copies of each dataset. Clamped to [1, num_shards]. More replicas mean
-  /// more scatter width per query (more parallelism) and more load-time
-  /// fan-out; `num_shards` replicates everything everywhere.
+  /// more routing targets for concurrent queries on a dataset (each query
+  /// still runs on one holder) and more load-time fan-out; `num_shards`
+  /// replicates everything everywhere.
   int replication = 0;  ///< 0 = replicate onto every shard
   /// Virtual nodes per shard on the hash ring; more = smoother spread.
   int virtual_nodes = 64;
@@ -52,14 +49,6 @@ class ShardPlan {
   /// The shard indices holding `dataset`, in ring order, deduplicated.
   /// Size = min(replication, num_shards); never empty for num_shards > 0.
   std::vector<int> HoldersFor(const std::string& dataset) const;
-
-  /// Splits [0, num_objects) into `parts` contiguous ranges, sizes as even
-  /// as possible (the first `num_objects % parts` ranges get one extra).
-  /// Returns exactly `parts` pairs; trailing ranges are empty when
-  /// num_objects < parts. This is the default query partition; tests
-  /// exercise the coordinator with adversarially skewed splits instead.
-  static std::vector<std::pair<int, int>> EvenPartition(int num_objects,
-                                                        int parts);
 
   /// FNV-1a with a murmur-style fmix64 finalizer. Raw FNV-1a barely mixes
   /// the final byte (last-character variants cluster within ~2^44 of each

@@ -33,10 +33,10 @@ class AspTraversalState {
   /// Undo is snapshot-based: each change carries the pre-Add σ of its
   /// object plus the pre-Add (β, χ), so unwinding restores the state
   /// *bitwise* — an entered-and-exited subtree is indistinguishable from
-  /// one never entered. That exactness is what lets goal pruning, scoped
-  /// (sharded) solves, and path-replayed parallel tasks return values
-  /// bit-identical to a full serial solve. `prob` is the Add's argument, so
-  /// a log can also be replayed.
+  /// one never entered. That exactness is what lets goal pruning and
+  /// path-replayed parallel tasks return values bit-identical to a full
+  /// serial solve. `prob` is the Add's argument, so a log can also be
+  /// replayed.
   struct Change {
     int object;
     int old_chi;

@@ -66,10 +66,8 @@ QueryGoal GoalForDerived(const DerivedSpec& derived) {
   QueryGoal goal;
   switch (derived.kind) {
     case DerivedKind::kNone:
-      break;
     case DerivedKind::kTopKInstances:
-      // Instance retrievals need complete results; scope never applies.
-      return QueryGoal::Full();
+      break;
     case DerivedKind::kTopKObjects:
       // Negative k means "rank all objects" — full work by definition, so
       // it maps to the full goal (and AnswerGoal's full slicing). k == 0
@@ -82,9 +80,6 @@ QueryGoal GoalForDerived(const DerivedSpec& derived) {
     case DerivedKind::kCountControlled:
       goal = QueryGoal::CountControlled(derived.max_objects);
       break;
-  }
-  if (derived.scope_begin >= 0 && derived.scope_end >= 0) {
-    goal = goal.WithScope(derived.scope_begin, derived.scope_end);
   }
   return goal;
 }
@@ -381,10 +376,7 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
   // only if a capable solver stored it (probing the key for a capless
   // solver is a guaranteed, harmless miss).
   const QueryGoal goal = GoalForDerived(request.derived);
-  // A scoped full goal is still pushdown-worthy: the scope alone lets a
-  // capable solver skip out-of-scope subtrees (yielding a partial result).
-  const bool want_pushdown =
-      request.allow_pushdown && (!goal.is_full() || goal.has_scope());
+  const bool want_pushdown = request.allow_pushdown && !goal.is_full();
   bool pushdown = false;  // decided at solve time from solver capabilities
 
   QueryResponse response;

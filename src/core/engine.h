@@ -136,14 +136,6 @@ struct DerivedSpec {
   int k = 10;              ///< for kTopK*; negative = all
   double threshold = 0.5;  ///< for kObjectsAboveThreshold
   int max_objects = 10;    ///< for kCountControlled; must be ≥ 1
-  /// Evaluation scope (view-local object range, half-open); [-1, -1) means
-  /// the whole view. Scoped queries answer only for in-scope objects —
-  /// probabilities are still evaluated against the full view, so a scoped
-  /// answer is a bit-identical slice of the unscoped one. This is the
-  /// cluster coordinator's work-partitioning primitive (src/cluster/).
-  /// Ignored by kTopKInstances (instance retrievals need complete results).
-  int scope_begin = -1;
-  int scope_end = -1;
 };
 
 /// One query against the engine.

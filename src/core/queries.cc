@@ -117,26 +117,7 @@ std::vector<std::pair<int, double>> AnswerGoal(
     const ArspResult& result, const DatasetView& view, const QueryGoal& goal,
     double* count_threshold) {
   if (result.is_complete()) {
-    if (!goal.has_scope()) {
-      return SliceRanked(TopKObjects(result, view, -1), goal,
-                         count_threshold);
-    }
-    // Scoped goal against a complete result (e.g. a non-pushdown solver
-    // that ignored the scope): rank only the in-scope objects. Identical
-    // accumulation and comparator to TopKObjects, just filtered.
-    const std::vector<double> probs = ObjectProbabilities(result, view);
-    std::vector<std::pair<int, double>> ranked;
-    for (int j = 0; j < view.num_objects(); ++j) {
-      if (!goal.InScope(j)) continue;
-      ranked.emplace_back(view.base_object_id(j),
-                          probs[static_cast<size_t>(j)]);
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-    return SliceRanked(std::move(ranked), goal, count_threshold);
+    return SliceRanked(TopKObjects(result, view, -1), goal, count_threshold);
   }
   // Partial results answer exactly the goal they were pruned for: the
   // GoalPruner guarantees every object in the answer set (plus every object
@@ -150,10 +131,6 @@ std::vector<std::pair<int, double>> AnswerGoal(
   std::vector<std::pair<int, double>> exact;
   exact.reserve(static_cast<size_t>(m));
   for (int j = 0; j < m; ++j) {
-    // Out-of-scope objects are exported as excluded with meaningless
-    // bounds (GoalPruner::Finish); the scope test keeps them out even if a
-    // future exporter marks them differently.
-    if (!goal.InScope(j)) continue;
     if (result.object_decisions[static_cast<size_t>(j)] ==
         ObjectDecision::kExact) {
       exact.emplace_back(view.base_object_id(j),

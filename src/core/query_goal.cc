@@ -21,7 +21,6 @@ std::string QueryGoal::CacheKey() const {
       os << "thr:" << p;
       break;
   }
-  if (has_scope()) os << ":scope:" << scope_begin << ':' << scope_end;
   return os.str();
 }
 
@@ -37,9 +36,6 @@ std::string QueryGoal::ToString() const {
     case GoalKind::kThreshold:
       os << "threshold>=" << p;
       break;
-  }
-  if (has_scope()) {
-    os << " scope=[" << scope_begin << ',' << scope_end << ')';
   }
   return os.str();
 }

@@ -55,22 +55,6 @@ struct QueryGoal {
   /// Probability threshold for kThreshold.
   double p = 0.0;
   TiePolicy ties = TiePolicy::kBreakById;
-  /// Evaluation scope: the half-open view-local object range
-  /// [scope_begin, scope_end) the answer concerns, or [-1, -1) for the
-  /// whole view (unscoped). A scoped goal still evaluates probabilities
-  /// against *every* object in the view — dominance is global — but only
-  /// in-scope objects need exact values / can appear in the goal's answer.
-  /// This is the coordinator's work-partitioning primitive: each shard
-  /// holds the full dataset and solves a disjoint scope, and because the
-  /// probability of an in-scope object is independent of which scope it is
-  /// computed under, scoped answers are bit-identical slices of the
-  /// unsharded answer. Out-of-scope objects are pre-decided (excluded) in
-  /// the GoalPruner, so pushdown solvers skip their subtrees; non-pushdown
-  /// solvers ignore scope and return complete results, which remain
-  /// correct for any scope.
-  int scope_begin = -1;
-  int scope_end = -1;
-
   static QueryGoal Full() { return QueryGoal{}; }
   static QueryGoal TopK(int k, TiePolicy ties = TiePolicy::kBreakById) {
     return QueryGoal{GoalKind::kTopK, k, 0.0, ties};
@@ -84,25 +68,8 @@ struct QueryGoal {
 
   bool is_full() const { return kind == GoalKind::kFull; }
 
-  bool has_scope() const { return scope_begin >= 0 && scope_end >= 0; }
-  /// True iff view-local `object` is inside the evaluation scope (always
-  /// true for unscoped goals).
-  bool InScope(int object) const {
-    return !has_scope() || (object >= scope_begin && object < scope_end);
-  }
-  /// Copy of this goal restricted to [begin, end).
-  QueryGoal WithScope(int begin, int end) const {
-    QueryGoal scoped = *this;
-    scoped.scope_begin = begin;
-    scoped.scope_end = end;
-    return scoped;
-  }
-
   friend bool operator==(const QueryGoal& a, const QueryGoal& b) {
     if (a.kind != b.kind) return false;
-    if (a.scope_begin != b.scope_begin || a.scope_end != b.scope_end) {
-      return false;
-    }
     switch (a.kind) {
       case GoalKind::kFull:
         return true;

@@ -575,35 +575,18 @@ GoalPruner::GoalPruner(const QueryGoal& goal, const DatasetView& view,
                        const ScoreSpan* scores)
     : goal_(goal), view_(view) {
   const int m = view_.valid() ? view_.num_objects() : 0;
-  // Normalize the evaluation scope to [0, m]. A scope that excludes at
-  // least one object is "restricting" and forces the pruner active
-  // regardless of kind: the scoped answer never concerns out-of-scope
-  // objects, so their subtrees are skippable even when the kind itself
-  // cannot decide anything by bounds.
-  scope_begin_ = 0;
-  scope_end_ = m;
-  if (goal_.has_scope()) {
-    scope_begin_ = std::min(std::max(goal_.scope_begin, 0), m);
-    scope_end_ = std::min(std::max(goal_.scope_end, scope_begin_), m);
-  }
-  const bool restricting = scope_begin_ > 0 || scope_end_ < m;
-  const int scope_size = scope_end_ - scope_begin_;
   switch (goal_.kind) {
     case GoalKind::kFull:
-      if (!restricting) return;  // inactive
-      break;
+      return;  // inactive: every instance must be exact
     case GoalKind::kTopK:
-      // k < 0 ("all") and k >= |scope| need every in-scope object exact,
-      // and k == 0 has an empty answer — in all three nothing is decidable
-      // by bounds (and τ, the k-th largest lower bound, would be
-      // ill-defined for k == 0), so bound pruning is off; only a
-      // restricting scope keeps the pruner worthwhile.
-      topk_prunable_ = goal_.k > 0 && goal_.k < scope_size;
-      if (!topk_prunable_ && !restricting) return;
+      // k < 0 ("all") and k >= m need every object exact, and k == 0 has an
+      // empty answer — in all three nothing is decidable by bounds (and τ,
+      // the k-th largest lower bound, would be ill-defined for k == 0).
+      if (goal_.k <= 0 || goal_.k >= m) return;
       break;
     case GoalKind::kThreshold:
       // Every object has Pr_rsky >= 0 >= p: nothing is excludable.
-      if (goal_.p <= 0.0 && !restricting) return;
+      if (goal_.p <= 0.0) return;
       break;
   }
   active_ = true;
@@ -637,21 +620,13 @@ GoalPruner::GoalPruner(const QueryGoal& goal, const DatasetView& view,
     }
   }
   undecided_ = m;
-  // Out-of-scope objects are decided (excluded) before the traversal
-  // starts: the scoped answer does not concern them, so subtrees holding
-  // only their instances are skippable. Wherever a subtree *is* visited,
-  // their instances still contribute dominating mass against in-scope
-  // objects — dominance is global, which is why scoped answers are exact.
-  for (int j = 0; j < scope_begin_; ++j) Decide(j, true);
-  for (int j = scope_end_; j < m; ++j) Decide(j, true);
-  objects_pruned_ = 0;  // scope pre-decides are placement, not pruning wins
-  for (int j = scope_begin_; j < scope_end_; ++j) {
+  for (int j = 0; j < m; ++j) {
     if (unresolved_[static_cast<size_t>(j)] == 0) {
       // No instances in the view: vacuously exact (Pr = 0).
       Decide(j, false);
     }
   }
-  if (goal_.kind == GoalKind::kThreshold && goal_.p > 0.0) {
+  if (goal_.kind == GoalKind::kThreshold) {
     // Objects whose total existence mass is already below the threshold are
     // excluded before the traversal touches a single instance. (Top-k
     // starts with τ = 0, so it has no pre-traversal exclusions.)
@@ -732,12 +707,9 @@ bool GoalPruner::AllDecided(const int* ids, int count) const {
 }
 
 void GoalPruner::RefreshTau() {
-  // τ = k-th largest lower bound over the *in-scope* objects; monotone in
-  // the resolutions, so recomputing can only raise it. Out-of-scope
-  // objects are not answer candidates: their (incidental, partial) lower
-  // bounds must neither raise nor dilute the cut.
-  tau_scratch_.assign(lower_.begin() + scope_begin_,
-                      lower_.begin() + scope_end_);
+  // τ = k-th largest lower bound; monotone in the resolutions, so
+  // recomputing can only raise it.
+  tau_scratch_.assign(lower_.begin(), lower_.end());
   const size_t kth = static_cast<size_t>(goal_.k - 1);
   std::nth_element(tau_scratch_.begin(), tau_scratch_.begin() + kth,
                    tau_scratch_.end(), std::greater<double>());
@@ -752,7 +724,7 @@ bool GoalPruner::GoalMet() {
   // resolutions (amortized O(1) per instance), plus one whenever an object
   // turned exact since the last sweep — exact winners are what raise τ, and
   // at most m such sweeps can ever happen.
-  if (topk_prunable_ &&
+  if (goal_.kind == GoalKind::kTopK &&
       (since_refresh_ >= refresh_interval_ || exact_since_refresh_ > 0)) {
     since_refresh_ = 0;
     exact_since_refresh_ = 0;
@@ -774,17 +746,6 @@ void GoalPruner::Finish(ArspResult* result) const {
   for (int j = 0; j < m; ++j) {
     const size_t sj = static_cast<size_t>(j);
     ProbabilityBounds& b = result->object_bounds[sj];
-    const bool in_scope = j >= scope_begin_ && j < scope_end_;
-    if (!in_scope) {
-      // Out-of-scope objects are never answer candidates; export them as
-      // excluded. Their bounds are not meaningful (solvers may have
-      // short-circuited their instances with placeholder resolutions) and
-      // scoped consumers must ignore them.
-      b.lower = lower_[sj];
-      b.upper = lower_[sj] + pending_[sj];
-      result->object_decisions[sj] = ObjectDecision::kExcluded;
-      continue;
-    }
     if (unresolved_[sj] == 0) {
       // Exact: re-sum in ascending instance order — the accumulation order
       // of ObjectProbabilities — so slicing this run's instance vector

@@ -201,11 +201,8 @@ class GoalPruner {
   GoalPruner(const QueryGoal& goal, const DatasetView& view,
              const ScoreSpan* scores = nullptr);
 
-  /// False for unscoped full goals (and for unscoped top-k goals that
-  /// cannot prune, e.g. k >= num_objects or k < 0 — every object must be
-  /// exact anyway). A goal with a restricting evaluation scope is always
-  /// active: out-of-scope objects are pre-decided (excluded) so the
-  /// traversal skips subtrees that concern only them.
+  /// False for full goals and for goals that cannot prune: top-k with
+  /// k <= 0 or k >= num_objects, threshold p <= 0.
   bool active() const { return active_; }
 
   /// Records the exact rskyline probability of local instance `i`. Must be
@@ -291,14 +288,6 @@ class GoalPruner {
   int64_t resolved_ = 0;
   int64_t objects_pruned_ = 0;
   int64_t bound_refinements_ = 0;
-  // Evaluation scope, clamped to [0, num_objects]: only objects in
-  // [scope_begin_, scope_end_) are answer candidates. Unscoped goals get
-  // the whole range.
-  int scope_begin_ = 0;
-  int scope_end_ = 0;
-  /// Whether top-k bounds can ever exclude an in-scope object (requires
-  /// 0 < k < |scope|; otherwise τ is ill-defined / nothing is decidable).
-  bool topk_prunable_ = false;
   double tau_ = 0.0;            ///< k-th largest lower bound (top-k goals)
   int64_t since_refresh_ = 0;   ///< resolutions since the last τ sweep
   int64_t exact_since_refresh_ = 0;  ///< objects turned exact since then

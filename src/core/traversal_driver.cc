@@ -73,8 +73,9 @@ class SharedGoalState {
   explicit SharedGoalState(GoalPruner* pruner)
       : pruner_(pruner != nullptr && pruner->active() ? pruner : nullptr) {
     if (pruner_ != nullptr) {
-      // Publish the construction-time mask: scoped goals pre-decide
-      // out-of-scope objects, and lanes should see those from task one.
+      // Publish the construction-time mask: the pruner pre-decides empty
+      // objects and, for thresholds, objects whose whole existence mass is
+      // below p, and lanes should see those from task one.
       std::lock_guard<std::mutex> lock(mu_);
       PublishLocked();
     }

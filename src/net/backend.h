@@ -7,9 +7,9 @@
 //
 //   * EngineBackend (src/net/server.h) — one ArspEngine plus the named
 //     dataset registry: the classic single-process arspd.
-//   * Coordinator (src/cluster/coordinator.h) — fans requests out over a
-//     set of shards (each itself a ServiceBackend: in-process engines or
-//     remote arspd peers) and merges the per-shard answers.
+//   * Coordinator (src/cluster/coordinator.h) — places datasets on a set
+//     of shards (each itself a ServiceBackend: in-process engines or remote
+//     arspd peers) and routes each query whole to one of them.
 //
 // The coordinator-over-backends recursion is the whole design: a shard
 // neither knows nor cares whether it is queried by a CLI, a coordinator,

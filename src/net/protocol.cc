@@ -351,8 +351,6 @@ std::string QueryRequestWire::EncodePayload() const {
   w.Bool(use_cache);
   w.Bool(allow_pushdown);
   w.Bool(include_instances);
-  w.I32(scope_begin);
-  w.I32(scope_end);
   w.I32(parallelism);
   w.U64(trace_id);
   w.Bool(want_trace);
@@ -372,8 +370,6 @@ Status QueryRequestWire::DecodePayload(const std::string& bytes) {
   use_cache = r.Bool();
   allow_pushdown = r.Bool();
   include_instances = r.Bool();
-  scope_begin = r.I32();
-  scope_end = r.I32();
   parallelism = r.I32();
   trace_id = r.U64();
   want_trace = r.Bool();
@@ -483,14 +479,6 @@ std::string QueryResponseWire::EncodePayload() const {
   w.F64(count_threshold);
   stats.Encode(w);
   w.F64Vec(instance_probs);
-  w.I32(instance_offset);
-  w.U32(static_cast<uint32_t>(object_reports.size()));
-  for (const ObjectReportWire& o : object_reports) {
-    w.I32(o.object_id);
-    w.U8(o.decision);
-    w.F64(o.lower);
-    w.F64(o.upper);
-  }
   w.U64(trace_id);
   w.Str(trace_spans);
   return w.Take();
@@ -522,33 +510,9 @@ Status QueryResponseWire::DecodePayload(const std::string& bytes) {
   count_threshold = r.F64();
   stats.Decode(r);
   instance_probs = r.F64Vec();
-  instance_offset = r.I32();
-  const uint32_t report_count = r.U32();
-  // Each object report costs exactly 21 bytes (i32 + u8 + 2×f64).
-  if (r.status().ok() && report_count <= bytes.size() / 21 + 1) {
-    object_reports.clear();
-    object_reports.reserve(report_count);
-    for (uint32_t i = 0; i < report_count; ++i) {
-      ObjectReportWire o;
-      o.object_id = r.I32();
-      o.decision = r.U8();
-      o.lower = r.F64();
-      o.upper = r.F64();
-      object_reports.push_back(o);
-    }
-  } else if (r.status().ok()) {
-    return Status::InvalidArgument("object report count exceeds payload");
-  }
   trace_id = r.U64();
   trace_spans = r.Str();
-  ARSP_RETURN_IF_ERROR(r.Finish());
-  for (const ObjectReportWire& o : object_reports) {
-    if (o.decision > 2) {
-      return Status::InvalidArgument("bad object decision " +
-                                     std::to_string(o.decision));
-    }
-  }
-  return Status::OK();
+  return r.Finish();
 }
 
 std::string RetryLaterResponse::EncodePayload() const {
@@ -781,7 +745,7 @@ StatusOr<Frame> RecvFrame(int fd) {
   if (magic != kWireMagic) {
     return Status::InvalidArgument("bad frame magic (not an arspd peer?)");
   }
-  if (version > kWireVersion) {
+  if (version != kWireVersion) {
     return Status::InvalidArgument(
         "peer speaks protocol version " + std::to_string(version) +
         ", this build speaks " + std::to_string(kWireVersion));

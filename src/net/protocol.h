@@ -11,7 +11,7 @@
 //   +-------------+-------------+-----------+----------+-----------------+
 //   length = number of payload bytes (magic/version/type excluded)
 //   magic  = kWireMagic, rejects non-arspd peers and stream desync
-//   version= kWireVersion; both sides reject frames from the future
+//   version= kWireVersion; both sides reject any other version
 //   type   = MessageType
 //
 // Payloads are flat sequences of primitives encoded by WireWriter and
@@ -47,12 +47,12 @@ namespace net {
 inline constexpr uint16_t kWireMagic = 0xA75F;
 
 /// Protocol version; bumped on any incompatible message change. Both sides
-/// reject frames carrying a newer version than they speak.
+/// reject frames carrying any other version: decoders know one layout, so
+/// an older frame would otherwise fail as truncation or trailing garbage.
 /// v2: StatsResponse grew kernel_arch (the daemon's simd dispatch arch).
-/// v3 (cluster): QueryRequestWire grew the evaluation scope
-///     (scope_begin/scope_end), QueryResponseWire grew per-object reports +
-///     a shipped-instance offset (shard partial results), and RETRY_LATER
-///     became a typed overload reply.
+/// v3 (cluster): QueryRequestWire grew an evaluation scope, QueryResponseWire
+///     grew per-object reports + a shipped-instance offset (shard partial
+///     results), and RETRY_LATER became a typed overload reply.
 /// v4 (out-of-core): WireSolverStats grew the data-plane memory fields
 ///     (index_bytes_resident / index_bytes_mapped / peak_rss_bytes), and
 ///     StatsResponse grew the same per-dataset index footprint plus the
@@ -69,7 +69,10 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 ///     StatsResponse grew the tail latency percentiles (p99 / p99.9), and
 ///     the METRICS / TRACE message pair was added (Prometheus text dump and
 ///     most-recent-trace fetch).
-inline constexpr uint8_t kWireVersion = 6;
+/// v7 (routing): the coordinator forwards each query whole to one holder,
+///     so QueryRequestWire lost the evaluation scope and QueryResponseWire
+///     lost the per-object reports and the instance offset.
+inline constexpr uint8_t kWireVersion = 7;
 
 /// Max payload bytes a peer will accept (the max-frame guard). Large enough
 /// for a multi-million-instance probability vector, small enough that a
@@ -256,22 +259,15 @@ struct QueryRequestWire {
   /// Ship the full instance-probability vector back (complete results
   /// only); off by default — it is O(n) bytes.
   bool include_instances = false;
-  /// Evaluation scope (view-local object range, half-open); [-1, -1) =
-  /// whole view. Set by the cluster coordinator to partition work across
-  /// shards; the scoped answer is a bit-identical slice of the unscoped
-  /// one. Since wire v3 (absent fields decode as unscoped for v2 frames).
-  int32_t scope_begin = -1;
-  int32_t scope_end = -1;
   /// Intra-query worker request (QueryRequest::parallelism): 0 = server
   /// policy, 1 = force serial, N >= 2 = request N workers. Results are
-  /// bit-identical to serial either way. Since wire v5 (absent fields
-  /// decode as 0 = policy for older frames).
+  /// bit-identical to serial either way. Since wire v5.
   int32_t parallelism = 0;
   /// Distributed tracing (since wire v6). `want_trace` asks the server to
   /// trace this request and return its span subtree in the reply;
   /// `trace_id` propagates the caller's trace id (0 = mint one server-side
-  /// when want_trace is set). The coordinator stamps its own id into every
-  /// scattered shard frame so one id correlates the whole cross-process
+  /// when want_trace is set). The coordinator stamps its own id into the
+  /// frame it forwards, so one id correlates the whole cross-process
   /// timeline. Tracing never changes results (bit-identity contract).
   uint64_t trace_id = 0;
   bool want_trace = false;
@@ -316,20 +312,6 @@ struct RankedEntry {
   double prob = 0.0;
 };
 
-/// Per-object outcome of a (scoped) goal-pruned solve, shipped so the
-/// cluster coordinator can merge shard partials and decide whether a
-/// refinement round is needed. `decision` mirrors ObjectDecision (u8).
-/// Since wire v3.
-struct ObjectReportWire {
-  /// VIEW-LOCAL object id (the scope's own coordinate system), so the
-  /// coordinator can issue [j, j+1) refinement scopes without knowing the
-  /// view mapping. Base ids travel in RankedEntry, never here.
-  int32_t object_id = 0;
-  uint8_t decision = 0;  ///< ObjectDecision: 0 undecided, 1 exact, 2 excluded
-  double lower = 0.0;
-  double upper = 0.0;
-};
-
 struct QueryResponseWire {
   std::string solver;       ///< resolved concrete solver
   bool cache_hit = false;
@@ -342,22 +324,14 @@ struct QueryResponseWire {
   std::vector<RankedEntry> ranked;
   double count_threshold = 0.0;
   WireSolverStats stats;
-  /// Per-instance probabilities. Unscoped requests with include_instances
-  /// ship the full vector (complete results only). Scoped requests ship
-  /// only the scope's contiguous instance slice, partial results included —
-  /// in-scope entries are exact by the scoped-goal contract.
+  /// Per-instance probabilities: the full vector when the request asked
+  /// for include_instances and the result is complete, else empty.
   std::vector<double> instance_probs;
-  /// View-local instance id of instance_probs[0]; 0 for full vectors.
-  /// Since wire v3.
-  int32_t instance_offset = 0;
-  /// Per-object bounds/decisions of the *in-scope* objects (scoped
-  /// requests only; empty otherwise). Since wire v3.
-  std::vector<ObjectReportWire> object_reports;
   /// Distributed tracing (since wire v6): the trace id this reply belongs
   /// to (0 = untraced) and the server-side span subtree in the
   /// obs::SerializeSpans format (empty = untraced). A coordinator
-  /// deserializes each shard's subtree and stitches it under its own
-  /// scatter span.
+  /// deserializes the chosen shard's subtree and stitches it under its own
+  /// forward span.
   uint64_t trace_id = 0;
   std::string trace_spans;
 

@@ -755,7 +755,6 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
   DatasetHandle handle;
   std::shared_ptr<const std::vector<std::string>> names;
   int dim = 0;
-  int num_objects = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = registry_.find(request.dataset);
@@ -765,7 +764,6 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
     handle = it->second.handle;
     names = it->second.names;
     dim = it->second.dim;
-    num_objects = it->second.num_objects;
   }
 
   auto constraints = ParseConstraintSpec(request.constraint_spec, dim);
@@ -789,18 +787,6 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
                                    std::to_string(request.parallelism));
   }
   query.parallelism = request.parallelism;
-  // Evaluation scope (wire v3): clamp to the view so the canonical goal —
-  // and therefore the cache key — is identical however the coordinator
-  // over- or under-shoots the range.
-  const bool scoped = request.scope_begin >= 0 && request.scope_end >= 0;
-  if (scoped) {
-    query.derived.scope_begin = std::min(std::max(0, request.scope_begin),
-                                         num_objects);
-    query.derived.scope_end =
-        std::min(std::max(query.derived.scope_begin, request.scope_end),
-                 num_objects);
-  }
-
   // Tracing: enabled only on request (want_trace), reusing a propagated
   // upstream id when one is stamped so one id correlates coordinator and
   // shard timelines. query.trace stays null otherwise — the zero-cost
@@ -903,81 +889,8 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
     entry.prob = prob;
     wire.ranked.push_back(std::move(entry));
   }
-  if (request.include_instances && wire.complete && !scoped) {
+  if (request.include_instances && wire.complete) {
     wire.instance_probs = response->result->instance_probs;
-  }
-
-  // Scoped responses additionally carry per-object reports — the decision
-  // and probability bounds of every in-scope object — which is what the
-  // coordinator's merge consumes (ranked lists alone are truncated at k and
-  // cannot prove exclusion soundness). Report ids are *view-local*, i.e. in
-  // the scope's own coordinate system, so the coordinator can issue
-  // [j, j+1) refinement scopes without knowing the view mapping.
-  const ArspResult& result = *response->result;
-  if (scoped && request.derived_kind != WireDerivedKind::kTopKInstances) {
-    const DatasetView view = engine_.view(handle);
-    const int b = query.derived.scope_begin;
-    const int e = query.derived.scope_end;
-    wire.object_reports.reserve(static_cast<size_t>(e - b));
-    if (!result.is_complete() &&
-        static_cast<int>(result.object_decisions.size()) ==
-            view.num_objects()) {
-      for (int j = b; j < e; ++j) {
-        ObjectReportWire o;
-        o.object_id = j;
-        o.decision =
-            static_cast<uint8_t>(result.object_decisions[static_cast<size_t>(j)]);
-        o.lower = result.object_bounds[static_cast<size_t>(j)].lower;
-        o.upper = result.object_bounds[static_cast<size_t>(j)].upper;
-        wire.object_reports.push_back(o);
-      }
-    } else if (result.is_complete()) {
-      // A goal-oblivious solver (or a cached full answer) evaluated
-      // everything: every in-scope object is exact.
-      const std::vector<double> probs = ObjectProbabilities(result, view);
-      for (int j = b; j < e; ++j) {
-        ObjectReportWire o;
-        o.object_id = j;
-        o.decision = static_cast<uint8_t>(ObjectDecision::kExact);
-        o.lower = probs[static_cast<size_t>(j)];
-        o.upper = o.lower;
-        wire.object_reports.push_back(o);
-      }
-    }
-    if (b < e) {
-      // The scope's contiguous instance slice (instances of one object are
-      // contiguous and objects ascend, so [first(b), last(e-1)) is exactly
-      // the scope's instances). For scoped-full goals every in-scope
-      // instance is exact whether or not the overall result is "complete" —
-      // this is the coordinator's concatenation primitive.
-      const int ib = view.object_range(b).first;
-      const int ie = view.object_range(e - 1).second;
-      if (request.include_instances &&
-          static_cast<int>(result.instance_probs.size()) >= ie) {
-        wire.instance_offset = ib;
-        wire.instance_probs.assign(
-            result.instance_probs.begin() + ib,
-            result.instance_probs.begin() + ie);
-      }
-      // kTopKObjects with k < 0 collapses to a full solve (GoalForDerived),
-      // so it gets the same per-scope nonzero count the coordinator sums
-      // into the global result size.
-      const bool full_goal =
-          request.derived_kind == WireDerivedKind::kNone ||
-          (request.derived_kind == WireDerivedKind::kTopKObjects &&
-           request.k < 0);
-      if (full_goal && static_cast<int>(result.instance_probs.size()) >= ie) {
-        int nonzero = 0;
-        for (int i = ib; i < ie; ++i) {
-          if (result.instance_probs[static_cast<size_t>(i)] > 0.0) ++nonzero;
-        }
-        wire.result_size = nonzero;
-      }
-    } else if (request.derived_kind == WireDerivedKind::kNone ||
-               (request.derived_kind == WireDerivedKind::kTopKObjects &&
-                request.k < 0)) {
-      wire.result_size = 0;
-    }
   }
   if (trace != nullptr) {
     trace->Annotate("dataset", request.dataset);

@@ -28,7 +28,7 @@
 //
 // Cross-process stitching: Span trees serialize to a compact byte string
 // (SerializeSpans / DeserializeSpans) that rides in QueryResponseWire;
-// the coordinator adopts each shard's subtree under its own scatter span.
+// the coordinator adopts the shard's subtree under its own forward span.
 // Timestamps are per-process monotonic clocks, so durations are exact
 // within a process and the tree structure is exact across processes, but
 // absolute offsets between processes are not comparable.

@@ -153,8 +153,8 @@ TEST(AspTraversalStateTest, RandomizedAddUndoMatchesRecomputation) {
 
 TEST(AspTraversalStateTest, UndoRestoresBitwise) {
   // Enter-and-exit a "subtree" must leave (σ, β, χ) bit-identical to never
-  // entering — the exactness goal pruning and scoped (sharded) solves rely
-  // on for bit-identical answers.
+  // entering — the exactness goal pruning and parallel path replay rely on
+  // for bit-identical answers.
   AspTraversalState state(4);
   std::vector<AspTraversalState::Change> path;
   state.Add(0, 0.3, &path);

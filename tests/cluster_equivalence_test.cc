@@ -1,20 +1,24 @@
 // Copyright 2026 The ARSP Authors.
 //
-// Coordinator merge correctness — the cluster tentpole's acceptance bar: a
-// Coordinator over N in-process EngineBackend shards must answer every
-// query *bit-identically* (EXPECT_EQ on doubles, no tolerance) to a single
-// EngineBackend holding the same data, for every registered solver, every
-// derived-goal kind, shard counts {1, 2, 3, 7}, and adversarially skewed /
-// empty scope partitions. Tie boundaries are pinned explicitly: a top-k cut
-// through an exact probability tie, the count-controlled tie extension, and
-// a threshold lying exactly on an object's probability — the cases where a
-// merge that is "almost right" (re-ranked with drifted doubles, or sliced
-// with different boundary rules) visibly diverges.
+// Coordinator correctness. A Coordinator over N in-process EngineBackend
+// shards must answer every query field for field like a single
+// EngineBackend holding the same data (EXPECT_EQ on doubles, no tolerance),
+// for every registered solver, every derived-goal kind and shard counts
+// {1, 2, 3, 7}. Tie boundaries are pinned explicitly: a top-k cut through
+// an exact probability tie, the count-controlled tie extension, and a
+// threshold lying exactly on an object's probability. The routing rule is
+// pinned with fake shards that block until released: each query reaches
+// exactly one holder, concurrent queries spread over the holders, an idle
+// repeat returns to the same holder, and a shard error frees its slot.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,7 +30,6 @@ namespace arsp {
 namespace {
 
 using cluster::Coordinator;
-using cluster::CoordinatorOptions;
 using net::EngineBackend;
 using net::LoadDatasetRequest;
 using net::LoadSource;
@@ -56,16 +59,14 @@ constexpr char kTiedCsv[] =
     "c,0.5,0.3,0.5\nc,0.5,0.5,0.3\n"
     "d,0.5,0.7,0.8\nd,0.5,0.9,0.6\n";
 
-std::unique_ptr<Coordinator> MakeCluster(int num_shards,
-                                         CoordinatorOptions options = {}) {
+std::unique_ptr<Coordinator> MakeCluster(int num_shards) {
   std::vector<std::shared_ptr<ServiceBackend>> shards;
   std::vector<std::string> names;
   for (int s = 0; s < num_shards; ++s) {
     shards.push_back(std::make_shared<EngineBackend>());
     names.push_back("shard-" + std::to_string(s));
   }
-  return std::make_unique<Coordinator>(std::move(shards), std::move(names),
-                                       std::move(options));
+  return std::make_unique<Coordinator>(std::move(shards), std::move(names));
 }
 
 void LoadGenerator(ServiceBackend& backend, const std::string& name,
@@ -105,35 +106,28 @@ QueryRequestWire MakeQuery(const std::string& dataset,
   return request;
 }
 
-// The merged answer must be indistinguishable from the single daemon's:
-// same ranked ids, names, and bit-identical probabilities, same derived
-// threshold, same completeness/size, and (when shipped) the identical
-// instance-probability vector.
+// The routed answer must be indistinguishable from the single daemon's:
+// same solver, completeness, goal, pushdown and result size, same ranked
+// ids, names, and bit-identical probabilities, same derived threshold, and
+// (when shipped) the identical instance-probability vector.
 void ExpectBitIdentical(const QueryResponseWire& reference,
-                        const QueryResponseWire& merged,
+                        const QueryResponseWire& routed,
                         const std::string& label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(reference.solver, merged.solver);
-  // Completeness is emergent, not a merge property: a pushdown-capable
-  // solver may still complete an *unscoped* solve (B&B whose bounds never
-  // pruned) while its scoped parts are partial by construction. The sound
-  // invariant is one-directional — a merged answer may only claim complete
-  // when the unsharded one does — and the complete-only metadata must agree
-  // whenever both sides are in the same state.
-  if (merged.complete) EXPECT_TRUE(reference.complete);
-  if (reference.complete == merged.complete) {
-    EXPECT_EQ(reference.goal, merged.goal);
-    EXPECT_EQ(reference.result_size, merged.result_size);
-  }
-  EXPECT_EQ(reference.count_threshold, merged.count_threshold);
-  ASSERT_EQ(reference.ranked.size(), merged.ranked.size());
+  EXPECT_EQ(reference.solver, routed.solver);
+  EXPECT_EQ(reference.complete, routed.complete);
+  EXPECT_EQ(reference.goal, routed.goal);
+  EXPECT_EQ(reference.pushdown, routed.pushdown);
+  EXPECT_EQ(reference.result_size, routed.result_size);
+  EXPECT_EQ(reference.count_threshold, routed.count_threshold);
+  ASSERT_EQ(reference.ranked.size(), routed.ranked.size());
   for (size_t i = 0; i < reference.ranked.size(); ++i) {
-    EXPECT_EQ(reference.ranked[i].object_id, merged.ranked[i].object_id)
+    EXPECT_EQ(reference.ranked[i].object_id, routed.ranked[i].object_id)
         << "rank " << i;
-    EXPECT_EQ(reference.ranked[i].name, merged.ranked[i].name) << "rank " << i;
-    EXPECT_EQ(reference.ranked[i].prob, merged.ranked[i].prob) << "rank " << i;
+    EXPECT_EQ(reference.ranked[i].name, routed.ranked[i].name) << "rank " << i;
+    EXPECT_EQ(reference.ranked[i].prob, routed.ranked[i].prob) << "rank " << i;
   }
-  EXPECT_EQ(reference.instance_probs, merged.instance_probs);
+  EXPECT_EQ(reference.instance_probs, routed.instance_probs);
 }
 
 // The goal grid each (dataset, solver) pair is swept through. The boundary
@@ -167,7 +161,6 @@ std::vector<QueryRequestWire> GoalGrid(const std::string& dataset,
     grid.push_back(q);
   }
   {
-    // Instance-level goal: the coordinator forwards instead of merging.
     QueryRequestWire q = MakeQuery(dataset, constraints, solver,
                                    WireDerivedKind::kTopKInstances);
     q.k = 5;
@@ -230,15 +223,15 @@ void SweepSolvers(ServiceBackend& reference, ServiceBackend& cluster,
       SCOPED_TRACE(std::string(KindName(request.derived_kind)) + " k=" +
                    std::to_string(request.k));
       auto expected = reference.Query(request);
-      auto merged = cluster.Query(request);
-      ASSERT_EQ(expected.ok(), merged.ok())
+      auto routed = cluster.Query(request);
+      ASSERT_EQ(expected.ok(), routed.ok())
           << "reference: " << expected.status().ToString()
-          << " cluster: " << merged.status().ToString();
+          << " cluster: " << routed.status().ToString();
       if (!expected.ok()) {
-        EXPECT_EQ(expected.status().code(), merged.status().code());
+        EXPECT_EQ(expected.status().code(), routed.status().code());
         continue;
       }
-      ExpectBitIdentical(*expected, *merged, "merge");
+      ExpectBitIdentical(*expected, *routed, "routed");
     }
   }
 }
@@ -257,61 +250,10 @@ TEST(ClusterEquivalence, RegistrySweepAcrossShardCounts) {
   }
 }
 
-TEST(ClusterEquivalence, AdversarialPartitionsStayBitIdentical) {
-  // Skewed and degenerate scope splits: all the work on one shard, empty
-  // scopes, single-object scopes. The merge must not care.
-  using Partition = std::vector<std::pair<int, int>>;
-  const std::vector<std::function<Partition(int, int)>> partitions = {
-      // Everything on the first holder, the rest idle.
-      [](int m, int parts) {
-        Partition p(static_cast<size_t>(parts), {m, m});
-        p[0] = {0, m};
-        return p;
-      },
-      // One object on the first holder, the rest on the last.
-      [](int m, int parts) {
-        Partition p(static_cast<size_t>(parts), {1, 1});
-        p[0] = {0, 1};
-        p[static_cast<size_t>(parts) - 1] = {1, m};
-        return p;
-      },
-      // Maximally fragmented head: single-object scopes, tail gets the rest.
-      [](int m, int parts) {
-        Partition p;
-        int begin = 0;
-        for (int s = 0; s + 1 < parts && begin < m; ++s, ++begin) {
-          p.emplace_back(begin, begin + 1);
-        }
-        while (static_cast<int>(p.size()) + 1 < parts) p.emplace_back(m, m);
-        p.emplace_back(begin, m);
-        return p;
-      },
-  };
-  for (int num_shards : {2, 3, 7}) {
-    for (size_t variant = 0; variant < partitions.size(); ++variant) {
-      SCOPED_TRACE("shards=" + std::to_string(num_shards) + " variant=" +
-                   std::to_string(variant));
-      CoordinatorOptions options;
-      options.partition_fn = partitions[variant];
-      auto coordinator = MakeCluster(num_shards, options);
-      EngineBackend reference;
-      const DatasetCase& dataset = kDatasets[0];
-      LoadGenerator(*coordinator, dataset.name, dataset.spec);
-      LoadGenerator(reference, dataset.name, dataset.spec);
-      // One pushdown solver (partial per-scope answers + refinement) and
-      // one goal-oblivious solver (complete per-scope answers); the full
-      // registry is already swept across shard counts above.
-      SweepSolvers(reference, *coordinator, dataset.name, dataset.constraints,
-                   "adversarial", {"kdtt+", "loop"});
-    }
-  }
-}
-
-TEST(ClusterEquivalence, TieBoundariesSurviveTheMerge) {
+TEST(ClusterEquivalence, TieBoundariesSurviveRouting) {
   // The exact-tie dataset: k = 2 cuts through the tie (id order keeps the
   // lower base id), count-controlled k = 2 extends to 3, and a threshold
-  // exactly equal to the tied probability includes both. Shard count 3 over
-  // 4 objects guarantees the tied pair lands in different scopes.
+  // exactly equal to the tied probability includes both.
   auto coordinator = MakeCluster(3);
   EngineBackend reference;
   LoadCsv(*coordinator, "tied", kTiedCsv);
@@ -333,42 +275,42 @@ TEST(ClusterEquivalence, TieBoundariesSurviveTheMerge) {
     QueryRequestWire topk =
         MakeQuery("tied", kRank, solver, WireDerivedKind::kTopKObjects);
     topk.k = 2;
-    auto merged_topk = coordinator->Query(topk);
+    auto routed_topk = coordinator->Query(topk);
     auto reference_topk = reference.Query(topk);
-    ASSERT_TRUE(merged_topk.ok()) << merged_topk.status().ToString();
+    ASSERT_TRUE(routed_topk.ok()) << routed_topk.status().ToString();
     ASSERT_TRUE(reference_topk.ok());
-    ExpectBitIdentical(*reference_topk, *merged_topk, "topk-tie");
-    ASSERT_EQ(merged_topk->ranked.size(), 2u);
-    EXPECT_EQ(merged_topk->ranked[1].object_id, 1);  // id order breaks the tie
+    ExpectBitIdentical(*reference_topk, *routed_topk, "topk-tie");
+    ASSERT_EQ(routed_topk->ranked.size(), 2u);
+    EXPECT_EQ(routed_topk->ranked[1].object_id, 1);  // id order breaks the tie
 
     QueryRequestWire count =
         MakeQuery("tied", kRank, solver, WireDerivedKind::kCountControlled);
     count.max_objects = 2;
-    auto merged_count = coordinator->Query(count);
+    auto routed_count = coordinator->Query(count);
     auto reference_count = reference.Query(count);
-    ASSERT_TRUE(merged_count.ok()) << merged_count.status().ToString();
+    ASSERT_TRUE(routed_count.ok()) << routed_count.status().ToString();
     ASSERT_TRUE(reference_count.ok());
-    ExpectBitIdentical(*reference_count, *merged_count, "count-tie");
-    ASSERT_EQ(merged_count->ranked.size(), 3u);  // the tie extends the answer
-    EXPECT_EQ(merged_count->count_threshold, tied);
+    ExpectBitIdentical(*reference_count, *routed_count, "count-tie");
+    ASSERT_EQ(routed_count->ranked.size(), 3u);  // the tie extends the answer
+    EXPECT_EQ(routed_count->count_threshold, tied);
 
     QueryRequestWire at = MakeQuery("tied", kRank, solver,
                                     WireDerivedKind::kObjectsAboveThreshold);
     at.threshold = tied;
-    auto merged_at = coordinator->Query(at);
+    auto routed_at = coordinator->Query(at);
     auto reference_at = reference.Query(at);
-    ASSERT_TRUE(merged_at.ok()) << merged_at.status().ToString();
+    ASSERT_TRUE(routed_at.ok()) << routed_at.status().ToString();
     ASSERT_TRUE(reference_at.ok());
-    ExpectBitIdentical(*reference_at, *merged_at, "threshold-tie");
-    ASSERT_EQ(merged_at->ranked.size(), 3u);
-    EXPECT_EQ(merged_at->ranked[1].object_id, 1);
-    EXPECT_EQ(merged_at->ranked[2].object_id, 2);
+    ExpectBitIdentical(*reference_at, *routed_at, "threshold-tie");
+    ASSERT_EQ(routed_at->ranked.size(), 3u);
+    EXPECT_EQ(routed_at->ranked[1].object_id, 1);
+    EXPECT_EQ(routed_at->ranked[2].object_id, 2);
   }
 }
 
-TEST(ClusterEquivalence, ViewsPartitionAcrossShards) {
+TEST(ClusterEquivalence, ViewsRouteAcrossShards) {
   // Views registered through the coordinator land on the base's holders and
-  // scatter like any dataset; ranked answers still carry base object ids.
+  // route like any dataset; ranked answers still carry base object ids.
   auto coordinator = MakeCluster(3);
   EngineBackend reference;
   const DatasetCase& dataset = kDatasets[1];
@@ -408,8 +350,7 @@ TEST(ClusterEquivalence, RepeatQueryIsAClusterWideCacheHit) {
   EXPECT_FALSE(miss->cache_hit);
   auto hit = coordinator->Query(request);
   ASSERT_TRUE(hit.ok());
-  // Every per-scope sub-query hits its shard's cache; the merged flag is
-  // the conjunction.
+  // An idle repeat goes back to the holder that cached the answer.
   EXPECT_TRUE(hit->cache_hit);
   EXPECT_EQ(hit->result_size, miss->result_size);
 
@@ -439,6 +380,170 @@ TEST(ClusterEquivalence, UnknownNamesAndBadSpecsFailCleanly) {
       coordinator->Query(MakeQuery(dataset.name, dataset.constraints,
                                    "no-such-solver"))
           .ok());
+}
+
+// A shard that counts the queries it receives and, while held, blocks each
+// one until the test releases it. Every other verb succeeds at once.
+class FakeShard : public ServiceBackend {
+ public:
+  StatusOr<net::LoadDatasetResponse> Load(
+      const LoadDatasetRequest& request) override {
+    net::LoadDatasetResponse response;
+    response.name = request.name;
+    response.num_objects = 8;
+    return response;
+  }
+  StatusOr<net::AddViewResponse> AddView(
+      const net::AddViewRequest& request) override {
+    net::AddViewResponse response;
+    response.name = request.view_name;
+    return response;
+  }
+  StatusOr<QueryResponseWire> Query(const QueryRequestWire&) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++queries_;
+    cv_.wait(lock, [this] { return !held_; });
+    if (fail_) return Status::Unavailable("shard is failing");
+    return QueryResponseWire{};
+  }
+  StatusOr<net::StatsResponse> Stats(const net::StatsRequest&) override {
+    return net::StatsResponse{};
+  }
+  Status Drop(const net::DropRequest&) override { return Status::OK(); }
+
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+  void Unhold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+  void Fail() {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_ = true;
+  }
+  int queries() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return queries_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool fail_ = false;
+  int queries_ = 0;
+};
+
+struct FakeCluster {
+  std::vector<std::shared_ptr<FakeShard>> shards;
+  std::unique_ptr<Coordinator> coordinator;
+
+  explicit FakeCluster(int num_shards) {
+    std::vector<std::shared_ptr<ServiceBackend>> backends;
+    std::vector<std::string> names;
+    for (int s = 0; s < num_shards; ++s) {
+      shards.push_back(std::make_shared<FakeShard>());
+      backends.push_back(shards.back());
+      names.push_back("fake-" + std::to_string(s));
+    }
+    coordinator =
+        std::make_unique<Coordinator>(std::move(backends), std::move(names));
+    LoadGenerator(*coordinator, "d", "fake");
+  }
+
+  std::vector<int> Counts() {
+    std::vector<int> counts;
+    for (const auto& shard : shards) counts.push_back(shard->queries());
+    return counts;
+  }
+  int Total() {
+    int total = 0;
+    for (int c : Counts()) total += c;
+    return total;
+  }
+};
+
+TEST(ClusterRouting, EachQueryReachesExactlyOneHolder) {
+  FakeCluster cluster(2);
+  const auto kinds = {
+      WireDerivedKind::kNone, WireDerivedKind::kTopKObjects,
+      WireDerivedKind::kTopKInstances, WireDerivedKind::kObjectsAboveThreshold,
+      WireDerivedKind::kCountControlled};
+  int sent = 0;
+  for (const WireDerivedKind kind : kinds) {
+    SCOPED_TRACE(KindName(kind));
+    ASSERT_TRUE(
+        cluster.coordinator->Query(MakeQuery("d", "wr:0.5,2.0", "kdtt+", kind))
+            .ok());
+    EXPECT_EQ(cluster.Total(), ++sent);
+  }
+}
+
+TEST(ClusterRouting, IdleRepeatLandsOnTheSameHolder) {
+  FakeCluster cluster(3);
+  for (const char* constraints : {"wr:0.5,2.0", "wr:0.4,2.5", "rank:1"}) {
+    SCOPED_TRACE(constraints);
+    const std::vector<int> before = cluster.Counts();
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      ASSERT_TRUE(
+          cluster.coordinator->Query(MakeQuery("d", constraints, "kdtt+"))
+              .ok());
+    }
+    const std::vector<int> after = cluster.Counts();
+    int holders_hit = 0;
+    for (size_t s = 0; s < after.size(); ++s) {
+      const int got = after[s] - before[s];
+      EXPECT_TRUE(got == 0 || got == 5) << "shard " << s << " got " << got;
+      if (got > 0) ++holders_hit;
+    }
+    EXPECT_EQ(holders_hit, 1);
+  }
+}
+
+TEST(ClusterRouting, ConcurrentQueriesLandOnDifferentHolders) {
+  FakeCluster cluster(2);
+  for (const auto& shard : cluster.shards) shard->Hold();
+  // The same query twice: idle, both would go to the hash's holder, but the
+  // first one is still in flight there when the second arrives.
+  const QueryRequestWire query = MakeQuery("d", "wr:0.5,2.0", "kdtt+");
+  const auto send = [&] {
+    EXPECT_TRUE(cluster.coordinator->Query(query).ok());
+  };
+  const auto await_total = [&](int n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (cluster.Total() < n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::thread first(send);
+  await_total(1);
+  std::thread second(send);
+  await_total(2);
+  EXPECT_EQ(cluster.Counts(), (std::vector<int>{1, 1}));
+  for (const auto& shard : cluster.shards) shard->Unhold();
+  first.join();
+  second.join();
+}
+
+TEST(ClusterRouting, ShardErrorReleasesItsSlot) {
+  FakeCluster cluster(2);
+  for (const auto& shard : cluster.shards) shard->Fail();
+  const QueryRequestWire query = MakeQuery("d", "wr:0.5,2.0", "kdtt+");
+  // Each failed query must give its slot back: a leaked slot would make the
+  // idle repeat look busy on its holder and send it to the other one.
+  for (int repeat = 0; repeat < 4; ++repeat) {
+    EXPECT_EQ(cluster.coordinator->Query(query).status().code(),
+              StatusCode::kUnavailable);
+  }
+  const std::vector<int> counts = cluster.Counts();
+  EXPECT_TRUE(counts == (std::vector<int>{4, 0}) ||
+              counts == (std::vector<int>{0, 4}))
+      << counts[0] << "/" << counts[1];
 }
 
 }  // namespace

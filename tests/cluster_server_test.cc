@@ -6,9 +6,9 @@
 // Covers: bit-identical answers through two wire hops, the typed
 // RETRY_LATER overload reply (client surfaces kUnavailable with the retry
 // hint), admission applying only to QUERY, cross-process trace stitching
-// (want_trace through the coordinator returns a span tree holding every
-// shard's solve subtree), and the bounded-shutdown-latency regression for
-// the nonblocking accept loop.
+// (want_trace through the coordinator returns a span tree holding the
+// chosen shard's solve subtree), and the bounded-shutdown-latency
+// regression for the nonblocking accept loop.
 
 #include <gtest/gtest.h>
 
@@ -92,16 +92,16 @@ TEST(ClusterServer, CoordinatorDaemonAnswersBitIdenticallyToASingleDaemon) {
   net::ArspClient client = Connect(*coordinator);
   LoadIip(client, "iip");
 
-  // Full answer: the assembled instance vector is bit-identical.
+  // Full answer: the instance vector is bit-identical.
   net::QueryRequestWire full = WireQuery("iip");
   full.include_instances = true;
-  auto merged = client.Query(full);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  auto routed = client.Query(full);
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   auto expected = single_client.Query(full);
   ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(merged->complete);
-  EXPECT_EQ(merged->instance_probs, expected->instance_probs);
-  EXPECT_EQ(merged->result_size, expected->result_size);
+  EXPECT_TRUE(routed->complete);
+  EXPECT_EQ(routed->instance_probs, expected->instance_probs);
+  EXPECT_EQ(routed->result_size, expected->result_size);
 
   // Ranked kinds: ids, names, probabilities bit-exact through both hops.
   for (const net::WireDerivedKind kind :
@@ -125,8 +125,8 @@ TEST(ClusterServer, CoordinatorDaemonAnswersBitIdenticallyToASingleDaemon) {
     EXPECT_EQ(got->count_threshold, want->count_threshold);
   }
 
-  // Both shards actually hold the dataset (replication 0 = everywhere) —
-  // scatter is real, not a lucky single-holder forward.
+  // Both shards actually hold the dataset (replication 0 = everywhere), so
+  // either can be the routing target.
   net::ArspClient direct_a = Connect(*shard_a);
   auto stats_a = direct_a.Stats("iip");
   ASSERT_TRUE(stats_a.ok()) << stats_a.status().ToString();
@@ -177,10 +177,10 @@ TEST(ClusterServer, CoordinatorStitchesShardTracesIntoOneTree) {
   EXPECT_EQ(untraced->trace_id, 0u);
   EXPECT_TRUE(untraced->trace_spans.empty());
 
-  // A traced scatter query returns the coordinator's tree with one adopted
-  // engine_query subtree per shard, each labeled with its shard index. A
-  // fresh constraint spec keeps the shard result caches cold so every shard
-  // subtree records a real solve span, not just the cache probe.
+  // A traced query returns the coordinator's tree with one forward span
+  // holding the chosen shard's adopted engine_query subtree, labeled with
+  // its shard index. A fresh constraint spec keeps the shard result caches
+  // cold so the subtree records a real solve span, not just the cache probe.
   net::QueryRequestWire traced = WireQuery("iip");
   traced.constraint_spec = "wr:0.4,2.5";
   traced.want_trace = true;
@@ -193,41 +193,46 @@ TEST(ClusterServer, CoordinatorStitchesShardTracesIntoOneTree) {
   const obs::Span& root = spans[0];
   EXPECT_EQ(root.name, "coordinator_query");
 
-  std::vector<const obs::Span*> scatter;
-  FindSpans(root, "scatter", &scatter);
-  ASSERT_EQ(scatter.size(), 1u);
-
-  std::vector<const obs::Span*> shard_queries;
-  FindSpans(root, "engine_query", &shard_queries);
-  ASSERT_EQ(shard_queries.size(), 2u);
-  EXPECT_TRUE(HasAnnotation(*shard_queries[0], "shard", "0") ||
-              HasAnnotation(*shard_queries[1], "shard", "0"));
-  EXPECT_TRUE(HasAnnotation(*shard_queries[0], "shard", "1") ||
-              HasAnnotation(*shard_queries[1], "shard", "1"));
-  // Each shard subtree carries its daemon's solve span — the cross-process
+  std::vector<const obs::Span*> forward;
+  FindSpans(root, "forward", &forward);
+  ASSERT_EQ(forward.size(), 1u);
+  ASSERT_EQ(forward[0]->children.size(), 1u);
+  const obs::Span& shard_query = forward[0]->children[0];
+  EXPECT_EQ(shard_query.name, "engine_query");
+  std::vector<const obs::Span*> all_shard_queries;
+  FindSpans(root, "engine_query", &all_shard_queries);
+  EXPECT_EQ(all_shard_queries.size(), 1u);
+  const int chosen = HasAnnotation(shard_query, "shard", "0") ? 0 : 1;
+  EXPECT_TRUE(HasAnnotation(shard_query, "shard", std::to_string(chosen)));
+  EXPECT_TRUE(HasAnnotation(*forward[0], "shard", std::to_string(chosen)));
+  // The shard subtree carries its daemon's solve span — the cross-process
   // timeline the --trace flag renders.
-  for (const obs::Span* shard_query : shard_queries) {
-    std::vector<const obs::Span*> solves;
-    FindSpans(*shard_query, "solve", &solves);
-    EXPECT_EQ(solves.size(), 1u);
-    EXPECT_GE(shard_query->end_ns, shard_query->start_ns);
-  }
+  std::vector<const obs::Span*> solves;
+  FindSpans(shard_query, "solve", &solves);
+  EXPECT_EQ(solves.size(), 1u);
+  EXPECT_GE(shard_query.end_ns, shard_query.start_ns);
 
-  // The shards each retain their traced query for the TRACE verb, and the
-  // coordinator's trace id propagated into both shard-side traces.
-  for (auto* shard : {shard_a.get(), shard_b.get()}) {
-    net::ArspClient direct = Connect(*shard);
+  // The trace id propagated to the chosen shard only: it retains the traced
+  // query for the TRACE verb, the other shard retains nothing.
+  const std::vector<net::ArspServer*> shard_servers = {shard_a.get(),
+                                                       shard_b.get()};
+  for (int s = 0; s < 2; ++s) {
+    net::ArspClient direct = Connect(*shard_servers[static_cast<size_t>(s)]);
     auto retained = direct.Trace();
     ASSERT_TRUE(retained.ok()) << retained.status().ToString();
-    EXPECT_EQ(retained->trace_id, response->trace_id);
-    std::vector<obs::Span> shard_spans;
-    EXPECT_TRUE(obs::DeserializeSpans(retained->spans, &shard_spans));
+    if (s == chosen) {
+      EXPECT_EQ(retained->trace_id, response->trace_id);
+      std::vector<obs::Span> shard_spans;
+      EXPECT_TRUE(obs::DeserializeSpans(retained->spans, &shard_spans));
+    } else {
+      EXPECT_EQ(retained->trace_id, 0u);
+    }
   }
 
   // The rendered stitched tree is printable end to end.
   const std::string text = obs::RenderSpanTree(root, response->trace_id);
-  EXPECT_NE(text.find("scatter"), std::string::npos);
-  EXPECT_NE(text.find("shard=1"), std::string::npos);
+  EXPECT_NE(text.find("forward"), std::string::npos);
+  EXPECT_NE(text.find("shard=" + std::to_string(chosen)), std::string::npos);
 
   for (auto* server :
        {coordinator.get(), shard_a.get(), shard_b.get()}) {

@@ -286,83 +286,6 @@ TEST(ProtocolMessagesTest, BadEnumValuesAreRejected) {
   }
 }
 
-// ------------------------------------------------------ wire v3 additions
-
-TEST(ProtocolMessagesTest, QueryRequestScopeFieldsRoundTrip) {
-  QueryRequestWire request;
-  request.dataset = "nba";
-  request.scope_begin = 7;
-  request.scope_end = 19;
-  QueryRequestWire decoded;
-  ASSERT_TRUE(decoded.DecodePayload(request.EncodePayload()).ok());
-  EXPECT_EQ(decoded.scope_begin, 7);
-  EXPECT_EQ(decoded.scope_end, 19);
-  // Unscoped stays the -1/-1 sentinel through the codec.
-  QueryRequestWire unscoped;
-  ASSERT_TRUE(decoded.DecodePayload(unscoped.EncodePayload()).ok());
-  EXPECT_EQ(decoded.scope_begin, -1);
-  EXPECT_EQ(decoded.scope_end, -1);
-}
-
-TEST(ProtocolMessagesTest, ObjectReportsAndOffsetRoundTripAndRejectTruncation) {
-  QueryResponseWire response;
-  response.solver = "kdtt+";
-  response.complete = false;
-  response.goal = "top-3 scope=[4,9)";
-  response.instance_probs = {0.5, 0.25};
-  response.instance_offset = 11;
-  response.object_reports = {{4, 0, 0.1, 0.9},
-                             {5, 1, 0.75, 0.75},
-                             {8, 2, 0.0, 0.05}};
-  const std::string payload = response.EncodePayload();
-  QueryResponseWire decoded;
-  ASSERT_TRUE(decoded.DecodePayload(payload).ok());
-  EXPECT_EQ(decoded.instance_offset, 11);
-  ASSERT_EQ(decoded.object_reports.size(), 3u);
-  EXPECT_EQ(decoded.object_reports[1].object_id, 5);
-  EXPECT_EQ(decoded.object_reports[1].decision, 1);
-  EXPECT_EQ(decoded.object_reports[2].lower, 0.0);
-  EXPECT_EQ(decoded.object_reports[2].upper, 0.05);
-  // Every strict prefix of the v3 tail must fail cleanly, like the rest of
-  // the payload (never crash, never accept).
-  for (size_t cut = 0; cut < payload.size(); ++cut) {
-    QueryResponseWire partial;
-    EXPECT_FALSE(partial.DecodePayload(payload.substr(0, cut)).ok())
-        << "prefix of " << cut << " bytes was accepted";
-  }
-}
-
-TEST(ProtocolMessagesTest, HostileObjectReportCountRejectedBeforeAllocation) {
-  // A forged count field must be refused by the payload-size plausibility
-  // check (each report is 21 bytes), not by attempting a huge reserve.
-  WireWriter w;
-  w.Str("kdtt+");
-  w.Bool(false);
-  w.Bool(false);
-  w.Bool(true);
-  w.Str("full");
-  w.I32(0);
-  w.U32(0);  // ranked
-  w.F64(0.0);
-  WireSolverStats{}.Encode(w);
-  w.F64Vec({});
-  w.I32(0);
-  w.U32(0x7fffffffu);  // object report count: hostile
-  QueryResponseWire decoded;
-  const Status status = decoded.DecodePayload(w.bytes());
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("report count"), std::string::npos);
-}
-
-TEST(ProtocolMessagesTest, BadObjectDecisionIsRejected) {
-  QueryResponseWire response;
-  response.object_reports = {{0, 3, 0.0, 1.0}};  // 3 is not an ObjectDecision
-  QueryResponseWire decoded;
-  const Status status = decoded.DecodePayload(response.EncodePayload());
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-}
-
 TEST(ProtocolMessagesTest, RetryLaterRoundTripAndTruncation) {
   RetryLaterResponse retry;
   retry.retry_after_ms = 250;
@@ -445,6 +368,30 @@ TEST_F(FramingTest, FutureVersionIsRejected) {
   auto frame = RecvFrame(fds_[1]);
   ASSERT_FALSE(frame.ok());
   EXPECT_NE(frame.status().message().find("version"), std::string::npos);
+}
+
+TEST_F(FramingTest, OlderVersionIsRejected) {
+  // Decoders know only the current layout, so an older frame must be
+  // refused at the header, not half-decoded into a truncation or
+  // trailing-garbage error.
+  const std::string payload = QueryRequestWire{}.EncodePayload();
+  unsigned char header[8] = {0, 0, 0, 0, 0, 0, kWireVersion - 1, 4};
+  const uint32_t length = static_cast<uint32_t>(payload.size());
+  header[0] = length & 0xff;
+  header[1] = (length >> 8) & 0xff;
+  header[4] = kWireMagic & 0xff;
+  header[5] = (kWireMagic >> 8) & 0xff;
+  ASSERT_EQ(::write(fds_[0], header, sizeof(header)), 8);
+  ASSERT_EQ(::write(fds_[0], payload.data(), payload.size()),
+            static_cast<ssize_t>(payload.size()));
+  auto frame = RecvFrame(fds_[1]);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(frame.status().message().find(
+                "peer speaks protocol version " +
+                std::to_string(kWireVersion - 1)),
+            std::string::npos)
+      << frame.status().ToString();
 }
 
 TEST_F(FramingTest, OversizedFrameIsRejectedBySenderAndReceiver) {

@@ -1,9 +1,8 @@
 // Copyright 2026 The ARSP Authors.
 //
 // ShardPlan placement: deterministic consistent-hash placement with the
-// replication count honored, minimal dataset movement when the shard set
-// grows (the property that justifies a ring over hash-mod-S), and
-// EvenPartition producing exact disjoint covers.
+// replication count honored, and minimal dataset movement when the shard
+// set grows (the property that justifies a ring over hash-mod-S).
 
 #include <gtest/gtest.h>
 
@@ -90,24 +89,6 @@ TEST(ShardPlan, SpreadIsRoughlyUniform) {
     // Each shard within a factor ~2 of the fair share (500).
     EXPECT_GT(load[static_cast<size_t>(s)], kDatasets / 10) << "shard " << s;
     EXPECT_LT(load[static_cast<size_t>(s)], kDatasets / 2) << "shard " << s;
-  }
-}
-
-TEST(ShardPlan, EvenPartitionCoversExactlyAndEvenly) {
-  for (int m : {0, 1, 5, 7, 100}) {
-    for (int parts : {1, 2, 3, 7}) {
-      const auto scopes = ShardPlan::EvenPartition(m, parts);
-      ASSERT_EQ(scopes.size(), static_cast<size_t>(parts));
-      int expected_begin = 0;
-      for (const auto& [begin, end] : scopes) {
-        EXPECT_EQ(begin, expected_begin);  // contiguous, ascending, disjoint
-        EXPECT_GE(end, begin);
-        // Sizes differ by at most one.
-        EXPECT_LE(end - begin, m / parts + 1);
-        expected_begin = end;
-      }
-      EXPECT_EQ(expected_begin, m);  // exact cover
-    }
   }
 }
 

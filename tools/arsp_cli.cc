@@ -532,7 +532,8 @@ net::QueryRequestWire MakeWireRequest(const CliArgs& args,
 
 // --trace output for a wire response: decode the daemon's serialized span
 // tree and print the same timeline local mode renders. Behind a sharded
-// coordinator the tree carries one shard=N subtree per scattered solve.
+// coordinator the tree carries the chosen shard's shard=N subtree under the
+// coordinator's forward span.
 void PrintWireTrace(const net::QueryResponseWire& resp) {
   if (resp.trace_spans.empty()) {
     std::fprintf(stderr, "daemon returned no trace spans\n");

@@ -69,7 +69,7 @@ void PrintUsage() {
       "defaults: --host 127.0.0.1 --port 7439; --port 0 picks an ephemeral\n"
       "port. --load preloads a dataset at startup (repeatable); gen specs\n"
       "are GenerateFromSpec syntax, e.g. gen:iip:n=500,seed=1\n"
-      "--shards serves a scatter-gather coordinator over the listed arspd\n"
+      "--shards serves a routing coordinator over the listed arspd\n"
       "peers instead of an embedded engine (--load is engine-mode only);\n"
       "--client-qps/--client-burst/--max-pending bound admission, over-\n"
       "budget queries get a typed RETRY_LATER reply\n"
