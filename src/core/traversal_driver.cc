@@ -228,7 +228,10 @@ struct TraversalLane {
       : state(num_objects), channel(std::move(channel_in)) {}
 
   AspTraversalState state;
+  // Filter's per-node buffers: each candidate's class, then the ids that
+  // enter σ.
   std::vector<unsigned char> class_scratch;
+  std::vector<int> adds;
   TraversalCounters counters;
   GoalChannel channel;
   bool stopped = false;  // this lane saw the global goal-met early exit
@@ -386,32 +389,48 @@ class TraversalDriver {
 
   // Moves candidates into D (σ) when they dominate pmin, keeps them in
   // scratch->kept when they dominate pmax; everything else is discarded for
-  // this subtree. The two dominance tests per candidate run batched through
-  // the ClassifyCorners kernel into the lane's class scratch (fully
-  // consumed before any recursion, so one buffer serves every level); the
-  // scalar loop then applies the σ/kept side effects in candidate order.
-  // Counts one dominance test per candidate.
+  // this subtree. Three steps, none branching on a candidate's class:
+  //   1. the ClassifyCorners kernel makes both dominance tests per
+  //      candidate, batched, into the lane's class scratch;
+  //   2. one pass writes every candidate id to both `kept` and the lane's
+  //      `adds` buffer and advances each cursor by its own class test, so
+  //      each buffer ends up holding its class in candidate order;
+  //   3. the Adds run over `adds`, in candidate order.
+  // The Add order is part of the bit-identity contract: β is a running
+  // product, so adding the same candidates in another order rounds it
+  // differently. The lane buffers are fully consumed before any recursion,
+  // so one of each serves every level. Counts one dominance test per
+  // candidate.
   void Filter(TraversalLane& lane, const std::vector<int>& candidates,
               const double* pmin, const double* pmax,
               DepthScratch* scratch) {
-    scratch->kept.clear();
-    const int count = static_cast<int>(candidates.size());
+    const size_t count = candidates.size();
+    scratch->kept.resize(count);
     if (count == 0) return;
-    if (lane.class_scratch.size() < static_cast<size_t>(count)) {
-      lane.class_scratch.resize(static_cast<size_t>(count));
+    if (lane.class_scratch.size() < count) {
+      lane.class_scratch.resize(count);
+      lane.adds.resize(count);
     }
     simd::Ops().ClassifyCorners(scores_.coords, scores_.dim,
-                                candidates.data(), count, pmin, pmax,
-                                lane.class_scratch.data());
-    lane.counters.dominance_tests += count;
+                                candidates.data(), static_cast<int>(count),
+                                pmin, pmax, lane.class_scratch.data());
+    lane.counters.dominance_tests += static_cast<int64_t>(count);
     const unsigned char* classes = lane.class_scratch.data();
-    for (int c = 0; c < count; ++c) {
-      const int cid = candidates[static_cast<size_t>(c)];
-      if (classes[c] == simd::kClassDominatesMin) {
-        lane.state.Add(scores_.object(cid), scores_.prob(cid), &lane.undo);
-      } else if (classes[c] == simd::kClassDominatesMax) {
-        scratch->kept.push_back(cid);
-      }
+    int* kept = scratch->kept.data();
+    int* adds = lane.adds.data();
+    size_t num_kept = 0;
+    size_t num_adds = 0;
+    for (size_t c = 0; c < count; ++c) {
+      const int cid = candidates[c];
+      kept[num_kept] = cid;
+      adds[num_adds] = cid;
+      num_kept += classes[c] == simd::kClassDominatesMax;
+      num_adds += classes[c] == simd::kClassDominatesMin;
+    }
+    scratch->kept.resize(num_kept);
+    for (size_t a = 0; a < num_adds; ++a) {
+      lane.state.Add(scores_.object(adds[a]), scores_.prob(adds[a]),
+                     &lane.undo);
     }
   }
 

@@ -45,7 +45,10 @@ struct TraversalNode {
 /// capacity, so a solve allocates O(depth) times rather than O(nodes).
 struct DepthScratch {
   std::vector<double> corners;  // [pmin | pmax], 2·dim doubles
-  std::vector<int> kept;        // candidates handed to the children
+  // Candidates handed to the children, in candidate order. The filter
+  // sizes it to every candidate, compacts the kept ones to the front
+  // without branching, then shrinks it to their count.
+  std::vector<int> kept;
   std::vector<TraversalNode> children;
   std::vector<double> center;  // QDTT+'s split point
 };

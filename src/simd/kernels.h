@@ -72,6 +72,13 @@ struct KernelOps {
 
   /// out[c] ∈ {kClassDiscard, kClassDominatesMax, kClassDominatesMin} for
   /// row ids[c] of `coords` against corners pmin/pmax (each `dim` doubles).
+  /// row ⪯ pmin gives kClassDominatesMin even when row ⋠ pmax (the corners
+  /// need not be ordered). Reads only the `dim` doubles of each gathered
+  /// row and of each corner. This is the traversal driver's hot loop: the
+  /// AVX2 body runs one branch-free path for every dim (4-wide chunks, one
+  /// masked chunk for the last 1 to 4 coordinates, then an arithmetic
+  /// class select), so its cost per row does not depend on the class it
+  /// finds.
   void (*ClassifyCorners)(const double* coords, int dim, const int* ids,
                           int count, const double* pmin, const double* pmax,
                           unsigned char* out);

@@ -10,9 +10,12 @@
 // keep the incumbent, matching the scalar strict-inequality update).
 //
 // Comparison loops accumulate violation masks branchlessly across the
-// 4-wide (then 2-wide, then scalar) dimension chunks and test once per
-// row — the branch-per-coordinate pattern of the scalar DominatesWeak is
-// exactly what this file exists to remove.
+// 4-wide dimension chunks and test once per row — the branch-per-coordinate
+// pattern of the scalar DominatesWeak is exactly what this file exists to
+// remove. ClassifyCorners, the traversal's hot loop, covers the last 1 to
+// 4 coordinates with one masked load and selects its class arithmetically,
+// so it runs the same branch-free path for every dim; the other
+// comparisons finish with a 2-wide and a scalar step.
 
 #include "src/simd/kernels.h"
 
@@ -28,37 +31,6 @@ namespace {
 
 inline const double* Row(const double* coords, int dim, int id) {
   return coords + static_cast<size_t>(id) * static_cast<size_t>(dim);
-}
-
-// Violation masks of `row` against two reference rows a and b over dim
-// coordinates: sets *gt_a iff row[k] > a[k] for some k, likewise *gt_b.
-ARSP_AVX2 inline void ViolationsAgainstTwo(const double* row, const double* a,
-                                           const double* b, int dim,
-                                           bool* gt_a, bool* gt_b) {
-  __m256d viol_a4 = _mm256_setzero_pd();
-  __m256d viol_b4 = _mm256_setzero_pd();
-  int k = 0;
-  for (; k + 4 <= dim; k += 4) {
-    const __m256d r = _mm256_loadu_pd(row + k);
-    viol_a4 = _mm256_or_pd(
-        viol_a4, _mm256_cmp_pd(r, _mm256_loadu_pd(a + k), _CMP_GT_OQ));
-    viol_b4 = _mm256_or_pd(
-        viol_b4, _mm256_cmp_pd(r, _mm256_loadu_pd(b + k), _CMP_GT_OQ));
-  }
-  bool va = _mm256_movemask_pd(viol_a4) != 0;
-  bool vb = _mm256_movemask_pd(viol_b4) != 0;
-  if (k + 2 <= dim) {
-    const __m128d r = _mm_loadu_pd(row + k);
-    va |= _mm_movemask_pd(_mm_cmpgt_pd(r, _mm_loadu_pd(a + k))) != 0;
-    vb |= _mm_movemask_pd(_mm_cmpgt_pd(r, _mm_loadu_pd(b + k))) != 0;
-    k += 2;
-  }
-  if (k < dim) {
-    va |= row[k] > a[k];
-    vb |= row[k] > b[k];
-  }
-  *gt_a = va;
-  *gt_b = vb;
 }
 
 // Violation mask of `row` against one reference row.
@@ -85,12 +57,35 @@ ARSP_AVX2 void ClassifyCornersAvx2(const double* coords, int dim,
                                    const int* ids, int count,
                                    const double* pmin, const double* pmax,
                                    unsigned char* out) {
+  // The last 1 to 4 coordinates, [full, dim), form one masked chunk, so
+  // every dim takes ceil(dim / 4) chunks. Lanes past dim load nothing
+  // (maskload reads no memory there, so nothing is read past the end of a
+  // row or a corner) and read as 0.0 in the row and in both corners alike;
+  // 0.0 > 0.0 is false, so they never register a violation.
+  const int full = dim > 0 ? (dim - 1) & ~3 : 0;
+  const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(dim - full),
+                                          _mm256_setr_epi64x(0, 1, 2, 3));
+  const __m256d min_tail = _mm256_maskload_pd(pmin + full, tail);
+  const __m256d max_tail = _mm256_maskload_pd(pmax + full, tail);
   for (int c = 0; c < count; ++c) {
     const double* row = Row(coords, dim, ids[c]);
-    bool gt_min, gt_max;
-    ViolationsAgainstTwo(row, pmin, pmax, dim, &gt_min, &gt_max);
-    out[c] = !gt_min ? kClassDominatesMin
-                     : (!gt_max ? kClassDominatesMax : kClassDiscard);
+    __m256d viol_min = _mm256_setzero_pd();
+    __m256d viol_max = _mm256_setzero_pd();
+    for (int k = 0; k < full; k += 4) {
+      const __m256d r = _mm256_loadu_pd(row + k);
+      viol_min = _mm256_or_pd(
+          viol_min, _mm256_cmp_pd(r, _mm256_loadu_pd(pmin + k), _CMP_GT_OQ));
+      viol_max = _mm256_or_pd(
+          viol_max, _mm256_cmp_pd(r, _mm256_loadu_pd(pmax + k), _CMP_GT_OQ));
+    }
+    const __m256d r = _mm256_maskload_pd(row + full, tail);
+    viol_min = _mm256_or_pd(viol_min, _mm256_cmp_pd(r, min_tail, _CMP_GT_OQ));
+    viol_max = _mm256_or_pd(viol_max, _mm256_cmp_pd(r, max_tail, _CMP_GT_OQ));
+    // kClassDominatesMin (2) when row ⪯ pmin, else kClassDominatesMax (1)
+    // when row ⪯ pmax, else kClassDiscard (0), without a branch.
+    const int le_min = _mm256_movemask_pd(viol_min) == 0;
+    const int le_max = _mm256_movemask_pd(viol_max) == 0;
+    out[c] = static_cast<unsigned char>((le_min << 1) | (le_max & ~le_min));
   }
 }
 

@@ -11,12 +11,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/task_arena.h"
 #include "src/core/bnb_algorithm.h"
 #include "src/core/dual_algorithm.h"
 #include "src/core/enum_algorithm.h"
 #include "src/core/kdtt_algorithm.h"
 #include "src/core/loop_algorithm.h"
 #include "src/core/qdtt_algorithm.h"
+#include "src/core/queries.h"
 #include "src/core/solver.h"
 #include "tests/test_util.h"
 
@@ -227,6 +235,168 @@ TEST(RegistrySweep, WeakRankingConstraints) {
         RandomDataset(7, 3, dim, 0.4, seed, seed % 2 == 0);
     ExecutionContext context(dataset, WrRegion(dim, dim - 1));
     SweepRegistryAgainstEnum(dataset, context);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned bits. The other bit-identity sweeps compare two paths of one build
+// (serial vs parallel, SIMD vs scalar, pushdown vs post-hoc), so a change
+// that reorders the traversal's σ Adds — which changes β's rounding in
+// every path alike — passes all of them. This case compares KDTT, KDTT+,
+// QDTT+ and MWTT against recorded digests instead.
+
+uint64_t Fnv1a(const void* data, size_t size, uint64_t hash) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+constexpr uint64_t kFnvBasis = 14695981039346656037ull;
+
+// Built from integer ratios only, so no libm call (whose last bits may
+// differ between platforms) feeds the data. 256 coordinate values per
+// dimension make ties common; every third object keeps 90% of its mass.
+UncertainDataset IntegerDataset(int num_objects, int dim, uint32_t seed) {
+  uint32_t state = seed;
+  const auto next = [&state] {
+    state = state * 1664525u + 1013904223u;
+    return state >> 8;
+  };
+  UncertainDatasetBuilder builder(dim);
+  for (int j = 0; j < num_objects; ++j) {
+    const int count = 1 + static_cast<int>(next() % 4);
+    std::vector<Point> points;
+    std::vector<double> probs;
+    for (int i = 0; i < count; ++i) {
+      Point p(dim);
+      for (int k = 0; k < dim; ++k) {
+        p[k] = static_cast<double>(next() % 256) / 256.0;
+      }
+      points.push_back(std::move(p));
+      probs.push_back((j % 3 == 0 ? 0.9 : 1.0) / count);
+    }
+    builder.AddObject(std::move(points), std::move(probs));
+  }
+  return std::move(builder.Build()).value();
+}
+
+// The weak ranking ω1 ≥ … ≥ ωd given by its vertices (1/k, …, 1/k, 0, …),
+// so no vertex enumeration runs either.
+PreferenceRegion WeakRankingByVertices(int dim) {
+  std::vector<Point> vertices;
+  for (int k = 1; k <= dim; ++k) {
+    Point v(dim);
+    for (int i = 0; i < k; ++i) v[i] = 1.0 / k;
+    vertices.push_back(std::move(v));
+  }
+  return std::move(PreferenceRegion::FromVertices(std::move(vertices)))
+      .value();
+}
+
+struct PinnedSolve {
+  const char* solver;
+  int dim;  // = score dimension: 3 is one partial SIMD chunk, 6 is 4 + 2
+  int parallelism;
+  bool top10;
+  uint64_t digest;  // of instance_probs, or of the ranked top-10
+  int64_t dominance_tests;
+  int64_t nodes_visited;
+};
+
+// Recorded at the commit before branch-free candidate filtering. A serial
+// top-10 runs with goal pushdown; with parallelism = 2 it is sliced from
+// the full solve, because parallel pushdown prunes on scheduling-dependent
+// snapshots and its counters differ run to run (ParallelDeterminism holds
+// its answers to the serial ones instead).
+const PinnedSolve kPinned[] = {
+    {"kdtt", 3, 1, false, 0xcdbc1709f5a8caa5ull, 46503, 243},
+    {"kdtt", 3, 1, true, 0x967d572151a5a2cdull, 46503, 243},
+    {"kdtt", 3, 2, false, 0xcdbc1709f5a8caa5ull, 46503, 243},
+    {"kdtt", 3, 2, true, 0x967d572151a5a2cdull, 46503, 243},
+    {"kdtt", 6, 1, false, 0x75f288c73d135869ull, 37767, 269},
+    {"kdtt", 6, 1, true, 0x4715b03fe6b006edull, 37767, 269},
+    {"kdtt", 6, 2, false, 0x75f288c73d135869ull, 37767, 269},
+    {"kdtt", 6, 2, true, 0x4715b03fe6b006edull, 37767, 269},
+    {"kdtt+", 3, 1, false, 0x22259811c4ed9e1cull, 46503, 243},
+    {"kdtt+", 3, 1, true, 0x967d572151a5a2cdull, 46503, 243},
+    {"kdtt+", 3, 2, false, 0x22259811c4ed9e1cull, 46503, 243},
+    {"kdtt+", 3, 2, true, 0x967d572151a5a2cdull, 46503, 243},
+    {"kdtt+", 6, 1, false, 0x75f288c73d135869ull, 37767, 269},
+    {"kdtt+", 6, 1, true, 0x4715b03fe6b006edull, 37767, 269},
+    {"kdtt+", 6, 2, false, 0x75f288c73d135869ull, 37767, 269},
+    {"kdtt+", 6, 2, true, 0x4715b03fe6b006edull, 37767, 269},
+    {"qdtt+", 3, 1, false, 0xa641ed75ecfc499bull, 78921, 251},
+    {"qdtt+", 3, 1, true, 0x967d572151a5a2cdull, 78921, 251},
+    {"qdtt+", 3, 2, false, 0xa641ed75ecfc499bull, 78921, 251},
+    {"qdtt+", 3, 2, true, 0x967d572151a5a2cdull, 78921, 251},
+    {"qdtt+", 6, 1, false, 0xa98af550178ea2c5ull, 258433, 427},
+    {"qdtt+", 6, 1, true, 0x4715b03fe6b006edull, 255557, 424},
+    {"qdtt+", 6, 2, false, 0xa98af550178ea2c5ull, 258433, 427},
+    {"qdtt+", 6, 2, true, 0x4715b03fe6b006edull, 258433, 427},
+    {"mwtt", 3, 1, false, 0x234be61445b47dc0ull, 51895, 211},
+    {"mwtt", 3, 1, true, 0x727f912eae1e0c40ull, 51895, 211},
+    {"mwtt", 3, 2, false, 0x234be61445b47dc0ull, 51895, 211},
+    {"mwtt", 3, 2, true, 0x727f912eae1e0c40ull, 51895, 211},
+    {"mwtt", 6, 1, false, 0xa98af550178ea2c5ull, 44868, 226},
+    {"mwtt", 6, 1, true, 0x4715b03fe6b006edull, 44868, 226},
+    {"mwtt", 6, 2, false, 0xa98af550178ea2c5ull, 44868, 226},
+    {"mwtt", 6, 2, true, 0x4715b03fe6b006edull, 44868, 226},
+};
+
+TEST(PinnedBits, TraversalSolversMatchRecordedDigests) {
+#if !defined(__GLIBCXX__)
+  GTEST_SKIP() << "digests were recorded with libstdc++, whose nth_element "
+                  "and sort order ties differently from other libraries";
+#endif
+  for (const PinnedSolve& pin : kPinned) {
+    const std::string label =
+        std::string(pin.solver) + " d=" + std::to_string(pin.dim) + " p=" +
+        std::to_string(pin.parallelism) + (pin.top10 ? " top-10" : " full");
+    SCOPED_TRACE(label);
+    const UncertainDataset dataset = IntegerDataset(1000, pin.dim, 16);
+    const bool pushdown = pin.top10 && pin.parallelism == 1;
+    ExecutionContext context(
+        dataset, WeakRankingByVertices(pin.dim),
+        pushdown ? QueryGoal::TopK(10) : QueryGoal::Full());
+    auto solver = SolverRegistry::Create(pin.solver);
+    ASSERT_TRUE(solver.ok());
+    SolverOptions options;
+    options.SetInt("parallelism", pin.parallelism);
+    ASSERT_TRUE((*solver)->Configure(options).ok());
+    internal::SetCoreBudgetTotalForTesting(pin.parallelism);
+    auto result = (*solver)->Solve(context);
+    internal::SetCoreBudgetTotalForTesting(0);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (pin.parallelism > 1) {
+      EXPECT_EQ(result->parallel_workers, pin.parallelism);
+    }
+
+    uint64_t digest = kFnvBasis;
+    if (pin.top10) {
+      for (const auto& [object, prob] :
+           AnswerGoal(*result, context.view(), QueryGoal::TopK(10))) {
+        digest = Fnv1a(&object, sizeof(object), digest);
+        digest = Fnv1a(&prob, sizeof(prob), digest);
+      }
+    } else {
+      digest = Fnv1a(result->instance_probs.data(),
+                     result->instance_probs.size() * sizeof(double), digest);
+    }
+    EXPECT_EQ(digest, pin.digest);
+    EXPECT_EQ(result->dominance_tests, pin.dominance_tests);
+    EXPECT_EQ(result->nodes_visited, pin.nodes_visited);
+    if (digest != pin.digest ||
+        result->dominance_tests != pin.dominance_tests ||
+        result->nodes_visited != pin.nodes_visited) {
+      std::printf("    {\"%s\", %d, %d, %s, 0x%016" PRIx64 "ull, %" PRId64
+                  ", %" PRId64 "},\n",
+                  pin.solver, pin.dim, pin.parallelism,
+                  pin.top10 ? "true" : "false", digest,
+                  result->dominance_tests, result->nodes_visited);
+    }
   }
 }
 

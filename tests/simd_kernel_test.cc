@@ -18,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -41,7 +43,10 @@ using testing_util::WrRegion;
 // Sizes straddling every vector width in play: 0, 1, the 2-lane NEON and
 // 4-lane AVX2 widths ± 1, and larger blocks with ragged tails.
 const int kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64};
-const int kDims[] = {1, 2, 3, 4, 5, 8};
+// Every remainder mod 4 after zero, one, two and three full 4-wide chunks
+// (the AVX2 ClassifyCorners finishes each row with one masked 1- to 3-lane
+// chunk; 4, 8, 12 and 16 have no tail).
+const int kDims[] = {1, 2, 3, 4, 5, 6, 7, 8, 12, 16};
 
 std::vector<const KernelOps*> NonScalarTables() {
   std::vector<const KernelOps*> tables;
@@ -118,6 +123,61 @@ TEST(KernelSweep, ClassifyCorners) {
                                actual.data());
         EXPECT_EQ(expected, actual);
       }
+    }
+  }
+}
+
+// Rows and corners drawn only from ±inf, ±0.0 and two finite values, plus
+// rows that copy a corner exactly: every comparison is a tie, a signed-zero
+// tie or an infinity, where the masked tail's zero lanes must not change
+// what the scalar loop decides. The rows, pmin and pmax are three exactly sized
+// heap blocks, so under ASan a read past the last row or either corner
+// reports.
+TEST(KernelSweep, ClassifyCornersInfinitiesZerosAndTies) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kValues[] = {-kInf, kInf, -0.0, 0.0, 0.5, -1.0};
+  for (const KernelOps* table : NonScalarTables()) {
+    for (const int dim : kDims) {
+      SCOPED_TRACE(std::string(simd::KernelArchName(table->arch)) +
+                   " dim=" + std::to_string(dim));
+      Rng rng(15000 + static_cast<uint64_t>(dim));
+      const auto draw = [&](std::vector<double>* v) {
+        for (double& x : *v) x = kValues[rng.UniformInt(0, 5)];
+      };
+      std::vector<double> pmin(static_cast<size_t>(dim));
+      std::vector<double> pmax(static_cast<size_t>(dim));
+      draw(&pmin);
+      draw(&pmax);
+      const int n = 40;
+      std::vector<double> coords(static_cast<size_t>(n) * dim);
+      draw(&coords);
+      // Exact copies of either corner, and copies with one coordinate's
+      // zero sign flipped.
+      std::copy(pmin.begin(), pmin.end(), coords.begin());
+      std::copy(pmax.begin(), pmax.end(), coords.begin() + dim);
+      for (int k = 0; k < dim; ++k) {
+        const double v = pmin[static_cast<size_t>(k)];
+        coords[2 * static_cast<size_t>(dim) + k] = v == 0.0 ? -v : v;
+      }
+      // Gathered in reverse, so the last row is read first and last.
+      std::vector<int> ids(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = n - 1 - i;
+      ids.push_back(n - 1);
+      const int count = static_cast<int>(ids.size());
+      std::vector<unsigned char> expected(static_cast<size_t>(count), 0xee);
+      std::vector<unsigned char> actual(static_cast<size_t>(count), 0xee);
+      simd::internal::ScalarOps().ClassifyCorners(coords.data(), dim,
+                                                  ids.data(), count,
+                                                  pmin.data(), pmax.data(),
+                                                  expected.data());
+      table->ClassifyCorners(coords.data(), dim, ids.data(), count,
+                             pmin.data(), pmax.data(), actual.data());
+      EXPECT_EQ(0, std::memcmp(expected.data(), actual.data(),
+                               expected.size()));
+      // The copies of the corners must land in the classes they imply.
+      EXPECT_EQ(simd::kClassDominatesMin, expected[n - 1]);
+      EXPECT_NE(simd::kClassDiscard, expected[n - 2]);
+      EXPECT_EQ(simd::kClassDominatesMin, expected[n - 3]);
     }
   }
 }
