@@ -92,15 +92,6 @@ const std::vector<int>& Ids() {
   return *ids;
 }
 
-void BM_Kernel_SumProbs(benchmark::State& state) {
-  const AlignedVector<double> probs = RandomStream(kStreamRows, 23);
-  for (auto _ : state) {
-    const double sum = simd::Ops().SumProbs(probs.data(), kStreamRows);
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_Kernel_SumProbs);
-
 void BM_Kernel_MapPoint(benchmark::State& state) {
   // d = 8 data dimensions onto d' = 4 region vertices, one call per point —
   // the shape MapViewInto issues (input points are not contiguous).
@@ -176,19 +167,6 @@ void BM_Kernel_ScoreCorners(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Kernel_ScoreCorners);
-
-void BM_Kernel_BoundSweepMask(benchmark::State& state) {
-  const AlignedVector<double> lower = RandomStream(kStreamRows, 43);
-  const AlignedVector<double> pending = RandomStream(kStreamRows, 47);
-  const std::vector<unsigned char> decided(kStreamRows, 0);
-  std::vector<unsigned char> mask(kStreamRows);
-  for (auto _ : state) {
-    simd::Ops().BoundSweepMask(lower.data(), pending.data(), decided.data(),
-                               kStreamRows, 1.0, mask.data());
-    benchmark::DoNotOptimize(mask.data());
-  }
-}
-BENCHMARK(BM_Kernel_BoundSweepMask);
 
 // ------------------------------------------------- solver hot path (Fig. 6)
 

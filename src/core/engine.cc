@@ -3,6 +3,7 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <latch>
@@ -60,8 +61,9 @@ ARSP_REGISTER_SOLVER(auto_select, "auto",
 // Below this instance count the quadratic LOOP scan beats tree setup.
 constexpr int kAutoLoopMaxInstances = 64;
 
-// The QueryGoal a derived request pushes into the solver layer. Instance-
-// level retrievals stay full: goal pushdown tracks per-*object* bounds.
+// The QueryGoal a derived request is answered for (and, when it pushes
+// down, solved for). Instance-level retrievals stay full: goal pushdown
+// tracks per-*object* bounds.
 QueryGoal GoalForDerived(const DerivedSpec& derived) {
   QueryGoal goal;
   switch (derived.kind) {
@@ -311,6 +313,11 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
     return Status::InvalidArgument("count-controlled query needs "
                                    "max_objects >= 1");
   }
+  if (request.derived.kind == DerivedKind::kObjectsAboveThreshold &&
+      std::isnan(request.derived.threshold)) {
+    // No probability compares below NaN, so it would select every object.
+    return Status::InvalidArgument("threshold query needs a number, got NaN");
+  }
   if (request.parallelism < 0) {
     return Status::InvalidArgument(
         "QueryRequest.parallelism must be >= 0, got " +
@@ -369,14 +376,16 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
     }
   }
 
-  // Goal pushdown applies when the derived request maps to a non-full goal
-  // and the resolved solver advertises the capability. The capability bit
-  // is read from the solver instance the miss path creates anyway — cache
-  // lookups need only `want_pushdown`, because a goal-key entry can exist
-  // only if a capable solver stored it (probing the key for a capless
-  // solver is a guaranteed, harmless miss).
+  // Goal pushdown applies when the derived request maps to a goal that
+  // pushes down (a threshold; QueryGoal::PushesDown) and the resolved
+  // solver advertises the capability. Every other goal solves, or hits,
+  // the full key and is sliced. The capability bit is read from the solver
+  // instance the miss path creates anyway — cache lookups need only
+  // `want_pushdown`, because a goal-key entry can exist only if a capable
+  // solver stored it (probing the key for a capless solver is a
+  // guaranteed, harmless miss).
   const QueryGoal goal = GoalForDerived(request.derived);
-  const bool want_pushdown = request.allow_pushdown && !goal.is_full();
+  const bool want_pushdown = request.allow_pushdown && goal.PushesDown();
   bool pushdown = false;  // decided at solve time from solver capabilities
 
   QueryResponse response;
@@ -386,9 +395,9 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
   // response on a hit. Key structure: `cache_key` identifies the *full*
   // answer of (dataset, constraints, solver, options) — only complete
   // results are ever stored under it, so it can serve any goal by post-hoc
-  // slicing (subsumption). Goal-pruned partial results live under
+  // slicing (subsumption). Threshold-pruned partial results live under
   // `goal_cache_key` = cache_key + the goal, and are consulted only by
-  // pushdown requests for that exact goal.
+  // pushdown requests for that exact threshold.
   const auto lookup_cache = [&]() {
     obs::ScopedSpan probe_span(request.trace, "cache_probe");
     // The handle id is the dataset's fingerprint: handles are never reused
@@ -597,10 +606,11 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
     response.stats = stats;
     response.pushdown = pushdown;
     if (cacheable) {
-      // Completeness decides the key: a complete result (every full solve,
-      // plus pushdown runs that ended up resolving everything) is the
-      // universal answer and goes under the full key; a partial result
-      // answers only its goal and goes under the goal key.
+      // Completeness decides the key: a complete result (every full, top-k
+      // and count-controlled solve, plus threshold runs that ended up
+      // resolving everything) is the universal answer and goes under the
+      // full key; a partial result answers only its threshold and goes
+      // under the goal key.
       const bool complete = response.result->is_complete();
       const std::string& store_key = complete ? cache_key : goal_cache_key;
       std::lock_guard<std::mutex> lock(mu_);
@@ -621,9 +631,10 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
   // Derived retrievals. Object-level goals go through AnswerGoal, which
   // slices complete results post hoc (identical to the historical
   // TopKObjects / ObjectsAboveThreshold / count-controlled recipes,
-  // asserted in tests/engine_test.cc) and assembles partial (goal-pruned)
-  // results from their exact object bounds. Ids in the output are base
-  // object ids, so callers can map them to names regardless of the window.
+  // asserted in tests/engine_test.cc) and assembles partial
+  // (threshold-pruned) results from their exact object bounds. Ids in the
+  // output are base object ids, so callers can map them to names
+  // regardless of the window.
   const ArspResult& result = *response.result;
   obs::ScopedSpan goal_span(request.trace, "goal_answer");
   switch (request.derived.kind) {

@@ -25,16 +25,18 @@
 //    base dataset's pooled context, inheriting its indexes and score
 //    storage, so a Fig. 6-style m% sweep pays exactly one full kd-/R-tree
 //    build plus per-step delta work (asserted via index_stats());
-//  * goal pushdown — derived requests (top-k / threshold / count-
-//    controlled) are translated into a QueryGoal and pushed into the solver
-//    when the resolved solver advertises kCapGoalPushdown: the solve
-//    maintains per-object probability bounds, skips objects the goal has
-//    decided, and stops early, returning a *partial* result that answers
-//    exactly this goal (AnswerGoal). Post-hoc slicing of a full solve stays
-//    as the fallback (and as the oracle in tests). Cache rules: a cached
-//    full result serves any derived goal by slicing (subsumption), while a
-//    goal-pruned partial result is cached only under a goal-specific key —
-//    it is never returned for a full or different-goal request.
+//  * derived goals — object-level requests (top-k / threshold / count-
+//    controlled) are translated into a QueryGoal and answered by
+//    AnswerGoal. Top-k and count-controlled goals slice a complete result
+//    stored under the full cache key, so one solve serves every later goal
+//    on the same spec. A threshold goal is pushed into the solver when it
+//    advertises kCapGoalPushdown (QueryGoal::PushesDown): the solve
+//    maintains per-object probability bounds, skips objects below the
+//    threshold, and stops early, returning a *partial* result that answers
+//    exactly this threshold. Cache rules: a cached full result serves any
+//    derived goal by slicing (subsumption), while a threshold-pruned
+//    partial result is cached only under a goal-specific key — it is never
+//    returned for a full or different-goal request.
 //
 // The engine is the designated backend for the ROADMAP's service frontend:
 // a daemon would hold one ArspEngine and translate wire requests into
@@ -152,11 +154,13 @@ struct QueryRequest {
   /// measure) preprocessing per call set this to false for a private,
   /// discarded context.
   bool pool_context = true;
-  /// Push the derived query's goal into the solver when it advertises
+  /// Push a threshold query's goal into the solver when it advertises
   /// kCapGoalPushdown (bound-based pruning + early termination; the
-  /// response's `result` is then partial). Set to false to force the
-  /// post-hoc path — full solve, then slicing — e.g. when the full
-  /// instance-probability vector is also needed, or in A/B ablations.
+  /// response's `result` is then partial). Top-k and count-controlled
+  /// queries never push down, so the field does not affect them. Set to
+  /// false to force the post-hoc path — full solve, then slicing — e.g.
+  /// when the full instance-probability vector is also needed, or in A/B
+  /// ablations.
   bool allow_pushdown = true;
   /// Intra-query worker budget for solvers advertising
   /// kCapIntraQueryParallel: 0 = engine policy (EngineOptions::query_threads
@@ -179,13 +183,13 @@ struct QueryRequest {
 /// live in the cache); derived answers are materialized per request.
 struct QueryResponse {
   /// The solve's result. Complete — the full probability vector — unless
-  /// goal pushdown ran (`pushdown` true): then it may be partial (check
+  /// threshold pushdown ran (`pushdown` true): then it may be partial (check
   /// result->is_complete() before instance-level use; `ranked` and
   /// `count_threshold` are always valid and identical to the post-hoc
   /// answer).
   std::shared_ptr<const ArspResult> result;
-  /// True iff the solve executed with goal pushdown (false = post-hoc
-  /// slicing of a full result, the fallback path).
+  /// True iff the solve executed with threshold pushdown (false = post-hoc
+  /// slicing of a full result: always for top-k and count-controlled).
   bool pushdown = false;
   /// Resolved concrete solver (never "auto").
   std::string solver;

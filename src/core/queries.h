@@ -54,19 +54,17 @@ double ThresholdForObjectCount(const ArspResult& result,
 /// The ranked (base object id, probability) answer to an object-level goal,
 /// from either a complete result (post-hoc slicing — identical to
 /// TopKObjects / ObjectsAboveThreshold / the count-controlled recipe) or a
-/// goal-pruned partial result (assembled from its exact object bounds; the
-/// result's recorded goal must equal `goal`, CHECK-enforced — a partial
+/// threshold-pruned partial result (assembled from its exact object bounds;
+/// the result's recorded goal must equal `goal`, CHECK-enforced — a partial
 /// result answers nothing else). For kTopK with kIncludeTies,
 /// *count_threshold (if non-null) receives the k-th ranked probability and
 /// boundary ties extend the answer past k. Equivalence guarantee: both
-/// paths select the same objects in the same order; probabilities agree up
-/// to the sub-ulp drift of the traversals' incremental β bookkeeping when
-/// goal pruning skips subtrees (≈1e-14 — each skipped add/undo pair is a
-/// no-op only in exact arithmetic). Boundary ties are immune: the pruner
-/// never excludes an object within kProbabilityEps of the cut, so ties are
-/// settled on exactly evaluated values with the same id tie-break as the
-/// post-hoc sort. The goal-equivalence suite asserts all of this across
-/// the registry.
+/// paths give the same objects in the same order with bit-identical
+/// probabilities — a skipped subtree cannot move any value, because the
+/// traversal state restores σ, β and χ bitwise on undo. A tie with the
+/// threshold is settled on the exact value: the pruner never excludes an
+/// object within kProbabilityEps of the cut. The goal-equivalence suite
+/// asserts this across the registry.
 std::vector<std::pair<int, double>> AnswerGoal(
     const ArspResult& result, const DatasetView& view, const QueryGoal& goal,
     double* count_threshold = nullptr);

@@ -3,11 +3,21 @@
 // QueryGoal — what a caller actually wants from an ARSP solve. The paper
 // computes *all* rskyline probabilities so that derived retrievals (top-k,
 // p-threshold in the sense of Pei et al. [10], count-controlled results)
-// become post-processing; but when the caller's goal is known up front, the
-// traversal algorithms can maintain per-object probability *bounds* and stop
-// refining an object — or the whole solve — as soon as the goal is decided.
-// A QueryGoal travels with the ExecutionContext down into the solvers that
-// advertise kCapGoalPushdown (see GoalPruner in solver.h).
+// become post-processing. One goal gains from being known up front: a
+// threshold p > 0 lets the traversal algorithms maintain per-object
+// probability bounds, stop refining an object once its upper bound falls
+// below p, and stop the whole solve once every object is decided.
+// PushesDown() is the one predicate that says which goals travel with the
+// ExecutionContext into solvers advertising kCapGoalPushdown (see
+// GoalPruner in solver.h); the engine routes on it too.
+//
+// Top-k and count-controlled goals do not push down: an object outside the
+// top k still dominates other objects' instances, so the traversal must
+// visit its instances anyway and pruning it saves only its own leaf
+// emissions (at most 1.8% of KDTT+'s dominance tests on the Fig. 6
+// configs), while the partial result could serve no other goal. They are
+// answered by slicing a complete result (queries.h), which one solve per
+// spec serves to every later goal through the result cache.
 //
 // The four user-facing goal flavors map onto kind × tie policy:
 //   full              — {kFull}            every instance probability, exact
@@ -16,9 +26,9 @@
 //   p-threshold       — {kThreshold}       objects with Pr_rsky ≥ p
 //
 // A goal never changes *what* a probability is — only which probabilities
-// must be exact for the answer. Solvers without the pushdown capability may
-// ignore the goal entirely and return a complete result, which answers any
-// goal by post-hoc slicing (queries.h).
+// must be exact for the answer. Solvers without the pushdown capability
+// ignore the goal and return a complete result, which answers any goal by
+// post-hoc slicing (queries.h).
 
 #ifndef ARSP_CORE_QUERY_GOAL_H_
 #define ARSP_CORE_QUERY_GOAL_H_
@@ -68,6 +78,11 @@ struct QueryGoal {
 
   bool is_full() const { return kind == GoalKind::kFull; }
 
+  /// True for the only goal a solver prunes for: a threshold p > 0 (every
+  /// object has Pr_rsky >= 0, so p <= 0 excludes nothing; NaN is false
+  /// too). Every other goal is answered by slicing a complete result.
+  bool PushesDown() const { return kind == GoalKind::kThreshold && p > 0.0; }
+
   friend bool operator==(const QueryGoal& a, const QueryGoal& b) {
     if (a.kind != b.kind) return false;
     switch (a.kind) {
@@ -85,7 +100,7 @@ struct QueryGoal {
   }
 
   /// Exact textual encoding (full precision for p). Equal keys ⇔ equal
-  /// goals; ArspEngine appends it to result-cache keys of goal-pruned
+  /// goals; ArspEngine appends it to result-cache keys of threshold-pruned
   /// (partial) entries so they can never be confused with full results.
   std::string CacheKey() const;
 

@@ -12,7 +12,6 @@
 #include "src/common/lru.h"
 #include "src/common/mem.h"
 #include "src/common/stopwatch.h"
-#include "src/simd/kernels.h"
 
 namespace arsp {
 
@@ -571,95 +570,42 @@ void ExecutionContext::set_last_stats(const SolverStats& stats) {
 
 // ---------------------------------------------------------- goal pruner
 
-GoalPruner::GoalPruner(const QueryGoal& goal, const DatasetView& view,
-                       const ScoreSpan* scores)
-    : goal_(goal), view_(view) {
-  const int m = view_.valid() ? view_.num_objects() : 0;
-  switch (goal_.kind) {
-    case GoalKind::kFull:
-      return;  // inactive: every instance must be exact
-    case GoalKind::kTopK:
-      // k < 0 ("all") and k >= m need every object exact, and k == 0 has an
-      // empty answer — in all three nothing is decidable by bounds (and τ,
-      // the k-th largest lower bound, would be ill-defined for k == 0).
-      if (goal_.k <= 0 || goal_.k >= m) return;
-      break;
-    case GoalKind::kThreshold:
-      // Every object has Pr_rsky >= 0 >= p: nothing is excludable.
-      if (goal_.p <= 0.0) return;
-      break;
-  }
-  active_ = true;
+GoalPruner::GoalPruner(const QueryGoal& goal, const DatasetView& view)
+    : goal_(goal), view_(view), active_(goal.PushesDown()) {
+  if (!active_) return;
+  const int m = view_.num_objects();
   num_instances_ = view_.num_instances();
   num_objects_ = m;
-  if (scores != nullptr) {
-    ARSP_DCHECK(scores->n == num_instances_);
-    probs_ = scores->probs;
-    objects_ptr_ = scores->objects;
-  }
   lower_.assign(static_cast<size_t>(m), 0.0);
   pending_.assign(static_cast<size_t>(m), 0.0);
   unresolved_.assign(static_cast<size_t>(m), 0);
   decided_.assign(static_cast<size_t>(m), 0);
   excluded_.assign(static_cast<size_t>(m), 0);
-  if (probs_ != nullptr) {
-    // Dense SoA probabilities and instances grouped by object: accumulate
-    // each object's existence mass with one SumProbs kernel call over its
-    // contiguous slice.
-    for (int j = 0; j < m; ++j) {
-      const auto [begin, end] = view_.object_range(j);
-      pending_[static_cast<size_t>(j)] =
-          simd::Ops().SumProbs(probs_ + begin, end - begin);
-      unresolved_[static_cast<size_t>(j)] = end - begin;
-    }
-  } else {
-    for (int i = 0; i < num_instances_; ++i) {
-      const size_t j = static_cast<size_t>(view_.object_of(i));
-      pending_[j] += view_.prob(i);
-      ++unresolved_[j];
-    }
+  for (int i = 0; i < num_instances_; ++i) {
+    const size_t j = static_cast<size_t>(view_.object_of(i));
+    pending_[j] += view_.prob(i);
+    ++unresolved_[j];
   }
   undecided_ = m;
   for (int j = 0; j < m; ++j) {
     if (unresolved_[static_cast<size_t>(j)] == 0) {
       // No instances in the view: vacuously exact (Pr = 0).
       Decide(j, false);
+    } else if (ExcludedNow(j)) {
+      // The whole existence mass is below the threshold: excluded before
+      // the traversal touches a single instance.
+      Decide(j, true);
     }
   }
-  if (goal_.kind == GoalKind::kThreshold) {
-    // Objects whose total existence mass is already below the threshold are
-    // excluded before the traversal touches a single instance. (Top-k
-    // starts with τ = 0, so it has no pre-traversal exclusions.)
-    SweepExclusions(goal_.p);
-  }
-  // τ sweeps are O(m); amortize one over a batch of resolutions.
-  refresh_interval_ = std::max<int64_t>(16, m / 8);
 }
 
 bool GoalPruner::ExcludedNow(int j) const {
   // Strictly conservative cut: kProbabilityEps absorbs summation rounding
-  // in the bounds, so an object whose true probability ties the cut value
+  // in the bounds, so an object whose true probability ties the threshold
   // is never excluded — it is refined to exactness and the boundary tie is
   // settled on exact values, identically to post-hoc slicing.
-  const double cut = goal_.kind == GoalKind::kThreshold ? goal_.p : tau_;
   return lower_[static_cast<size_t>(j)] + pending_[static_cast<size_t>(j)] <
-         cut - kProbabilityEps;
-}
-
-void GoalPruner::SweepExclusions(double cut) {
-  // One kernel pass computes the exclusion mask for every undecided object;
-  // the Decide loop then applies it (bookkeeping stays scalar). The kernel
-  // evaluates lower + pending < threshold with the same association as
-  // ExcludedNow, so the sweep and the per-resolution test always agree.
-  sweep_scratch_.resize(static_cast<size_t>(num_objects_));
-  simd::Ops().BoundSweepMask(lower_.data(), pending_.data(), decided_.data(),
-                             num_objects_, cut - kProbabilityEps,
-                             sweep_scratch_.data());
-  for (int j = 0; j < num_objects_; ++j) {
-    if (sweep_scratch_[static_cast<size_t>(j)] != 0) {
-      Decide(j, true);
-    }
-  }
+         goal_.p - kProbabilityEps;
 }
 
 void GoalPruner::Decide(int j, bool excluded) {
@@ -668,30 +614,23 @@ void GoalPruner::Decide(int j, bool excluded) {
   excluded_[static_cast<size_t>(j)] = excluded ? 1 : 0;
   --undecided_;
   ++decided_count_;
-  if (excluded) {
-    ++objects_pruned_;
-  } else {
-    ++exact_since_refresh_;
-  }
+  if (excluded) ++objects_pruned_;
 }
 
 void GoalPruner::Resolve(int i, double prob) {
   if (!active_) return;
   ++bound_refinements_;
   ++resolved_;
-  const size_t j = static_cast<size_t>(ObjectOf(i));
+  const size_t j = static_cast<size_t>(view_.object_of(i));
   ARSP_DCHECK(unresolved_[j] > 0);
   lower_[j] += prob;
-  pending_[j] -= InstanceProb(i);
+  pending_[j] -= view_.prob(i);
   if (pending_[j] < 0.0) pending_[j] = 0.0;  // clamp summation rounding
   --unresolved_[j];
-  ++since_refresh_;
   if (decided_[j] != 0) return;
   if (unresolved_[j] == 0) {
     Decide(static_cast<int>(j), false);  // exact
   } else if (ExcludedNow(static_cast<int>(j))) {
-    // For top-k goals this tests against the last swept τ — stale but
-    // sound, since τ only grows.
     Decide(static_cast<int>(j), true);
   }
 }
@@ -699,38 +638,11 @@ void GoalPruner::Resolve(int i, double prob) {
 bool GoalPruner::AllDecided(const int* ids, int count) const {
   if (!active_ || decided_count_ == 0) return false;
   for (int i = 0; i < count; ++i) {
-    if (decided_[static_cast<size_t>(ObjectOf(ids[i]))] == 0) {
+    if (decided_[static_cast<size_t>(view_.object_of(ids[i]))] == 0) {
       return false;
     }
   }
   return true;
-}
-
-void GoalPruner::RefreshTau() {
-  // τ = k-th largest lower bound; monotone in the resolutions, so
-  // recomputing can only raise it.
-  tau_scratch_.assign(lower_.begin(), lower_.end());
-  const size_t kth = static_cast<size_t>(goal_.k - 1);
-  std::nth_element(tau_scratch_.begin(), tau_scratch_.begin() + kth,
-                   tau_scratch_.end(), std::greater<double>());
-  tau_ = std::max(tau_, tau_scratch_[kth]);
-  SweepExclusions(tau_);
-}
-
-bool GoalPruner::GoalMet() {
-  if (!active_) return false;
-  if (undecided_ == 0) return true;
-  // τ sweeps are O(m), so they are rationed: one per refresh_interval_
-  // resolutions (amortized O(1) per instance), plus one whenever an object
-  // turned exact since the last sweep — exact winners are what raise τ, and
-  // at most m such sweeps can ever happen.
-  if (goal_.kind == GoalKind::kTopK &&
-      (since_refresh_ >= refresh_interval_ || exact_since_refresh_ > 0)) {
-    since_refresh_ = 0;
-    exact_since_refresh_ = 0;
-    RefreshTau();
-  }
-  return undecided_ == 0;
 }
 
 void GoalPruner::Finish(ArspResult* result) const {
@@ -749,10 +661,7 @@ void GoalPruner::Finish(ArspResult* result) const {
     if (unresolved_[sj] == 0) {
       // Exact: re-sum in ascending instance order — the accumulation order
       // of ObjectProbabilities — so slicing this run's instance vector
-      // post hoc would give exactly this value. (Deliberately a sequential
-      // scalar sum, NOT the SumProbs kernel: the kernel's fixed 4-lane
-      // association differs from ObjectProbabilities' accumulation order
-      // and would break that equivalence.)
+      // post hoc would give exactly this value.
       const auto [begin, end] = view_.object_range(j);
       double sum = 0.0;
       for (int i = begin; i < end; ++i) {

@@ -36,7 +36,6 @@
 #include <variant>
 #include <vector>
 
-#include "src/common/aligned.h"
 #include "src/common/column.h"
 #include "src/common/status.h"
 #include "src/core/arsp_result.h"
@@ -70,12 +69,13 @@ enum SolverCaps : uint32_t {
   /// Work grows exponentially with the mapped dimensionality d' = |V|
   /// (QDTT+'s 2^{d'} quadrant fan-out); harnesses cap the vertex count.
   kCapExponentialInVertices = 1u << 5,
-  /// Honors a non-full ExecutionContext::goal(): maintains per-object
-  /// probability bounds through a GoalPruner, skips objects the goal has
-  /// decided, stops early when the goal is met, and may return a partial
-  /// (is_complete() == false) ArspResult. Solvers without this flag ignore
-  /// the goal and return complete results — correct for any goal, just
-  /// without the savings.
+  /// Honors a threshold ExecutionContext::goal() (QueryGoal::PushesDown):
+  /// maintains per-object probability bounds through a GoalPruner, skips
+  /// objects below the threshold, stops early when every object is
+  /// decided, and may return a partial (is_complete() == false)
+  /// ArspResult. Every other goal gets a complete result. Solvers without
+  /// this flag ignore the goal and return complete results — correct for
+  /// any goal, just without the savings.
   kCapGoalPushdown = 1u << 6,
   /// Honors the "parallelism" solver option: splits the traversal across a
   /// work-stealing TaskArena at a frontier depth, with results bit-identical
@@ -165,44 +165,33 @@ class SolverOptions {
 
 class ExecutionContext;
 
-/// Shared per-run bookkeeping for goal pushdown, used by every solver that
-/// advertises kCapGoalPushdown. The traversal reports each instance's exact
-/// rskyline probability the moment it is determined (Resolve); the pruner
-/// maintains per-object bounds
+/// Shared per-run bookkeeping for threshold pushdown, used by every solver
+/// that advertises kCapGoalPushdown. The traversal reports each instance's
+/// exact rskyline probability the moment it is determined (Resolve); the
+/// pruner maintains per-object bounds
 ///   lower  = Σ resolved instance probabilities,
 ///   upper  = lower + Σ existence probabilities of unresolved instances
 /// (an instance's rskyline probability never exceeds its existence
-/// probability), and decides objects against the goal:
-///   threshold p — excluded once upper < p − ε; exact once all instances
-///                 are resolved;
-///   top-k       — excluded once upper < τ − ε, where τ is the k-th largest
-///                 lower bound across objects (τ only grows, so a stale τ is
-///                 always safe); ε = kProbabilityEps absorbs summation
-///                 rounding, so an object near the cut is never excluded —
-///                 it is refined to exactness and boundary ties are settled
-///                 on exact values, exactly like post-hoc slicing.
+/// probability), and decides each object against the threshold p: excluded
+/// once upper < p − ε, exact once all its instances are resolved. An object
+/// whose whole existence mass is below p − ε is excluded at construction.
+/// ε = kProbabilityEps absorbs summation rounding, so an object near the cut
+/// is never excluded — it is refined to exactness and a tie with p is
+/// settled on its exact value, exactly like post-hoc slicing.
 /// The traversal asks AllDecided() to skip subtrees whose instances all
 /// belong to decided objects, and GoalMet() to stop the whole solve once
 /// every object is decided. Decisions are monotone — an object never
 /// becomes undecided again — which is what makes both skips sound.
 ///
-/// A pruner built from a full goal is inactive: every method is a cheap
-/// no-op and solvers pass nullptr into their hot loops instead.
+/// A pruner built from a goal that does not push down is inactive: every
+/// method is a cheap no-op and solvers pass nullptr into their hot loops
+/// instead.
 class GoalPruner {
  public:
-  /// `scores` optionally hands the pruner the view's SoA score span: the
-  /// per-object pending-mass accumulation then runs through the SumProbs
-  /// kernel over the span's contiguous probability stream, and object
-  /// lookups read the dense object-id stream instead of chasing Instance
-  /// records. The span must cover exactly the view's instances in local
-  /// order (what ExecutionContext::scores() returns) and outlive the
-  /// pruner. Solvers without SoA storage (B&B) pass nullptr and get the
-  /// instance-at-a-time path.
-  GoalPruner(const QueryGoal& goal, const DatasetView& view,
-             const ScoreSpan* scores = nullptr);
+  /// Reads instances through `view`, which it copies.
+  GoalPruner(const QueryGoal& goal, const DatasetView& view);
 
-  /// False for full goals and for goals that cannot prune: top-k with
-  /// k <= 0 or k >= num_objects, threshold p <= 0.
+  /// goal.PushesDown(): false for everything but a threshold p > 0.
   bool active() const { return active_; }
 
   /// Records the exact rskyline probability of local instance `i`. Must be
@@ -221,9 +210,9 @@ class GoalPruner {
   /// object — the subtree need not be visited at all.
   bool AllDecided(const int* ids, int count) const;
 
-  /// True when every object is decided: the goal's answer is determined and
-  /// the solve can stop. May lazily re-evaluate top-k exclusions (τ sweep).
-  bool GoalMet();
+  /// True when every object is decided: the answer is determined and the
+  /// solve can stop.
+  bool GoalMet() const { return active_ && undecided_ == 0; }
 
   /// True when every instance was resolved (the run degenerated to a full
   /// solve); such a result is complete and answers any goal.
@@ -242,57 +231,30 @@ class GoalPruner {
   /// Exports goal, bounds, decisions, completeness, and counters into the
   /// result. Exact objects' bounds are recomputed as instance-order sums
   /// over result->instance_probs — the same accumulation order as
-  /// ObjectProbabilities — so the only divergence from post-hoc slicing of
-  /// a full solve is the traversals' sub-ulp β drift across skipped
-  /// subtrees (see AnswerGoal). No-op when inactive.
+  /// ObjectProbabilities — so they equal post-hoc slicing of a full solve
+  /// bit for bit. No-op when inactive.
   void Finish(ArspResult* result) const;
 
  private:
-  /// Existence probability / owning object of local instance `i`, through
-  /// the span's dense streams when one was provided (bit-identical values
-  /// either way — MapView borrows or copies them from the view's base).
-  double InstanceProb(int i) const {
-    return probs_ != nullptr ? probs_[static_cast<size_t>(i)]
-                             : view_.prob(i);
-  }
-  int ObjectOf(int i) const {
-    return objects_ptr_ != nullptr ? objects_ptr_[static_cast<size_t>(i)]
-                                   : view_.object_of(i);
-  }
-
   bool ExcludedNow(int j) const;
   void Decide(int j, bool excluded);
-  void RefreshTau();
-  /// Decides every undecided object with lower + pending < cut − ε as
-  /// excluded, via one BoundSweepMask kernel pass over the SoA bounds.
-  void SweepExclusions(double cut);
 
   QueryGoal goal_;
   DatasetView view_;
-  const double* probs_ = nullptr;      ///< span probs, when provided
-  const int* objects_ptr_ = nullptr;   ///< span object ids, when provided
   bool active_ = false;
   int num_instances_ = 0;
   int num_objects_ = 0;
-  // Per-object state, structure-of-arrays: the τ/threshold sweeps walk
-  // lower_/pending_/decided_ as dense streams through the BoundSweepMask
-  // kernel instead of striding over an array of structs.
-  AlignedVector<double> lower_;        ///< Σ resolved rskyline probabilities
-  AlignedVector<double> pending_;      ///< Σ unresolved existence probs
-  std::vector<int> unresolved_;        ///< #instances not yet resolved
+  // Per-object state.
+  std::vector<double> lower_;    ///< Σ resolved rskyline probabilities
+  std::vector<double> pending_;  ///< Σ unresolved existence probs
+  std::vector<int> unresolved_;  ///< #instances not yet resolved
   std::vector<unsigned char> decided_;
   std::vector<unsigned char> excluded_;
-  std::vector<unsigned char> sweep_scratch_;  ///< BoundSweepMask output
   int undecided_ = 0;
   int decided_count_ = 0;
   int64_t resolved_ = 0;
   int64_t objects_pruned_ = 0;
   int64_t bound_refinements_ = 0;
-  double tau_ = 0.0;            ///< k-th largest lower bound (top-k goals)
-  int64_t since_refresh_ = 0;   ///< resolutions since the last τ sweep
-  int64_t exact_since_refresh_ = 0;  ///< objects turned exact since then
-  int64_t refresh_interval_ = 0;
-  std::vector<double> tau_scratch_;
 };
 
 /// Interface every ARSP algorithm implements. Solvers are cheap to construct

@@ -74,8 +74,8 @@ class SharedGoalState {
       : pruner_(pruner != nullptr && pruner->active() ? pruner : nullptr) {
     if (pruner_ != nullptr) {
       // Publish the construction-time mask: the pruner pre-decides empty
-      // objects and, for thresholds, objects whose whole existence mass is
-      // below p, and lanes should see those from task one.
+      // objects and objects whose whole existence mass is below p, and
+      // lanes should see those from task one.
       std::lock_guard<std::mutex> lock(mu_);
       PublishLocked();
     }
@@ -584,7 +584,7 @@ StatusOr<ArspResult> TraversalSolver::SolveImpl(ExecutionContext& context) {
   if (view.num_instances() == 0) return result;
   const ScoreSpan scores = context.scores();
   const std::unique_ptr<PartitionPolicy> policy = MakePolicy(scores);
-  GoalPruner pruner(context.goal(), view, &scores);
+  GoalPruner pruner(context.goal(), view);
   TraversalDriver driver(*policy, result.instance_probs.data(),
                          view.num_objects(),
                          pruner.active() ? &pruner : nullptr, parallelism_);

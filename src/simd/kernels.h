@@ -1,10 +1,10 @@
 // Copyright 2026 The ARSP Authors.
 //
 // Runtime-dispatched SIMD kernels for the solver hot path. The §III–§IV
-// traversal loops — coordinate-dominance tests, the SV(·) score mapping,
-// and the GoalPruner's bound sweeps — all walk the SoA streams laid out by
-// ScoreBuffer/ScoreSpan; this layer gives each loop one batched, branch-
-// light kernel with three interchangeable implementations:
+// traversal loops — coordinate-dominance tests and the SV(·) score
+// mapping — walk the SoA streams laid out by ScoreBuffer/ScoreSpan; this
+// layer gives each loop one batched, branch-light kernel with three
+// interchangeable implementations:
 //
 //   * scalar — portable reference, always available;
 //   * avx2   — x86-64, 4 doubles per lane group (compiled into every
@@ -21,13 +21,12 @@
 // results bit-identical to the scalar reference on the same inputs —
 // comparisons are exact by nature, min/max keep the accumulator on ties
 // (matching scalar strict-inequality updates, including -0.0/+0.0), and
-// floating-point sums fix both the association (the 4-accumulator spec of
-// SumProbs, the per-output sequential sums of MapPoint) and the operation
-// set (separate multiply and add; no FMA contraction — the build sets
-// -ffp-contract=off so scalar code cannot silently fuse either). The
-// registry-wide equivalence suite in tests/simd_kernel_test.cc asserts
-// bit-identical ArspResults per dispatch arch on top of the per-kernel
-// sweeps.
+// floating-point sums fix both the association (the per-output sequential
+// sums of MapPoint) and the operation set (separate multiply and add; no
+// FMA contraction — the build sets -ffp-contract=off so scalar code cannot
+// silently fuse either). The registry-wide equivalence suite in
+// tests/simd_kernel_test.cc asserts bit-identical ArspResults per dispatch
+// arch on top of the per-kernel sweeps.
 //
 // Alignment contract: owned Column storage (ScoreBuffer's coord stream,
 // the dataset columns its prob stream borrows) starts on 64-byte
@@ -106,22 +105,6 @@ struct KernelOps {
   /// vector axis. Backs ScoreMapper::MapInto/MapView.
   void (*MapPoint)(const double* t, int d, const double* vt, int dprime,
                    double* out);
-
-  /// Σ probs[0..n) under the fixed 4-accumulator spec: lane c accumulates
-  /// elements with index ≡ c (mod 4), combined as (l0+l1)+(l2+l3), then
-  /// the < 4 tail elements are added sequentially. Every arch implements
-  /// exactly this association (NEON pairs two 2-lane registers), so sums
-  /// are bit-identical everywhere. Backs the GoalPruner's per-object
-  /// pending-mass accumulation. (ObjectProbabilities deliberately stays a
-  /// sequential scalar sum — its order is a cross-layer exactness
-  /// contract with GoalPruner::Finish.)
-  double (*SumProbs)(const double* probs, int n);
-
-  /// GoalPruner τ/threshold sweep: out[j] = 1 iff decided[j] == 0 and
-  /// lower[j] + pending[j] < threshold, else 0.
-  void (*BoundSweepMask)(const double* lower, const double* pending,
-                         const unsigned char* decided, int m,
-                         double threshold, unsigned char* out);
 };
 
 /// The active dispatch table. Resolved once (CPUID/auxval + ARSP_KERNEL)

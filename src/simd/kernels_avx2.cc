@@ -186,48 +186,10 @@ ARSP_AVX2 void MapPointAvx2(const double* t, int d, const double* vt,
   }
 }
 
-ARSP_AVX2 double SumProbsAvx2(const double* probs, int n) {
-  __m256d acc = _mm256_setzero_pd();
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(probs + i));
-  }
-  // The fixed combine order of the 4-accumulator spec: (l0+l1)+(l2+l3).
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const double s01 =
-      _mm_cvtsd_f64(lo) + _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
-  const double s23 =
-      _mm_cvtsd_f64(hi) + _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
-  double sum = s01 + s23;
-  for (; i < n; ++i) sum += probs[i];
-  return sum;
-}
-
-ARSP_AVX2 void BoundSweepMaskAvx2(const double* lower, const double* pending,
-                                  const unsigned char* decided, int m,
-                                  double threshold, unsigned char* out) {
-  const __m256d thr = _mm256_set1_pd(threshold);
-  int j = 0;
-  for (; j + 4 <= m; j += 4) {
-    const __m256d upper = _mm256_add_pd(_mm256_loadu_pd(lower + j),
-                                        _mm256_loadu_pd(pending + j));
-    const int bits = _mm256_movemask_pd(_mm256_cmp_pd(upper, thr,
-                                                      _CMP_LT_OQ));
-    out[j] = (decided[j] == 0 && (bits & 1)) ? 1 : 0;
-    out[j + 1] = (decided[j + 1] == 0 && (bits & 2)) ? 1 : 0;
-    out[j + 2] = (decided[j + 2] == 0 && (bits & 4)) ? 1 : 0;
-    out[j + 3] = (decided[j + 3] == 0 && (bits & 8)) ? 1 : 0;
-  }
-  for (; j < m; ++j) {
-    out[j] = (decided[j] == 0 && lower[j] + pending[j] < threshold) ? 1 : 0;
-  }
-}
-
 const KernelOps kAvx2Ops = {
     KernelArch::kAvx2,    ClassifyCornersAvx2, ScoreCornersAvx2,
     DominatedMaskAvx2,    DominanceCountAvx2,  AnyRowDominatesAvx2,
-    MapPointAvx2,         SumProbsAvx2,        BoundSweepMaskAvx2,
+    MapPointAvx2,
 };
 
 }  // namespace

@@ -1,9 +1,7 @@
 // Copyright 2026 The ARSP Authors.
 //
 // NEON kernel table (aarch64, where Advanced SIMD is baseline — no runtime
-// probe needed). Two doubles per register, paired where the bit-identity
-// spec is 4-wide: SumProbs keeps two 2-lane accumulators standing in for
-// lanes 0..3 of the 4-accumulator spec. Dot products use explicit
+// probe needed). Two doubles per register. Dot products use explicit
 // vmulq/vaddq (never vfmaq — fusing would change the rounding the scalar
 // reference defines), and min/max use compare-and-select rather than
 // vminq/vmaxq, whose IEEE minNum semantics would pick -0.0 over +0.0
@@ -134,43 +132,10 @@ void MapPointNeon(const double* t, int d, const double* vt, int dprime,
   }
 }
 
-double SumProbsNeon(const double* probs, int n) {
-  // Lanes 0..3 of the 4-accumulator spec as two 2-lane registers.
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = vaddq_f64(acc01, vld1q_f64(probs + i));
-    acc23 = vaddq_f64(acc23, vld1q_f64(probs + i + 2));
-  }
-  const double s01 = vgetq_lane_f64(acc01, 0) + vgetq_lane_f64(acc01, 1);
-  const double s23 = vgetq_lane_f64(acc23, 0) + vgetq_lane_f64(acc23, 1);
-  double sum = s01 + s23;
-  for (; i < n; ++i) sum += probs[i];
-  return sum;
-}
-
-void BoundSweepMaskNeon(const double* lower, const double* pending,
-                        const unsigned char* decided, int m, double threshold,
-                        unsigned char* out) {
-  const float64x2_t thr = vdupq_n_f64(threshold);
-  int j = 0;
-  for (; j + 2 <= m; j += 2) {
-    const float64x2_t upper =
-        vaddq_f64(vld1q_f64(lower + j), vld1q_f64(pending + j));
-    const uint64x2_t lt = vcltq_f64(upper, thr);
-    out[j] = (decided[j] == 0 && vgetq_lane_u64(lt, 0) != 0) ? 1 : 0;
-    out[j + 1] = (decided[j + 1] == 0 && vgetq_lane_u64(lt, 1) != 0) ? 1 : 0;
-  }
-  for (; j < m; ++j) {
-    out[j] = (decided[j] == 0 && lower[j] + pending[j] < threshold) ? 1 : 0;
-  }
-}
-
 const KernelOps kNeonOps = {
     KernelArch::kNeon,    ClassifyCornersNeon, ScoreCornersNeon,
     DominatedMaskNeon,    DominanceCountNeon,  AnyRowDominatesNeon,
-    MapPointNeon,         SumProbsNeon,        BoundSweepMaskNeon,
+    MapPointNeon,
 };
 
 }  // namespace

@@ -88,32 +88,10 @@ void MapPointScalar(const double* t, int d, const double* vt, int dprime,
   }
 }
 
-double SumProbsScalar(const double* probs, int n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    l0 += probs[i];
-    l1 += probs[i + 1];
-    l2 += probs[i + 2];
-    l3 += probs[i + 3];
-  }
-  double sum = (l0 + l1) + (l2 + l3);
-  for (; i < n; ++i) sum += probs[i];
-  return sum;
-}
-
-void BoundSweepMaskScalar(const double* lower, const double* pending,
-                          const unsigned char* decided, int m,
-                          double threshold, unsigned char* out) {
-  for (int j = 0; j < m; ++j) {
-    out[j] = (decided[j] == 0 && lower[j] + pending[j] < threshold) ? 1 : 0;
-  }
-}
-
 const KernelOps kScalarOps = {
     KernelArch::kScalar,    ClassifyCornersScalar, ScoreCornersScalar,
     DominatedMaskScalar,    DominanceCountScalar,  AnyRowDominatesScalar,
-    MapPointScalar,         SumProbsScalar,        BoundSweepMaskScalar,
+    MapPointScalar,
 };
 
 }  // namespace

@@ -296,54 +296,76 @@ PreferenceRegion WeakRankingByVertices(int dim) {
       .value();
 }
 
+// The goal of a pinned solve: kFull digests instance_probs, the others
+// digest the ranked answer.
+enum PinnedGoal { kFull, kTop10, kAbove03 };
+const char* const kGoalNames[] = {"kFull", "kTop10", "kAbove03"};
+
+QueryGoal GoalOf(PinnedGoal goal) {
+  const QueryGoal goals[] = {QueryGoal::Full(), QueryGoal::TopK(10),
+                             QueryGoal::Threshold(0.3)};
+  return goals[goal];
+}
+
 struct PinnedSolve {
   const char* solver;
   int dim;  // = score dimension: 3 is one partial SIMD chunk, 6 is 4 + 2
   int parallelism;
-  bool top10;
-  uint64_t digest;  // of instance_probs, or of the ranked top-10
+  PinnedGoal goal;  // solved with this goal in the context
+  uint64_t digest;
   int64_t dominance_tests;
   int64_t nodes_visited;
+  int64_t objects_pruned;
 };
 
-// Recorded at the commit before branch-free candidate filtering. A serial
-// top-10 runs with goal pushdown; with parallelism = 2 it is sliced from
-// the full solve, because parallel pushdown prunes on scheduling-dependent
+// The full and top-10 rows were recorded at the commit before branch-free
+// candidate filtering, the kAbove03 rows at the commit before top-k
+// pushdown was removed. A top-10 never pushes down, so every top-10 row
+// carries its full row's counters. A threshold pushes down; its rows are
+// serial only, because parallel pushdown prunes on scheduling-dependent
 // snapshots and its counters differ run to run (ParallelDeterminism holds
 // its answers to the serial ones instead).
 const PinnedSolve kPinned[] = {
-    {"kdtt", 3, 1, false, 0xcdbc1709f5a8caa5ull, 46503, 243},
-    {"kdtt", 3, 1, true, 0x967d572151a5a2cdull, 46503, 243},
-    {"kdtt", 3, 2, false, 0xcdbc1709f5a8caa5ull, 46503, 243},
-    {"kdtt", 3, 2, true, 0x967d572151a5a2cdull, 46503, 243},
-    {"kdtt", 6, 1, false, 0x75f288c73d135869ull, 37767, 269},
-    {"kdtt", 6, 1, true, 0x4715b03fe6b006edull, 37767, 269},
-    {"kdtt", 6, 2, false, 0x75f288c73d135869ull, 37767, 269},
-    {"kdtt", 6, 2, true, 0x4715b03fe6b006edull, 37767, 269},
-    {"kdtt+", 3, 1, false, 0x22259811c4ed9e1cull, 46503, 243},
-    {"kdtt+", 3, 1, true, 0x967d572151a5a2cdull, 46503, 243},
-    {"kdtt+", 3, 2, false, 0x22259811c4ed9e1cull, 46503, 243},
-    {"kdtt+", 3, 2, true, 0x967d572151a5a2cdull, 46503, 243},
-    {"kdtt+", 6, 1, false, 0x75f288c73d135869ull, 37767, 269},
-    {"kdtt+", 6, 1, true, 0x4715b03fe6b006edull, 37767, 269},
-    {"kdtt+", 6, 2, false, 0x75f288c73d135869ull, 37767, 269},
-    {"kdtt+", 6, 2, true, 0x4715b03fe6b006edull, 37767, 269},
-    {"qdtt+", 3, 1, false, 0xa641ed75ecfc499bull, 78921, 251},
-    {"qdtt+", 3, 1, true, 0x967d572151a5a2cdull, 78921, 251},
-    {"qdtt+", 3, 2, false, 0xa641ed75ecfc499bull, 78921, 251},
-    {"qdtt+", 3, 2, true, 0x967d572151a5a2cdull, 78921, 251},
-    {"qdtt+", 6, 1, false, 0xa98af550178ea2c5ull, 258433, 427},
-    {"qdtt+", 6, 1, true, 0x4715b03fe6b006edull, 255557, 424},
-    {"qdtt+", 6, 2, false, 0xa98af550178ea2c5ull, 258433, 427},
-    {"qdtt+", 6, 2, true, 0x4715b03fe6b006edull, 258433, 427},
-    {"mwtt", 3, 1, false, 0x234be61445b47dc0ull, 51895, 211},
-    {"mwtt", 3, 1, true, 0x727f912eae1e0c40ull, 51895, 211},
-    {"mwtt", 3, 2, false, 0x234be61445b47dc0ull, 51895, 211},
-    {"mwtt", 3, 2, true, 0x727f912eae1e0c40ull, 51895, 211},
-    {"mwtt", 6, 1, false, 0xa98af550178ea2c5ull, 44868, 226},
-    {"mwtt", 6, 1, true, 0x4715b03fe6b006edull, 44868, 226},
-    {"mwtt", 6, 2, false, 0xa98af550178ea2c5ull, 44868, 226},
-    {"mwtt", 6, 2, true, 0x4715b03fe6b006edull, 44868, 226},
+    {"kdtt", 3, 1, kFull, 0xcdbc1709f5a8caa5ull, 46503, 243, 0},
+    {"kdtt", 3, 1, kTop10, 0x967d572151a5a2cdull, 46503, 243, 0},
+    {"kdtt", 3, 2, kFull, 0xcdbc1709f5a8caa5ull, 46503, 243, 0},
+    {"kdtt", 3, 2, kTop10, 0x967d572151a5a2cdull, 46503, 243, 0},
+    {"kdtt", 3, 1, kAbove03, 0x8c20e449642299e7ull, 46503, 243, 291},
+    {"kdtt", 6, 1, kFull, 0x75f288c73d135869ull, 37767, 269, 0},
+    {"kdtt", 6, 1, kTop10, 0x4715b03fe6b006edull, 37767, 269, 0},
+    {"kdtt", 6, 2, kFull, 0x75f288c73d135869ull, 37767, 269, 0},
+    {"kdtt", 6, 2, kTop10, 0x4715b03fe6b006edull, 37767, 269, 0},
+    {"kdtt", 6, 1, kAbove03, 0x0ec6847d144cdd5cull, 37767, 269, 191},
+    {"kdtt+", 3, 1, kFull, 0x22259811c4ed9e1cull, 46503, 243, 0},
+    {"kdtt+", 3, 1, kTop10, 0x967d572151a5a2cdull, 46503, 243, 0},
+    {"kdtt+", 3, 2, kFull, 0x22259811c4ed9e1cull, 46503, 243, 0},
+    {"kdtt+", 3, 2, kTop10, 0x967d572151a5a2cdull, 46503, 243, 0},
+    {"kdtt+", 3, 1, kAbove03, 0x8c20e449642299e7ull, 46503, 243, 291},
+    {"kdtt+", 6, 1, kFull, 0x75f288c73d135869ull, 37767, 269, 0},
+    {"kdtt+", 6, 1, kTop10, 0x4715b03fe6b006edull, 37767, 269, 0},
+    {"kdtt+", 6, 2, kFull, 0x75f288c73d135869ull, 37767, 269, 0},
+    {"kdtt+", 6, 2, kTop10, 0x4715b03fe6b006edull, 37767, 269, 0},
+    {"kdtt+", 6, 1, kAbove03, 0x0ec6847d144cdd5cull, 37767, 269, 191},
+    {"qdtt+", 3, 1, kFull, 0xa641ed75ecfc499bull, 78921, 251, 0},
+    {"qdtt+", 3, 1, kTop10, 0x967d572151a5a2cdull, 78921, 251, 0},
+    {"qdtt+", 3, 2, kFull, 0xa641ed75ecfc499bull, 78921, 251, 0},
+    {"qdtt+", 3, 2, kTop10, 0x967d572151a5a2cdull, 78921, 251, 0},
+    {"qdtt+", 3, 1, kAbove03, 0x8c20e449642299e7ull, 78639, 250, 291},
+    {"qdtt+", 6, 1, kFull, 0xa98af550178ea2c5ull, 258433, 427, 0},
+    {"qdtt+", 6, 1, kTop10, 0x4715b03fe6b006edull, 258433, 427, 0},
+    {"qdtt+", 6, 2, kFull, 0xa98af550178ea2c5ull, 258433, 427, 0},
+    {"qdtt+", 6, 2, kTop10, 0x4715b03fe6b006edull, 258433, 427, 0},
+    {"qdtt+", 6, 1, kAbove03, 0x0ec6847d144cdd5cull, 256027, 425, 191},
+    {"mwtt", 3, 1, kFull, 0x234be61445b47dc0ull, 51895, 211, 0},
+    {"mwtt", 3, 1, kTop10, 0x727f912eae1e0c40ull, 51895, 211, 0},
+    {"mwtt", 3, 2, kFull, 0x234be61445b47dc0ull, 51895, 211, 0},
+    {"mwtt", 3, 2, kTop10, 0x727f912eae1e0c40ull, 51895, 211, 0},
+    {"mwtt", 3, 1, kAbove03, 0x8c20e449642299e7ull, 51895, 211, 291},
+    {"mwtt", 6, 1, kFull, 0xa98af550178ea2c5ull, 44868, 226, 0},
+    {"mwtt", 6, 1, kTop10, 0x4715b03fe6b006edull, 44868, 226, 0},
+    {"mwtt", 6, 2, kFull, 0xa98af550178ea2c5ull, 44868, 226, 0},
+    {"mwtt", 6, 2, kTop10, 0x4715b03fe6b006edull, 44868, 226, 0},
+    {"mwtt", 6, 1, kAbove03, 0x0ec6847d144cdd5cull, 44868, 226, 191},
 };
 
 TEST(PinnedBits, TraversalSolversMatchRecordedDigests) {
@@ -352,15 +374,14 @@ TEST(PinnedBits, TraversalSolversMatchRecordedDigests) {
                   "and sort order ties differently from other libraries";
 #endif
   for (const PinnedSolve& pin : kPinned) {
-    const std::string label =
-        std::string(pin.solver) + " d=" + std::to_string(pin.dim) + " p=" +
-        std::to_string(pin.parallelism) + (pin.top10 ? " top-10" : " full");
+    const QueryGoal goal = GoalOf(pin.goal);
+    const std::string label = std::string(pin.solver) +
+                              " d=" + std::to_string(pin.dim) +
+                              " p=" + std::to_string(pin.parallelism) + " " +
+                              goal.ToString();
     SCOPED_TRACE(label);
     const UncertainDataset dataset = IntegerDataset(1000, pin.dim, 16);
-    const bool pushdown = pin.top10 && pin.parallelism == 1;
-    ExecutionContext context(
-        dataset, WeakRankingByVertices(pin.dim),
-        pushdown ? QueryGoal::TopK(10) : QueryGoal::Full());
+    ExecutionContext context(dataset, WeakRankingByVertices(pin.dim), goal);
     auto solver = SolverRegistry::Create(pin.solver);
     ASSERT_TRUE(solver.ok());
     SolverOptions options;
@@ -375,27 +396,29 @@ TEST(PinnedBits, TraversalSolversMatchRecordedDigests) {
     }
 
     uint64_t digest = kFnvBasis;
-    if (pin.top10) {
+    if (goal.is_full()) {
+      digest = Fnv1a(result->instance_probs.data(),
+                     result->instance_probs.size() * sizeof(double), digest);
+    } else {
       for (const auto& [object, prob] :
-           AnswerGoal(*result, context.view(), QueryGoal::TopK(10))) {
+           AnswerGoal(*result, context.view(), goal)) {
         digest = Fnv1a(&object, sizeof(object), digest);
         digest = Fnv1a(&prob, sizeof(prob), digest);
       }
-    } else {
-      digest = Fnv1a(result->instance_probs.data(),
-                     result->instance_probs.size() * sizeof(double), digest);
     }
     EXPECT_EQ(digest, pin.digest);
     EXPECT_EQ(result->dominance_tests, pin.dominance_tests);
     EXPECT_EQ(result->nodes_visited, pin.nodes_visited);
+    EXPECT_EQ(result->objects_pruned, pin.objects_pruned);
     if (digest != pin.digest ||
         result->dominance_tests != pin.dominance_tests ||
-        result->nodes_visited != pin.nodes_visited) {
+        result->nodes_visited != pin.nodes_visited ||
+        result->objects_pruned != pin.objects_pruned) {
       std::printf("    {\"%s\", %d, %d, %s, 0x%016" PRIx64 "ull, %" PRId64
-                  ", %" PRId64 "},\n",
-                  pin.solver, pin.dim, pin.parallelism,
-                  pin.top10 ? "true" : "false", digest,
-                  result->dominance_tests, result->nodes_visited);
+                  ", %" PRId64 ", %" PRId64 "},\n",
+                  pin.solver, pin.dim, pin.parallelism, kGoalNames[pin.goal],
+                  digest, result->dominance_tests, result->nodes_visited,
+                  result->objects_pruned);
     }
   }
 }

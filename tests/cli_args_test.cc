@@ -81,6 +81,13 @@ TEST(CliArgsTest, MalformedNumbersFail) {
                      &args, &error));
   EXPECT_FALSE(Parse({"--input", "d", "--constraints", "c", "--topk", "3x"},
                      &args, &error));
+  // Out of int range: must fail, not wrap to --topk 1 / --repeat 1.
+  EXPECT_FALSE(Parse(
+      {"--input", "d", "--constraints", "c", "--topk", "4294967297"}, &args,
+      &error));
+  EXPECT_FALSE(Parse(
+      {"--input", "d", "--constraints", "c", "--repeat", "4294967297"},
+      &args, &error));
   EXPECT_FALSE(Parse(
       {"--input", "d", "--constraints", "c", "--threshold", "half"}, &args,
       &error));

@@ -232,6 +232,13 @@ void SweepSolvers(ServiceBackend& reference, ServiceBackend& cluster,
         continue;
       }
       ExpectBitIdentical(*expected, *routed, "routed");
+      if (request.derived_kind == WireDerivedKind::kTopKObjects ||
+          request.derived_kind == WireDerivedKind::kCountControlled) {
+        // Only thresholds push down: top-k and count-controlled answers
+        // are sliced from a complete result.
+        EXPECT_FALSE(routed->pushdown);
+        EXPECT_TRUE(routed->complete);
+      }
     }
   }
 }

@@ -1,17 +1,20 @@
 // Copyright 2026 The ARSP Authors.
 //
-// Engine-level goal pushdown: routing (capability-gated, allow_pushdown
-// override, instance-level goals stay full), the result-cache completeness
-// rules — a goal-pruned partial result is cached only under its goal key
+// Engine-level goal pushdown: routing (only thresholds push down, and only
+// into capable solvers; allow_pushdown override; top-k, count-controlled
+// and instance-level goals stay full), the result-cache completeness rules
+// — a threshold-pruned partial result is cached only under its goal key
 // and is NEVER returned for a full or different-goal request, while a
-// cached full result IS reused (sliced) for derived goals — and concurrent
-// SolveBatch with mixed goals over one pooled context (the TSan target for
+// cached full result IS reused (sliced) for derived goals, so one top-k
+// solve serves every later goal on its spec — and concurrent SolveBatch
+// with mixed goals over one pooled context (the TSan target for
 // goal-scoped child contexts).
 
 #include "src/core/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -47,7 +50,7 @@ void ExpectSameRanked(const std::vector<std::pair<int, double>>& a,
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].first, b[i].first) << i;
-    EXPECT_NEAR(a[i].second, b[i].second, 1e-12) << i;
+    EXPECT_EQ(a[i].second, b[i].second) << i;
   }
 }
 
@@ -86,9 +89,9 @@ TEST(EngineGoalPushdown, PushdownRequiresTheCapability) {
 }
 
 TEST(EngineGoalPushdown, DegenerateTopKValuesStaySafe) {
-  // k == 0 and k < 0 reach the solver as goals the pruner must deactivate
-  // (k == 0 once triggered an out-of-bounds τ selection); answers match
-  // the historical TopKObjects semantics: empty, and rank-everything.
+  // k == 0 and k < 0 are sliced from a full solve like any other k;
+  // answers match the historical TopKObjects semantics: empty, and
+  // rank-everything.
   ArspEngine engine;
   const DatasetHandle handle = engine.AddDataset(NbaData(30));
   QueryRequest request = ThresholdRequest(handle, 0.0);
@@ -97,6 +100,7 @@ TEST(EngineGoalPushdown, DegenerateTopKValuesStaySafe) {
   auto empty = engine.Solve(request);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->ranked.empty());
+  EXPECT_FALSE(empty->pushdown);
   EXPECT_TRUE(empty->result->is_complete());
   request.derived.k = -1;
   request.use_cache = false;
@@ -182,7 +186,7 @@ TEST(EngineGoalPushdown, CachedFullResultIsSlicedForDerivedGoals) {
             TopKObjects(*first->result, *engine.dataset(handle), 5));
 }
 
-TEST(EngineGoalPushdown, CountControlledMatchesQueriesHUnderPushdown) {
+TEST(EngineGoalPushdown, CountControlledIsPostHocAndMatchesQueriesH) {
   ArspEngine engine;
   const DatasetHandle handle = engine.AddDataset(NbaData());
   QueryRequest request = ThresholdRequest(handle, 0.0);
@@ -191,13 +195,14 @@ TEST(EngineGoalPushdown, CountControlledMatchesQueriesHUnderPushdown) {
   request.use_cache = false;
   auto controlled = engine.Solve(request);
   ASSERT_TRUE(controlled.ok());
-  EXPECT_TRUE(controlled->pushdown);
+  EXPECT_FALSE(controlled->pushdown);
+  EXPECT_TRUE(controlled->result->is_complete());
 
   QueryRequest fallback = request;
   fallback.allow_pushdown = false;
   auto oracle = engine.Solve(fallback);
   ASSERT_TRUE(oracle.ok());
-  EXPECT_NEAR(controlled->count_threshold, oracle->count_threshold, 1e-12);
+  EXPECT_EQ(controlled->count_threshold, oracle->count_threshold);
   EXPECT_EQ(oracle->count_threshold,
             ThresholdForObjectCount(*oracle->result,
                                     *engine.dataset(handle), 5));
@@ -250,7 +255,7 @@ TEST(EngineGoalPushdown, MixedGoalsShareOnePooledContextConcurrently) {
 }
 
 TEST(EngineGoalPushdown, GoalsPropagateThroughViewSweeps) {
-  // A Fig. 6-style m% sweep with --topk semantics: every prefix view's
+  // A Fig. 6-style m% sweep with --threshold semantics: every prefix view's
   // pushdown answer must match its own post-hoc answer, the view contexts
   // still derive from one base build, and goal children are never pooled.
   ArspEngine engine;
@@ -261,9 +266,7 @@ TEST(EngineGoalPushdown, GoalsPropagateThroughViewSweeps) {
     const int count = std::max(1, m * pct / 100);
     auto view_handle = engine.AddView(base, ViewSpec::Prefix(count));
     ASSERT_TRUE(view_handle.ok());
-    QueryRequest request = ThresholdRequest(*view_handle, 0.0);
-    request.derived.kind = DerivedKind::kTopKObjects;
-    request.derived.k = 5;
+    QueryRequest request = ThresholdRequest(*view_handle, 0.4);
     request.use_cache = false;
     auto pushed = engine.Solve(request);
     ASSERT_TRUE(pushed.ok());
@@ -278,6 +281,59 @@ TEST(EngineGoalPushdown, GoalsPropagateThroughViewSweeps) {
   // One full score mapping on the base; prefix and goal children reuse it.
   ExecutionContext::IndexBuildStats stats = engine.index_stats(base);
   EXPECT_EQ(stats.score_maps, 1);
+}
+
+TEST(EngineGoalPushdown, TopKResultServesEveryLaterGoalOnTheSameSpec) {
+  // The Fig. 6 config: a top-10 solve is complete and stored under the
+  // full key, so a later threshold and a later full query on the same spec
+  // are cache hits on that one result instead of solving again.
+  ArspEngine engine;
+  const DatasetHandle handle = engine.AddDataset(
+      std::make_shared<const UncertainDataset>(
+          GenerateNbaLike(250, 4, 1003, nullptr)));
+  QueryRequest topk;
+  topk.dataset = handle;
+  topk.constraints = ConstraintSpec::Region(testing_util::WrRegion(4, 3));
+  topk.solver = "kdtt+";
+  topk.derived.kind = DerivedKind::kTopKObjects;
+  topk.derived.k = 10;
+  auto first = engine.Solve(topk);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first->cache_hit);
+  EXPECT_FALSE(first->pushdown);
+  ASSERT_TRUE(first->result->is_complete());
+
+  QueryRequest threshold = topk;
+  threshold.derived.kind = DerivedKind::kObjectsAboveThreshold;
+  threshold.derived.threshold = 0.5;
+  auto second = engine.Solve(threshold);
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second->cache_hit);
+  EXPECT_FALSE(second->pushdown);
+  EXPECT_EQ(second->result.get(), first->result.get());
+  EXPECT_EQ(second->ranked, ObjectsAboveThreshold(*first->result,
+                                                  engine.view(handle), 0.5));
+
+  QueryRequest full = topk;
+  full.derived = DerivedSpec{};
+  auto third = engine.Solve(full);
+  ASSERT_TRUE(third.ok());
+  EXPECT_TRUE(third->cache_hit);
+  EXPECT_EQ(third->result.get(), first->result.get());
+}
+
+TEST(EngineGoalPushdown, NanThresholdIsInvalidArgument) {
+  // No probability compares below NaN, so a NaN threshold would select
+  // every object; the engine rejects it instead.
+  ArspEngine engine;
+  const DatasetHandle handle = engine.AddDataset(NbaData(30));
+  for (const char* solver : {"kdtt+", "loop"}) {
+    auto response = engine.Solve(ThresholdRequest(handle, std::nan(""),
+                                                  solver));
+    ASSERT_FALSE(response.ok()) << solver;
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument)
+        << solver;
+  }
 }
 
 }  // namespace

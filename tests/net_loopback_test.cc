@@ -146,7 +146,7 @@ TEST_F(NetLoopbackTest, FullQueryBitIdenticalToInProcessEngine) {
   EXPECT_EQ(wire->result_size, CountNonZero(*local.value().result));
 }
 
-TEST_F(NetLoopbackTest, TopKPushdownMatchesInProcessAnswer) {
+TEST_F(NetLoopbackTest, TopKIsPostHocAndMatchesInProcessAnswer) {
   net::ArspClient client = Connect();
   LoadIip(client, "iip");
 
@@ -155,7 +155,10 @@ TEST_F(NetLoopbackTest, TopKPushdownMatchesInProcessAnswer) {
   request.k = 5;
   auto wire = client.Query(request);
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-  EXPECT_TRUE(wire->pushdown);  // kdtt+ advertises kCapGoalPushdown
+  // Top-k never pushes down, even into kdtt+: it is sliced from a complete
+  // result.
+  EXPECT_FALSE(wire->pushdown);
+  EXPECT_TRUE(wire->complete);
 
   const DatasetHandle handle = AddReferenceIip();
   auto local =

@@ -4,12 +4,13 @@
 // solver advertising kCapIntraQueryParallel, a parallel solve — any thread
 // count, base context or derived prefix/subset view — produces an
 // instance-probability vector memcmp-identical to the serial solve, and
-// deterministic task counts run to run. Goal-scoped solves (top-k /
-// threshold / count-controlled pushdown) must answer identically to the
-// serial pushdown solve: exact object identity and order, probabilities
-// within the documented β-bookkeeping drift (epoch-published pruning
-// snapshots may skip different subtrees at different times, but the decided
-// answer set is a fixpoint independent of scheduling).
+// deterministic task counts run to run. Goal-scoped solves (top-k and
+// count-controlled, sliced post hoc, and threshold pushdown) must answer
+// identically to the serial solve: the same objects in the same order with
+// bit-identical probabilities (epoch-published pruning snapshots may skip
+// different subtrees at different times, but a skipped subtree moves no
+// value and the decided answer set is a fixpoint independent of
+// scheduling).
 //
 // Also the TSan target for the executor: concurrent SolveBatch of parallel
 // queries sharing one pooled ExecutionContext, with the batch pool and the
@@ -36,11 +37,6 @@ using testing_util::RandomWr;
 using testing_util::WrRegion;
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
-
-// Probabilities of goal-pushed answers may carry per-run β drift (skipped
-// subtrees depend on when pruning snapshots publish); identity and order
-// may not.
-constexpr double kDriftTolerance = 1e-12;
 
 class ScopedBudget {
  public:
@@ -83,7 +79,7 @@ void ExpectRankedEquivalent(
   ASSERT_EQ(serial.size(), parallel.size()) << label;
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].first, parallel[i].first) << label << " rank " << i;
-    EXPECT_NEAR(serial[i].second, parallel[i].second, kDriftTolerance)
+    EXPECT_EQ(serial[i].second, parallel[i].second)
         << label << " rank " << i;
   }
 }
@@ -123,8 +119,9 @@ void SweepFullSolve(const std::string& name, ExecutionContext& context) {
   }
 }
 
-// Goal-pushdown sweep: parallel pushed answers must match serial pushed
-// answers for every goal family.
+// Goal sweep: parallel answers must match serial answers for every goal
+// family (top-k and count-controlled are sliced post hoc; the threshold
+// pushes down).
 void SweepGoalSolves(const std::string& name,
                      std::shared_ptr<ExecutionContext> full_context) {
   SCOPED_TRACE(name);
@@ -160,7 +157,7 @@ void SweepGoalSolves(const std::string& name,
       ExpectRankedEquivalent(serial_ranked, parallel_ranked,
                              name + "/" + goal.ToString() + "/t" +
                                  std::to_string(threads));
-      EXPECT_NEAR(serial_threshold, parallel_threshold, kDriftTolerance);
+      EXPECT_EQ(serial_threshold, parallel_threshold);
     }
   }
 }
@@ -271,12 +268,16 @@ TEST(ParallelDeterminism, ConcurrentSolveBatchOnOnePooledContext) {
     request.parallelism = 2 + (i % 3);  // 2, 3, 4 workers requested
     batch.push_back(request);
   }
-  // A derived request rides along: pushdown + parallelism concurrently on
-  // the same pooled context.
+  // Derived requests ride along on the same pooled context: a top-k,
+  // sliced from a parallel full solve, and a threshold, whose pushdown
+  // runs in parallel.
   QueryRequest derived = base_request;
   derived.parallelism = 2;
   derived.derived.kind = DerivedKind::kTopKObjects;
   derived.derived.k = 5;
+  batch.push_back(derived);
+  derived.derived.kind = DerivedKind::kObjectsAboveThreshold;
+  derived.derived.threshold = 0.25;
   batch.push_back(derived);
 
   const auto responses = engine.SolveBatch(batch);
@@ -290,8 +291,13 @@ TEST(ParallelDeterminism, ConcurrentSolveBatchOnOnePooledContext) {
       ExpectBitIdentical(*reference->result, *response.result,
                          "batch entry " + std::to_string(i));
     } else {
-      const auto serial_ranked = TopKObjects(
-          *reference->result, engine.view(handle), batch[i].derived.k);
+      const QueryGoal goal =
+          batch[i].derived.kind == DerivedKind::kTopKObjects
+              ? QueryGoal::TopK(batch[i].derived.k)
+              : QueryGoal::Threshold(batch[i].derived.threshold);
+      EXPECT_EQ(response.pushdown, goal.PushesDown());
+      const auto serial_ranked =
+          AnswerGoal(*reference->result, engine.view(handle), goal);
       ExpectRankedEquivalent(serial_ranked, response.ranked, "derived entry");
     }
   }

@@ -263,55 +263,6 @@ TEST(KernelSweep, MapPoint) {
   }
 }
 
-TEST(KernelSweep, SumProbs) {
-  for (const KernelOps* table : NonScalarTables()) {
-    for (const int n : kSizes) {
-      SCOPED_TRACE(std::string(simd::KernelArchName(table->arch)) + " n=" +
-                   std::to_string(n));
-      const AlignedVector<double> probs =
-          AdversarialStream(n, 9000 + static_cast<uint64_t>(n));
-      const double expected =
-          simd::internal::ScalarOps().SumProbs(probs.data(), n);
-      const double actual = table->SumProbs(probs.data(), n);
-      EXPECT_TRUE(BitEqual(&expected, &actual, 1));
-      // Unaligned tail: the same stream shifted off its 64-byte base.
-      if (n >= 1) {
-        const double e1 =
-            simd::internal::ScalarOps().SumProbs(probs.data() + 1, n - 1);
-        const double a1 = table->SumProbs(probs.data() + 1, n - 1);
-        EXPECT_TRUE(BitEqual(&e1, &a1, 1));
-      }
-    }
-  }
-}
-
-TEST(KernelSweep, BoundSweepMask) {
-  for (const KernelOps* table : NonScalarTables()) {
-    for (const int m : kSizes) {
-      SCOPED_TRACE(std::string(simd::KernelArchName(table->arch)) + " m=" +
-                   std::to_string(m));
-      const AlignedVector<double> lower =
-          AdversarialStream(m, 10000 + static_cast<uint64_t>(m));
-      const AlignedVector<double> pending =
-          AdversarialStream(m, 11000 + static_cast<uint64_t>(m));
-      Rng rng(12000 + static_cast<uint64_t>(m));
-      std::vector<unsigned char> decided(static_cast<size_t>(m));
-      for (unsigned char& d : decided) d = rng.Bernoulli(0.3) ? 1 : 0;
-      // A threshold that some lower+pending sums tie exactly (grid values).
-      for (const double threshold : {0.25, 0.5, 1.0}) {
-        std::vector<unsigned char> expected(static_cast<size_t>(m) + 1, 0xee);
-        std::vector<unsigned char> actual(static_cast<size_t>(m) + 1, 0xee);
-        simd::internal::ScalarOps().BoundSweepMask(
-            lower.data(), pending.data(), decided.data(), m, threshold,
-            expected.data());
-        table->BoundSweepMask(lower.data(), pending.data(), decided.data(),
-                              m, threshold, actual.data());
-        EXPECT_EQ(expected, actual);
-      }
-    }
-  }
-}
-
 // Rows gathered through ids at an offset: kernels must not assume the
 // gather base is aligned or that ids start at 0.
 TEST(KernelSweep, UnalignedGatherWindows) {

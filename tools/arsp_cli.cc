@@ -21,8 +21,10 @@
 //                                    engine policy, 1 = serial, N >= 2
 //                                    requests N; answers are bit-identical
 //                                    to serial either way)
-//            [--topk K] [--threshold P]   (derived-goal queries; pushed down
-//                                    into kCapGoalPushdown solvers)
+//            [--topk K] [--threshold P]   (derived-goal queries: top-k is
+//                                    sliced from a full solve, a threshold
+//                                    is pushed down into kCapGoalPushdown
+//                                    solvers)
 //            [--instances out_instances.csv] [--objects out_objects.csv]
 //            [--trace]              (print a per-query span timeline after
 //                                    the results; in remote mode the daemon

@@ -8,7 +8,9 @@
 #ifndef ARSP_TOOLS_CLI_ARGS_H_
 #define ARSP_TOOLS_CLI_ARGS_H_
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,10 +58,16 @@ struct CliArgs {
 
 namespace internal {
 
+/// Whole-string base-10 int; out-of-range values fail instead of wrapping.
 inline bool ParseIntStrict(const std::string& text, int* out) {
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(text.c_str(), &end, 10);
   if (text.empty() || end != text.c_str() + text.size()) return false;
+  if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
   *out = static_cast<int>(v);
   return true;
 }
