@@ -10,9 +10,9 @@
 //   * empirical scaling on the Theorem-1 OV reduction instances (the
 //     quadratic hardness wall).
 //
-// Every ARSP run goes through the SolverRegistry: the ablation axes are the
-// solvers' typed options (integrated, fanout, pruning, rtree_fanout), not
-// separate entry points.
+// Every ARSP run goes through the SolverRegistry: the ablation axes are
+// registry names (KDTT versus KDTT+) and the solvers' typed options
+// (fanout, pruning, rtree_fanout), not separate entry points.
 
 #include <benchmark/benchmark.h>
 

@@ -16,7 +16,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/certain_rskyline.h"
-#include "src/core/kdtt_algorithm.h"
+#include "src/core/solver.h"
 #include "src/prefs/constraint_generators.h"
 #include "src/uncertain/generators.h"
 
@@ -52,7 +52,11 @@ int main() {
   const auto region = PreferenceRegion::FromLinearConstraints(constraints);
   if (!region.ok()) return 1;
 
-  const ArspResult result = ComputeArspKdtt(*dataset, *region);
+  auto solver = SolverRegistry::Create("kdtt+");
+  if (!solver.ok()) return 1;
+  ExecutionContext context(*dataset, *region);
+  const auto result = (*solver)->Solve(context);
+  if (!result.ok()) return 1;
 
   // Traditional rskyline over aggregated (average) cars, for contrast.
   const std::vector<Point> averages = AggregateByMean(*dataset);
@@ -62,7 +66,7 @@ int main() {
   std::printf("(* = also in the rskyline of the aggregated dataset)\n\n");
   std::printf("%-10s %-10s %-8s %-8s %s\n", "group", "Pr_rsky", "avg HP",
               "avg MPG", "agg");
-  for (const auto& [object, prob] : TopKObjects(result, *dataset, 12)) {
+  for (const auto& [object, prob] : TopKObjects(*result, *dataset, 12)) {
     const bool in_agg = std::binary_search(aggregated.begin(),
                                            aggregated.end(), object);
     std::printf("group-%02d   %-10.4f %-8.0f %-8.1f %s\n", object + 1, prob,
@@ -74,7 +78,7 @@ int main() {
   // still carry high rskyline probability (good cars inside a mediocre
   // group), and aggregated-rskyline groups can rank low (high variance).
   int high_prob_not_agg = 0;
-  for (const auto& [object, prob] : TopKObjects(result, *dataset, 12)) {
+  for (const auto& [object, prob] : TopKObjects(*result, *dataset, 12)) {
     if (!std::binary_search(aggregated.begin(), aggregated.end(), object)) {
       ++high_prob_not_agg;
     }

@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "src/core/certain_rskyline.h"
-#include "src/core/kdtt_algorithm.h"
 #include "src/core/skyline_probability.h"
+#include "src/core/solver.h"
 #include "src/prefs/constraint_generators.h"
 #include "src/uncertain/generators.h"
 
@@ -33,7 +33,11 @@ int main() {
       MakeWeakRankingConstraints(3, 2));
   if (!region.ok()) return 1;
 
-  const ArspResult rsky = ComputeArspKdtt(nba, *region);
+  auto solver = SolverRegistry::Create("kdtt+");
+  if (!solver.ok()) return 1;
+  ExecutionContext context(nba, *region);
+  const auto rsky = (*solver)->Solve(context);
+  if (!rsky.ok()) return 1;
   const ArspResult sky = ComputeAllSkylineProbabilities(nba);
 
   const std::vector<Point> averages = AggregateByMean(nba);
@@ -41,7 +45,7 @@ int main() {
 
   std::printf("Table I style: top-14 players by rskyline probability\n");
   std::printf("(* = member of the aggregated rskyline)\n\n");
-  for (const auto& [player, prob] : TopKObjects(rsky, nba, 14)) {
+  for (const auto& [player, prob] : TopKObjects(*rsky, nba, 14)) {
     const bool agg = std::binary_search(aggregated.begin(), aggregated.end(),
                                         player);
     std::printf("  %s %-12s Pr_rsky = %.3f\n", agg ? "*" : " ",
@@ -56,7 +60,7 @@ int main() {
 
   // Observation 1 (§V-B): rskyline probability <= skyline probability,
   // because F strengthens every instance's dominance ability.
-  const std::vector<double> rsky_obj = ObjectProbabilities(rsky, nba);
+  const std::vector<double> rsky_obj = ObjectProbabilities(*rsky, nba);
   const std::vector<double> sky_obj = ObjectProbabilities(sky, nba);
   int violations = 0;
   for (int j = 0; j < nba.num_objects(); ++j) {

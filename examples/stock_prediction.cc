@@ -16,7 +16,7 @@
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
 #include "src/core/dual2d_ms.h"
-#include "src/core/dual_algorithm.h"
+#include "src/core/solver.h"
 
 int main() {
   using namespace arsp;
@@ -37,9 +37,13 @@ int main() {
 
   const auto wr = WeightRatioConstraints::Create({{0.5, 2.0}}).value();
 
+  auto dual = SolverRegistry::Create("dual");
+  if (!dual.ok()) return 1;
+  ExecutionContext context(*dataset, wr);
   Stopwatch sw;
-  const ArspResult via_dual = ComputeArspDual(*dataset, wr);
+  const auto via_dual = (*dual)->Solve(context);
   const double dual_ms = sw.ElapsedMillis();
+  if (!via_dual.ok()) return 1;
 
   sw.Restart();
   auto index = Dual2dMs::Build(*dataset);
@@ -56,7 +60,7 @@ int main() {
   std::printf("DUAL-MS: build %.2f ms, query %.2f ms, index %.1f MiB\n",
               build_ms, query_ms,
               static_cast<double>(index->MemoryBytes()) / (1 << 20));
-  std::printf("max |difference| = %.2e\n\n", MaxAbsDiff(via_dual, via_ms));
+  std::printf("max |difference| = %.2e\n\n", MaxAbsDiff(*via_dual, via_ms));
 
   std::printf("top stock predictions, ratio range [0.5, 2]:\n");
   for (const auto& [object, prob] : TopKObjects(via_ms, *dataset, 8)) {

@@ -1,8 +1,14 @@
 // Copyright 2026 The ARSP Authors.
-
-#include "src/core/bnb_algorithm.h"
+//
+// B&B (§III-C, Algorithm 2): best-first traversal of an R-tree over the
+// original instances, mapping SV(·) on the fly so that pruned instances are
+// never mapped. A pruning set P of per-object maximum score corners
+// (Theorems 3 and 4, |P| ≤ m) discards subtrees whose instances all have
+// zero rskyline probability; per-object aggregated R-trees in score space
+// answer the window queries Σ_{s ∈ Tj, s ≺F t} p(s). Expected O(m n log n).
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -19,6 +25,19 @@
 namespace arsp {
 
 namespace {
+
+// The solver's configuration, read from SolverOptions by Configure.
+struct BnbOptions {
+  /// Disables the Theorem-3/4 pruning set (ablation benchmarks only).
+  bool enable_pruning = true;
+  /// R-tree fan-out for both the data tree and the aggregated trees.
+  int rtree_fanout = 16;
+  /// Worker budget for the per-batch window-query phase (1 = serial). The
+  /// aggregated trees are read-only during that phase and each batch item's
+  /// σ vector is private, so the parallel rounds are bit-identical to
+  /// serial; the heap expansion, tie counting and inserts stay serial.
+  int parallelism = 1;
+};
 
 // A heap element: either an R-tree node or a single instance, ordered by
 // the score of its lower corner under the reference vertex ω (best-first).
@@ -390,8 +409,6 @@ ArspResult RunBnb(ExecutionContext& context, const BnbOptions& options) {
 
 class BnbSolver : public ArspSolver {
  public:
-  explicit BnbSolver(const BnbOptions& options = {}) : options_(options) {}
-
   const char* name() const override { return "bnb"; }
   const char* display_name() const override { return "B&B"; }
   const char* description() const override {
@@ -407,23 +424,17 @@ class BnbSolver : public ArspSolver {
         options.ExpectOnly({"pruning", "rtree_fanout", "parallelism"}));
     StatusOr<bool> pruning = options.BoolOr("pruning", options_.enable_pruning);
     if (!pruning.ok()) return pruning.status();
-    StatusOr<int64_t> fanout =
-        options.IntOr("rtree_fanout", options_.rtree_fanout);
+    StatusOr<int> fanout =
+        options.IntInRange("rtree_fanout", options_.rtree_fanout,
+                           RTree::kMinFanout, RTree::kMaxFanout);
     if (!fanout.ok()) return fanout.status();
-    if (*fanout < 2) {
-      return Status::InvalidArgument("bnb rtree_fanout must be >= 2, got " +
-                                     std::to_string(*fanout));
-    }
-    StatusOr<int64_t> parallelism =
-        options.IntOr("parallelism", options_.parallelism);
+    StatusOr<int> parallelism = options.IntInRange(
+        "parallelism", options_.parallelism, 1,
+        std::numeric_limits<int>::max());
     if (!parallelism.ok()) return parallelism.status();
-    if (*parallelism < 1) {
-      return Status::InvalidArgument("bnb parallelism must be >= 1, got " +
-                                     std::to_string(*parallelism));
-    }
     options_.enable_pruning = *pruning;
-    options_.rtree_fanout = static_cast<int>(*fanout);
-    options_.parallelism = static_cast<int>(*parallelism);
+    options_.rtree_fanout = *fanout;
+    options_.parallelism = *parallelism;
     return Status::OK();
   }
 
@@ -436,20 +447,12 @@ class BnbSolver : public ArspSolver {
   BnbOptions options_;
 };
 
-ARSP_REGISTER_SOLVER(bnb, "bnb",
-                     [] { return std::make_unique<BnbSolver>(); });
-
 }  // namespace
 
 namespace internal {
-void LinkBnbSolver() {}
-}  // namespace internal
-
-ArspResult ComputeArspBnb(const UncertainDataset& dataset,
-                          const PreferenceRegion& region,
-                          const BnbOptions& options) {
-  ExecutionContext context(dataset, region);
-  return BnbSolver(options).Solve(context).value();
+std::unique_ptr<ArspSolver> NewBnbSolver() {
+  return std::make_unique<BnbSolver>();
 }
+}  // namespace internal
 
 }  // namespace arsp

@@ -175,13 +175,12 @@ class Dual2dMsSolver : public ArspSolver {
   size_t max_memory_bytes_ = size_t{6} << 30;
 };
 
-ARSP_REGISTER_SOLVER(dual_2d_ms, "dual-2d-ms",
-                     [] { return std::make_unique<Dual2dMsSolver>(); });
-
 }  // namespace
 
 namespace internal {
-void LinkDual2dMsSolver() {}
+std::unique_ptr<ArspSolver> NewDual2dMsSolver() {
+  return std::make_unique<Dual2dMsSolver>();
+}
 }  // namespace internal
 
 }  // namespace arsp

@@ -1,4 +1,17 @@
 // Copyright 2026 The ARSP Authors.
+//
+// DUAL (§IV-A): under weight ratio constraints, finding the instances that
+// F-dominate t reduces to 2^{d-1} half-space reporting problems — one per
+// orthant of the space partitioned by the axis hyperplanes through t, each
+// with the query hyperplane h_{t,k} of Eq. (6).
+//
+// The paper serves these queries with Meiser point location over hyperplane
+// arrangements (Theorem 6), which it itself calls "inherently theoretical"
+// (O(n^{d+ε}) space). We substitute a kd-tree: each probe intersects an
+// orthant box with the half-space below h_{t,k} and reports the per-object
+// probability mass. The query pattern (2^{d-1} probes per instance) and the
+// reduction are exactly the paper's; see ARCHITECTURE.md, "Deviations from
+// the paper".
 
 #include "src/core/dual_algorithm.h"
 
@@ -122,13 +135,12 @@ class DualSolver : public ArspSolver {
   }
 };
 
-ARSP_REGISTER_SOLVER(dual, "dual",
-                     [] { return std::make_unique<DualSolver>(); });
-
 }  // namespace
 
 namespace internal {
-void LinkDualSolver() {}
+std::unique_ptr<ArspSolver> NewDualSolver() {
+  return std::make_unique<DualSolver>();
+}
 }  // namespace internal
 
 Hyperplane MakeRegionHyperplane(const Point& t, int region_code,
@@ -145,12 +157,6 @@ Hyperplane MakeRegionHyperplane(const Point& t, int region_code,
     constant += c * t[i];
   }
   return Hyperplane(std::move(coef), -constant);
-}
-
-ArspResult ComputeArspDual(const UncertainDataset& dataset,
-                           const WeightRatioConstraints& wr) {
-  ExecutionContext context(dataset, wr);
-  return DualSolver().Solve(context).value();
 }
 
 }  // namespace arsp

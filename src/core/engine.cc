@@ -55,9 +55,6 @@ class AutoSolver : public ArspSolver {
   SolverOptions options_;
 };
 
-ARSP_REGISTER_SOLVER(auto_select, "auto",
-                     [] { return std::make_unique<AutoSolver>(); });
-
 // Below this instance count the quadratic LOOP scan beats tree setup.
 constexpr int kAutoLoopMaxInstances = 64;
 
@@ -89,9 +86,9 @@ QueryGoal GoalForDerived(const DerivedSpec& derived) {
 }  // namespace
 
 namespace internal {
-// Link anchor so static-archive linking keeps this translation unit (and
-// the "auto" registration) in every binary that touches the registry.
-void LinkAutoSolver() {}
+std::unique_ptr<ArspSolver> NewAutoSolver() {
+  return std::make_unique<AutoSolver>();
+}
 }  // namespace internal
 
 std::string AutoSelectSolverName(const ExecutionContext& context) {

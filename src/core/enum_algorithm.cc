@@ -1,6 +1,9 @@
 // Copyright 2026 The ARSP Authors.
-
-#include "src/core/enum_algorithm.h"
+//
+// ENUM (§III-A, first baseline): enumerate every possible world, compute its
+// rskyline, and accumulate world probabilities per instance (Eq. 2).
+// Exponential time — it exists as executable ground truth for the other
+// algorithms and for the paper's Fig. 5 "ENUM never finishes" observation.
 
 #include <memory>
 
@@ -74,7 +77,7 @@ class EnumSolver : public ArspSolver {
     ARSP_RETURN_IF_ERROR(options.ExpectOnly({"max_worlds"}));
     StatusOr<double> max_worlds = options.DoubleOr("max_worlds", max_worlds_);
     if (!max_worlds.ok()) return max_worlds.status();
-    if (*max_worlds <= 0) {
+    if (!(*max_worlds > 0)) {  // NaN fails too
       return Status::InvalidArgument("enum max_worlds must be positive");
     }
     max_worlds_ = *max_worlds;
@@ -90,24 +93,12 @@ class EnumSolver : public ArspSolver {
   double max_worlds_ = 2e7;
 };
 
-ARSP_REGISTER_SOLVER(enumeration, "enum",
-                     [] { return std::make_unique<EnumSolver>(); });
-
 }  // namespace
 
 namespace internal {
-void LinkEnumSolver() {}
-}  // namespace internal
-
-ArspResult ComputeArspEnum(const UncertainDataset& dataset,
-                           const PreferenceRegion& region,
-                           double max_worlds) {
-  ExecutionContext context(dataset, region);
-  EnumSolver solver;
-  const Status st =
-      solver.Configure(SolverOptions().SetDouble("max_worlds", max_worlds));
-  ARSP_CHECK(st.ok());
-  return solver.Solve(context).value();
+std::unique_ptr<ArspSolver> NewEnumSolver() {
+  return std::make_unique<EnumSolver>();
 }
+}  // namespace internal
 
 }  // namespace arsp

@@ -1,6 +1,13 @@
 // Copyright 2026 The ARSP Authors.
-
-#include "src/core/kdtt_algorithm.h"
+//
+// KDTT / KDTT+ (§III-B, Algorithm 1): map instances to the d'-dimensional
+// score space SV(·), where F-dominance becomes coordinate dominance
+// (Theorem 2), then run the kd-ASP* traversal to compute all skyline
+// probabilities of the mapped dataset. Time O(c² + d d' n + n^{2-1/d'}).
+//
+// KDTT first builds the whole kd-tree and then traverses it (the structure
+// of Afshani et al. [12]); KDTT+ fuses construction into the pre-order
+// traversal so that pruned subtrees are never even built.
 
 #include <algorithm>
 #include <memory>
@@ -127,22 +134,15 @@ class KdttSolver : public internal::TraversalSolver {
   const bool integrated_;
 };
 
-ARSP_REGISTER_SOLVER(kdtt, "kdtt",
-                     [] { return std::make_unique<KdttSolver>(false); });
-ARSP_REGISTER_SOLVER(kdtt_plus, "kdtt+",
-                     [] { return std::make_unique<KdttSolver>(true); });
-
 }  // namespace
 
 namespace internal {
-void LinkKdttSolver() {}
-}  // namespace internal
-
-ArspResult ComputeArspKdtt(const UncertainDataset& dataset,
-                           const PreferenceRegion& region,
-                           const KdttOptions& options) {
-  ExecutionContext context(dataset, region);
-  return KdttSolver(options.integrated).Solve(context).value();
+std::unique_ptr<ArspSolver> NewKdttSolver() {
+  return std::make_unique<KdttSolver>(false);
 }
+std::unique_ptr<ArspSolver> NewKdttPlusSolver() {
+  return std::make_unique<KdttSolver>(true);
+}
+}  // namespace internal
 
 }  // namespace arsp

@@ -1,6 +1,10 @@
 // Copyright 2026 The ARSP Authors.
-
-#include "src/core/loop_algorithm.h"
+//
+// LOOP (§III-A, second baseline): evaluate Eq. (3) directly. Instances are
+// sorted by score under one vertex of the preference region, which
+// guarantees that no instance is F-dominated by a successor; each instance
+// is then tested against every candidate predecessor with the Theorem-2
+// vertex test. O(c² + d d' n²).
 
 #include <algorithm>
 #include <memory>
@@ -104,19 +108,12 @@ class LoopSolver : public ArspSolver {
   }
 };
 
-ARSP_REGISTER_SOLVER(loop, "loop",
-                     [] { return std::make_unique<LoopSolver>(); });
-
 }  // namespace
 
 namespace internal {
-void LinkLoopSolver() {}
-}  // namespace internal
-
-ArspResult ComputeArspLoop(const UncertainDataset& dataset,
-                           const PreferenceRegion& region) {
-  ExecutionContext context(dataset, region);
-  return LoopSolver().Solve(context).value();
+std::unique_ptr<ArspSolver> NewLoopSolver() {
+  return std::make_unique<LoopSolver>();
 }
+}  // namespace internal
 
 }  // namespace arsp

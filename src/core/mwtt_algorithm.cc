@@ -1,10 +1,14 @@
 // Copyright 2026 The ARSP Authors.
-
-#include "src/core/mwtt_algorithm.h"
+//
+// MWTT — the "any space-partitioning tree" remark of §III-B made concrete:
+// the kd-ASP* state machine over a multi-way tree that splits each node
+// into `fanout` equal slabs along its widest mapped dimension (the
+// one-dimensional STR discipline R-trees use for bulk loading). Sits
+// between KDTT+ (fanout 2) and QDTT+ (fanout 2^{d'}) and lets the ablation
+// benchmarks sweep the partitioning trade-off explicitly.
 
 #include <algorithm>
 #include <memory>
-#include <string>
 
 #include "src/common/macros.h"
 #include "src/core/solver.h"
@@ -19,6 +23,11 @@ using internal::DepthScratch;
 using internal::PartitionPolicy;
 using internal::TraversalNode;
 
+// Children per node. 2 reproduces KDTT+'s shape with slab splits; the cap
+// keeps a configured value far from int overflow in the slab arithmetic.
+constexpr int kMinFanout = 2;
+constexpr int kMaxFanout = 1024;
+
 // Sorts a node's rows along its widest dimension and splits them into
 // `fanout` equal slabs (1-D STR slicing). Slabs inherit small extents on
 // the split dimension, improving min-corner dominance tests.
@@ -26,7 +35,8 @@ class SlabSplit : public PartitionPolicy {
  public:
   SlabSplit(const ScoreSpan& scores, int fanout)
       : PartitionPolicy(scores), fanout_(fanout) {
-    ARSP_CHECK_MSG(fanout >= 2, "MWTT fanout must be >= 2 (got %d)", fanout);
+    ARSP_CHECK_MSG(fanout >= kMinFanout && fanout <= kMaxFanout,
+                   "MWTT fanout %d is out of range", fanout);
   }
 
   int branch_factor() const override { return fanout_; }
@@ -52,8 +62,6 @@ class SlabSplit : public PartitionPolicy {
 
 class MwttSolver : public internal::TraversalSolver {
  public:
-  explicit MwttSolver(int fanout = MwttOptions{}.fanout) : fanout_(fanout) {}
-
   const char* name() const override { return "mwtt"; }
   const char* display_name() const override { return "MWTT"; }
   const char* description() const override {
@@ -63,13 +71,10 @@ class MwttSolver : public internal::TraversalSolver {
 
   Status Configure(const SolverOptions& options) override {
     ARSP_RETURN_IF_ERROR(options.ExpectOnly({"fanout", "parallelism"}));
-    StatusOr<int64_t> fanout = options.IntOr("fanout", fanout_);
+    StatusOr<int> fanout =
+        options.IntInRange("fanout", fanout_, kMinFanout, kMaxFanout);
     if (!fanout.ok()) return fanout.status();
-    if (*fanout < 2) {
-      return Status::InvalidArgument("mwtt fanout must be >= 2, got " +
-                                     std::to_string(*fanout));
-    }
-    fanout_ = static_cast<int>(*fanout);
+    fanout_ = *fanout;
     return ReadParallelism(options);
   }
 
@@ -80,23 +85,15 @@ class MwttSolver : public internal::TraversalSolver {
   }
 
  private:
-  int fanout_;
+  int fanout_ = 8;
 };
-
-ARSP_REGISTER_SOLVER(mwtt, "mwtt",
-                     [] { return std::make_unique<MwttSolver>(); });
 
 }  // namespace
 
 namespace internal {
-void LinkMwttSolver() {}
-}  // namespace internal
-
-ArspResult ComputeArspMwtt(const UncertainDataset& dataset,
-                           const PreferenceRegion& region,
-                           const MwttOptions& options) {
-  ExecutionContext context(dataset, region);
-  return MwttSolver(options.fanout).Solve(context).value();
+std::unique_ptr<ArspSolver> NewMwttSolver() {
+  return std::make_unique<MwttSolver>();
 }
+}  // namespace internal
 
 }  // namespace arsp

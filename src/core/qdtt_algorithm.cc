@@ -1,6 +1,10 @@
 // Copyright 2026 The ARSP Authors.
-
-#include "src/core/qdtt_algorithm.h"
+//
+// QDTT+ (§III-B, remark): the quadtree variant of Algorithm 1. Each node
+// partitions its point set around the center of its bounding box into up to
+// 2^{d'} quadrants, which yields smaller MBRs (and earlier pruning) in low
+// dimensions but suffers when d' grows — exactly the trade-off the paper's
+// Fig. 5 measures. Construction is fused with the pre-order traversal.
 
 #include <algorithm>
 #include <cstdint>
@@ -110,19 +114,12 @@ class QdttSolver : public internal::TraversalSolver {
   }
 };
 
-ARSP_REGISTER_SOLVER(qdtt_plus, "qdtt+",
-                     [] { return std::make_unique<QdttSolver>(); });
-
 }  // namespace
 
 namespace internal {
-void LinkQdttSolver() {}
-}  // namespace internal
-
-ArspResult ComputeArspQdtt(const UncertainDataset& dataset,
-                           const PreferenceRegion& region) {
-  ExecutionContext context(dataset, region);
-  return QdttSolver().Solve(context).value();
+std::unique_ptr<ArspSolver> NewQdttSolver() {
+  return std::make_unique<QdttSolver>();
 }
+}  // namespace internal
 
 }  // namespace arsp

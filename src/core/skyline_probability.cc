@@ -2,14 +2,15 @@
 
 #include "src/core/skyline_probability.h"
 
-#include "src/core/kdtt_algorithm.h"
+#include "src/core/solver.h"
 #include "src/prefs/preference_region.h"
 
 namespace arsp {
 
 ArspResult ComputeAllSkylineProbabilities(const UncertainDataset& dataset) {
-  return ComputeArspKdtt(dataset, PreferenceRegion::FullSimplex(dataset.dim()),
-                         KdttOptions{.integrated = true});
+  ExecutionContext context(dataset,
+                           PreferenceRegion::FullSimplex(dataset.dim()));
+  return SolverRegistry::Create("kdtt+").value()->Solve(context).value();
 }
 
 }  // namespace arsp

@@ -16,39 +16,39 @@
 namespace arsp {
 
 namespace internal {
-// Link anchors defined in the built-in solver translation units. Referencing
-// them here forces the archive linker to pull those object files into every
-// binary that uses the registry, which in turn runs their self-registration
-// statics. A binary that never touches the registry links none of this.
-void LinkEnumSolver();
-void LinkLoopSolver();
-void LinkKdttSolver();
-void LinkQdttSolver();
-void LinkMwttSolver();
-void LinkBnbSolver();
-void LinkDualSolver();
-void LinkDual2dMsSolver();
-void LinkAutoSolver();
+// Factories defined in the built-in solver translation units.
+std::unique_ptr<ArspSolver> NewAutoSolver();
+std::unique_ptr<ArspSolver> NewBnbSolver();
+std::unique_ptr<ArspSolver> NewDualSolver();
+std::unique_ptr<ArspSolver> NewDual2dMsSolver();
+std::unique_ptr<ArspSolver> NewEnumSolver();
+std::unique_ptr<ArspSolver> NewKdttSolver();
+std::unique_ptr<ArspSolver> NewKdttPlusSolver();
+std::unique_ptr<ArspSolver> NewLoopSolver();
+std::unique_ptr<ArspSolver> NewMwttSolver();
+std::unique_ptr<ArspSolver> NewQdttSolver();
 }  // namespace internal
 
 namespace {
 
-void EnsureBuiltinsLinked() {
-  internal::LinkEnumSolver();
-  internal::LinkLoopSolver();
-  internal::LinkKdttSolver();
-  internal::LinkQdttSolver();
-  internal::LinkMwttSolver();
-  internal::LinkBnbSolver();
-  internal::LinkDualSolver();
-  internal::LinkDual2dMsSolver();
-  internal::LinkAutoSolver();
-}
+struct RegistryEntry {
+  const char* name;  ///< canonical (lower-case) name
+  std::unique_ptr<ArspSolver> (*factory)();
+};
 
-std::map<std::string, SolverRegistry::Factory>& RegistryMap() {
-  static auto* map = new std::map<std::string, SolverRegistry::Factory>();
-  return *map;
-}
+// Sorted by name, so Names() is this table's order.
+constexpr RegistryEntry kRegistry[] = {
+    {"auto", internal::NewAutoSolver},
+    {"bnb", internal::NewBnbSolver},
+    {"dual", internal::NewDualSolver},
+    {"dual-2d-ms", internal::NewDual2dMsSolver},
+    {"enum", internal::NewEnumSolver},
+    {"kdtt", internal::NewKdttSolver},
+    {"kdtt+", internal::NewKdttPlusSolver},
+    {"loop", internal::NewLoopSolver},
+    {"mwtt", internal::NewMwttSolver},
+    {"qdtt+", internal::NewQdttSolver},
+};
 
 const char* TypeName(const SolverOptions::Value& v) {
   switch (v.index()) {
@@ -174,6 +174,18 @@ StatusOr<double> SolverOptions::DoubleOr(const std::string& key,
   return Status::InvalidArgument("option '" + key +
                                  "' must be a number, got " +
                                  TypeName(it->second));
+}
+
+StatusOr<int> SolverOptions::IntInRange(const std::string& key, int def,
+                                        int lo, int hi) const {
+  StatusOr<int64_t> value = IntOr(key, def);
+  if (!value.ok()) return value.status();
+  if (*value < lo || *value > hi) {
+    return Status::InvalidArgument(
+        "option '" + key + "' must be in [" + std::to_string(lo) + ", " +
+        std::to_string(hi) + "], got " + std::to_string(*value));
+  }
+  return static_cast<int>(*value);
 }
 
 StatusOr<std::string> SolverOptions::StringOr(const std::string& key,
@@ -757,27 +769,17 @@ std::string SolverRegistry::Normalize(const std::string& name) {
   return out;
 }
 
-bool SolverRegistry::Register(const std::string& name, Factory factory) {
-  ARSP_CHECK_MSG(static_cast<bool>(factory), "null solver factory for '%s'",
-                 name.c_str());
-  RegistryMap()[Normalize(name)] = std::move(factory);
-  return true;
-}
-
 StatusOr<std::unique_ptr<ArspSolver>> SolverRegistry::Create(
     const std::string& name) {
-  EnsureBuiltinsLinked();
-  const auto& map = RegistryMap();
-  const auto it = map.find(Normalize(name));
-  if (it == map.end()) {
-    std::string msg = "unknown solver '" + name + "'; registered:";
-    for (const auto& [registered, factory] : map) msg += " " + registered;
-    return Status::NotFound(std::move(msg));
+  const std::string canonical = Normalize(name);
+  for (const RegistryEntry& entry : kRegistry) {
+    if (canonical == entry.name) return entry.factory();
   }
-  std::unique_ptr<ArspSolver> solver = it->second();
-  ARSP_CHECK_MSG(solver != nullptr, "factory for '%s' returned null",
-                 name.c_str());
-  return solver;
+  std::string msg = "unknown solver '" + name + "'; registered:";
+  for (const RegistryEntry& entry : kRegistry) {
+    msg += std::string(" ") + entry.name;
+  }
+  return Status::NotFound(std::move(msg));
 }
 
 StatusOr<std::unique_ptr<ArspSolver>> SolverRegistry::Create(
@@ -789,10 +791,8 @@ StatusOr<std::unique_ptr<ArspSolver>> SolverRegistry::Create(
 }
 
 std::vector<std::string> SolverRegistry::Names() {
-  EnsureBuiltinsLinked();
   std::vector<std::string> names;
-  names.reserve(RegistryMap().size());
-  for (const auto& [name, factory] : RegistryMap()) names.push_back(name);
+  for (const RegistryEntry& entry : kRegistry) names.push_back(entry.name);
   return names;
 }
 

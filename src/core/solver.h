@@ -7,8 +7,8 @@
 //  * ArspSolver        — the algorithm interface: canonical name, capability
 //                        flags, a typed option bag, and an instrumented
 //                        Solve() entry point.
-//  * SolverRegistry    — name → factory map; algorithm files self-register,
-//                        so drivers never hand-roll string dispatch.
+//  * SolverRegistry    — the table of built-in solvers by name, so drivers
+//                        never hand-roll string dispatch.
 //  * ExecutionContext  — owns the once-per-query preprocessing every solver
 //                        would otherwise recompute: the §III-B score-space
 //                        mapping SV(·), the SoA score storage the traversal
@@ -18,16 +18,14 @@
 //                        can be Derived from a parent context, inheriting
 //                        its artifacts (the zero-copy data plane).
 //
-// Adding a solver: subclass ArspSolver in the algorithm's .cc file, register
-// it with ARSP_REGISTER_SOLVER, and (for solvers built into libarsp) add a
-// link anchor in solver.cc so archive linking keeps the translation unit.
-// See ARCHITECTURE.md for the full recipe.
+// Adding a solver: subclass ArspSolver in the algorithm's .cc file, define
+// internal::New<X>Solver() there, and add one row to the registry table in
+// solver.cc. See ARCHITECTURE.md for the full recipe.
 
 #ifndef ARSP_CORE_SOLVER_H_
 #define ARSP_CORE_SOLVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -145,6 +143,11 @@ class SolverOptions {
   StatusOr<double> DoubleOr(const std::string& key, double def) const;
   StatusOr<std::string> StringOr(const std::string& key,
                                  std::string def) const;
+
+  /// IntOr narrowed to an int in [lo, hi]: a present value outside the
+  /// range is an InvalidArgument rather than a wrapped or clamped int.
+  StatusOr<int> IntInRange(const std::string& key, int def, int lo,
+                           int hi) const;
 
   /// InvalidArgument when any key is not in `known` — solvers call this
   /// first so typos fail instead of being ignored.
@@ -502,21 +505,15 @@ class ExecutionContext {
   mutable SolverStats stats_;
 };
 
-/// Global name → factory registry. Algorithm translation units self-register
-/// at static-initialization time through ARSP_REGISTER_SOLVER; solver.cc
-/// anchors the built-in units so they survive static-archive linking.
+/// The built-in solvers by name: one sorted {name, factory} table in
+/// solver.cc. Naming each factory there is also what links its translation
+/// unit into every binary that uses the registry.
 class SolverRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<ArspSolver>()>;
-
   /// Canonical (lower-case) form of a solver name — the single definition
   /// of the registry's case-insensitivity, shared by everything that must
   /// agree with lookup (engine cache keys, CLI dispatch).
   static std::string Normalize(const std::string& name);
-
-  /// Registers a factory under `name` (lookup is case-insensitive; the last
-  /// registration of a name wins). Returns true so it can seed a static.
-  static bool Register(const std::string& name, Factory factory);
 
   /// Creates the named solver, or NotFound listing the registered names.
   static StatusOr<std::unique_ptr<ArspSolver>> Create(const std::string& name);
@@ -528,12 +525,6 @@ class SolverRegistry {
   /// Sorted canonical names of every registered solver.
   static std::vector<std::string> Names();
 };
-
-/// Self-registration helper: expands to a static registrar evaluated before
-/// main(). Use at namespace scope in the solver's translation unit.
-#define ARSP_REGISTER_SOLVER(ident, name, ...)                       \
-  static const bool arsp_solver_registered_##ident =                 \
-      ::arsp::SolverRegistry::Register((name), __VA_ARGS__)
 
 }  // namespace arsp
 

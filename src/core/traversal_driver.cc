@@ -31,10 +31,10 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -566,13 +566,10 @@ Status TraversalSolver::Configure(const SolverOptions& options) {
 }
 
 Status TraversalSolver::ReadParallelism(const SolverOptions& options) {
-  StatusOr<int64_t> parallelism = options.IntOr("parallelism", parallelism_);
+  StatusOr<int> parallelism = options.IntInRange(
+      "parallelism", parallelism_, 1, std::numeric_limits<int>::max());
   if (!parallelism.ok()) return parallelism.status();
-  if (*parallelism < 1) {
-    return Status::InvalidArgument("parallelism must be >= 1, got " +
-                                   std::to_string(*parallelism));
-  }
-  parallelism_ = static_cast<int>(*parallelism);
+  parallelism_ = *parallelism;
   return Status::OK();
 }
 

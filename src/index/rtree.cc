@@ -63,7 +63,7 @@ std::pair<int, int> PickSeeds(int count, const GetMbr& mbr_of) {
 RTree::RTree(int dim, int max_entries)
     : dim_(dim), max_entries_(max_entries), cap_(max_entries + 1) {
   ARSP_CHECK(dim >= 1);
-  ARSP_CHECK(max_entries >= 4);
+  ARSP_CHECK(max_entries >= kMinFanout);
 }
 
 Mbr RTree::node_mbr(int id) const {

@@ -58,7 +58,15 @@ class RTree {
     int id = 0;
   };
 
-  /// Empty tree over R^dim. `max_entries` bounds node fan-out.
+  /// The fan-outs (`max_entries`) callers may configure. Quadratic split
+  /// needs at least kMinFanout entries per node. Every node reserves
+  /// max_entries + 1 kid slots, so kMaxFanout keeps a configured value from
+  /// asking for gigabytes.
+  static constexpr int kMinFanout = 4;
+  static constexpr int kMaxFanout = 1024;
+
+  /// Empty tree over R^dim. `max_entries` bounds node fan-out and is at
+  /// least kMinFanout.
   explicit RTree(int dim, int max_entries = 16);
 
   /// Sort-Tile-Recursive bulk load; much better node quality than repeated

@@ -3,8 +3,9 @@
 #include "src/uncertain/continuous.h"
 
 #include <cmath>
+#include <memory>
 
-#include "src/core/kdtt_algorithm.h"
+#include "src/core/solver.h"
 
 namespace arsp {
 
@@ -81,11 +82,14 @@ std::vector<double> EstimateContinuousRskyline(
   std::vector<double> sum(static_cast<size_t>(m), 0.0);
   std::vector<double> sum_sq(static_cast<size_t>(m), 0.0);
 
+  const std::unique_ptr<ArspSolver> solver =
+      SolverRegistry::Create("kdtt+").value();
   for (int trial = 0; trial < num_trials; ++trial) {
     Rng rng(seed + static_cast<uint64_t>(trial) * 0x9e3779b97f4a7c15ull);
     const UncertainDataset discrete =
         dataset.Discretize(samples_per_object, rng);
-    const ArspResult result = ComputeArspKdtt(discrete, region);
+    ExecutionContext context(discrete, region);
+    const ArspResult result = solver->Solve(context).value();
     const std::vector<double> per_object =
         ObjectProbabilities(result, discrete);
     for (int j = 0; j < m; ++j) {

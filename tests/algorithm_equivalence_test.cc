@@ -18,12 +18,6 @@
 #include <vector>
 
 #include "src/common/task_arena.h"
-#include "src/core/bnb_algorithm.h"
-#include "src/core/dual_algorithm.h"
-#include "src/core/enum_algorithm.h"
-#include "src/core/kdtt_algorithm.h"
-#include "src/core/loop_algorithm.h"
-#include "src/core/qdtt_algorithm.h"
 #include "src/core/queries.h"
 #include "src/core/solver.h"
 #include "tests/test_util.h"
@@ -34,6 +28,7 @@ namespace {
 using testing_util::ImRegion;
 using testing_util::RandomDataset;
 using testing_util::RandomWr;
+using testing_util::RunSolver;
 using testing_util::WrRegion;
 
 struct SweepCase {
@@ -58,18 +53,14 @@ TEST_P(EquivalenceSweep, AllAlgorithmsAgreeUnderWeakRanking) {
       c.num_objects, c.max_instances, c.dim, c.phi, c.seed, c.grid);
   const PreferenceRegion region = WrRegion(c.dim, c.dim - 1);
 
-  const ArspResult reference = ComputeArspLoop(dataset, region);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspKdtt(dataset, region,
-                                                  {.integrated = false})),
-            1e-8)
+  const ArspResult reference = RunSolver("loop", dataset, region);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("kdtt", dataset, region)), 1e-8)
       << "KDTT";
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspKdtt(dataset, region,
-                                                  {.integrated = true})),
-            1e-8)
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("kdtt+", dataset, region)), 1e-8)
       << "KDTT+";
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspQdtt(dataset, region)), 1e-8)
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("qdtt+", dataset, region)), 1e-8)
       << "QDTT+";
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspBnb(dataset, region)), 1e-8)
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("bnb", dataset, region)), 1e-8)
       << "B&B";
 }
 
@@ -80,14 +71,14 @@ TEST_P(EquivalenceSweep, AllAlgorithmsAgreeUnderWeightRatios) {
   const WeightRatioConstraints wr = RandomWr(c.dim, c.seed);
   const PreferenceRegion region = PreferenceRegion::FromWeightRatios(wr);
 
-  const ArspResult reference = ComputeArspLoop(dataset, region);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspKdtt(dataset, region)), 1e-8)
+  const ArspResult reference = RunSolver("loop", dataset, region);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("kdtt+", dataset, region)), 1e-8)
       << "KDTT+";
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspQdtt(dataset, region)), 1e-8)
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("qdtt+", dataset, region)), 1e-8)
       << "QDTT+";
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspBnb(dataset, region)), 1e-8)
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("bnb", dataset, region)), 1e-8)
       << "B&B";
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspDual(dataset, wr)), 1e-8)
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("dual", dataset, wr)), 1e-8)
       << "DUAL";
 }
 
@@ -97,12 +88,12 @@ TEST_P(EquivalenceSweep, AllAlgorithmsAgreeUnderInteractiveConstraints) {
       c.num_objects, c.max_instances, c.dim, c.phi, c.seed + 2000, c.grid);
   const PreferenceRegion region = ImRegion(c.dim, c.dim, c.seed);
 
-  const ArspResult reference = ComputeArspLoop(dataset, region);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspKdtt(dataset, region)), 1e-8)
+  const ArspResult reference = RunSolver("loop", dataset, region);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("kdtt+", dataset, region)), 1e-8)
       << "KDTT+";
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspQdtt(dataset, region)), 1e-8)
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("qdtt+", dataset, region)), 1e-8)
       << "QDTT+";
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspBnb(dataset, region)), 1e-8)
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("bnb", dataset, region)), 1e-8)
       << "B&B";
 }
 
@@ -123,10 +114,10 @@ TEST(EquivalenceEdgeCases, SingleInstancePerObjectPhiOne) {
   // set stays empty (the paper notes B&B degenerates toward LOOP here).
   const UncertainDataset dataset = RandomDataset(40, 1, 2, 1.0, 21);
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult reference = ComputeArspLoop(dataset, region);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspKdtt(dataset, region)), 1e-9);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspBnb(dataset, region)), 1e-9);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspQdtt(dataset, region)), 1e-9);
+  const ArspResult reference = RunSolver("loop", dataset, region);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("kdtt+", dataset, region)), 1e-9);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("bnb", dataset, region)), 1e-9);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("qdtt+", dataset, region)), 1e-9);
 }
 
 TEST(EquivalenceEdgeCases, ManyDuplicatesAcrossObjects) {
@@ -138,11 +129,13 @@ TEST(EquivalenceEdgeCases, ManyDuplicatesAcrossObjects) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult reference = ComputeArspEnum(*dataset, region, 2e7);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspLoop(*dataset, region)), 1e-9);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspKdtt(*dataset, region)), 1e-9);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspQdtt(*dataset, region)), 1e-9);
-  EXPECT_LT(MaxAbsDiff(reference, ComputeArspBnb(*dataset, region)), 1e-9);
+  const ArspResult reference = RunSolver("enum", *dataset, region);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("loop", *dataset, region)), 1e-9);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("kdtt+", *dataset, region)),
+            1e-9);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("qdtt+", *dataset, region)),
+            1e-9);
+  EXPECT_LT(MaxAbsDiff(reference, RunSolver("bnb", *dataset, region)), 1e-9);
 }
 
 TEST(EquivalenceEdgeCases, EnumCrossCheckOnTinyInputs) {
@@ -152,12 +145,14 @@ TEST(EquivalenceEdgeCases, EnumCrossCheckOnTinyInputs) {
     const int dim = 2 + static_cast<int>(seed % 2);
     const UncertainDataset dataset = RandomDataset(6, 3, dim, 0.4, seed);
     const PreferenceRegion region = WrRegion(dim, dim - 1);
-    const ArspResult reference = ComputeArspEnum(dataset, region);
-    EXPECT_LT(MaxAbsDiff(reference, ComputeArspKdtt(dataset, region)), 1e-9)
+    const ArspResult reference = RunSolver("enum", dataset, region);
+    EXPECT_LT(MaxAbsDiff(reference, RunSolver("kdtt+", dataset, region)),
+              1e-9)
         << seed;
-    EXPECT_LT(MaxAbsDiff(reference, ComputeArspQdtt(dataset, region)), 1e-9)
+    EXPECT_LT(MaxAbsDiff(reference, RunSolver("qdtt+", dataset, region)),
+              1e-9)
         << seed;
-    EXPECT_LT(MaxAbsDiff(reference, ComputeArspBnb(dataset, region)), 1e-9)
+    EXPECT_LT(MaxAbsDiff(reference, RunSolver("bnb", dataset, region)), 1e-9)
         << seed;
   }
 }
@@ -165,10 +160,10 @@ TEST(EquivalenceEdgeCases, EnumCrossCheckOnTinyInputs) {
 TEST(EquivalenceEdgeCases, ResultSizeConsistentAcrossAlgorithms) {
   const UncertainDataset dataset = RandomDataset(30, 4, 3, 0.2, 77);
   const PreferenceRegion region = WrRegion(3, 2);
-  const int reference = CountNonZero(ComputeArspLoop(dataset, region));
-  EXPECT_EQ(reference, CountNonZero(ComputeArspKdtt(dataset, region)));
-  EXPECT_EQ(reference, CountNonZero(ComputeArspQdtt(dataset, region)));
-  EXPECT_EQ(reference, CountNonZero(ComputeArspBnb(dataset, region)));
+  const int reference = CountNonZero(RunSolver("loop", dataset, region));
+  EXPECT_EQ(reference, CountNonZero(RunSolver("kdtt+", dataset, region)));
+  EXPECT_EQ(reference, CountNonZero(RunSolver("qdtt+", dataset, region)));
+  EXPECT_EQ(reference, CountNonZero(RunSolver("bnb", dataset, region)));
 }
 
 // ---------------------------------------------------------------------------

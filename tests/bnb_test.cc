@@ -5,25 +5,22 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/bnb_algorithm.h"
-#include "src/core/enum_algorithm.h"
-#include "src/core/loop_algorithm.h"
 #include "tests/test_util.h"
 
 namespace arsp {
 namespace {
 
 using testing_util::RandomDataset;
+using testing_util::RunSolver;
 using testing_util::WrRegion;
 
 TEST(BnbTest, PruningDoesNotChangeResults) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const UncertainDataset dataset = RandomDataset(40, 4, 3, 0.2, seed);
     const PreferenceRegion region = WrRegion(3, 2);
-    const ArspResult with = ComputeArspBnb(dataset, region,
-                                           {.enable_pruning = true});
-    const ArspResult without = ComputeArspBnb(dataset, region,
-                                              {.enable_pruning = false});
+    const ArspResult with = RunSolver("bnb", dataset, region);
+    const ArspResult without = RunSolver(
+        "bnb", dataset, region, SolverOptions().SetBool("pruning", false));
     EXPECT_LT(MaxAbsDiff(with, without), 1e-10) << "seed=" << seed;
   }
 }
@@ -41,7 +38,7 @@ TEST(BnbTest, PruningFiresOnDominatedData) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult pruned = ComputeArspBnb(*dataset, region);
+  const ArspResult pruned = RunSolver("bnb", *dataset, region);
   EXPECT_GT(pruned.nodes_pruned, 0);
   EXPECT_NEAR(pruned.instance_probs[0], 1.0, 1e-12);
   EXPECT_EQ(CountNonZero(pruned), 1);
@@ -57,8 +54,8 @@ TEST(BnbTest, TieBatchingHandlesDuplicatePoints) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult expected = ComputeArspEnum(*dataset, region);
-  const ArspResult bnb = ComputeArspBnb(*dataset, region);
+  const ArspResult expected = RunSolver("enum", *dataset, region);
+  const ArspResult bnb = RunSolver("bnb", *dataset, region);
   EXPECT_NEAR(bnb.instance_probs[0], 0.0, 1e-12);
   EXPECT_NEAR(bnb.instance_probs[1], 0.0, 1e-12);
   EXPECT_LT(MaxAbsDiff(expected, bnb), 1e-12);
@@ -73,7 +70,7 @@ TEST(BnbTest, TieBatchingWithPartialMass) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult bnb = ComputeArspBnb(*dataset, region);
+  const ArspResult bnb = RunSolver("bnb", *dataset, region);
   EXPECT_NEAR(bnb.instance_probs[0], 0.6 * 0.7, 1e-12);
   EXPECT_NEAR(bnb.instance_probs[1], 0.3 * 0.4, 1e-12);
 }
@@ -97,7 +94,7 @@ TEST(BnbTest, DominanceInsideAnEqualKeyBatch) {
   builder.AddSingleton(b, 1.0);
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
-  const ArspResult bnb = ComputeArspBnb(*dataset, region);
+  const ArspResult bnb = RunSolver("bnb", *dataset, region);
   EXPECT_NEAR(bnb.instance_probs[0], 1.0, 1e-12);
   EXPECT_NEAR(bnb.instance_probs[1], 0.0, 1e-12);
 }
@@ -105,18 +102,18 @@ TEST(BnbTest, DominanceInsideAnEqualKeyBatch) {
 TEST(BnbTest, AgreesWithLoopOnLargerData) {
   const UncertainDataset dataset = RandomDataset(100, 5, 4, 0.3, 17);
   const PreferenceRegion region = WrRegion(4, 3);
-  EXPECT_LT(MaxAbsDiff(ComputeArspLoop(dataset, region),
-                       ComputeArspBnb(dataset, region)),
+  EXPECT_LT(MaxAbsDiff(RunSolver("loop", dataset, region),
+                       RunSolver("bnb", dataset, region)),
             1e-8);
 }
 
 TEST(BnbTest, RespectsCustomFanout) {
   const UncertainDataset dataset = RandomDataset(50, 3, 2, 0.0, 23);
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult narrow =
-      ComputeArspBnb(dataset, region, {.rtree_fanout = 4});
-  const ArspResult wide =
-      ComputeArspBnb(dataset, region, {.rtree_fanout = 64});
+  const ArspResult narrow = RunSolver(
+      "bnb", dataset, region, SolverOptions().SetInt("rtree_fanout", 4));
+  const ArspResult wide = RunSolver(
+      "bnb", dataset, region, SolverOptions().SetInt("rtree_fanout", 64));
   EXPECT_LT(MaxAbsDiff(narrow, wide), 1e-10);
 }
 

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/loop_algorithm.h"
 #include "tests/test_util.h"
 
 namespace arsp {
@@ -98,8 +97,8 @@ TEST(CsvTest, RoundTripThroughResultCsv) {
   std::vector<std::string> names;
   const auto dataset = ParseUncertainDatasetCsv(kSmallCsv, false, &names);
   ASSERT_TRUE(dataset.ok());
-  const ArspResult result =
-      ComputeArspLoop(*dataset, testing_util::WrRegion(2, 1));
+  const ArspResult result = testing_util::RunSolver(
+      "loop", *dataset, testing_util::WrRegion(2, 1));
 
   const std::string inst_csv = FormatArspResultCsv(result, *dataset, &names);
   EXPECT_NE(inst_csv.find("object,instance,prob,pr_rsky"), std::string::npos);

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/dual2d_ms.h"
-#include "src/core/loop_algorithm.h"
 #include "src/uncertain/generators.h"
 #include "tests/test_util.h"
 
@@ -43,8 +42,8 @@ TEST(Dual2dMsTest, MatchesLoopOnIipLikeData) {
   for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
            {0.5, 2.0}, {1.0, 1.0}, {0.18, 5.67}, {0.84, 1.19}}) {
     const auto wr = WeightRatioConstraints::Create({{lo, hi}}).value();
-    const ArspResult expected =
-        ComputeArspLoop(iip, PreferenceRegion::FromWeightRatios(wr));
+    const ArspResult expected = testing_util::RunSolver(
+        "loop", iip, PreferenceRegion::FromWeightRatios(wr));
     const ArspResult got = built->Query(lo, hi);
     EXPECT_LT(MaxAbsDiff(expected, got), 1e-9) << "[" << lo << "," << hi << "]";
   }
@@ -60,8 +59,8 @@ TEST(Dual2dMsTest, OneBuildServesManyRanges) {
     const double lo = rng.Uniform(0.05, 2.0);
     const double hi = lo + rng.Uniform(0.0, 4.0);
     const auto wr = WeightRatioConstraints::Create({{lo, hi}}).value();
-    const ArspResult expected =
-        ComputeArspLoop(iip, PreferenceRegion::FromWeightRatios(wr));
+    const ArspResult expected = testing_util::RunSolver(
+        "loop", iip, PreferenceRegion::FromWeightRatios(wr));
     EXPECT_LT(MaxAbsDiff(expected, built->Query(lo, hi)), 1e-9)
         << lo << " " << hi;
   }

@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/dual_algorithm.h"
-#include "src/core/enum_algorithm.h"
-#include "src/core/loop_algorithm.h"
 #include "tests/test_util.h"
 
 namespace arsp {
@@ -18,6 +16,7 @@ using testing_util::Example1Dataset;
 using testing_util::Example1Wr;
 using testing_util::RandomDataset;
 using testing_util::RandomWr;
+using testing_util::RunSolver;
 
 TEST(DualTest, Example3Hyperplanes) {
   // Example 3: t2,3 = (9,12), R = [0.5, 2]. Region 0 (x < 9) hyperplane is
@@ -63,9 +62,9 @@ TEST(DualTest, HyperplaneMembershipMatchesTheorem5) {
 TEST(DualTest, MatchesEnumOnExample1) {
   const UncertainDataset dataset = Example1Dataset();
   const WeightRatioConstraints wr = Example1Wr();
-  const ArspResult expected = ComputeArspEnum(
-      dataset, PreferenceRegion::FromWeightRatios(wr));
-  EXPECT_LT(MaxAbsDiff(expected, ComputeArspDual(dataset, wr)), 1e-10);
+  const ArspResult expected =
+      RunSolver("enum", dataset, PreferenceRegion::FromWeightRatios(wr));
+  EXPECT_LT(MaxAbsDiff(expected, RunSolver("dual", dataset, wr)), 1e-10);
 }
 
 TEST(DualTest, NoDoubleCountingOnSharedBoundaries) {
@@ -78,9 +77,9 @@ TEST(DualTest, NoDoubleCountingOnSharedBoundaries) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const WeightRatioConstraints wr = Example1Wr();
-  const ArspResult expected = ComputeArspLoop(
-      *dataset, PreferenceRegion::FromWeightRatios(wr));
-  const ArspResult dual = ComputeArspDual(*dataset, wr);
+  const ArspResult expected =
+      RunSolver("loop", *dataset, PreferenceRegion::FromWeightRatios(wr));
+  const ArspResult dual = RunSolver("dual", *dataset, wr);
   EXPECT_LT(MaxAbsDiff(expected, dual), 1e-10);
 }
 
@@ -91,7 +90,7 @@ TEST(DualTest, DuplicatePointsMutuallyDominate) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const WeightRatioConstraints wr = RandomWr(3, 9);
-  const ArspResult dual = ComputeArspDual(*dataset, wr);
+  const ArspResult dual = RunSolver("dual", *dataset, wr);
   EXPECT_NEAR(dual.instance_probs[0], 0.6 * 0.6, 1e-12);
   EXPECT_NEAR(dual.instance_probs[1], 0.4 * 0.4, 1e-12);
 }
@@ -102,9 +101,9 @@ TEST(DualTest, RandomAgreementSweep) {
     const UncertainDataset dataset =
         RandomDataset(30, 4, d, (seed % 2) * 0.4, seed);
     const WeightRatioConstraints wr = RandomWr(d, seed + 100);
-    const ArspResult expected = ComputeArspLoop(
-        dataset, PreferenceRegion::FromWeightRatios(wr));
-    EXPECT_LT(MaxAbsDiff(expected, ComputeArspDual(dataset, wr)), 1e-8)
+    const ArspResult expected =
+        RunSolver("loop", dataset, PreferenceRegion::FromWeightRatios(wr));
+    EXPECT_LT(MaxAbsDiff(expected, RunSolver("dual", dataset, wr)), 1e-8)
         << "seed=" << seed << " d=" << d;
   }
 }

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/enum_algorithm.h"
-#include "src/core/loop_algorithm.h"
 #include "tests/test_util.h"
 
 namespace arsp {
@@ -17,6 +15,7 @@ namespace {
 using testing_util::Example1Dataset;
 using testing_util::Example1Wr;
 using testing_util::RandomDataset;
+using testing_util::RunSolver;
 using testing_util::WrRegion;
 
 TEST(EnumLoopTest, SingleObjectIsItsOwnRskyline) {
@@ -25,8 +24,8 @@ TEST(EnumLoopTest, SingleObjectIsItsOwnRskyline) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  for (const ArspResult& result :
-       {ComputeArspEnum(*dataset, region), ComputeArspLoop(*dataset, region)}) {
+  for (const ArspResult& result : {RunSolver("enum", *dataset, region),
+                                   RunSolver("loop", *dataset, region)}) {
     // No other object exists, so every instance keeps its own probability.
     EXPECT_NEAR(result.instance_probs[0], 0.4, 1e-12);
     EXPECT_NEAR(result.instance_probs[1], 0.6, 1e-12);
@@ -40,10 +39,10 @@ TEST(EnumLoopTest, CertainDominatorZeroesOut) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult result = ComputeArspEnum(*dataset, region);
+  const ArspResult result = RunSolver("enum", *dataset, region);
   EXPECT_NEAR(result.instance_probs[0], 1.0, 1e-12);
   EXPECT_NEAR(result.instance_probs[1], 0.0, 1e-12);
-  EXPECT_NEAR(MaxAbsDiff(result, ComputeArspLoop(*dataset, region)), 0.0,
+  EXPECT_NEAR(MaxAbsDiff(result, RunSolver("loop", *dataset, region)), 0.0,
               1e-12);
 }
 
@@ -54,7 +53,7 @@ TEST(EnumLoopTest, UncertainDominatorScalesSurvival) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult result = ComputeArspEnum(*dataset, region);
+  const ArspResult result = RunSolver("enum", *dataset, region);
   EXPECT_NEAR(result.instance_probs[0], 0.3, 1e-12);
   EXPECT_NEAR(result.instance_probs[1], 0.7, 1e-12);  // survives absence
 }
@@ -63,8 +62,8 @@ TEST(EnumLoopTest, Example1StyleDataset) {
   const UncertainDataset dataset = Example1Dataset();
   const PreferenceRegion region =
       PreferenceRegion::FromWeightRatios(Example1Wr());
-  const ArspResult via_enum = ComputeArspEnum(dataset, region);
-  const ArspResult via_loop = ComputeArspLoop(dataset, region);
+  const ArspResult via_enum = RunSolver("enum", dataset, region);
+  const ArspResult via_loop = RunSolver("loop", dataset, region);
   EXPECT_NEAR(MaxAbsDiff(via_enum, via_loop), 0.0, 1e-12);
 
   // Instances of T3 near the origin dominate t2,3 = (9,12) (Example 3), so
@@ -84,8 +83,8 @@ TEST(EnumLoopTest, EqualCoordinateInstancesEliminateEachOther) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  for (const ArspResult& result :
-       {ComputeArspEnum(*dataset, region), ComputeArspLoop(*dataset, region)}) {
+  for (const ArspResult& result : {RunSolver("enum", *dataset, region),
+                                   RunSolver("loop", *dataset, region)}) {
     EXPECT_NEAR(result.instance_probs[0], 0.0, 1e-12);
     EXPECT_NEAR(result.instance_probs[1], 0.0, 1e-12);
   }
@@ -98,8 +97,8 @@ TEST(EnumLoopTest, RandomAgreementSweep) {
         RandomDataset(/*num_objects=*/6, /*max_instances=*/3, dim,
                       /*phi=*/(seed % 2) * 0.5, seed);
     const PreferenceRegion region = WrRegion(dim, dim - 1);
-    const ArspResult via_enum = ComputeArspEnum(dataset, region);
-    const ArspResult via_loop = ComputeArspLoop(dataset, region);
+    const ArspResult via_enum = RunSolver("enum", dataset, region);
+    const ArspResult via_loop = RunSolver("loop", dataset, region);
     EXPECT_LT(MaxAbsDiff(via_enum, via_loop), 1e-10) << "seed=" << seed;
   }
 }
@@ -110,8 +109,8 @@ TEST(EnumLoopTest, RandomAgreementWithGridTies) {
     const UncertainDataset dataset =
         RandomDataset(6, 3, 2, 0.0, seed, /*grid=*/true);
     const PreferenceRegion region = WrRegion(2, 1);
-    EXPECT_LT(MaxAbsDiff(ComputeArspEnum(dataset, region),
-                         ComputeArspLoop(dataset, region)),
+    EXPECT_LT(MaxAbsDiff(RunSolver("enum", dataset, region),
+                         RunSolver("loop", dataset, region)),
               1e-10)
         << "seed=" << seed;
   }
@@ -120,7 +119,7 @@ TEST(EnumLoopTest, RandomAgreementWithGridTies) {
 TEST(EnumLoopTest, InstanceProbabilitiesNeverExceedExistence) {
   const UncertainDataset dataset = RandomDataset(8, 3, 3, 0.3, 99);
   const PreferenceRegion region = WrRegion(3, 2);
-  const ArspResult result = ComputeArspLoop(dataset, region);
+  const ArspResult result = RunSolver("loop", dataset, region);
   for (int i = 0; i < dataset.num_instances(); ++i) {
     EXPECT_GE(result.instance_probs[static_cast<size_t>(i)], 0.0);
     EXPECT_LE(result.instance_probs[static_cast<size_t>(i)],

@@ -7,15 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/enum_algorithm.h"
-#include "src/core/kdtt_algorithm.h"
-#include "src/core/loop_algorithm.h"
 #include "tests/test_util.h"
 
 namespace arsp {
 namespace {
 
 using testing_util::RandomDataset;
+using testing_util::RunSolver;
 using testing_util::WrRegion;
 
 TEST(KdttTest, OwnObjectFullCornerCase) {
@@ -30,14 +28,14 @@ TEST(KdttTest, OwnObjectFullCornerCase) {
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
 
-  const ArspResult expected = ComputeArspEnum(*dataset, region);
+  const ArspResult expected = RunSolver("enum", *dataset, region);
   // Duplicates of object 0 do not hurt each other (same object), so each
   // keeps its existence probability; object 1 is dominated in every world
   // because object 0 (total mass 1) always materializes at (0.2, 0.2).
   EXPECT_NEAR(expected.instance_probs[0], 0.5, 1e-12);
   EXPECT_NEAR(expected.instance_probs[1], 0.5, 1e-12);
   EXPECT_NEAR(expected.instance_probs[2], 0.0, 1e-12);
-  const ArspResult kdtt = ComputeArspKdtt(*dataset, region);
+  const ArspResult kdtt = RunSolver("kdtt+", *dataset, region);
   EXPECT_LT(MaxAbsDiff(expected, kdtt), 1e-12);
 }
 
@@ -53,7 +51,7 @@ TEST(KdttTest, FullForeignObjectZeroesSubtree) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult result = ComputeArspKdtt(*dataset, region);
+  const ArspResult result = RunSolver("kdtt+", *dataset, region);
   EXPECT_NEAR(result.instance_probs[0], 1.0, 1e-12);
   for (int i = 1; i < dataset->num_instances(); ++i) {
     EXPECT_EQ(result.instance_probs[static_cast<size_t>(i)], 0.0) << i;
@@ -74,10 +72,8 @@ TEST(KdttTest, PrunedRunVisitsFewerNodesThanPrebuilt) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult plus =
-      ComputeArspKdtt(*dataset, region, {.integrated = true});
-  const ArspResult base =
-      ComputeArspKdtt(*dataset, region, {.integrated = false});
+  const ArspResult plus = RunSolver("kdtt+", *dataset, region);
+  const ArspResult base = RunSolver("kdtt", *dataset, region);
   EXPECT_LT(MaxAbsDiff(plus, base), 1e-12);
   EXPECT_LE(plus.nodes_visited, base.nodes_visited);
 }
@@ -92,8 +88,8 @@ TEST(KdttTest, AllInstancesIdentical) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(3, 2);
-  const ArspResult expected = ComputeArspEnum(*dataset, region);
-  const ArspResult kdtt = ComputeArspKdtt(*dataset, region);
+  const ArspResult expected = RunSolver("enum", *dataset, region);
+  const ArspResult kdtt = RunSolver("kdtt+", *dataset, region);
   EXPECT_LT(MaxAbsDiff(expected, kdtt), 1e-10);
   // Sanity: each instance survives iff no other object materializes at the
   // point: p * (1 - 0.8)^4.
@@ -111,7 +107,7 @@ TEST(KdttTest, MixedCertainAndUncertainChains) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult result = ComputeArspKdtt(*dataset, region);
+  const ArspResult result = RunSolver("kdtt+", *dataset, region);
   double survive = 1.0;
   for (size_t i = 0; i < probs.size(); ++i) {
     EXPECT_NEAR(result.instance_probs[i], probs[i] * survive, 1e-12) << i;
@@ -122,7 +118,7 @@ TEST(KdttTest, MixedCertainAndUncertainChains) {
 TEST(KdttTest, CountersArePopulated) {
   const UncertainDataset dataset = RandomDataset(30, 4, 3, 0.0, 9);
   const PreferenceRegion region = WrRegion(3, 2);
-  const ArspResult result = ComputeArspKdtt(dataset, region);
+  const ArspResult result = RunSolver("kdtt+", dataset, region);
   EXPECT_GT(result.nodes_visited, 0);
   EXPECT_GT(result.dominance_tests, 0);
 }
@@ -130,8 +126,8 @@ TEST(KdttTest, CountersArePopulated) {
 TEST(KdttTest, LargeRandomAgainstLoop) {
   const UncertainDataset dataset = RandomDataset(120, 5, 4, 0.25, 31);
   const PreferenceRegion region = WrRegion(4, 3);
-  EXPECT_LT(MaxAbsDiff(ComputeArspLoop(dataset, region),
-                       ComputeArspKdtt(dataset, region)),
+  EXPECT_LT(MaxAbsDiff(RunSolver("loop", dataset, region),
+                       RunSolver("kdtt+", dataset, region)),
             1e-8);
 }
 

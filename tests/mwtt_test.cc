@@ -1,17 +1,15 @@
 // Copyright 2026 The ARSP Authors.
 
-#include "src/core/mwtt_algorithm.h"
 
 #include <gtest/gtest.h>
 
-#include "src/core/enum_algorithm.h"
-#include "src/core/loop_algorithm.h"
 #include "tests/test_util.h"
 
 namespace arsp {
 namespace {
 
 using testing_util::RandomDataset;
+using testing_util::RunSolver;
 using testing_util::WrRegion;
 
 struct FanoutCase {
@@ -31,9 +29,11 @@ TEST_P(MwttSweep, AgreesWithLoop) {
   const UncertainDataset dataset =
       RandomDataset(40, 4, c.dim, 0.25, c.seed, c.seed % 2 == 0);
   const PreferenceRegion region = WrRegion(c.dim, c.dim - 1);
-  EXPECT_LT(MaxAbsDiff(ComputeArspLoop(dataset, region),
-                       ComputeArspMwtt(dataset, region, {.fanout = c.fanout})),
-            1e-8);
+  EXPECT_LT(
+      MaxAbsDiff(RunSolver("loop", dataset, region),
+                 RunSolver("mwtt", dataset, region,
+                           SolverOptions().SetInt("fanout", c.fanout))),
+      1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -49,8 +49,8 @@ TEST(MwttTest, MatchesEnumOnTinyInputs) {
     const int dim = 2 + static_cast<int>(seed % 2);
     const UncertainDataset dataset = RandomDataset(6, 3, dim, 0.4, seed);
     const PreferenceRegion region = WrRegion(dim, dim - 1);
-    EXPECT_LT(MaxAbsDiff(ComputeArspEnum(dataset, region),
-                         ComputeArspMwtt(dataset, region)),
+    EXPECT_LT(MaxAbsDiff(RunSolver("enum", dataset, region),
+                         RunSolver("mwtt", dataset, region)),
               1e-10)
         << seed;
   }
@@ -67,7 +67,7 @@ TEST(MwttTest, PrunesUnderFullDominator) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  const ArspResult result = ComputeArspMwtt(*dataset, region);
+  const ArspResult result = RunSolver("mwtt", *dataset, region);
   EXPECT_EQ(CountNonZero(result), 1);
   EXPECT_GT(result.nodes_pruned, 0);
 }
@@ -80,8 +80,8 @@ TEST(MwttTest, DuplicateHeavyData) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  EXPECT_LT(MaxAbsDiff(ComputeArspEnum(*dataset, region),
-                       ComputeArspMwtt(*dataset, region)),
+  EXPECT_LT(MaxAbsDiff(RunSolver("enum", *dataset, region),
+                       RunSolver("mwtt", *dataset, region)),
             1e-10);
 }
 

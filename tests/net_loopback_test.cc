@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -491,6 +492,31 @@ TEST_F(NetLoopbackTest, QdttBeyondItsVertexLimitIsAnErrorReply) {
   EXPECT_TRUE(client.Ping().ok());
   net::ArspClient fresh = Connect();
   EXPECT_TRUE(fresh.Ping().ok());
+}
+
+TEST_F(NetLoopbackTest, OutOfRangeSolverOptionIsAnErrorReply) {
+  net::ArspClient client = Connect();
+  LoadIip(client, "iip");
+
+  // Wire options reach the solvers' Configure unchanged. Each of these once
+  // aborted the daemon, or silently ran with a wrapped value.
+  const std::pair<const char*, const char*> cases[] = {
+      {"bnb", "rtree_fanout=3"},          {"bnb", "rtree_fanout=1025"},
+      {"bnb", "rtree_fanout=2147483648"}, {"mwtt", "fanout=2147483648"},
+      {"enum", "max_worlds=nan"},         {"kdtt+", "parallelism=4294967298"},
+  };
+  for (const auto& [solver, option] : cases) {
+    net::QueryRequestWire request = WireQuery("iip", solver);
+    request.options = {option};
+    EXPECT_EQ(client.Query(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << solver << " " << option;
+  }
+
+  // The daemon is still up, and the same connection serves a valid query.
+  auto response = client.Query(WireQuery("iip", "bnb"));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->complete);
 }
 
 TEST_F(NetLoopbackTest, ShutdownMessageDrainsTheServer) {

@@ -5,13 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/kdtt_algorithm.h"
-#include "src/core/loop_algorithm.h"
 #include "src/core/ov_reduction.h"
 #include "src/prefs/preference_region.h"
+#include "tests/test_util.h"
 
 namespace arsp {
 namespace {
+
+using testing_util::RunSolver;
 
 TEST(OvReductionTest, DatasetShapeFollowsTheorem1) {
   OvInstance ov;
@@ -36,8 +37,8 @@ TEST(OvReductionTest, PositiveInstanceDetected) {
   ov.b = {{0, 1, 0}};
   ASSERT_TRUE(OvPairExistsBrute(ov));
   const UncertainDataset dataset = BuildOvDataset(ov);
-  const ArspResult result = ComputeArspKdtt(
-      dataset, PreferenceRegion::FullSimplex(3));
+  const ArspResult result =
+      RunSolver("kdtt+", dataset, PreferenceRegion::FullSimplex(3));
   EXPECT_TRUE(OvPairExists(result, dataset));
 }
 
@@ -48,8 +49,8 @@ TEST(OvReductionTest, NegativeInstanceDetected) {
   ov.b = {{1, 0}, {1, 1}};
   ASSERT_FALSE(OvPairExistsBrute(ov));
   const UncertainDataset dataset = BuildOvDataset(ov);
-  const ArspResult result = ComputeArspKdtt(
-      dataset, PreferenceRegion::FullSimplex(2));
+  const ArspResult result =
+      RunSolver("kdtt+", dataset, PreferenceRegion::FullSimplex(2));
   EXPECT_FALSE(OvPairExists(result, dataset));
 }
 
@@ -61,13 +62,13 @@ TEST(OvReductionTest, RandomInstancesMatchBruteForce) {
     const double density = (seed % 3 == 0) ? 0.8 : 0.4;
     const OvInstance ov = MakeRandomOvInstance(n, d, density, seed);
     const UncertainDataset dataset = BuildOvDataset(ov);
-    const ArspResult result = ComputeArspKdtt(
-        dataset, PreferenceRegion::FullSimplex(d));
+    const ArspResult result =
+        RunSolver("kdtt+", dataset, PreferenceRegion::FullSimplex(d));
     EXPECT_EQ(OvPairExists(result, dataset), OvPairExistsBrute(ov))
         << "seed=" << seed;
     // Consistency with LOOP on the same reduction dataset.
-    const ArspResult loop = ComputeArspLoop(
-        dataset, PreferenceRegion::FullSimplex(d));
+    const ArspResult loop =
+        RunSolver("loop", dataset, PreferenceRegion::FullSimplex(d));
     EXPECT_LT(MaxAbsDiff(result, loop), 1e-10);
   }
 }

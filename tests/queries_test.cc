@@ -4,13 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/loop_algorithm.h"
 #include "tests/test_util.h"
 
 namespace arsp {
 namespace {
 
 using testing_util::RandomDataset;
+using testing_util::RunSolver;
 using testing_util::WrRegion;
 
 UncertainDataset FourObjects() {
@@ -103,7 +103,7 @@ TEST(QueriesTest, EmptyResultInputs) {
 TEST(QueriesTest, ConsistentWithFullRanking) {
   const UncertainDataset dataset = RandomDataset(30, 4, 3, 0.2, 5);
   const PreferenceRegion region = WrRegion(3, 2);
-  const ArspResult result = ComputeArspLoop(dataset, region);
+  const ArspResult result = RunSolver("loop", dataset, region);
   const auto ranked = TopKObjects(result, dataset, -1);
   // Thresholding at the k-th probability returns the top-k prefix (modulo
   // ties, which extend the result).

@@ -6,12 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/bnb_algorithm.h"
 #include "src/core/dual2d_ms.h"
-#include "src/core/dual_algorithm.h"
-#include "src/core/kdtt_algorithm.h"
-#include "src/core/loop_algorithm.h"
-#include "src/core/qdtt_algorithm.h"
 #include "src/uncertain/generators.h"
 #include "tests/test_util.h"
 
@@ -19,6 +14,7 @@ namespace arsp {
 namespace {
 
 using testing_util::RandomWr;
+using testing_util::RunSolver;
 using testing_util::WrRegion;
 
 // Objects with ragged, non-uniform probabilities summing to assorted totals.
@@ -53,12 +49,14 @@ TEST(RobustnessTest, RaggedProbabilitiesAgreeAcrossAlgorithms) {
     const int dim = 2 + static_cast<int>(seed % 3);
     const UncertainDataset dataset = RaggedDataset(40, dim, seed);
     const PreferenceRegion region = WrRegion(dim, dim - 1);
-    const ArspResult reference = ComputeArspLoop(dataset, region);
-    EXPECT_LT(MaxAbsDiff(reference, ComputeArspKdtt(dataset, region)), 1e-8)
+    const ArspResult reference = RunSolver("loop", dataset, region);
+    EXPECT_LT(MaxAbsDiff(reference, RunSolver("kdtt+", dataset, region)),
+              1e-8)
         << seed;
-    EXPECT_LT(MaxAbsDiff(reference, ComputeArspQdtt(dataset, region)), 1e-8)
+    EXPECT_LT(MaxAbsDiff(reference, RunSolver("qdtt+", dataset, region)),
+              1e-8)
         << seed;
-    EXPECT_LT(MaxAbsDiff(reference, ComputeArspBnb(dataset, region)), 1e-8)
+    EXPECT_LT(MaxAbsDiff(reference, RunSolver("bnb", dataset, region)), 1e-8)
         << seed;
   }
 }
@@ -74,9 +72,9 @@ TEST(RobustnessTest, NearOneObjectMassBehavesLikeOne) {
   const auto dataset = builder.Build();
   ASSERT_TRUE(dataset.ok());
   const PreferenceRegion region = WrRegion(2, 1);
-  for (const ArspResult& result :
-       {ComputeArspLoop(*dataset, region), ComputeArspKdtt(*dataset, region),
-        ComputeArspBnb(*dataset, region)}) {
+  for (const ArspResult& result : {RunSolver("loop", *dataset, region),
+                                   RunSolver("kdtt+", *dataset, region),
+                                   RunSolver("bnb", *dataset, region)}) {
     EXPECT_LE(result.instance_probs[2], 1e-9);
   }
 }
@@ -85,15 +83,15 @@ TEST(RobustnessTest, CountersAreInternallyConsistent) {
   const UncertainDataset dataset = RaggedDataset(60, 3, 42);
   const PreferenceRegion region = WrRegion(3, 2);
 
-  const ArspResult kdtt = ComputeArspKdtt(dataset, region);
+  const ArspResult kdtt = RunSolver("kdtt+", dataset, region);
   EXPECT_GT(kdtt.nodes_visited, 0);
   EXPECT_LE(kdtt.nodes_pruned, kdtt.nodes_visited);
   EXPECT_GT(kdtt.dominance_tests, 0);
 
-  const ArspResult bnb = ComputeArspBnb(dataset, region);
+  const ArspResult bnb = RunSolver("bnb", dataset, region);
   EXPECT_GT(bnb.nodes_visited, 0);
 
-  const ArspResult loop = ComputeArspLoop(dataset, region);
+  const ArspResult loop = RunSolver("loop", dataset, region);
   // LOOP performs at most one test per ordered candidate pair.
   EXPECT_LE(loop.dominance_tests,
             static_cast<int64_t>(dataset.num_instances()) *
@@ -103,7 +101,7 @@ TEST(RobustnessTest, CountersAreInternallyConsistent) {
 TEST(RobustnessTest, DualAndDual2dMsAgreeOnSingleInstanceData) {
   const UncertainDataset iip = GenerateIipLike(200, 5);
   const auto wr = WeightRatioConstraints::Create({{0.7, 1.4}}).value();
-  const ArspResult via_dual = ComputeArspDual(iip, wr);
+  const ArspResult via_dual = RunSolver("dual", iip, wr);
   const auto index = Dual2dMs::Build(iip);
   ASSERT_TRUE(index.ok());
   EXPECT_LT(MaxAbsDiff(via_dual, index->Query(0.7, 1.4)), 1e-9);
@@ -124,9 +122,9 @@ TEST(RobustnessTest, MediumScaleIntegrationSweep) {
   ASSERT_GT(dataset.num_instances(), 1500);
   const PreferenceRegion region = WrRegion(4, 3);
 
-  const ArspResult kdtt = ComputeArspKdtt(dataset, region);
-  const ArspResult qdtt = ComputeArspQdtt(dataset, region);
-  const ArspResult bnb = ComputeArspBnb(dataset, region);
+  const ArspResult kdtt = RunSolver("kdtt+", dataset, region);
+  const ArspResult qdtt = RunSolver("qdtt+", dataset, region);
+  const ArspResult bnb = RunSolver("bnb", dataset, region);
   EXPECT_LT(MaxAbsDiff(kdtt, qdtt), 1e-8);
   EXPECT_LT(MaxAbsDiff(kdtt, bnb), 1e-8);
   EXPECT_EQ(CountNonZero(kdtt), CountNonZero(bnb));
@@ -152,8 +150,8 @@ TEST(RobustnessTest, ScaleInvarianceOfDominance) {
   const auto scaled = scaled_builder.Build();
   ASSERT_TRUE(scaled.ok());
   const PreferenceRegion region = WrRegion(3, 2);
-  EXPECT_LT(MaxAbsDiff(ComputeArspKdtt(dataset, region),
-                       ComputeArspKdtt(*scaled, region)),
+  EXPECT_LT(MaxAbsDiff(RunSolver("kdtt+", dataset, region),
+                       RunSolver("kdtt+", *scaled, region)),
             1e-8);
 }
 

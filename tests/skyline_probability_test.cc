@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/enum_algorithm.h"
-#include "src/core/loop_algorithm.h"
 #include "src/prefs/preference_region.h"
 #include "tests/test_util.h"
 
@@ -13,13 +11,14 @@ namespace arsp {
 namespace {
 
 using testing_util::RandomDataset;
+using testing_util::RunSolver;
 
 TEST(SkylineProbabilityTest, MatchesEnumOnTinyData) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const int dim = 2 + static_cast<int>(seed % 2);
     const UncertainDataset dataset = RandomDataset(6, 3, dim, 0.3, seed);
-    const ArspResult expected = ComputeArspEnum(
-        dataset, PreferenceRegion::FullSimplex(dim));
+    const ArspResult expected =
+        RunSolver("enum", dataset, PreferenceRegion::FullSimplex(dim));
     EXPECT_LT(MaxAbsDiff(expected, ComputeAllSkylineProbabilities(dataset)),
               1e-10)
         << seed;
@@ -45,7 +44,7 @@ TEST(SkylineProbabilityTest, RskylineProbNeverExceedsSkylineProb) {
   const UncertainDataset dataset = RandomDataset(25, 4, 3, 0.2, 13);
   const ArspResult sky = ComputeAllSkylineProbabilities(dataset);
   const ArspResult rsky =
-      ComputeArspLoop(dataset, testing_util::WrRegion(3, 2));
+      RunSolver("loop", dataset, testing_util::WrRegion(3, 2));
   for (int i = 0; i < dataset.num_instances(); ++i) {
     EXPECT_LE(rsky.instance_probs[static_cast<size_t>(i)],
               sky.instance_probs[static_cast<size_t>(i)] + 1e-10)

@@ -1,17 +1,22 @@
 // Copyright 2026 The ARSP Authors.
 //
 // Shared helpers for the algorithm test suites: small random uncertain
-// datasets, preference regions of both constraint families, and an
+// datasets, preference regions of both constraint families, an
 // Example-1-style hand dataset whose coordinates are consistent with the
-// dominance relations the paper states in Examples 1 and 3.
+// dominance relations the paper states in Examples 1 and 3, and a one-call
+// run of a named registry solver.
 
 #ifndef ARSP_TESTS_TEST_UTIL_H_
 #define ARSP_TESTS_TEST_UTIL_H_
 
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/macros.h"
 #include "src/common/rng.h"
+#include "src/core/solver.h"
 #include "src/prefs/constraint_generators.h"
 #include "src/prefs/fdominance.h"
 #include "src/prefs/preference_region.h"
@@ -96,6 +101,25 @@ inline UncertainDataset Example1Dataset() {
 /// The Example-1 preference region: F = {ω1 x1 + ω2 x2 | 0.5 ω2 ≤ ω1 ≤ 2 ω2}.
 inline WeightRatioConstraints Example1Wr() {
   return WeightRatioConstraints::Create({{0.5, 2.0}}).value();
+}
+
+/// Runs the registry solver `name`, configured with `options`, on a fresh
+/// context over `dataset` under `constraints` (a PreferenceRegion or
+/// WeightRatioConstraints). Aborts with the solver name and Status when
+/// creation or the solve fails.
+template <typename Constraints>
+ArspResult RunSolver(const std::string& name, const UncertainDataset& dataset,
+                     const Constraints& constraints,
+                     const SolverOptions& options = {}) {
+  StatusOr<std::unique_ptr<ArspSolver>> solver =
+      SolverRegistry::Create(name, options);
+  ARSP_CHECK_MSG(solver.ok(), "%s: %s", name.c_str(),
+                 solver.status().ToString().c_str());
+  ExecutionContext context(dataset, constraints);
+  StatusOr<ArspResult> result = (*solver)->Solve(context);
+  ARSP_CHECK_MSG(result.ok(), "%s: %s", name.c_str(),
+                 result.status().ToString().c_str());
+  return std::move(result).value();
 }
 
 }  // namespace testing_util

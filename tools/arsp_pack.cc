@@ -10,7 +10,7 @@
 //   arsp_pack --input data.csv [--header] --output data.arsp
 //   arsp_pack --generate "iip:n=1000000,m=10000,d=3" --output big.arsp
 //            [--leaf-size N]     (kd-tree leaf capacity, default 16)
-//            [--fanout N]        (R-tree max entries, default 16)
+//            [--fanout N]        (R-tree max entries, 4..1024, default 16)
 //            [--scores SPEC]     (pre-map scores for one constraint spec,
 //                                 "wr:l1,h1[,...]" or "rank:c"; queries
 //                                 whose region matches mmap their scores)
@@ -28,9 +28,11 @@
 #include <vector>
 
 #include "src/core/engine.h"
+#include "src/index/rtree.h"
 #include "src/io/csv.h"
 #include "src/io/snapshot.h"
 #include "src/uncertain/generators.h"
+#include "tools/cli_args.h"
 
 namespace {
 
@@ -79,9 +81,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--scores") {
       scores_spec = value();
     } else if (arg == "--leaf-size") {
-      options.kd_leaf_size = std::atoi(value());
+      const char* v = value();
+      if (!cli::internal::ParseIntStrict(v, &options.kd_leaf_size) ||
+          options.kd_leaf_size < 1) {
+        std::fprintf(stderr,
+                     "--leaf-size must be an integer >= 1 (got '%s')\n", v);
+        PrintUsage();
+        return 2;
+      }
     } else if (arg == "--fanout") {
-      options.rtree_fanout = std::atoi(value());
+      const char* v = value();
+      if (!cli::internal::ParseIntStrict(v, &options.rtree_fanout) ||
+          options.rtree_fanout < RTree::kMinFanout ||
+          options.rtree_fanout > RTree::kMaxFanout) {
+        std::fprintf(stderr,
+                     "--fanout must be an integer in [%d, %d] (got '%s')\n",
+                     RTree::kMinFanout, RTree::kMaxFanout, v);
+        PrintUsage();
+        return 2;
+      }
     } else if (arg == "--header") {
       header = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -95,10 +113,6 @@ int main(int argc, char** argv) {
   }
   if (output.empty() || (input.empty() == generate.empty())) {
     PrintUsage();
-    return 2;
-  }
-  if (options.kd_leaf_size < 1 || options.rtree_fanout < 2) {
-    std::fprintf(stderr, "--leaf-size must be >= 1, --fanout >= 2\n");
     return 2;
   }
 
