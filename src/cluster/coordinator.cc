@@ -222,8 +222,9 @@ StatusOr<StatsResponse> Coordinator::Stats(const StatsRequest& request) {
   }
   RunParallel(&tasks);
 
+  // The latency block stays empty: the server answering this STATS fills it
+  // from its own histogram, which times this coordinator's hop too.
   StatsResponse out;
-  int64_t latency_weight = 0;
   for (const auto& result : results) {
     if (!result.ok()) return result.status();
     const StatsResponse& part = *result;
@@ -231,23 +232,6 @@ StatusOr<StatsResponse> Coordinator::Stats(const StatsRequest& request) {
     out.cache_misses += part.cache_misses;
     out.cache_entries += part.cache_entries;
     out.pooled_contexts += part.pooled_contexts;
-    out.latency_count += part.latency_count;
-    out.latency_window += part.latency_window;
-    if (part.latency_count > 0) {
-      out.latency_min_ms = latency_weight == 0
-                               ? part.latency_min_ms
-                               : std::min(out.latency_min_ms,
-                                          part.latency_min_ms);
-      out.latency_mean_ms += part.latency_mean_ms * part.latency_count;
-      // Percentiles cannot be merged exactly; report the worst shard —
-      // conservative for capacity planning.
-      out.latency_p50_ms = std::max(out.latency_p50_ms, part.latency_p50_ms);
-      out.latency_p95_ms = std::max(out.latency_p95_ms, part.latency_p95_ms);
-      out.latency_p99_ms = std::max(out.latency_p99_ms, part.latency_p99_ms);
-      out.latency_p999_ms =
-          std::max(out.latency_p999_ms, part.latency_p999_ms);
-      latency_weight += part.latency_count;
-    }
     if (out.kernel_arch.empty()) out.kernel_arch = part.kernel_arch;
     for (const DatasetInfo& info : part.datasets) {
       const bool seen =
@@ -266,7 +250,6 @@ StatusOr<StatsResponse> Coordinator::Stats(const StatsRequest& request) {
       out.parent_index_hits += part.parent_index_hits;
     }
   }
-  if (latency_weight > 0) out.latency_mean_ms /= latency_weight;
   std::sort(out.datasets.begin(), out.datasets.end(),
             [](const DatasetInfo& a, const DatasetInfo& b) {
               return a.name < b.name;

@@ -11,8 +11,6 @@
 #include <thread>
 
 #include "src/common/lru.h"
-#include "src/common/percentile.h"
-#include "src/common/stopwatch.h"
 #include "src/common/task_arena.h"
 #include "src/core/queries.h"
 #include "src/prefs/constraint_generators.h"
@@ -34,7 +32,7 @@ class AutoSolver : public ArspSolver {
   const char* name() const override { return "auto"; }
   const char* display_name() const override { return "AUTO"; }
   const char* description() const override {
-    return "picks a concrete solver from capability flags and data shape "
+    return "picks a concrete solver from data shape "
            "(LOOP for tiny inputs, KDTT+ otherwise, weight ratios included)";
   }
 
@@ -91,20 +89,13 @@ std::unique_ptr<ArspSolver> NewAutoSolver() {
 }
 }  // namespace internal
 
+std::string AutoSelectSolverName(const DatasetView& view) {
+  // §V: KDTT+ is the general-purpose default.
+  return view.num_instances() <= kAutoLoopMaxInstances ? "loop" : "kdtt+";
+}
+
 std::string AutoSelectSolverName(const ExecutionContext& context) {
-  // Candidates in preference order; the first one whose capability flags
-  // accept the context wins, so the policy can never hand out an
-  // inapplicable solver.
-  std::vector<std::string> candidates;
-  if (context.view().num_instances() <= kAutoLoopMaxInstances) {
-    candidates.push_back("loop");
-  }
-  candidates.push_back("kdtt+");  // §V: the general-purpose default
-  for (const std::string& name : candidates) {
-    auto solver = SolverRegistry::Create(name);
-    if (solver.ok() && (*solver)->ValidateContext(context).ok()) return name;
-  }
-  return "kdtt+";
+  return AutoSelectSolverName(context.view());
 }
 
 // ---------------------------------------------------------- ConstraintSpec
@@ -188,11 +179,7 @@ StatusOr<ConstraintSpec> ParseConstraintSpec(const std::string& spec,
 
 // --------------------------------------------------------------- engine
 
-ArspEngine::ArspEngine(EngineOptions options) : options_(options) {
-  // Sized once here and never resized, so Solve may test emptiness without
-  // the lock (only the slots themselves are mutated, under mu_).
-  latency_ring_.resize(options_.latency_window, 0.0);
-}
+ArspEngine::ArspEngine(EngineOptions options) : options_(options) {}
 
 ArspEngine::~ArspEngine() = default;
 
@@ -277,31 +264,11 @@ Status ArspEngine::DropDataset(DatasetHandle handle) {
         ++ctx;
       }
     }
-    for (auto memo = auto_memo_.begin(); memo != auto_memo_.end();) {
-      if (memo->first.first == id) {
-        memo = auto_memo_.erase(memo);
-      } else {
-        ++memo;
-      }
-    }
   }
   return Status::OK();
 }
 
 StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
-  Stopwatch watch;
-  StatusOr<QueryResponse> response = SolveImpl(request);
-  if (response.ok() && !latency_ring_.empty()) {
-    const double millis = watch.ElapsedMillis();
-    std::lock_guard<std::mutex> lock(mu_);
-    latency_ring_[latency_next_] = millis;
-    latency_next_ = (latency_next_ + 1) % latency_ring_.size();
-    ++latency_count_;
-  }
-  return response;
-}
-
-StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
   if (!request.constraints.valid()) {
     return Status::InvalidArgument("QueryRequest has no constraints");
   }
@@ -355,22 +322,12 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
   }
   // Solver names are normalized up front: registry lookup is
   // case-insensitive and cache keys must agree with it ("AUTO"/"KDTT+"
-  // alias "auto"/"kdtt+").
+  // alias "auto"/"kdtt+"). "auto" resolves from the view alone, so an auto
+  // request and an explicit request for the same concrete solver share one
+  // cache entry, and an auto hit builds no context.
   std::string solver_name = SolverRegistry::Normalize(request.solver);
-  bool is_auto = solver_name == "auto" || solver_name.empty();
-
-  // Memoized "auto" resolution: the choice is a pure function of dataset
-  // shape + constraints, so a remembered name lets a cached auto query
-  // take the context-free fast path below. (constraint_key is only built
-  // for pooled/cacheable requests — the bench path never memoizes.)
-  if (is_auto && (request.pool_context || cacheable)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = auto_memo_.find(
-        std::make_pair(request.dataset.id, constraint_key));
-    if (it != auto_memo_.end()) {
-      solver_name = it->second;
-      is_auto = false;
-    }
+  if (solver_name == "auto" || solver_name.empty()) {
+    solver_name = AutoSelectSolverName(view);
   }
 
   // Goal pushdown applies when the derived request maps to a goal that
@@ -388,14 +345,17 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
   QueryResponse response;
   std::string cache_key;
   std::string goal_cache_key;
-  // One cache lookup per request: counts a hit or a miss and fills the
-  // response on a hit. Key structure: `cache_key` identifies the *full*
-  // answer of (dataset, constraints, solver, options) — only complete
-  // results are ever stored under it, so it can serve any goal by post-hoc
-  // slicing (subsumption). Threshold-pruned partial results live under
+  // One cache lookup per request, before any context work, so pure cache
+  // hits skip context construction and pool churn entirely (pooling is
+  // deferred to the miss path, so hits never evict warm contexts from the
+  // bounded pool). It counts a hit or a miss and fills the response on a
+  // hit. Key structure: `cache_key` identifies the *full* answer of
+  // (dataset, constraints, solver, options) — only complete results are
+  // ever stored under it, so it can serve any goal by post-hoc slicing
+  // (subsumption). Threshold-pruned partial results live under
   // `goal_cache_key` = cache_key + the goal, and are consulted only by
   // pushdown requests for that exact threshold.
-  const auto lookup_cache = [&]() {
+  if (cacheable) {
     obs::ScopedSpan probe_span(request.trace, "cache_probe");
     // The handle id is the dataset's fingerprint: handles are never reused
     // across the engine's lifetime and the dataset behind one is immutable
@@ -435,14 +395,7 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
       ++cache_misses_;
     }
     probe_span.Annotate("hit", hit ? "true" : "false");
-  };
-
-  // An explicit solver's cache key needs no context: look up first, so pure
-  // cache hits skip context construction and pool churn entirely. "auto"
-  // resolves against a (transient) context, so its lookup happens after
-  // construction — but pooling is deferred to the miss path for both, so
-  // cache hits never evict warm contexts from the bounded pool.
-  if (cacheable && !is_auto) lookup_cache();
+  }
 
   if (!response.cache_hit) {
     {
@@ -471,21 +424,6 @@ StatusOr<QueryResponse> ArspEngine::SolveImpl(const QueryRequest& request) {
         acquire_span.Annotate("source", "pooled");
       }
     }
-    if (is_auto) {
-      // Resolve before the (deferred) cache lookup so an auto request and
-      // an explicit request for the same concrete solver share one entry.
-      solver_name = AutoSelectSolverName(*context);
-      if (request.pool_context || cacheable) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (auto_memo_.size() >= 4096) auto_memo_.clear();  // crude bound
-        auto_memo_[std::make_pair(request.dataset.id, constraint_key)] =
-            solver_name;
-      }
-      if (cacheable) lookup_cache();
-    }
-  }
-
-  if (!response.cache_hit) {
     if (request.pool_context) {
       std::lock_guard<std::mutex> lock(mu_);
       // Pool only if the dataset was not concurrently dropped (a context
@@ -749,47 +687,11 @@ ArspResult ArspEngine::TakeResult(QueryResponse&& response) {
   std::shared_ptr<const ArspResult> shared = std::move(response.result);
   ARSP_CHECK_MSG(shared != nullptr, "TakeResult: response has no result");
   if (shared.use_count() == 1) {
-    // Safe: SolveImpl allocates every payload as a non-const ArspResult,
+    // Safe: Solve allocates every payload as a non-const ArspResult,
     // and unique ownership means no other reader exists.
     return std::move(const_cast<ArspResult&>(*shared));
   }
   return *shared;
-}
-
-std::string ArspEngine::LatencyStats::ToString() const {
-  std::ostringstream os;
-  os << "requests=" << count << " window=" << window << " min_ms=" << min_ms
-     << " mean_ms=" << mean_ms << " p50_ms=" << p50_ms
-     << " p95_ms=" << p95_ms << " p99_ms=" << p99_ms
-     << " p999_ms=" << p999_ms;
-  return os.str();
-}
-
-ArspEngine::LatencyStats ArspEngine::latency_stats() const {
-  LatencyStats stats;
-  std::vector<double> window;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats.count = latency_count_;
-    const size_t filled = std::min<size_t>(
-        static_cast<size_t>(latency_count_), latency_ring_.size());
-    window.assign(latency_ring_.begin(),
-                  latency_ring_.begin() + static_cast<ptrdiff_t>(filled));
-  }
-  if (window.empty()) return stats;
-  stats.window = static_cast<int64_t>(window.size());
-  std::sort(window.begin(), window.end());
-  double sum = 0.0;
-  for (double v : window) sum += v;
-  stats.min_ms = window.front();
-  stats.mean_ms = sum / static_cast<double>(window.size());
-  // Nearest-rank percentiles over the retained window, via the shared
-  // helper so every latency reporter (arsp_loadgen included) agrees.
-  stats.p50_ms = SortedPercentile(window, 0.50);
-  stats.p95_ms = SortedPercentile(window, 0.95);
-  stats.p99_ms = SortedPercentile(window, 0.99);
-  stats.p999_ms = SortedPercentile(window, 0.999);
-  return stats;
 }
 
 ArspEngine::CacheStats ArspEngine::cache_stats() const {

@@ -15,10 +15,11 @@
 //    constraints, solver, options) in front of ArspSolver::Solve;
 //  * SolveBatch fanning requests across a fixed thread pool (pooled
 //    contexts are safe to share — ExecutionContext lazy-init is locked);
-//  * "auto" solver selection from capability flags and data shape (LOOP
-//    for tiny inputs, KDTT+ otherwise, weight ratios included — the DUAL
-//    family stays explicit-only). "auto" is also a registry entry, so raw
-//    SolverRegistry users and `arsp_cli --algo auto` get the same policy;
+//  * "auto" solver selection from data shape (LOOP for tiny inputs, KDTT+
+//    otherwise, weight ratios included — the DUAL family stays
+//    explicit-only), resolved from the view before the cache probe. "auto"
+//    is also a registry entry, so raw SolverRegistry users and
+//    `arsp_cli --algo auto` get the same policy;
 //  * AddView(handle, spec) — zero-copy DatasetView windows (full / m%
 //    prefix / arbitrary object subset) registered as first-class query
 //    targets. Pooled view queries derive their ExecutionContext from the
@@ -226,9 +227,6 @@ struct EngineOptions {
   /// for every parallel-capable query. Actual grants never exceed the
   /// process-global core budget (ARSP_THREADS / hardware concurrency).
   int query_threads = 0;
-  /// Ring-buffer window for per-request latency percentiles (latency_stats);
-  /// 0 disables latency tracking.
-  size_t latency_window = 1024;
 };
 
 /// Instance count from which the auto policy (query_threads == 0) treats a
@@ -307,31 +305,6 @@ class ArspEngine {
   CacheStats cache_stats() const;
   void ClearResultCache();
 
-  /// Per-request latency distribution. `count` is the lifetime number of
-  /// successful Solve calls (SolveBatch entries included; failed requests
-  /// are not recorded — their sub-microsecond rejects would drag the
-  /// percentiles toward zero); min/mean/p50/p95/p99/p99.9 are computed over
-  /// the most recent `window` requests (the EngineOptions::latency_window
-  /// ring, so a long-lived service reports current behavior, not its
-  /// lifetime average). Percentiles use the nearest-rank method — note the
-  /// tail percentiles need a populated window to be meaningful (p99.9 over
-  /// 100 samples is just the max). All zero when tracking is disabled or
-  /// nothing has been recorded yet.
-  struct LatencyStats {
-    int64_t count = 0;    ///< lifetime requests recorded
-    int64_t window = 0;   ///< requests in the ring right now
-    double min_ms = 0.0;
-    double mean_ms = 0.0;
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    double p999_ms = 0.0;
-
-    /// One-line "k=v" rendering for arsp_cli --stats and the daemon log.
-    std::string ToString() const;
-  };
-  LatencyStats latency_stats() const;
-
   /// Number of pooled ExecutionContexts currently alive.
   size_t pooled_contexts() const;
 
@@ -373,8 +346,6 @@ class ArspEngine {
     int base_id = -1;
   };
 
-  StatusOr<QueryResponse> SolveImpl(const QueryRequest& request);
-
   /// Pooled full-view context for (base_id, constraint_key), creating (and
   /// capacity-evicting) one when absent. If the base entry was concurrently
   /// dropped the fresh context is returned unpooled (correct, just not
@@ -392,27 +363,20 @@ class ArspEngine {
   std::map<std::pair<int, std::string>, PooledContext> contexts_;
   LruList lru_;  ///< front = most recently used
   std::unordered_map<std::string, LruList::iterator> cache_index_;
-  /// (dataset id, constraint key) → resolved "auto" solver name, so cached
-  /// auto queries skip context construction. Entries are pure recomputable
-  /// functions of dataset shape + constraints; the map is cleared wholesale
-  /// when it outgrows its bound.
-  std::map<std::pair<int, std::string>, std::string> auto_memo_;
   int64_t cache_hits_ = 0;
   int64_t cache_misses_ = 0;
-  /// Latency ring: the last latency_window request latencies (ms), written
-  /// round-robin at latency_next_. latency_count_ is the lifetime total.
-  std::vector<double> latency_ring_;
-  size_t latency_next_ = 0;
-  int64_t latency_count_ = 0;
   std::unique_ptr<ThreadPool> pool_;  ///< lazily created; guarded by mu_
 };
 
-/// The solver name the "auto" policy picks for this context: LOOP for tiny
-/// inputs where tree setup dominates, KDTT+ otherwise — restricted to
-/// solvers whose capability flags accept the context. Weight-ratio contexts
-/// follow the same rule: this DUAL and DUAL-2D-MS lose to KDTT+ on every
-/// measured shape (ARCHITECTURE.md, "Deviations from the paper"), so they
-/// run only when named.
+/// The solver name the "auto" policy picks for a view: LOOP for tiny inputs
+/// where tree setup dominates, KDTT+ otherwise. Neither has a capability
+/// requirement, so the instance count alone decides and the engine resolves
+/// "auto" before it builds a context. Weight-ratio queries follow the same
+/// rule: this DUAL and DUAL-2D-MS lose to KDTT+ on every measured shape
+/// (ARCHITECTURE.md, "Deviations from the paper"), so they run only when
+/// named.
+std::string AutoSelectSolverName(const DatasetView& view);
+/// The same choice for a context's view (the "auto" registry entry).
 std::string AutoSelectSolverName(const ExecutionContext& context);
 
 }  // namespace arsp

@@ -570,16 +570,6 @@ double ExecutionContext::total_setup_millis() const {
   return total_setup_millis_;
 }
 
-SolverStats ExecutionContext::last_stats() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return stats_;
-}
-
-void ExecutionContext::set_last_stats(const SolverStats& stats) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  stats_ = stats;
-}
-
 // ---------------------------------------------------------- goal pruner
 
 GoalPruner::GoalPruner(const QueryGoal& goal, const DatasetView& view)
@@ -720,15 +710,15 @@ Status ArspSolver::ValidateContext(const ExecutionContext& context) const {
 StatusOr<ArspResult> ArspSolver::Solve(ExecutionContext& context,
                                        SolverStats* stats_out) {
   ARSP_RETURN_IF_ERROR(ValidateContext(context));
+  const double setup_before = context.total_setup_millis();
+  Stopwatch sw;
+  StatusOr<ArspResult> result = SolveImpl(context);
+  if (!result.ok() || stats_out == nullptr) return result;
   // Per-run stats start from zero: a pooled context reused across queries
   // must never report cumulative counters. setup_millis is what this run
   // paid, measured as the growth of the context's monotonic setup total.
   SolverStats stats;
   stats.solver = name();
-  const double setup_before = context.total_setup_millis();
-  Stopwatch sw;
-  StatusOr<ArspResult> result = SolveImpl(context);
-  if (!result.ok()) return result;
   stats.solve_millis = sw.ElapsedMillis();
   stats.setup_millis = context.total_setup_millis() - setup_before;
   stats.dominance_tests = result->dominance_tests;
@@ -754,8 +744,7 @@ StatusOr<ArspResult> ArspSolver::Solve(ExecutionContext& context,
   stats.index_bytes_resident = static_cast<int64_t>(footprint.resident);
   stats.index_bytes_mapped = static_cast<int64_t>(footprint.mapped);
   stats.peak_rss_bytes = PeakRssBytes();
-  context.set_last_stats(stats);
-  if (stats_out != nullptr) *stats_out = stats;
+  *stats_out = std::move(stats);
   return result;
 }
 

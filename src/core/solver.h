@@ -290,16 +290,15 @@ class ArspSolver {
   /// call the base first.
   virtual Status ValidateContext(const ExecutionContext& context) const;
 
-  /// Validates, runs the algorithm, and records SolverStats (wall time via
-  /// Stopwatch plus the ArspResult counters) into the context. Stats are
-  /// built fresh for every run — a reused (pooled) context never accumulates
-  /// counters across queries. If `stats_out` is non-null it receives this
-  /// run's stats, which is race-free even when several threads solve against
-  /// one shared context (last_stats() then only reports some latest run).
-  /// Caveat: setup_millis is the growth of the context's setup total during
-  /// the run, so when concurrent runs first-touch one context, setup paid by
-  /// one thread can be attributed to every overlapping run (their sum can
-  /// exceed wall setup time); counters other than setup_millis are exact.
+  /// Validates and runs the algorithm. If `stats_out` is non-null it
+  /// receives this run's SolverStats (wall time via Stopwatch plus the
+  /// ArspResult counters), built fresh for every run — a reused (pooled)
+  /// context never accumulates counters across queries, and several threads
+  /// may solve against one shared context. Caveat: setup_millis is the
+  /// growth of the context's setup total during the run, so when concurrent
+  /// runs first-touch one context, setup paid by one thread can be
+  /// attributed to every overlapping run (their sum can exceed wall setup
+  /// time); counters other than setup_millis are exact.
   StatusOr<ArspResult> Solve(ExecutionContext& context,
                              SolverStats* stats_out = nullptr);
 
@@ -461,13 +460,6 @@ class ExecutionContext {
   /// a derived context is charged to the derived context's total too.
   double total_setup_millis() const;
 
-  /// Instrumentation of the most recent ArspSolver::Solve on this context
-  /// (a snapshot — under concurrent solves, some latest run's stats).
-  SolverStats last_stats() const;
-
-  /// Publishes a finished run's stats (called by ArspSolver::Solve).
-  void set_last_stats(const SolverStats& stats);
-
  private:
   // Accumulates lazy-preprocessing wall time into total_setup_millis_.
   class SetupTimer;
@@ -502,7 +494,6 @@ class ExecutionContext {
   mutable IndexBuildStats index_stats_;
   mutable int setup_depth_ = 0;
   mutable double total_setup_millis_ = 0.0;
-  mutable SolverStats stats_;
 };
 
 /// The built-in solvers by name: one sorted {name, factory} table in

@@ -548,11 +548,11 @@ std::string StatsResponse::EncodePayload() const {
   w.U64(cache_entries);
   w.U64(pooled_contexts);
   w.I64(latency_count);
-  w.I64(latency_window);
-  w.F64(latency_min_ms);
   w.F64(latency_mean_ms);
   w.F64(latency_p50_ms);
   w.F64(latency_p95_ms);
+  w.F64(latency_p99_ms);
+  w.F64(latency_p999_ms);
   w.U32(static_cast<uint32_t>(datasets.size()));
   for (const DatasetInfo& d : datasets) {
     w.Str(d.name);
@@ -572,8 +572,6 @@ std::string StatsResponse::EncodePayload() const {
   w.I64(index_bytes_mapped);
   w.I64(peak_rss_bytes);
   w.I64(query_threads);
-  w.F64(latency_p99_ms);
-  w.F64(latency_p999_ms);
   return w.Take();
 }
 
@@ -584,11 +582,11 @@ Status StatsResponse::DecodePayload(const std::string& bytes) {
   cache_entries = r.U64();
   pooled_contexts = r.U64();
   latency_count = r.I64();
-  latency_window = r.I64();
-  latency_min_ms = r.F64();
   latency_mean_ms = r.F64();
   latency_p50_ms = r.F64();
   latency_p95_ms = r.F64();
+  latency_p99_ms = r.F64();
+  latency_p999_ms = r.F64();
   const uint32_t count = r.U32();
   // Each dataset entry costs at least 17 bytes.
   if (r.status().ok() && count <= bytes.size() / 17 + 1) {
@@ -617,8 +615,6 @@ Status StatsResponse::DecodePayload(const std::string& bytes) {
   index_bytes_mapped = r.I64();
   peak_rss_bytes = r.I64();
   query_threads = r.I64();
-  latency_p99_ms = r.F64();
-  latency_p999_ms = r.F64();
   return r.Finish();
 }
 

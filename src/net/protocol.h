@@ -72,7 +72,11 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 /// v7 (routing): the coordinator forwards each query whole to one holder,
 ///     so QueryRequestWire lost the evaluation scope and QueryResponseWire
 ///     lost the per-object reports and the instance offset.
-inline constexpr uint8_t kWireVersion = 7;
+/// v8 (one latency record): STATS latency comes from the server's
+///     arsp_query_latency_ms histogram, so StatsResponse lost
+///     latency_window and latency_min_ms, and its latency fields are
+///     encoded as one block.
+inline constexpr uint8_t kWireVersion = 8;
 
 /// Max payload bytes a peer will accept (the max-frame guard). Large enough
 /// for a multi-million-instance probability vector, small enough that a
@@ -373,19 +377,19 @@ struct StatsResponse {
   int64_t cache_misses = 0;
   uint64_t cache_entries = 0;
   uint64_t pooled_contexts = 0;
-  // Engine per-request latency (ring-buffer window; see ArspEngine).
+  /// The answering server's arsp_query_latency_ms histogram (ArspServer
+  /// fills these for every backend, a coordinator's own hop included):
+  /// answered QUERYs since the process started, their mean wall time, and
+  /// quantiles interpolated inside quarter-octave buckets
+  /// (obs::Histogram::Quantile), each within 19% of the ranked sample from
+  /// 3.9 µs to 8.2 s.
   int64_t latency_count = 0;
-  int64_t latency_window = 0;
-  double latency_min_ms = 0.0;
   double latency_mean_ms = 0.0;
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
-  std::vector<DatasetInfo> datasets;
-  /// Tail latency percentiles of the same ring window (appended in wire
-  /// v6; declared here with the other latency fields for readability, but
-  /// encoded after query_threads to keep the append-only evolution rule).
   double latency_p99_ms = 0.0;
   double latency_p999_ms = 0.0;
+  std::vector<DatasetInfo> datasets;
   // Index-work counters of the requested dataset (present iff a name was
   // given and known): ExecutionContext::IndexBuildStats field-for-field.
   bool has_index_stats = false;

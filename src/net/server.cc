@@ -83,12 +83,70 @@ const char* GoalLabel(WireDerivedKind kind) {
   return "full";
 }
 
+// Solver label of a failed query: a registered name (canonical case),
+// `auto` for an empty one, `unknown` for anything else — never the raw
+// client string, which would mint a series per typo.
+std::string ErrorSolverLabel(const std::string& solver) {
+  if (solver.empty()) return "auto";
+  const std::string name = SolverRegistry::Normalize(solver);
+  const std::vector<std::string> names = SolverRegistry::Names();
+  return std::binary_search(names.begin(), names.end(), name) ? name
+                                                               : "unknown";
+}
+
+obs::Histogram* PhaseHistogram(const char* phase) {
+  return obs::MetricsRegistry::Global().GetHistogram(
+      "arsp_query_phase_ms", obs::Histogram::LatencyBucketsMs(),
+      {{"phase", phase}},
+      "Per-phase solver time (setup = context/index work, solve = the "
+      "solver proper).");
+}
+
+// The STATS latency block, from the server's latency histogram. The
+// histogram is process-global, so servers sharing a process share it.
+void FillLatency(const obs::Histogram& latency, StatsResponse* response) {
+  response->latency_count = static_cast<int64_t>(latency.Count());
+  response->latency_mean_ms =
+      response->latency_count > 0
+          ? latency.Sum() / static_cast<double>(response->latency_count)
+          : 0.0;
+  response->latency_p50_ms = latency.Quantile(0.50);
+  response->latency_p95_ms = latency.Quantile(0.95);
+  response->latency_p99_ms = latency.Quantile(0.99);
+  response->latency_p999_ms = latency.Quantile(0.999);
+}
+
 }  // namespace
 
 EngineBackend::EngineBackend(EngineOptions options)
-    : engine_(options), query_threads_(options.query_threads) {}
+    : engine_(options),
+      query_threads_(options.query_threads),
+      cache_hits_(obs::MetricsRegistry::Global().GetCounter(
+          "arsp_query_cache_hits_total", {},
+          "Queries answered from the result cache.")),
+      setup_ms_(PhaseHistogram("setup")),
+      solve_ms_(PhaseHistogram("solve")),
+      arena_tasks_(obs::MetricsRegistry::Global().GetCounter(
+          "arsp_arena_tasks_total", {},
+          "TaskArena tasks executed by parallel solves.")),
+      arena_tasks_stolen_(obs::MetricsRegistry::Global().GetCounter(
+          "arsp_arena_tasks_stolen_total", {},
+          "TaskArena tasks claimed by work-stealing.")),
+      index_bytes_mapped_(obs::MetricsRegistry::Global().GetGauge(
+          "arsp_index_bytes_mapped", {},
+          "Bytes of mmap-backed index sections behind the most recent "
+          "query.")) {}
 
-ArspServer::ArspServer(ServerOptions options) : options_(std::move(options)) {
+ArspServer::ArspServer(ServerOptions options)
+    : options_(std::move(options)),
+      latency_ms_(obs::MetricsRegistry::Global().GetHistogram(
+          "arsp_query_latency_ms", obs::Histogram::LatencyBucketsMs(), {},
+          "Server wall time of each answered QUERY, timed around the "
+          "backend call.")),
+      admission_denials_(obs::MetricsRegistry::Global().GetCounter(
+          "arsp_admission_denials_total", {},
+          "QUERY requests refused by the admission gate (answered "
+          "RETRY_LATER).")) {
   if (options_.backend != nullptr) {
     backend_ = options_.backend;
   } else {
@@ -426,11 +484,7 @@ bool ArspServer::HandleRequest(int client_fd, const Frame& frame,
         RetryLaterResponse retry;
         if (!gate->Admit(static_cast<uint64_t>(client_fd),
                          &retry.retry_after_ms, &retry.reason)) {
-          obs::MetricsRegistry::Global()
-              .GetCounter("arsp_admission_denials_total", {},
-                          "QUERY requests refused by the admission gate "
-                          "(answered RETRY_LATER).")
-              ->Inc();
+          admission_denials_->Inc();
           *reply_type = MessageType::kRetryLater;
           *reply_payload = retry.EncodePayload();
           return true;
@@ -450,6 +504,7 @@ bool ArspServer::HandleRequest(int client_fd, const Frame& frame,
         reply_error(response.status());
         return true;
       }
+      latency_ms_->Observe(elapsed_ms);
       if (!response->trace_spans.empty()) {
         // Retain for the TRACE message (most recent wins).
         std::lock_guard<std::mutex> lock(mu_);
@@ -498,6 +553,7 @@ bool ArspServer::HandleRequest(int client_fd, const Frame& frame,
         reply_error(response.status());
         return true;
       }
+      FillLatency(*latency_ms_, &*response);
       *reply_type = MessageType::kStatsResult;
       *reply_payload = response->EncodePayload();
       return true;
@@ -798,70 +854,29 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
         "engine_query");
     query.trace = trace.get();
   }
-  Stopwatch watch;
   auto response = engine_.Solve(query);
-  const double elapsed_ms = watch.ElapsedMillis();
 
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  const char* const goal_label = GoalLabel(request.derived_kind);
-  const char* const queries_help =
-      "Queries served, by solver, goal kind, and outcome.";
-  if (!response.ok()) {
-    metrics
-        .GetCounter("arsp_queries_total",
-                    {{"solver",
-                      request.solver.empty() ? "auto" : request.solver},
-                     {"goal", goal_label},
-                     {"outcome", "error"}},
-                    queries_help)
-        ->Inc();
-    return response.status();
-  }
-  metrics
+  // The one per-query registry lookup: these labels depend on the reply.
+  const bool ok = response.ok();
+  obs::MetricsRegistry::Global()
       .GetCounter("arsp_queries_total",
-                  {{"solver", response->solver},
-                   {"goal", goal_label},
-                   {"outcome", "ok"}},
-                  queries_help)
+                  {{"solver", ok ? response->solver
+                                 : ErrorSolverLabel(request.solver)},
+                   {"goal", GoalLabel(request.derived_kind)},
+                   {"outcome", ok ? "ok" : "error"}},
+                  "Queries served, by solver, goal kind, and outcome.")
       ->Inc();
-  if (response->cache_hit) {
-    metrics
-        .GetCounter("arsp_query_cache_hits_total", {},
-                    "Queries answered from the result cache.")
-        ->Inc();
-  }
-  metrics
-      .GetHistogram("arsp_query_latency_ms", obs::Histogram::LatencyBucketsMs(),
-                    {}, "End-to-end Solve latency per query.")
-      ->Observe(elapsed_ms);
-  metrics
-      .GetHistogram("arsp_query_phase_ms", obs::Histogram::LatencyBucketsMs(),
-                    {{"phase", "setup"}},
-                    "Per-phase solver time (setup = context/index work, "
-                    "solve = the solver proper).")
-      ->Observe(response->stats.setup_millis);
-  metrics
-      .GetHistogram("arsp_query_phase_ms", obs::Histogram::LatencyBucketsMs(),
-                    {{"phase", "solve"}},
-                    "Per-phase solver time (setup = context/index work, "
-                    "solve = the solver proper).")
-      ->Observe(response->stats.solve_millis);
+  if (!ok) return response.status();
+  if (response->cache_hit) cache_hits_->Inc();
+  setup_ms_->Observe(response->stats.setup_millis);
+  solve_ms_->Observe(response->stats.solve_millis);
   if (response->stats.tasks_spawned > 0) {
-    metrics
-        .GetCounter("arsp_arena_tasks_total", {},
-                    "TaskArena tasks executed by parallel solves.")
-        ->Inc(static_cast<uint64_t>(response->stats.tasks_spawned));
-    metrics
-        .GetCounter("arsp_arena_tasks_stolen_total", {},
-                    "TaskArena tasks claimed by work-stealing.")
-        ->Inc(static_cast<uint64_t>(response->stats.tasks_stolen));
+    arena_tasks_->Inc(static_cast<uint64_t>(response->stats.tasks_spawned));
+    arena_tasks_stolen_->Inc(
+        static_cast<uint64_t>(response->stats.tasks_stolen));
   }
   if (response->stats.index_bytes_mapped > 0) {
-    metrics
-        .GetGauge("arsp_index_bytes_mapped", {},
-                  "Bytes of mmap-backed index sections behind the most "
-                  "recent query.")
-        ->Set(response->stats.index_bytes_mapped);
+    index_bytes_mapped_->Set(response->stats.index_bytes_mapped);
   }
 
   QueryResponseWire wire;
@@ -911,15 +926,6 @@ StatusOr<StatsResponse> EngineBackend::Stats(const StatsRequest& request) {
   response.cache_misses = cache.misses;
   response.cache_entries = cache.entries;
   response.pooled_contexts = engine_.pooled_contexts();
-  const ArspEngine::LatencyStats latency = engine_.latency_stats();
-  response.latency_count = latency.count;
-  response.latency_window = latency.window;
-  response.latency_min_ms = latency.min_ms;
-  response.latency_mean_ms = latency.mean_ms;
-  response.latency_p50_ms = latency.p50_ms;
-  response.latency_p95_ms = latency.p95_ms;
-  response.latency_p99_ms = latency.p99_ms;
-  response.latency_p999_ms = latency.p999_ms;
 
   std::vector<DatasetHandle> index_handles;
   {

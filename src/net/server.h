@@ -56,6 +56,12 @@
 #include "src/net/protocol.h"
 
 namespace arsp {
+namespace obs {
+class Counter;
+class Gauge;
+class Histogram;
+}  // namespace obs
+
 namespace net {
 
 /// The single-process backend: one ArspEngine plus the named registry.
@@ -98,6 +104,14 @@ class EngineBackend : public ServiceBackend {
   const int query_threads_;
   mutable std::mutex mu_;
   std::map<std::string, NamedEntry> registry_;
+
+  // Registry instruments every answered query updates, fetched once.
+  obs::Counter* const cache_hits_;
+  obs::Histogram* const setup_ms_;
+  obs::Histogram* const solve_ms_;
+  obs::Counter* const arena_tasks_;
+  obs::Counter* const arena_tasks_stolen_;
+  obs::Gauge* const index_bytes_mapped_;
 };
 
 struct ServerOptions {
@@ -190,6 +204,10 @@ class ArspServer {
                     const QueryResponseWire& response, double elapsed_ms);
 
   ServerOptions options_;
+  /// arsp_query_latency_ms: the wall time of every answered QUERY, timed
+  /// around the backend call; the only latency record STATS reports.
+  obs::Histogram* const latency_ms_;
+  obs::Counter* const admission_denials_;
   /// Set iff no custom backend was installed (the classic daemon).
   std::shared_ptr<EngineBackend> engine_backend_;
   /// The dispatch target — engine_backend_ or options_.backend.

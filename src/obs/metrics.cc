@@ -89,13 +89,10 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
 }
 
 void Histogram::Observe(double v) {
-  size_t bucket = bounds_.size();  // +Inf by default
-  for (size_t i = 0; i < bounds_.size(); ++i) {
-    if (v <= bounds_[i]) {
-      bucket = i;
-      break;
-    }
-  }
+  // The first bound >= v (bounds are upper-inclusive); past the last one is
+  // the +Inf bucket.
+  const size_t bucket = static_cast<size_t>(
+      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
   buckets_[bucket]->fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_micros_.fetch_add(static_cast<int64_t>(v * 1e6),
@@ -116,9 +113,34 @@ double Histogram::Sum() const {
          1e6;
 }
 
+double Histogram::Quantile(double q) const {
+  // One snapshot of the buckets; their sum is the count, so a concurrent
+  // Observe between the loads cannot push the rank past the last bucket.
+  const std::vector<uint64_t> counts = BucketCounts();
+  uint64_t total = 0;
+  for (uint64_t c : counts) total += c;
+  if (total == 0) return 0.0;
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  // The first non-empty bucket whose cumulative count reaches the rank
+  // (non-empty, so q = 0 lands on the smallest sample's bucket).
+  uint64_t below = 0;
+  size_t b = 0;
+  while (counts[b] == 0 || static_cast<double>(below + counts[b]) < rank) {
+    below += counts[b];
+    ++b;
+  }
+  if (b == bounds_.size()) return bounds_.empty() ? 0.0 : bounds_.back();
+  const double start = b == 0 ? 0.0 : bounds_[b - 1];
+  const double fraction = std::max(0.0, rank - static_cast<double>(below)) /
+                          static_cast<double>(counts[b]);
+  return start + (bounds_[b] - start) * fraction;
+}
+
 std::vector<double> Histogram::LatencyBucketsMs() {
   std::vector<double> bounds;
-  for (double b = 0.25; b <= 8192.0; b *= 2.0) bounds.push_back(b);
+  for (int k = -8 * 4; k <= 13 * 4; ++k) {
+    bounds.push_back(std::exp2(static_cast<double>(k) / 4.0));
+  }
   return bounds;
 }
 

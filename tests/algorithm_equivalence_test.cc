@@ -184,7 +184,8 @@ void SweepRegistryAgainstEnum(const UncertainDataset& dataset,
     auto solver = SolverRegistry::Create(name);
     ASSERT_TRUE(solver.ok()) << name;
     const Status applicable = (*solver)->ValidateContext(context);
-    auto result = (*solver)->Solve(context);
+    SolverStats stats;
+    auto result = (*solver)->Solve(context, &stats);
     if (!applicable.ok()) {
       // Inapplicable solvers must fail cleanly, never compute garbage.
       EXPECT_FALSE(result.ok()) << name;
@@ -194,7 +195,7 @@ void SweepRegistryAgainstEnum(const UncertainDataset& dataset,
     }
     ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
     EXPECT_LT(MaxAbsDiff(*reference, *result), 1e-8) << name;
-    EXPECT_EQ(context.last_stats().solver, name);
+    EXPECT_EQ(stats.solver, name);
   }
 }
 

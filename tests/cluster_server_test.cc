@@ -7,14 +7,16 @@
 // RETRY_LATER overload reply (client surfaces kUnavailable with the retry
 // hint), admission applying only to QUERY, cross-process trace stitching
 // (want_trace through the coordinator returns a span tree holding the
-// chosen shard's solve subtree), and the bounded-shutdown-latency
-// regression for the nonblocking accept loop.
+// chosen shard's solve subtree), a coordinator's STATS latency timing its
+// own hop, and the bounded-shutdown-latency regression for the nonblocking
+// accept loop.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cluster/admission.h"
@@ -299,6 +301,67 @@ TEST(ClusterServer, DeniedQueriesDoNotLeakPendingBudget) {
   EXPECT_EQ(gate->pending(), 0);
   EXPECT_EQ(gate->admitted(), 1);
   EXPECT_EQ(gate->denied(), 5);
+
+  server->Shutdown();
+  server->Wait();
+}
+
+// A shard that answers every query after 20 ms and reports empty STATS, so
+// any latency a coordinator's STATS shows is the coordinator's own.
+class SlowShard : public net::ServiceBackend {
+ public:
+  StatusOr<net::LoadDatasetResponse> Load(
+      const net::LoadDatasetRequest& request) override {
+    net::LoadDatasetResponse response;
+    response.name = request.name;
+    return response;
+  }
+  StatusOr<net::AddViewResponse> AddView(
+      const net::AddViewRequest& request) override {
+    net::AddViewResponse response;
+    response.name = request.view_name;
+    return response;
+  }
+  StatusOr<net::QueryResponseWire> Query(
+      const net::QueryRequestWire&) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return net::QueryResponseWire{};
+  }
+  StatusOr<net::StatsResponse> Stats(const net::StatsRequest&) override {
+    return net::StatsResponse{};
+  }
+  Status Drop(const net::DropRequest&) override { return Status::OK(); }
+};
+
+TEST(ClusterServer, CoordinatorStatsReportItsOwnWallTime) {
+  net::ServerOptions options;
+  options.backend = std::make_shared<Coordinator>(
+      std::vector<std::shared_ptr<net::ServiceBackend>>{
+          std::make_shared<SlowShard>()},
+      std::vector<std::string>{"slow"}, CoordinatorOptions{});
+  auto server = StartServer(std::move(options));
+  net::ArspClient client = Connect(*server);
+  LoadIip(client, "iip");
+
+  // The latency histogram is process-global (other servers in this binary
+  // observe into it too), so compare deltas around the five queries. A
+  // failed query is not a sample.
+  auto before = client.Stats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  constexpr int kQueries = 5;
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(client.Query(WireQuery("iip")).ok());
+  }
+  EXPECT_EQ(client.Query(WireQuery("nope")).status().code(),
+            StatusCode::kNotFound);
+  auto after = client.Stats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->latency_count - before->latency_count, kQueries);
+  const double total_before =
+      static_cast<double>(before->latency_count) * before->latency_mean_ms;
+  const double total_after =
+      static_cast<double>(after->latency_count) * after->latency_mean_ms;
+  EXPECT_GE(total_after - total_before, 99.0);
 
   server->Shutdown();
   server->Wait();

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/queries.h"
@@ -333,6 +334,31 @@ TEST(AutoSelection, EngineResolvesAutoToConcreteSolverAndMatchesIt) {
   EXPECT_EQ(explicit_resp->result.get(), auto_resp->result.get());
 }
 
+TEST(AutoSelection, AutoHitOnACachedExplicitResultBuildsNoContext) {
+  // "auto" resolves from the view before the one cache probe, so an auto
+  // request that an explicit solve already answered never acquires a
+  // context.
+  ArspEngine engine;
+  const DatasetHandle handle =
+      engine.AddDataset(RandomDataset(70, 3, 3, 0.2, 28));
+  ASSERT_TRUE(engine.Solve(WrRequest(handle, 3, 28, "kdtt+")).ok());
+
+  obs::Trace trace(1, "engine_query");
+  QueryRequest request = WrRequest(handle, 3, 28, "auto");
+  request.derived.kind = DerivedKind::kTopKObjects;
+  request.trace = &trace;
+  auto response = engine.Solve(request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->cache_hit);
+  EXPECT_EQ(response->solver, "kdtt+");
+  trace.Finish();
+  std::vector<std::string> phases;
+  for (const obs::Span& child : trace.root().children) {
+    phases.push_back(child.name);
+  }
+  EXPECT_EQ(phases, (std::vector<std::string>{"cache_probe", "goal_answer"}));
+}
+
 TEST(AutoSelection, SolverNamesAreCaseInsensitive) {
   // The registry lowercases lookups; engine-side resolution and cache keys
   // must agree, so "AUTO" resolves like "auto" and shares its entries.
@@ -420,70 +446,6 @@ TEST(ArspEngineTest, DerivedQueriesMatchQueriesH) {
             ObjectsAboveThreshold(*controlled->result, dataset,
                                   controlled->count_threshold));
   EXPECT_GE(controlled->ranked.size(), 5u);  // ties only ever extend
-}
-
-// ---------------------------------------------------------- latency stats
-
-TEST(ArspEngineTest, LatencyStatsTrackSuccessfulRequests) {
-  ArspEngine engine;
-  const DatasetHandle handle =
-      engine.AddDataset(RandomDataset(20, 3, 3, 0.2, 31));
-
-  EXPECT_EQ(engine.latency_stats().count, 0);
-
-  constexpr int kRequests = 7;
-  for (int i = 0; i < kRequests; ++i) {
-    ASSERT_TRUE(engine.Solve(WrRequest(handle, 3, 31, "kdtt+")).ok());
-  }
-  // A failed request is not a latency sample (its instant reject would
-  // drag every percentile toward zero).
-  QueryRequest bad = WrRequest(handle, 3, 31, "no-such-solver");
-  ASSERT_FALSE(engine.Solve(bad).ok());
-
-  const ArspEngine::LatencyStats stats = engine.latency_stats();
-  EXPECT_EQ(stats.count, kRequests);
-  EXPECT_EQ(stats.window, kRequests);
-  EXPECT_GT(stats.mean_ms, 0.0);
-  EXPECT_GE(stats.mean_ms, stats.min_ms);
-  EXPECT_GE(stats.p95_ms, stats.p50_ms);
-  EXPECT_GE(stats.p50_ms, stats.min_ms);
-  EXPECT_FALSE(stats.ToString().empty());
-}
-
-TEST(ArspEngineTest, LatencyWindowIsBoundedAndZeroDisables) {
-  EngineOptions tiny;
-  tiny.latency_window = 4;
-  ArspEngine engine(tiny);
-  const DatasetHandle handle =
-      engine.AddDataset(RandomDataset(12, 2, 2, 0.0, 32));
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(engine.Solve(WrRequest(handle, 2, 32, "loop")).ok());
-  }
-  const ArspEngine::LatencyStats stats = engine.latency_stats();
-  EXPECT_EQ(stats.count, 10);   // lifetime total keeps counting
-  EXPECT_EQ(stats.window, 4);   // percentiles cover only the ring
-
-  EngineOptions off;
-  off.latency_window = 0;
-  ArspEngine disabled(off);
-  const DatasetHandle h2 =
-      disabled.AddDataset(RandomDataset(12, 2, 2, 0.0, 32));
-  ASSERT_TRUE(disabled.Solve(WrRequest(h2, 2, 32, "loop")).ok());
-  EXPECT_EQ(disabled.latency_stats().count, 0);
-}
-
-TEST(ArspEngineTest, LatencyCountsBatchEntries) {
-  ArspEngine engine;
-  const DatasetHandle handle =
-      engine.AddDataset(RandomDataset(12, 2, 2, 0.0, 33));
-  std::vector<QueryRequest> requests;
-  for (int i = 0; i < 5; ++i) {
-    requests.push_back(WrRequest(handle, 2, 33 + i, "loop"));
-  }
-  for (const auto& outcome : engine.SolveBatch(requests)) {
-    ASSERT_TRUE(outcome.ok());
-  }
-  EXPECT_EQ(engine.latency_stats().count, 5);
 }
 
 // ------------------------------------------------------------ spec parsing

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -102,6 +103,45 @@ TEST(HistogramTest, LatencyBucketsAreAscendingAndWide) {
   EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
   EXPECT_LE(bounds.front(), 0.25);
   EXPECT_GE(bounds.back(), 8192.0);
+}
+
+TEST(HistogramTest, QuantileStaysInTheBucketOfTheRankedSample) {
+  const std::vector<double> bounds = Histogram::LatencyBucketsMs();
+  Histogram h(bounds);
+  EXPECT_EQ(h.Quantile(0.5), 0.0);  // empty
+
+  // 1,000 log-spaced samples from 2^-6 to 2^12 ms, plus one past the last
+  // bound (the +Inf bucket).
+  std::vector<double> samples;
+  for (int i = 0; i < 1000; ++i) {
+    samples.push_back(std::exp2(-6.0 + 18.0 * i / 999.0));
+  }
+  samples.push_back(bounds.back() * 10.0);
+  for (double v : samples) h.Observe(v);
+  std::sort(samples.begin(), samples.end());
+  const double n = static_cast<double>(samples.size());
+
+  for (double q : {0.0, 0.01, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+    const size_t rank =
+        std::max<size_t>(1, static_cast<size_t>(std::ceil(q * n)));
+    const double sample = samples[rank - 1];
+    // The sample's bucket: (lower, upper], the first bucket starting at 0;
+    // the +Inf bucket's estimate is the last finite bound.
+    const size_t b = static_cast<size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), sample) -
+        bounds.begin());
+    const double lower = b == 0 ? 0.0 : bounds[b - 1];
+    const double upper = b == bounds.size() ? bounds.back() : bounds[b];
+    const double estimate = h.Quantile(q);
+    EXPECT_GE(estimate, lower) << "q=" << q << " sample=" << sample;
+    EXPECT_LE(estimate, upper) << "q=" << q << " sample=" << sample;
+  }
+
+  // Inside its bucket the estimate moves linearly with the rank.
+  Histogram one_bucket({1.0, 2.0});
+  for (int i = 0; i < 4; ++i) one_bucket.Observe(1.5);
+  EXPECT_DOUBLE_EQ(one_bucket.Quantile(0.25), 1.25);
+  EXPECT_DOUBLE_EQ(one_bucket.Quantile(0.5), 1.5);
 }
 
 TEST(RegistryTest, SameNameAndLabelsYieldSameInstrument) {

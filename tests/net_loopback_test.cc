@@ -469,6 +469,22 @@ TEST_F(NetLoopbackTest, BadRequestsAreCleanErrorsAndTheConnectionSurvives) {
   EXPECT_TRUE(response->complete);
 }
 
+TEST_F(NetLoopbackTest, UnknownSolverNamesShareOneMetricSeries) {
+  net::ArspClient client = Connect();
+  LoadIip(client, "iip");
+  // Label cardinality is a contract: a client's typo must not mint a
+  // metric series that lives as long as the process.
+  for (int i = 0; i < 5; ++i) {
+    auto response =
+        client.Query(WireQuery("iip", "bogus-" + std::to_string(i)));
+    EXPECT_EQ(response.status().code(), StatusCode::kNotFound);
+  }
+  auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(metrics->text.find("bogus-"), std::string::npos);
+  EXPECT_NE(metrics->text.find("solver=\"unknown\""), std::string::npos);
+}
+
 TEST_F(NetLoopbackTest, QdttBeyondItsVertexLimitIsAnErrorReply) {
   net::ArspClient client = Connect();
   net::LoadDatasetRequest load;

@@ -1,9 +1,9 @@
 // Copyright 2026 The ARSP Authors.
 //
-// The shared nearest-rank percentile helper, checked against known
-// distributions — including the exact index arithmetic the engine's
-// latency_stats() historically used (round(q · (n − 1))), so centralizing
-// did not silently change reported numbers.
+// The shared nearest-rank percentile helper of the client-side latency
+// reporters (arsp_loadgen, perfbench's harness), checked against known
+// distributions — including its exact index arithmetic,
+// round(q · (n − 1)), so the reporters' numbers do not silently change.
 
 #include "src/common/percentile.h"
 

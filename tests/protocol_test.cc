@@ -207,8 +207,8 @@ TEST(ProtocolMessagesTest, StatsRoundTrip) {
   response.cache_entries = 2;
   response.pooled_contexts = 4;
   response.latency_count = 13;
-  response.latency_window = 13;
   response.latency_p95_ms = 2.25;
+  response.latency_p999_ms = 7.5;
   response.datasets = {{"nba", 50, 4000, 4, false}, {"nba#50", 25, 2000, 4,
                        true}};
   response.has_index_stats = true;
@@ -218,7 +218,9 @@ TEST(ProtocolMessagesTest, StatsRoundTrip) {
   StatsResponse decoded;
   ASSERT_TRUE(decoded.DecodePayload(response.EncodePayload()).ok());
   EXPECT_EQ(decoded.cache_hits, 10);
+  EXPECT_EQ(decoded.latency_count, 13);
   EXPECT_EQ(decoded.latency_p95_ms, 2.25);
+  EXPECT_EQ(decoded.latency_p999_ms, 7.5);
   ASSERT_EQ(decoded.datasets.size(), 2u);
   EXPECT_EQ(decoded.datasets[1].name, "nba#50");
   EXPECT_TRUE(decoded.datasets[1].is_view);

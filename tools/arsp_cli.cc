@@ -504,12 +504,11 @@ int RunLocal(const CliArgs& args,
   }
 
   if (args.stats) {
-    // Engine-level aggregates: per-request latency over the ring window
-    // plus result-cache effectiveness for the whole run.
+    // Result-cache effectiveness for the whole run; each response line
+    // above carries its own latency.
     const ArspEngine::CacheStats cache = engine.cache_stats();
-    std::printf("engine: latency %s cache_hits=%lld cache_misses=%lld "
+    std::printf("engine: cache_hits=%lld cache_misses=%lld "
                 "entries=%zu kernel=%s threads=%d\n",
-                engine.latency_stats().ToString().c_str(),
                 static_cast<long long>(cache.hits),
                 static_cast<long long>(cache.misses), cache.entries,
                 simd::ActiveArchName(), CoreBudget::Total());
@@ -754,14 +753,13 @@ int RunRemote(const CliArgs& args,
   if (args.stats) {
     auto stats = client->Stats();
     if (stats.ok()) {
-      std::printf("daemon: latency requests=%lld window=%lld min_ms=%g "
+      std::printf("daemon: latency requests=%lld "
                   "mean_ms=%g p50_ms=%g p95_ms=%g p99_ms=%g p999_ms=%g "
                   "cache_hits=%lld "
                   "cache_misses=%lld entries=%llu pooled_contexts=%llu "
                   "kernel=%s threads=%lld\n",
                   static_cast<long long>(stats->latency_count),
-                  static_cast<long long>(stats->latency_window),
-                  stats->latency_min_ms, stats->latency_mean_ms,
+                  stats->latency_mean_ms,
                   stats->latency_p50_ms, stats->latency_p95_ms,
                   stats->latency_p99_ms, stats->latency_p999_ms,
                   static_cast<long long>(stats->cache_hits),
