@@ -6,6 +6,7 @@
 #include <condition_variable>
 
 #include "src/common/macros.h"
+#include "src/common/mem.h"
 #include "src/obs/trace.h"
 
 namespace arsp {
@@ -254,6 +255,9 @@ StatusOr<StatsResponse> Coordinator::Stats(const StatsRequest& request) {
             [](const DatasetInfo& a, const DatasetInfo& b) {
               return a.name < b.name;
             });
+  // The answering process's own peak, like every other STATS reply; each
+  // shard reports its own when asked directly.
+  out.peak_rss_bytes = PeakRssBytes();
   return out;
 }
 

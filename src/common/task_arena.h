@@ -2,17 +2,17 @@
 //
 // Intra-query parallel execution primitives:
 //
-//  * CoreBudget — one process-global concurrency ledger shared by the
-//    engine's ThreadPool (batch parallelism: one thread per in-flight
-//    query) and TaskArena (intra-query parallelism: several workers inside
-//    one query). The total is ARSP_THREADS when set, else the hardware
-//    concurrency. ThreadPool *reserves* unconditionally (its size is an
-//    explicit caller decision and existing behavior must not shrink);
-//    TaskArena only *tries* to acquire what is left, so a daemon running a
-//    full SolveBatch pool can never fan out pool_size × query_threads OS
-//    threads — parallel queries inside a saturated pool degrade gracefully
-//    to serial, which by the determinism contract changes nothing but wall
-//    time.
+//  * CoreBudget — one process-global concurrency ledger shared by every
+//    ThreadPool (inter-query parallelism, e.g. arsp_cli running a --batch
+//    round's queries at once: one thread per in-flight query) and TaskArena
+//    (intra-query parallelism: several workers inside one query). The
+//    total is ARSP_THREADS when set, else the hardware concurrency.
+//    ThreadPool *reserves* unconditionally (its size is an explicit caller
+//    decision and existing behavior must not shrink); TaskArena only
+//    *tries* to acquire what is left, so a full pool of in-flight queries
+//    can never fan out pool_size × query_threads OS threads — parallel
+//    queries inside a saturated pool degrade gracefully to serial, which by
+//    the determinism contract changes nothing but wall time.
 //
 //  * TaskArena — a work-stealing task scheduler: per-worker deques, owner
 //    pushes/pops at the back, idle workers steal half a victim's deque from

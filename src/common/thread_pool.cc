@@ -18,7 +18,7 @@ ThreadPool::ThreadPool(int num_threads) {
   const int count = std::max(1, num_threads);
   // Pool sizes are explicit caller decisions, so this reserves
   // unconditionally; intra-query TaskArenas only take what remains, which
-  // keeps batch × intra-query parallelism within one core budget.
+  // keeps pool × intra-query parallelism within one core budget.
   CoreBudget::Reserve(count);
   threads_.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {

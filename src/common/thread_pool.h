@@ -1,8 +1,9 @@
 // Copyright 2026 The ARSP Authors.
 //
-// A fixed-size worker pool with a FIFO task queue. ArspEngine fans
-// SolveBatch requests across it; anything else that needs background work
-// (future service frontend, parallel benchmarks) can share the abstraction.
+// A fixed-size worker pool with a FIFO task queue. arsp_cli runs a
+// --batch round's queries on one, the cluster Coordinator fans LOAD /
+// ADD_VIEW / STATS / DROP out to its shards on another, and tests drive
+// concurrent ArspEngine::Solve calls from one.
 
 #ifndef ARSP_COMMON_THREAD_POOL_H_
 #define ARSP_COMMON_THREAD_POOL_H_
@@ -21,7 +22,7 @@ namespace arsp {
 /// responsibility. The destructor drains already-queued tasks, then joins.
 /// Pool threads are charged against the process-global CoreBudget
 /// (src/common/task_arena.h) for their lifetime, so intra-query TaskArenas
-/// never oversubscribe on top of batch parallelism.
+/// never oversubscribe on top of the pool's own parallelism.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers; values < 1 are clamped to 1.

@@ -6,9 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
-#include <latch>
 #include <sstream>
-#include <thread>
 
 #include "src/common/lru.h"
 #include "src/common/task_arena.h"
@@ -456,8 +454,9 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
     // Resolve the worker request: the per-query field wins, then the
     // engine-wide policy, then the auto heuristic (parallelize only large
     // contexts, sized by the process-global core budget so intra-query
-    // workers and the batch pool never oversubscribe — the executor's
-    // TryAcquire clamps to whatever is actually free at solve time).
+    // workers and the caller's own thread pools never oversubscribe — the
+    // executor's TryAcquire clamps to whatever is actually free at solve
+    // time).
     int effective_parallelism = request.parallelism;
     if (effective_parallelism == 0) {
       effective_parallelism = options_.query_threads;
@@ -645,42 +644,6 @@ ColumnBytes ArspEngine::index_memory(DatasetHandle handle) const {
     total.mapped += bytes.mapped;
   }
   return total;
-}
-
-std::vector<StatusOr<QueryResponse>> ArspEngine::SolveBatch(
-    const std::vector<QueryRequest>& requests) {
-  std::vector<StatusOr<QueryResponse>> results(
-      requests.size(), Status::Internal("request not executed"));
-  if (requests.empty()) return results;
-  if (requests.size() == 1) {
-    results[0] = Solve(requests[0]);
-    return results;
-  }
-
-  ThreadPool* pool = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pool_ == nullptr) {
-      int threads = options_.num_threads;
-      if (threads <= 0) {
-        // DefaultConcurrency handles hardware_concurrency() == 0 (allowed
-        // by the standard), where the old code degraded to a 1-thread pool.
-        threads = ThreadPool::DefaultConcurrency();
-      }
-      pool_ = std::make_unique<ThreadPool>(threads);
-    }
-    pool = pool_.get();
-  }
-
-  std::latch done(static_cast<ptrdiff_t>(requests.size()));
-  for (size_t i = 0; i < requests.size(); ++i) {
-    pool->Submit([this, &requests, &results, &done, i] {
-      results[i] = Solve(requests[i]);
-      done.count_down();
-    });
-  }
-  done.wait();
-  return results;
 }
 
 ArspResult ArspEngine::TakeResult(QueryResponse&& response) {

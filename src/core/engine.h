@@ -13,8 +13,9 @@
 //  * an LRU result cache keyed by (dataset fingerprint — the handle id,
 //    which uniquely and immutably identifies a registered dataset or view —
 //    constraints, solver, options) in front of ArspSolver::Solve;
-//  * SolveBatch fanning requests across a fixed thread pool (pooled
-//    contexts are safe to share — ExecutionContext lazy-init is locked);
+//  * thread safety: callers may Solve concurrently from any number of
+//    threads (pooled contexts are safe to share — ExecutionContext
+//    lazy-init is locked);
 //  * "auto" solver selection from data shape (LOOP for tiny inputs, KDTT+
 //    otherwise, weight ratios included — the DUAL family stays
 //    explicit-only), resolved from the view before the cache probe. "auto"
@@ -58,7 +59,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/core/arsp_result.h"
 #include "src/core/solver.h"
@@ -217,9 +217,6 @@ struct EngineOptions {
   /// service serving many distinct constraints needs this bound. Must be
   /// ≥ 1.
   size_t context_pool_capacity = 64;
-  /// SolveBatch worker threads; 0 = hardware concurrency. The pool is
-  /// created lazily on the first SolveBatch.
-  int num_threads = 0;
   /// Default intra-query worker budget for requests with parallelism == 0:
   /// 0 = auto (parallelize large contexts — kParallelMinInstances instances
   /// and up — across the remaining core budget; smaller queries run
@@ -235,8 +232,8 @@ struct EngineOptions {
 /// traversal work a worker can steal.
 inline constexpr int kParallelMinInstances = 200000;
 
-/// Long-lived query engine owning datasets, pooled contexts, the result
-/// cache, and the batch thread pool. All public methods are thread-safe.
+/// Long-lived query engine owning datasets, pooled contexts, and the result
+/// cache. All public methods are thread-safe.
 class ArspEngine {
  public:
   explicit ArspEngine(EngineOptions options = {});
@@ -254,7 +251,7 @@ class ArspEngine {
 
   /// Registers a zero-copy view over a registered *base* dataset as a
   /// first-class query target: the returned handle works everywhere a
-  /// dataset handle does (Solve, SolveBatch, derived queries — ranked
+  /// dataset handle does (Solve, derived queries — ranked
   /// results carry base object ids). The view shares the base's instance
   /// payloads; pooled queries against it derive their context from the
   /// base's pooled context, reusing its indexes and score storage.
@@ -281,12 +278,6 @@ class ArspEngine {
   /// Executes one request: context pool → result cache → solver → derived
   /// queries.
   StatusOr<QueryResponse> Solve(const QueryRequest& request);
-
-  /// Executes requests concurrently on the engine's thread pool; the i-th
-  /// outcome corresponds to requests[i]. Equivalent to calling Solve on
-  /// each request serially (asserted by tests/engine_test.cc).
-  std::vector<StatusOr<QueryResponse>> SolveBatch(
-      const std::vector<QueryRequest>& requests);
 
   /// Moves the full result out of a response that uniquely owns it (the
   /// use_cache=false case), avoiding a copy in hot callers like benchmark
@@ -365,7 +356,6 @@ class ArspEngine {
   std::unordered_map<std::string, LruList::iterator> cache_index_;
   int64_t cache_hits_ = 0;
   int64_t cache_misses_ = 0;
-  std::unique_ptr<ThreadPool> pool_;  ///< lazily created; guarded by mu_
 };
 
 /// The solver name the "auto" policy picks for a view: LOOP for tiny inputs

@@ -500,7 +500,18 @@ bool ArspServer::HandleRequest(int client_fd, const Frame& frame,
       auto response = backend_->Query(request);
       const double elapsed_ms = watch.ElapsedMillis();
       if (gate != nullptr) gate->Release(static_cast<uint64_t>(client_fd));
-      if (!response.ok()) {
+      // Every query the backend answered, rejected ones included. The one
+      // per-query registry lookup: these labels depend on the reply.
+      const bool ok = response.ok();
+      obs::MetricsRegistry::Global()
+          .GetCounter("arsp_queries_total",
+                      {{"solver", ok ? response->solver
+                                     : ErrorSolverLabel(request.solver)},
+                       {"goal", GoalLabel(request.derived_kind)},
+                       {"outcome", ok ? "ok" : "error"}},
+                      "Queries served, by solver, goal kind, and outcome.")
+          ->Inc();
+      if (!ok) {
         reply_error(response.status());
         return true;
       }
@@ -838,10 +849,6 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
   query.derived.max_objects = request.max_objects;
   query.use_cache = request.use_cache;
   query.allow_pushdown = request.allow_pushdown;
-  if (request.parallelism < 0) {
-    return Status::InvalidArgument("parallelism must be >= 0, got " +
-                                   std::to_string(request.parallelism));
-  }
   query.parallelism = request.parallelism;
   // Tracing: enabled only on request (want_trace), reusing a propagated
   // upstream id when one is stamped so one id correlates coordinator and
@@ -855,18 +862,7 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
     query.trace = trace.get();
   }
   auto response = engine_.Solve(query);
-
-  // The one per-query registry lookup: these labels depend on the reply.
-  const bool ok = response.ok();
-  obs::MetricsRegistry::Global()
-      .GetCounter("arsp_queries_total",
-                  {{"solver", ok ? response->solver
-                                 : ErrorSolverLabel(request.solver)},
-                   {"goal", GoalLabel(request.derived_kind)},
-                   {"outcome", ok ? "ok" : "error"}},
-                  "Queries served, by solver, goal kind, and outcome.")
-      ->Inc();
-  if (!ok) return response.status();
+  if (!response.ok()) return response.status();
   if (response->cache_hit) cache_hits_->Inc();
   setup_ms_->Observe(response->stats.setup_millis);
   solve_ms_->Observe(response->stats.solve_millis);

@@ -124,8 +124,8 @@ struct ServerOptions {
   /// 0 = unlimited. When at the cap, the accept loop leaves new
   /// connections in the TCP backlog until a slot frees.
   int max_connections = 0;
-  /// Engine construction knobs (cache capacity, batch threads, ...) for the
-  /// default EngineBackend; ignored when `backend` is set.
+  /// Engine construction knobs (cache capacity, context pool, intra-query
+  /// threads) for the default EngineBackend; ignored when `backend` is set.
   EngineOptions engine;
   /// The request backend. Null (the default) builds an internal
   /// EngineBackend from `engine` — the classic single-process daemon. The

@@ -8,8 +8,9 @@
 // hint), admission applying only to QUERY, cross-process trace stitching
 // (want_trace through the coordinator returns a span tree holding the
 // chosen shard's solve subtree), a coordinator's STATS latency timing its
-// own hop, and the bounded-shutdown-latency regression for the nonblocking
-// accept loop.
+// own hop and reporting its own peak RSS, a coordinator front counting the
+// queries it rejects, and the bounded-shutdown-latency regression for the
+// nonblocking accept loop.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/obs/trace.h"
+#include "tests/test_util.h"
 
 namespace arsp {
 namespace {
@@ -333,13 +335,18 @@ class SlowShard : public net::ServiceBackend {
   Status Drop(const net::DropRequest&) override { return Status::OK(); }
 };
 
-TEST(ClusterServer, CoordinatorStatsReportItsOwnWallTime) {
+// A front server over a Coordinator with one SlowShard.
+std::unique_ptr<net::ArspServer> StartSlowCoordinator() {
   net::ServerOptions options;
   options.backend = std::make_shared<Coordinator>(
       std::vector<std::shared_ptr<net::ServiceBackend>>{
           std::make_shared<SlowShard>()},
       std::vector<std::string>{"slow"}, CoordinatorOptions{});
-  auto server = StartServer(std::move(options));
+  return StartServer(std::move(options));
+}
+
+TEST(ClusterServer, CoordinatorStatsReportItsOwnWallTime) {
+  auto server = StartSlowCoordinator();
   net::ArspClient client = Connect(*server);
   LoadIip(client, "iip");
 
@@ -362,6 +369,32 @@ TEST(ClusterServer, CoordinatorStatsReportItsOwnWallTime) {
   const double total_after =
       static_cast<double>(after->latency_count) * after->latency_mean_ms;
   EXPECT_GE(total_after - total_before, 99.0);
+
+  server->Shutdown();
+  server->Wait();
+}
+
+TEST(ClusterServer, CoordinatorFrontCountsTheQueriesItRejects) {
+  // The coordinator rejects a name it never registered before any shard
+  // sees the query; the front server counts it all the same.
+  auto server = StartSlowCoordinator();
+  net::ArspClient client = Connect(*server);
+  const uint64_t before = testing_util::ErrorQueries();
+  EXPECT_EQ(client.Query(WireQuery("never-loaded")).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(testing_util::ErrorQueries(), before + 1);
+
+  server->Shutdown();
+  server->Wait();
+}
+
+TEST(ClusterServer, CoordinatorStatsReportItsOwnPeakRss) {
+  // The shard reports empty STATS, so the peak is the coordinator's own.
+  auto server = StartSlowCoordinator();
+  net::ArspClient client = Connect(*server);
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->peak_rss_bytes, 0);
 
   server->Shutdown();
   server->Wait();

@@ -6,7 +6,7 @@
 // — a threshold-pruned partial result is cached only under its goal key
 // and is NEVER returned for a full or different-goal request, while a
 // cached full result IS reused (sliced) for derived goals, so one top-k
-// solve serves every later goal on its spec — and concurrent SolveBatch
+// solve serves every later goal on its spec — and concurrent Solve calls
 // with mixed goals over one pooled context (the TSan target for
 // goal-scoped child contexts).
 
@@ -238,7 +238,7 @@ TEST(EngineGoalPushdown, MixedGoalsShareOnePooledContextConcurrently) {
       requests.push_back(topk);
     }
   }
-  const auto outcomes = engine.SolveBatch(requests);
+  const auto outcomes = testing_util::SolveConcurrently(engine, requests);
 
   ArspEngine serial_engine;
   const DatasetHandle serial_handle = serial_engine.AddDataset(data);

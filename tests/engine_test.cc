@@ -2,8 +2,8 @@
 //
 // Tests for the ArspEngine session API: request validation, result-cache
 // correctness (a cached answer must be bit-identical to a fresh solve),
-// batch-vs-serial equivalence, "auto" solver selection respecting
-// capability flags, context pooling, and concurrent SolveBatch against
+// concurrent-vs-serial equivalence, "auto" solver selection respecting
+// capability flags, context pooling, and concurrent Solve calls against
 // shared pooled contexts (lazy-init is exercised from many threads — the
 // CI "tsan" job runs this binary under ThreadSanitizer).
 
@@ -26,6 +26,7 @@ using testing_util::Example1Dataset;
 using testing_util::Example1Wr;
 using testing_util::RandomDataset;
 using testing_util::RandomWr;
+using testing_util::SolveConcurrently;
 using testing_util::WrRegion;
 
 QueryRequest WrRequest(DatasetHandle handle, int dim, uint64_t seed,
@@ -225,7 +226,7 @@ TEST(ArspEngineTest, BatchMatchesSerialOnMixedRequests) {
     r.dataset = r.dataset.id == h_small.id ? s_small : s_medium;
   }
 
-  const auto batch = engine.SolveBatch(requests);
+  const auto batch = SolveConcurrently(engine, requests);
   ASSERT_EQ(batch.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << i << ": " << batch[i].status().ToString();
@@ -254,7 +255,7 @@ TEST(ArspEngineTest, ConcurrentBatchSharesOnePooledContext) {
       requests.push_back(request);
     }
   }
-  const auto outcomes = engine.SolveBatch(requests);
+  const auto outcomes = SolveConcurrently(engine, requests);
   ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].status().ToString();
   const ArspResult& reference = *outcomes[0]->result;
   for (size_t i = 1; i < outcomes.size(); ++i) {
@@ -274,7 +275,7 @@ TEST(ArspEngineTest, BatchReportsPerRequestErrors) {
   // dual-2d-ms needs d=2 single-instance data: clean FailedPrecondition.
   requests.push_back(WrRequest(handle, 3, 18, "dual-2d-ms"));
   requests.push_back(WrRequest(DatasetHandle{1234}, 3, 18));
-  const auto outcomes = engine.SolveBatch(requests);
+  const auto outcomes = SolveConcurrently(engine, requests);
   EXPECT_TRUE(outcomes[0].ok());
   ASSERT_FALSE(outcomes[1].ok());
   EXPECT_EQ(outcomes[1].status().code(), StatusCode::kFailedPrecondition);

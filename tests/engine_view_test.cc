@@ -241,10 +241,10 @@ TEST(EngineViewTest, DroppingTheBaseCascadesToViews) {
 }
 
 TEST(EngineViewTest, ConcurrentViewSweepMatchesSerialAndBuildsOnce) {
-  // SolveBatch over every prefix view at once: worker threads race to
-  // create/derive contexts and first-touch the shared parent's artifacts.
-  // Results must equal the serial ones and the sweep must still perform
-  // exactly one full index build (TSan covers the data-race side).
+  // Concurrent Solve calls over every prefix view at once: pool threads
+  // race to create/derive contexts and first-touch the shared parent's
+  // artifacts. Results must equal the serial ones and the sweep must still
+  // perform exactly one full index build (TSan covers the data-race side).
   ArspEngine engine;
   const UncertainDataset data = RandomDataset(30, 2, 3, 0.2, 29);
   const DatasetHandle base = engine.AddDataset(data);
@@ -266,7 +266,7 @@ TEST(EngineViewTest, ConcurrentViewSweepMatchesSerialAndBuildsOnce) {
   }
 
   const std::vector<StatusOr<QueryResponse>> batch =
-      engine.SolveBatch(requests);
+      testing_util::SolveConcurrently(engine, requests);
   ASSERT_EQ(batch.size(), requests.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +25,7 @@
 #include "src/net/server.h"
 #include "src/simd/kernels.h"
 #include "src/uncertain/generators.h"
+#include "tests/test_util.h"
 
 namespace arsp {
 namespace {
@@ -442,17 +442,39 @@ TEST_F(NetLoopbackTest, BadRequestsAreCleanErrorsAndTheConnectionSurvives) {
   net::ArspClient client = Connect();
   LoadIip(client, "iip");
 
+  // Every rejected query is served, so each one adds one to the error
+  // series, whichever layer rejects it.
+  uint64_t errors = testing_util::ErrorQueries();
+  const auto expect_counted = [&errors]() {
+    EXPECT_EQ(testing_util::ErrorQueries(), errors + 1);
+    errors = testing_util::ErrorQueries();
+  };
   // Unknown dataset.
   auto unknown = client.Query(WireQuery("nope", "kdtt+"));
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  expect_counted();
   // Malformed constraint spec.
   net::QueryRequestWire bad_spec = WireQuery("iip", "kdtt+");
   bad_spec.constraint_spec = "wr:banana";
   EXPECT_EQ(client.Query(bad_spec).status().code(),
             StatusCode::kInvalidArgument);
+  expect_counted();
+  // Solver option that is not key=value.
+  net::QueryRequestWire bad_opt = WireQuery("iip", "kdtt+");
+  bad_opt.options = {"fanout"};
+  EXPECT_EQ(client.Query(bad_opt).status().code(),
+            StatusCode::kInvalidArgument);
+  expect_counted();
+  // Negative parallelism.
+  net::QueryRequestWire negative = WireQuery("iip", "kdtt+");
+  negative.parallelism = -1;
+  EXPECT_EQ(client.Query(negative).status().code(),
+            StatusCode::kInvalidArgument);
+  expect_counted();
   // Unknown solver.
   auto bad_solver = client.Query(WireQuery("iip", "no-such-solver"));
   EXPECT_FALSE(bad_solver.ok());
+  expect_counted();
   // Capability mismatch surfaces as FailedPrecondition, same as locally
   // (dual-2d-ms needs single-instance 2d data under weight ratios — IIP is
   // single-instance 2d, so use a rank constraint to break it).
@@ -460,6 +482,7 @@ TEST_F(NetLoopbackTest, BadRequestsAreCleanErrorsAndTheConnectionSurvives) {
   incompatible.constraint_spec = "rank:1";
   EXPECT_EQ(client.Query(incompatible).status().code(),
             StatusCode::kFailedPrecondition);
+  expect_counted();
   // Unknown stats name.
   EXPECT_EQ(client.Stats("nope").status().code(), StatusCode::kNotFound);
 

@@ -12,9 +12,10 @@
 // value and the decided answer set is a fixpoint independent of
 // scheduling).
 //
-// Also the TSan target for the executor: concurrent SolveBatch of parallel
-// queries sharing one pooled ExecutionContext, with the batch pool and the
-// intra-query arenas drawing from the same pinned core budget.
+// Also the TSan target for the executor: concurrent Solve calls of
+// parallel queries sharing one pooled ExecutionContext, with the callers'
+// ThreadPool and the intra-query arenas drawing from the same pinned core
+// budget.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "src/common/task_arena.h"
+#include "src/common/thread_pool.h"
 #include "src/core/engine.h"
 #include "src/core/queries.h"
 #include "src/core/solver.h"
@@ -237,15 +239,15 @@ TEST(ParallelDeterminism, GoalPushdownSweepOnDerivedViews) {
 }
 
 // The TSan target: a batch of parallel queries racing over ONE pooled
-// ExecutionContext, with the batch pool and the per-query arenas sharing a
-// pinned core budget (some queries get helpers, late ones degrade to
-// serial — either way the results must be bitwise the serial reference).
-TEST(ParallelDeterminism, ConcurrentSolveBatchOnOnePooledContext) {
+// ExecutionContext, with the callers' 4-worker pool and the per-query
+// arenas sharing a pinned core budget (some queries get helpers, late ones
+// degrade to serial — either way the results must be bitwise the serial
+// reference).
+TEST(ParallelDeterminism, ConcurrentSolvesOnOnePooledContext) {
   ScopedBudget budget(8);
   const UncertainDataset dataset = RandomDataset(60, 4, 3, 0.4, 1600);
 
   EngineOptions options;
-  options.num_threads = 4;
   options.query_threads = 0;
   ArspEngine engine(options);
   const DatasetHandle handle = engine.AddDataset(dataset);
@@ -280,7 +282,8 @@ TEST(ParallelDeterminism, ConcurrentSolveBatchOnOnePooledContext) {
   derived.derived.threshold = 0.25;
   batch.push_back(derived);
 
-  const auto responses = engine.SolveBatch(batch);
+  ThreadPool pool(4);
+  const auto responses = testing_util::SolveConcurrently(engine, batch, pool);
   ASSERT_EQ(responses.size(), batch.size());
   for (size_t i = 0; i < responses.size(); ++i) {
     SCOPED_TRACE(i);
@@ -303,7 +306,7 @@ TEST(ParallelDeterminism, ConcurrentSolveBatchOnOnePooledContext) {
   }
   // Everything granted was returned: the budget leaks nothing across a
   // batch of arenas created and destroyed under contention.
-  EXPECT_EQ(CoreBudget::InUse(), 4);  // just the batch pool's reservation
+  EXPECT_EQ(CoreBudget::InUse(), 4);  // just the pool's reservation
 }
 
 }  // namespace

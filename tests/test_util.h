@@ -3,20 +3,30 @@
 // Shared helpers for the algorithm test suites: small random uncertain
 // datasets, preference regions of both constraint families, an
 // Example-1-style hand dataset whose coordinates are consistent with the
-// dominance relations the paper states in Examples 1 and 3, and a one-call
-// run of a named registry solver.
+// dominance relations the paper states in Examples 1 and 3, a one-call
+// run of a named registry solver, concurrent ArspEngine::Solve calls
+// from a ThreadPool, and the served-query error count from the metrics
+// registry.
 
 #ifndef ARSP_TESTS_TEST_UTIL_H_
 #define ARSP_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <latch>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/macros.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
+#include "src/core/engine.h"
 #include "src/core/solver.h"
+#include "src/obs/metrics.h"
 #include "src/prefs/constraint_generators.h"
 #include "src/prefs/fdominance.h"
 #include "src/prefs/preference_region.h"
@@ -120,6 +130,50 @@ ArspResult RunSolver(const std::string& name, const UncertainDataset& dataset,
   ARSP_CHECK_MSG(result.ok(), "%s: %s", name.c_str(),
                  result.status().ToString().c_str());
   return std::move(result).value();
+}
+
+/// Calls engine.Solve for every request at once, one `pool` task per
+/// request, and waits for all of them; the i-th outcome answers
+/// requests[i]. The pool's workers hold their CoreBudget slots for the
+/// pool's lifetime, so intra-query arenas get only what is left.
+inline std::vector<StatusOr<QueryResponse>> SolveConcurrently(
+    ArspEngine& engine, const std::vector<QueryRequest>& requests,
+    ThreadPool& pool) {
+  std::vector<StatusOr<QueryResponse>> outcomes(
+      requests.size(), Status::Internal("request not executed"));
+  std::latch done(static_cast<std::ptrdiff_t>(requests.size()));
+  for (size_t i = 0; i < requests.size(); ++i) {
+    pool.Submit([&engine, &requests, &outcomes, &done, i] {
+      outcomes[i] = engine.Solve(requests[i]);
+      done.count_down();
+    });
+  }
+  done.wait();
+  return outcomes;
+}
+
+/// The same on a pool of one worker per core, built for the call.
+inline std::vector<StatusOr<QueryResponse>> SolveConcurrently(
+    ArspEngine& engine, const std::vector<QueryRequest>& requests) {
+  ThreadPool pool(ThreadPool::DefaultConcurrency());
+  return SolveConcurrently(engine, requests, pool);
+}
+
+/// The sum of every arsp_queries_total series labelled outcome="error" in
+/// the process-global metrics registry (every server in a test binary
+/// counts into it, so callers compare before and after).
+inline uint64_t ErrorQueries() {
+  std::istringstream text(
+      obs::MetricsRegistry::Global().RenderPrometheusText());
+  uint64_t total = 0;
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("arsp_queries_total{", 0) == 0 &&
+        line.find("outcome=\"error\"") != std::string::npos) {
+      total += std::strtoull(line.substr(line.rfind(' ') + 1).c_str(),
+                             nullptr, 10);
+    }
+  }
+  return total;
 }
 
 }  // namespace testing_util

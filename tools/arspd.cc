@@ -8,7 +8,7 @@
 //
 // Usage:
 //   arspd [--host 127.0.0.1] [--port 7439] [--max-connections N]
-//         [--cache N] [--contexts N] [--threads N] [--query-threads N]
+//         [--cache N] [--contexts N] [--query-threads N]
 //         [--load name=csv:/path/to/file.csv[:header]]
 //         [--load name=gen:iip:n=500,seed=1]           (repeatable)
 //         [--shards host:port[,host:port...]] [--replication N]
@@ -57,10 +57,10 @@ void PrintUsage() {
   std::fprintf(
       stderr,
       "usage: arspd [--host ADDR] [--port P] [--max-connections N]\n"
-      "             [--cache N] [--contexts N] [--threads N]\n"
+      "             [--cache N] [--contexts N]\n"
       "             [--query-threads N]   (intra-query workers: 0 = auto,\n"
       "                                    1 = serial, N >= 2 = N per query;\n"
-      "                                    shares the batch pool's core\n"
+      "                                    capped by the process core\n"
       "                                    budget, never oversubscribes)\n"
       "             [--load name=csv:PATH[:header]] [--load name=gen:SPEC]\n"
       "             [--shards H:P[,H:P...]] [--replication N]\n"
@@ -149,7 +149,8 @@ int main(int argc, char** argv) {
     } else if (flag == "--max-connections") {
       const char* v = next();
       if (v == nullptr) return PrintUsage(), 2;
-      if (!cli::internal::ParseIntStrict(v, &options.max_connections)) {
+      if (!cli::internal::ParseIntStrict(v, &options.max_connections) ||
+          options.max_connections < 0) {
         std::fprintf(stderr, "bad --max-connections '%s'\n", v);
         return PrintUsage(), 2;
       }
@@ -171,13 +172,6 @@ int main(int argc, char** argv) {
         return PrintUsage(), 2;
       }
       options.engine.context_pool_capacity = static_cast<size_t>(contexts);
-    } else if (flag == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return PrintUsage(), 2;
-      if (!cli::internal::ParseIntStrict(v, &options.engine.num_threads)) {
-        std::fprintf(stderr, "bad --threads '%s'\n", v);
-        return PrintUsage(), 2;
-      }
     } else if (flag == "--query-threads") {
       const char* v = next();
       if (v == nullptr) return PrintUsage(), 2;

@@ -50,9 +50,9 @@ struct CliArgs {
   bool ping = false;      ///< --ping: liveness probe, needs --connect
   bool shutdown = false;  ///< --shutdown: drain the daemon, needs --connect
   /// --trace: capture a per-query span tree and print it after results.
-  /// Local mode attaches an obs::Trace to each solve; remote mode sets
-  /// want_trace on the wire so the daemon (and, behind a coordinator, every
-  /// shard) returns its serialized spans.
+  /// Sets want_trace on every request, so the backend (the in-process
+  /// engine, or the daemon and, behind a coordinator, the chosen shard)
+  /// returns its serialized spans.
   bool trace = false;
 };
 
