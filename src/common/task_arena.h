@@ -3,10 +3,11 @@
 // Intra-query parallel execution primitives:
 //
 //  * CoreBudget — one process-global concurrency ledger shared by every
-//    ThreadPool (inter-query parallelism, e.g. arsp_cli running a --batch
-//    round's queries at once: one thread per in-flight query) and TaskArena
-//    (intra-query parallelism: several workers inside one query). The
-//    total is ARSP_THREADS when set, else the hardware concurrency.
+//    ThreadPool (inter-query parallelism, e.g. arsp_cli running an
+//    in-process --batch round's queries at once: one thread per in-flight
+//    query) and TaskArena (intra-query parallelism: several workers inside
+//    one query). The total is ARSP_THREADS when set, else the hardware
+//    concurrency.
 //    ThreadPool *reserves* unconditionally (its size is an explicit caller
 //    decision and existing behavior must not shrink); TaskArena only
 //    *tries* to acquire what is left, so a full pool of in-flight queries

@@ -1,9 +1,9 @@
 // Copyright 2026 The ARSP Authors.
 //
-// A fixed-size worker pool with a FIFO task queue. arsp_cli runs a
-// --batch round's queries on one, the cluster Coordinator fans LOAD /
-// ADD_VIEW / STATS / DROP out to its shards on another, and tests drive
-// concurrent ArspEngine::Solve calls from one.
+// A fixed-size worker pool with a FIFO task queue. arsp_cli runs an
+// in-process --batch round's queries on one, the cluster Coordinator fans
+// LOAD / ADD_VIEW / STATS / DROP out to its shards on another, and tests
+// drive concurrent ArspEngine::Solve calls from one.
 
 #ifndef ARSP_COMMON_THREAD_POOL_H_
 #define ARSP_COMMON_THREAD_POOL_H_

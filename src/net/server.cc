@@ -942,8 +942,8 @@ StatusOr<StatsResponse> EngineBackend::Stats(const StatsRequest& request) {
         return Status::NotFound("unknown dataset '" + request.dataset + "'");
       }
       // Index-work counters aggregate the name's own pooled contexts plus,
-      // for bases, every view registered over it — the same sum the local
-      // CLI sweep prints.
+      // for bases, every view registered over it: the "index work across
+      // sweep" line arsp_cli --subset prints, in process and remote alike.
       index_handles.push_back(it->second.handle);
       for (const std::string& view_name : it->second.views) {
         const auto view = registry_.find(view_name);

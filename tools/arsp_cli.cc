@@ -9,7 +9,9 @@
 //            --constraints wr:0.5,2.0[,l2,h2,...]   (weight ratios), or
 //            --constraints rank:c                   (weak ranking ω1≥...≥ωc+1)
 //            [--batch specs.txt]    (one constraint spec per line; each
-//                                    round runs the specs concurrently)
+//                                    round runs the specs concurrently in
+//                                    process, one at a time over one
+//                                    connection under --connect)
 //            [--repeat N]           (re-issue the request list N times; the
 //                                    engine's result cache serves repeats)
 //            [--subset m%[,m%...]]  (run the query per object-prefix view —
@@ -333,8 +335,11 @@ net::QueryRequestWire MakeWireRequest(const CliArgs& args,
 
 // --trace output: decode the serialized span tree the backend returned.
 // Behind a sharded coordinator the tree carries the chosen shard's
-// shard=N subtree under the coordinator's forward span.
-void PrintTrace(const net::QueryResponseWire& resp) {
+// shard=N subtree under the coordinator's forward span. An in-process
+// EngineBackend has already appended the tree to ARSP_TRACE_FILE; a
+// daemon writes only under its own environment, often on another host,
+// so for a remote backend the CLI appends the returned tree itself.
+void PrintTrace(const net::QueryResponseWire& resp, bool remote) {
   std::vector<obs::Span> spans;
   if (resp.trace_spans.empty()) {
     std::fprintf(stderr, "backend returned no trace spans\n");
@@ -343,6 +348,7 @@ void PrintTrace(const net::QueryResponseWire& resp) {
     std::fprintf(stderr, "backend returned an undecodable trace\n");
   } else {
     std::printf("\n%s", obs::RenderSpanTree(spans[0], resp.trace_id).c_str());
+    if (remote) obs::MaybeWriteChromeTrace(spans[0], resp.trace_id);
   }
 }
 
@@ -353,11 +359,12 @@ struct Outcome {
 };
 
 // Runs one round of requests through the backend, each call timed by its
-// own stopwatch. Several requests run concurrently on a pool of one worker
-// per request, capped at the core count. The pool reserves its workers in
-// the process-global CoreBudget, so the intra-query arenas of in-process
-// solves take only the cores left over.
-void RunRound(net::ServiceBackend& backend,
+// own stopwatch. With `concurrent`, several requests run on a pool of one
+// worker per request, capped at the core count; the pool reserves its
+// workers in the process-global CoreBudget, so the intra-query arenas of
+// in-process solves take only the cores left over. Otherwise the calls run
+// one at a time on the calling thread.
+void RunRound(net::ServiceBackend& backend, bool concurrent,
               const std::vector<net::QueryRequestWire>& requests,
               std::vector<Outcome>* outcomes) {
   const auto run = [&backend, &requests, outcomes](size_t i) {
@@ -365,8 +372,8 @@ void RunRound(net::ServiceBackend& backend,
     (*outcomes)[i].response = backend.Query(requests[i]);
     (*outcomes)[i].call_ms = call.ElapsedMillis();
   };
-  if (requests.size() == 1) {
-    run(0);
+  if (!concurrent || requests.size() == 1) {
+    for (size_t i = 0; i < requests.size(); ++i) run(i);
     return;
   }
   ThreadPool pool(std::min(static_cast<int>(requests.size()),
@@ -601,7 +608,12 @@ int Run(const CliArgs& args) {
   std::vector<Outcome> outcomes(requests.size());
   for (int round = 0; round < args.repeat; ++round) {
     if (args.repeat > 1) std::printf("-- run %d/%d\n", round + 1, args.repeat);
-    RunRound(*backend, requests, &outcomes);
+    // A remote round goes one call at a time over the connection the load
+    // opened: each concurrent RemoteShard call would dial another, which an
+    // arspd --max-connections cap leaves in its backlog (the CLI would
+    // hang) and a small --max-pending answers with RETRY_LATER. The daemon
+    // parallelizes across its clients, not one client's specs.
+    RunRound(*backend, /*concurrent=*/!args.remote, requests, &outcomes);
     for (size_t i = 0; i < outcomes.size(); ++i) {
       const std::string label =
           requests.size() > 1 ? "[" + spec_strings[i] + "] " : "";
@@ -624,7 +636,9 @@ int Run(const CliArgs& args) {
   }
 
   if (args.trace) {
-    for (const Outcome& outcome : outcomes) PrintTrace(*outcome.response);
+    for (const Outcome& outcome : outcomes) {
+      PrintTrace(*outcome.response, args.remote);
+    }
   }
 
   if (args.stats) {
@@ -633,6 +647,10 @@ int Run(const CliArgs& args) {
   }
 
   if (!args.instances_out.empty() || !args.objects_out.empty()) {
+    // Every backend call is done. Releasing the backend frees an in-process
+    // engine's dataset, indexes and cache before the CLI parses its own
+    // copy of the input, so the two never share the peak.
+    backend.reset();
     return WriteResultCsvs(args, load, *outcomes[0].response);
   }
   return 0;
