@@ -11,7 +11,7 @@
 //    ThreadPool *reserves* unconditionally (its size is an explicit caller
 //    decision and existing behavior must not shrink); TaskArena only
 //    *tries* to acquire what is left, so a full pool of in-flight queries
-//    can never fan out pool_size × query_threads OS threads — parallel
+//    can never fan out pool_size × workers-per-query OS threads — parallel
 //    queries inside a saturated pool degrade gracefully to serial, which by
 //    the determinism contract changes nothing but wall time.
 //

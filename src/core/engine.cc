@@ -451,16 +451,12 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
     // may inject an intra-query parallelism hint before Configure runs.
     auto solver = SolverRegistry::Create(solver_name);
     if (!solver.ok()) return solver.status();
-    // Resolve the worker request: the per-query field wins, then the
-    // engine-wide policy, then the auto heuristic (parallelize only large
-    // contexts, sized by the process-global core budget so intra-query
-    // workers and the caller's own thread pools never oversubscribe — the
-    // executor's TryAcquire clamps to whatever is actually free at solve
-    // time).
+    // Resolve the worker request: the per-query field wins, else the auto
+    // heuristic (parallelize only large contexts, sized by the
+    // process-global core budget so intra-query workers and the caller's
+    // own thread pools never oversubscribe — the executor's TryAcquire
+    // clamps to whatever is actually free at solve time).
     int effective_parallelism = request.parallelism;
-    if (effective_parallelism == 0) {
-      effective_parallelism = options_.query_threads;
-    }
     if (effective_parallelism == 0) {
       effective_parallelism = view.num_instances() >= kParallelMinInstances
                                   ? CoreBudget::Total()

@@ -164,9 +164,9 @@ struct QueryRequest {
   /// ablations.
   bool allow_pushdown = true;
   /// Intra-query worker budget for solvers advertising
-  /// kCapIntraQueryParallel: 0 = engine policy (EngineOptions::query_threads
-  /// plus the large-context heuristic), 1 = force serial, N ≥ 2 = request N
-  /// workers (the process-global core budget may grant fewer). Results are
+  /// kCapIntraQueryParallel: 0 = the auto policy (parallel from
+  /// kParallelMinInstances instances up), 1 = force serial, N ≥ 2 = request
+  /// N workers (the process-global core budget may grant fewer). Results are
   /// bit-identical across every value by the parallel determinism contract,
   /// which is also why the result cache ignores this field.
   int parallelism = 0;
@@ -217,19 +217,13 @@ struct EngineOptions {
   /// service serving many distinct constraints needs this bound. Must be
   /// ≥ 1.
   size_t context_pool_capacity = 64;
-  /// Default intra-query worker budget for requests with parallelism == 0:
-  /// 0 = auto (parallelize large contexts — kParallelMinInstances instances
-  /// and up — across the remaining core budget; smaller queries run
-  /// serially), 1 = serial unless a request asks, N ≥ 2 = request N workers
-  /// for every parallel-capable query. Actual grants never exceed the
-  /// process-global core budget (ARSP_THREADS / hardware concurrency).
-  int query_threads = 0;
 };
 
-/// Instance count from which the auto policy (query_threads == 0) treats a
-/// context as "large" and defaults parallel-capable solvers to parallel.
-/// Below it, task-spawn overhead and frontier bookkeeping outweigh the
-/// traversal work a worker can steal.
+/// Instance count from which the auto policy (a request's parallelism ==
+/// 0) treats a context as "large" and runs parallel-capable solvers across
+/// the whole core budget (ARSP_THREADS / hardware concurrency); smaller
+/// contexts run serially. Below it, task-spawn overhead and frontier
+/// bookkeeping outweigh the traversal work a worker can steal.
 inline constexpr int kParallelMinInstances = 200000;
 
 /// Long-lived query engine owning datasets, pooled contexts, and the result

@@ -172,24 +172,6 @@ Status ArspClient::Drop(const std::string& name) {
       .status();
 }
 
-StatusOr<MetricsResponse> ArspClient::Metrics() {
-  auto frame = RoundTrip(MessageType::kMetrics, std::string(),
-                         MessageType::kMetricsResult);
-  if (!frame.ok()) return frame.status();
-  MetricsResponse response;
-  ARSP_RETURN_IF_ERROR(response.DecodePayload(frame->payload));
-  return response;
-}
-
-StatusOr<TraceResponse> ArspClient::Trace() {
-  auto frame = RoundTrip(MessageType::kTraceGet, std::string(),
-                         MessageType::kTraceResult);
-  if (!frame.ok()) return frame.status();
-  TraceResponse response;
-  ARSP_RETURN_IF_ERROR(response.DecodePayload(frame->payload));
-  return response;
-}
-
 Status ArspClient::Shutdown() {
   const Status status =
       RoundTrip(MessageType::kShutdown, std::string(), MessageType::kOk)

@@ -62,14 +62,6 @@ class ArspClient {
   /// Unregisters a dataset or view (bases cascade to their views).
   Status Drop(const std::string& name);
 
-  /// The daemon's process metrics as Prometheus text — the same bytes the
-  /// HTTP /metrics endpoint serves. Since wire v6.
-  StatusOr<MetricsResponse> Metrics();
-
-  /// The most recent traced query the daemon retained (id 0 / empty spans
-  /// when none). Since wire v6.
-  StatusOr<TraceResponse> Trace();
-
   /// Asks the daemon to drain and exit. The connection is closed after the
   /// acknowledgment either way.
   Status Shutdown();

@@ -6,7 +6,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 
 namespace arsp {
 namespace net {
@@ -82,8 +84,6 @@ const char* MessageTypeName(MessageType type) {
     case MessageType::kStats: return "STATS";
     case MessageType::kDrop: return "DROP";
     case MessageType::kShutdown: return "SHUTDOWN";
-    case MessageType::kMetrics: return "METRICS";
-    case MessageType::kTraceGet: return "TRACE";
     case MessageType::kOk: return "OK";
     case MessageType::kError: return "ERROR";
     case MessageType::kLoadResult: return "LOAD_RESULT";
@@ -91,8 +91,6 @@ const char* MessageTypeName(MessageType type) {
     case MessageType::kQueryResult: return "QUERY_RESULT";
     case MessageType::kStatsResult: return "STATS_RESULT";
     case MessageType::kRetryLater: return "RETRY_LATER";
-    case MessageType::kMetricsResult: return "METRICS_RESULT";
-    case MessageType::kTraceResult: return "TRACE_RESULT";
   }
   return "UNKNOWN";
 }
@@ -119,21 +117,6 @@ void WireWriter::F64(double v) {
 void WireWriter::Str(const std::string& s) {
   U32(static_cast<uint32_t>(s.size()));
   buf_.append(s);
-}
-
-void WireWriter::F64Vec(const std::vector<double>& v) {
-  U32(static_cast<uint32_t>(v.size()));
-  for (double x : v) F64(x);
-}
-
-void WireWriter::I32Vec(const std::vector<int>& v) {
-  U32(static_cast<uint32_t>(v.size()));
-  for (int x : v) I32(x);
-}
-
-void WireWriter::StrVec(const std::vector<std::string>& v) {
-  U32(static_cast<uint32_t>(v.size()));
-  for (const std::string& s : v) Str(s);
 }
 
 // ------------------------------------------------------------- WireReader
@@ -201,44 +184,6 @@ std::string WireReader::Str() {
   return s;
 }
 
-std::vector<double> WireReader::F64Vec() {
-  const uint32_t count = U32();
-  // Count-vs-remaining check before allocating: 8 bytes per element.
-  if (!status_.ok() || buf_.size() - pos_ < static_cast<size_t>(count) * 8) {
-    Fail("f64 vector count exceeds payload");
-    return {};
-  }
-  std::vector<double> v;
-  v.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) v.push_back(F64());
-  return v;
-}
-
-std::vector<int> WireReader::I32Vec() {
-  const uint32_t count = U32();
-  if (!status_.ok() || buf_.size() - pos_ < static_cast<size_t>(count) * 4) {
-    Fail("i32 vector count exceeds payload");
-    return {};
-  }
-  std::vector<int> v;
-  v.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) v.push_back(I32());
-  return v;
-}
-
-std::vector<std::string> WireReader::StrVec() {
-  const uint32_t count = U32();
-  // Each element costs at least its 4-byte length prefix.
-  if (!status_.ok() || buf_.size() - pos_ < static_cast<size_t>(count) * 4) {
-    Fail("string vector count exceeds payload");
-    return {};
-  }
-  std::vector<std::string> v;
-  v.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) v.push_back(Str());
-  return v;
-}
-
 Status WireReader::Finish() const {
   if (!status_.ok()) return status_;
   if (pos_ != buf_.size()) {
@@ -250,411 +195,257 @@ Status WireReader::Finish() const {
 }
 
 // ------------------------------------------------------------- messages
+//
+// Each message's layout is written once, as Fields(codec, message): the
+// fields in wire order. Encoder walks that list over a WireWriter and
+// Decoder walks it over a WireReader, so the two sides cannot disagree.
+// Every decode guard sits on the decode side of the walk: WireReader's
+// sticky truncation error and exact-length Finish, and Decoder::Get's
+// vector-count and enum-range checks. Field types map to the wire as
+// bool → u8, enum → u8, 4- and 8-byte integers → u32 and u64, double →
+// f64, string → u32 length + bytes, vector → u32 count + elements; any
+// other field is a struct with a field list of its own.
 
-std::string LoadDatasetRequest::EncodePayload() const {
-  WireWriter w;
-  w.Str(name);
-  w.U8(static_cast<uint8_t>(source));
-  w.Str(payload);
-  w.Bool(header);
-  return w.Take();
+namespace {
+
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+void Fields(auto& c, Is<LoadDatasetRequest> auto& m) {
+  c(m.name, m.source, m.payload, m.header);
 }
 
-Status LoadDatasetRequest::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  name = r.Str();
-  const uint8_t src = r.U8();
-  payload = r.Str();
-  header = r.Bool();
-  ARSP_RETURN_IF_ERROR(r.Finish());
-  if (src > static_cast<uint8_t>(LoadSource::kGenerator)) {
-    return Status::InvalidArgument("bad LoadSource " + std::to_string(src));
+void Fields(auto& c, Is<LoadDatasetResponse> auto& m) {
+  c(m.name, m.num_objects, m.num_instances, m.dim, m.reused);
+}
+
+void Fields(auto& c, Is<AddViewRequest> auto& m) {
+  c(m.base_name, m.view_name, m.spec.kind, m.spec.prefix, m.spec.objects);
+}
+
+void Fields(auto& c, Is<AddViewResponse> auto& m) {
+  c(m.name, m.num_objects, m.num_instances, m.dim);
+}
+
+void Fields(auto& c, Is<QueryRequestWire> auto& m) {
+  c(m.dataset, m.constraint_spec, m.solver, m.options, m.derived_kind, m.k,
+    m.threshold, m.max_objects, m.use_cache, m.allow_pushdown,
+    m.include_instances, m.parallelism, m.trace_id, m.want_trace);
+}
+
+void Fields(auto& c, Is<SolverStats> auto& m) {
+  c(m.solver, m.setup_millis, m.solve_millis, m.dominance_tests,
+    m.nodes_visited, m.nodes_pruned, m.index_probes, m.objects_pruned,
+    m.bound_refinements, m.early_exit_depth, m.index_bytes_resident,
+    m.index_bytes_mapped, m.peak_rss_bytes, m.tasks_spawned, m.tasks_stolen,
+    m.parallel_workers);
+}
+
+void Fields(auto& c, Is<RankedEntry> auto& m) {
+  c(m.object_id, m.name, m.prob);
+}
+
+void Fields(auto& c, Is<QueryResponseWire> auto& m) {
+  c(m.solver, m.cache_hit, m.pushdown, m.complete, m.goal, m.result_size,
+    m.ranked, m.count_threshold, m.stats, m.instance_probs, m.trace_id,
+    m.trace_spans);
+}
+
+void Fields(auto& c, Is<RetryLaterResponse> auto& m) {
+  c(m.retry_after_ms, m.reason);
+}
+
+void Fields(auto& c, Is<StatsRequest> auto& m) { c(m.dataset); }
+
+void Fields(auto& c, Is<DatasetInfo> auto& m) {
+  c(m.name, m.num_objects, m.num_instances, m.dim, m.is_view);
+}
+
+void Fields(auto& c, Is<StatsResponse> auto& m) {
+  c(m.cache_hits, m.cache_misses, m.cache_entries, m.pooled_contexts,
+    m.latency_count, m.latency_mean_ms, m.latency_p50_ms, m.latency_p95_ms,
+    m.latency_p99_ms, m.latency_p999_ms, m.datasets, m.has_index_stats,
+    m.kdtree_builds, m.rtree_builds, m.score_maps, m.score_reuses,
+    m.parent_index_hits, m.kernel_arch, m.index_bytes_resident,
+    m.index_bytes_mapped, m.peak_rss_bytes);
+}
+
+void Fields(auto& c, Is<DropRequest> auto& m) { c(m.name); }
+
+void Fields(auto& c, Is<ErrorResponse> auto& m) { c(m.code, m.message); }
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+template <class T>
+inline constexpr bool kIs4ByteInt = std::is_integral_v<T> && sizeof(T) == 4;
+template <class T>
+inline constexpr bool kIs8ByteInt = std::is_integral_v<T> && sizeof(T) == 8;
+
+class Encoder {
+ public:
+  template <class... T>
+  void operator()(const T&... fields) {
+    (Put(fields), ...);
   }
-  source = static_cast<LoadSource>(src);
-  return Status::OK();
-}
 
-std::string LoadDatasetResponse::EncodePayload() const {
-  WireWriter w;
-  w.Str(name);
-  w.I32(num_objects);
-  w.I32(num_instances);
-  w.I32(dim);
-  w.Bool(reused);
-  return w.Take();
-}
+  std::string Take() { return w_.Take(); }
 
-Status LoadDatasetResponse::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  name = r.Str();
-  num_objects = r.I32();
-  num_instances = r.I32();
-  dim = r.I32();
-  reused = r.Bool();
-  return r.Finish();
-}
-
-std::string AddViewRequest::EncodePayload() const {
-  WireWriter w;
-  w.Str(base_name);
-  w.Str(view_name);
-  w.U8(static_cast<uint8_t>(spec.kind));
-  w.I32(spec.prefix);
-  w.I32Vec(spec.objects);
-  return w.Take();
-}
-
-Status AddViewRequest::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  base_name = r.Str();
-  view_name = r.Str();
-  const uint8_t kind = r.U8();
-  spec.prefix = r.I32();
-  spec.objects = r.I32Vec();
-  ARSP_RETURN_IF_ERROR(r.Finish());
-  if (kind > static_cast<uint8_t>(ViewSpec::Kind::kSubset)) {
-    return Status::InvalidArgument("bad ViewSpec kind " +
-                                   std::to_string(kind));
-  }
-  spec.kind = static_cast<ViewSpec::Kind>(kind);
-  return Status::OK();
-}
-
-std::string AddViewResponse::EncodePayload() const {
-  WireWriter w;
-  w.Str(name);
-  w.I32(num_objects);
-  w.I32(num_instances);
-  w.I32(dim);
-  return w.Take();
-}
-
-Status AddViewResponse::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  name = r.Str();
-  num_objects = r.I32();
-  num_instances = r.I32();
-  dim = r.I32();
-  return r.Finish();
-}
-
-std::string QueryRequestWire::EncodePayload() const {
-  WireWriter w;
-  w.Str(dataset);
-  w.Str(constraint_spec);
-  w.Str(solver);
-  w.StrVec(options);
-  w.U8(static_cast<uint8_t>(derived_kind));
-  w.I32(k);
-  w.F64(threshold);
-  w.I32(max_objects);
-  w.Bool(use_cache);
-  w.Bool(allow_pushdown);
-  w.Bool(include_instances);
-  w.I32(parallelism);
-  w.U64(trace_id);
-  w.Bool(want_trace);
-  return w.Take();
-}
-
-Status QueryRequestWire::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  dataset = r.Str();
-  constraint_spec = r.Str();
-  solver = r.Str();
-  options = r.StrVec();
-  const uint8_t kind = r.U8();
-  k = r.I32();
-  threshold = r.F64();
-  max_objects = r.I32();
-  use_cache = r.Bool();
-  allow_pushdown = r.Bool();
-  include_instances = r.Bool();
-  parallelism = r.I32();
-  trace_id = r.U64();
-  want_trace = r.Bool();
-  ARSP_RETURN_IF_ERROR(r.Finish());
-  if (kind > static_cast<uint8_t>(WireDerivedKind::kCountControlled)) {
-    return Status::InvalidArgument("bad derived kind " +
-                                   std::to_string(kind));
-  }
-  derived_kind = static_cast<WireDerivedKind>(kind);
-  return Status::OK();
-}
-
-WireSolverStats WireSolverStats::From(const SolverStats& stats) {
-  WireSolverStats w;
-  w.solver = stats.solver;
-  w.setup_millis = stats.setup_millis;
-  w.solve_millis = stats.solve_millis;
-  w.dominance_tests = stats.dominance_tests;
-  w.nodes_visited = stats.nodes_visited;
-  w.nodes_pruned = stats.nodes_pruned;
-  w.index_probes = stats.index_probes;
-  w.objects_pruned = stats.objects_pruned;
-  w.bound_refinements = stats.bound_refinements;
-  w.early_exit_depth = stats.early_exit_depth;
-  w.index_bytes_resident = stats.index_bytes_resident;
-  w.index_bytes_mapped = stats.index_bytes_mapped;
-  w.peak_rss_bytes = stats.peak_rss_bytes;
-  w.tasks_spawned = stats.tasks_spawned;
-  w.tasks_stolen = stats.tasks_stolen;
-  w.parallel_workers = stats.parallel_workers;
-  return w;
-}
-
-SolverStats WireSolverStats::ToSolverStats() const {
-  SolverStats s;
-  s.solver = solver;
-  s.setup_millis = setup_millis;
-  s.solve_millis = solve_millis;
-  s.dominance_tests = dominance_tests;
-  s.nodes_visited = nodes_visited;
-  s.nodes_pruned = nodes_pruned;
-  s.index_probes = index_probes;
-  s.objects_pruned = objects_pruned;
-  s.bound_refinements = bound_refinements;
-  s.early_exit_depth = early_exit_depth;
-  s.index_bytes_resident = index_bytes_resident;
-  s.index_bytes_mapped = index_bytes_mapped;
-  s.peak_rss_bytes = peak_rss_bytes;
-  s.tasks_spawned = tasks_spawned;
-  s.tasks_stolen = tasks_stolen;
-  s.parallel_workers = parallel_workers;
-  return s;
-}
-
-void WireSolverStats::Encode(WireWriter& w) const {
-  w.Str(solver);
-  w.F64(setup_millis);
-  w.F64(solve_millis);
-  w.I64(dominance_tests);
-  w.I64(nodes_visited);
-  w.I64(nodes_pruned);
-  w.I64(index_probes);
-  w.I64(objects_pruned);
-  w.I64(bound_refinements);
-  w.I64(early_exit_depth);
-  w.I64(index_bytes_resident);
-  w.I64(index_bytes_mapped);
-  w.I64(peak_rss_bytes);
-  w.I64(tasks_spawned);
-  w.I64(tasks_stolen);
-  w.I64(parallel_workers);
-}
-
-void WireSolverStats::Decode(WireReader& r) {
-  solver = r.Str();
-  setup_millis = r.F64();
-  solve_millis = r.F64();
-  dominance_tests = r.I64();
-  nodes_visited = r.I64();
-  nodes_pruned = r.I64();
-  index_probes = r.I64();
-  objects_pruned = r.I64();
-  bound_refinements = r.I64();
-  early_exit_depth = r.I64();
-  index_bytes_resident = r.I64();
-  index_bytes_mapped = r.I64();
-  peak_rss_bytes = r.I64();
-  tasks_spawned = r.I64();
-  tasks_stolen = r.I64();
-  parallel_workers = r.I64();
-}
-
-std::string QueryResponseWire::EncodePayload() const {
-  WireWriter w;
-  w.Str(solver);
-  w.Bool(cache_hit);
-  w.Bool(pushdown);
-  w.Bool(complete);
-  w.Str(goal);
-  w.I32(result_size);
-  w.U32(static_cast<uint32_t>(ranked.size()));
-  for (const RankedEntry& e : ranked) {
-    w.I32(e.object_id);
-    w.Str(e.name);
-    w.F64(e.prob);
-  }
-  w.F64(count_threshold);
-  stats.Encode(w);
-  w.F64Vec(instance_probs);
-  w.U64(trace_id);
-  w.Str(trace_spans);
-  return w.Take();
-}
-
-Status QueryResponseWire::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  solver = r.Str();
-  cache_hit = r.Bool();
-  pushdown = r.Bool();
-  complete = r.Bool();
-  goal = r.Str();
-  result_size = r.I32();
-  const uint32_t count = r.U32();
-  // Each ranked entry costs at least 16 bytes (i32 + empty string + f64).
-  if (r.status().ok() && count <= bytes.size() / 16 + 1) {
-    ranked.clear();
-    ranked.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      RankedEntry e;
-      e.object_id = r.I32();
-      e.name = r.Str();
-      e.prob = r.F64();
-      ranked.push_back(std::move(e));
+ private:
+  template <class T>
+  void Put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      w_.Bool(v);
+    } else if constexpr (std::is_enum_v<T>) {
+      w_.U8(static_cast<uint8_t>(v));
+    } else if constexpr (kIs4ByteInt<T>) {
+      w_.U32(static_cast<uint32_t>(v));
+    } else if constexpr (kIs8ByteInt<T>) {
+      w_.U64(static_cast<uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+      w_.F64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      w_.Str(v);
+    } else if constexpr (kIsVector<T>) {
+      w_.U32(static_cast<uint32_t>(v.size()));
+      for (const auto& element : v) Put(element);
+    } else {
+      Fields(*this, v);
     }
-  } else if (r.status().ok()) {
-    return Status::InvalidArgument("ranked entry count exceeds payload");
   }
-  count_threshold = r.F64();
-  stats.Decode(r);
-  instance_probs = r.F64Vec();
-  trace_id = r.U64();
-  trace_spans = r.Str();
-  return r.Finish();
+
+  WireWriter w_;
+};
+
+// The fewest bytes one T can encode to: a default T's, since the only
+// variable-length parts (strings, vectors) start empty — 8 per f64, 4 per
+// i32 or string, 16 per ranked entry, 17 per dataset listing.
+template <class T>
+size_t MinEncodedBytes() {
+  static const size_t bytes = [] {
+    Encoder encoder;
+    encoder(T{});
+    return encoder.Take().size();
+  }();
+  return bytes;
 }
 
-std::string RetryLaterResponse::EncodePayload() const {
-  WireWriter w;
-  w.U32(retry_after_ms);
-  w.Str(reason);
-  return w.Take();
+// The last valid value and the error name of each enum on the wire.
+struct EnumRange {
+  int last;
+  const char* name;
+};
+EnumRange RangeOf(LoadSource) {
+  return {static_cast<int>(LoadSource::kGenerator), "LoadSource"};
+}
+EnumRange RangeOf(ViewSpec::Kind) {
+  return {static_cast<int>(ViewSpec::Kind::kSubset), "ViewSpec kind"};
+}
+EnumRange RangeOf(DerivedKind) {
+  return {static_cast<int>(DerivedKind::kCountControlled), "derived kind"};
+}
+EnumRange RangeOf(StatusCode) {
+  return {static_cast<int>(StatusCode::kUnavailable), "status code"};
 }
 
-Status RetryLaterResponse::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  retry_after_ms = r.U32();
-  reason = r.Str();
-  return r.Finish();
-}
+class Decoder {
+ public:
+  explicit Decoder(const std::string& bytes) : r_(bytes) {}
 
-std::string StatsRequest::EncodePayload() const {
-  WireWriter w;
-  w.Str(dataset);
-  return w.Take();
-}
-
-Status StatsRequest::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  dataset = r.Str();
-  return r.Finish();
-}
-
-std::string StatsResponse::EncodePayload() const {
-  WireWriter w;
-  w.I64(cache_hits);
-  w.I64(cache_misses);
-  w.U64(cache_entries);
-  w.U64(pooled_contexts);
-  w.I64(latency_count);
-  w.F64(latency_mean_ms);
-  w.F64(latency_p50_ms);
-  w.F64(latency_p95_ms);
-  w.F64(latency_p99_ms);
-  w.F64(latency_p999_ms);
-  w.U32(static_cast<uint32_t>(datasets.size()));
-  for (const DatasetInfo& d : datasets) {
-    w.Str(d.name);
-    w.I32(d.num_objects);
-    w.I32(d.num_instances);
-    w.I32(d.dim);
-    w.Bool(d.is_view);
+  template <class... T>
+  void operator()(T&... fields) {
+    (Get(fields), ...);
   }
-  w.Bool(has_index_stats);
-  w.I64(kdtree_builds);
-  w.I64(rtree_builds);
-  w.I64(score_maps);
-  w.I64(score_reuses);
-  w.I64(parent_index_hits);
-  w.Str(kernel_arch);
-  w.I64(index_bytes_resident);
-  w.I64(index_bytes_mapped);
-  w.I64(peak_rss_bytes);
-  w.I64(query_threads);
-  return w.Take();
-}
 
-Status StatsResponse::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  cache_hits = r.I64();
-  cache_misses = r.I64();
-  cache_entries = r.U64();
-  pooled_contexts = r.U64();
-  latency_count = r.I64();
-  latency_mean_ms = r.F64();
-  latency_p50_ms = r.F64();
-  latency_p95_ms = r.F64();
-  latency_p99_ms = r.F64();
-  latency_p999_ms = r.F64();
-  const uint32_t count = r.U32();
-  // Each dataset entry costs at least 17 bytes.
-  if (r.status().ok() && count <= bytes.size() / 17 + 1) {
-    datasets.clear();
-    datasets.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      DatasetInfo d;
-      d.name = r.Str();
-      d.num_objects = r.I32();
-      d.num_instances = r.I32();
-      d.dim = r.I32();
-      d.is_view = r.Bool();
-      datasets.push_back(std::move(d));
+  Status Finish() const { return r_.Finish(); }
+
+ private:
+  template <class T>
+  void Get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = r_.Bool();
+    } else if constexpr (std::is_enum_v<T>) {
+      const uint8_t raw = r_.U8();
+      const EnumRange range = RangeOf(T{});
+      if (raw > range.last) {
+        r_.Fail(std::string("bad ") + range.name + " " +
+                std::to_string(raw));
+      } else {
+        v = static_cast<T>(raw);
+      }
+    } else if constexpr (kIs4ByteInt<T>) {
+      v = static_cast<T>(r_.U32());
+    } else if constexpr (kIs8ByteInt<T>) {
+      v = static_cast<T>(r_.U64());
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = r_.F64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = r_.Str();
+    } else if constexpr (kIsVector<T>) {
+      using Element = typename T::value_type;
+      const uint32_t count = r_.U32();
+      // Count-versus-remaining check before allocating, so a forged count
+      // cannot OOM the daemon.
+      if (static_cast<uint64_t>(count) * MinEncodedBytes<Element>() >
+          r_.remaining()) {
+        r_.Fail("vector count " + std::to_string(count) +
+                " exceeds payload");
+        return;
+      }
+      v.clear();
+      v.reserve(count);
+      for (uint32_t i = 0; i < count; ++i) {
+        Element element{};
+        Get(element);
+        v.push_back(std::move(element));
+      }
+    } else {
+      Fields(*this, v);
     }
-  } else if (r.status().ok()) {
-    return Status::InvalidArgument("dataset entry count exceeds payload");
   }
-  has_index_stats = r.Bool();
-  kdtree_builds = r.I64();
-  rtree_builds = r.I64();
-  score_maps = r.I64();
-  score_reuses = r.I64();
-  parent_index_hits = r.I64();
-  kernel_arch = r.Str();
-  index_bytes_resident = r.I64();
-  index_bytes_mapped = r.I64();
-  peak_rss_bytes = r.I64();
-  query_threads = r.I64();
-  return r.Finish();
+
+  WireReader r_;
+};
+
+template <class M>
+std::string EncodeFields(const M& message) {
+  Encoder encoder;
+  Fields(encoder, message);
+  return encoder.Take();
 }
 
-std::string DropRequest::EncodePayload() const {
-  WireWriter w;
-  w.Str(name);
-  return w.Take();
+template <class M>
+Status DecodeFields(const std::string& bytes, M& message) {
+  Decoder decoder(bytes);
+  Fields(decoder, message);
+  return decoder.Finish();
 }
 
-Status DropRequest::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  name = r.Str();
-  return r.Finish();
-}
+}  // namespace
 
-std::string MetricsResponse::EncodePayload() const {
-  WireWriter w;
-  w.Str(text);
-  return w.Take();
-}
+#define ARSP_WIRE_CODEC(Message)                              \
+  std::string Message::EncodePayload() const {                \
+    return EncodeFields(*this);                               \
+  }                                                           \
+  Status Message::DecodePayload(const std::string& bytes) {   \
+    return DecodeFields(bytes, *this);                        \
+  }
 
-Status MetricsResponse::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  text = r.Str();
-  return r.Finish();
-}
+ARSP_WIRE_CODEC(LoadDatasetRequest)
+ARSP_WIRE_CODEC(LoadDatasetResponse)
+ARSP_WIRE_CODEC(AddViewRequest)
+ARSP_WIRE_CODEC(AddViewResponse)
+ARSP_WIRE_CODEC(QueryRequestWire)
+ARSP_WIRE_CODEC(QueryResponseWire)
+ARSP_WIRE_CODEC(RetryLaterResponse)
+ARSP_WIRE_CODEC(StatsRequest)
+ARSP_WIRE_CODEC(StatsResponse)
+ARSP_WIRE_CODEC(DropRequest)
+ARSP_WIRE_CODEC(ErrorResponse)
 
-std::string TraceResponse::EncodePayload() const {
-  WireWriter w;
-  w.U64(trace_id);
-  w.Str(spans);
-  return w.Take();
-}
-
-Status TraceResponse::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  trace_id = r.U64();
-  spans = r.Str();
-  return r.Finish();
-}
+#undef ARSP_WIRE_CODEC
 
 ErrorResponse ErrorResponse::From(const Status& status) {
   ErrorResponse e;
@@ -681,25 +472,6 @@ Status ErrorResponse::ToStatus() const {
       return Status::Unavailable(message);
   }
   return Status::Internal(message);
-}
-
-std::string ErrorResponse::EncodePayload() const {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(code));
-  w.Str(message);
-  return w.Take();
-}
-
-Status ErrorResponse::DecodePayload(const std::string& bytes) {
-  WireReader r(bytes);
-  const uint8_t c = r.U8();
-  message = r.Str();
-  ARSP_RETURN_IF_ERROR(r.Finish());
-  if (c > static_cast<uint8_t>(StatusCode::kUnavailable)) {
-    return Status::InvalidArgument("bad status code " + std::to_string(c));
-  }
-  code = static_cast<StatusCode>(c);
-  return Status::OK();
 }
 
 // ----------------------------------------------------------------- framing

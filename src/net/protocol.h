@@ -16,16 +16,19 @@
 //
 // Payloads are flat sequences of primitives encoded by WireWriter and
 // decoded by WireReader: u8/u32/u64/i32/f64, strings as u32 length + bytes,
-// vectors as u32 count + elements. WireReader is bounds-checked with a
-// sticky error, so a truncated or hostile payload can never read out of
-// range — decoding either succeeds completely or returns InvalidArgument.
-// Frames larger than kMaxPayloadBytes are rejected before any allocation
-// (the max-frame guard: a garbage length prefix must not OOM the daemon).
+// vectors as u32 count + elements, enums as one u8. WireReader is
+// bounds-checked with a sticky error, so a truncated or hostile payload can
+// never read out of range — decoding either succeeds completely or returns
+// InvalidArgument. Frames larger than kMaxPayloadBytes are rejected before
+// any allocation (the max-frame guard: a garbage length prefix must not OOM
+// the daemon).
 //
 // Every message is a plain struct with EncodePayload()/DecodePayload(), so
 // the protocol is testable without sockets (tests/protocol_test.cc) and the
-// server/client share one serialization path. SendMessage/RecvFrame are the
-// blocking fd-level framing helpers both sides use.
+// server/client share one serialization path. Each message's layout is
+// written once, as a field list in protocol.cc that encoding and decoding
+// both walk. SendFrame/RecvFrame are the blocking fd-level framing helpers
+// both sides use.
 
 #ifndef ARSP_NET_PROTOCOL_H_
 #define ARSP_NET_PROTOCOL_H_
@@ -36,6 +39,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/core/engine.h"
 #include "src/core/solver.h"
 #include "src/uncertain/dataset_view.h"
 
@@ -53,15 +57,15 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 /// v3 (cluster): QueryRequestWire grew an evaluation scope, QueryResponseWire
 ///     grew per-object reports + a shipped-instance offset (shard partial
 ///     results), and RETRY_LATER became a typed overload reply.
-/// v4 (out-of-core): WireSolverStats grew the data-plane memory fields
-///     (index_bytes_resident / index_bytes_mapped / peak_rss_bytes), and
-///     StatsResponse grew the same per-dataset index footprint plus the
+/// v4 (out-of-core): the reply's SolverStats grew the data-plane memory
+///     fields (index_bytes_resident / index_bytes_mapped / peak_rss_bytes),
+///     and StatsResponse grew the same per-dataset index footprint plus the
 ///     daemon's process peak RSS — so a client can see whether a dataset is
 ///     served from heap-built indexes or a mapped snapshot.
 /// v5 (intra-query parallelism): QueryRequestWire grew `parallelism` (the
-///     per-query worker request), WireSolverStats grew the executor
-///     counters (tasks_spawned / tasks_stolen / parallel_workers), and
-///     StatsResponse grew the daemon's configured query_threads policy.
+///     per-query worker request), the reply's SolverStats grew the
+///     executor counters (tasks_spawned / tasks_stolen / parallel_workers),
+///     and StatsResponse grew the daemon's intra-query worker policy.
 /// v6 (observability): QueryRequestWire grew `trace_id` + `want_trace`
 ///     (distributed tracing: the coordinator stamps its trace id into
 ///     scattered frames), QueryResponseWire grew `trace_id` + `trace_spans`
@@ -76,7 +80,11 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 ///     arsp_query_latency_ms histogram, so StatsResponse lost
 ///     latency_window and latency_min_ms, and its latency fields are
 ///     encoded as one block.
-inline constexpr uint8_t kWireVersion = 8;
+/// v9 (one field list): the METRICS / TRACE pair was deleted (HTTP
+///     /metrics serves the same text; type numbers 8, 9, 135 and 136 stay
+///     unassigned), and StatsResponse lost the intra-query worker policy,
+///     whose only value in use was the default.
+inline constexpr uint8_t kWireVersion = 9;
 
 /// Max payload bytes a peer will accept (the max-frame guard). Large enough
 /// for a multi-million-instance probability vector, small enough that a
@@ -94,12 +102,6 @@ enum class MessageType : uint8_t {
   kStats = 5,         ///< StatsRequest
   kDrop = 6,          ///< DropRequest
   kShutdown = 7,      ///< drain and stop the daemon; empty payload
-  /// Process metrics dump (Prometheus text, the same bytes the HTTP
-  /// /metrics endpoint serves); empty payload. Since wire v6.
-  kMetrics = 8,
-  /// Fetch the most recent traced query's span tree retained by the
-  /// server; empty payload. Since wire v6.
-  kTraceGet = 9,
   // Server → client.
   kOk = 128,          ///< generic success (ping, drop, shutdown)
   kError = 129,       ///< ErrorResponse
@@ -112,8 +114,6 @@ enum class MessageType : uint8_t {
   /// kError so well-behaved clients can back off without parsing text.
   /// Since wire v3.
   kRetryLater = 134,
-  kMetricsResult = 135,  ///< MetricsResponse. Since wire v6.
-  kTraceResult = 136,    ///< TraceResponse. Since wire v6.
 };
 
 /// Human-readable message-type name for logs and errors.
@@ -135,9 +135,6 @@ class WireWriter {
   void F64(double v);
   /// u32 byte length + raw bytes.
   void Str(const std::string& s);
-  void F64Vec(const std::vector<double>& v);
-  void I32Vec(const std::vector<int>& v);
-  void StrVec(const std::vector<std::string>& v);
 
   const std::string& bytes() const { return buf_; }
   std::string Take() { return std::move(buf_); }
@@ -149,8 +146,9 @@ class WireWriter {
 /// Bounds-checked little-endian reader with a sticky error: after any
 /// failed read, every subsequent read returns zero values and status() is
 /// non-OK. Decoders therefore read unconditionally and check once at the
-/// end. Vector/string reads validate the element count against the bytes
-/// actually remaining before allocating, so a hostile length cannot OOM.
+/// end. String reads validate the length against the bytes actually
+/// remaining before allocating, and the message decoder does the same for
+/// vector counts, so a hostile length cannot OOM.
 class WireReader {
  public:
   explicit WireReader(const std::string& bytes) : buf_(bytes) {}
@@ -164,10 +162,12 @@ class WireReader {
   bool Bool() { return U8() != 0; }
   double F64();
   std::string Str();
-  std::vector<double> F64Vec();
-  std::vector<int> I32Vec();
-  std::vector<std::string> StrVec();
 
+  /// Payload bytes not yet read.
+  size_t remaining() const { return buf_.size() - pos_; }
+  /// Records `what` (plus the offset) as the sticky error, unless an
+  /// earlier read already failed.
+  void Fail(const std::string& what);
   /// OK iff every read so far stayed in bounds.
   const Status& status() const { return status_; }
   /// InvalidArgument unless the payload was consumed exactly and fully —
@@ -176,7 +176,6 @@ class WireReader {
 
  private:
   bool Need(size_t n);
-  void Fail(const std::string& what);
 
   const std::string& buf_;
   size_t pos_ = 0;
@@ -238,15 +237,6 @@ struct AddViewResponse {
   Status DecodePayload(const std::string& bytes);
 };
 
-/// Mirrors engine DerivedKind on the wire (u8).
-enum class WireDerivedKind : uint8_t {
-  kNone = 0,
-  kTopKObjects = 1,
-  kTopKInstances = 2,
-  kObjectsAboveThreshold = 3,
-  kCountControlled = 4,
-};
-
 /// One query against a named dataset or view — the wire form of the
 /// engine's QueryRequest: constraint spec + solver + goal + options.
 struct QueryRequestWire {
@@ -254,7 +244,7 @@ struct QueryRequestWire {
   std::string constraint_spec;  ///< ParseConstraintSpec syntax
   std::string solver = "auto";
   std::vector<std::string> options;  ///< raw "key=value" pairs (CLI --opt)
-  WireDerivedKind derived_kind = WireDerivedKind::kNone;
+  DerivedKind derived_kind = DerivedKind::kNone;
   int32_t k = 10;
   double threshold = 0.5;
   int32_t max_objects = 10;
@@ -280,33 +270,11 @@ struct QueryRequestWire {
   Status DecodePayload(const std::string& bytes);
 };
 
-/// Wire form of SolverStats; field-for-field.
-struct WireSolverStats {
-  std::string solver;
-  double setup_millis = 0.0;
-  double solve_millis = 0.0;
-  int64_t dominance_tests = 0;
-  int64_t nodes_visited = 0;
-  int64_t nodes_pruned = 0;
-  int64_t index_probes = 0;
-  int64_t objects_pruned = 0;
-  int64_t bound_refinements = 0;
-  int64_t early_exit_depth = 0;
-  // Data-plane memory accounting (SolverStats field-for-field). Since v4.
-  int64_t index_bytes_resident = 0;
-  int64_t index_bytes_mapped = 0;
-  int64_t peak_rss_bytes = 0;
-  // Intra-query executor counters (SolverStats field-for-field). Since v5.
-  // tasks_stolen is scheduling-dependent; the other two are deterministic.
-  int64_t tasks_spawned = 0;
-  int64_t tasks_stolen = 0;
-  int64_t parallel_workers = 0;
-
-  static WireSolverStats From(const SolverStats& stats);
-  SolverStats ToSolverStats() const;
-  void Encode(WireWriter& w) const;
-  void Decode(WireReader& r);
-};
+// The engine's own types travel on the wire: DerivedKind in a QUERY,
+// SolverStats in its reply. Their former wire names stay as aliases
+// because perfbench/ still uses them.
+using WireSolverStats = SolverStats;
+using WireDerivedKind = DerivedKind;
 
 /// One ranked answer entry: base object id, the server-side object name
 /// (CSV key or generator name; empty when unnamed), and Pr_rsky.
@@ -327,7 +295,7 @@ struct QueryResponseWire {
   int32_t result_size = -1;
   std::vector<RankedEntry> ranked;
   double count_threshold = 0.0;
-  WireSolverStats stats;
+  SolverStats stats;
   /// Per-instance probabilities: the full vector when the request asked
   /// for include_instances and the result is complete, else empty.
   std::vector<double> instance_probs;
@@ -409,9 +377,6 @@ struct StatsResponse {
   int64_t index_bytes_resident = 0;
   int64_t index_bytes_mapped = 0;
   int64_t peak_rss_bytes = 0;
-  /// The daemon's intra-query parallelism policy (EngineOptions::
-  /// query_threads: 0 = auto, 1 = serial, N >= 2 = N workers). Since v5.
-  int64_t query_threads = 0;
 
   std::string EncodePayload() const;
   Status DecodePayload(const std::string& bytes);
@@ -419,28 +384,6 @@ struct StatsResponse {
 
 struct DropRequest {
   std::string name;
-
-  std::string EncodePayload() const;
-  Status DecodePayload(const std::string& bytes);
-};
-
-/// Reply to kMetrics: the process's Prometheus text exposition — the exact
-/// bytes `GET /metrics` on the daemon's --metrics-port serves, so wire
-/// clients (arsp_cli --metrics) and HTTP scrapers see one truth.
-/// Since wire v6.
-struct MetricsResponse {
-  std::string text;
-
-  std::string EncodePayload() const;
-  Status DecodePayload(const std::string& bytes);
-};
-
-/// Reply to kTraceGet: the most recent traced query the server retained
-/// (id 0 and empty spans when none has been traced yet). Since wire v6.
-struct TraceResponse {
-  uint64_t trace_id = 0;
-  /// obs::SerializeSpans format.
-  std::string spans;
 
   std::string EncodePayload() const;
   Status DecodePayload(const std::string& bytes);

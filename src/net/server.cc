@@ -56,29 +56,16 @@ uint64_t Fingerprint(LoadSource source, bool header,
   return h;
 }
 
-DerivedKind ToDerivedKind(WireDerivedKind kind) {
-  switch (kind) {
-    case WireDerivedKind::kNone: return DerivedKind::kNone;
-    case WireDerivedKind::kTopKObjects: return DerivedKind::kTopKObjects;
-    case WireDerivedKind::kTopKInstances: return DerivedKind::kTopKInstances;
-    case WireDerivedKind::kObjectsAboveThreshold:
-      return DerivedKind::kObjectsAboveThreshold;
-    case WireDerivedKind::kCountControlled:
-      return DerivedKind::kCountControlled;
-  }
-  return DerivedKind::kNone;
-}
-
 // Goal-kind label for the arsp_queries_total metric: a small closed set
 // (labels must stay low-cardinality — never the raw goal string, which
 // embeds constraint text).
-const char* GoalLabel(WireDerivedKind kind) {
+const char* GoalLabel(DerivedKind kind) {
   switch (kind) {
-    case WireDerivedKind::kNone: return "full";
-    case WireDerivedKind::kTopKObjects: return "topk_objects";
-    case WireDerivedKind::kTopKInstances: return "topk_instances";
-    case WireDerivedKind::kObjectsAboveThreshold: return "threshold";
-    case WireDerivedKind::kCountControlled: return "count";
+    case DerivedKind::kNone: return "full";
+    case DerivedKind::kTopKObjects: return "topk_objects";
+    case DerivedKind::kTopKInstances: return "topk_instances";
+    case DerivedKind::kObjectsAboveThreshold: return "threshold";
+    case DerivedKind::kCountControlled: return "count";
   }
   return "full";
 }
@@ -120,7 +107,6 @@ void FillLatency(const obs::Histogram& latency, StatsResponse* response) {
 
 EngineBackend::EngineBackend(EngineOptions options)
     : engine_(options),
-      query_threads_(options.query_threads),
       cache_hits_(obs::MetricsRegistry::Global().GetCounter(
           "arsp_query_cache_hits_total", {},
           "Queries answered from the result cache.")),
@@ -516,12 +502,6 @@ bool ArspServer::HandleRequest(int client_fd, const Frame& frame,
         return true;
       }
       latency_ms_->Observe(elapsed_ms);
-      if (!response->trace_spans.empty()) {
-        // Retain for the TRACE message (most recent wins).
-        std::lock_guard<std::mutex> lock(mu_);
-        last_trace_id_ = response->trace_id;
-        last_trace_spans_ = response->trace_spans;
-      }
       if (options_.slow_query_ms >= 0 &&
           elapsed_ms >= static_cast<double>(options_.slow_query_ms)) {
         LogSlowQuery(request, *response, elapsed_ms);
@@ -532,24 +512,6 @@ bool ArspServer::HandleRequest(int client_fd, const Frame& frame,
       }
       *reply_type = MessageType::kQueryResult;
       *reply_payload = response->EncodePayload();
-      return true;
-    }
-    case MessageType::kMetrics: {
-      MetricsResponse response;
-      response.text = obs::MetricsRegistry::Global().RenderPrometheusText();
-      *reply_type = MessageType::kMetricsResult;
-      *reply_payload = response.EncodePayload();
-      return true;
-    }
-    case MessageType::kTraceGet: {
-      TraceResponse response;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        response.trace_id = last_trace_id_;
-        response.spans = last_trace_spans_;
-      }
-      *reply_type = MessageType::kTraceResult;
-      *reply_payload = response.EncodePayload();
       return true;
     }
     case MessageType::kStats: {
@@ -843,7 +805,7 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
   for (const std::string& opt : request.options) {
     ARSP_RETURN_IF_ERROR(query.options.ParseKeyValue(opt));
   }
-  query.derived.kind = ToDerivedKind(request.derived_kind);
+  query.derived.kind = request.derived_kind;
   query.derived.k = request.k;
   query.derived.threshold = request.threshold;
   query.derived.max_objects = request.max_objects;
@@ -883,13 +845,13 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
   wire.goal = response->result->goal.ToString();
   wire.result_size = wire.complete ? CountNonZero(*response->result) : -1;
   wire.count_threshold = response->count_threshold;
-  wire.stats = WireSolverStats::From(response->stats);
+  wire.stats = response->stats;
   wire.ranked.reserve(response->ranked.size());
   // Instance-level rankings carry instance ids, which have no name; every
   // object-level kind carries *base* object ids that index the base's
   // name table regardless of the queried window.
   const bool object_ids =
-      request.derived_kind != WireDerivedKind::kTopKInstances;
+      request.derived_kind != DerivedKind::kTopKInstances;
   for (const auto& [id, prob] : response->ranked) {
     RankedEntry entry;
     entry.object_id = id;
@@ -972,7 +934,6 @@ StatusOr<StatsResponse> EngineBackend::Stats(const StatsRequest& request) {
     response.index_bytes_mapped = static_cast<int64_t>(memory.mapped);
   }
   response.peak_rss_bytes = PeakRssBytes();
-  response.query_threads = query_threads_;
   return response;
 }
 

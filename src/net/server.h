@@ -100,8 +100,6 @@ class EngineBackend : public ServiceBackend {
   };
 
   ArspEngine engine_;
-  /// Kept for STATS reporting (the engine does not expose its options).
-  const int query_threads_;
   mutable std::mutex mu_;
   std::map<std::string, NamedEntry> registry_;
 
@@ -124,8 +122,8 @@ struct ServerOptions {
   /// 0 = unlimited. When at the cap, the accept loop leaves new
   /// connections in the TCP backlog until a slot frees.
   int max_connections = 0;
-  /// Engine construction knobs (cache capacity, context pool, intra-query
-  /// threads) for the default EngineBackend; ignored when `backend` is set.
+  /// Engine construction knobs (cache capacity, context pool) for the
+  /// default EngineBackend; ignored when `backend` is set.
   EngineOptions engine;
   /// The request backend. Null (the default) builds an internal
   /// EngineBackend from `engine` — the classic single-process daemon. The
@@ -222,10 +220,6 @@ class ArspServer {
   bool started_ = false;
   bool stopping_ = false;
   int64_t requests_served_ = 0;
-  /// Most recent traced query (explicit --trace or forced by the slow-query
-  /// log), served back via the TRACE message. Guarded by mu_.
-  uint64_t last_trace_id_ = 0;
-  std::string last_trace_spans_;
 
   /// Live handler threads, one per open connection. A handler moves its
   /// own node to finished_threads_ (under mu_) just before exiting; only

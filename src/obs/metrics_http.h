@@ -10,8 +10,8 @@
 //
 // This is an operational side door, not a product API: arspd opens it only
 // when --metrics-port is given, bound to the same loopback-by-default
-// stance as the wire port. The wire METRICS message returns the same bytes
-// for clients that already speak the protocol.
+// stance as the wire port. It is the only way to read the metrics from
+// outside the process: the wire protocol has no metrics message.
 
 #ifndef ARSP_OBS_METRICS_HTTP_H_
 #define ARSP_OBS_METRICS_HTTP_H_

@@ -2,6 +2,8 @@
 
 #include "src/prefs/weight_ratio.h"
 
+#include <cmath>
+
 #include "src/prefs/linear_constraints.h"
 
 namespace arsp {
@@ -18,6 +20,12 @@ StatusOr<WeightRatioConstraints> WeightRatioConstraints::Create(
     }
     if (!(lo <= hi)) {
       return Status::InvalidArgument("ratio range must satisfy l <= h");
+    }
+    // An infinite upper bound (`inf`, or a literal strtod overflows) makes
+    // the simplex vertices NaN (inf / (1 + inf)), which crashes the
+    // traversal solvers and makes LOOP and DUAL disagree.
+    if (!std::isfinite(hi)) {
+      return Status::InvalidArgument("ratio bounds must be finite");
     }
   }
   return WeightRatioConstraints(std::move(ranges));

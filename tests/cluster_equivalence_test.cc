@@ -36,7 +36,6 @@ using net::LoadSource;
 using net::QueryRequestWire;
 using net::QueryResponseWire;
 using net::ServiceBackend;
-using net::WireDerivedKind;
 
 // A multi-instance synthetic (enum refuses it: 3^18 worlds > the cap, which
 // must fail identically through the coordinator) and a single-instance IIP.
@@ -92,7 +91,7 @@ void LoadCsv(ServiceBackend& backend, const std::string& name,
 QueryRequestWire MakeQuery(const std::string& dataset,
                            const std::string& constraints,
                            const std::string& solver,
-                           WireDerivedKind kind = WireDerivedKind::kNone) {
+                           DerivedKind kind = DerivedKind::kNone) {
   QueryRequestWire request;
   request.dataset = dataset;
   request.constraint_spec = constraints;
@@ -144,38 +143,38 @@ std::vector<QueryRequestWire> GoalGrid(const std::string& dataset,
   }
   for (int k : {0, 1, 3, -1}) {  // -1 ranks everything; 0 is empty
     QueryRequestWire q = MakeQuery(dataset, constraints, solver,
-                                   WireDerivedKind::kTopKObjects);
+                                   DerivedKind::kTopKObjects);
     q.k = k;
     grid.push_back(q);
   }
   {
     QueryRequestWire q = MakeQuery(dataset, constraints, solver,
-                                   WireDerivedKind::kCountControlled);
+                                   DerivedKind::kCountControlled);
     q.max_objects = 3;
     grid.push_back(q);
   }
   {
     QueryRequestWire q = MakeQuery(dataset, constraints, solver,
-                                   WireDerivedKind::kObjectsAboveThreshold);
+                                   DerivedKind::kObjectsAboveThreshold);
     q.threshold = 0.25;
     grid.push_back(q);
   }
   {
     QueryRequestWire q = MakeQuery(dataset, constraints, solver,
-                                   WireDerivedKind::kTopKInstances);
+                                   DerivedKind::kTopKInstances);
     q.k = 5;
     grid.push_back(q);
   }
   return grid;
 }
 
-const char* KindName(WireDerivedKind kind) {
+const char* KindName(DerivedKind kind) {
   switch (kind) {
-    case WireDerivedKind::kNone: return "full";
-    case WireDerivedKind::kTopKObjects: return "topk";
-    case WireDerivedKind::kTopKInstances: return "topk-inst";
-    case WireDerivedKind::kObjectsAboveThreshold: return "threshold";
-    case WireDerivedKind::kCountControlled: return "count";
+    case DerivedKind::kNone: return "full";
+    case DerivedKind::kTopKObjects: return "topk";
+    case DerivedKind::kTopKInstances: return "topk-inst";
+    case DerivedKind::kObjectsAboveThreshold: return "threshold";
+    case DerivedKind::kCountControlled: return "count";
   }
   return "?";
 }
@@ -194,7 +193,7 @@ void SweepSolvers(ServiceBackend& reference, ServiceBackend& cluster,
     // Probe applicability with a full ranking; inapplicable solvers must
     // fail with the same code on both sides.
     QueryRequestWire probe = MakeQuery(dataset, constraints, solver,
-                                       WireDerivedKind::kTopKObjects);
+                                       DerivedKind::kTopKObjects);
     probe.k = -1;
     auto reference_probe = reference.Query(probe);
     auto cluster_probe = cluster.Query(probe);
@@ -215,7 +214,7 @@ void SweepSolvers(ServiceBackend& reference, ServiceBackend& cluster,
     if (reference_probe->ranked.size() >= 2 &&
         reference_probe->ranked[1].prob > 0.0) {
       QueryRequestWire q = MakeQuery(dataset, constraints, solver,
-                                     WireDerivedKind::kObjectsAboveThreshold);
+                                     DerivedKind::kObjectsAboveThreshold);
       q.threshold = reference_probe->ranked[1].prob;
       grid.push_back(q);
     }
@@ -232,8 +231,8 @@ void SweepSolvers(ServiceBackend& reference, ServiceBackend& cluster,
         continue;
       }
       ExpectBitIdentical(*expected, *routed, "routed");
-      if (request.derived_kind == WireDerivedKind::kTopKObjects ||
-          request.derived_kind == WireDerivedKind::kCountControlled) {
+      if (request.derived_kind == DerivedKind::kTopKObjects ||
+          request.derived_kind == DerivedKind::kCountControlled) {
         // Only thresholds push down: top-k and count-controlled answers
         // are sliced from a complete result.
         EXPECT_FALSE(routed->pushdown);
@@ -270,7 +269,7 @@ TEST(ClusterEquivalence, TieBoundariesSurviveRouting) {
   for (const char* solver : {"kdtt+", "mwtt", "bnb", "enum", "loop"}) {
     SCOPED_TRACE(solver);
     QueryRequestWire all =
-        MakeQuery("tied", kRank, solver, WireDerivedKind::kTopKObjects);
+        MakeQuery("tied", kRank, solver, DerivedKind::kTopKObjects);
     all.k = -1;
     auto reference_all = reference.Query(all);
     if (!reference_all.ok()) continue;  // solver not applicable here
@@ -280,7 +279,7 @@ TEST(ClusterEquivalence, TieBoundariesSurviveRouting) {
     ASSERT_GT(tied, 0.0);
 
     QueryRequestWire topk =
-        MakeQuery("tied", kRank, solver, WireDerivedKind::kTopKObjects);
+        MakeQuery("tied", kRank, solver, DerivedKind::kTopKObjects);
     topk.k = 2;
     auto routed_topk = coordinator->Query(topk);
     auto reference_topk = reference.Query(topk);
@@ -291,7 +290,7 @@ TEST(ClusterEquivalence, TieBoundariesSurviveRouting) {
     EXPECT_EQ(routed_topk->ranked[1].object_id, 1);  // id order breaks the tie
 
     QueryRequestWire count =
-        MakeQuery("tied", kRank, solver, WireDerivedKind::kCountControlled);
+        MakeQuery("tied", kRank, solver, DerivedKind::kCountControlled);
     count.max_objects = 2;
     auto routed_count = coordinator->Query(count);
     auto reference_count = reference.Query(count);
@@ -302,7 +301,7 @@ TEST(ClusterEquivalence, TieBoundariesSurviveRouting) {
     EXPECT_EQ(routed_count->count_threshold, tied);
 
     QueryRequestWire at = MakeQuery("tied", kRank, solver,
-                                    WireDerivedKind::kObjectsAboveThreshold);
+                                    DerivedKind::kObjectsAboveThreshold);
     at.threshold = tied;
     auto routed_at = coordinator->Query(at);
     auto reference_at = reference.Query(at);
@@ -476,11 +475,11 @@ struct FakeCluster {
 TEST(ClusterRouting, EachQueryReachesExactlyOneHolder) {
   FakeCluster cluster(2);
   const auto kinds = {
-      WireDerivedKind::kNone, WireDerivedKind::kTopKObjects,
-      WireDerivedKind::kTopKInstances, WireDerivedKind::kObjectsAboveThreshold,
-      WireDerivedKind::kCountControlled};
+      DerivedKind::kNone, DerivedKind::kTopKObjects,
+      DerivedKind::kTopKInstances, DerivedKind::kObjectsAboveThreshold,
+      DerivedKind::kCountControlled};
   int sent = 0;
-  for (const WireDerivedKind kind : kinds) {
+  for (const DerivedKind kind : kinds) {
     SCOPED_TRACE(KindName(kind));
     ASSERT_TRUE(
         cluster.coordinator->Query(MakeQuery("d", "wr:0.5,2.0", "kdtt+", kind))

@@ -23,6 +23,7 @@
 #include "src/core/queries.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
+#include "src/obs/metrics.h"
 #include "src/simd/kernels.h"
 #include "src/uncertain/generators.h"
 #include "tests/test_util.h"
@@ -99,8 +100,7 @@ class NetLoopbackTest : public ::testing::Test {
 
 net::QueryRequestWire WireQuery(const std::string& dataset,
                                 const std::string& solver,
-                                net::WireDerivedKind kind =
-                                    net::WireDerivedKind::kNone) {
+                                DerivedKind kind = DerivedKind::kNone) {
   net::QueryRequestWire request;
   request.dataset = dataset;
   request.constraint_spec = kWr;
@@ -152,7 +152,7 @@ TEST_F(NetLoopbackTest, TopKIsPostHocAndMatchesInProcessAnswer) {
   LoadIip(client, "iip");
 
   net::QueryRequestWire request =
-      WireQuery("iip", "kdtt+", net::WireDerivedKind::kTopKObjects);
+      WireQuery("iip", "kdtt+", DerivedKind::kTopKObjects);
   request.k = 5;
   auto wire = client.Query(request);
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
@@ -174,7 +174,7 @@ TEST_F(NetLoopbackTest, ThresholdQueryMatchesInProcessAnswer) {
   LoadIip(client, "iip");
 
   net::QueryRequestWire request =
-      WireQuery("iip", "kdtt+", net::WireDerivedKind::kObjectsAboveThreshold);
+      WireQuery("iip", "kdtt+", DerivedKind::kObjectsAboveThreshold);
   request.threshold = 0.5;
   auto wire = client.Query(request);
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
@@ -221,7 +221,7 @@ TEST_F(NetLoopbackTest, ViewScopedQueryMatchesInProcessAnswer) {
 
   // Ranked answers on views carry *base* object ids.
   net::QueryRequestWire topk =
-      WireQuery("iip#120", "kdtt+", net::WireDerivedKind::kTopKObjects);
+      WireQuery("iip#120", "kdtt+", DerivedKind::kTopKObjects);
   topk.k = 3;
   auto wire_topk = client.Query(topk);
   ASSERT_TRUE(wire_topk.ok());
@@ -502,10 +502,29 @@ TEST_F(NetLoopbackTest, UnknownSolverNamesShareOneMetricSeries) {
         client.Query(WireQuery("iip", "bogus-" + std::to_string(i)));
     EXPECT_EQ(response.status().code(), StatusCode::kNotFound);
   }
-  auto metrics = client.Metrics();
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_EQ(metrics->text.find("bogus-"), std::string::npos);
-  EXPECT_NE(metrics->text.find("solver=\"unknown\""), std::string::npos);
+  // The server shares this process's registry: these are the bytes the
+  // daemon's /metrics endpoint serves.
+  const std::string text =
+      obs::MetricsRegistry::Global().RenderPrometheusText();
+  EXPECT_EQ(text.find("bogus-"), std::string::npos);
+  EXPECT_NE(text.find("solver=\"unknown\""), std::string::npos);
+}
+
+TEST_F(NetLoopbackTest, InfiniteRatioBoundIsAnErrorReply) {
+  net::ArspClient client = Connect();
+  LoadIip(client, "iip");
+
+  // An infinite upper bound, written out or overflowed by strtod, is
+  // refused before a solver sees it (KDTT+ crashes on one).
+  for (const char* spec : {"wr:1,inf", "wr:inf,inf", "wr:1e308,1e309"}) {
+    net::QueryRequestWire request = WireQuery("iip", "kdtt+");
+    request.constraint_spec = spec;
+    EXPECT_EQ(client.Query(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+    // The daemon still answers on the same connection.
+    EXPECT_TRUE(client.Ping().ok()) << spec;
+  }
 }
 
 TEST_F(NetLoopbackTest, QdttBeyondItsVertexLimitIsAnErrorReply) {

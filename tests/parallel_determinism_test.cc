@@ -247,9 +247,7 @@ TEST(ParallelDeterminism, ConcurrentSolvesOnOnePooledContext) {
   ScopedBudget budget(8);
   const UncertainDataset dataset = RandomDataset(60, 4, 3, 0.4, 1600);
 
-  EngineOptions options;
-  options.query_threads = 0;
-  ArspEngine engine(options);
+  ArspEngine engine;
   const DatasetHandle handle = engine.AddDataset(dataset);
 
   QueryRequest base_request;

@@ -1,10 +1,10 @@
 // Copyright 2026 The ARSP Authors.
 //
 // Wire-protocol unit tests, no sockets needed for the codec half: every
-// message round-trips encode → decode bit-exactly, truncated and hostile
-// payloads are rejected without overreads or allocations, and the fd-level
-// framing (over a socketpair) enforces magic, version, and the max-frame
-// guard.
+// message encodes to its recorded golden bytes and round-trips encode →
+// decode bit-exactly, truncated and hostile payloads are rejected without
+// overreads or allocations, and the fd-level framing (over a socketpair)
+// enforces magic, version, and the max-frame guard.
 
 #include "src/net/protocol.h"
 
@@ -20,6 +20,168 @@
 namespace arsp {
 namespace net {
 namespace {
+
+// One fixed value of every message type, each field set away from its
+// default. The golden, truncation, hostile-count and bad-enum tests below
+// all start from these.
+LoadDatasetRequest GoldenLoadDatasetRequest() {
+  LoadDatasetRequest m;
+  m.name = "nba";
+  m.source = LoadSource::kGenerator;
+  m.payload = "iip:n=5";
+  m.header = true;
+  return m;
+}
+
+LoadDatasetResponse GoldenLoadDatasetResponse() {
+  LoadDatasetResponse m;
+  m.name = "nba";
+  m.num_objects = 50;
+  m.num_instances = 4000;
+  m.dim = 4;
+  m.reused = true;
+  return m;
+}
+
+AddViewRequest GoldenAddViewRequest() {
+  AddViewRequest m;
+  m.base_name = "nba";
+  m.view_name = "nba#2";
+  m.spec.kind = ViewSpec::Kind::kSubset;
+  m.spec.prefix = 2;
+  m.spec.objects = {7, 3};
+  return m;
+}
+
+AddViewResponse GoldenAddViewResponse() {
+  AddViewResponse m;
+  m.name = "nba#2";
+  m.num_objects = 2;
+  m.num_instances = 160;
+  m.dim = 4;
+  return m;
+}
+
+QueryRequestWire GoldenQueryRequest() {
+  QueryRequestWire m;
+  m.dataset = "nba";
+  m.constraint_spec = "wr:0.5,2";
+  m.solver = "kdtt+";
+  m.options = {"a=1", "b=2"};
+  m.derived_kind = DerivedKind::kCountControlled;
+  m.k = 7;
+  m.threshold = 0.25;
+  m.max_objects = 12;
+  m.use_cache = false;
+  m.allow_pushdown = false;
+  m.include_instances = true;
+  m.parallelism = 3;
+  m.trace_id = 0x0123456789abcdefull;
+  m.want_trace = true;
+  return m;
+}
+
+QueryResponseWire GoldenQueryResponse() {
+  QueryResponseWire m;
+  m.solver = "mwtt";
+  m.cache_hit = true;
+  m.pushdown = true;
+  m.complete = false;
+  m.goal = "p>=0.5";
+  m.result_size = -1;
+  m.ranked = {{3, "a", 0.75}, {-2, "", 0.5}};
+  m.count_threshold = 0.125;
+  m.stats.solver = "mwtt";
+  m.stats.setup_millis = 1.5;
+  m.stats.solve_millis = 2.5;
+  m.stats.dominance_tests = 1;
+  m.stats.nodes_visited = 2;
+  m.stats.nodes_pruned = 3;
+  m.stats.index_probes = 4;
+  m.stats.objects_pruned = 5;
+  m.stats.bound_refinements = 6;
+  m.stats.early_exit_depth = 7;
+  m.stats.index_bytes_resident = 8;
+  m.stats.index_bytes_mapped = 9;
+  m.stats.peak_rss_bytes = 10;
+  m.stats.tasks_spawned = 11;
+  m.stats.tasks_stolen = 12;
+  m.stats.parallel_workers = 13;
+  m.instance_probs = {0.25, -1.0};
+  m.trace_id = 42;
+  m.trace_spans = "t";
+  return m;
+}
+
+RetryLaterResponse GoldenRetryLater() {
+  RetryLaterResponse m;
+  m.retry_after_ms = 250;
+  m.reason = "quota";
+  return m;
+}
+
+StatsRequest GoldenStatsRequest() {
+  StatsRequest m;
+  m.dataset = "nba";
+  return m;
+}
+
+StatsResponse GoldenStatsResponse() {
+  StatsResponse m;
+  m.cache_hits = 10;
+  m.cache_misses = 3;
+  m.cache_entries = 2;
+  m.pooled_contexts = 4;
+  m.latency_count = 13;
+  m.latency_mean_ms = 1.5;
+  m.latency_p50_ms = 0.5;
+  m.latency_p95_ms = 2.25;
+  m.latency_p99_ms = 3.0;
+  m.latency_p999_ms = 7.5;
+  m.datasets = {{"nba", 50, 4000, 4, false}, {"nba#2", 2, 160, 4, true}};
+  m.has_index_stats = true;
+  m.kdtree_builds = 1;
+  m.rtree_builds = 2;
+  m.score_maps = 3;
+  m.score_reuses = 4;
+  m.parent_index_hits = 5;
+  m.kernel_arch = "avx2";
+  m.index_bytes_resident = 6;
+  m.index_bytes_mapped = 7;
+  m.peak_rss_bytes = 8;
+  return m;
+}
+
+DropRequest GoldenDropRequest() {
+  DropRequest m;
+  m.name = "nba#2";
+  return m;
+}
+
+ErrorResponse GoldenErrorResponse() {
+  ErrorResponse m;
+  m.code = StatusCode::kNotFound;
+  m.message = "gone";
+  return m;
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char byte : bytes) {
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  return hex;
+}
+
+// Offset of the first byte where two encodings differ: where a field that
+// differs between the two messages starts (the low byte of a count).
+size_t FirstDifference(const std::string& a, const std::string& b) {
+  size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+  return i;
+}
 
 TEST(WireCodecTest, PrimitivesRoundTripLittleEndian) {
   WireWriter w;
@@ -75,27 +237,41 @@ TEST(WireCodecTest, FinishRejectsTrailingGarbage) {
   EXPECT_FALSE(r.Finish().ok());  // one byte unconsumed
 }
 
+// Sets the vector count that `grow` (one more element) moves to 2^31 in a
+// valid encoding of `message`: the decode must fail the count-versus-
+// remaining check instead of attempting a multi-GiB allocation.
+template <class M, class Grow>
+void ExpectHostileCountRejected(M message, Grow grow) {
+  const std::string payload = message.EncodePayload();
+  grow(message);
+  std::string hostile = payload;
+  hostile.replace(FirstDifference(payload, message.EncodePayload()), 4,
+                  std::string("\x00\x00\x00\x80", 4));
+  M decoded;
+  ASSERT_TRUE(decoded.DecodePayload(payload).ok());
+  const Status status = decoded.DecodePayload(hostile);
+  EXPECT_NE(status.message().find("vector count 2147483648 exceeds payload"),
+            std::string::npos)
+      << status.ToString();
+}
+
 TEST(WireCodecTest, HostileVectorCountsAreRejectedBeforeAllocation) {
-  // A 4-byte payload claiming 2^31 doubles must fail the remaining-bytes
-  // check instead of attempting a 16 GiB allocation.
-  WireWriter w;
-  w.U32(0x80000000u);
-  {
-    WireReader r(w.bytes());
-    r.F64Vec();
-    EXPECT_FALSE(r.status().ok());
-  }
-  {
-    WireReader r(w.bytes());
-    r.I32Vec();
-    EXPECT_FALSE(r.status().ok());
-  }
-  {
-    WireReader r(w.bytes());
-    r.StrVec();
-    EXPECT_FALSE(r.status().ok());
-  }
-  // A string length past the end of the payload likewise.
+  ExpectHostileCountRejected(GoldenQueryRequest(), [](QueryRequestWire& m) {
+    m.options.push_back("");  // strings
+  });
+  ExpectHostileCountRejected(GoldenAddViewRequest(), [](AddViewRequest& m) {
+    m.spec.objects.push_back(0);  // i32s
+  });
+  ExpectHostileCountRejected(GoldenQueryResponse(), [](QueryResponseWire& m) {
+    m.ranked.emplace_back();  // ranked entries
+  });
+  ExpectHostileCountRejected(GoldenQueryResponse(), [](QueryResponseWire& m) {
+    m.instance_probs.push_back(0.0);  // f64s
+  });
+  ExpectHostileCountRejected(GoldenStatsResponse(), [](StatsResponse& m) {
+    m.datasets.emplace_back();  // dataset listings
+  });
+  // A string length past the end of the payload is rejected too.
   WireWriter s;
   s.U32(1000);
   WireReader r(s.bytes());
@@ -150,7 +326,7 @@ TEST(ProtocolMessagesTest, QueryRequestRoundTrip) {
   request.constraint_spec = "wr:0.5,2.0";
   request.solver = "kdtt+";
   request.options = {"leaf_size=16", "verbose=true"};
-  request.derived_kind = WireDerivedKind::kObjectsAboveThreshold;
+  request.derived_kind = DerivedKind::kObjectsAboveThreshold;
   request.k = 3;
   request.threshold = 0.25;
   request.max_objects = 7;
@@ -243,49 +419,80 @@ TEST(ProtocolMessagesTest, ErrorResponseRoundTripsEveryCode) {
   }
 }
 
-TEST(ProtocolMessagesTest, DecodersRejectTruncatedPayloads) {
-  QueryResponseWire response;
-  response.solver = "kdtt+";
-  response.ranked = {{1, "a", 0.5}};
-  response.instance_probs = {1.0, 2.0};
-  const std::string payload = response.EncodePayload();
-  // Every strict prefix must fail cleanly (never crash or accept).
+// Every strict prefix of `message`'s encoding fails cleanly (never crashes
+// or accepts), as does the encoding plus one trailing byte; the encoding
+// itself decodes to a message that re-encodes to the same bytes.
+template <class M>
+void ExpectOnlyExactPayloadDecodes(const M& message) {
+  const std::string payload = message.EncodePayload();
   for (size_t cut = 0; cut < payload.size(); ++cut) {
-    QueryResponseWire decoded;
+    M decoded;
     EXPECT_FALSE(decoded.DecodePayload(payload.substr(0, cut)).ok())
-        << "prefix of " << cut << " bytes was accepted";
+        << "prefix of " << cut << " of " << payload.size()
+        << " bytes was accepted";
   }
-  // Appending garbage must fail Finish.
-  QueryResponseWire decoded;
+  M decoded;
   EXPECT_FALSE(decoded.DecodePayload(payload + "x").ok());
+  ASSERT_TRUE(decoded.DecodePayload(payload).ok());
+  EXPECT_EQ(decoded.EncodePayload(), payload);
+}
+
+TEST(ProtocolMessagesTest, DecodersRejectTruncatedPayloads) {
+  ExpectOnlyExactPayloadDecodes(GoldenLoadDatasetRequest());
+  ExpectOnlyExactPayloadDecodes(GoldenLoadDatasetResponse());
+  ExpectOnlyExactPayloadDecodes(GoldenAddViewRequest());
+  ExpectOnlyExactPayloadDecodes(GoldenAddViewResponse());
+  ExpectOnlyExactPayloadDecodes(GoldenQueryRequest());
+  ExpectOnlyExactPayloadDecodes(GoldenQueryResponse());
+  ExpectOnlyExactPayloadDecodes(GoldenRetryLater());
+  ExpectOnlyExactPayloadDecodes(GoldenStatsRequest());
+  ExpectOnlyExactPayloadDecodes(GoldenStatsResponse());
+  ExpectOnlyExactPayloadDecodes(GoldenDropRequest());
+  ExpectOnlyExactPayloadDecodes(GoldenErrorResponse());
+}
+
+// Patches the enum byte that `set_other` changes in a full valid encoding
+// of `message`: the other valid value decodes, `bad` and `last + 1` are
+// rejected with the enum's own error, not a truncation.
+template <class M, class SetOther>
+void ExpectBadEnumRejected(M message, SetOther set_other, uint8_t last,
+                           uint8_t bad, const std::string& name) {
+  const std::string payload = message.EncodePayload();
+  set_other(message);
+  const std::string other = message.EncodePayload();
+  const size_t at = FirstDifference(payload, other);
+  M decoded;
+  ASSERT_TRUE(decoded.DecodePayload(other).ok());
+  for (const uint8_t value : {static_cast<uint8_t>(last + 1), bad}) {
+    std::string patched = payload;
+    patched[at] = static_cast<char>(value);
+    const Status status = decoded.DecodePayload(patched);
+    const std::string expected = "bad " + name + " " + std::to_string(value);
+    EXPECT_NE(status.message().find(expected), std::string::npos)
+        << "want '" << expected << "', got " << status.ToString();
+  }
 }
 
 TEST(ProtocolMessagesTest, BadEnumValuesAreRejected) {
-  {
-    LoadDatasetRequest request;
-    WireWriter w;
-    w.Str("n");
-    w.U8(250);  // not a LoadSource
-    w.Str("p");
-    w.Bool(false);
-    EXPECT_FALSE(request.DecodePayload(w.bytes()).ok());
-  }
-  {
-    QueryRequestWire request;
-    WireWriter w;
-    w.Str("d");
-    w.Str("c");
-    w.Str("s");
-    w.StrVec({});
-    w.U8(99);  // not a WireDerivedKind
-    w.I32(1);
-    w.F64(0.5);
-    w.I32(1);
-    w.Bool(true);
-    w.Bool(true);
-    w.Bool(false);
-    EXPECT_FALSE(request.DecodePayload(w.bytes()).ok());
-  }
+  ExpectBadEnumRejected(
+      GoldenLoadDatasetRequest(),
+      [](LoadDatasetRequest& m) { m.source = LoadSource::kCsvText; },
+      static_cast<uint8_t>(LoadSource::kGenerator), 250, "LoadSource");
+  ExpectBadEnumRejected(
+      GoldenAddViewRequest(),
+      [](AddViewRequest& m) { m.spec.kind = ViewSpec::Kind::kFull; },
+      static_cast<uint8_t>(ViewSpec::Kind::kSubset), 7, "ViewSpec kind");
+  ExpectBadEnumRejected(
+      GoldenQueryRequest(),
+      [](QueryRequestWire& m) {
+        m.derived_kind = DerivedKind::kObjectsAboveThreshold;
+      },
+      static_cast<uint8_t>(DerivedKind::kCountControlled), 99,
+      "derived kind");
+  ExpectBadEnumRejected(
+      GoldenErrorResponse(),
+      [](ErrorResponse& m) { m.code = StatusCode::kInternal; },
+      static_cast<uint8_t>(StatusCode::kUnavailable), 42, "status code");
 }
 
 TEST(ProtocolMessagesTest, RetryLaterRoundTripAndTruncation) {
@@ -302,6 +509,153 @@ TEST(ProtocolMessagesTest, RetryLaterRoundTripAndTruncation) {
     EXPECT_FALSE(partial.DecodePayload(payload.substr(0, cut)).ok());
   }
   EXPECT_FALSE(decoded.DecodePayload(payload + "x").ok());
+}
+
+// ------------------------------------------------------------ golden bytes
+//
+// Each fixed value's payload, field by field, as the wire v8 encoder wrote
+// it (StatsResponse without v8's trailing 8-byte field, deleted in v9). A
+// layout change fails here; it must update these bytes and bump
+// kWireVersion.
+
+TEST(WireGoldenBytes, LoadDatasetRequest) {
+  EXPECT_EQ(Hex(GoldenLoadDatasetRequest().EncodePayload()),
+            "030000006e6261"  // name
+            "02"  // source
+            "070000006969703a6e3d35"  // payload
+            "01");  // header
+}
+
+TEST(WireGoldenBytes, LoadDatasetResponse) {
+  EXPECT_EQ(Hex(GoldenLoadDatasetResponse().EncodePayload()),
+            "030000006e6261"  // name
+            "32000000"  // num_objects
+            "a00f0000"  // num_instances
+            "04000000"  // dim
+            "01");  // reused
+}
+
+TEST(WireGoldenBytes, AddViewRequest) {
+  EXPECT_EQ(Hex(GoldenAddViewRequest().EncodePayload()),
+            "030000006e6261"  // base_name
+            "050000006e62612332"  // view_name
+            "02"  // spec.kind
+            "02000000"  // spec.prefix
+            "02000000"  // spec.objects count
+            "07000000"  // spec.objects[0]
+            "03000000");  // spec.objects[1]
+}
+
+TEST(WireGoldenBytes, AddViewResponse) {
+  EXPECT_EQ(Hex(GoldenAddViewResponse().EncodePayload()),
+            "050000006e62612332"  // name
+            "02000000"  // num_objects
+            "a0000000"  // num_instances
+            "04000000");  // dim
+}
+
+TEST(WireGoldenBytes, QueryRequestWire) {
+  EXPECT_EQ(Hex(GoldenQueryRequest().EncodePayload()),
+            "030000006e6261"  // dataset
+            "0800000077723a302e352c32"  // constraint_spec
+            "050000006b6474742b"  // solver
+            "02000000"  // options count
+            "03000000613d31"  // options[0]
+            "03000000623d32"  // options[1]
+            "04"  // derived_kind
+            "07000000"  // k
+            "000000000000d03f"  // threshold
+            "0c000000"  // max_objects
+            "00"  // use_cache
+            "00"  // allow_pushdown
+            "01"  // include_instances
+            "03000000"  // parallelism
+            "efcdab8967452301"  // trace_id
+            "01");  // want_trace
+}
+
+TEST(WireGoldenBytes, QueryResponseWire) {
+  EXPECT_EQ(Hex(GoldenQueryResponse().EncodePayload()),
+            "040000006d777474"  // solver
+            "01"  // cache_hit
+            "01"  // pushdown
+            "00"  // complete
+            "06000000703e3d302e35"  // goal
+            "ffffffff"  // result_size
+            "02000000"  // ranked count
+            "030000000100000061000000000000e83f"  // ranked[0]
+            "feffffff00000000000000000000e03f"  // ranked[1]
+            "000000000000c03f"  // count_threshold
+            "040000006d777474"  // stats.solver
+            "000000000000f83f"  // stats.setup_millis
+            "0000000000000440"  // stats.solve_millis
+            "0100000000000000"  // stats.dominance_tests
+            "0200000000000000"  // stats.nodes_visited
+            "0300000000000000"  // stats.nodes_pruned
+            "0400000000000000"  // stats.index_probes
+            "0500000000000000"  // stats.objects_pruned
+            "0600000000000000"  // stats.bound_refinements
+            "0700000000000000"  // stats.early_exit_depth
+            "0800000000000000"  // stats.index_bytes_resident
+            "0900000000000000"  // stats.index_bytes_mapped
+            "0a00000000000000"  // stats.peak_rss_bytes
+            "0b00000000000000"  // stats.tasks_spawned
+            "0c00000000000000"  // stats.tasks_stolen
+            "0d00000000000000"  // stats.parallel_workers
+            "02000000"  // instance_probs count
+            "000000000000d03f"  // instance_probs[0]
+            "000000000000f0bf"  // instance_probs[1]
+            "2a00000000000000"  // trace_id
+            "0100000074");  // trace_spans
+}
+
+TEST(WireGoldenBytes, RetryLaterResponse) {
+  EXPECT_EQ(Hex(GoldenRetryLater().EncodePayload()),
+            "fa000000"  // retry_after_ms
+            "0500000071756f7461");  // reason
+}
+
+TEST(WireGoldenBytes, StatsRequest) {
+  EXPECT_EQ(Hex(GoldenStatsRequest().EncodePayload()),
+            "030000006e6261");  // dataset
+}
+
+TEST(WireGoldenBytes, StatsResponse) {
+  EXPECT_EQ(Hex(GoldenStatsResponse().EncodePayload()),
+            "0a00000000000000"  // cache_hits
+            "0300000000000000"  // cache_misses
+            "0200000000000000"  // cache_entries
+            "0400000000000000"  // pooled_contexts
+            "0d00000000000000"  // latency_count
+            "000000000000f83f"  // latency_mean_ms
+            "000000000000e03f"  // latency_p50_ms
+            "0000000000000240"  // latency_p95_ms
+            "0000000000000840"  // latency_p99_ms
+            "0000000000001e40"  // latency_p999_ms
+            "02000000"  // datasets count
+            "030000006e626132000000a00f00000400000000"  // datasets[0]
+            "050000006e6261233202000000a00000000400000001"  // datasets[1]
+            "01"  // has_index_stats
+            "0100000000000000"  // kdtree_builds
+            "0200000000000000"  // rtree_builds
+            "0300000000000000"  // score_maps
+            "0400000000000000"  // score_reuses
+            "0500000000000000"  // parent_index_hits
+            "0400000061767832"  // kernel_arch
+            "0600000000000000"  // index_bytes_resident
+            "0700000000000000"  // index_bytes_mapped
+            "0800000000000000");  // peak_rss_bytes
+}
+
+TEST(WireGoldenBytes, DropRequest) {
+  EXPECT_EQ(Hex(GoldenDropRequest().EncodePayload()),
+            "050000006e62612332");  // name
+}
+
+TEST(WireGoldenBytes, ErrorResponse) {
+  EXPECT_EQ(Hex(GoldenErrorResponse().EncodePayload()),
+            "03"  // code
+            "04000000676f6e65");  // message
 }
 
 // ------------------------------------------------------------- framing

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+
+#include "src/core/engine.h"
 #include "src/prefs/linear_constraints.h"
 
 namespace arsp {
@@ -15,6 +19,31 @@ TEST(WeightRatioTest, CreateValidates) {
   EXPECT_FALSE(WeightRatioConstraints::Create({{2.0, 0.5}}).ok());   // l <= h
   EXPECT_TRUE(WeightRatioConstraints::Create({{0.5, 2.0}}).ok());
   EXPECT_TRUE(WeightRatioConstraints::Create({{1.0, 1.0}}).ok());    // point
+}
+
+TEST(WeightRatioTest, CreateRejectsInfiniteBounds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double overflowed = std::strtod("1e309", nullptr);
+  ASSERT_EQ(overflowed, inf);
+  for (const auto& range : {std::pair<double, double>{1.0, inf},
+                            std::pair<double, double>{inf, inf},
+                            std::pair<double, double>{1e308, overflowed}}) {
+    const auto wr = WeightRatioConstraints::Create({{0.5, 2.0}, range});
+    ASSERT_FALSE(wr.ok()) << range.first << "," << range.second;
+    EXPECT_EQ(wr.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(wr.status().message().find("finite"), std::string::npos)
+        << wr.status().ToString();
+  }
+  EXPECT_TRUE(WeightRatioConstraints::Create({{1e-308, 1e308}}).ok());
+}
+
+TEST(WeightRatioTest, SpecsWithInfiniteBoundsAreInvalidArguments) {
+  for (const char* spec : {"wr:1,inf", "wr:inf,inf", "wr:1e308,1e309"}) {
+    const auto constraints = ParseConstraintSpec(spec, 2);
+    ASSERT_FALSE(constraints.ok()) << spec;
+    EXPECT_EQ(constraints.status().code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
 }
 
 TEST(WeightRatioTest, DimensionIsRangesPlusOne) {

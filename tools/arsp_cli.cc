@@ -161,7 +161,7 @@ void PrintResponseLine(const std::string& label,
 
 void PrintStatsLine(const net::QueryResponseWire& resp) {
   std::printf("%s cache_hit=%s pushdown=%s\n",
-              resp.stats.ToSolverStats().ToString().c_str(),
+              resp.stats.ToString().c_str(),
               resp.cache_hit ? "true" : "false",
               resp.pushdown ? "true" : "false");
 }
@@ -237,14 +237,13 @@ void PrintBackendStats(const char* who, const net::StatsResponse& stats) {
                 stats.latency_p999_ms);
   }
   std::printf("cache_hits=%lld cache_misses=%lld entries=%llu "
-              "pooled_contexts=%llu kernel=%s threads=%lld\n",
+              "pooled_contexts=%llu kernel=%s\n",
               static_cast<long long>(stats.cache_hits),
               static_cast<long long>(stats.cache_misses),
               static_cast<unsigned long long>(stats.cache_entries),
               static_cast<unsigned long long>(stats.pooled_contexts),
               stats.kernel_arch.empty() ? "unknown"
-                                        : stats.kernel_arch.c_str(),
-              static_cast<long long>(stats.query_threads));
+                                        : stats.kernel_arch.c_str());
   std::printf("%s: peak_rss_mb=%.1f\n", who,
               static_cast<double>(stats.peak_rss_bytes) / (1024.0 * 1024.0));
 }
@@ -314,10 +313,10 @@ net::QueryRequestWire MakeWireRequest(const CliArgs& args,
   request.solver = args.algo;
   request.options = args.opts;
   if (args.threshold) {
-    request.derived_kind = net::WireDerivedKind::kObjectsAboveThreshold;
+    request.derived_kind = DerivedKind::kObjectsAboveThreshold;
     request.threshold = *args.threshold;
   } else {
-    request.derived_kind = net::WireDerivedKind::kTopKObjects;
+    request.derived_kind = DerivedKind::kTopKObjects;
     request.k = args.topk.value_or(CliArgs::kDefaultTopk);
   }
   // CSV outputs need the complete instance vector, which a goal-pruned
@@ -466,6 +465,7 @@ int RunSweep(const CliArgs& args, net::ServiceBackend& backend,
   const bool derived_goal =
       args.topk.has_value() || args.threshold.has_value();
   PrintSweepHeader(spec, args.algo);
+  bool any_partial = false;
   for (int pct : args.subset_pcts) {
     const int count = std::max(1, num_objects * pct / 100);
     net::AddViewRequest add;
@@ -480,7 +480,7 @@ int RunSweep(const CliArgs& args, net::ServiceBackend& backend,
     net::QueryRequestWire request = MakeWireRequest(args, view->name, spec);
     // No explicit goal flag means a full solve per prefix, not the default
     // top-k.
-    if (!derived_goal) request.derived_kind = net::WireDerivedKind::kNone;
+    if (!derived_goal) request.derived_kind = DerivedKind::kNone;
     auto response = backend.Query(request);
     if (!response.ok()) {
       std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
@@ -488,8 +488,10 @@ int RunSweep(const CliArgs& args, net::ServiceBackend& backend,
     }
     PrintSweepRow(pct, *view, derived_goal, *response);
     if (args.stats) PrintStatsLine(*response);
+    any_partial = any_partial || !response->complete;
   }
-  if (derived_goal) {
+  // Only a threshold pushdown leaves a partial result, the `*` rows.
+  if (any_partial) {
     std::printf("  (* = goal answer size; the full vector was pruned "
                 "away)\n");
   }

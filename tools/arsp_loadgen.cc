@@ -113,13 +113,13 @@ net::QueryRequestWire MakeQuery(const LoadgenConfig& config) {
   request.solver = config.solver;
   request.use_cache = config.use_cache;
   if (config.topk >= 0) {
-    request.derived_kind = net::WireDerivedKind::kTopKObjects;
+    request.derived_kind = DerivedKind::kTopKObjects;
     request.k = config.topk;
   } else if (config.threshold >= 0.0) {
-    request.derived_kind = net::WireDerivedKind::kObjectsAboveThreshold;
+    request.derived_kind = DerivedKind::kObjectsAboveThreshold;
     request.threshold = config.threshold;
   } else {
-    request.derived_kind = net::WireDerivedKind::kNone;
+    request.derived_kind = DerivedKind::kNone;
   }
   return request;
 }
