@@ -79,6 +79,19 @@ QueryGoal GoalForDerived(const DerivedSpec& derived) {
   return goal;
 }
 
+// A root context over `view` that counts its index work into `builds`.
+std::shared_ptr<ExecutionContext> NewContext(
+    DatasetView view, const ConstraintSpec& constraints,
+    std::shared_ptr<ExecutionContext::BuildTotals> builds) {
+  auto context = constraints.has_weight_ratios()
+                     ? std::make_shared<ExecutionContext>(
+                           std::move(view), constraints.weight_ratios())
+                     : std::make_shared<ExecutionContext>(
+                           std::move(view), constraints.region());
+  context->CountBuildsInto(std::move(builds));
+  return context;
+}
+
 }  // namespace
 
 namespace internal {
@@ -187,8 +200,9 @@ DatasetHandle ArspEngine::AddDataset(
   DatasetView view{dataset};  // full view, shares ownership
   std::lock_guard<std::mutex> lock(mu_);
   const int id = next_dataset_id_++;
-  datasets_.emplace(id,
-                    DatasetEntry{std::move(dataset), std::move(view), id});
+  datasets_.emplace(
+      id, DatasetEntry{std::move(dataset), std::move(view), id,
+                       std::make_shared<ExecutionContext::BuildTotals>()});
   return DatasetHandle{id};
 }
 
@@ -215,7 +229,8 @@ StatusOr<DatasetHandle> ArspEngine::AddView(DatasetHandle base,
   if (!view.ok()) return view.status();
   const int id = next_dataset_id_++;
   datasets_.emplace(
-      id, DatasetEntry{it->second.dataset, std::move(*view), base.id});
+      id, DatasetEntry{it->second.dataset, std::move(*view), base.id,
+                       std::make_shared<ExecutionContext::BuildTotals>()});
   return DatasetHandle{id};
 }
 
@@ -262,6 +277,17 @@ Status ArspEngine::DropDataset(DatasetHandle handle) {
         ++ctx;
       }
     }
+    // Cache keys start with the handle id (see Solve), and no later request
+    // can name a dropped id, so its results are only dead weight.
+    const std::string prefix = std::to_string(id) + '|';
+    for (auto entry = lru_.begin(); entry != lru_.end();) {
+      if (entry->first.compare(0, prefix.size(), prefix) == 0) {
+        cache_index_.erase(entry->first);
+        entry = lru_.erase(entry);
+      } else {
+        ++entry;
+      }
+    }
   }
   return Status::OK();
 }
@@ -295,6 +321,7 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
   std::shared_ptr<const UncertainDataset> dataset;  // keep-alive
   DatasetView view;
   int base_id = -1;
+  std::shared_ptr<ExecutionContext::BuildTotals> builds;
   std::shared_ptr<ExecutionContext> context;
   const std::string constraint_key =
       request.pool_context || cacheable ? request.constraints.CacheKey()
@@ -309,6 +336,7 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
     dataset = it->second.dataset;
     view = it->second.view;
     base_id = it->second.base_id;
+    builds = it->second.builds;
     if (request.pool_context) {
       const auto key = std::make_pair(request.dataset.id, constraint_key);
       const auto pooled = contexts_.find(key);
@@ -407,35 +435,40 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
           std::shared_ptr<ExecutionContext> parent = FindOrCreatePooledContext(
               base_id, constraint_key, request.constraints, dataset);
           context = ExecutionContext::Derive(std::move(parent), view);
+          context->CountBuildsInto(builds);
           acquire_span.Annotate("source", "derived_from_base");
         } else {
           // Full view, or a cold (pool-less) request: a standalone context
           // that builds only over its own view.
-          context = request.constraints.has_weight_ratios()
-                        ? std::make_shared<ExecutionContext>(
-                              view, request.constraints.weight_ratios())
-                        : std::make_shared<ExecutionContext>(
-                              view, request.constraints.region());
+          context = NewContext(view, request.constraints, builds);
           acquire_span.Annotate("source", "fresh");
         }
       } else {
         acquire_span.Annotate("source", "pooled");
       }
     }
+    // True iff this request put `context` into the pool as a transient
+    // entry, which it takes out again once the result cache holds its
+    // answer (below).
+    bool pooled_transient = false;
     if (request.pool_context) {
       std::lock_guard<std::mutex> lock(mu_);
       // Pool only if the dataset was not concurrently dropped (a context
       // pooled under a dead id would be unreachable forever). Another
       // thread may have pooled the same key meanwhile; keep the first so
       // concurrent callers converge on one context (re-pooling an already
-      // pooled context converges on itself).
+      // pooled context converges on itself). Pooling while the solve runs
+      // lets overlapping requests on the same constraints share its lazy
+      // builds either way.
       if (datasets_.count(request.dataset.id) > 0) {
-        const auto it = contexts_
-                            .emplace(std::make_pair(request.dataset.id,
-                                                    constraint_key),
-                                     PooledContext{context, 0})
-                            .first;
+        const auto [it, inserted] = contexts_.emplace(
+            std::make_pair(request.dataset.id, constraint_key),
+            PooledContext{context, 0, cacheable});
         it->second.last_used = ++pool_tick_;
+        // A cache-off request keeps whatever it pools, even an entry a
+        // cacheable miss put there: only the pool can answer its repeat.
+        if (!cacheable) it->second.transient = false;
+        pooled_transient = inserted && cacheable;
         context = it->second.context;
         // Bound the pool: evict the least-recently-used context beyond
         // the cap (shared ownership keeps in-flight solves on it safe).
@@ -486,6 +519,7 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
     std::shared_ptr<ExecutionContext> solve_context = context;
     if (pushdown) {
       solve_context = ExecutionContext::Derive(context, view, goal);
+      solve_context->CountBuildsInto(builds);
     }
     SolverStats stats;
     ExecutionContext::IndexBuildStats index_before;
@@ -544,8 +578,10 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
       const bool complete = response.result->is_complete();
       const std::string& store_key = complete ? cache_key : goal_cache_key;
       std::lock_guard<std::mutex> lock(mu_);
-      const auto it = cache_index_.find(store_key);
-      if (it == cache_index_.end()) {
+      // A handle dropped mid-solve stores nothing: no request can name it
+      // again, and DropDataset has already cleared its entries.
+      if (cache_index_.count(store_key) == 0 &&
+          datasets_.count(request.dataset.id) > 0) {
         lru_.emplace_front(store_key,
                            CacheEntry{response.result, response.solver,
                                       response.stats, complete, pushdown});
@@ -553,6 +589,18 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
         while (lru_.size() > options_.result_cache_capacity) {
           cache_index_.erase(lru_.back().first);
           lru_.pop_back();
+        }
+      }
+      // The cache now answers this request's repeat, so a context pooled
+      // only for it would just pin its score rows and indexes. Release it
+      // unless it was evicted and re-pooled meanwhile, or a cache-off
+      // request has since claimed it.
+      if (pooled_transient) {
+        const auto pooled =
+            contexts_.find(std::make_pair(request.dataset.id, constraint_key));
+        if (pooled != contexts_.end() && pooled->second.context == context &&
+            pooled->second.transient) {
+          contexts_.erase(pooled);
         }
       }
     }
@@ -598,18 +646,19 @@ std::shared_ptr<ExecutionContext> ArspEngine::FindOrCreatePooledContext(
   const auto pooled = contexts_.find(pool_key);
   if (pooled != contexts_.end()) {
     pooled->second.last_used = ++pool_tick_;
+    // A view base stays pooled, even if a cacheable miss on the base
+    // handle pooled it: every later view step derives from it.
+    pooled->second.transient = false;
     return pooled->second.context;
   }
-  DatasetView base_view(base_dataset);  // full view, shares ownership
+  // Pool, and count its index work toward the base handle, only while the
+  // base is still registered (a context pooled under a dead id would be
+  // unreachable forever).
+  const auto base = datasets_.find(base_id);
   auto context =
-      constraints.has_weight_ratios()
-          ? std::make_shared<ExecutionContext>(std::move(base_view),
-                                               constraints.weight_ratios())
-          : std::make_shared<ExecutionContext>(std::move(base_view),
-                                               constraints.region());
-  // Pool only while the base is still registered (a context pooled under a
-  // dead id would be unreachable forever).
-  if (datasets_.count(base_id) > 0) {
+      NewContext(DatasetView(base_dataset), constraints,
+                 base != datasets_.end() ? base->second.builds : nullptr);
+  if (base != datasets_.end()) {
     contexts_.emplace(pool_key, PooledContext{context, ++pool_tick_});
     const size_t capacity = std::max<size_t>(1, options_.context_pool_capacity);
     while (contexts_.size() > capacity) {
@@ -622,12 +671,9 @@ std::shared_ptr<ExecutionContext> ArspEngine::FindOrCreatePooledContext(
 ExecutionContext::IndexBuildStats ArspEngine::index_stats(
     DatasetHandle handle) const {
   std::lock_guard<std::mutex> lock(mu_);
-  ExecutionContext::IndexBuildStats total;
-  for (const auto& [key, pooled] : contexts_) {
-    if (key.first != handle.id) continue;
-    total += pooled.context->index_build_stats();
-  }
-  return total;
+  const auto it = datasets_.find(handle.id);
+  if (it == datasets_.end()) return {};
+  return it->second.builds->Get();
 }
 
 ColumnBytes ArspEngine::index_memory(DatasetHandle handle) const {

@@ -8,8 +8,12 @@
 //
 //  * typed QueryRequest / QueryResponse instead of hand-assembled
 //    ExecutionContext + SolverRegistry + queries.h plumbing per driver;
-//  * a context pool keyed by (dataset, constraint fingerprint), so repeated
-//    queries against the same dataset/constraints reuse preprocessing;
+//  * a context pool keyed by (dataset, constraint fingerprint), so
+//    concurrent and repeated queries against the same dataset/constraints
+//    share preprocessing. A context stays pooled only while the result
+//    cache cannot answer its repeat: a cacheable miss pools its context
+//    while it solves, then releases it once its result is cached. Contexts
+//    of cache-off requests and view bases stay pooled until evicted;
 //  * an LRU result cache keyed by (dataset fingerprint — the handle id,
 //    which uniquely and immutably identifies a registered dataset or view —
 //    constraints, solver, options) in front of ArspSolver::Solve;
@@ -214,8 +218,9 @@ struct EngineOptions {
   /// Max pooled ExecutionContexts; least-recently-used contexts beyond the
   /// cap are evicted (in-flight solves keep theirs alive via shared
   /// ownership). Contexts hold dataset-sized artifacts, so a long-lived
-  /// service serving many distinct constraints needs this bound. Must be
-  /// ≥ 1.
+  /// service serving many distinct constraints needs this bound. Mostly
+  /// cache-off requests and view bases fill it: a cacheable miss releases
+  /// its context once the result cache holds its answer. Must be ≥ 1.
   size_t context_pool_capacity = 64;
 };
 
@@ -263,10 +268,9 @@ class ArspEngine {
   /// for unknown handles.
   DatasetView view(DatasetHandle handle) const;
 
-  /// Unregisters a dataset or view and evicts its pooled contexts; dropping
-  /// a base dataset also drops every view registered over it. Cached
-  /// results stay until LRU eviction but can no longer be hit (handles are
-  /// never reused).
+  /// Unregisters a dataset or view and evicts its pooled contexts and
+  /// cached results; dropping a base dataset also drops every view
+  /// registered over it. Handles are never reused.
   Status DropDataset(DatasetHandle handle);
 
   /// Executes one request: context pool → result cache → solver → derived
@@ -293,14 +297,20 @@ class ArspEngine {
   /// Number of pooled ExecutionContexts currently alive.
   size_t pooled_contexts() const;
 
-  /// Aggregated ExecutionContext::IndexBuildStats over the pooled contexts
-  /// of one handle. Sweep tests sum this across a base handle and its views
-  /// to assert "one full index build, delta work per view".
+  /// Index work done for one handle since it was registered: every build,
+  /// reuse and parent hit of every context the engine made for it, counted
+  /// once as it happened, whether the context is still pooled, released or
+  /// evicted. Goal-scoped children count toward their request's handle;
+  /// a view's base context counts toward the base handle. Counts never
+  /// decrease; unknown or dropped handles read zero. Sweep tests sum this
+  /// across a base handle and its views to assert "one full index build,
+  /// delta work per view".
   ExecutionContext::IndexBuildStats index_stats(DatasetHandle handle) const;
 
   /// Aggregated index/score memory of one handle's pooled contexts, split
   /// into heap-resident vs snapshot-mapped bytes (the out-of-core accounting
-  /// the daemon's STATS reply and arsp_cli --stats report).
+  /// the daemon's STATS reply and arsp_cli --stats report). A gauge of what
+  /// is live, unlike index_stats.
   ColumnBytes index_memory(DatasetHandle handle) const;
 
  private:
@@ -320,6 +330,9 @@ class ArspEngine {
   struct PooledContext {
     std::shared_ptr<ExecutionContext> context;
     uint64_t last_used = 0;  ///< tick of the most recent checkout
+    /// Pooled by a cacheable miss, which releases it once its result is
+    /// cached. Cleared when a cache-off request or a view pools it too.
+    bool transient = false;
   };
 
   /// A registered query target: the base dataset payload plus the window
@@ -329,6 +342,8 @@ class ArspEngine {
     std::shared_ptr<const UncertainDataset> dataset;
     DatasetView view;
     int base_id = -1;
+    /// index_stats: handed to every context made for this handle.
+    std::shared_ptr<ExecutionContext::BuildTotals> builds;
   };
 
   /// Pooled full-view context for (base_id, constraint_key), creating (and

@@ -420,20 +420,20 @@ ScoreSpan ExecutionContext::scores() const {
   if (parent_ != nullptr && view_.SameRepAs(parent_->view())) {
     // Identical window (a goal-scoped child): the parent's span IS ours.
     span_ = parent_->scores();
-    ++index_stats_.score_reuses;
+    Count(&IndexBuildStats::score_reuses);
   } else if (parent_ != nullptr && view_.is_prefix() &&
              parent_->view().is_prefix()) {
     // Prefix-of-prefix: local ids agree, so the parent's buffer truncated
     // to this view's instance count IS this view's buffer. Zero copies.
     span_ = parent_->scores().Prefix(view_.num_instances());
-    ++index_stats_.score_reuses;
+    Count(&IndexBuildStats::score_reuses);
   } else {
     if (parent_ != nullptr) {
       // Subset: gather the parent's already-mapped rows (memcpy per row
       // beats redoing d'·d multiplications); the parent span itself may be
       // zero-copy storage higher up the derivation chain.
       scores_ = parent_->scores().Gather(parent_->view(), view_);
-      ++index_stats_.score_reuses;
+      Count(&IndexBuildStats::score_reuses);
       span_ = ScoreSpan::Of(*scores_);
       span_ready_ = true;
       return span_;
@@ -448,12 +448,12 @@ ScoreSpan ExecutionContext::scores() const {
       span_ = ScoreSpan{attached->coords.data(), attached->probs.data(),
                         attached->objects.data(), view_.num_instances(),
                         attached->mapped_dim};
-      ++index_stats_.snapshot_hits;
+      Count(&IndexBuildStats::snapshot_hits);
       span_ready_ = true;
       return span_;
     }
     scores_ = mapper().MapView(view_);
-    ++index_stats_.score_maps;
+    Count(&IndexBuildStats::score_maps);
     span_ = ScoreSpan::Of(*scores_);
   }
   span_ready_ = true;
@@ -466,7 +466,7 @@ const KdTree& ExecutionContext::instance_kdtree() const {
     SetupTimer timer(this);
     if (parent_ != nullptr) {
       kdtree_ptr_ = &parent_->instance_kdtree();
-      ++index_stats_.parent_index_hits;
+      Count(&IndexBuildStats::parent_index_hits);
     } else if (view_.is_full() &&
                view_.base().attached_kdtree() != nullptr) {
       // Snapshot-attached prebuilt tree. Only the full view may adopt it:
@@ -476,11 +476,11 @@ const KdTree& ExecutionContext::instance_kdtree() const {
       // in-memory build of that view exactly. The dataset outlives the
       // context by contract, which pins the shared arenas.
       kdtree_ptr_ = view_.base().attached_kdtree().get();
-      ++index_stats_.snapshot_hits;
+      Count(&IndexBuildStats::snapshot_hits);
     } else {
       kdtree_.emplace(KdTree::FromView(view_));
       kdtree_ptr_ = &*kdtree_;
-      ++index_stats_.kdtree_builds;
+      Count(&IndexBuildStats::kdtree_builds);
     }
   }
   return *kdtree_ptr_;
@@ -491,7 +491,7 @@ std::shared_ptr<const RTree> ExecutionContext::instance_rtree(
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (parent_ != nullptr) {
     SetupTimer timer(this);
-    ++index_stats_.parent_index_hits;
+    Count(&IndexBuildStats::parent_index_hits);
     return parent_->instance_rtree(fanout);
   }
   const auto it = rtrees_.find(fanout);
@@ -506,14 +506,14 @@ std::shared_ptr<const RTree> ExecutionContext::instance_rtree(
     // instance_kdtree). Cached like a built tree so repeat requests skip
     // the attachment checks.
     auto attached = view_.base().attached_rtree();
-    ++index_stats_.snapshot_hits;
+    Count(&IndexBuildStats::snapshot_hits);
     if (rtrees_.size() >= kMaxCachedRtrees) EvictLeastRecentlyUsed(rtrees_);
     rtrees_.emplace(fanout, CachedRtree{attached, ++rtree_tick_});
     return attached;
   }
   auto tree = std::make_shared<const RTree>(
       RTree::BulkLoadFromView(view_, fanout));
-  ++index_stats_.rtree_builds;
+  Count(&IndexBuildStats::rtree_builds);
   // Bound the cache: drop the least-recently-used fan-out first (in-flight
   // users of an evicted tree keep it alive through their shared_ptr).
   if (rtrees_.size() >= kMaxCachedRtrees) EvictLeastRecentlyUsed(rtrees_);
@@ -532,6 +532,16 @@ bool ExecutionContext::single_instance_objects() const {
 ExecutionContext::IndexBuildStats ExecutionContext::index_build_stats() const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   return index_stats_;
+}
+
+void ExecutionContext::CountBuildsInto(std::shared_ptr<BuildTotals> totals) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  build_totals_ = std::move(totals);
+}
+
+void ExecutionContext::Count(int64_t IndexBuildStats::*counter) const {
+  ++(index_stats_.*counter);
+  if (build_totals_ != nullptr) build_totals_->Add(counter);
 }
 
 ColumnBytes ExecutionContext::IndexMemoryFootprint() const {

@@ -448,6 +448,29 @@ class ExecutionContext {
   };
   IndexBuildStats index_build_stats() const;
 
+  /// Running IndexBuildStats that many contexts add to as they work, so the
+  /// counts outlive every one of them. ArspEngine keeps one per dataset
+  /// handle. Thread-safe.
+  class BuildTotals {
+   public:
+    void Add(int64_t IndexBuildStats::*counter) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++(stats_.*counter);
+    }
+    IndexBuildStats Get() const {
+      std::lock_guard<std::mutex> lock(mu_);
+      return stats_;
+    }
+
+   private:
+    mutable std::mutex mu_;
+    IndexBuildStats stats_;
+  };
+
+  /// From now on, every increment of index_build_stats() is also added to
+  /// `totals`.
+  void CountBuildsInto(std::shared_ptr<BuildTotals> totals);
+
   /// Resident vs. mapped bytes of the index and score artifacts this context
   /// currently serves queries with (its kd-tree, cached R-trees, and score
   /// buffer — whether built in memory or adopted from a snapshot). Artifacts
@@ -466,6 +489,10 @@ class ExecutionContext {
 
   ExecutionContext(std::shared_ptr<const ExecutionContext> parent,
                    DatasetView view, QueryGoal goal);
+
+  // Bumps one index_stats_ counter, and build_totals_ when set. Callers
+  // hold mu_.
+  void Count(int64_t IndexBuildStats::*counter) const;
 
   DatasetView view_;
   QueryGoal goal_;  // immutable after construction
@@ -492,6 +519,7 @@ class ExecutionContext {
   mutable uint64_t rtree_tick_ = 0;
   mutable std::optional<bool> single_instance_;
   mutable IndexBuildStats index_stats_;
+  std::shared_ptr<BuildTotals> build_totals_;
   mutable int setup_depth_ = 0;
   mutable double total_setup_millis_ = 0.0;
 };

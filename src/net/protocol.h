@@ -344,6 +344,9 @@ struct StatsResponse {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   uint64_t cache_entries = 0;
+  /// ExecutionContexts pooled right now, a live gauge: mostly those of
+  /// cache-off requests and view bases, since a cacheable miss releases
+  /// its context once its result is cached.
   uint64_t pooled_contexts = 0;
   /// The answering server's arsp_query_latency_ms histogram (ArspServer
   /// fills these for every backend, a coordinator's own hop included):
@@ -358,8 +361,11 @@ struct StatsResponse {
   double latency_p99_ms = 0.0;
   double latency_p999_ms = 0.0;
   std::vector<DatasetInfo> datasets;
-  // Index-work counters of the requested dataset (present iff a name was
-  // given and known): ExecutionContext::IndexBuildStats field-for-field.
+  // Index work for the requested dataset plus every view registered over
+  // it (present iff a name was given and known), counted since each was
+  // loaded, whether or not the contexts that did it are still pooled:
+  // ArspEngine::index_stats, ExecutionContext::IndexBuildStats field for
+  // field. The counts never decrease while the views stay registered.
   bool has_index_stats = false;
   int64_t kdtree_builds = 0;
   int64_t rtree_builds = 0;
@@ -370,10 +376,11 @@ struct StatsResponse {
   /// "scalar", "avx2", "neon") — the server process's, which may differ
   /// from the client's. Since wire v2.
   std::string kernel_arch;
-  // Index/score memory of the requested dataset (valid iff has_index_stats),
-  // split into heap-resident vs snapshot-mapped bytes, plus the daemon
-  // process's peak RSS (always filled; 0 when the platform cannot report
-  // it). Since wire v4.
+  // Index/score memory of the requested dataset's pooled contexts right now
+  // (valid iff has_index_stats; a live gauge like pooled_contexts, not a
+  // total like the counters above), split into heap-resident vs
+  // snapshot-mapped bytes, plus the daemon process's peak RSS (always
+  // filled; 0 when the platform cannot report it). Since wire v4.
   int64_t index_bytes_resident = 0;
   int64_t index_bytes_mapped = 0;
   int64_t peak_rss_bytes = 0;

@@ -903,9 +903,9 @@ StatusOr<StatsResponse> EngineBackend::Stats(const StatsRequest& request) {
       if (it == registry_.end()) {
         return Status::NotFound("unknown dataset '" + request.dataset + "'");
       }
-      // Index-work counters aggregate the name's own pooled contexts plus,
-      // for bases, every view registered over it: the "index work across
-      // sweep" line arsp_cli --subset prints, in process and remote alike.
+      // Index-work counters add up the name's own work plus, for bases,
+      // every view registered over it: arsp_cli --subset prints the
+      // difference across a sweep, in process and remote alike.
       index_handles.push_back(it->second.handle);
       for (const std::string& view_name : it->second.views) {
         const auto view = registry_.find(view_name);

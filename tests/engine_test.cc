@@ -157,6 +157,18 @@ TEST(ArspEngineTest, ContextPoolReusesPreprocessing) {
   EXPECT_EQ(second->stats.setup_millis, 0.0);
   EXPECT_EQ(engine.pooled_contexts(), 1u);
 
+  // A cacheable miss that only found the context leaves it pooled: only
+  // the pool can answer the cache-off requests' repeats.
+  QueryRequest cached = request;
+  cached.solver = "kdtt+";
+  cached.use_cache = true;
+  auto third = engine.Solve(cached);
+  ASSERT_TRUE(third.ok());
+  EXPECT_FALSE(third->cache_hit);
+  EXPECT_EQ(third->stats.setup_millis, 0.0);
+  EXPECT_EQ(engine.pooled_contexts(), 1u);
+  EXPECT_EQ(engine.index_stats(handle).score_maps, 1);
+
   ASSERT_TRUE(engine.DropDataset(handle).ok());
   EXPECT_EQ(engine.pooled_contexts(), 0u);
   EXPECT_FALSE(engine.Solve(request).ok());
@@ -170,12 +182,56 @@ TEST(ArspEngineTest, ContextPoolEvictsLeastRecentlyUsedBeyondCap) {
   const DatasetHandle handle =
       engine.AddDataset(RandomDataset(10, 2, 2, 0.0, 26));
   for (uint64_t seed = 0; seed < 5; ++seed) {
-    QueryRequest request = WrRequest(handle, 2, seed, "loop");
+    QueryRequest request = WrRequest(handle, 2, seed, "kdtt+");
     request.use_cache = false;
     ASSERT_TRUE(engine.Solve(request).ok());
     EXPECT_LE(engine.pooled_contexts(), 2u);
   }
   EXPECT_EQ(engine.pooled_contexts(), 2u);
+  // The handle's counters still count the evicted contexts' work.
+  EXPECT_EQ(engine.index_stats(handle).score_maps, 5);
+}
+
+TEST(ArspEngineTest, CacheableMissesReleaseTheirContexts) {
+  // Once the result cache answers a miss's repeat, the miss's context
+  // leaves the pool; the handle's counters still count what it built.
+  ArspEngine engine;
+  const DatasetHandle handle =
+      engine.AddDataset(RandomDataset(20, 3, 3, 0.0, 30));
+  constexpr int kQueries = 70;  // more than the default pool capacity
+  for (int seed = 0; seed < kQueries; ++seed) {
+    auto response = engine.Solve(WrRequest(handle, 3, seed, "kdtt+"));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_FALSE(response->cache_hit) << seed;
+  }
+  EXPECT_EQ(engine.pooled_contexts(), 0u);
+  EXPECT_EQ(engine.index_stats(handle).score_maps, kQueries);
+  // Each repeat is a cache hit and builds nothing.
+  auto repeat = engine.Solve(WrRequest(handle, 3, 0, "kdtt+"));
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat->cache_hit);
+  EXPECT_EQ(engine.index_stats(handle).score_maps, kQueries);
+}
+
+TEST(ArspEngineTest, DropDatasetFreesItsCachedResults) {
+  ArspEngine engine;
+  const DatasetHandle base =
+      engine.AddDataset(RandomDataset(20, 3, 3, 0.0, 33));
+  auto view = engine.AddView(base, ViewSpec::Prefix(10));
+  ASSERT_TRUE(view.ok());
+  const DatasetHandle other =
+      engine.AddDataset(RandomDataset(20, 3, 3, 0.0, 34));
+  for (const DatasetHandle handle : {base, *view, other}) {
+    ASSERT_TRUE(engine.Solve(WrRequest(handle, 3, 33, "kdtt+")).ok());
+  }
+  ASSERT_EQ(engine.cache_stats().entries, 3u);
+  // Dropping the base cascades to its view and takes both results along.
+  ASSERT_TRUE(engine.DropDataset(base).ok());
+  EXPECT_EQ(engine.cache_stats().entries, 1u);
+  EXPECT_TRUE(engine.Solve(WrRequest(other, 3, 33, "kdtt+"))->cache_hit);
+  ASSERT_TRUE(engine.DropDataset(other).ok());
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
+  EXPECT_EQ(engine.index_stats(other).score_maps, 0);
 }
 
 TEST(ArspEngineTest, DatasetAccessorReturnsNullForUnknownHandles) {

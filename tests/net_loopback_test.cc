@@ -273,31 +273,38 @@ TEST_F(NetLoopbackTest, DatasetIndexedOnceAcrossConcurrentConnections) {
   const std::vector<double>& expected_probs =
       expected.value().result->instance_probs;
 
-  // Six connections solving concurrently (more than the 4 workers, so some
-  // queue); every one must see the bit-identical full answer.
+  // Six connections in two waves of three concurrent ones: fresh solves
+  // first, which race on one pooled context and keep it pooled, then cached
+  // ones, which find it there. A cached miss that pooled its own context
+  // would release it once its result is cached, so running the cached wave
+  // first would let a later fresh solve build again. Every connection must
+  // see the bit-identical full answer.
   constexpr int kClients = 6;
-  std::vector<std::thread> threads;
+  constexpr int kWave = 3;
   std::vector<std::string> failures(kClients);
   std::vector<std::vector<double>> answers(kClients);
-  for (int t = 0; t < kClients; ++t) {
-    threads.emplace_back([this, t, &failures, &answers] {
-      auto client = net::ArspClient::Connect("127.0.0.1", server_->port());
-      if (!client.ok()) {
-        failures[t] = client.status().ToString();
-        return;
-      }
-      net::QueryRequestWire request = WireQuery("iip", "dual");
-      request.include_instances = true;
-      request.use_cache = (t % 2 == 0);  // mix cached and fresh solves
-      auto response = client->Query(request);
-      if (!response.ok()) {
-        failures[t] = response.status().ToString();
-        return;
-      }
-      answers[t] = std::move(response->instance_probs);
-    });
+  for (int wave = 0; wave < kClients / kWave; ++wave) {
+    std::vector<std::thread> threads;
+    for (int t = wave * kWave; t < (wave + 1) * kWave; ++t) {
+      threads.emplace_back([this, t, wave, &failures, &answers] {
+        auto client = net::ArspClient::Connect("127.0.0.1", server_->port());
+        if (!client.ok()) {
+          failures[t] = client.status().ToString();
+          return;
+        }
+        net::QueryRequestWire request = WireQuery("iip", "dual");
+        request.include_instances = true;
+        request.use_cache = wave == 1;
+        auto response = client->Query(request);
+        if (!response.ok()) {
+          failures[t] = response.status().ToString();
+          return;
+        }
+        answers[t] = std::move(response->instance_probs);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
   }
-  for (std::thread& thread : threads) thread.join();
   for (int t = 0; t < kClients; ++t) {
     EXPECT_TRUE(failures[t].empty()) << "client " << t << ": " << failures[t];
     EXPECT_EQ(answers[t], expected_probs) << "client " << t;
@@ -310,6 +317,7 @@ TEST_F(NetLoopbackTest, DatasetIndexedOnceAcrossConcurrentConnections) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_TRUE(stats->has_index_stats);
   EXPECT_EQ(stats->kdtree_builds, 1);
+  EXPECT_EQ(stats->pooled_contexts, 1u);  // the fresh wave's context
   EXPECT_GT(stats->latency_count, 0);
   EXPECT_GE(stats->latency_p95_ms, stats->latency_p50_ms);
   // The daemon reports its own simd dispatch arch (loopback: same process).

@@ -209,17 +209,20 @@ void PrintSweepRow(int pct, const net::AddViewResponse& view,
               mode);
 }
 
-// The index-work counters a STATS reply carries for a base dataset: its
-// own pooled contexts plus every view registered over it.
-void PrintIndexWorkLine(const net::StatsResponse& stats) {
+// The index work a sweep did: the difference between two STATS replies for
+// its base dataset, whose counters sum the base's and its views' work since
+// each was loaded.
+void PrintIndexWorkLine(const net::StatsResponse& before,
+                        const net::StatsResponse& after) {
   std::printf(
       "index work across sweep: kd_builds=%lld rtree_builds=%lld "
       "score_maps=%lld score_reuses=%lld parent_index_hits=%lld\n",
-      static_cast<long long>(stats.kdtree_builds),
-      static_cast<long long>(stats.rtree_builds),
-      static_cast<long long>(stats.score_maps),
-      static_cast<long long>(stats.score_reuses),
-      static_cast<long long>(stats.parent_index_hits));
+      static_cast<long long>(after.kdtree_builds - before.kdtree_builds),
+      static_cast<long long>(after.rtree_builds - before.rtree_builds),
+      static_cast<long long>(after.score_maps - before.score_maps),
+      static_cast<long long>(after.score_reuses - before.score_reuses),
+      static_cast<long long>(after.parent_index_hits -
+                             before.parent_index_hits));
 }
 
 // --stats summary from the backend's STATS reply. Only a server fills the
@@ -464,6 +467,16 @@ int RunSweep(const CliArgs& args, net::ServiceBackend& backend,
              int num_objects) {
   const bool derived_goal =
       args.topk.has_value() || args.threshold.has_value();
+  // One full build on the base context + per-view delta work is the
+  // data-plane invariant; the counters make it visible. A long-lived daemon
+  // counts earlier work too, so the line reports the sweep's difference.
+  net::StatsRequest stats_request;
+  stats_request.dataset = dataset_name;
+  auto before = backend.Stats(stats_request);
+  if (!before.ok()) {
+    std::fprintf(stderr, "%s\n", before.status().ToString().c_str());
+    return 1;
+  }
   PrintSweepHeader(spec, args.algo);
   bool any_partial = false;
   for (int pct : args.subset_pcts) {
@@ -495,16 +508,12 @@ int RunSweep(const CliArgs& args, net::ServiceBackend& backend,
     std::printf("  (* = goal answer size; the full vector was pruned "
                 "away)\n");
   }
-  // One full build on the base context + per-view delta work is the
-  // data-plane invariant; the counters make it visible.
-  net::StatsRequest stats_request;
-  stats_request.dataset = dataset_name;
-  auto stats = backend.Stats(stats_request);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
+  auto after = backend.Stats(stats_request);
+  if (!after.ok()) {
+    std::fprintf(stderr, "%s\n", after.status().ToString().c_str());
     return 1;
   }
-  PrintIndexWorkLine(*stats);
+  PrintIndexWorkLine(*before, *after);
   return 0;
 }
 
