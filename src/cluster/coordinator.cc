@@ -14,19 +14,16 @@ namespace cluster {
 
 namespace {
 
-// Stitches the shard reply's span subtree (if it carries one) under the
-// trace's innermost open span, the forward span. The subtree keeps its
+// Stitches the shard reply's span tree (if it carries one) under the
+// trace's innermost open span, the forward span. The tree keeps its
 // shard-local clock (offsets are per-process; only structure and durations
 // are comparable across the stitch boundary).
-void AdoptShardTrace(obs::Trace* trace, const QueryResponseWire& part,
+void AdoptShardTrace(obs::Trace& trace, std::vector<obs::Span> spans,
                      int shard) {
-  if (trace == nullptr || part.trace_spans.empty()) return;
-  std::vector<obs::Span> subtree;
-  if (!obs::DeserializeSpans(part.trace_spans, &subtree) || subtree.empty()) {
-    return;
+  for (obs::Span& subtree : spans) {
+    subtree.annotations.emplace_back("shard", std::to_string(shard));
+    trace.AdoptChild(std::move(subtree));
   }
-  subtree[0].annotations.emplace_back("shard", std::to_string(shard));
-  trace->AdoptChild(std::move(subtree[0]));
 }
 
 Status NotRegistered(const std::string& name) {
@@ -39,9 +36,9 @@ Status NotRegistered(const std::string& name) {
 
 Coordinator::Coordinator(
     std::vector<std::shared_ptr<net::ServiceBackend>> shards,
-    std::vector<std::string> shard_names, CoordinatorOptions options)
+    const std::vector<std::string>& shard_names, ShardPlanOptions plan)
     : shards_(std::move(shards)),
-      plan_(std::move(shard_names), options.plan),
+      plan_(shard_names, plan),
       in_flight_(shards_.size(), 0) {
   ARSP_CHECK_MSG(!shards_.empty(), "coordinator needs at least one shard");
   ARSP_CHECK_MSG(static_cast<int>(shards_.size()) == plan_.num_shards(),
@@ -187,13 +184,15 @@ StatusOr<QueryResponseWire> Coordinator::Query(
     forward_span.Annotate("shard", static_cast<int64_t>(*shard));
     out = shards_[static_cast<size_t>(*shard)]->Query(forwarded);
     Release(*shard);
-    if (out.ok()) AdoptShardTrace(trace.get(), *out, *shard);
+    if (out.ok() && trace != nullptr) {
+      AdoptShardTrace(*trace, std::move(out->trace_spans), *shard);
+    }
   }
   if (out.ok() && trace != nullptr) {
     trace->Annotate("dataset", request.dataset);
     trace->Finish();
     out->trace_id = trace->id();
-    out->trace_spans = obs::SerializeSpans({trace->root()});
+    out->trace_spans = {trace->root()};
     obs::MaybeWriteChromeTrace(trace->root(), trace->id());
   }
   return out;
@@ -244,11 +243,8 @@ StatusOr<StatsResponse> Coordinator::Stats(const StatsRequest& request) {
     }
     if (part.has_index_stats) {
       out.has_index_stats = true;
-      out.kdtree_builds += part.kdtree_builds;
-      out.rtree_builds += part.rtree_builds;
-      out.score_maps += part.score_maps;
-      out.score_reuses += part.score_reuses;
-      out.parent_index_hits += part.parent_index_hits;
+      out.index_work += part.index_work;
+      out.index_memory += part.index_memory;
     }
   }
   std::sort(out.datasets.begin(), out.datasets.end(),

@@ -53,25 +53,19 @@ using net::QueryResponseWire;
 using net::StatsRequest;
 using net::StatsResponse;
 
-struct CoordinatorOptions {
-  ShardPlanOptions plan;
-};
-
 class Coordinator : public net::ServiceBackend {
  public:
   /// `shards[i]` is named `shard_names[i]` (the ring key — for remote
   /// shards, conventionally host:port). Sizes must match and be non-empty.
   Coordinator(std::vector<std::shared_ptr<net::ServiceBackend>> shards,
-              std::vector<std::string> shard_names,
-              CoordinatorOptions options = {});
+              const std::vector<std::string>& shard_names,
+              ShardPlanOptions plan = {});
 
   StatusOr<LoadDatasetResponse> Load(const LoadDatasetRequest& request) override;
   StatusOr<AddViewResponse> AddView(const AddViewRequest& request) override;
   StatusOr<QueryResponseWire> Query(const QueryRequestWire& request) override;
   StatusOr<StatsResponse> Stats(const StatsRequest& request) override;
   Status Drop(const DropRequest& request) override;
-
-  const ShardPlan& plan() const { return plan_; }
 
  private:
   /// Runs every task on the fan-out pool and blocks until all finish.

@@ -25,14 +25,13 @@ uint64_t ShardPlan::Hash(const std::string& key) {
   return h;
 }
 
-ShardPlan::ShardPlan(std::vector<std::string> shard_names,
+ShardPlan::ShardPlan(const std::vector<std::string>& shard_names,
                      ShardPlanOptions options)
-    : shard_names_(std::move(shard_names)), options_(options) {
-  const int vnodes = std::max(1, options_.virtual_nodes);
-  ring_.reserve(shard_names_.size() * static_cast<size_t>(vnodes));
-  for (int s = 0; s < num_shards(); ++s) {
-    for (int v = 0; v < vnodes; ++v) {
-      ring_.emplace_back(Hash(shard_names_[static_cast<size_t>(s)] + "#" +
+    : num_shards_(static_cast<int>(shard_names.size())), options_(options) {
+  ring_.reserve(shard_names.size() * kVirtualNodes);
+  for (int s = 0; s < num_shards_; ++s) {
+    for (int v = 0; v < kVirtualNodes; ++v) {
+      ring_.emplace_back(Hash(shard_names[static_cast<size_t>(s)] + "#" +
                               std::to_string(v)),
                          s);
     }

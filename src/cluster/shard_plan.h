@@ -33,18 +33,16 @@ struct ShardPlanOptions {
   /// still runs on one holder) and more load-time fan-out; `num_shards`
   /// replicates everything everywhere.
   int replication = 0;  ///< 0 = replicate onto every shard
-  /// Virtual nodes per shard on the hash ring; more = smoother spread.
-  int virtual_nodes = 64;
 };
 
 /// Immutable placement over a fixed shard set. Rebuild the plan to change
 /// membership (the registry remembers where each dataset actually landed).
 class ShardPlan {
  public:
-  ShardPlan(std::vector<std::string> shard_names, ShardPlanOptions options);
+  ShardPlan(const std::vector<std::string>& shard_names,
+            ShardPlanOptions options);
 
-  int num_shards() const { return static_cast<int>(shard_names_.size()); }
-  const std::vector<std::string>& shard_names() const { return shard_names_; }
+  int num_shards() const { return num_shards_; }
 
   /// The shard indices holding `dataset`, in ring order, deduplicated.
   /// Size = min(replication, num_shards); never empty for num_shards > 0.
@@ -56,7 +54,10 @@ class ShardPlan {
   static uint64_t Hash(const std::string& key);
 
  private:
-  std::vector<std::string> shard_names_;
+  /// Virtual nodes per shard on the hash ring; more = smoother spread.
+  static constexpr int kVirtualNodes = 64;
+
+  int num_shards_;
   ShardPlanOptions options_;
   /// Ring points sorted by hash: (point, shard index).
   std::vector<std::pair<uint64_t, int>> ring_;

@@ -92,6 +92,17 @@ std::shared_ptr<ExecutionContext> NewContext(
   return context;
 }
 
+// The index work of `context` and every context it derives from: what a
+// solve on it can have triggered.
+ExecutionContext::IndexBuildStats ChainIndexStats(
+    const ExecutionContext& context) {
+  ExecutionContext::IndexBuildStats total;
+  for (const ExecutionContext* c = &context; c != nullptr; c = c->parent()) {
+    total += c->index_build_stats();
+  }
+  return total;
+}
+
 }  // namespace
 
 namespace internal {
@@ -524,7 +535,7 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
     SolverStats stats;
     ExecutionContext::IndexBuildStats index_before;
     if (request.trace != nullptr) {
-      index_before = solve_context->index_build_stats();
+      index_before = ChainIndexStats(*solve_context);
     }
     obs::ScopedSpan solve_span(request.trace, "solve");
     const uint64_t solve_start_ns =
@@ -535,9 +546,11 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
       // The lazy context preprocessing this solve triggered (index builds,
       // snapshot adoption, score mapping) runs at the head of Solve; carve
       // it out as a child span so the timeline separates setup from
-      // traversal, and annotate it with the build-vs-adopt counters.
+      // traversal, and annotate it with the build-vs-adopt counters. A
+      // pushdown child or a view context triggers builds on its parents,
+      // so the counters cover the whole chain.
       const ExecutionContext::IndexBuildStats index_after =
-          solve_context->index_build_stats();
+          ChainIndexStats(*solve_context);
       if (stats.setup_millis > 0.0) {
         obs::Span setup;
         setup.name = "index_setup";
@@ -680,10 +693,7 @@ ColumnBytes ArspEngine::index_memory(DatasetHandle handle) const {
   std::lock_guard<std::mutex> lock(mu_);
   ColumnBytes total;
   for (const auto& [key, pooled] : contexts_) {
-    if (key.first != handle.id) continue;
-    const ColumnBytes bytes = pooled.context->IndexMemoryFootprint();
-    total.resident += bytes.resident;
-    total.mapped += bytes.mapped;
+    if (key.first == handle.id) total += pooled.context->IndexMemoryFootprint();
   }
   return total;
 }

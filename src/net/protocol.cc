@@ -201,10 +201,10 @@ Status WireReader::Finish() const {
 // Decoder walks it over a WireReader, so the two sides cannot disagree.
 // Every decode guard sits on the decode side of the walk: WireReader's
 // sticky truncation error and exact-length Finish, and Decoder::Get's
-// vector-count and enum-range checks. Field types map to the wire as
-// bool → u8, enum → u8, 4- and 8-byte integers → u32 and u64, double →
-// f64, string → u32 length + bytes, vector → u32 count + elements; any
-// other field is a struct with a field list of its own.
+// vector-count, enum-range and span count and depth checks. Field types
+// map to the wire as bool → u8, enum → u8, 4- and 8-byte integers → u32
+// and u64, double → f64, string → u32 length + bytes, vector → u32 count
+// + elements; any other field is a struct with a field list of its own.
 
 namespace {
 
@@ -245,6 +245,14 @@ void Fields(auto& c, Is<RankedEntry> auto& m) {
   c(m.object_id, m.name, m.prob);
 }
 
+void Fields(auto& c, Is<std::pair<std::string, std::string>> auto& m) {
+  c(m.first, m.second);
+}
+
+void Fields(auto& c, Is<obs::Span> auto& m) {
+  c(m.name, m.start_ns, m.end_ns, m.annotations, m.children);
+}
+
 void Fields(auto& c, Is<QueryResponseWire> auto& m) {
   c(m.solver, m.cache_hit, m.pushdown, m.complete, m.goal, m.result_size,
     m.ranked, m.count_threshold, m.stats, m.instance_probs, m.trace_id,
@@ -261,13 +269,18 @@ void Fields(auto& c, Is<DatasetInfo> auto& m) {
   c(m.name, m.num_objects, m.num_instances, m.dim, m.is_view);
 }
 
+void Fields(auto& c, Is<ExecutionContext::IndexBuildStats> auto& m) {
+  c(m.kdtree_builds, m.rtree_builds, m.score_maps, m.score_reuses,
+    m.parent_index_hits, m.snapshot_hits);
+}
+
+void Fields(auto& c, Is<ColumnBytes> auto& m) { c(m.resident, m.mapped); }
+
 void Fields(auto& c, Is<StatsResponse> auto& m) {
   c(m.cache_hits, m.cache_misses, m.cache_entries, m.pooled_contexts,
     m.latency_count, m.latency_mean_ms, m.latency_p50_ms, m.latency_p95_ms,
     m.latency_p99_ms, m.latency_p999_ms, m.datasets, m.has_index_stats,
-    m.kdtree_builds, m.rtree_builds, m.score_maps, m.score_reuses,
-    m.parent_index_hits, m.kernel_arch, m.index_bytes_resident,
-    m.index_bytes_mapped, m.peak_rss_bytes);
+    m.index_work, m.index_memory, m.kernel_arch, m.peak_rss_bytes);
 }
 
 void Fields(auto& c, Is<DropRequest> auto& m) { c(m.name); }
@@ -321,7 +334,8 @@ class Encoder {
 
 // The fewest bytes one T can encode to: a default T's, since the only
 // variable-length parts (strings, vectors) start empty — 8 per f64, 4 per
-// i32 or string, 16 per ranked entry, 17 per dataset listing.
+// i32 or string, 16 per ranked entry, 17 per dataset listing, 28 per
+// span.
 template <class T>
 size_t MinEncodedBytes() {
   static const size_t bytes = [] {
@@ -394,6 +408,16 @@ class Decoder {
                 " exceeds payload");
         return;
       }
+      // Spans count toward the reply's cap when a list announces them, so
+      // the cap bounds the reservation below as well.
+      if constexpr (std::is_same_v<Element, obs::Span>) {
+        spans_ += count;
+        if (spans_ > kMaxTraceSpans) {
+          r_.Fail("more than " + std::to_string(kMaxTraceSpans) +
+                  " trace spans");
+          return;
+        }
+      }
       v.clear();
       v.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
@@ -401,12 +425,25 @@ class Decoder {
         Get(element);
         v.push_back(std::move(element));
       }
+    } else if constexpr (std::is_same_v<T, obs::Span>) {
+      // A span's children recurse through this walk, so a hostile reply
+      // could nest them deep enough to overflow the stack.
+      if (depth_ == kMaxTraceDepth) {
+        r_.Fail("trace spans nested deeper than " +
+                std::to_string(kMaxTraceDepth));
+        return;
+      }
+      ++depth_;
+      Fields(*this, v);
+      --depth_;
     } else {
       Fields(*this, v);
     }
   }
 
   WireReader r_;
+  size_t spans_ = 0;  // spans announced so far
+  int depth_ = 0;     // spans open on the walk's stack
 };
 
 template <class M>

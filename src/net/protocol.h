@@ -21,7 +21,9 @@
 // never read out of range — decoding either succeeds completely or returns
 // InvalidArgument. Frames larger than kMaxPayloadBytes are rejected before
 // any allocation (the max-frame guard: a garbage length prefix must not OOM
-// the daemon).
+// the daemon), and a reply's span tree is bounded in size and depth
+// (kMaxTraceSpans, kMaxTraceDepth: a hostile tree must not overflow the
+// decoding thread's stack).
 //
 // Every message is a plain struct with EncodePayload()/DecodePayload(), so
 // the protocol is testable without sockets (tests/protocol_test.cc) and the
@@ -38,9 +40,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/column.h"
 #include "src/common/status.h"
 #include "src/core/engine.h"
 #include "src/core/solver.h"
+#include "src/obs/trace.h"
 #include "src/uncertain/dataset_view.h"
 
 namespace arsp {
@@ -69,7 +73,8 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 /// v6 (observability): QueryRequestWire grew `trace_id` + `want_trace`
 ///     (distributed tracing: the coordinator stamps its trace id into
 ///     scattered frames), QueryResponseWire grew `trace_id` + `trace_spans`
-///     (the server-side span subtree, obs::SerializeSpans format),
+///     (the server-side span subtree, then a byte string in a span format
+///     of its own),
 ///     StatsResponse grew the tail latency percentiles (p99 / p99.9), and
 ///     the METRICS / TRACE message pair was added (Prometheus text dump and
 ///     most-recent-trace fetch).
@@ -84,12 +89,25 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 ///     /metrics serves the same text; type numbers 8, 9, 135 and 136 stay
 ///     unassigned), and StatsResponse lost the intra-query worker policy,
 ///     whose only value in use was the default.
-inline constexpr uint8_t kWireVersion = 9;
+/// v10 (one codec): QueryResponseWire's `trace_spans` is a list of
+///     obs::Span fields instead of a byte string (an untraced reply keeps
+///     its bytes: an empty list encodes like an empty string), and
+///     StatsResponse carries the index counters and memory as the engine's
+///     own IndexBuildStats (snapshot_hits included) and ColumnBytes.
+inline constexpr uint8_t kWireVersion = 10;
 
 /// Max payload bytes a peer will accept (the max-frame guard). Large enough
 /// for a multi-million-instance probability vector, small enough that a
 /// corrupt length prefix cannot OOM the process.
 inline constexpr uint32_t kMaxPayloadBytes = 256u * 1024u * 1024u;
+
+/// Span guards of a decoded reply: at most kMaxTraceSpans spans in all, and
+/// no span nested deeper than kMaxTraceDepth (the roots are at depth 1).
+/// A real tree has a handful of spans and is at most 5 deep (coordinator →
+/// forward → engine query → solve → index setup); the depth bound keeps the
+/// recursive decoder off the end of its thread's stack.
+inline constexpr size_t kMaxTraceSpans = size_t{1} << 16;
+inline constexpr int kMaxTraceDepth = 64;
 
 /// Wire message types. Requests and responses share one numbering space;
 /// responses start at 128.
@@ -300,12 +318,11 @@ struct QueryResponseWire {
   /// for include_instances and the result is complete, else empty.
   std::vector<double> instance_probs;
   /// Distributed tracing (since wire v6): the trace id this reply belongs
-  /// to (0 = untraced) and the server-side span subtree in the
-  /// obs::SerializeSpans format (empty = untraced). A coordinator
-  /// deserializes the chosen shard's subtree and stitches it under its own
-  /// forward span.
+  /// to (0 = untraced) and the server-side span tree (one root; empty =
+  /// untraced). A coordinator stitches the chosen shard's tree under its
+  /// own forward span.
   uint64_t trace_id = 0;
-  std::string trace_spans;
+  std::vector<obs::Span> trace_spans;
 
   std::string EncodePayload() const;
   Status DecodePayload(const std::string& bytes);
@@ -361,28 +378,24 @@ struct StatsResponse {
   double latency_p99_ms = 0.0;
   double latency_p999_ms = 0.0;
   std::vector<DatasetInfo> datasets;
-  // Index work for the requested dataset plus every view registered over
-  // it (present iff a name was given and known), counted since each was
-  // loaded, whether or not the contexts that did it are still pooled:
-  // ArspEngine::index_stats, ExecutionContext::IndexBuildStats field for
-  // field. The counts never decrease while the views stay registered.
+  /// True iff a name was given and known; the two fields below then cover
+  /// the requested dataset plus every view registered over it. A
+  /// coordinator sums them over the holders.
   bool has_index_stats = false;
-  int64_t kdtree_builds = 0;
-  int64_t rtree_builds = 0;
-  int64_t score_maps = 0;
-  int64_t score_reuses = 0;
-  int64_t parent_index_hits = 0;
+  /// Index work counted since each was loaded, whether or not the
+  /// contexts that did it are still pooled (ArspEngine::index_stats). The
+  /// counts never decrease while the views stay registered.
+  ExecutionContext::IndexBuildStats index_work;
+  /// Index/score memory of their pooled contexts right now, heap-resident
+  /// vs snapshot-mapped (ArspEngine::index_memory): a live gauge like
+  /// pooled_contexts, not a total like index_work. Since wire v4.
+  ColumnBytes index_memory;
   /// The daemon's active simd kernel dispatch arch (simd::ActiveArchName:
   /// "scalar", "avx2", "neon") — the server process's, which may differ
   /// from the client's. Since wire v2.
   std::string kernel_arch;
-  // Index/score memory of the requested dataset's pooled contexts right now
-  // (valid iff has_index_stats; a live gauge like pooled_contexts, not a
-  // total like the counters above), split into heap-resident vs
-  // snapshot-mapped bytes, plus the daemon process's peak RSS (always
-  // filled; 0 when the platform cannot report it). Since wire v4.
-  int64_t index_bytes_resident = 0;
-  int64_t index_bytes_mapped = 0;
+  /// The answering process's peak RSS (always filled; 0 when the platform
+  /// cannot report it). Since wire v4.
   int64_t peak_rss_bytes = 0;
 
   std::string EncodePayload() const;

@@ -133,18 +133,9 @@ ArspServer::ArspServer(ServerOptions options)
           "arsp_admission_denials_total", {},
           "QUERY requests refused by the admission gate (answered "
           "RETRY_LATER).")) {
-  if (options_.backend != nullptr) {
-    backend_ = options_.backend;
-  } else {
-    engine_backend_ = std::make_shared<EngineBackend>(options_.engine);
-    backend_ = engine_backend_;
-  }
-}
-
-ArspEngine& ArspServer::engine() {
-  ARSP_CHECK_MSG(engine_backend_ != nullptr,
-                 "ArspServer::engine(): a custom backend is installed");
-  return engine_backend_->engine();
+  backend_ = options_.backend != nullptr
+                 ? options_.backend
+                 : std::make_shared<EngineBackend>(options_.engine);
 }
 
 ArspServer::~ArspServer() {
@@ -555,11 +546,10 @@ void ArspServer::LogSlowQuery(const QueryRequestWire& request,
                               const QueryResponseWire& response,
                               double elapsed_ms) {
   // Phase breakdown: the root span's direct children (cache_probe,
-  // context_acquire, index_setup, solve, goal_answer — whichever ran).
+  // context_acquire, solve, goal_answer — whichever ran).
   std::string phases;
-  std::vector<obs::Span> spans;
-  if (obs::DeserializeSpans(response.trace_spans, &spans) && !spans.empty()) {
-    for (const obs::Span& child : spans[0].children) {
+  for (const obs::Span& root : response.trace_spans) {
+    for (const obs::Span& child : root.children) {
       char ms[32];
       std::snprintf(ms, sizeof(ms), "=%.3fms", child.DurationMs());
       phases += " " + child.name + ms;
@@ -870,7 +860,7 @@ StatusOr<QueryResponseWire> EngineBackend::Query(
     trace->Annotate("solver", wire.solver);
     trace->Finish();
     wire.trace_id = trace->id();
-    wire.trace_spans = obs::SerializeSpans({trace->root()});
+    wire.trace_spans = {trace->root()};
     obs::MaybeWriteChromeTrace(trace->root(), trace->id());
   }
   return wire;
@@ -915,23 +905,10 @@ StatusOr<StatsResponse> EngineBackend::Stats(const StatsRequest& request) {
       }
     }
   }
-  if (!index_handles.empty()) {
-    ExecutionContext::IndexBuildStats total;
-    ColumnBytes memory;
-    for (const DatasetHandle& handle : index_handles) {
-      total += engine_.index_stats(handle);
-      const ColumnBytes bytes = engine_.index_memory(handle);
-      memory.resident += bytes.resident;
-      memory.mapped += bytes.mapped;
-    }
-    response.has_index_stats = true;
-    response.kdtree_builds = total.kdtree_builds;
-    response.rtree_builds = total.rtree_builds;
-    response.score_maps = total.score_maps;
-    response.score_reuses = total.score_reuses;
-    response.parent_index_hits = total.parent_index_hits;
-    response.index_bytes_resident = static_cast<int64_t>(memory.resident);
-    response.index_bytes_mapped = static_cast<int64_t>(memory.mapped);
+  response.has_index_stats = !index_handles.empty();
+  for (const DatasetHandle& handle : index_handles) {
+    response.index_work += engine_.index_stats(handle);
+    response.index_memory += engine_.index_memory(handle);
   }
   response.peak_rss_bytes = PeakRssBytes();
   return response;

@@ -77,9 +77,6 @@ class EngineBackend : public ServiceBackend {
   StatusOr<StatsResponse> Stats(const StatsRequest& request) override;
   Status Drop(const DropRequest& request) override;
 
-  /// The engine behind the registry (tests assert cache/index behavior).
-  ArspEngine& engine() { return engine_; }
-
  private:
   /// One registered name: the engine handle behind it plus everything the
   /// wire layer needs to answer without re-deriving (names for ranked
@@ -172,11 +169,6 @@ class ArspServer {
   /// daemon's main loop polls this to know when to Wait().
   bool shutdown_requested() const;
 
-  /// The engine behind the wire (tests assert cache/index behavior on it).
-  /// Only valid for the default EngineBackend; CHECKs when a custom
-  /// ServiceBackend was installed.
-  ArspEngine& engine();
-
   /// Number of requests served since Start (all message types).
   int64_t requests_served() const;
 
@@ -206,9 +198,8 @@ class ArspServer {
   /// around the backend call; the only latency record STATS reports.
   obs::Histogram* const latency_ms_;
   obs::Counter* const admission_denials_;
-  /// Set iff no custom backend was installed (the classic daemon).
-  std::shared_ptr<EngineBackend> engine_backend_;
-  /// The dispatch target — engine_backend_ or options_.backend.
+  /// The dispatch target: options_.backend, or an EngineBackend built from
+  /// options_.engine.
   std::shared_ptr<ServiceBackend> backend_;
 
   mutable std::mutex mu_;

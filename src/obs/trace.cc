@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <random>
 #include <sstream>
 
@@ -89,156 +88,13 @@ void Trace::Annotate(const std::string& key, std::string value) {
   open_.back()->annotations.emplace_back(key, std::move(value));
 }
 
-// ------------------------------------------------------------ serialization
-
-namespace {
-
-constexpr uint8_t kSpanFormatVersion = 1;
-// A span tree from one request is small; this guards against garbage
-// lengths in a corrupted frame, not real usage.
-constexpr size_t kMaxSpanNodes = 1 << 16;
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>(v >> 8));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  const uint16_t len =
-      static_cast<uint16_t>(s.size() > 0xffff ? 0xffff : s.size());
-  PutU16(out, len);
-  out->append(s.data(), len);
-}
-
-void EncodeSpan(const Span& span, std::string* out) {
-  PutString(out, span.name);
-  PutU64(out, span.start_ns);
-  PutU64(out, span.end_ns);
-  PutU16(out, static_cast<uint16_t>(
-                  span.annotations.size() > 0xffff ? 0xffff
-                                                   : span.annotations.size()));
-  size_t annotations = 0;
-  for (const auto& [k, v] : span.annotations) {
-    if (annotations++ == 0xffff) break;
-    PutString(out, k);
-    PutString(out, v);
-  }
-  PutU16(out, static_cast<uint16_t>(
-                  span.children.size() > 0xffff ? 0xffff
-                                                : span.children.size()));
-  size_t children = 0;
-  for (const Span& child : span.children) {
-    if (children++ == 0xffff) break;
-    EncodeSpan(child, out);
-  }
-}
-
-struct SpanReader {
-  const std::string& bytes;
-  size_t pos = 0;
-  size_t nodes = 0;
-  bool ok = true;
-
-  bool Need(size_t n) {
-    if (!ok || bytes.size() - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[pos + i]))
-           << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  uint16_t U16() {
-    if (!Need(2)) return 0;
-    const uint16_t v =
-        static_cast<uint16_t>(static_cast<uint8_t>(bytes[pos])) |
-        static_cast<uint16_t>(static_cast<uint8_t>(bytes[pos + 1])) << 8;
-    pos += 2;
-    return v;
-  }
-  std::string Str() {
-    const uint16_t len = U16();
-    if (!Need(len)) return "";
-    std::string s = bytes.substr(pos, len);
-    pos += len;
-    return s;
-  }
-  bool Decode(Span* span) {
-    if (++nodes > kMaxSpanNodes) {
-      ok = false;
-      return false;
-    }
-    span->name = Str();
-    span->start_ns = U64();
-    span->end_ns = U64();
-    const uint16_t annotations = U16();
-    for (uint16_t i = 0; ok && i < annotations; ++i) {
-      std::string k = Str();
-      std::string v = Str();
-      span->annotations.emplace_back(std::move(k), std::move(v));
-    }
-    const uint16_t children = U16();
-    for (uint16_t i = 0; ok && i < children; ++i) {
-      span->children.emplace_back();
-      Decode(&span->children.back());
-    }
-    return ok;
-  }
-};
-
-}  // namespace
-
-std::string SerializeSpans(const std::vector<Span>& spans) {
-  std::string out;
-  out.push_back(static_cast<char>(kSpanFormatVersion));
-  PutU16(&out, static_cast<uint16_t>(
-                   spans.size() > 0xffff ? 0xffff : spans.size()));
-  size_t count = 0;
-  for (const Span& span : spans) {
-    if (count++ == 0xffff) break;
-    EncodeSpan(span, &out);
-  }
-  return out;
-}
-
-bool DeserializeSpans(const std::string& bytes, std::vector<Span>* out) {
-  out->clear();
-  if (bytes.empty() ||
-      static_cast<uint8_t>(bytes[0]) != kSpanFormatVersion) {
-    return false;
-  }
-  SpanReader reader{bytes, 1};
-  const uint16_t count = reader.U16();
-  for (uint16_t i = 0; reader.ok && i < count; ++i) {
-    out->emplace_back();
-    reader.Decode(&out->back());
-  }
-  if (!reader.ok || reader.pos != bytes.size()) {
-    out->clear();
-    return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------- rendering
 
 namespace {
 
 void RenderSpan(const Span& span, uint64_t base_ns, int depth,
                 std::ostringstream* out) {
-  // A serialized subtree from another process carries that process's
+  // A subtree adopted from another process carries that process's
   // monotonic clock; restart the offset base at each clock domain (detected
   // as a child starting "before" the current base).
   if (span.start_ns < base_ns) base_ns = span.start_ns;

@@ -26,12 +26,13 @@
 // thread driving that request. TaskArena worker events go through the
 // separate ChromeTraceWriter (ARSP_TRACE_FILE), which is thread-safe.
 //
-// Cross-process stitching: Span trees serialize to a compact byte string
-// (SerializeSpans / DeserializeSpans) that rides in QueryResponseWire;
-// the coordinator adopts the shard's subtree under its own forward span.
-// Timestamps are per-process monotonic clocks, so durations are exact
-// within a process and the tree structure is exact across processes, but
-// absolute offsets between processes are not comparable.
+// Cross-process stitching: a Span tree rides in QueryResponseWire as a
+// field of the wire codec (src/net/protocol.cc), which bounds how many
+// spans and how deep a nesting one reply may carry; the coordinator adopts
+// the shard's subtree under its own forward span. Timestamps are
+// per-process monotonic clocks, so durations are exact within a process
+// and the tree structure is exact across processes, but absolute offsets
+// between processes are not comparable.
 
 #ifndef ARSP_OBS_TRACE_H_
 #define ARSP_OBS_TRACE_H_
@@ -84,7 +85,7 @@ class Trace {
   const Span& root() const { return root_; }
 
   /// Adopts `subtree` as a child of the innermost open span — the
-  /// coordinator stitching hook for deserialized shard spans.
+  /// coordinator stitching hook for a shard reply's spans.
   void AdoptChild(Span subtree);
 
   /// Annotates the innermost open span.
@@ -137,13 +138,6 @@ class ScopedSpan {
   Trace* trace_;
   Span* span_;
 };
-
-/// Serializes a list of span trees to the compact format carried in
-/// QueryResponseWire (u8 format version, then a recursive length-prefixed
-/// encoding).
-std::string SerializeSpans(const std::vector<Span>& spans);
-/// Inverse; returns false on malformed or truncated input (out is cleared).
-bool DeserializeSpans(const std::string& bytes, std::vector<Span>* out);
 
 /// Renders the span tree as an indented text timeline:
 ///   trace 1a2b3c4d5e6f7081

@@ -9,7 +9,8 @@
 // threshold lying exactly on an object's probability. The routing rule is
 // pinned with fake shards that block until released: each query reaches
 // exactly one holder, concurrent queries spread over the holders, an idle
-// repeat returns to the same holder, and a shard error frees its slot.
+// repeat returns to the same holder, and a shard error frees its slot. A
+// named STATS sums its holders' index work and memory.
 
 #include <gtest/gtest.h>
 
@@ -368,6 +369,39 @@ TEST(ClusterEquivalence, RepeatQueryIsAClusterWideCacheHit) {
   EXPECT_EQ(stats->datasets[0].name, dataset.name);
   EXPECT_GT(stats->cache_hits, 0);
   EXPECT_TRUE(stats->has_index_stats);
+}
+
+TEST(ClusterEquivalence, StatsSumTheShardsIndexWorkAndMemory) {
+  // A cache-off query leaves its context pooled on the holder it ran on,
+  // which then reports the context's score rows as index memory. The
+  // coordinator's STATS must carry the sum over its shards.
+  const std::vector<std::shared_ptr<ServiceBackend>> shards = {
+      std::make_shared<EngineBackend>(), std::make_shared<EngineBackend>()};
+  Coordinator coordinator(shards, {"shard-0", "shard-1"});
+  const DatasetCase& dataset = kDatasets[1];
+  LoadGenerator(coordinator, dataset.name, dataset.spec);
+  auto response = coordinator.Query(
+      MakeQuery(dataset.name, dataset.constraints, "kdtt+"));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+
+  ExecutionContext::IndexBuildStats work;
+  ColumnBytes memory;
+  for (const auto& shard : shards) {
+    auto part = shard->Stats(net::StatsRequest{dataset.name});
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    work += part->index_work;
+    memory += part->index_memory;
+  }
+  EXPECT_EQ(work.score_maps, 1);
+  EXPECT_GT(memory.resident, 0u);
+
+  auto front = coordinator.Stats(net::StatsRequest{dataset.name});
+  ASSERT_TRUE(front.ok()) << front.status().ToString();
+  EXPECT_TRUE(front->has_index_stats);
+  EXPECT_EQ(front->index_memory.resident, memory.resident);
+  EXPECT_EQ(front->index_memory.mapped, memory.mapped);
+  EXPECT_EQ(front->index_work.score_maps, work.score_maps);
+  EXPECT_EQ(front->index_work.score_reuses, work.score_reuses);
 }
 
 TEST(ClusterEquivalence, UnknownNamesAndBadSpecsFailCleanly) {

@@ -34,7 +34,6 @@ namespace {
 using cluster::AdmissionController;
 using cluster::AdmissionOptions;
 using cluster::Coordinator;
-using cluster::CoordinatorOptions;
 using cluster::RemoteShard;
 
 constexpr char kSpec[] = "iip:n=50,seed=9";
@@ -84,7 +83,7 @@ TEST(ClusterServer, CoordinatorDaemonAnswersBitIdenticallyToASingleDaemon) {
   };
   net::ServerOptions coordinator_options;
   coordinator_options.backend = std::make_shared<Coordinator>(
-      shards, std::vector<std::string>{"a", "b"}, CoordinatorOptions{});
+      shards, std::vector<std::string>{"a", "b"});
   auto coordinator = StartServer(std::move(coordinator_options));
 
   // The unsharded reference daemon.
@@ -168,7 +167,7 @@ TEST(ClusterServer, CoordinatorStitchesShardTracesIntoOneTree) {
   };
   net::ServerOptions coordinator_options;
   coordinator_options.backend = std::make_shared<Coordinator>(
-      shards, std::vector<std::string>{"a", "b"}, CoordinatorOptions{});
+      shards, std::vector<std::string>{"a", "b"});
   auto coordinator = StartServer(std::move(coordinator_options));
 
   net::ArspClient client = Connect(*coordinator);
@@ -190,10 +189,8 @@ TEST(ClusterServer, CoordinatorStitchesShardTracesIntoOneTree) {
   auto response = client.Query(traced);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_NE(response->trace_id, 0u);
-  std::vector<obs::Span> spans;
-  ASSERT_TRUE(obs::DeserializeSpans(response->trace_spans, &spans));
-  ASSERT_EQ(spans.size(), 1u);
-  const obs::Span& root = spans[0];
+  ASSERT_EQ(response->trace_spans.size(), 1u);
+  const obs::Span& root = response->trace_spans[0];
   EXPECT_EQ(root.name, "coordinator_query");
 
   std::vector<const obs::Span*> forward;
@@ -324,7 +321,7 @@ std::unique_ptr<net::ArspServer> StartSlowCoordinator() {
   options.backend = std::make_shared<Coordinator>(
       std::vector<std::shared_ptr<net::ServiceBackend>>{
           std::make_shared<SlowShard>()},
-      std::vector<std::string>{"slow"}, CoordinatorOptions{});
+      std::vector<std::string>{"slow"});
   return StartServer(std::move(options));
 }
 

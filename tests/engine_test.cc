@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -414,6 +415,55 @@ TEST(AutoSelection, AutoHitOnACachedExplicitResultBuildsNoContext) {
     phases.push_back(child.name);
   }
   EXPECT_EQ(phases, (std::vector<std::string>{"cache_probe", "goal_answer"}));
+}
+
+// The annotations of the first `index_setup` span in `span`'s tree.
+std::map<std::string, std::string> IndexSetupNotes(const obs::Span& span) {
+  if (span.name == "index_setup") {
+    return {span.annotations.begin(), span.annotations.end()};
+  }
+  for (const obs::Span& child : span.children) {
+    auto notes = IndexSetupNotes(child);
+    if (!notes.empty()) return notes;
+  }
+  return {};
+}
+
+TEST(EngineTracing, IndexSetupCountsBuildsTriggeredOnParentContexts) {
+  // Both cold solves run on a derived context: a threshold pushdown on a
+  // goal child of the context it pools, a view query on a child of the
+  // base's pooled context. The score rows are mapped on the parent, and
+  // the traced index_setup span must still report that mapping.
+  ArspEngine engine;
+  const DatasetHandle handle =
+      engine.AddDataset(RandomDataset(70, 3, 3, 0.2, 31));
+  {
+    obs::Trace trace(1, "engine_query");
+    QueryRequest request = WrRequest(handle, 3, 31, "kdtt+");
+    request.derived.kind = DerivedKind::kObjectsAboveThreshold;
+    request.derived.threshold = 0.5;
+    request.trace = &trace;
+    auto response = engine.Solve(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->pushdown);
+    trace.Finish();
+    const auto notes = IndexSetupNotes(trace.root());
+    EXPECT_EQ(notes, (std::map<std::string, std::string>{
+                         {"score_maps", "1"}, {"score_reuses", "1"}}));
+  }
+  {
+    auto view = engine.AddView(handle, ViewSpec::Prefix(35));
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    obs::Trace trace(2, "engine_query");
+    QueryRequest request = WrRequest(*view, 3, 32, "kdtt+");
+    request.trace = &trace;
+    auto response = engine.Solve(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    trace.Finish();
+    const auto notes = IndexSetupNotes(trace.root());
+    EXPECT_EQ(notes, (std::map<std::string, std::string>{
+                         {"score_maps", "1"}, {"score_reuses", "1"}}));
+  }
 }
 
 TEST(AutoSelection, SolverNamesAreCaseInsensitive) {

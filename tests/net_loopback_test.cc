@@ -8,7 +8,7 @@
 // the same data; a repeated query is a cache hit; and the index-work
 // counters prove the dataset was indexed exactly once across all
 // connections. Also covered: the daemon surviving malformed loads, name
-// fingerprinting, drop cascades, and clean shutdown.
+// fingerprinting, drop cascades, clean shutdown, and the slow-query log.
 
 #include <gtest/gtest.h>
 
@@ -316,7 +316,7 @@ TEST_F(NetLoopbackTest, DatasetIndexedOnceAcrossConcurrentConnections) {
   auto stats = client.Stats("iip");
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_TRUE(stats->has_index_stats);
-  EXPECT_EQ(stats->kdtree_builds, 1);
+  EXPECT_EQ(stats->index_work.kdtree_builds, 1);
   EXPECT_EQ(stats->pooled_contexts, 1u);  // the fresh wave's context
   EXPECT_GT(stats->latency_count, 0);
   EXPECT_GE(stats->latency_p95_ms, stats->latency_p50_ms);
@@ -348,8 +348,8 @@ TEST_F(NetLoopbackTest, ViewSweepReusesTheBaseIndexAcrossConnections) {
   auto stats = client.Stats("iip");
   ASSERT_TRUE(stats.ok());
   ASSERT_TRUE(stats->has_index_stats);
-  EXPECT_EQ(stats->kdtree_builds, 1);  // ONE build for base + all views
-  EXPECT_GE(stats->parent_index_hits, 5);
+  EXPECT_EQ(stats->index_work.kdtree_builds, 1);  // ONE for base + views
+  EXPECT_GE(stats->index_work.parent_index_hits, 5);
 }
 
 TEST_F(NetLoopbackTest, MalformedLoadDoesNotKillTheDaemon) {
@@ -598,6 +598,40 @@ TEST_F(NetLoopbackTest, ShutdownMessageDrainsTheServer) {
     // backlog remnants; any request must then fail.
     EXPECT_FALSE(late->Ping().ok());
   }
+}
+
+TEST(SlowQueryLog, LogsTheForcedTraceButShipsNoSpans) {
+  // At a 0 ms threshold every QUERY is slow: the server traces it although
+  // the client did not ask, logs one line with the root span's phases, and
+  // answers the untraced client without the forced spans.
+  net::ServerOptions options;
+  options.slow_query_ms = 0;
+  net::ArspServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = net::ArspClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  net::LoadDatasetRequest load;
+  load.name = "iip";
+  load.source = net::LoadSource::kGenerator;
+  load.payload = kIipSpec;
+  ASSERT_TRUE(client->LoadDataset(load).ok());
+
+  testing::internal::CaptureStderr();
+  auto response = client->Query(WireQuery("iip", "kdtt+"));
+  const std::string log = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->trace_id, 0u);
+  EXPECT_TRUE(response->trace_spans.empty());
+  size_t lines = 0;
+  for (size_t at = log.find("[arspd] slow query"); at != std::string::npos;
+       at = log.find("[arspd] slow query", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 1u) << log;
+  EXPECT_NE(log.find(" cache_probe="), std::string::npos) << log;
+  EXPECT_NE(log.find(" solve="), std::string::npos) << log;
+  server.Shutdown();
+  server.Wait();
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 //
 // Wire-protocol unit tests, no sockets needed for the codec half: every
 // message encodes to its recorded golden bytes and round-trips encode →
-// decode bit-exactly, truncated and hostile payloads are rejected without
-// overreads or allocations, and the fd-level framing (over a socketpair)
-// enforces magic, version, and the max-frame guard.
+// decode bit-exactly, truncated and hostile payloads (forged counts, span
+// trees past the size and depth bounds) are rejected without overreads,
+// allocations or stack overflow, and the fd-level framing (over a
+// socketpair) enforces magic, version, and the max-frame guard.
 
 #include "src/net/protocol.h"
 
@@ -109,7 +110,26 @@ QueryResponseWire GoldenQueryResponse() {
   m.stats.parallel_workers = 13;
   m.instance_probs = {0.25, -1.0};
   m.trace_id = 42;
-  m.trace_spans = "t";
+  obs::Span child;
+  child.name = "s";
+  child.start_ns = 2;
+  child.end_ns = 3;
+  child.annotations = {{"n", "1"}};
+  obs::Span root;
+  root.name = "q";
+  root.start_ns = 1;
+  root.end_ns = 4;
+  root.annotations = {{"k", "v"}};
+  root.children = {child};
+  m.trace_spans = {root};
+  return m;
+}
+
+// The golden reply as an untraced server sends it.
+QueryResponseWire UntracedQueryResponse() {
+  QueryResponseWire m = GoldenQueryResponse();
+  m.trace_id = 0;
+  m.trace_spans.clear();
   return m;
 }
 
@@ -140,15 +160,16 @@ StatsResponse GoldenStatsResponse() {
   m.latency_p999_ms = 7.5;
   m.datasets = {{"nba", 50, 4000, 4, false}, {"nba#2", 2, 160, 4, true}};
   m.has_index_stats = true;
-  m.kdtree_builds = 1;
-  m.rtree_builds = 2;
-  m.score_maps = 3;
-  m.score_reuses = 4;
-  m.parent_index_hits = 5;
+  m.index_work.kdtree_builds = 1;
+  m.index_work.rtree_builds = 2;
+  m.index_work.score_maps = 3;
+  m.index_work.score_reuses = 4;
+  m.index_work.parent_index_hits = 5;
+  m.index_work.snapshot_hits = 6;
+  m.index_memory.resident = 7;
+  m.index_memory.mapped = 8;
   m.kernel_arch = "avx2";
-  m.index_bytes_resident = 6;
-  m.index_bytes_mapped = 7;
-  m.peak_rss_bytes = 8;
+  m.peak_rss_bytes = 9;
   return m;
 }
 
@@ -271,12 +292,82 @@ TEST(WireCodecTest, HostileVectorCountsAreRejectedBeforeAllocation) {
   ExpectHostileCountRejected(GoldenStatsResponse(), [](StatsResponse& m) {
     m.datasets.emplace_back();  // dataset listings
   });
+  ExpectHostileCountRejected(GoldenQueryResponse(), [](QueryResponseWire& m) {
+    m.trace_spans.emplace_back();  // span roots
+  });
+  ExpectHostileCountRejected(GoldenQueryResponse(), [](QueryResponseWire& m) {
+    m.trace_spans[0].annotations.emplace_back();  // annotations
+  });
+  ExpectHostileCountRejected(GoldenQueryResponse(), [](QueryResponseWire& m) {
+    m.trace_spans[0].children.emplace_back();  // span children
+  });
   // A string length past the end of the payload is rejected too.
   WireWriter s;
   s.U32(1000);
   WireReader r(s.bytes());
   r.Str();
   EXPECT_FALSE(r.status().ok());
+}
+
+// A reply whose span tree is one chain `depth` spans deep, written by hand
+// as a hostile shard could send it.
+std::string SpanChainReply(int depth) {
+  std::string payload = QueryResponseWire().EncodePayload();
+  payload.resize(payload.size() - 4);  // the empty trace_spans count
+  WireWriter w;
+  w.U32(1);  // one root
+  for (int level = 1; level <= depth; ++level) {
+    w.Str("");  // name
+    w.U64(0);  // start_ns
+    w.U64(0);  // end_ns
+    w.U32(0);  // annotations count
+    w.U32(level < depth ? 1 : 0);  // children count
+  }
+  return payload + w.Take();
+}
+
+TEST(WireCodecTest, SpanNestingIsBoundedBeforeTheStackIs) {
+  QueryResponseWire decoded;
+  const std::string at_bound = SpanChainReply(kMaxTraceDepth);
+  ASSERT_TRUE(decoded.DecodePayload(at_bound).ok());
+  EXPECT_EQ(decoded.EncodePayload(), at_bound);
+  const Status deeper =
+      decoded.DecodePayload(SpanChainReply(kMaxTraceDepth + 1));
+  EXPECT_EQ(deeper.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(deeper.message().find("trace spans nested deeper than 64"),
+            std::string::npos)
+      << deeper.ToString();
+  // 40,000 deep is 1.1 MB, inside the frame guard and the span cap; a
+  // recursive decode without the depth bound overflows a thread's stack.
+  const std::string chain = SpanChainReply(40000);
+  ASSERT_LT(chain.size(), kMaxPayloadBytes);
+  Status status;
+  std::thread([&chain, &status] {
+    QueryResponseWire reply;
+    status = reply.DecodePayload(chain);
+  }).join();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+TEST(WireCodecTest, SpanCountIsCappedPerReply) {
+  QueryResponseWire reply;
+  reply.trace_spans.resize(kMaxTraceSpans);
+  QueryResponseWire decoded;
+  ASSERT_TRUE(decoded.DecodePayload(reply.EncodePayload()).ok());
+  EXPECT_EQ(decoded.trace_spans.size(), kMaxTraceSpans);
+  reply.trace_spans.emplace_back();
+  const Status status = decoded.DecodePayload(reply.EncodePayload());
+  EXPECT_NE(status.message().find("more than 65536 trace spans"),
+            std::string::npos)
+      << status.ToString();
+  // Nested spans count too: one root over 65,536 children is one too many.
+  QueryResponseWire nested;
+  nested.trace_spans.resize(1);
+  nested.trace_spans[0].children.resize(kMaxTraceSpans);
+  const Status nested_status = decoded.DecodePayload(nested.EncodePayload());
+  EXPECT_NE(nested_status.message().find("more than 65536 trace spans"),
+            std::string::npos)
+      << nested_status.ToString();
 }
 
 TEST(ProtocolMessagesTest, LoadDatasetRoundTrip) {
@@ -388,8 +479,9 @@ TEST(ProtocolMessagesTest, StatsRoundTrip) {
   response.datasets = {{"nba", 50, 4000, 4, false}, {"nba#50", 25, 2000, 4,
                        true}};
   response.has_index_stats = true;
-  response.kdtree_builds = 1;
-  response.parent_index_hits = 9;
+  response.index_work.kdtree_builds = 1;
+  response.index_work.parent_index_hits = 9;
+  response.index_memory.mapped = 4096;
   response.kernel_arch = "avx2";
   StatsResponse decoded;
   ASSERT_TRUE(decoded.DecodePayload(response.EncodePayload()).ok());
@@ -402,7 +494,9 @@ TEST(ProtocolMessagesTest, StatsRoundTrip) {
   EXPECT_TRUE(decoded.datasets[1].is_view);
   EXPECT_EQ(decoded.kernel_arch, "avx2");
   EXPECT_TRUE(decoded.has_index_stats);
-  EXPECT_EQ(decoded.parent_index_hits, 9);
+  EXPECT_EQ(decoded.index_work.kdtree_builds, 1);
+  EXPECT_EQ(decoded.index_work.parent_index_hits, 9);
+  EXPECT_EQ(decoded.index_memory.mapped, 4096u);
 }
 
 TEST(ProtocolMessagesTest, ErrorResponseRoundTripsEveryCode) {
@@ -444,6 +538,7 @@ TEST(ProtocolMessagesTest, DecodersRejectTruncatedPayloads) {
   ExpectOnlyExactPayloadDecodes(GoldenAddViewResponse());
   ExpectOnlyExactPayloadDecodes(GoldenQueryRequest());
   ExpectOnlyExactPayloadDecodes(GoldenQueryResponse());
+  ExpectOnlyExactPayloadDecodes(UntracedQueryResponse());
   ExpectOnlyExactPayloadDecodes(GoldenRetryLater());
   ExpectOnlyExactPayloadDecodes(GoldenStatsRequest());
   ExpectOnlyExactPayloadDecodes(GoldenStatsResponse());
@@ -513,10 +608,11 @@ TEST(ProtocolMessagesTest, RetryLaterRoundTripAndTruncation) {
 
 // ------------------------------------------------------------ golden bytes
 //
-// Each fixed value's payload, field by field, as the wire v8 encoder wrote
-// it (StatsResponse without v8's trailing 8-byte field, deleted in v9). A
-// layout change fails here; it must update these bytes and bump
-// kWireVersion.
+// Each fixed value's payload, field by field, as the wire v10 encoder
+// writes it. The QUERY bytes and the untraced QUERY_RESULT bytes are the
+// ones v9 wrote too; the traced reply's span tree and the STATS index
+// fields changed in v10. A layout change fails here; it must update these
+// bytes and bump kWireVersion.
 
 TEST(WireGoldenBytes, LoadDatasetRequest) {
   EXPECT_EQ(Hex(GoldenLoadDatasetRequest().EncodePayload()),
@@ -606,7 +702,55 @@ TEST(WireGoldenBytes, QueryResponseWire) {
             "000000000000d03f"  // instance_probs[0]
             "000000000000f0bf"  // instance_probs[1]
             "2a00000000000000"  // trace_id
-            "0100000074");  // trace_spans
+            "01000000"  // trace_spans count
+            "0100000071"  // trace_spans[0].name
+            "0100000000000000"  // trace_spans[0].start_ns
+            "0400000000000000"  // trace_spans[0].end_ns
+            "01000000"  // trace_spans[0].annotations count
+            "010000006b0100000076"  // trace_spans[0].annotations[0]
+            "01000000"  // trace_spans[0].children count
+            "0100000073"  // .children[0].name
+            "0200000000000000"  // .children[0].start_ns
+            "0300000000000000"  // .children[0].end_ns
+            "01000000"  // .children[0].annotations count
+            "010000006e0100000031"  // .children[0].annotations[0]
+            "00000000");  // .children[0].children count
+}
+
+TEST(WireGoldenBytes, UntracedQueryResponseWire) {
+  // Recorded from the v9 encoder, whose trace_spans was a string.
+  EXPECT_EQ(Hex(UntracedQueryResponse().EncodePayload()),
+            "040000006d777474"  // solver
+            "01"  // cache_hit
+            "01"  // pushdown
+            "00"  // complete
+            "06000000703e3d302e35"  // goal
+            "ffffffff"  // result_size
+            "02000000"  // ranked count
+            "030000000100000061000000000000e83f"  // ranked[0]
+            "feffffff00000000000000000000e03f"  // ranked[1]
+            "000000000000c03f"  // count_threshold
+            "040000006d777474"  // stats.solver
+            "000000000000f83f"  // stats.setup_millis
+            "0000000000000440"  // stats.solve_millis
+            "0100000000000000"  // stats.dominance_tests
+            "0200000000000000"  // stats.nodes_visited
+            "0300000000000000"  // stats.nodes_pruned
+            "0400000000000000"  // stats.index_probes
+            "0500000000000000"  // stats.objects_pruned
+            "0600000000000000"  // stats.bound_refinements
+            "0700000000000000"  // stats.early_exit_depth
+            "0800000000000000"  // stats.index_bytes_resident
+            "0900000000000000"  // stats.index_bytes_mapped
+            "0a00000000000000"  // stats.peak_rss_bytes
+            "0b00000000000000"  // stats.tasks_spawned
+            "0c00000000000000"  // stats.tasks_stolen
+            "0d00000000000000"  // stats.parallel_workers
+            "02000000"  // instance_probs count
+            "000000000000d03f"  // instance_probs[0]
+            "000000000000f0bf"  // instance_probs[1]
+            "0000000000000000"  // trace_id
+            "00000000");  // trace_spans count
 }
 
 TEST(WireGoldenBytes, RetryLaterResponse) {
@@ -636,15 +780,16 @@ TEST(WireGoldenBytes, StatsResponse) {
             "030000006e626132000000a00f00000400000000"  // datasets[0]
             "050000006e6261233202000000a00000000400000001"  // datasets[1]
             "01"  // has_index_stats
-            "0100000000000000"  // kdtree_builds
-            "0200000000000000"  // rtree_builds
-            "0300000000000000"  // score_maps
-            "0400000000000000"  // score_reuses
-            "0500000000000000"  // parent_index_hits
+            "0100000000000000"  // index_work.kdtree_builds
+            "0200000000000000"  // index_work.rtree_builds
+            "0300000000000000"  // index_work.score_maps
+            "0400000000000000"  // index_work.score_reuses
+            "0500000000000000"  // index_work.parent_index_hits
+            "0600000000000000"  // index_work.snapshot_hits
+            "0700000000000000"  // index_memory.resident
+            "0800000000000000"  // index_memory.mapped
             "0400000061767832"  // kernel_arch
-            "0600000000000000"  // index_bytes_resident
-            "0700000000000000"  // index_bytes_mapped
-            "0800000000000000");  // peak_rss_bytes
+            "0900000000000000");  // peak_rss_bytes
 }
 
 TEST(WireGoldenBytes, DropRequest) {

@@ -1,10 +1,9 @@
 // Copyright 2026 The ARSP Authors.
 //
 // The tracing layer (src/obs/trace.h): span nesting and annotation
-// mechanics, the zero-cost disabled mode, the wire serialization that
-// carries shard subtrees in QueryResponseWire (including malformed-input
-// rejection), the text renderer, and the AdoptChild stitching hook the
-// cluster coordinator uses.
+// mechanics, the zero-cost disabled mode, the text renderer, and the
+// AdoptChild stitching hook the cluster coordinator uses. The wire form of
+// a span tree is tested with the rest of the codec (protocol_test).
 
 #include "src/obs/trace.h"
 
@@ -12,7 +11,6 @@
 
 #include <set>
 #include <string>
-#include <vector>
 
 namespace arsp {
 namespace obs {
@@ -108,7 +106,7 @@ TEST(TraceTest, NewTraceIdIsNonZeroAndDistinct) {
   EXPECT_EQ(ids.size(), 64u);
 }
 
-// Builds a small tree with known values for serialization tests.
+// Builds a small tree with known values.
 Span MakeTree() {
   Span root;
   root.name = "engine_query";
@@ -129,66 +127,6 @@ Span MakeTree() {
   return root;
 }
 
-TEST(TraceSerializationTest, RoundTripPreservesEverything) {
-  const std::string bytes = SerializeSpans({MakeTree()});
-  std::vector<Span> out;
-  ASSERT_TRUE(DeserializeSpans(bytes, &out));
-  ASSERT_EQ(out.size(), 1u);
-  const Span& root = out[0];
-  EXPECT_EQ(root.name, "engine_query");
-  EXPECT_EQ(root.start_ns, 1000u);
-  EXPECT_EQ(root.end_ns, 9000u);
-  ASSERT_EQ(root.annotations.size(), 1u);
-  EXPECT_EQ(root.annotations[0].first, "solver");
-  EXPECT_EQ(root.annotations[0].second, "kdtt+");
-  ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(root.children[0].name, "cache_probe");
-  EXPECT_EQ(root.children[1].name, "solve");
-  ASSERT_EQ(root.children[1].annotations.size(), 1u);
-  EXPECT_EQ(root.children[1].annotations[0].second, "120");
-}
-
-TEST(TraceSerializationTest, RoundTripMultipleRoots) {
-  const std::string bytes = SerializeSpans({MakeTree(), MakeTree()});
-  std::vector<Span> out;
-  ASSERT_TRUE(DeserializeSpans(bytes, &out));
-  EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(TraceSerializationTest, EmptyListRoundTrips) {
-  std::vector<Span> out;
-  EXPECT_TRUE(DeserializeSpans(SerializeSpans({}), &out));
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(TraceSerializationTest, RejectsEmptyAndBadVersion) {
-  std::vector<Span> out;
-  EXPECT_FALSE(DeserializeSpans("", &out));
-  std::string bad = SerializeSpans({MakeTree()});
-  bad[0] = static_cast<char>(0x7f);  // unknown format version
-  out.emplace_back();  // pre-populate: failure must clear it
-  EXPECT_FALSE(DeserializeSpans(bad, &out));
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(TraceSerializationTest, RejectsTruncation) {
-  // Every strict prefix must be rejected (and leave `out` empty): the bytes
-  // ride in a wire frame that can be corrupted in transit.
-  const std::string bytes = SerializeSpans({MakeTree()});
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    std::vector<Span> out;
-    EXPECT_FALSE(DeserializeSpans(bytes.substr(0, len), &out))
-        << "prefix of length " << len << " decoded";
-    EXPECT_TRUE(out.empty());
-  }
-}
-
-TEST(TraceSerializationTest, RejectsTrailingGarbage) {
-  std::vector<Span> out;
-  EXPECT_FALSE(DeserializeSpans(SerializeSpans({MakeTree()}) + "x", &out));
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(TraceRenderTest, RendersIdNamesAndAnnotations) {
   const std::string text = RenderSpanTree(MakeTree(), 0xabcdef0123456789ull);
   EXPECT_NE(text.find("trace abcdef0123456789"), std::string::npos);
@@ -201,27 +139,23 @@ TEST(TraceRenderTest, RendersIdNamesAndAnnotations) {
 }
 
 TEST(TraceStitchTest, AdoptChildAttachesShardSubtree) {
-  // The coordinator path: a shard's serialized engine_query subtree is
-  // deserialized and adopted under the coordinator's open scatter span.
-  const std::string shard_bytes = SerializeSpans({MakeTree()});
-
+  // The coordinator path: a shard reply's engine_query tree is adopted
+  // under the coordinator's open forward span.
   Trace trace(11, "coordinator_query");
   {
-    ScopedSpan scatter(&trace, "scatter");
-    std::vector<Span> shard_spans;
-    ASSERT_TRUE(DeserializeSpans(shard_bytes, &shard_spans));
-    ASSERT_EQ(shard_spans.size(), 1u);
-    shard_spans[0].annotations.emplace_back("shard", "0");
-    trace.AdoptChild(std::move(shard_spans[0]));
+    ScopedSpan forward(&trace, "forward");
+    Span shard_tree = MakeTree();
+    shard_tree.annotations.emplace_back("shard", "0");
+    trace.AdoptChild(std::move(shard_tree));
   }
   trace.Finish();
 
   const Span& root = trace.root();
   ASSERT_EQ(root.children.size(), 1u);
-  const Span& scatter = root.children[0];
-  EXPECT_EQ(scatter.name, "scatter");
-  ASSERT_EQ(scatter.children.size(), 1u);
-  const Span& shard = scatter.children[0];
+  const Span& forward = root.children[0];
+  EXPECT_EQ(forward.name, "forward");
+  ASSERT_EQ(forward.children.size(), 1u);
+  const Span& shard = forward.children[0];
   EXPECT_EQ(shard.name, "engine_query");
   EXPECT_EQ(shard.children.size(), 2u);
   // The adopted subtree keeps the remote process's clock values verbatim;

@@ -214,15 +214,16 @@ void PrintSweepRow(int pct, const net::AddViewResponse& view,
 // each was loaded.
 void PrintIndexWorkLine(const net::StatsResponse& before,
                         const net::StatsResponse& after) {
+  const ExecutionContext::IndexBuildStats& b = before.index_work;
+  const ExecutionContext::IndexBuildStats& a = after.index_work;
   std::printf(
       "index work across sweep: kd_builds=%lld rtree_builds=%lld "
       "score_maps=%lld score_reuses=%lld parent_index_hits=%lld\n",
-      static_cast<long long>(after.kdtree_builds - before.kdtree_builds),
-      static_cast<long long>(after.rtree_builds - before.rtree_builds),
-      static_cast<long long>(after.score_maps - before.score_maps),
-      static_cast<long long>(after.score_reuses - before.score_reuses),
-      static_cast<long long>(after.parent_index_hits -
-                             before.parent_index_hits));
+      static_cast<long long>(a.kdtree_builds - b.kdtree_builds),
+      static_cast<long long>(a.rtree_builds - b.rtree_builds),
+      static_cast<long long>(a.score_maps - b.score_maps),
+      static_cast<long long>(a.score_reuses - b.score_reuses),
+      static_cast<long long>(a.parent_index_hits - b.parent_index_hits));
 }
 
 // --stats summary from the backend's STATS reply. Only a server fills the
@@ -330,28 +331,25 @@ net::QueryRequestWire MakeWireRequest(const CliArgs& args,
   request.include_instances = need_instances;
   request.parallelism = args.threads;
   // trace_id stays 0: the engine (or coordinator) mints one and returns it
-  // with the serialized spans.
+  // with the span tree.
   request.want_trace = args.trace;
   return request;
 }
 
-// --trace output: decode the serialized span tree the backend returned.
-// Behind a sharded coordinator the tree carries the chosen shard's
-// shard=N subtree under the coordinator's forward span. An in-process
-// EngineBackend has already appended the tree to ARSP_TRACE_FILE; a
-// daemon writes only under its own environment, often on another host,
-// so for a remote backend the CLI appends the returned tree itself.
+// --trace output: render the span tree the backend returned. Behind a
+// sharded coordinator the tree carries the chosen shard's shard=N subtree
+// under the coordinator's forward span. An in-process EngineBackend has
+// already appended the tree to ARSP_TRACE_FILE; a daemon writes only under
+// its own environment, often on another host, so for a remote backend the
+// CLI appends the returned tree itself.
 void PrintTrace(const net::QueryResponseWire& resp, bool remote) {
-  std::vector<obs::Span> spans;
   if (resp.trace_spans.empty()) {
     std::fprintf(stderr, "backend returned no trace spans\n");
-  } else if (!obs::DeserializeSpans(resp.trace_spans, &spans) ||
-             spans.empty()) {
-    std::fprintf(stderr, "backend returned an undecodable trace\n");
-  } else {
-    std::printf("\n%s", obs::RenderSpanTree(spans[0], resp.trace_id).c_str());
-    if (remote) obs::MaybeWriteChromeTrace(spans[0], resp.trace_id);
+    return;
   }
+  const obs::Span& root = resp.trace_spans[0];
+  std::printf("\n%s", obs::RenderSpanTree(root, resp.trace_id).c_str());
+  if (remote) obs::MaybeWriteChromeTrace(root, resp.trace_id);
 }
 
 // One request's outcome and the latency the CLI timed around its call.

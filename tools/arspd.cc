@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   options.port = 7439;
   std::vector<PreloadSpec> preloads;
   std::vector<std::pair<std::string, int>> shard_addrs;
-  cluster::CoordinatorOptions coordinator_options;
+  cluster::ShardPlanOptions placement;
   cluster::AdmissionOptions admission;
   bool want_admission = false;
   int metrics_port = -1;  // -1 = no scrape endpoint
@@ -191,9 +191,8 @@ int main(int argc, char** argv) {
     } else if (flag == "--replication") {
       const char* v = next();
       if (v == nullptr) return PrintUsage(), 2;
-      if (!cli::internal::ParseIntStrict(
-              v, &coordinator_options.plan.replication) ||
-          coordinator_options.plan.replication < 0) {
+      if (!cli::internal::ParseIntStrict(v, &placement.replication) ||
+          placement.replication < 0) {
         std::fprintf(stderr, "bad --replication '%s'\n", v);
         return PrintUsage(), 2;
       }
@@ -273,7 +272,7 @@ int main(int argc, char** argv) {
       shard_names.push_back(shard_host + ":" + std::to_string(shard_port));
     }
     options.backend = std::make_shared<cluster::Coordinator>(
-        std::move(shards), std::move(shard_names), coordinator_options);
+        std::move(shards), shard_names, placement);
   }
   if (want_admission) {
     options.query_gate =
@@ -330,7 +329,7 @@ int main(int argc, char** argv) {
 
   if (!shard_addrs.empty()) {
     std::printf("arspd coordinating %zu shards (replication %d)\n",
-                shard_addrs.size(), coordinator_options.plan.replication);
+                shard_addrs.size(), placement.replication);
   }
   // The scrape endpoint binds the same host stance as the wire port.
   obs::MetricsHttpServer metrics_server;
