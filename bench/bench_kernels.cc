@@ -156,6 +156,26 @@ void BM_Kernel_ClassifyCorners(benchmark::State& state) {
 }
 BENCHMARK(BM_Kernel_ClassifyCorners);
 
+// The traversal's filter on the same stream and corners as
+// BM_Kernel_ClassifyCorners: both corner tests per row, each id written
+// straight into its list.
+void BM_Kernel_FilterCandidates(benchmark::State& state) {
+  const AlignedVector<double> pmin(kStreamDim, 0.3);
+  const AlignedVector<double> pmax(kStreamDim, 0.7);
+  std::vector<int> kept(kStreamRows);
+  std::vector<int> adds(kStreamRows);
+  for (auto _ : state) {
+    const simd::FilterCounts counts = simd::Ops().FilterCandidates(
+        Coords().data(), kStreamDim, Ids().data(), kStreamRows, pmin.data(),
+        pmax.data(), kept.data(), adds.data());
+    benchmark::DoNotOptimize(counts);
+    benchmark::DoNotOptimize(kept.data());
+    benchmark::DoNotOptimize(adds.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Kernel_FilterCandidates);
+
 void BM_Kernel_ScoreCorners(benchmark::State& state) {
   for (auto _ : state) {
     AlignedVector<double> pmin(kStreamDim, 1e300);

@@ -218,19 +218,17 @@ class GoalChannel {
 };
 
 /// Everything one worker needs to traverse a subtree: private (σ, β, χ)
-/// state, classification and per-depth scratch, counters and its goal
-/// channel. Lane 0 is the calling thread's (and the only lane in serial
-/// mode); helper workers get lanes 1..W-1. The `stopped` flag is
-/// lane-sticky: once a lane has observed goal-met it records the depth and
-/// skips everything else handed to it.
+/// state, filter and per-depth scratch, counters and its goal channel.
+/// Lane 0 is the calling thread's (and the only lane in serial mode);
+/// helper workers get lanes 1..W-1. The `stopped` flag is lane-sticky: once
+/// a lane has observed goal-met it records the depth and skips everything
+/// else handed to it.
 struct TraversalLane {
   TraversalLane(int num_objects, GoalChannel channel_in)
       : state(num_objects), channel(std::move(channel_in)) {}
 
   AspTraversalState state;
-  // Filter's per-node buffers: each candidate's class, then the ids that
-  // enter σ.
-  std::vector<unsigned char> class_scratch;
+  // Filter's per-node list of the ids that enter σ.
   std::vector<int> adds;
   TraversalCounters counters;
   GoalChannel channel;
@@ -389,46 +387,28 @@ class TraversalDriver {
 
   // Moves candidates into D (σ) when they dominate pmin, keeps them in
   // scratch->kept when they dominate pmax; everything else is discarded for
-  // this subtree. Three steps, none branching on a candidate's class:
-  //   1. the ClassifyCorners kernel makes both dominance tests per
-  //      candidate, batched, into the lane's class scratch;
-  //   2. one pass writes every candidate id to both `kept` and the lane's
-  //      `adds` buffer and advances each cursor by its own class test, so
-  //      each buffer ends up holding its class in candidate order;
-  //   3. the Adds run over `adds`, in candidate order.
-  // The Add order is part of the bit-identity contract: β is a running
-  // product, so adding the same candidates in another order rounds it
-  // differently. The lane buffers are fully consumed before any recursion,
-  // so one of each serves every level. Counts one dominance test per
-  // candidate.
+  // this subtree. One FilterCandidates call makes both dominance tests per
+  // candidate and writes its id straight into `kept` or the lane's `adds`,
+  // each in candidate order, without branching on its class; then the Adds
+  // run over `adds`, in candidate order. The Add order is part of the
+  // bit-identity contract: β is a running product, so adding the same
+  // candidates in another order rounds it differently. The lane's `adds`
+  // is fully consumed before any recursion, so one serves every level.
+  // Counts one dominance test per candidate.
   void Filter(TraversalLane& lane, const std::vector<int>& candidates,
               const double* pmin, const double* pmax,
               DepthScratch* scratch) {
     const size_t count = candidates.size();
     scratch->kept.resize(count);
-    if (count == 0) return;
-    if (lane.class_scratch.size() < count) {
-      lane.class_scratch.resize(count);
-      lane.adds.resize(count);
-    }
-    simd::Ops().ClassifyCorners(scores_.coords, scores_.dim,
-                                candidates.data(), static_cast<int>(count),
-                                pmin, pmax, lane.class_scratch.data());
+    if (lane.adds.size() < count) lane.adds.resize(count);
+    const simd::FilterCounts filtered = simd::Ops().FilterCandidates(
+        scores_.coords, scores_.dim, candidates.data(),
+        static_cast<int>(count), pmin, pmax, scratch->kept.data(),
+        lane.adds.data());
     lane.counters.dominance_tests += static_cast<int64_t>(count);
-    const unsigned char* classes = lane.class_scratch.data();
-    int* kept = scratch->kept.data();
-    int* adds = lane.adds.data();
-    size_t num_kept = 0;
-    size_t num_adds = 0;
-    for (size_t c = 0; c < count; ++c) {
-      const int cid = candidates[c];
-      kept[num_kept] = cid;
-      adds[num_adds] = cid;
-      num_kept += classes[c] == simd::kClassDominatesMax;
-      num_adds += classes[c] == simd::kClassDominatesMin;
-    }
-    scratch->kept.resize(num_kept);
-    for (size_t a = 0; a < num_adds; ++a) {
+    scratch->kept.resize(static_cast<size_t>(filtered.kept));
+    const int* adds = lane.adds.data();
+    for (int a = 0; a < filtered.adds; ++a) {
       lane.state.Add(scores_.object(adds[a]), scores_.prob(adds[a]),
                      &lane.undo);
     }

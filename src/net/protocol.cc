@@ -418,6 +418,15 @@ class Decoder {
           return;
         }
       }
+      // A query's solver options are the only string list, and each costs
+      // 32 bytes decoded for its 4 on the wire.
+      if constexpr (std::is_same_v<Element, std::string>) {
+        if (count > kMaxQueryOptions) {
+          r_.Fail("more than " + std::to_string(kMaxQueryOptions) +
+                  " solver options");
+          return;
+        }
+      }
       v.clear();
       v.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {

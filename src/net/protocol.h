@@ -21,9 +21,10 @@
 // never read out of range — decoding either succeeds completely or returns
 // InvalidArgument. Frames larger than kMaxPayloadBytes are rejected before
 // any allocation (the max-frame guard: a garbage length prefix must not OOM
-// the daemon), and a reply's span tree is bounded in size and depth
+// the daemon), a reply's span tree is bounded in size and depth
 // (kMaxTraceSpans, kMaxTraceDepth: a hostile tree must not overflow the
-// decoding thread's stack).
+// decoding thread's stack), and a query's solver options are bounded in
+// number (kMaxQueryOptions).
 //
 // Every message is a plain struct with EncodePayload()/DecodePayload(), so
 // the protocol is testable without sockets (tests/protocol_test.cc) and the
@@ -108,6 +109,13 @@ inline constexpr uint32_t kMaxPayloadBytes = 256u * 1024u * 1024u;
 /// recursive decoder off the end of its thread's stack.
 inline constexpr size_t kMaxTraceSpans = size_t{1} << 16;
 inline constexpr int kMaxTraceDepth = 64;
+
+/// Solver options a decoded QUERY may carry. QueryRequestWire::options is
+/// the only string list on the wire, and no solver accepts more than three
+/// keys. The cap matters because a decoded std::string takes 32 bytes
+/// against its 4-byte length prefix: without it, one frame at the max-frame
+/// guard could ask for about 2 GiB.
+inline constexpr size_t kMaxQueryOptions = 64;
 
 /// Wire message types. Requests and responses share one numbering space;
 /// responses start at 128.

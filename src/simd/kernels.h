@@ -62,6 +62,12 @@ inline constexpr unsigned char kClassDiscard = 0;
 inline constexpr unsigned char kClassDominatesMax = 1;
 inline constexpr unsigned char kClassDominatesMin = 2;
 
+/// How many ids FilterCandidates wrote to each of its two lists.
+struct FilterCounts {
+  int kept;
+  int adds;
+};
+
 /// One batched kernel per hot loop. All row pointers address row-major
 /// storage with `dim` contiguous doubles per row; `ids` arguments gather
 /// rows through a permutation (ScoreSpan row ids), plain `rows` arguments
@@ -73,14 +79,30 @@ struct KernelOps {
   /// row ids[c] of `coords` against corners pmin/pmax (each `dim` doubles).
   /// row ⪯ pmin gives kClassDominatesMin even when row ⋠ pmax (the corners
   /// need not be ordered). Reads only the `dim` doubles of each gathered
-  /// row and of each corner. This is the traversal driver's hot loop: the
-  /// AVX2 body runs one branch-free path for every dim (4-wide chunks, one
-  /// masked chunk for the last 1 to 4 coordinates, then an arithmetic
-  /// class select), so its cost per row does not depend on the class it
-  /// finds.
+  /// row and of each corner. No solver calls it: it is the byte-per-row
+  /// form of FilterCandidates's test, kept for the kernel benchmarks, and
+  /// each arch runs both kernels through one inline per-row test.
   void (*ClassifyCorners)(const double* coords, int dim, const int* ids,
                           int count, const double* pmin, const double* pmax,
                           unsigned char* out);
+
+  /// The traversal driver's hot loop: makes ClassifyCorners's two corner
+  /// tests for each row ids[c] and writes the id straight into its list —
+  /// `adds` when row ⪯ pmin (kClassDominatesMin), `kept` when row ⪯ pmax
+  /// but not pmin (kClassDominatesMax), neither when discarded. Both lists
+  /// keep candidate order, so each equals a stable split of ids by class.
+  /// `kept` and `adds` must each have room for `count` ints: every row
+  /// writes its id at both cursors and advances each cursor by its own
+  /// test, without a branch, so slots past the returned counts hold
+  /// unspecified ids. Nothing is written at or past index `count`. The
+  /// AVX2 body tests each row in ceil(dim / 4) chunks (one masked chunk for
+  /// the last 1 to 4 coordinates) and picks its row loop once per call
+  /// (rows of at most 4 coordinates skip the chunk loop), so its cost per
+  /// row does not depend on the class it finds.
+  FilterCounts (*FilterCandidates)(const double* coords, int dim,
+                                   const int* ids, int count,
+                                   const double* pmin, const double* pmax,
+                                   int* kept, int* adds);
 
   /// Tightens pmin/pmax (already initialized) over rows ids[0..count):
   /// strict-inequality replacement, so ties keep the incumbent value.

@@ -12,10 +12,11 @@
 // Comparison loops accumulate violation masks branchlessly across the
 // 4-wide dimension chunks and test once per row — the branch-per-coordinate
 // pattern of the scalar DominatesWeak is exactly what this file exists to
-// remove. ClassifyCorners, the traversal's hot loop, covers the last 1 to
-// 4 coordinates with one masked load and selects its class arithmetically,
-// so it runs the same branch-free path for every dim; the other
-// comparisons finish with a 2-wide and a scalar step.
+// remove. FilterCandidates, the traversal's hot loop, and ClassifyCorners
+// share one row test that covers the last 1 to 4 coordinates with one
+// masked load, and each turns its two results into a list cursor step or a
+// class arithmetically, so both run the same branch-free path for every
+// dim; the other comparisons finish with a 2-wide and a scalar step.
 
 #include "src/simd/kernels.h"
 
@@ -53,40 +54,105 @@ ARSP_AVX2 inline bool ViolatesAgainst(const double* row, const double* a,
   return viol;
 }
 
+// What both corner kernels hoist out of their row loop. The last 1 to 4
+// coordinates, [full, dim), form one masked chunk, so every dim takes
+// ceil(dim / 4) chunks. Lanes past dim load nothing (maskload reads no
+// memory there, so nothing is read past the end of a row or a corner) and
+// read as 0.0 in the row and in both corners alike; 0.0 > 0.0 is false, so
+// they never register a violation.
+struct Corners {
+  const double* pmin;
+  const double* pmax;
+  int full;
+  __m256i tail;
+  __m256d min_tail;
+  __m256d max_tail;
+};
+
+ARSP_AVX2 inline Corners LoadCorners(int dim, const double* pmin,
+                                     const double* pmax) {
+  const int full = dim > 0 ? (dim - 1) & ~3 : 0;
+  const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(dim - full),
+                                          _mm256_setr_epi64x(0, 1, 2, 3));
+  return {pmin,
+          pmax,
+          full,
+          tail,
+          _mm256_maskload_pd(pmin + full, tail),
+          _mm256_maskload_pd(pmax + full, tail)};
+}
+
+// Both corner tests of one row, each 0 or 1: the step ClassifyCorners and
+// FilterCandidates share.
+struct CornerTest {
+  int le_min;  // row ⪯ pmin
+  int le_max;  // row ⪯ pmax
+};
+
+// kOneChunk promises dim <= 4 (c.full == 0): the masked chunk is the whole
+// row, and the loop over full chunks compiles away.
+template <bool kOneChunk>
+ARSP_AVX2 inline CornerTest TestRow(const double* row, const Corners& c) {
+  const __m256d tail = _mm256_maskload_pd(row + c.full, c.tail);
+  __m256d viol_min = _mm256_cmp_pd(tail, c.min_tail, _CMP_GT_OQ);
+  __m256d viol_max = _mm256_cmp_pd(tail, c.max_tail, _CMP_GT_OQ);
+  for (int k = 0; !kOneChunk && k < c.full; k += 4) {
+    const __m256d r = _mm256_loadu_pd(row + k);
+    viol_min = _mm256_or_pd(
+        viol_min, _mm256_cmp_pd(r, _mm256_loadu_pd(c.pmin + k), _CMP_GT_OQ));
+    viol_max = _mm256_or_pd(
+        viol_max, _mm256_cmp_pd(r, _mm256_loadu_pd(c.pmax + k), _CMP_GT_OQ));
+  }
+  // testz is 1 when no lane of the violation mask is set.
+  return {_mm256_testz_pd(viol_min, viol_min),
+          _mm256_testz_pd(viol_max, viol_max)};
+}
+
 ARSP_AVX2 void ClassifyCornersAvx2(const double* coords, int dim,
                                    const int* ids, int count,
                                    const double* pmin, const double* pmax,
                                    unsigned char* out) {
-  // The last 1 to 4 coordinates, [full, dim), form one masked chunk, so
-  // every dim takes ceil(dim / 4) chunks. Lanes past dim load nothing
-  // (maskload reads no memory there, so nothing is read past the end of a
-  // row or a corner) and read as 0.0 in the row and in both corners alike;
-  // 0.0 > 0.0 is false, so they never register a violation.
-  const int full = dim > 0 ? (dim - 1) & ~3 : 0;
-  const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(dim - full),
-                                          _mm256_setr_epi64x(0, 1, 2, 3));
-  const __m256d min_tail = _mm256_maskload_pd(pmin + full, tail);
-  const __m256d max_tail = _mm256_maskload_pd(pmax + full, tail);
+  const Corners corners = LoadCorners(dim, pmin, pmax);
   for (int c = 0; c < count; ++c) {
-    const double* row = Row(coords, dim, ids[c]);
-    __m256d viol_min = _mm256_setzero_pd();
-    __m256d viol_max = _mm256_setzero_pd();
-    for (int k = 0; k < full; k += 4) {
-      const __m256d r = _mm256_loadu_pd(row + k);
-      viol_min = _mm256_or_pd(
-          viol_min, _mm256_cmp_pd(r, _mm256_loadu_pd(pmin + k), _CMP_GT_OQ));
-      viol_max = _mm256_or_pd(
-          viol_max, _mm256_cmp_pd(r, _mm256_loadu_pd(pmax + k), _CMP_GT_OQ));
-    }
-    const __m256d r = _mm256_maskload_pd(row + full, tail);
-    viol_min = _mm256_or_pd(viol_min, _mm256_cmp_pd(r, min_tail, _CMP_GT_OQ));
-    viol_max = _mm256_or_pd(viol_max, _mm256_cmp_pd(r, max_tail, _CMP_GT_OQ));
+    const CornerTest test = TestRow<false>(Row(coords, dim, ids[c]), corners);
     // kClassDominatesMin (2) when row ⪯ pmin, else kClassDominatesMax (1)
     // when row ⪯ pmax, else kClassDiscard (0), without a branch.
-    const int le_min = _mm256_movemask_pd(viol_min) == 0;
-    const int le_max = _mm256_movemask_pd(viol_max) == 0;
-    out[c] = static_cast<unsigned char>((le_min << 1) | (le_max & ~le_min));
+    out[c] = static_cast<unsigned char>((test.le_min << 1) |
+                                        (test.le_max & ~test.le_min));
   }
+}
+
+template <bool kOneChunk>
+ARSP_AVX2 inline FilterCounts FilterRows(const double* coords, int dim,
+                                         const int* ids, int count,
+                                         const Corners& corners, int* kept,
+                                         int* adds) {
+  int num_kept = 0;
+  int num_adds = 0;
+  for (int c = 0; c < count; ++c) {
+    const int id = ids[c];
+    const CornerTest test = TestRow<kOneChunk>(Row(coords, dim, id), corners);
+    kept[num_kept] = id;
+    adds[num_adds] = id;
+    num_kept += test.le_max & ~test.le_min;
+    num_adds += test.le_min;
+  }
+  return {num_kept, num_adds};
+}
+
+// Rows of at most 4 coordinates, the common case (a 2-range wr: region
+// has 4 vertices), take a loop with no inner chunk loop, which keeps every
+// pointer it uses in a register.
+ARSP_AVX2 FilterCounts FilterCandidatesAvx2(const double* coords, int dim,
+                                            const int* ids, int count,
+                                            const double* pmin,
+                                            const double* pmax, int* kept,
+                                            int* adds) {
+  const Corners corners = LoadCorners(dim, pmin, pmax);
+  if (corners.full == 0) {
+    return FilterRows<true>(coords, dim, ids, count, corners, kept, adds);
+  }
+  return FilterRows<false>(coords, dim, ids, count, corners, kept, adds);
 }
 
 ARSP_AVX2 void ScoreCornersAvx2(const double* coords, int dim, const int* ids,
@@ -187,9 +253,9 @@ ARSP_AVX2 void MapPointAvx2(const double* t, int d, const double* vt,
 }
 
 const KernelOps kAvx2Ops = {
-    KernelArch::kAvx2,    ClassifyCornersAvx2, ScoreCornersAvx2,
-    DominatedMaskAvx2,    DominanceCountAvx2,  AnyRowDominatesAvx2,
-    MapPointAvx2,
+    KernelArch::kAvx2,   ClassifyCornersAvx2, FilterCandidatesAvx2,
+    ScoreCornersAvx2,    DominatedMaskAvx2,   DominanceCountAvx2,
+    AnyRowDominatesAvx2, MapPointAvx2,
 };
 
 }  // namespace

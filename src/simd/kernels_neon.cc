@@ -33,30 +33,59 @@ inline bool ViolatesAgainst(const double* row, const double* a, int dim) {
   return any;
 }
 
+// Both corner tests of one row: the step ClassifyCorners and
+// FilterCandidates share.
+struct CornerTest {
+  bool le_min;  // row ⪯ pmin
+  bool le_max;  // row ⪯ pmax
+};
+
+inline CornerTest TestRow(const double* row, int dim, const double* pmin,
+                          const double* pmax) {
+  uint64x2_t viol_min = vdupq_n_u64(0);
+  uint64x2_t viol_max = vdupq_n_u64(0);
+  int k = 0;
+  for (; k + 2 <= dim; k += 2) {
+    const float64x2_t r = vld1q_f64(row + k);
+    viol_min = vorrq_u64(viol_min, vcgtq_f64(r, vld1q_f64(pmin + k)));
+    viol_max = vorrq_u64(viol_max, vcgtq_f64(r, vld1q_f64(pmax + k)));
+  }
+  bool gt_min =
+      (vgetq_lane_u64(viol_min, 0) | vgetq_lane_u64(viol_min, 1)) != 0;
+  bool gt_max =
+      (vgetq_lane_u64(viol_max, 0) | vgetq_lane_u64(viol_max, 1)) != 0;
+  if (k < dim) {
+    gt_min |= row[k] > pmin[k];
+    gt_max |= row[k] > pmax[k];
+  }
+  return {!gt_min, !gt_max};
+}
+
 void ClassifyCornersNeon(const double* coords, int dim, const int* ids,
                          int count, const double* pmin, const double* pmax,
                          unsigned char* out) {
   for (int c = 0; c < count; ++c) {
-    const double* row = Row(coords, dim, ids[c]);
-    uint64x2_t viol_min = vdupq_n_u64(0);
-    uint64x2_t viol_max = vdupq_n_u64(0);
-    int k = 0;
-    for (; k + 2 <= dim; k += 2) {
-      const float64x2_t r = vld1q_f64(row + k);
-      viol_min = vorrq_u64(viol_min, vcgtq_f64(r, vld1q_f64(pmin + k)));
-      viol_max = vorrq_u64(viol_max, vcgtq_f64(r, vld1q_f64(pmax + k)));
-    }
-    bool gt_min =
-        (vgetq_lane_u64(viol_min, 0) | vgetq_lane_u64(viol_min, 1)) != 0;
-    bool gt_max =
-        (vgetq_lane_u64(viol_max, 0) | vgetq_lane_u64(viol_max, 1)) != 0;
-    if (k < dim) {
-      gt_min |= row[k] > pmin[k];
-      gt_max |= row[k] > pmax[k];
-    }
-    out[c] = !gt_min ? kClassDominatesMin
-                     : (!gt_max ? kClassDominatesMax : kClassDiscard);
+    const CornerTest test = TestRow(Row(coords, dim, ids[c]), dim, pmin, pmax);
+    out[c] = test.le_min ? kClassDominatesMin
+                         : (test.le_max ? kClassDominatesMax : kClassDiscard);
   }
+}
+
+// The scalar reference's compaction around the NEON row test.
+FilterCounts FilterCandidatesNeon(const double* coords, int dim,
+                                  const int* ids, int count,
+                                  const double* pmin, const double* pmax,
+                                  int* kept, int* adds) {
+  FilterCounts counts{0, 0};
+  for (int c = 0; c < count; ++c) {
+    const int id = ids[c];
+    const CornerTest test = TestRow(Row(coords, dim, id), dim, pmin, pmax);
+    kept[counts.kept] = id;
+    adds[counts.adds] = id;
+    counts.kept += test.le_max && !test.le_min;
+    counts.adds += test.le_min;
+  }
+  return counts;
 }
 
 void ScoreCornersNeon(const double* coords, int dim, const int* ids,
@@ -133,9 +162,9 @@ void MapPointNeon(const double* t, int d, const double* vt, int dprime,
 }
 
 const KernelOps kNeonOps = {
-    KernelArch::kNeon,    ClassifyCornersNeon, ScoreCornersNeon,
-    DominatedMaskNeon,    DominanceCountNeon,  AnyRowDominatesNeon,
-    MapPointNeon,
+    KernelArch::kNeon,   ClassifyCornersNeon, FilterCandidatesNeon,
+    ScoreCornersNeon,    DominatedMaskNeon,   DominanceCountNeon,
+    AnyRowDominatesNeon, MapPointNeon,
 };
 
 }  // namespace

@@ -17,20 +17,47 @@ inline const double* Row(const double* coords, int dim, int id) {
   return coords + static_cast<size_t>(id) * static_cast<size_t>(dim);
 }
 
+// Both corner tests of one row: the step ClassifyCorners and
+// FilterCandidates share.
+struct CornerTest {
+  bool le_min;  // row ⪯ pmin
+  bool le_max;  // row ⪯ pmax
+};
+
+inline CornerTest TestRow(const double* row, int dim, const double* pmin,
+                          const double* pmax) {
+  CornerTest test{true, true};
+  for (int k = 0; k < dim; ++k) {
+    test.le_min &= !(row[k] > pmin[k]);
+    test.le_max &= !(row[k] > pmax[k]);
+  }
+  return test;
+}
+
 void ClassifyCornersScalar(const double* coords, int dim, const int* ids,
                            int count, const double* pmin, const double* pmax,
                            unsigned char* out) {
   for (int c = 0; c < count; ++c) {
-    const double* row = Row(coords, dim, ids[c]);
-    bool le_min = true;
-    bool le_max = true;
-    for (int k = 0; k < dim; ++k) {
-      le_min &= !(row[k] > pmin[k]);
-      le_max &= !(row[k] > pmax[k]);
-    }
-    out[c] = le_min ? kClassDominatesMin
-                    : (le_max ? kClassDominatesMax : kClassDiscard);
+    const CornerTest test = TestRow(Row(coords, dim, ids[c]), dim, pmin, pmax);
+    out[c] = test.le_min ? kClassDominatesMin
+                         : (test.le_max ? kClassDominatesMax : kClassDiscard);
   }
+}
+
+FilterCounts FilterCandidatesScalar(const double* coords, int dim,
+                                    const int* ids, int count,
+                                    const double* pmin, const double* pmax,
+                                    int* kept, int* adds) {
+  FilterCounts counts{0, 0};
+  for (int c = 0; c < count; ++c) {
+    const int id = ids[c];
+    const CornerTest test = TestRow(Row(coords, dim, id), dim, pmin, pmax);
+    kept[counts.kept] = id;
+    adds[counts.adds] = id;
+    counts.kept += test.le_max && !test.le_min;
+    counts.adds += test.le_min;
+  }
+  return counts;
 }
 
 void ScoreCornersScalar(const double* coords, int dim, const int* ids,
@@ -89,9 +116,9 @@ void MapPointScalar(const double* t, int d, const double* vt, int dprime,
 }
 
 const KernelOps kScalarOps = {
-    KernelArch::kScalar,    ClassifyCornersScalar, ScoreCornersScalar,
-    DominatedMaskScalar,    DominanceCountScalar,  AnyRowDominatesScalar,
-    MapPointScalar,
+    KernelArch::kScalar,   ClassifyCornersScalar, FilterCandidatesScalar,
+    ScoreCornersScalar,    DominatedMaskScalar,   DominanceCountScalar,
+    AnyRowDominatesScalar, MapPointScalar,
 };
 
 }  // namespace

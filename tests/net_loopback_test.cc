@@ -11,6 +11,9 @@
 // fingerprinting, drop cascades, clean shutdown, and the slow-query log.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <memory>
@@ -583,6 +586,38 @@ TEST_F(NetLoopbackTest, OutOfRangeSolverOptionIsAnErrorReply) {
   auto response = client.Query(WireQuery("iip", "bnb"));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_TRUE(response->complete);
+}
+
+TEST_F(NetLoopbackTest, SolverOptionFloodIsAnErrorReply) {
+  // A raw connection: ArspClient would first build the 4,194,304 strings
+  // (128 MiB) that the daemon must not.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_TRUE(net::SendFrame(fd, net::MessageType::kQuery,
+                             testing_util::QueryWithEmptyOptions(4194304))
+                  .ok());
+  auto reply = net::RecvFrame(fd);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, net::MessageType::kError);
+  net::ErrorResponse error;
+  ASSERT_TRUE(error.DecodePayload(reply->payload).ok());
+  EXPECT_EQ(error.code, StatusCode::kInvalidArgument) << error.message;
+  EXPECT_NE(error.message.find("more than 64 solver options"),
+            std::string::npos)
+      << error.message;
+
+  // The daemon still answers on the same connection.
+  ASSERT_TRUE(net::SendFrame(fd, net::MessageType::kPing, "").ok());
+  auto pong = net::RecvFrame(fd);
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->type, net::MessageType::kOk);
+  ::close(fd);
 }
 
 TEST_F(NetLoopbackTest, ShutdownMessageDrainsTheServer) {

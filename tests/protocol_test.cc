@@ -3,9 +3,10 @@
 // Wire-protocol unit tests, no sockets needed for the codec half: every
 // message encodes to its recorded golden bytes and round-trips encode →
 // decode bit-exactly, truncated and hostile payloads (forged counts, span
-// trees past the size and depth bounds) are rejected without overreads,
-// allocations or stack overflow, and the fd-level framing (over a
-// socketpair) enforces magic, version, and the max-frame guard.
+// trees past the size and depth bounds, floods of solver options) are
+// rejected without overreads, allocations or stack overflow, and the
+// fd-level framing (over a socketpair) enforces magic, version, and the
+// max-frame guard.
 
 #include "src/net/protocol.h"
 
@@ -17,6 +18,9 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include "tests/test_util.h"
 
 namespace arsp {
 namespace net {
@@ -368,6 +372,34 @@ TEST(WireCodecTest, SpanCountIsCappedPerReply) {
   EXPECT_NE(nested_status.message().find("more than 65536 trace spans"),
             std::string::npos)
       << nested_status.ToString();
+}
+
+TEST(WireCodecTest, SolverOptionsAreCappedPerQuery) {
+  QueryRequestWire request = GoldenQueryRequest();
+  request.options.assign(kMaxQueryOptions, "a=1");
+  QueryRequestWire decoded;
+  ASSERT_TRUE(decoded.DecodePayload(request.EncodePayload()).ok());
+  EXPECT_EQ(decoded.options, request.options);
+  request.options.emplace_back("b=2");
+  const Status one_more = decoded.DecodePayload(request.EncodePayload());
+  EXPECT_EQ(one_more.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(one_more.message().find("more than 64 solver options"),
+            std::string::npos)
+      << one_more.ToString();
+  // The hand-written payload decodes at the cap, so past it only the cap
+  // can refuse it.
+  ASSERT_TRUE(
+      decoded.DecodePayload(testing_util::QueryWithEmptyOptions(64)).ok());
+  EXPECT_EQ(decoded.options, std::vector<std::string>(64));
+  // 16 MiB of empty options, inside the frame guard: 128 MiB once decoded,
+  // refused at the count before any of it is allocated.
+  const std::string flood = testing_util::QueryWithEmptyOptions(4194304);
+  ASSERT_LT(flood.size(), kMaxPayloadBytes);
+  const Status status = decoded.DecodePayload(flood);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("more than 64 solver options"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(ProtocolMessagesTest, LoadDatasetRoundTrip) {

@@ -24,6 +24,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/aligned.h"
@@ -44,8 +45,8 @@ using testing_util::WrRegion;
 // 4-lane AVX2 widths ± 1, and larger blocks with ragged tails.
 const int kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64};
 // Every remainder mod 4 after zero, one, two and three full 4-wide chunks
-// (the AVX2 ClassifyCorners finishes each row with one masked 1- to 3-lane
-// chunk; 4, 8, 12 and 16 have no tail).
+// (the AVX2 corner kernels finish each row with one masked chunk of the
+// last 1 to 4 coordinates).
 const int kDims[] = {1, 2, 3, 4, 5, 6, 7, 8, 12, 16};
 
 std::vector<const KernelOps*> NonScalarTables() {
@@ -178,6 +179,148 @@ TEST(KernelSweep, ClassifyCornersInfinitiesZerosAndTies) {
       EXPECT_EQ(simd::kClassDominatesMin, expected[n - 1]);
       EXPECT_NE(simd::kClassDiscard, expected[n - 2]);
       EXPECT_EQ(simd::kClassDominatesMin, expected[n - 3]);
+    }
+  }
+}
+
+// FilterCandidates's two lists, trimmed to the counts it returns. The
+// lists get one slot past `count`, which must keep its canary.
+struct FilterLists {
+  std::vector<int> kept;
+  std::vector<int> adds;
+};
+
+FilterLists Filter(const KernelOps& table, const std::vector<double>& coords,
+                   int dim, const int* ids, int count,
+                   const std::vector<double>& pmin,
+                   const std::vector<double>& pmax) {
+  constexpr int kCanary = -7;
+  FilterLists lists{std::vector<int>(static_cast<size_t>(count) + 1, kCanary),
+                    std::vector<int>(static_cast<size_t>(count) + 1, kCanary)};
+  const simd::FilterCounts counts =
+      table.FilterCandidates(coords.data(), dim, ids, count, pmin.data(),
+                             pmax.data(), lists.kept.data(),
+                             lists.adds.data());
+  EXPECT_EQ(kCanary, lists.kept.back());
+  EXPECT_EQ(kCanary, lists.adds.back());
+  EXPECT_GE(counts.kept, 0);
+  EXPECT_GE(counts.adds, 0);
+  EXPECT_LE(counts.kept + counts.adds, count);
+  lists.kept.resize(static_cast<size_t>(std::max(counts.kept, 0)));
+  lists.adds.resize(static_cast<size_t>(std::max(counts.adds, 0)));
+  return lists;
+}
+
+// The same table's ClassifyCorners followed by a stable split by class:
+// what FilterCandidates must write.
+FilterLists SplitByClass(const KernelOps& table,
+                         const std::vector<double>& coords, int dim,
+                         const int* ids, int count,
+                         const std::vector<double>& pmin,
+                         const std::vector<double>& pmax) {
+  std::vector<unsigned char> classes(static_cast<size_t>(count));
+  table.ClassifyCorners(coords.data(), dim, ids, count, pmin.data(),
+                        pmax.data(), classes.data());
+  FilterLists lists;
+  for (int c = 0; c < count; ++c) {
+    if (classes[static_cast<size_t>(c)] == simd::kClassDominatesMin) {
+      lists.adds.push_back(ids[c]);
+    } else if (classes[static_cast<size_t>(c)] == simd::kClassDominatesMax) {
+      lists.kept.push_back(ids[c]);
+    }
+  }
+  return lists;
+}
+
+// Every supported table, scalar included, against the scalar reference and
+// against its own ClassifyCorners split. Dims 1 to 9 give every masked-tail
+// width after zero and one full AVX2 chunk, and so both AVX2 row loops
+// (dims 1 to 4 take the one without a chunk loop). Ids come in gapped,
+// offset windows of a shuffled pool (two rows in three, starting at 0, 1
+// or 2). Rows and corners mix ±inf, ±0.0, ties and random values; the
+// corners are drawn ordered and unordered, and three rows copy a corner
+// exactly (pmin, pmax, and pmin with its zeros' signs flipped). The rows,
+// pmin and pmax are exactly sized heap blocks, so under ASan a read past
+// the last row or either corner reports.
+TEST(KernelSweep, FilterCandidates) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kValues[] = {-kInf, kInf, -0.0, 0.0, 0.5, -1.0};
+  const int kCounts[] = {0, 1, 3, 5, 17, 33};
+  constexpr int kRows = 60;
+  constexpr int kPminCopy = kRows - 1;
+  std::vector<const KernelOps*> tables = {&simd::internal::ScalarOps()};
+  for (const KernelOps* table : NonScalarTables()) tables.push_back(table);
+  for (int dim = 1; dim <= 9; ++dim) {
+    for (const bool unordered : {false, true}) {
+      Rng rng(16000 + static_cast<uint64_t>(dim) * 2 + unordered);
+      const auto draw = [&](std::vector<double>* v) {
+        for (double& x : *v) {
+          const int kind = rng.UniformInt(0, 7);
+          x = kind < 6 ? kValues[kind] : rng.Uniform(-1.0, 1.0);
+        }
+      };
+      std::vector<double> pmin(static_cast<size_t>(dim));
+      std::vector<double> pmax(static_cast<size_t>(dim));
+      draw(&pmin);
+      draw(&pmax);
+      for (int k = 0; k < dim; ++k) {
+        double& lo = pmin[static_cast<size_t>(k)];
+        double& hi = pmax[static_cast<size_t>(k)];
+        if ((lo > hi) != unordered) std::swap(lo, hi);
+      }
+      // Unordered corners: pmin lies above pmax in its last coordinate, so
+      // the copy of pmin is ⪯ pmin but not ⪯ pmax.
+      if (unordered) {
+        pmin.back() = 1.0;
+        pmax.back() = -1.0;
+      }
+      std::vector<double> coords(static_cast<size_t>(kRows) * dim);
+      draw(&coords);
+      std::copy(pmin.begin(), pmin.end(),
+                &coords[static_cast<size_t>(kPminCopy) * dim]);
+      std::copy(pmax.begin(), pmax.end(),
+                &coords[static_cast<size_t>(kRows - 2) * dim]);
+      for (int k = 0; k < dim; ++k) {
+        const double v = pmin[static_cast<size_t>(k)];
+        coords[static_cast<size_t>(kRows - 3) * dim + k] = v == 0.0 ? -v : v;
+      }
+      // Two rows in three, shuffled, with the corner copies up front.
+      std::vector<int> pool = {kPminCopy, kRows - 3, kRows - 2};
+      for (const int id : Permutation(kRows - 3, 17000 + dim)) {
+        if (id % 3 != 1) pool.push_back(id);
+      }
+      for (const int offset : {0, 1, 2}) {
+        for (const int count : kCounts) {
+          SCOPED_TRACE("dim=" + std::to_string(dim) +
+                       " unordered=" + std::to_string(unordered) +
+                       " offset=" + std::to_string(offset) +
+                       " count=" + std::to_string(count));
+          ASSERT_LE(offset + count, static_cast<int>(pool.size()));
+          const int* ids = pool.data() + offset;
+          const FilterLists expected = Filter(simd::internal::ScalarOps(),
+                                              coords, dim, ids, count, pmin,
+                                              pmax);
+          if (std::find(ids, ids + count, kPminCopy) != ids + count) {
+            EXPECT_NE(std::find(expected.adds.begin(), expected.adds.end(),
+                                kPminCopy),
+                      expected.adds.end());
+            EXPECT_EQ(std::find(expected.kept.begin(), expected.kept.end(),
+                                kPminCopy),
+                      expected.kept.end());
+          }
+          for (const KernelOps* table : tables) {
+            SCOPED_TRACE(simd::KernelArchName(table->arch));
+            const FilterLists actual =
+                Filter(*table, coords, dim, ids, count, pmin, pmax);
+            EXPECT_EQ(expected.kept, actual.kept);
+            EXPECT_EQ(expected.adds, actual.adds);
+            const FilterLists split =
+                SplitByClass(*table, coords, dim, ids, count, pmin, pmax);
+            EXPECT_EQ(split.kept, actual.kept);
+            EXPECT_EQ(split.adds, actual.adds);
+          }
+        }
+      }
     }
   }
 }

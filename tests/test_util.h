@@ -26,6 +26,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/engine.h"
 #include "src/core/solver.h"
+#include "src/net/protocol.h"
 #include "src/obs/metrics.h"
 #include "src/prefs/constraint_generators.h"
 #include "src/prefs/fdominance.h"
@@ -174,6 +175,23 @@ inline uint64_t ErrorQueries() {
     }
   }
   return total;
+}
+
+/// A QUERY payload carrying `count` empty solver options, written by hand
+/// as a hostile client could send it: 4 bytes on the wire per option, 32
+/// once decoded into a std::string.
+inline std::string QueryWithEmptyOptions(uint32_t count) {
+  const net::QueryRequestWire request;  // no options
+  std::string payload = request.EncodePayload();
+  // The options count follows the dataset, constraint spec and solver
+  // strings, each a 4-byte length and its bytes.
+  const size_t at = 12 + request.dataset.size() +
+                    request.constraint_spec.size() + request.solver.size();
+  net::WireWriter options_count;
+  options_count.U32(count);
+  payload.replace(at, 4, options_count.Take());
+  payload.insert(at + 4, size_t{count} * 4, '\0');
+  return payload;
 }
 
 }  // namespace testing_util
