@@ -3,7 +3,7 @@
 #include "src/cluster/coordinator.h"
 
 #include <algorithm>
-#include <condition_variable>
+#include <thread>
 
 #include "src/common/macros.h"
 #include "src/common/mem.h"
@@ -32,6 +32,24 @@ Status NotRegistered(const std::string& name) {
                           "(LOAD it through the coordinator first)");
 }
 
+// Makes call(i) for every i in [0, n) at once and returns the results in
+// index order: the calling thread makes call(0) and one std::thread each
+// makes the others (see the thread-safety note in coordinator.h).
+template <class Call>
+auto FanOut(size_t n, const Call& call) {
+  using Result = decltype(call(size_t{0}));
+  std::vector<Result> results(n, Result(Status::Internal("not run")));
+  {
+    std::vector<std::jthread> threads;  // joined when the block ends
+    threads.reserve(n);
+    for (size_t i = 1; i < n; ++i) {
+      threads.emplace_back([&results, &call, i] { results[i] = call(i); });
+    }
+    if (n > 0) results[0] = call(0);
+  }
+  return results;
+}
+
 }  // namespace
 
 Coordinator::Coordinator(
@@ -43,27 +61,6 @@ Coordinator::Coordinator(
   ARSP_CHECK_MSG(!shards_.empty(), "coordinator needs at least one shard");
   ARSP_CHECK_MSG(static_cast<int>(shards_.size()) == plan_.num_shards(),
                  "shards/shard_names size mismatch");
-  pool_ = std::make_unique<ThreadPool>(static_cast<int>(shards_.size()));
-}
-
-void Coordinator::RunParallel(std::vector<std::function<void()>>* tasks) {
-  if (tasks->empty()) return;
-  if (tasks->size() == 1) {
-    (*tasks)[0]();
-    return;
-  }
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = tasks->size();
-  for (auto& task : *tasks) {
-    pool_->Submit([&mu, &cv, &remaining, &task] {
-      task();
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&remaining] { return remaining == 0; });
 }
 
 StatusOr<std::vector<int>> Coordinator::HoldersOf(
@@ -79,17 +76,10 @@ StatusOr<std::vector<int>> Coordinator::HoldersOf(
 StatusOr<LoadDatasetResponse> Coordinator::Load(
     const LoadDatasetRequest& request) {
   const std::vector<int> holders = plan_.HoldersFor(request.name);
-  std::vector<StatusOr<LoadDatasetResponse>> results(
-      holders.size(), Status::Internal("not run"));
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(holders.size());
-  for (size_t i = 0; i < holders.size(); ++i) {
-    tasks.push_back([this, &request, &results, &holders, i] {
-      results[i] =
-          shards_[static_cast<size_t>(holders[i])]->Load(request);
-    });
-  }
-  RunParallel(&tasks);
+  const std::vector<StatusOr<LoadDatasetResponse>> results =
+      FanOut(holders.size(), [this, &request, &holders](size_t i) {
+        return shards_[static_cast<size_t>(holders[i])]->Load(request);
+      });
   // All-or-error: failed holders are reported; succeeded holders keep the
   // dataset (loads are idempotent, so a retry converges).
   for (const auto& result : results) {
@@ -109,17 +99,10 @@ StatusOr<LoadDatasetResponse> Coordinator::Load(
 StatusOr<AddViewResponse> Coordinator::AddView(const AddViewRequest& request) {
   auto holders = HoldersOf(request.base_name);
   if (!holders.ok()) return holders.status();
-  std::vector<StatusOr<AddViewResponse>> results(
-      holders->size(), Status::Internal("not run"));
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(holders->size());
-  for (size_t i = 0; i < holders->size(); ++i) {
-    const int shard = (*holders)[i];
-    tasks.push_back([this, &request, &results, shard, i] {
-      results[i] = shards_[static_cast<size_t>(shard)]->AddView(request);
-    });
-  }
-  RunParallel(&tasks);
+  const std::vector<StatusOr<AddViewResponse>> results =
+      FanOut(holders->size(), [this, &request, &holders](size_t i) {
+        return shards_[static_cast<size_t>((*holders)[i])]->AddView(request);
+      });
   for (const auto& result : results) {
     if (!result.ok()) return result.status();
   }
@@ -199,28 +182,22 @@ StatusOr<QueryResponseWire> Coordinator::Query(
 }
 
 StatusOr<StatsResponse> Coordinator::Stats(const StatsRequest& request) {
-  std::vector<StatusOr<StatsResponse>> results(
-      shards_.size(), Status::Internal("not run"));
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    tasks.push_back([this, &request, &results, i] {
-      StatsRequest shard_request = request;
-      // Only holders know the named dataset; others answer engine-level
-      // stats (a NotFound for the name would fail the whole aggregate).
-      if (!request.dataset.empty()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = registry_.find(request.dataset);
-        if (it == registry_.end() ||
-            std::find(it->second.begin(), it->second.end(),
-                      static_cast<int>(i)) == it->second.end()) {
-          shard_request.dataset.clear();
+  const std::vector<StatusOr<StatsResponse>> results =
+      FanOut(shards_.size(), [this, &request](size_t i) {
+        StatsRequest shard_request = request;
+        // Only holders know the named dataset; others answer engine-level
+        // stats (a NotFound for the name would fail the whole aggregate).
+        if (!request.dataset.empty()) {
+          std::lock_guard<std::mutex> lock(mu_);
+          const auto it = registry_.find(request.dataset);
+          if (it == registry_.end() ||
+              std::find(it->second.begin(), it->second.end(),
+                        static_cast<int>(i)) == it->second.end()) {
+            shard_request.dataset.clear();
+          }
         }
-      }
-      results[i] = shards_[i]->Stats(shard_request);
-    });
-  }
-  RunParallel(&tasks);
+        return shards_[i]->Stats(shard_request);
+      });
 
   // The latency block stays empty: the server answering this STATS fills it
   // from its own histogram, which times this coordinator's hop too.
@@ -260,16 +237,10 @@ StatusOr<StatsResponse> Coordinator::Stats(const StatsRequest& request) {
 Status Coordinator::Drop(const DropRequest& request) {
   auto holders = HoldersOf(request.name);
   if (!holders.ok()) return holders.status();
-  std::vector<Status> results(holders->size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(holders->size());
-  for (size_t i = 0; i < holders->size(); ++i) {
-    const int shard = (*holders)[i];
-    tasks.push_back([this, &request, &results, shard, i] {
-      results[i] = shards_[static_cast<size_t>(shard)]->Drop(request);
-    });
-  }
-  RunParallel(&tasks);
+  const std::vector<Status> results =
+      FanOut(holders->size(), [this, &request, &holders](size_t i) {
+        return shards_[static_cast<size_t>((*holders)[i])]->Drop(request);
+      });
   {
     std::lock_guard<std::mutex> lock(mu_);
     registry_.erase(request.name);

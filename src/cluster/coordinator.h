@@ -21,20 +21,20 @@
 //
 // Thread safety: all methods are safe for concurrent calls (the server
 // invokes them from every connection handler). LOAD/ADDVIEW/STATS/DROP fan
-// out on an internal pool sized to the shard count; pool tasks never
-// re-enter the pool, so fan-out from many connections cannot deadlock.
+// out to their shards at once: the calling thread makes the first shard's
+// call and one std::thread per other shard makes the rest. These admin
+// verbs are rare and wait on their shards' I/O, so they start threads per
+// call instead of holding CoreBudget slots for the coordinator's lifetime.
 
 #ifndef ARSP_CLUSTER_COORDINATOR_H_
 #define ARSP_CLUSTER_COORDINATOR_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/cluster/shard_plan.h"
 #include "src/net/backend.h"
 
@@ -68,9 +68,6 @@ class Coordinator : public net::ServiceBackend {
   Status Drop(const DropRequest& request) override;
 
  private:
-  /// Runs every task on the fan-out pool and blocks until all finish.
-  void RunParallel(std::vector<std::function<void()>>* tasks);
-
   /// The shard indices holding `name`, or NotFound.
   StatusOr<std::vector<int>> HoldersOf(const std::string& name) const;
 
@@ -81,7 +78,6 @@ class Coordinator : public net::ServiceBackend {
 
   std::vector<std::shared_ptr<net::ServiceBackend>> shards_;
   ShardPlan plan_;
-  std::unique_ptr<ThreadPool> pool_;
 
   mutable std::mutex mu_;  ///< guards registry_ and in_flight_
   /// Dataset or view name → the shard indices holding it.

@@ -35,10 +35,6 @@ int CoreBudget::Total() {
   return kTotal;
 }
 
-void CoreBudget::Reserve(int n) {
-  if (n > 0) g_in_use.fetch_add(n, std::memory_order_relaxed);
-}
-
 int CoreBudget::TryAcquire(int max_slots) {
   if (max_slots <= 0) return 0;
   int total = Total();
@@ -69,13 +65,9 @@ void SetCoreBudgetTotalForTesting(int total) {
 
 TaskArena::TaskArena(int requested_workers) {
   if (requested_workers < 1) requested_workers = 1;
-  granted_helpers_ = CoreBudget::TryAcquire(requested_workers - 1);
-  queues_.reserve(granted_helpers_ + 1);
-  for (int i = 0; i < granted_helpers_ + 1; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  helpers_.reserve(granted_helpers_);
-  for (int i = 0; i < granted_helpers_; ++i) {
+  const int granted = CoreBudget::TryAcquire(requested_workers - 1);
+  helpers_.reserve(static_cast<size_t>(granted));
+  for (int i = 0; i < granted; ++i) {
     helpers_.emplace_back([this, i] { HelperLoop(i + 1); });
   }
 }
@@ -83,84 +75,29 @@ TaskArena::TaskArena(int requested_workers) {
 TaskArena::~TaskArena() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_relaxed);
+    stop_ = true;
   }
   cv_.notify_all();
   for (auto& t : helpers_) t.join();
-  CoreBudget::Release(granted_helpers_);
+  CoreBudget::Release(static_cast<int>(helpers_.size()));
 }
 
 void TaskArena::Submit(Task task) {
   spawned_.fetch_add(1, std::memory_order_relaxed);
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  const int target =
-      static_cast<int>(submit_cursor_.fetch_add(1, std::memory_order_relaxed) %
-                       static_cast<uint32_t>(num_workers()));
   {
-    std::lock_guard<std::mutex> qlock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
+    ++pending_;
   }
-  queued_.fetch_add(1, std::memory_order_release);
-  // Lock mu_ so a helper between its queued_ check and its cv wait cannot
-  // miss this wakeup.
-  { std::lock_guard<std::mutex> lock(mu_); }
   cv_.notify_one();
 }
 
-void TaskArena::FinishTask() {
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    { std::lock_guard<std::mutex> lock(mu_); }
-    cv_.notify_all();
-  }
-}
-
-bool TaskArena::RunOneTask(int worker) {
-  // Own deque first: LIFO from the back keeps the working set warm.
-  Task task;
-  bool have = false;
-  bool stole = false;
-  {
-    WorkerQueue& own = *queues_[worker];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      have = true;
-    }
-  }
-  if (!have) {
-    // Steal half (rounded up) of the first non-empty victim, FIFO from the
-    // front; run the first stolen task, keep the rest on our own deque.
-    int n = num_workers();
-    for (int off = 1; off < n && !have; ++off) {
-      int victim = (worker + off) % n;
-      std::deque<Task> loot;
-      {
-        WorkerQueue& vq = *queues_[victim];
-        std::lock_guard<std::mutex> lock(vq.mu);
-        size_t avail = vq.tasks.size();
-        if (avail == 0) continue;
-        size_t take = (avail + 1) / 2;
-        for (size_t i = 0; i < take; ++i) {
-          loot.push_back(std::move(vq.tasks.front()));
-          vq.tasks.pop_front();
-        }
-      }
-      stolen_.fetch_add(static_cast<int64_t>(loot.size()),
-                        std::memory_order_relaxed);
-      task = std::move(loot.front());
-      loot.pop_front();
-      have = true;
-      stole = true;
-      if (!loot.empty()) {
-        WorkerQueue& own = *queues_[worker];
-        std::lock_guard<std::mutex> lock(own.mu);
-        for (auto& t : loot) own.tasks.push_back(std::move(t));
-      }
-    }
-  }
-  if (!have) return false;
-  queued_.fetch_sub(1, std::memory_order_acq_rel);
+void TaskArena::RunFront(std::unique_lock<std::mutex>& lock, int worker) {
+  Task task = std::move(queue_.front());
+  queue_.pop_front();
+  lock.unlock();
+  const bool stolen = worker != 0;
+  if (stolen) stolen_.fetch_add(1, std::memory_order_relaxed);
   // Optional per-task profiling events (ARSP_TRACE_FILE): one Chrome
   // trace_event complete event per executed task, keyed by worker lane.
   // enabled() is a cached bool, so the untraced hot path pays one branch.
@@ -168,7 +105,7 @@ bool TaskArena::RunOneTask(int worker) {
   if (sink.enabled()) {
     obs::TaskEventSink::Event event;
     event.worker = worker;
-    event.stolen = stole;
+    event.stolen = stolen;
     event.start_ns = obs::Trace::NowNs();
     task(worker);
     event.end_ns = obs::Trace::NowNs();
@@ -176,36 +113,28 @@ bool TaskArena::RunOneTask(int worker) {
   } else {
     task(worker);
   }
-  FinishTask();
-  return true;
+  lock.lock();
+  if (--pending_ == 0) cv_.notify_all();
 }
 
 void TaskArena::HelperLoop(int worker) {
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    if (RunOneTask(worker)) continue;
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_relaxed) ||
-             queued_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_relaxed) &&
-        queued_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and nothing left to run
+    RunFront(lock, worker);
   }
 }
 
 void TaskArena::RunAndWait() {
-  while (pending_.load(std::memory_order_acquire) > 0) {
-    if (RunOneTask(0)) continue;
-    // Nothing claimable: helpers hold the remaining tasks. Wait for the
-    // all-done notification (or for work to reappear — tasks may submit
-    // subtasks).
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) == 0 ||
-             queued_.load(std::memory_order_acquire) > 0;
-    });
+  std::unique_lock<std::mutex> lock(mu_);
+  while (pending_ > 0) {
+    if (queue_.empty()) {
+      // Helpers hold the remaining tasks; they may still submit more.
+      cv_.wait(lock, [this] { return pending_ == 0 || !queue_.empty(); });
+    } else {
+      RunFront(lock, 0);
+    }
   }
 }
 

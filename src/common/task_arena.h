@@ -1,31 +1,28 @@
 // Copyright 2026 The ARSP Authors.
 //
-// Intra-query parallel execution primitives:
+// Parallel execution primitives:
 //
-//  * CoreBudget — one process-global concurrency ledger shared by every
-//    ThreadPool (inter-query parallelism, e.g. arsp_cli running an
-//    in-process --batch round's queries at once: one thread per in-flight
-//    query) and TaskArena (intra-query parallelism: several workers inside
-//    one query). The total is ARSP_THREADS when set, else the hardware
-//    concurrency.
-//    ThreadPool *reserves* unconditionally (its size is an explicit caller
-//    decision and existing behavior must not shrink); TaskArena only
-//    *tries* to acquire what is left, so a full pool of in-flight queries
-//    can never fan out pool_size × workers-per-query OS threads — parallel
-//    queries inside a saturated pool degrade gracefully to serial, which by
+//  * CoreBudget — one process-global ledger of helper threads. The total is
+//    ARSP_THREADS when set, else the hardware concurrency. Every TaskArena
+//    *tries* to acquire its helpers from what is left and gets possibly
+//    none, so arenas running inside other arenas' tasks (arsp_cli's
+//    in-process --batch round runs each query as a task, and each query's
+//    traversal opens its own arena) can never fan out more threads than
+//    the budget. A starved arena runs on its calling thread alone, which by
 //    the determinism contract changes nothing but wall time.
 //
-//  * TaskArena — a work-stealing task scheduler: per-worker deques, owner
-//    pushes/pops at the back, idle workers steal half a victim's deque from
-//    the front (steal-half amortizes steal traffic on irregular subtree
-//    sizes). The constructing thread participates as worker 0 during
-//    RunAndWait(), so a TaskArena granted zero extra workers is simply a
-//    serial loop over the submitted tasks in submission order — the
-//    degenerate case the bit-identity contract leans on.
+//  * TaskArena — one mutex-guarded FIFO queue. The calling thread is
+//    worker 0 during RunAndWait(); the helpers the budget granted take
+//    tasks from the same queue as soon as they are submitted. The tasks are
+//    few and coarse (one per traversal subtree at the frontier depth, 4–32
+//    per solve), so one queue balances them as well as per-worker deques
+//    would. A TaskArena granted no helpers is a serial loop over the
+//    submitted tasks in submission order — the degenerate case the
+//    bit-identity contract leans on.
 //
-// Tasks must not throw. Submit is intended from the owner thread (between
-// RunAndWait rounds) or from inside a running task; RunAndWait may be
-// called repeatedly (B&B submits one round per heap batch).
+// Tasks must not throw. Submit may be called from the owner thread (before
+// or between RunAndWait rounds) or from inside a running task; RunAndWait
+// may be called repeatedly.
 
 #ifndef ARSP_COMMON_TASK_ARENA_H_
 #define ARSP_COMMON_TASK_ARENA_H_
@@ -35,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -48,20 +44,15 @@ namespace arsp {
 class CoreBudget {
  public:
   /// Total concurrent threads the process should run: max(1, ARSP_THREADS)
-  /// when the env var is set and parses, else hardware concurrency (with
-  /// the same ≥1 fallback ThreadPool::DefaultConcurrency applies).
+  /// when the env var is set and parses, else hardware concurrency (1 when
+  /// the platform cannot tell).
   static int Total();
-
-  /// Unconditionally records `n` slots as in use (ThreadPool: explicit pool
-  /// sizes are honored even when they overshoot the budget — the budget
-  /// then simply denies intra-query workers).
-  static void Reserve(int n);
 
   /// Grants up to `max_slots` of the remaining budget (possibly 0) and
   /// records them in use. Never oversubscribes past Total().
   static int TryAcquire(int max_slots);
 
-  /// Returns `n` previously Reserve()d / TryAcquire()d slots.
+  /// Returns `n` previously TryAcquire()d slots.
   static void Release(int n);
 
   /// Slots currently in use (diagnostic).
@@ -73,7 +64,7 @@ namespace internal {
 void SetCoreBudgetTotalForTesting(int total);
 }  // namespace internal
 
-/// Work-stealing task scheduler (see file comment).
+/// Shared-queue task executor (see file comment).
 class TaskArena {
  public:
   /// A task; the argument is the running worker's id in
@@ -90,20 +81,17 @@ class TaskArena {
   TaskArena& operator=(const TaskArena&) = delete;
 
   /// Helpers granted + the calling thread.
-  int num_workers() const { return static_cast<int>(queues_.size()); }
+  int num_workers() const { return static_cast<int>(helpers_.size()) + 1; }
 
-  /// Enqueues one task. Tasks submitted from the owner thread are dealt
-  /// round-robin across worker deques (seeding the steal-half balancing);
-  /// tasks submitted from inside a task land on the submitting worker's
-  /// own deque.
+  /// Appends one task to the queue; an idle helper starts on it at once.
   void Submit(Task task);
 
   /// Runs until every submitted task has completed; the calling thread
-  /// participates as worker 0. May be called repeatedly.
+  /// takes tasks from the queue as worker 0. May be called repeatedly.
   void RunAndWait();
 
-  /// Tasks ever submitted / tasks claimed by a worker other than the one
-  /// whose deque held them (cumulative; stolen ≤ spawned).
+  /// Tasks ever submitted / tasks a helper ran rather than the calling
+  /// thread (cumulative; stolen ≤ spawned, and 0 without helpers).
   int64_t tasks_spawned() const {
     return spawned_.load(std::memory_order_relaxed);
   }
@@ -112,32 +100,22 @@ class TaskArena {
   }
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
-
-  /// Claims and runs one task as `worker` (own deque first, then
-  /// steal-half). Returns false when every deque was empty.
-  bool RunOneTask(int worker);
+  /// Pops the oldest task, runs it as `worker` with `lock` released, then
+  /// retakes the lock and counts it done.
+  void RunFront(std::unique_lock<std::mutex>& lock, int worker);
   void HelperLoop(int worker);
-  void FinishTask();
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> helpers_;
-  int granted_helpers_ = 0;
-
-  std::mutex mu_;                 // guards cv waits (counters are atomic)
-  std::condition_variable cv_;    // "work available" and "all done"
-  std::atomic<int64_t> queued_{0};   // tasks sitting in some deque
-  std::atomic<int64_t> pending_{0};  // submitted − completed
-  std::atomic<bool> stop_{false};
+  std::mutex mu_;
+  // Signals "a task was queued" (to helpers and to a waiting RunAndWait)
+  // and "every task is done" (to RunAndWait).
+  std::condition_variable cv_;
+  std::deque<Task> queue_;  // guarded by mu_
+  int64_t pending_ = 0;     // guarded by mu_: submitted − completed
+  bool stop_ = false;       // guarded by mu_
   std::atomic<int64_t> spawned_{0};
   std::atomic<int64_t> stolen_{0};
-  // Round-robin dealing cursor. Atomic because tasks may Submit subtasks
-  // from worker threads concurrently with the owner; which deque a task
-  // lands in never affects results (the merge is canonical-order).
-  std::atomic<uint32_t> submit_cursor_{0};
+  // Declared after everything the helpers use; the destructor joins them.
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace arsp

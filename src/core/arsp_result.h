@@ -89,7 +89,7 @@ struct ArspResult {
   /// is scheduling-dependent and excluded from determinism comparisons;
   /// everything else in this struct is bit-identical to the serial run.
   int64_t tasks_spawned = 0;     ///< subtree tasks submitted to the arena
-  int64_t tasks_stolen = 0;      ///< tasks claimed by a non-owning worker
+  int64_t tasks_stolen = 0;      ///< tasks a helper ran, not the caller
   int64_t parallel_workers = 0;  ///< arena workers granted (incl. caller)
 };
 

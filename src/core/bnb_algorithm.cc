@@ -8,14 +8,11 @@
 // answer the window queries Σ_{s ∈ Tj, s ≺F t} p(s). Expected O(m n log n).
 
 #include <algorithm>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <vector>
 
 #include "src/common/aligned.h"
-#include "src/common/task_arena.h"
 #include "src/core/solver.h"
 #include "src/index/rtree.h"
 #include "src/prefs/fdominance.h"
@@ -32,11 +29,6 @@ struct BnbOptions {
   bool enable_pruning = true;
   /// R-tree fan-out for both the data tree and the aggregated trees.
   int rtree_fanout = 16;
-  /// Worker budget for the per-batch window-query phase (1 = serial). The
-  /// aggregated trees are read-only during that phase and each batch item's
-  /// σ vector is private, so the parallel rounds are bit-identical to
-  /// serial; the heap expansion, tie counting and inserts stay serial.
-  int parallelism = 1;
 };
 
 // A heap element: either an R-tree node or a single instance, ordered by
@@ -166,40 +158,6 @@ ArspResult RunBnb(ExecutionContext& context, const BnbOptions& options) {
   AlignedVector<double> batch_rows;       // phase-2 dense mapped points
   std::vector<unsigned char> batch_mask;  // phase-2 dominance masks
 
-  // Intra-query parallelism: phase 1 (the window queries) is the only
-  // parallel section — every aggregated tree is read-only there and each
-  // item's σ vector is private, so fanning the per-item loops across the
-  // arena is trivially bit-identical to serial (the j-order accumulation
-  // into σ happens inside one task). One arena serves every round; a
-  // budget grant of a single worker degrades to the serial loop.
-  std::optional<TaskArena> arena;
-  if (options.parallelism >= 2) {
-    arena.emplace(options.parallelism);
-    if (arena->num_workers() < 2) arena.reset();
-  }
-
-  // Phase-1 body for one batch item; `probes` receives this item's window
-  // probes (accumulated into result.index_probes in item order afterwards,
-  // matching the serial count exactly).
-  const auto probe_item = [&](BatchItem& item, int64_t* probes) {
-    const int own = view.object_of(item.instance_id);
-    // Guard against sub-ulp inversions of the origin bound.
-    Point window_lo = mapped_origin;
-    for (int k = 0; k < mapped_dim; ++k) {
-      window_lo[k] = std::min(window_lo[k], item.mapped[k]);
-    }
-    const Mbr window(std::move(window_lo), item.mapped);
-    for (int j = 0; j < m; ++j) {
-      if (j == own || objects[static_cast<size_t>(j)].tree == nullptr) {
-        continue;
-      }
-      ++*probes;
-      item.sigma[static_cast<size_t>(j)] +=
-          objects[static_cast<size_t>(j)].tree->WindowSum(window);
-    }
-  };
-  std::vector<int64_t> probe_counts;  // per-item, parallel rounds only
-
   while (!heap.empty()) {
     // Goal pushdown: once every object is decided, nothing left in the
     // heap can change the answer (inserted mass is only ever needed to
@@ -283,26 +241,22 @@ ArspResult RunBnb(ExecutionContext& context, const BnbOptions& options) {
     // earlier instances with non-zero probability are indexed there).
     // Decided objects' items skip this — the window queries only ever feed
     // the item's own probability, which the goal no longer needs.
-    size_t eligible = 0;
-    for (const BatchItem& item : batch) {
-      if (!item.skip_eval) ++eligible;
-    }
-    if (arena.has_value() && eligible >= 2) {
-      probe_counts.assign(batch.size(), 0);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i].skip_eval) continue;
-        arena->Submit([&probe_item, &batch, &probe_counts, i](int) {
-          probe_item(batch[i], &probe_counts[i]);
-        });
+    for (BatchItem& item : batch) {
+      if (item.skip_eval) continue;
+      const int own = view.object_of(item.instance_id);
+      // Guard against sub-ulp inversions of the origin bound.
+      Point window_lo = mapped_origin;
+      for (int k = 0; k < mapped_dim; ++k) {
+        window_lo[k] = std::min(window_lo[k], item.mapped[k]);
       }
-      arena->RunAndWait();
-      for (size_t i = 0; i < batch.size(); ++i) {
-        result.index_probes += probe_counts[i];
-      }
-    } else {
-      for (BatchItem& item : batch) {
-        if (item.skip_eval) continue;
-        probe_item(item, &result.index_probes);
+      const Mbr window(std::move(window_lo), item.mapped);
+      for (int j = 0; j < m; ++j) {
+        if (j == own || objects[static_cast<size_t>(j)].tree == nullptr) {
+          continue;
+        }
+        ++result.index_probes;
+        item.sigma[static_cast<size_t>(j)] +=
+            objects[static_cast<size_t>(j)].tree->WindowSum(window);
       }
     }
 
@@ -398,11 +352,6 @@ ArspResult RunBnb(ExecutionContext& context, const BnbOptions& options) {
       }
     }
   }
-  if (arena.has_value()) {
-    result.tasks_spawned = arena->tasks_spawned();
-    result.tasks_stolen = arena->tasks_stolen();
-    result.parallel_workers = arena->num_workers();
-  }
   goal_pruner.Finish(&result);
   return result;
 }
@@ -416,25 +365,19 @@ class BnbSolver : public ArspSolver {
            "options pruning=bool, rtree_fanout=N";
   }
   uint32_t capabilities() const override {
-    return kCapGoalPushdown | kCapIntraQueryParallel;
+    return kCapGoalPushdown;
   }
 
   Status Configure(const SolverOptions& options) override {
-    ARSP_RETURN_IF_ERROR(
-        options.ExpectOnly({"pruning", "rtree_fanout", "parallelism"}));
+    ARSP_RETURN_IF_ERROR(options.ExpectOnly({"pruning", "rtree_fanout"}));
     StatusOr<bool> pruning = options.BoolOr("pruning", options_.enable_pruning);
     if (!pruning.ok()) return pruning.status();
     StatusOr<int> fanout =
         options.IntInRange("rtree_fanout", options_.rtree_fanout,
                            RTree::kMinFanout, RTree::kMaxFanout);
     if (!fanout.ok()) return fanout.status();
-    StatusOr<int> parallelism = options.IntInRange(
-        "parallelism", options_.parallelism, 1,
-        std::numeric_limits<int>::max());
-    if (!parallelism.ok()) return parallelism.status();
     options_.enable_pruning = *pruning;
     options_.rtree_fanout = *fanout;
-    options_.parallelism = *parallelism;
     return Status::OK();
   }
 

@@ -497,9 +497,9 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
     if (!solver.ok()) return solver.status();
     // Resolve the worker request: the per-query field wins, else the auto
     // heuristic (parallelize only large contexts, sized by the
-    // process-global core budget so intra-query workers and the caller's
-    // own thread pools never oversubscribe — the executor's TryAcquire
-    // clamps to whatever is actually free at solve time).
+    // process-global core budget so concurrent queries' arenas never
+    // oversubscribe — the executor's TryAcquire clamps to whatever is
+    // actually free at solve time).
     int effective_parallelism = request.parallelism;
     if (effective_parallelism == 0) {
       effective_parallelism = view.num_instances() >= kParallelMinInstances
@@ -712,12 +712,6 @@ ArspResult ArspEngine::TakeResult(QueryResponse&& response) {
 ArspEngine::CacheStats ArspEngine::cache_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return CacheStats{cache_hits_, cache_misses_, lru_.size()};
-}
-
-void ArspEngine::ClearResultCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  cache_index_.clear();
 }
 
 size_t ArspEngine::pooled_contexts() const {

@@ -228,7 +228,7 @@ struct EngineOptions {
 /// 0) treats a context as "large" and runs parallel-capable solvers across
 /// the whole core budget (ARSP_THREADS / hardware concurrency); smaller
 /// contexts run serially. Below it, task-spawn overhead and frontier
-/// bookkeeping outweigh the traversal work a worker can steal.
+/// bookkeeping outweigh the traversal work a helper can take on.
 inline constexpr int kParallelMinInstances = 200000;
 
 /// Long-lived query engine owning datasets, pooled contexts, and the result
@@ -292,7 +292,6 @@ class ArspEngine {
     size_t entries = 0;
   };
   CacheStats cache_stats() const;
-  void ClearResultCache();
 
   /// Number of pooled ExecutionContexts currently alive.
   size_t pooled_contexts() const;

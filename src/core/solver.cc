@@ -139,13 +139,6 @@ bool SolverOptions::Has(const std::string& key) const {
   return values_.count(key) > 0;
 }
 
-std::vector<std::string> SolverOptions::Keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(values_.size());
-  for (const auto& [key, value] : values_) keys.push_back(key);
-  return keys;
-}
-
 StatusOr<bool> SolverOptions::BoolOr(const std::string& key, bool def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;

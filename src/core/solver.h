@@ -75,10 +75,11 @@ enum SolverCaps : uint32_t {
   /// this flag ignore the goal and return complete results — correct for
   /// any goal, just without the savings.
   kCapGoalPushdown = 1u << 6,
-  /// Honors the "parallelism" solver option: splits the traversal across a
-  /// work-stealing TaskArena at a frontier depth, with results bit-identical
-  /// to the serial run by contract (see ARCHITECTURE.md, "Intra-query
-  /// parallel executor"). Solvers without this flag reject the option.
+  /// Honors the "parallelism" solver option: splits the traversal at a
+  /// frontier depth into subtree tasks on a TaskArena, with results
+  /// bit-identical to the serial run by contract (see ARCHITECTURE.md,
+  /// "Intra-query parallel executor"). Only the four Algorithm-1 traversal
+  /// solvers carry it; the others reject the option.
   kCapIntraQueryParallel = 1u << 7,
 };
 
@@ -106,7 +107,7 @@ struct SolverStats {
   int64_t peak_rss_bytes = 0;        ///< getrusage peak RSS of the process
   /// Intra-query parallelism counters (zero for serial runs).
   int64_t tasks_spawned = 0;    ///< subtree tasks submitted to the arena
-  int64_t tasks_stolen = 0;     ///< tasks claimed by a non-owning worker
+  int64_t tasks_stolen = 0;     ///< tasks a helper ran, not the caller
   int64_t parallel_workers = 0;  ///< arena workers granted (incl. caller)
 
   /// One-line "k=v" rendering for logs and arsp_cli --stats.
@@ -134,7 +135,6 @@ class SolverOptions {
 
   bool empty() const { return values_.empty(); }
   bool Has(const std::string& key) const;
-  std::vector<std::string> Keys() const;
 
   /// Typed reads with a default for absent keys. A present key of the wrong
   /// type is an InvalidArgument (ints widen to double in DoubleOr).

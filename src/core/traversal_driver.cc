@@ -271,9 +271,9 @@ constexpr int kTaskFactor = 8;
 
 /// Frontier depth for a traversal with the given branching factor: the
 /// smallest depth whose level holds at least kTaskFactor tasks per worker
-/// (so steal-half has slack to balance irregular subtrees), clamped to
-/// [2, 12] — at least one split level, at most ~4k tasks even for binary
-/// trees.
+/// (so the shared queue has slack to balance irregular subtrees: a worker
+/// that finishes a small subtree takes the next one), clamped to [2, 12] —
+/// at least one split level, at most ~4k tasks even for binary trees.
 int DefaultFrontierDepth(int branch_factor, int workers) {
   if (branch_factor < 2) branch_factor = 2;
   const int64_t target = static_cast<int64_t>(kTaskFactor) * workers;

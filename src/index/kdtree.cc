@@ -252,18 +252,6 @@ double KdTree::MinSignedDistance(int node_idx, const Hyperplane& hp) const {
   return v;
 }
 
-double KdTree::MaxSignedDistance(int node_idx, const Hyperplane& hp) const {
-  const int d = hp.dim();
-  const double* lo = node_lo(node_idx);
-  const double* hi = node_hi(node_idx);
-  double v = hi[d - 1] + hp.offset();
-  for (int i = 0; i < d - 1; ++i) {
-    const double c = hp.coef()[static_cast<size_t>(i)];
-    v -= c * (c >= 0.0 ? lo[i] : hi[i]);
-  }
-  return v;
-}
-
 bool KdTree::ExistsInBoxBelow(const Mbr& box, const Hyperplane& hp, double eps,
                               int exclude_id) const {
   if (nodes_.empty()) return false;

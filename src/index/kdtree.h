@@ -185,9 +185,8 @@ class KdTree {
     return true;
   }
 
-  // Minimum / maximum of hp.SignedDistance over the node's bounds.
+  // Minimum of hp.SignedDistance over the node's bounds.
   double MinSignedDistance(int node_idx, const Hyperplane& hp) const;
-  double MaxSignedDistance(int node_idx, const Hyperplane& hp) const;
 
   EntryRef ItemRef(int i) const {
     return EntryRef{item_row(i), item_ids_[static_cast<size_t>(i)],

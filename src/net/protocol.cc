@@ -418,6 +418,16 @@ class Decoder {
           return;
         }
       }
+      // Annotations likewise, against their own cap.
+      if constexpr (std::is_same_v<Element,
+                                   std::pair<std::string, std::string>>) {
+        annotations_ += count;
+        if (annotations_ > kMaxTraceAnnotations) {
+          r_.Fail("more than " + std::to_string(kMaxTraceAnnotations) +
+                  " trace annotations");
+          return;
+        }
+      }
       // A query's solver options are the only string list, and each costs
       // 32 bytes decoded for its 4 on the wire.
       if constexpr (std::is_same_v<Element, std::string>) {
@@ -451,7 +461,8 @@ class Decoder {
   }
 
   WireReader r_;
-  size_t spans_ = 0;  // spans announced so far
+  size_t spans_ = 0;        // spans announced so far
+  size_t annotations_ = 0;  // span annotations announced so far
   int depth_ = 0;     // spans open on the walk's stack
 };
 

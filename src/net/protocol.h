@@ -21,10 +21,10 @@
 // never read out of range — decoding either succeeds completely or returns
 // InvalidArgument. Frames larger than kMaxPayloadBytes are rejected before
 // any allocation (the max-frame guard: a garbage length prefix must not OOM
-// the daemon), a reply's span tree is bounded in size and depth
-// (kMaxTraceSpans, kMaxTraceDepth: a hostile tree must not overflow the
-// decoding thread's stack), and a query's solver options are bounded in
-// number (kMaxQueryOptions).
+// the daemon), a reply's span tree is bounded in size, annotations and
+// depth (kMaxTraceSpans, kMaxTraceAnnotations, kMaxTraceDepth: a hostile
+// tree must not overflow the decoding thread's stack), and a query's
+// solver options are bounded in number (kMaxQueryOptions).
 //
 // Every message is a plain struct with EncodePayload()/DecodePayload(), so
 // the protocol is testable without sockets (tests/protocol_test.cc) and the
@@ -109,6 +109,13 @@ inline constexpr uint32_t kMaxPayloadBytes = 256u * 1024u * 1024u;
 /// recursive decoder off the end of its thread's stack.
 inline constexpr size_t kMaxTraceSpans = size_t{1} << 16;
 inline constexpr int kMaxTraceDepth = 64;
+
+/// Span annotations a decoded reply may carry, over all its spans. A traced
+/// coordinator reply carries fewer than 100. The cap matters because a
+/// decoded annotation (two std::strings) takes 64 bytes against its 8 on
+/// the wire: without it, 32 MiB of empty annotations decode to 256 MiB. At
+/// the cap the annotations themselves take 4 MiB.
+inline constexpr size_t kMaxTraceAnnotations = size_t{1} << 16;
 
 /// Solver options a decoded QUERY may carry. QueryRequestWire::options is
 /// the only string list on the wire, and no solver accepts more than three

@@ -117,7 +117,7 @@ EngineBackend::EngineBackend(EngineOptions options)
           "TaskArena tasks executed by parallel solves.")),
       arena_tasks_stolen_(obs::MetricsRegistry::Global().GetCounter(
           "arsp_arena_tasks_stolen_total", {},
-          "TaskArena tasks claimed by work-stealing.")),
+          "TaskArena tasks run by a helper thread, not the caller.")),
       index_bytes_mapped_(obs::MetricsRegistry::Global().GetGauge(
           "arsp_index_bytes_mapped", {},
           "Bytes of mmap-backed index sections behind the most recent "

@@ -27,17 +27,6 @@ ScoreBuffer ScoreSpan::Gather(const DatasetView& source_view,
   return out;
 }
 
-std::vector<Point> ScoreMapper::MapAll(const std::vector<Point>& points) const {
-  std::vector<Point> out;
-  out.reserve(points.size());
-  std::vector<double> row(static_cast<size_t>(mapped_dim()));
-  for (const Point& p : points) {
-    MapInto(p, row.data());
-    out.emplace_back(row);  // one vector copy into the returned Point
-  }
-  return out;
-}
-
 ScoreBuffer ScoreMapper::MapView(const DatasetView& view) const {
   ScoreBuffer out;
   out.dim = mapped_dim();

@@ -19,7 +19,7 @@
 // The mapper evaluates SV through the dispatched MapPoint kernel over a
 // dimension-major (transposed) copy of the vertex matrix, so the d' dot
 // products of one point vectorize across outputs while each output keeps
-// the sequential summation order of Point::Dot — AoS (Map/MapAll), SoA
+// the sequential summation order of Point::Dot — AoS (Map), SoA
 // (MapView), and every dispatch arch produce bit-identical scores.
 
 #ifndef ARSP_PREFS_SCORE_MAPPER_H_
@@ -146,11 +146,6 @@ class ScoreMapper {
     if (mapped_dim() > 0) MapInto(t, &out[0]);
     return out;
   }
-
-  /// Maps a batch of points through one reused flat row buffer (a single
-  /// scratch allocation for the whole batch, instead of per-point
-  /// temporaries).
-  std::vector<Point> MapAll(const std::vector<Point>& points) const;
 
   /// Maps every instance of `view` into a SoA buffer (local instance order,
   /// local object ids). For a full or prefix view, probs/objects borrow the

@@ -13,9 +13,8 @@
 // scheduling).
 //
 // Also the TSan target for the executor: concurrent Solve calls of
-// parallel queries sharing one pooled ExecutionContext, with the callers'
-// ThreadPool and the intra-query arenas drawing from the same pinned core
-// budget.
+// parallel queries sharing one pooled ExecutionContext, with the
+// intra-query arenas drawing from one pinned core budget.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "src/common/task_arena.h"
-#include "src/common/thread_pool.h"
 #include "src/core/engine.h"
 #include "src/core/queries.h"
 #include "src/core/solver.h"
@@ -180,7 +178,7 @@ std::vector<std::string> ParallelSolverNames() {
 
 TEST(ParallelDeterminism, RegistryAdvertisesTheExpectedSolvers) {
   const std::vector<std::string> names = ParallelSolverNames();
-  for (const char* expected : {"kdtt", "kdtt+", "qdtt+", "mwtt", "bnb"}) {
+  for (const char* expected : {"kdtt", "kdtt+", "qdtt+", "mwtt"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected << " lost kCapIntraQueryParallel";
   }
@@ -239,12 +237,13 @@ TEST(ParallelDeterminism, GoalPushdownSweepOnDerivedViews) {
 }
 
 // The TSan target: a batch of parallel queries racing over ONE pooled
-// ExecutionContext, with the callers' 4-worker pool and the per-query
-// arenas sharing a pinned core budget (some queries get helpers, late ones
+// ExecutionContext, one caller thread each, with the per-query arenas
+// sharing a pinned core budget (some queries get helpers, late ones
 // degrade to serial — either way the results must be bitwise the serial
 // reference).
 TEST(ParallelDeterminism, ConcurrentSolvesOnOnePooledContext) {
   ScopedBudget budget(8);
+  const int base_in_use = CoreBudget::InUse();
   const UncertainDataset dataset = RandomDataset(60, 4, 3, 0.4, 1600);
 
   ArspEngine engine;
@@ -280,8 +279,7 @@ TEST(ParallelDeterminism, ConcurrentSolvesOnOnePooledContext) {
   derived.derived.threshold = 0.25;
   batch.push_back(derived);
 
-  ThreadPool pool(4);
-  const auto responses = testing_util::SolveConcurrently(engine, batch, pool);
+  const auto responses = testing_util::SolveConcurrently(engine, batch);
   ASSERT_EQ(responses.size(), batch.size());
   for (size_t i = 0; i < responses.size(); ++i) {
     SCOPED_TRACE(i);
@@ -304,7 +302,7 @@ TEST(ParallelDeterminism, ConcurrentSolvesOnOnePooledContext) {
   }
   // Everything granted was returned: the budget leaks nothing across a
   // batch of arenas created and destroyed under contention.
-  EXPECT_EQ(CoreBudget::InUse(), 4);  // just the pool's reservation
+  EXPECT_EQ(CoreBudget::InUse(), base_in_use);
 }
 
 }  // namespace

@@ -374,6 +374,67 @@ TEST(WireCodecTest, SpanCountIsCappedPerReply) {
       << nested_status.ToString();
 }
 
+// A reply with one span carrying `count` empty annotations, written by
+// hand: 8 bytes on the wire per annotation.
+std::string SpanWithEmptyAnnotations(uint32_t count) {
+  std::string payload = QueryResponseWire().EncodePayload();
+  payload.resize(payload.size() - 4);  // the empty trace_spans count
+  WireWriter w;
+  w.U32(1);  // one root
+  w.Str("");  // name
+  w.U64(0);  // start_ns
+  w.U64(0);  // end_ns
+  w.U32(count);  // annotations count
+  std::string spans = w.Take();
+  spans.append(size_t{count} * 8, '\0');  // empty key and value each
+  WireWriter children;
+  children.U32(0);
+  return payload + spans + children.Take();
+}
+
+TEST(WireCodecTest, SpanAnnotationsAreCappedPerReply) {
+  QueryResponseWire reply;
+  reply.trace_spans.resize(1);
+  reply.trace_spans[0].annotations.resize(kMaxTraceAnnotations);
+  QueryResponseWire decoded;
+  ASSERT_TRUE(decoded.DecodePayload(reply.EncodePayload()).ok());
+  ASSERT_EQ(decoded.trace_spans.size(), 1u);
+  EXPECT_EQ(decoded.trace_spans[0].annotations.size(), kMaxTraceAnnotations);
+  reply.trace_spans[0].annotations.emplace_back();
+  const Status one_more = decoded.DecodePayload(reply.EncodePayload());
+  EXPECT_EQ(one_more.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(one_more.message().find("more than 65536 trace annotations"),
+            std::string::npos)
+      << one_more.ToString();
+  // The cap is per reply: two spans of half the cap plus one are too many.
+  QueryResponseWire split;
+  split.trace_spans.resize(2);
+  for (obs::Span& span : split.trace_spans) {
+    span.annotations.resize(kMaxTraceAnnotations / 2 + 1);
+  }
+  const Status split_status = decoded.DecodePayload(split.EncodePayload());
+  EXPECT_EQ(split_status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(split_status.message().find("more than 65536 trace annotations"),
+            std::string::npos)
+      << split_status.ToString();
+  // The hand-written payload decodes at the cap, so past it only the cap
+  // can refuse it.
+  ASSERT_TRUE(decoded
+                  .DecodePayload(SpanWithEmptyAnnotations(
+                      static_cast<uint32_t>(kMaxTraceAnnotations)))
+                  .ok());
+  EXPECT_EQ(decoded.trace_spans[0].annotations.size(), kMaxTraceAnnotations);
+  // 32 MiB of empty annotations, inside the frame guard: 256 MiB once
+  // decoded, refused at the count before any of it is allocated.
+  const std::string flood = SpanWithEmptyAnnotations(4194304);
+  ASSERT_LT(flood.size(), kMaxPayloadBytes);
+  const Status status = decoded.DecodePayload(flood);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("more than 65536 trace annotations"),
+            std::string::npos)
+      << status.ToString();
+}
+
 TEST(WireCodecTest, SolverOptionsAreCappedPerQuery) {
   QueryRequestWire request = GoldenQueryRequest();
   request.options.assign(kMaxQueryOptions, "a=1");

@@ -1,20 +1,20 @@
 // Copyright 2026 The ARSP Authors.
 //
-// CoreBudget + TaskArena: the process-global concurrency ledger (reserve /
-// try-acquire / release accounting, ARSP_THREADS-independent via the test
-// override) and the work-stealing scheduler (every task runs exactly once,
+// CoreBudget + TaskArena: the process-global concurrency ledger
+// (try-acquire / release accounting, ARSP_THREADS-independent via the test
+// override) and the shared-queue executor (every task runs exactly once,
 // worker ids are in range, nested submission, repeated RunAndWait rounds,
-// graceful degradation to a serial loop when the budget grants nothing).
+// helpers starting before RunAndWait, what tasks_stolen counts, and a
+// serial loop in submission order when the budget grants nothing).
 
 #include "src/common/task_arena.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
+#include <chrono>
+#include <thread>
 #include <vector>
-
-#include "src/common/thread_pool.h"
 
 namespace arsp {
 namespace {
@@ -39,30 +39,6 @@ TEST(CoreBudgetTest, TryAcquireNeverOversubscribes) {
   EXPECT_EQ(c, 0);  // exhausted
   CoreBudget::Release(a + b);
   EXPECT_EQ(CoreBudget::InUse(), base);
-}
-
-TEST(CoreBudgetTest, ReserveIsUnconditional) {
-  ScopedBudget budget(2);
-  const int base = CoreBudget::InUse();
-  CoreBudget::Reserve(5);  // explicit pool sizes overshoot the budget
-  EXPECT_EQ(CoreBudget::InUse(), base + 5);
-  EXPECT_EQ(CoreBudget::TryAcquire(1), 0);  // but intra-query gets nothing
-  CoreBudget::Release(5);
-  EXPECT_EQ(CoreBudget::InUse(), base);
-}
-
-TEST(CoreBudgetTest, ThreadPoolChargesTheBudget) {
-  ScopedBudget budget(8);
-  const int base = CoreBudget::InUse();
-  {
-    ThreadPool pool(3);
-    EXPECT_EQ(CoreBudget::InUse(), base + 3);
-    // What is left for intra-query workers is total − pool.
-    const int granted = CoreBudget::TryAcquire(100);
-    EXPECT_EQ(granted, 8 - base - 3);
-    CoreBudget::Release(granted);
-  }
-  EXPECT_EQ(CoreBudget::InUse(), base);  // pool destructor released
 }
 
 TEST(TaskArenaTest, RunsEveryTaskExactlyOnce) {
@@ -119,13 +95,13 @@ TEST(TaskArenaTest, RepeatedRoundsReuseTheArena) {
 }
 
 TEST(TaskArenaTest, ExhaustedBudgetDegradesToSerialLoop) {
-  // The realistic serial case: the batch ThreadPool reserved every core, so
-  // the intra-query arena gets no helpers and runs on the caller alone.
+  // The realistic serial case: another arena (a --batch round's, say) holds
+  // every slot, so this one gets no helpers and runs on the caller alone.
   ScopedBudget budget(1);
-  CoreBudget::Reserve(1);
+  const int held = CoreBudget::TryAcquire(1);
+  ASSERT_EQ(held, 1);
   TaskArena arena(8);
   EXPECT_EQ(arena.num_workers(), 1);
-  // Owner-thread submissions with a single worker run in submission order.
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     arena.Submit([&order, i](int worker) {
@@ -134,13 +110,53 @@ TEST(TaskArenaTest, ExhaustedBudgetDegradesToSerialLoop) {
     });
   }
   arena.RunAndWait();
-  ASSERT_EQ(order.size(), 10u);
-  // Single worker: own-deque LIFO over owner round-robin submissions still
-  // drains everything; nothing to steal from.
-  std::set<int> seen(order.begin(), order.end());
-  EXPECT_EQ(seen.size(), 10u);
+  // A single worker is a serial loop in submission order.
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
   EXPECT_EQ(arena.tasks_stolen(), 0);
-  CoreBudget::Release(1);
+  CoreBudget::Release(held);
+}
+
+TEST(TaskArenaTest, HelpersStartBeforeRunAndWait) {
+  // The traversal submits its frontier tasks while the caller is still
+  // descending; a helper must start on them before the caller joins.
+  ScopedBudget budget(2);
+  TaskArena arena(2);
+  ASSERT_EQ(arena.num_workers(), 2);
+  std::atomic<bool> ran{false};
+  std::atomic<int> ran_on{-1};
+  arena.Submit([&ran, &ran_on](int worker) {
+    ran_on.store(worker);
+    ran.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!ran.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(ran.load()) << "no helper ran the task before RunAndWait";
+  arena.RunAndWait();
+  EXPECT_EQ(ran_on.load(), 1);
+  EXPECT_EQ(arena.tasks_stolen(), 1);
+}
+
+TEST(TaskArenaTest, StolenCountsTasksRunByHelpers) {
+  ScopedBudget budget(4);
+  TaskArena arena(4);
+  std::atomic<int64_t> helper_runs{0};
+  const auto count = [&helper_runs](int worker) {
+    if (worker != 0) helper_runs.fetch_add(1);
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 50; ++i) {
+      arena.Submit([&arena, &count](int worker) {
+        count(worker);
+        arena.Submit(count);  // nested submissions count the same way
+      });
+    }
+    arena.RunAndWait();
+    EXPECT_EQ(arena.tasks_stolen(), helper_runs.load()) << round;
+  }
+  EXPECT_EQ(arena.tasks_spawned(), 300);
 }
 
 TEST(TaskArenaTest, ReleasesBudgetOnDestruction) {

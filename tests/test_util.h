@@ -5,7 +5,7 @@
 // Example-1-style hand dataset whose coordinates are consistent with the
 // dominance relations the paper states in Examples 1 and 3, a one-call
 // run of a named registry solver, concurrent ArspEngine::Solve calls
-// from a ThreadPool, and the served-query error count from the metrics
+// on one thread each, and the served-query error count from the metrics
 // registry.
 
 #ifndef ARSP_TESTS_TEST_UTIL_H_
@@ -14,16 +14,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/macros.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/engine.h"
 #include "src/core/solver.h"
 #include "src/net/protocol.h"
@@ -133,31 +132,23 @@ ArspResult RunSolver(const std::string& name, const UncertainDataset& dataset,
   return std::move(result).value();
 }
 
-/// Calls engine.Solve for every request at once, one `pool` task per
+/// Calls engine.Solve for every request at once, one std::thread per
 /// request, and waits for all of them; the i-th outcome answers
-/// requests[i]. The pool's workers hold their CoreBudget slots for the
-/// pool's lifetime, so intra-query arenas get only what is left.
-inline std::vector<StatusOr<QueryResponse>> SolveConcurrently(
-    ArspEngine& engine, const std::vector<QueryRequest>& requests,
-    ThreadPool& pool) {
-  std::vector<StatusOr<QueryResponse>> outcomes(
-      requests.size(), Status::Internal("request not executed"));
-  std::latch done(static_cast<std::ptrdiff_t>(requests.size()));
-  for (size_t i = 0; i < requests.size(); ++i) {
-    pool.Submit([&engine, &requests, &outcomes, &done, i] {
-      outcomes[i] = engine.Solve(requests[i]);
-      done.count_down();
-    });
-  }
-  done.wait();
-  return outcomes;
-}
-
-/// The same on a pool of one worker per core, built for the call.
+/// requests[i]. The threads hold no CoreBudget slots, so intra-query
+/// arenas draw on the whole budget.
 inline std::vector<StatusOr<QueryResponse>> SolveConcurrently(
     ArspEngine& engine, const std::vector<QueryRequest>& requests) {
-  ThreadPool pool(ThreadPool::DefaultConcurrency());
-  return SolveConcurrently(engine, requests, pool);
+  std::vector<StatusOr<QueryResponse>> outcomes(
+      requests.size(), Status::Internal("request not executed"));
+  std::vector<std::thread> threads;
+  threads.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    threads.emplace_back([&engine, &requests, &outcomes, i] {
+      outcomes[i] = engine.Solve(requests[i]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return outcomes;
 }
 
 /// The sum of every arsp_queries_total series labelled outcome="error" in

@@ -73,7 +73,7 @@
 
 #include "src/cluster/remote_shard.h"
 #include "src/common/stopwatch.h"
-#include "src/common/thread_pool.h"
+#include "src/common/task_arena.h"
 #include "src/core/engine.h"
 #include "src/io/csv.h"
 #include "src/io/snapshot.h"
@@ -359,9 +359,9 @@ struct Outcome {
 };
 
 // Runs one round of requests through the backend, each call timed by its
-// own stopwatch. With `concurrent`, several requests run on a pool of one
-// worker per request, capped at the core count; the pool reserves its
-// workers in the process-global CoreBudget, so the intra-query arenas of
+// own stopwatch. With `concurrent`, the requests are tasks on a TaskArena
+// of one worker per request, capped at the core count; its helpers come
+// from the process-global CoreBudget, so the intra-query arenas of
 // in-process solves take only the cores left over. Otherwise the calls run
 // one at a time on the calling thread.
 void RunRound(net::ServiceBackend& backend, bool concurrent,
@@ -376,12 +376,12 @@ void RunRound(net::ServiceBackend& backend, bool concurrent,
     for (size_t i = 0; i < requests.size(); ++i) run(i);
     return;
   }
-  ThreadPool pool(std::min(static_cast<int>(requests.size()),
-                           ThreadPool::DefaultConcurrency()));
+  TaskArena arena(
+      std::min(static_cast<int>(requests.size()), CoreBudget::Total()));
   for (size_t i = 0; i < requests.size(); ++i) {
-    pool.Submit([&run, i] { run(i); });
+    arena.Submit([&run, i](int) { run(i); });
   }
-  // ~ThreadPool runs every queued call before it joins.
+  arena.RunAndWait();
 }
 
 // Reads a whole file; false if it cannot be opened.
