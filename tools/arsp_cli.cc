@@ -359,27 +359,23 @@ struct Outcome {
 };
 
 // Runs one round of requests through the backend, each call timed by its
-// own stopwatch. With `concurrent`, the requests are tasks on a TaskArena
-// of one worker per request, capped at the core count; its helpers come
-// from the process-global CoreBudget, so the intra-query arenas of
-// in-process solves take only the cores left over. Otherwise the calls run
-// one at a time on the calling thread.
+// own stopwatch, as tasks on a TaskArena. With `concurrent` it asks for one
+// worker per request, capped at the core count; its helpers come from the
+// process-global CoreBudget, so the intra-query arenas of in-process solves
+// take only the cores left over. Otherwise the arena has no helpers and
+// runs the calls one at a time on the calling thread, in request order.
 void RunRound(net::ServiceBackend& backend, bool concurrent,
               const std::vector<net::QueryRequestWire>& requests,
               std::vector<Outcome>* outcomes) {
-  const auto run = [&backend, &requests, outcomes](size_t i) {
-    const Stopwatch call;
-    (*outcomes)[i].response = backend.Query(requests[i]);
-    (*outcomes)[i].call_ms = call.ElapsedMillis();
-  };
-  if (!concurrent || requests.size() == 1) {
-    for (size_t i = 0; i < requests.size(); ++i) run(i);
-    return;
-  }
-  TaskArena arena(
-      std::min(static_cast<int>(requests.size()), CoreBudget::Total()));
+  TaskArena arena(concurrent ? std::min(static_cast<int>(requests.size()),
+                                        CoreBudget::Total())
+                             : 1);
   for (size_t i = 0; i < requests.size(); ++i) {
-    arena.Submit([&run, i](int) { run(i); });
+    arena.Submit([&backend, &requests, outcomes, i](int) {
+      const Stopwatch call;
+      (*outcomes)[i].response = backend.Query(requests[i]);
+      (*outcomes)[i].call_ms = call.ElapsedMillis();
+    });
   }
   arena.RunAndWait();
 }
