@@ -2,6 +2,7 @@
 
 #include "src/common/task_arena.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -63,14 +64,9 @@ void SetCoreBudgetTotalForTesting(int total) {
 }
 }  // namespace internal
 
-TaskArena::TaskArena(int requested_workers) {
-  if (requested_workers < 1) requested_workers = 1;
-  const int granted = CoreBudget::TryAcquire(requested_workers - 1);
-  helpers_.reserve(static_cast<size_t>(granted));
-  for (int i = 0; i < granted; ++i) {
-    helpers_.emplace_back([this, i] { HelperLoop(i + 1); });
-  }
-}
+TaskArena::TaskArena(int requested_workers)
+    : granted_helpers_(
+          CoreBudget::TryAcquire(std::max(requested_workers, 1) - 1)) {}
 
 TaskArena::~TaskArena() {
   {
@@ -79,13 +75,20 @@ TaskArena::~TaskArena() {
   }
   cv_.notify_all();
   for (auto& t : helpers_) t.join();
-  CoreBudget::Release(static_cast<int>(helpers_.size()));
+  CoreBudget::Release(granted_helpers_);
 }
 
 void TaskArena::Submit(Task task) {
   spawned_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (helpers_.empty()) {
+      // The first task starts the granted helpers; each waits for mu_
+      // until this Submit has queued it.
+      for (int i = 0; i < granted_helpers_; ++i) {
+        helpers_.emplace_back([this, i] { HelperLoop(i + 1); });
+      }
+    }
     queue_.push_back(std::move(task));
     ++pending_;
   }

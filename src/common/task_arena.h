@@ -12,13 +12,15 @@
 //    the determinism contract changes nothing but wall time.
 //
 //  * TaskArena — one mutex-guarded FIFO queue. The calling thread is
-//    worker 0 during RunAndWait(); the helpers the budget granted take
-//    tasks from the same queue as soon as they are submitted. The tasks are
-//    few and coarse (one per traversal subtree at the frontier depth, 4–32
-//    per solve), so one queue balances them as well as per-worker deques
-//    would. A TaskArena granted no helpers is a serial loop over the
-//    submitted tasks in submission order — the degenerate case the
-//    bit-identity contract leans on.
+//    worker 0 during RunAndWait(); the helpers the budget granted start
+//    with the first Submit and take tasks from the same queue as soon as
+//    they are submitted, so an arena that never gets a task starts no
+//    thread (it holds its budget slots until it is destroyed all the
+//    same). The tasks are few and coarse (one per traversal subtree at
+//    the frontier depth, 4–32 per solve), so one queue balances them as
+//    well as per-worker deques would. A TaskArena granted no helpers is a
+//    serial loop over the submitted tasks in submission order — the
+//    degenerate case the bit-identity contract leans on.
 //
 // Tasks must not throw. Submit may be called from the owner thread (before
 // or between RunAndWait rounds) or from inside a running task; RunAndWait
@@ -73,17 +75,19 @@ class TaskArena {
 
   /// Asks the CoreBudget for `requested_workers - 1` helper threads (the
   /// caller is the remaining worker); the grant may be smaller, down to
-  /// zero helpers. `requested_workers` < 1 is clamped to 1.
+  /// zero helpers. `requested_workers` < 1 is clamped to 1. The granted
+  /// helpers start with the first Submit.
   explicit TaskArena(int requested_workers);
   ~TaskArena();
 
   TaskArena(const TaskArena&) = delete;
   TaskArena& operator=(const TaskArena&) = delete;
 
-  /// Helpers granted + the calling thread.
-  int num_workers() const { return static_cast<int>(helpers_.size()) + 1; }
+  /// Helpers granted + the calling thread, started or not.
+  int num_workers() const { return granted_helpers_ + 1; }
 
   /// Appends one task to the queue; an idle helper starts on it at once.
+  /// The first call starts the granted helpers.
   void Submit(Task task);
 
   /// Runs until every submitted task has completed; the calling thread
@@ -114,7 +118,9 @@ class TaskArena {
   bool stop_ = false;       // guarded by mu_
   std::atomic<int64_t> spawned_{0};
   std::atomic<int64_t> stolen_{0};
-  // Declared after everything the helpers use; the destructor joins them.
+  const int granted_helpers_;  // CoreBudget slots held until destruction
+  // Declared after everything the helpers use; guarded by mu_ (the first
+  // Submit fills it), and the destructor joins them.
   std::vector<std::thread> helpers_;
 };
 

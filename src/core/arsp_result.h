@@ -85,9 +85,11 @@ struct ArspResult {
   int64_t bound_refinements = 0;   ///< per-object bound updates applied
   int64_t early_exit_depth = 0;    ///< traversal depth (or B&B round) at the
                                    ///< global goal-met stop; 0 = ran to end
-  /// Intra-query parallelism counters (zero for serial runs). tasks_stolen
-  /// is scheduling-dependent and excluded from determinism comparisons;
-  /// everything else in this struct is bit-identical to the serial run.
+  /// Intra-query parallelism counters (zero when no task was spawned:
+  /// serial runs, and parallel ones whose walk never reached the frontier
+  /// depth, which start no helper). tasks_stolen is scheduling-dependent
+  /// and excluded from determinism comparisons; everything else in this
+  /// struct is bit-identical to the serial run.
   int64_t tasks_spawned = 0;     ///< subtree tasks submitted to the arena
   int64_t tasks_stolen = 0;      ///< tasks a helper ran, not the caller
   int64_t parallel_workers = 0;  ///< arena workers granted (incl. caller)

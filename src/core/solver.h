@@ -105,7 +105,7 @@ struct SolverStats {
   int64_t index_bytes_resident = 0;  ///< heap-owned index/score bytes
   int64_t index_bytes_mapped = 0;    ///< snapshot-borrowed (mmap) bytes
   int64_t peak_rss_bytes = 0;        ///< getrusage peak RSS of the process
-  /// Intra-query parallelism counters (zero for serial runs).
+  /// Intra-query parallelism counters (zero when no task was spawned).
   int64_t tasks_spawned = 0;    ///< subtree tasks submitted to the arena
   int64_t tasks_stolen = 0;     ///< tasks a helper ran, not the caller
   int64_t parallel_workers = 0;  ///< arena workers granted (incl. caller)

@@ -349,7 +349,9 @@ class TraversalDriver {
       result->early_exit_depth =
           std::max(result->early_exit_depth, lane.counters.early_exit_depth);
     }
-    if (arena_.has_value()) {
+    // A walk that never reached the frontier ran serially: its arena
+    // started no helper, so it reports no parallel work.
+    if (arena_.has_value() && arena_->tasks_spawned() > 0) {
       result->tasks_spawned = arena_->tasks_spawned();
       result->tasks_stolen = arena_->tasks_stolen();
       result->parallel_workers = arena_->num_workers();

@@ -28,21 +28,4 @@ double Hyperplane::SignedDistanceRow(const double* coords) const {
   return coords[dim() - 1] - h;
 }
 
-bool Hyperplane::BelowOrOn(const Point& p, double eps) const {
-  return SignedDistance(p) <= eps;
-}
-
-Hyperplane Hyperplane::DualOfPoint(const Point& p) {
-  std::vector<double> coef(static_cast<size_t>(p.dim() - 1));
-  for (int i = 0; i + 1 < p.dim(); ++i) coef[static_cast<size_t>(i)] = p[i];
-  return Hyperplane(std::move(coef), p[p.dim() - 1]);
-}
-
-Point Hyperplane::DualPoint() const {
-  Point p(dim());
-  for (int i = 0; i + 1 < dim(); ++i) p[i] = coef_[static_cast<size_t>(i)];
-  p[dim() - 1] = offset_;
-  return p;
-}
-
 }  // namespace arsp

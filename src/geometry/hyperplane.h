@@ -1,7 +1,7 @@
 // Copyright 2026 The ARSP Authors.
 //
-// Non-vertical hyperplanes x[d] = a[1]x[1] + ... + a[d-1]x[d-1] - a[d] and
-// the classic point-hyperplane duality used in Section IV of the paper.
+// Non-vertical hyperplanes x[d] = a[1]x[1] + ... + a[d-1]x[d-1] - a[d], the
+// form of Section IV's Eq. (6) planes (MakeRegionHyperplane builds them).
 
 #ifndef ARSP_GEOMETRY_HYPERPLANE_H_
 #define ARSP_GEOMETRY_HYPERPLANE_H_
@@ -15,10 +15,8 @@ namespace arsp {
 /// A non-vertical hyperplane in R^d written as
 ///   x[d] = coef[0]*x[1] + ... + coef[d-2]*x[d-1] - offset .
 ///
-/// This is exactly the parameterization in the paper's duality discussion:
-/// point p = (p1..pd) maps to p* : x[d] = p1 x1 + ... + p_{d-1} x_{d-1} - pd,
-/// and hyperplane h with coefficients (a1..a_{d-1}, ad) maps to the point
-/// h* = (a1, ..., ad). Duality preserves above/below relations.
+/// This is the parameterization of the paper's duality discussion (§IV-A);
+/// DUAL probes the kd-tree for the points on or below such a plane.
 class Hyperplane {
  public:
   Hyperplane() = default;
@@ -43,15 +41,6 @@ class Hyperplane {
   /// Raw-row variant of SignedDistance (`coords` is dim() contiguous
   /// doubles); bit-identical to the Point form.
   double SignedDistanceRow(const double* coords) const;
-
-  /// True iff p lies below or on the hyperplane (tolerance eps).
-  bool BelowOrOn(const Point& p, double eps = 1e-12) const;
-
-  /// Dual transform of a point: p -> p*.
-  static Hyperplane DualOfPoint(const Point& p);
-
-  /// Dual transform of a hyperplane: h -> h*.
-  Point DualPoint() const;
 
  private:
   std::vector<double> coef_;

@@ -22,15 +22,6 @@ Mbr Mbr::Empty(int dim) {
   return box;
 }
 
-Mbr Mbr::OfPoint(const Point& p) { return Mbr(p, p); }
-
-Mbr Mbr::OfPoints(const std::vector<Point>& points) {
-  ARSP_CHECK(!points.empty());
-  Mbr box = Mbr::Empty(points.front().dim());
-  for (const Point& p : points) box.Extend(p);
-  return box;
-}
-
 Mbr::Mbr(Point min_corner, Point max_corner)
     : min_(std::move(min_corner)), max_(std::move(max_corner)) {
   ARSP_CHECK(min_.dim() == max_.dim());
@@ -80,14 +71,6 @@ bool Mbr::Contains(const Point& p) const {
   return true;
 }
 
-bool Mbr::Intersects(const Mbr& other) const {
-  ARSP_DCHECK(other.dim() == dim());
-  for (int i = 0; i < dim(); ++i) {
-    if (other.max_[i] < min_[i] || other.min_[i] > max_[i]) return false;
-  }
-  return true;
-}
-
 double Mbr::Volume() const {
   if (IsEmpty()) return 0.0;
   double v = 1.0;
@@ -95,33 +78,10 @@ double Mbr::Volume() const {
   return v;
 }
 
-double Mbr::Margin() const {
-  if (IsEmpty()) return 0.0;
-  double s = 0.0;
-  for (int i = 0; i < dim(); ++i) s += (max_[i] - min_[i]);
-  return s;
-}
-
-double Mbr::OverlapVolume(const Mbr& other) const {
-  ARSP_DCHECK(other.dim() == dim());
-  double v = 1.0;
-  for (int i = 0; i < dim(); ++i) {
-    double lo = std::max(min_[i], other.min_[i]);
-    double hi = std::min(max_[i], other.max_[i]);
-    if (hi <= lo) return 0.0;
-    v *= (hi - lo);
-  }
-  return v;
-}
-
 double Mbr::Enlargement(const Mbr& other) const {
   Mbr merged = *this;
   merged.Extend(other);
   return merged.Volume() - Volume();
-}
-
-std::string Mbr::ToString() const {
-  return "[" + min_.ToString() + ", " + max_.ToString() + "]";
 }
 
 }  // namespace arsp

@@ -6,9 +6,6 @@
 #ifndef ARSP_GEOMETRY_MBR_H_
 #define ARSP_GEOMETRY_MBR_H_
 
-#include <string>
-#include <vector>
-
 #include "src/geometry/point.h"
 
 namespace arsp {
@@ -21,12 +18,6 @@ class Mbr {
   /// An "empty" MBR of the given dimension: min = +inf, max = -inf, so that
   /// Extend() of any point produces that point's degenerate box.
   static Mbr Empty(int dim);
-
-  /// The degenerate box covering a single point.
-  static Mbr OfPoint(const Point& p);
-
-  /// The tight box covering a set of points; `points` must be non-empty.
-  static Mbr OfPoints(const std::vector<Point>& points);
 
   /// Box with explicit corners; requires min[i] <= max[i] for all i.
   Mbr(Point min_corner, Point max_corner);
@@ -51,22 +42,11 @@ class Mbr {
   /// Raw-row variant of Contains.
   bool ContainsRow(const double* coords) const;
 
-  /// True iff the boxes intersect (inclusive bounds).
-  bool Intersects(const Mbr& other) const;
-
   /// d-dimensional volume; 0 for empty boxes.
   double Volume() const;
 
-  /// Sum of edge lengths (margin), used by R-tree split heuristics.
-  double Margin() const;
-
-  /// Volume of the intersection with `other`.
-  double OverlapVolume(const Mbr& other) const;
-
   /// Volume increase caused by extending this box to cover `other`.
   double Enlargement(const Mbr& other) const;
-
-  std::string ToString() const;
 
  private:
   Point min_;

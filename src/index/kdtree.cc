@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "src/common/aligned.h"
 #include "src/uncertain/dataset_view.h"
@@ -64,30 +65,51 @@ KdTree::KdTree(const std::vector<KdItem>& items, int leaf_size) {
   BuildFrom(coords.data(), weights.data(), ids.data(), n, leaf_size);
 }
 
-KdTree KdTree::FromFlat(int dim, Column<double> item_coords,
-                        Column<double> item_weights, Column<int32_t> item_ids,
-                        Column<KdNode> nodes, Column<double> node_bounds) {
-  KdTree tree;
-  tree.dim_ = dim;
+StatusOr<KdTree> KdTree::FromFlat(int dim, Column<double> item_coords,
+                                  Column<double> item_weights,
+                                  Column<int32_t> item_ids,
+                                  Column<KdNode> nodes,
+                                  Column<double> node_bounds) {
+  const auto invalid = [](const std::string& what) {
+    return Status::InvalidArgument("kd-tree " + what);
+  };
   const size_t n = item_ids.size();
-  ARSP_CHECK_MSG(item_weights.size() == n &&
-                     item_coords.size() == n * static_cast<size_t>(dim),
-                 "kd-tree flat arenas disagree on the item count");
-  ARSP_CHECK_MSG(
-      node_bounds.size() == nodes.size() * 2 * static_cast<size_t>(dim),
-      "kd-tree node bounds column does not match the node pool");
-  ARSP_CHECK_MSG(n == 0 || !nodes.empty(),
-                 "kd-tree with items requires a node pool");
+  if (dim < 1 || item_weights.size() != n ||
+      item_coords.size() != n * static_cast<size_t>(dim)) {
+    return invalid("flat arenas disagree on the item count");
+  }
+  if (node_bounds.size() != nodes.size() * 2 * static_cast<size_t>(dim)) {
+    return invalid("node bounds column does not match the node pool");
+  }
+  if (n > 0 && nodes.empty()) return invalid("with items has no node pool");
+  // The probes recurse from node 0 through child indexes unchecked, so the
+  // pool must have the builder's shape: a tree in pre-order (each child
+  // after its parent, and no node with two parents) no deeper than
+  // kMaxFlatDepth, whose leaves window the item arenas.
+  std::vector<uint8_t> depth(nodes.size(), 0);  // 0 = no parent yet
+  if (!nodes.empty()) depth[0] = 1;
   for (size_t i = 0; i < nodes.size(); ++i) {
     const KdNode& node = nodes[i];
-    const int32_t count = static_cast<int32_t>(n);
-    ARSP_CHECK_MSG(node.begin >= 0 && node.end >= node.begin &&
-                       node.end <= count,
-                   "kd-tree node %zu has an out-of-range item window", i);
-    ARSP_CHECK_MSG(node.left < static_cast<int32_t>(nodes.size()) &&
-                       node.right < static_cast<int32_t>(nodes.size()),
-                   "kd-tree node %zu has an out-of-range child index", i);
+    const auto bad_node = [&invalid, i](const char* what) {
+      return invalid("node " + std::to_string(i) + " " + what);
+    };
+    if (depth[i] == 0) return bad_node("has no parent");
+    if (node.begin < 0 || node.end < node.begin ||
+        static_cast<size_t>(node.end) > n) {
+      return bad_node("has an out-of-range item window");
+    }
+    if (node.is_leaf()) continue;
+    if (depth[i] >= kMaxFlatDepth) return bad_node("is too deep");
+    for (const int32_t child : {node.left, node.right}) {
+      if (child < 0 || static_cast<size_t>(child) <= i ||
+          static_cast<size_t>(child) >= nodes.size() || depth[child] != 0) {
+        return bad_node("has an invalid child index");
+      }
+      depth[child] = static_cast<uint8_t>(depth[i] + 1);
+    }
   }
+  KdTree tree;
+  tree.dim_ = dim;
   tree.item_coords_ = std::move(item_coords);
   tree.item_weights_ = std::move(item_weights);
   tree.item_ids_ = std::move(item_ids);
@@ -215,27 +237,6 @@ int KdTree::Build(int begin, int end, int leaf_size, const double* coords,
   nodes_.mutable_data()[node_idx].left = left;
   nodes_.mutable_data()[node_idx].right = right;
   return node_idx;
-}
-
-double KdTree::SumInBox(const Mbr& box) const {
-  if (nodes_.empty()) return 0.0;
-  return SumRec(0, box);
-}
-
-double KdTree::SumRec(int node_idx, const Mbr& box) const {
-  const KdNode& node = nodes_[static_cast<size_t>(node_idx)];
-  if (!BoxIntersectsNode(box, node_idx)) return 0.0;
-  if (BoxContainsNode(box, node_idx)) return node.weight_sum;
-  if (node.is_leaf()) {
-    double sum = 0.0;
-    for (int i = node.begin; i < node.end; ++i) {
-      if (box.ContainsRow(item_row(i))) {
-        sum += item_weights_[static_cast<size_t>(i)];
-      }
-    }
-    return sum;
-  }
-  return SumRec(node.left, box) + SumRec(node.right, box);
 }
 
 double KdTree::MinSignedDistance(int node_idx, const Hyperplane& hp) const {

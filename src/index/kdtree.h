@@ -1,8 +1,7 @@
 // Copyright 2026 The ARSP Authors.
 //
-// Static kd-tree over weighted, id-tagged points. Serves three roles:
-//  * window (box) aggregation and reporting,
-//  * half-space reporting restricted to an orthant (the practical substitute
+// Static kd-tree over weighted, id-tagged points. Serves two roles:
+//  * half-space reporting restricted to a box (the practical substitute
 //    for Meiser point location in the DUAL algorithm, §IV-A),
 //  * emptiness tests for the eclipse DUAL-S algorithm.
 //
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "src/common/column.h"
+#include "src/common/status.h"
 #include "src/geometry/hyperplane.h"
 #include "src/geometry/mbr.h"
 #include "src/geometry/point.h"
@@ -47,7 +47,8 @@ struct KdItem {
 /// (2 · dim doubles per node). POD with an explicit 32-byte layout so a node
 /// pool serializes as one flat snapshot section.
 struct KdNode {
-  double weight_sum = 0.0;
+  double weight_sum = 0.0;  ///< subtree weight total; no probe reads it,
+                            ///< but it is part of the .arsp node layout
   int32_t left = -1;    ///< child node indexes; -1 for leaves
   int32_t right = -1;
   int32_t begin = 0;    ///< item range [begin, end) for leaves
@@ -58,7 +59,7 @@ struct KdNode {
 };
 static_assert(sizeof(KdNode) == 32, "KdNode must have a fixed 32-byte layout");
 
-/// Immutable kd-tree with subtree weight aggregation.
+/// Immutable kd-tree.
 ///
 /// Prefix reuse: every node tracks the minimum item id in its subtree, and
 /// the reporting probes accept an `id_bound` that skips items with
@@ -68,6 +69,10 @@ static_assert(sizeof(KdNode) == 32, "KdNode must have a fixed 32-byte layout");
 /// per-prefix rebuild: the prefix's id_bound() is the bound.
 class KdTree {
  public:
+  /// FromFlat's depth limit. Median splits halve the items at every
+  /// level, so the builder needs at most 32 levels for an int32 count.
+  static constexpr int kMaxFlatDepth = 64;
+
   /// What a reporting probe hands its callback: a raw coordinate row into
   /// the item arena plus the item's id and weight.
   struct EntryRef {
@@ -85,13 +90,17 @@ class KdTree {
   /// whether the tree was built from this view or shared from the base).
   static KdTree FromView(const DatasetView& view, int leaf_size = 16);
 
-  /// Adopts already-built arenas (the snapshot mmap-load path). The columns
-  /// must describe a tree produced by this class's builder; structural
-  /// bounds are checked, contents are trusted (the snapshot layer owns
-  /// checksumming).
-  static KdTree FromFlat(int dim, Column<double> item_coords,
-                         Column<double> item_weights, Column<int32_t> item_ids,
-                         Column<KdNode> nodes, Column<double> node_bounds);
+  /// Adopts already-built arenas (the snapshot mmap-load path).
+  /// InvalidArgument unless the columns have the shape this class's builder
+  /// produces: matching arena sizes, and a pre-order node tree at most
+  /// kMaxFlatDepth deep whose item windows lie inside the arenas.
+  /// Contents (coordinates, weights, ids, bounds) are trusted; the snapshot
+  /// layer owns checksumming and checks the ids.
+  static StatusOr<KdTree> FromFlat(int dim, Column<double> item_coords,
+                                   Column<double> item_weights,
+                                   Column<int32_t> item_ids,
+                                   Column<KdNode> nodes,
+                                   Column<double> node_bounds);
 
   int size() const { return static_cast<int>(item_ids_.size()); }
   int dim() const { return dim_; }
@@ -109,16 +118,6 @@ class KdTree {
 
   /// Resident vs. mapped bytes across all arenas.
   ColumnBytes memory_bytes() const;
-
-  /// Sum of weights of points inside `box` (inclusive bounds).
-  double SumInBox(const Mbr& box) const;
-
-  /// Invokes `fn(EntryRef)` for every point inside `box`.
-  template <typename Fn>
-  void ForEachInBox(const Mbr& box, Fn&& fn) const {
-    if (nodes_.empty()) return;
-    VisitBox<Fn>(0, box, fn);
-  }
 
   /// Invokes `fn(EntryRef)` for every point inside `box` that lies below or
   /// on the hyperplane `hp` (vertical tolerance eps).
@@ -174,16 +173,6 @@ class KdTree {
     }
     return true;
   }
-  bool BoxContainsNode(const Mbr& box, int node_idx) const {
-    const double* lo = node_lo(node_idx);
-    const double* hi = node_hi(node_idx);
-    for (int i = 0; i < dim_; ++i) {
-      if (lo[i] < box.min_corner()[i] || hi[i] > box.max_corner()[i]) {
-        return false;
-      }
-    }
-    return true;
-  }
 
   // Minimum of hp.SignedDistance over the node's bounds.
   double MinSignedDistance(int node_idx, const Hyperplane& hp) const;
@@ -191,20 +180,6 @@ class KdTree {
   EntryRef ItemRef(int i) const {
     return EntryRef{item_row(i), item_ids_[static_cast<size_t>(i)],
                     item_weights_[static_cast<size_t>(i)]};
-  }
-
-  template <typename Fn>
-  void VisitBox(int node_idx, const Mbr& box, Fn& fn) const {
-    const KdNode& node = nodes_[static_cast<size_t>(node_idx)];
-    if (!BoxIntersectsNode(box, node_idx)) return;
-    if (node.is_leaf()) {
-      for (int i = node.begin; i < node.end; ++i) {
-        if (box.ContainsRow(item_row(i))) fn(ItemRef(i));
-      }
-      return;
-    }
-    VisitBox(node.left, box, fn);
-    VisitBox(node.right, box, fn);
   }
 
   template <typename Fn>
@@ -230,7 +205,6 @@ class KdTree {
 
   bool ExistsRec(int node_idx, const Mbr& box, const Hyperplane& hp,
                  double eps, int exclude_id) const;
-  double SumRec(int node_idx, const Mbr& box) const;
 
   int dim_ = 0;
   Column<double> item_coords_;    ///< size() × dim, row-major, build order

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "src/common/aligned.h"
@@ -26,8 +27,9 @@ double RowVolume(const double* lo, const double* hi, int dim) {
 }
 
 // Volume increase of [lo, hi] when extended to cover the point row `p`.
-// Mirrors mbr.Enlargement(Mbr::OfPoint(p)) operation-for-operation so the
-// flat insert descent picks the same child the pointer tree did.
+// Mirrors Mbr::Enlargement by the point's degenerate box operation-for-
+// operation so the flat insert descent picks the same child the pointer
+// tree did.
 double RowEnlargementByPoint(const double* lo, const double* hi,
                              const double* p, int dim) {
   double merged = 1.0;
@@ -282,39 +284,74 @@ RTree RTree::BulkLoadFromView(const DatasetView& view, int max_entries) {
                      ids.data(), n);
 }
 
-RTree RTree::FromFlat(int dim, int max_entries, int root_id, int size,
-                      Column<RtNode> nodes, Column<double> node_bounds,
-                      Column<int32_t> node_kids, Column<double> entry_coords,
-                      Column<double> entry_weights, Column<int32_t> entry_ids) {
+StatusOr<RTree> RTree::FromFlat(int dim, int max_entries, int root_id,
+                                int size, Column<RtNode> nodes,
+                                Column<double> node_bounds,
+                                Column<int32_t> node_kids,
+                                Column<double> entry_coords,
+                                Column<double> entry_weights,
+                                Column<int32_t> entry_ids) {
+  const auto invalid = [](const std::string& what) {
+    return Status::InvalidArgument("r-tree " + what);
+  };
+  if (dim < 1 || max_entries < kMinFanout || max_entries > kMaxFanout) {
+    return invalid("dimension or fan-out out of range");
+  }
   RTree tree(dim, max_entries);
+  const size_t cap = static_cast<size_t>(tree.cap_);
   const size_t n = entry_ids.size();
   const size_t num_nodes = nodes.size();
-  ARSP_CHECK_MSG(size >= 0 && static_cast<size_t>(size) == n,
-                 "r-tree flat size disagrees with the entry arenas");
-  ARSP_CHECK_MSG(entry_weights.size() == n &&
-                     entry_coords.size() == n * static_cast<size_t>(dim),
-                 "r-tree flat arenas disagree on the entry count");
-  ARSP_CHECK_MSG(
-      node_bounds.size() == num_nodes * 2 * static_cast<size_t>(dim) &&
-          node_kids.size() == num_nodes * static_cast<size_t>(tree.cap_),
-      "r-tree node columns do not match the node pool");
-  if (n == 0) {
-    ARSP_CHECK_MSG(root_id == -1, "empty r-tree must have no root");
-  } else {
-    ARSP_CHECK_MSG(root_id >= 0 && static_cast<size_t>(root_id) < num_nodes,
-                   "r-tree root id out of range");
+  if (size < 0 || static_cast<size_t>(size) != n) {
+    return invalid("flat size disagrees with the entry arenas");
   }
-  for (size_t i = 0; i < num_nodes; ++i) {
-    const RtNode& node = nodes[i];
-    ARSP_CHECK_MSG(node.count >= 0 && node.count <= tree.cap_,
-                   "r-tree node %zu has an out-of-range kid count", i);
-    const int32_t bound = node.leaf != 0 ? static_cast<int32_t>(n)
-                                         : static_cast<int32_t>(num_nodes);
+  if (entry_weights.size() != n ||
+      entry_coords.size() != n * static_cast<size_t>(dim)) {
+    return invalid("flat arenas disagree on the entry count");
+  }
+  if (node_bounds.size() != num_nodes * 2 * static_cast<size_t>(dim) ||
+      node_kids.size() != num_nodes * cap) {
+    return invalid("node columns do not match the node pool");
+  }
+  if (n == 0 ? root_id != -1
+             : root_id < 0 || static_cast<size_t>(root_id) >= num_nodes) {
+    return invalid("root id out of range");
+  }
+  // Traversals descend from the root through kid slots unchecked, so the
+  // nodes they reach must form a tree (no node is the kid of two nodes or
+  // of its own subtree) no deeper than kMaxFlatDepth, with every kid id
+  // inside the node pool or the entry arenas.
+  std::vector<uint8_t> depth(num_nodes, 0);  // 0 = not reached yet
+  std::vector<int32_t> pending;
+  if (root_id >= 0) {
+    depth[static_cast<size_t>(root_id)] = 1;
+    pending.push_back(root_id);
+  }
+  while (!pending.empty()) {
+    const size_t id = static_cast<size_t>(pending.back());
+    pending.pop_back();
+    const RtNode& node = nodes[id];
+    const auto bad_node = [&invalid, id](const char* what) {
+      return invalid("node " + std::to_string(id) + " " + what);
+    };
+    if (node.count < 0 || static_cast<size_t>(node.count) > cap) {
+      return bad_node("has an out-of-range kid count");
+    }
+    const int32_t* kids = node_kids.data() + id * cap;
     for (int32_t k = 0; k < node.count; ++k) {
-      const int32_t kid = node_kids[i * static_cast<size_t>(tree.cap_) +
-                                    static_cast<size_t>(k)];
-      ARSP_CHECK_MSG(kid >= 0 && kid < bound,
-                     "r-tree node %zu has an out-of-range kid id", i);
+      const int32_t kid = kids[k];
+      if (node.leaf != 0) {
+        if (kid < 0 || static_cast<size_t>(kid) >= n) {
+          return bad_node("has an out-of-range entry id");
+        }
+        continue;
+      }
+      if (kid < 0 || static_cast<size_t>(kid) >= num_nodes ||
+          depth[static_cast<size_t>(kid)] != 0) {
+        return bad_node("has an invalid kid id");
+      }
+      if (depth[id] >= kMaxFlatDepth) return bad_node("is too deep");
+      depth[static_cast<size_t>(kid)] = static_cast<uint8_t>(depth[id] + 1);
+      pending.push_back(kid);
     }
   }
   tree.size_ = size;
@@ -514,26 +551,6 @@ double RTree::WindowSumRec(int id, const Mbr& box) const {
     sum += WindowSumRec(node_kid(id, k), box);
   }
   return sum;
-}
-
-void RTree::CollectInBox(const Mbr& box, std::vector<int>* out_ids) const {
-  if (root_ >= 0) CollectRec(root_, box, out_ids);
-}
-
-void RTree::CollectRec(int id, const Mbr& box,
-                       std::vector<int>* out_ids) const {
-  if (NodeBoundsEmpty(id) || !BoxIntersectsNode(box, id)) return;
-  const int count = node_count(id);
-  if (node_is_leaf(id)) {
-    for (int k = 0; k < count; ++k) {
-      const int e = node_kid(id, k);
-      if (box.ContainsRow(entry_coords(e))) {
-        out_ids->push_back(entry_ids_[static_cast<size_t>(e)]);
-      }
-    }
-    return;
-  }
-  for (int k = 0; k < count; ++k) CollectRec(node_kid(id, k), box, out_ids);
 }
 
 }  // namespace arsp

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/common/column.h"
+#include "src/common/status.h"
 #include "src/geometry/mbr.h"
 #include "src/geometry/point.h"
 
@@ -65,6 +66,10 @@ class RTree {
   static constexpr int kMinFanout = 4;
   static constexpr int kMaxFanout = 1024;
 
+  /// FromFlat's depth limit. An STR bulk load (what snapshots store) of an
+  /// int32 entry count at fan-out kMinFanout needs at most 17 levels.
+  static constexpr int kMaxFlatDepth = 64;
+
   /// Empty tree over R^dim. `max_entries` bounds node fan-out and is at
   /// least kMinFanout.
   explicit RTree(int dim, int max_entries = 16);
@@ -82,14 +87,21 @@ class RTree {
   /// second copy of every instance.
   static RTree BulkLoadFromView(const DatasetView& view, int max_entries = 16);
 
-  /// Adopts already-built arenas (the snapshot mmap-load path). Structural
-  /// bounds are checked; contents are trusted (the snapshot layer owns
-  /// checksumming). Borrowed trees are immutable: Insert CHECK-fails.
-  static RTree FromFlat(int dim, int max_entries, int root_id, int size,
-                        Column<RtNode> nodes, Column<double> node_bounds,
-                        Column<int32_t> node_kids, Column<double> entry_coords,
-                        Column<double> entry_weights,
-                        Column<int32_t> entry_ids);
+  /// Adopts already-built arenas (the snapshot mmap-load path).
+  /// InvalidArgument unless `dim` >= 1, `max_entries` is in [kMinFanout,
+  /// kMaxFanout], the arena sizes match, and the nodes reachable from
+  /// `root_id` form a tree at most kMaxFlatDepth deep whose kid ids lie
+  /// inside the node pool (internal nodes) or the entry arenas (leaves).
+  /// Contents (coordinates, weights, ids, bounds, aggregates) are trusted;
+  /// the snapshot layer owns checksumming and checks the ids. Borrowed
+  /// trees are immutable: Insert CHECK-fails.
+  static StatusOr<RTree> FromFlat(int dim, int max_entries, int root_id,
+                                  int size, Column<RtNode> nodes,
+                                  Column<double> node_bounds,
+                                  Column<int32_t> node_kids,
+                                  Column<double> entry_coords,
+                                  Column<double> entry_weights,
+                                  Column<int32_t> entry_ids);
 
   int dim() const { return dim_; }
   int size() const { return size_; }
@@ -159,9 +171,6 @@ class RTree {
   /// aggregates for fully covered subtrees.
   double WindowSum(const Mbr& box) const;
 
-  /// Collects ids of all points inside `box`.
-  void CollectInBox(const Mbr& box, std::vector<int>* out_ids) const;
-
  private:
   RTree() = default;
 
@@ -172,7 +181,6 @@ class RTree {
   void InsertRec(int id, int entry, int* split_out);
   void SplitNode(int id, int* split_out);
   double WindowSumRec(int id, const Mbr& box) const;
-  void CollectRec(int id, const Mbr& box, std::vector<int>* out_ids) const;
 
   bool BoxIntersectsNode(const Mbr& box, int id) const {
     const double* lo = node_lo(id);

@@ -373,8 +373,9 @@ StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
   SnapshotMeta meta;
   std::memcpy(&meta, base + meta_entry->offset, sizeof(meta));
   if (meta.dim < 1 || meta.num_instances < 0 || meta.num_objects < 0 ||
-      meta.kd_num_nodes < 0 || meta.rt_num_nodes < 0 || meta.rt_fanout < 2 ||
-      meta.score_mapped_dim < 0) {
+      meta.kd_num_nodes < 0 || meta.rt_num_nodes < 0 ||
+      meta.rt_fanout < RTree::kMinFanout ||
+      meta.rt_fanout > RTree::kMaxFanout || meta.score_mapped_dim < 0) {
     return Malformed("implausible meta shape");
   }
   const size_t d = static_cast<size_t>(meta.dim);
@@ -442,20 +443,46 @@ StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
         entry->length / sizeof(int32_t));
   };
 
-  // Object ranges are dereferenced unguarded by every solver, so their
-  // monotonicity is a structural invariant, not a content detail.
-  {
-    const int32_t* starts =
-        reinterpret_cast<const int32_t*>(base + starts_s->offset);
-    if (starts[0] != 0 || starts[m] != static_cast<int32_t>(n)) {
-      return Malformed("object starts do not cover the instance range");
-    }
-    for (size_t j = 0; j < m; ++j) {
-      if (starts[j + 1] < starts[j]) {
-        return Malformed("object starts are not monotonic");
-      }
+  // Solvers index per-object and per-instance arrays with the ids below
+  // unguarded, so their ranges are structural invariants, not content
+  // details: the object ranges are monotonic and cover the instances, each
+  // instance (and score row) names the object whose range holds it, and
+  // each index entry names an instance. Checked in place, in the mapping.
+  const auto column = [base](const SectionEntry* entry) {
+    return reinterpret_cast<const int32_t*>(base + entry->offset);
+  };
+  const int32_t* starts = column(starts_s);
+  if (starts[0] != 0 || starts[m] != static_cast<int32_t>(n)) {
+    return Malformed("object starts do not cover the instance range");
+  }
+  for (size_t j = 0; j < m; ++j) {
+    if (starts[j + 1] < starts[j]) {
+      return Malformed("object starts are not monotonic");
     }
   }
+  const auto check_objects = [m, starts](const int32_t* objects,
+                                         const char* what) -> Status {
+    for (size_t j = 0; j < m; ++j) {
+      for (int32_t i = starts[j]; i < starts[j + 1]; ++i) {
+        if (objects[i] != static_cast<int32_t>(j)) {
+          return Malformed(std::string(what) + " names the wrong object");
+        }
+      }
+    }
+    return Status::OK();
+  };
+  const auto check_instances = [n](const int32_t* ids,
+                                   const char* what) -> Status {
+    for (size_t i = 0; i < n; ++i) {
+      if (ids[i] < 0 || static_cast<size_t>(ids[i]) >= n) {
+        return Malformed(std::string(what) + " names no instance");
+      }
+    }
+    return Status::OK();
+  };
+  ARSP_RETURN_IF_ERROR(check_objects(column(iobj_s), "an instance"));
+  ARSP_RETURN_IF_ERROR(check_instances(column(kd_ids_s), "a kd-tree item"));
+  ARSP_RETURN_IF_ERROR(check_instances(column(rt_ids_s), "an r-tree entry"));
 
   auto dataset = std::make_shared<UncertainDataset>();
   dataset->dim_ = meta.dim;
@@ -471,27 +498,32 @@ StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
     for (int k = 0; k < meta.dim; ++k) {
       lo[k] = rows[k];
       hi[k] = rows[meta.dim + k];
+      if (!(lo[k] <= hi[k])) return Malformed("bounds are not a box");
     }
     dataset->bounds_ = Mbr(std::move(lo), std::move(hi));
   } else {
     dataset->bounds_ = Mbr::Empty(meta.dim);
   }
 
-  auto kdtree = std::make_shared<const KdTree>(
-      KdTree::FromFlat(meta.dim, f64(kd_coords_s), f64(kd_weights_s),
-                       i32(kd_ids_s), Column<KdNode>::Borrowed(
-                           reinterpret_cast<const KdNode*>(
-                               base + kd_nodes_s->offset),
-                           kd_nodes),
-                       f64(kd_bounds_s)));
-  auto rtree = std::make_shared<const RTree>(RTree::FromFlat(
+  StatusOr<KdTree> kdtree = KdTree::FromFlat(
+      meta.dim, f64(kd_coords_s), f64(kd_weights_s), i32(kd_ids_s),
+      Column<KdNode>::Borrowed(
+          reinterpret_cast<const KdNode*>(base + kd_nodes_s->offset),
+          kd_nodes),
+      f64(kd_bounds_s));
+  if (!kdtree.ok()) return Malformed(kdtree.status().message());
+  StatusOr<RTree> rtree = RTree::FromFlat(
       meta.dim, meta.rt_fanout, meta.rt_root, meta.num_instances,
       Column<RtNode>::Borrowed(
           reinterpret_cast<const RtNode*>(base + rt_nodes_s->offset),
           rt_nodes),
       f64(rt_bounds_s), i32(rt_kids_s), f64(rt_coords_s), f64(rt_weights_s),
-      i32(rt_ids_s)));
-  dataset->AttachIndexes(std::move(kdtree), std::move(rtree), meta.rt_fanout);
+      i32(rt_ids_s));
+  if (!rtree.ok()) return Malformed(rtree.status().message());
+  dataset->AttachIndexes(
+      std::make_shared<const KdTree>(std::move(kdtree).value()),
+      std::make_shared<const RTree>(std::move(rtree).value()),
+      meta.rt_fanout);
 
   if (meta.flags & snapshot::kFlagHasScores) {
     const size_t dprime = static_cast<size_t>(meta.score_mapped_dim);
@@ -501,6 +533,7 @@ StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
   ARSP_RETURN_IF_ERROR(expect(snapshot::kScoreProbs, n * sizeof(double), &sc_probs_s));
     const SectionEntry* sc_objects_s = nullptr;
   ARSP_RETURN_IF_ERROR(expect(snapshot::kScoreObjects, n * sizeof(int32_t), &sc_objects_s));
+    ARSP_RETURN_IF_ERROR(check_objects(column(sc_objects_s), "a score row"));
     auto scores = std::make_shared<AttachedScores>();
     scores->vertex_hash = meta.score_vertex_hash;
     scores->mapped_dim = meta.score_mapped_dim;

@@ -171,7 +171,8 @@ Status WriteSnapshot(const UncertainDataset& dataset, const std::string& path,
 struct SnapshotLoadOptions {
   /// Verify every section's FNV-1a checksum before use. Costs one
   /// sequential read of the file; structural validation (table bounds,
-  /// section sizes, index shape) always runs regardless.
+  /// section sizes, index shape, and the ranges of the id columns solvers
+  /// index unchecked) always runs regardless.
   bool verify_checksums = true;
 };
 

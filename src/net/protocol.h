@@ -406,8 +406,8 @@ struct StatsResponse {
   /// pooled_contexts, not a total like index_work. Since wire v4.
   ColumnBytes index_memory;
   /// The daemon's active simd kernel dispatch arch (simd::ActiveArchName:
-  /// "scalar", "avx2", "neon") — the server process's, which may differ
-  /// from the client's. Since wire v2.
+  /// "scalar" or "avx2") — the server process's, which may differ from
+  /// the client's. Since wire v2.
   std::string kernel_arch;
   /// The answering process's peak RSS (always filled; 0 when the platform
   /// cannot report it). Since wire v4.

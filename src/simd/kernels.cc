@@ -24,7 +24,6 @@ std::once_flag g_init_once;
 // Best table the machine supports, ignoring the override.
 const KernelOps* NativeOps() {
   if (const KernelOps* avx2 = internal::Avx2OpsOrNull()) return avx2;
-  if (const KernelOps* neon = internal::NeonOpsOrNull()) return neon;
   return &internal::ScalarOps();
 }
 
@@ -37,9 +36,6 @@ void InitActive() {
     } else if (std::strcmp(env, "avx2") == 0 &&
                internal::Avx2OpsOrNull() != nullptr) {
       chosen = internal::Avx2OpsOrNull();
-    } else if (std::strcmp(env, "neon") == 0 &&
-               internal::NeonOpsOrNull() != nullptr) {
-      chosen = internal::NeonOpsOrNull();
     } else {
       std::fprintf(stderr,
                    "arsp: ARSP_KERNEL=%s not supported on this machine; "
@@ -66,8 +62,6 @@ const char* KernelArchName(KernelArch arch) {
       return "scalar";
     case KernelArch::kAvx2:
       return "avx2";
-    case KernelArch::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -83,9 +77,6 @@ std::vector<KernelArch> SupportedArches() {
   if (internal::Avx2OpsOrNull() != nullptr) {
     arches.push_back(KernelArch::kAvx2);
   }
-  if (internal::NeonOpsOrNull() != nullptr) {
-    arches.push_back(KernelArch::kNeon);
-  }
   return arches;
 }
 
@@ -99,9 +90,6 @@ bool SetArchForTesting(KernelArch arch) {
       break;
     case KernelArch::kAvx2:
       table = Avx2OpsOrNull();
-      break;
-    case KernelArch::kNeon:
-      table = NeonOpsOrNull();
       break;
   }
   if (table == nullptr) return false;

@@ -3,18 +3,17 @@
 // Runtime-dispatched SIMD kernels for the solver hot path. The §III–§IV
 // traversal loops — coordinate-dominance tests and the SV(·) score
 // mapping — walk the SoA streams laid out by ScoreBuffer/ScoreSpan; this
-// layer gives each loop one batched, branch-light kernel with three
+// layer gives each loop one batched, branch-light kernel with two
 // interchangeable implementations:
 //
-//   * scalar — portable reference, always available;
+//   * scalar — portable reference, always available, and the only table
+//              on every machine without AVX2 (aarch64 included);
 //   * avx2   — x86-64, 4 doubles per lane group (compiled into every
-//              x86-64 build, selected only when CPUID reports AVX2);
-//   * neon   — aarch64, 2 doubles per register, paired to the same 4-lane
-//              reduction spec as avx2.
+//              x86-64 build, selected only when CPUID reports AVX2).
 //
-// One implementation is selected at startup (CPUID on x86-64, baseline on
-// aarch64) and can be overridden with ARSP_KERNEL=scalar|avx2|neon —
-// unsupported overrides fall back to scalar with a one-line warning. Tests
+// One implementation is selected at startup (CPUID on x86-64) and can be
+// overridden with ARSP_KERNEL=scalar|avx2 — any other value, or avx2 on a
+// machine without it, falls back to scalar with a one-line warning. Tests
 // additionally switch in-process via internal::SetArchForTesting.
 //
 // Bit-identity contract: every implementation of a kernel must produce
@@ -48,11 +47,10 @@ namespace simd {
 enum class KernelArch {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// Canonical lower-case name ("scalar", "avx2", "neon") — the values
-/// ARSP_KERNEL accepts, and what --stats / the daemon report.
+/// Canonical lower-case name ("scalar", "avx2") — the values ARSP_KERNEL
+/// accepts, and what --stats / the daemon report.
 const char* KernelArchName(KernelArch arch);
 
 /// Candidate classification against a node's corners (FilterAspCandidates):
@@ -129,7 +127,7 @@ struct KernelOps {
                    double* out);
 };
 
-/// The active dispatch table. Resolved once (CPUID/auxval + ARSP_KERNEL)
+/// The active dispatch table. Resolved once (CPUID + ARSP_KERNEL)
 /// on first use; subsequent calls are a single atomic load.
 const KernelOps& Ops();
 
@@ -154,10 +152,9 @@ bool SetArchForTesting(KernelArch arch);
 /// The portable reference table (always valid).
 const KernelOps& ScalarOps();
 
-/// Arch-specific tables; nullptr when the build target or the running CPU
+/// The AVX2 table; nullptr when the build target or the running CPU
 /// lacks the instruction set.
 const KernelOps* Avx2OpsOrNull();
-const KernelOps* NeonOpsOrNull();
 
 }  // namespace internal
 }  // namespace simd

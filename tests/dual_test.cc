@@ -31,11 +31,11 @@ TEST(DualTest, Example3Hyperplanes) {
   EXPECT_NEAR(h1.HeightAt(Point{0.0, 0.0}), 30.0, 1e-12);
   EXPECT_NEAR(h1.coef()[0], -2.0, 1e-12);
   // t3,1 = (6,5) and t3,2 = (7,6) lie below h0; t3,3 = (10,9) below h1.
-  EXPECT_TRUE(h0.BelowOrOn(Point{6.0, 5.0}));
-  EXPECT_TRUE(h0.BelowOrOn(Point{7.0, 6.0}));
-  EXPECT_TRUE(h1.BelowOrOn(Point{10.0, 9.0}));
+  EXPECT_LE(h0.SignedDistance(Point{6.0, 5.0}), 1e-12);
+  EXPECT_LE(h0.SignedDistance(Point{7.0, 6.0}), 1e-12);
+  EXPECT_LE(h1.SignedDistance(Point{10.0, 9.0}), 1e-12);
   // t1,2 = (14,14) is in region 1 but above h1 (height at 14: 2).
-  EXPECT_FALSE(h1.BelowOrOn(Point{14.0, 14.0}));
+  EXPECT_GT(h1.SignedDistance(Point{14.0, 14.0}), 1e-12);
 }
 
 TEST(DualTest, HyperplaneMembershipMatchesTheorem5) {
@@ -54,7 +54,7 @@ TEST(DualTest, HyperplaneMembershipMatchesTheorem5) {
       if (s[i] >= t[i]) code |= (1 << i);
     }
     const Hyperplane h = MakeRegionHyperplane(t, code, wr);
-    EXPECT_EQ(h.BelowOrOn(s, 1e-12), FDominatesWeightRatio(s, t, wr))
+    EXPECT_EQ(h.SignedDistance(s) <= 1e-12, FDominatesWeightRatio(s, t, wr))
         << "d=" << d;
   }
 }

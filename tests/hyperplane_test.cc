@@ -15,41 +15,13 @@ TEST(HyperplaneTest, HeightAndSignedDistance) {
   EXPECT_DOUBLE_EQ(h.SignedDistance(Point{5.0, 7.0}), 0.0);  // on
   EXPECT_GT(h.SignedDistance(Point{5.0, 8.0}), 0.0);         // above
   EXPECT_LT(h.SignedDistance(Point{5.0, 6.0}), 0.0);         // below
-  EXPECT_TRUE(h.BelowOrOn(Point{5.0, 7.0}));
-  EXPECT_FALSE(h.BelowOrOn(Point{5.0, 7.1}));
-}
-
-TEST(HyperplaneTest, DualityRoundTrip) {
-  const Point p{1.5, -2.0, 4.0};
-  const Hyperplane dual = Hyperplane::DualOfPoint(p);
-  EXPECT_EQ(dual.DualPoint(), p);
-}
-
-TEST(HyperplaneTest, DualityPreservesAboveBelow) {
-  // The classic property: p above h  <=>  h* above p*.
-  const Point p{2.0, 5.0};
-  const Hyperplane h({1.0}, -1.0);  // y = x + 1; p is above (5 > 3).
-  ASSERT_GT(h.SignedDistance(p), 0.0);
-
-  const Point h_star = h.DualPoint();
-  const Hyperplane p_star = Hyperplane::DualOfPoint(p);
-  // h* above p*: p*.SignedDistance(h*) > 0.
-  EXPECT_GT(p_star.SignedDistance(h_star), 0.0);
-}
-
-TEST(HyperplaneTest, DualityPreservesIncidence) {
-  const Hyperplane h({3.0, -1.0}, 2.0);  // z = 3x - y - 2
-  const Point on{1.0, 2.0, h.HeightAt(Point{1.0, 2.0, 0.0})};
-  ASSERT_NEAR(h.SignedDistance(on), 0.0, 1e-12);
-  const Hyperplane on_star = Hyperplane::DualOfPoint(on);
-  EXPECT_NEAR(on_star.SignedDistance(h.DualPoint()), 0.0, 1e-12);
 }
 
 TEST(HyperplaneTest, ThreeDimensionalHeight) {
   // z = x + 2y - 5.
   const Hyperplane h({1.0, 2.0}, 5.0);
   EXPECT_DOUBLE_EQ(h.HeightAt(Point{1.0, 2.0, 0.0}), 0.0);
-  EXPECT_TRUE(h.BelowOrOn(Point{1.0, 2.0, -0.5}));
+  EXPECT_LT(h.SignedDistance(Point{1.0, 2.0, -0.5}), 0.0);
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // Copyright 2026 The ARSP Authors.
 //
 // Parameterized property sweeps for the spatial indexes: every (n, dim,
-// fan-out) combination must answer window aggregation and reporting queries
+// fan-out) combination must answer the probes the solvers make (B&B's
+// R-tree window sums, DUAL's kd-tree box-and-half-space reports)
 // identically to a brute-force scan, for bulk-loaded and incrementally
-// grown trees alike, including duplicate-heavy grid data.
+// grown R-trees alike, including duplicate-heavy grid data.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/index/kdtree.h"
@@ -77,7 +82,9 @@ TEST_P(IndexSweep, RTreeBulkAndIncrementalAgreeWithBrute) {
   }
 }
 
-TEST_P(IndexSweep, KdTreeSumAndReportAgreeWithBrute) {
+// DUAL's probe over random boxes: each box gets a plane through a random
+// point inside it (so the plane cuts the box) and a random prefix bound.
+TEST_P(IndexSweep, KdTreeBoxBelowAgreesWithBrute) {
   const IndexCase& c = GetParam();
   const auto entries = MakeEntries();
   std::vector<KdItem> items;
@@ -89,21 +96,30 @@ TEST_P(IndexSweep, KdTreeSumAndReportAgreeWithBrute) {
   Rng rng(c.seed + 777);
   for (int trial = 0; trial < 25; ++trial) {
     const Mbr box = RandomBox(rng);
-    double brute = 0.0;
-    std::vector<int> brute_ids;
-    for (const auto& e : entries) {
-      if (box.Contains(e.point)) {
-        brute += e.weight;
-        brute_ids.push_back(e.id);
-      }
+    std::vector<double> coef(static_cast<size_t>(c.dim - 1));
+    for (double& v : coef) v = rng.Uniform(-2.0, 2.0);
+    double offset = 0.0;  // HeightAt(p) = p[dim - 1] for p inside the box
+    for (int k = 0; k < c.dim; ++k) {
+      const double p = rng.Uniform(box.min_corner()[k], box.max_corner()[k]);
+      offset += k + 1 < c.dim ? coef[static_cast<size_t>(k)] * p : -p;
     }
-    EXPECT_NEAR(tree.SumInBox(box), brute, 1e-9);
-    std::vector<int> got;
-    tree.ForEachInBox(box,
-                      [&](const KdTree::EntryRef& it) { got.push_back(it.id); });
-    std::sort(got.begin(), got.end());
-    std::sort(brute_ids.begin(), brute_ids.end());
-    EXPECT_EQ(got, brute_ids);
+    const Hyperplane hp(coef, offset);
+    const int id_bound = rng.UniformInt(0, c.n);
+    for (const int bound : {c.n, id_bound}) {
+      std::vector<int> brute;
+      for (const auto& e : entries) {
+        if (e.id < bound && box.Contains(e.point) &&
+            hp.SignedDistance(e.point) <= 0.0) {
+          brute.push_back(e.id);
+        }
+      }
+      std::vector<int> got;
+      tree.ForEachInBoxBelow(
+          box, hp, 0.0, bound,
+          [&](const KdTree::EntryRef& it) { got.push_back(it.id); });
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, brute) << "trial " << trial << " id_bound " << bound;
+    }
   }
 }
 

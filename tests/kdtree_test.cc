@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+#include <vector>
+
 #include "src/common/rng.h"
 
 namespace arsp {
@@ -23,7 +28,14 @@ std::vector<KdItem> RandomItems(int n, int dim, Rng& rng) {
 TEST(KdTreeTest, EmptyTree) {
   const KdTree tree(std::vector<KdItem>{});
   EXPECT_EQ(tree.size(), 0);
-  EXPECT_EQ(tree.SumInBox(Mbr(Point{0.0}, Point{1.0})), 0.0);
+  EXPECT_EQ(tree.num_nodes(), 0);
+  const Mbr box(Point{0.0, 0.0}, Point{1.0, 1.0});
+  const Hyperplane hp({0.0}, -1.0);  // y = 1: the whole box is below
+  int visited = 0;
+  tree.ForEachInBoxBelow(box, hp, 0.0,
+                         [&](const KdTree::EntryRef&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  EXPECT_FALSE(tree.ExistsInBoxBelow(box, hp, 0.0, /*exclude_id=*/-1));
 }
 
 TEST(KdTreeTest, RootMbrIsTight) {
@@ -34,44 +46,6 @@ TEST(KdTreeTest, RootMbrIsTight) {
   const KdTree tree(items);
   EXPECT_EQ(tree.root_mbr().min_corner(), expected.min_corner());
   EXPECT_EQ(tree.root_mbr().max_corner(), expected.max_corner());
-}
-
-TEST(KdTreeTest, SumInBoxMatchesBruteForce) {
-  Rng rng(2);
-  const auto items = RandomItems(500, 3, rng);
-  const KdTree tree(items);
-  for (int trial = 0; trial < 50; ++trial) {
-    Point lo(3), hi(3);
-    for (int k = 0; k < 3; ++k) {
-      const double a = rng.Uniform01();
-      const double b = rng.Uniform01();
-      lo[k] = std::min(a, b);
-      hi[k] = std::max(a, b);
-    }
-    const Mbr box(lo, hi);
-    double expected = 0.0;
-    for (const KdItem& it : items) {
-      if (box.Contains(it.point)) expected += it.weight;
-    }
-    EXPECT_NEAR(tree.SumInBox(box), expected, 1e-9);
-  }
-}
-
-TEST(KdTreeTest, ForEachInBoxVisitsExactlyTheBox) {
-  Rng rng(3);
-  const auto items = RandomItems(300, 2, rng);
-  const KdTree tree(items);
-  const Mbr box(Point{0.25, 0.25}, Point{0.75, 0.75});
-  std::vector<int> visited;
-  tree.ForEachInBox(
-      box, [&](const KdTree::EntryRef& it) { visited.push_back(it.id); });
-  std::vector<int> expected;
-  for (const KdItem& it : items) {
-    if (box.Contains(it.point)) expected.push_back(it.id);
-  }
-  std::sort(visited.begin(), visited.end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(visited, expected);
 }
 
 TEST(KdTreeTest, HalfspaceReportingMatchesBruteForce) {
@@ -108,11 +82,33 @@ TEST(KdTreeTest, ExistsInBoxBelowRespectsExclusion) {
 }
 
 TEST(KdTreeTest, DuplicatePointsAreAllIndexed) {
+  // 50 copies of one point: the builder cannot split them, so they share
+  // one leaf, and the probe must report every copy exactly once.
   std::vector<KdItem> items;
   for (int i = 0; i < 50; ++i) items.push_back({Point{0.5, 0.5}, i, 0.1});
   const KdTree tree(items);
-  EXPECT_NEAR(tree.SumInBox(Mbr(Point{0.5, 0.5}, Point{0.5, 0.5})), 5.0,
-              1e-9);
+  const Mbr point_box(Point{0.5, 0.5}, Point{0.5, 0.5});
+  const auto probe = [&](const Hyperplane& hp, int id_bound) {
+    std::vector<int> ids;
+    double weight = 0.0;
+    tree.ForEachInBoxBelow(point_box, hp, 0.0, id_bound,
+                           [&](const KdTree::EntryRef& it) {
+                             ids.push_back(it.id);
+                             weight += it.weight;
+                           });
+    std::sort(ids.begin(), ids.end());
+    return std::make_pair(ids, weight);
+  };
+  const Hyperplane through({1.0}, 0.0);  // y = x passes through the point
+  std::vector<int> all(50);
+  std::iota(all.begin(), all.end(), 0);
+  const auto [ids, weight] = probe(through, 50);
+  EXPECT_EQ(ids, all);
+  EXPECT_NEAR(weight, 5.0, 1e-9);
+  // A prefix bound keeps ids below it; a plane under the point keeps none.
+  EXPECT_EQ(probe(through, 20).first,
+            std::vector<int>(all.begin(), all.begin() + 20));
+  EXPECT_TRUE(probe(Hyperplane({1.0}, 0.1), 50).first.empty());
 }
 
 TEST(KdTreeTest, OrthantQueryWithHalfspace) {

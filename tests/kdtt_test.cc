@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/task_arena.h"
 #include "tests/test_util.h"
 
 namespace arsp {
@@ -121,6 +122,30 @@ TEST(KdttTest, CountersArePopulated) {
   const ArspResult result = RunSolver("kdtt+", dataset, region);
   EXPECT_GT(result.nodes_visited, 0);
   EXPECT_GT(result.dominance_tests, 0);
+}
+
+TEST(KdttTest, WalkShorterThanTheFrontierReportsNoParallelWork) {
+  // Four rows split at most twice, while 2 workers put the frontier at
+  // depth 5: the walk spawns no task, so it starts no helper and reports
+  // none, even though the budget granted one.
+  UncertainDatasetBuilder builder(2);
+  builder.AddSingleton(Point{0.1, 0.9}, 0.9);
+  builder.AddSingleton(Point{0.4, 0.5}, 0.8);
+  builder.AddSingleton(Point{0.7, 0.3}, 0.7);
+  builder.AddSingleton(Point{0.9, 0.1}, 0.6);
+  const auto dataset = builder.Build();
+  ASSERT_TRUE(dataset.ok());
+  const PreferenceRegion region = WrRegion(2, 1);
+  SolverOptions options;
+  options.SetInt("parallelism", 2);
+  internal::SetCoreBudgetTotalForTesting(4);  // a helper is granted
+  const ArspResult parallel = RunSolver("kdtt+", *dataset, region, options);
+  internal::SetCoreBudgetTotalForTesting(0);
+  EXPECT_EQ(parallel.tasks_spawned, 0);
+  EXPECT_EQ(parallel.tasks_stolen, 0);
+  EXPECT_EQ(parallel.parallel_workers, 0);
+  const ArspResult serial = RunSolver("kdtt+", *dataset, region);
+  EXPECT_EQ(parallel.instance_probs, serial.instance_probs);
 }
 
 TEST(KdttTest, LargeRandomAgainstLoop) {

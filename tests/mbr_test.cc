@@ -25,30 +25,6 @@ TEST(MbrTest, ExtendAndContains) {
   EXPECT_TRUE(box.Contains(Point{2.0, 1.0}));  // inclusive bounds
   EXPECT_FALSE(box.Contains(Point{2.0001, 1.0}));
   EXPECT_DOUBLE_EQ(box.Volume(), 2.0);
-  EXPECT_DOUBLE_EQ(box.Margin(), 3.0);
-}
-
-TEST(MbrTest, OfPointsMatchesManualExtend) {
-  const std::vector<Point> pts = {{1.0, 5.0}, {3.0, 2.0}, {2.0, 7.0}};
-  const Mbr box = Mbr::OfPoints(pts);
-  EXPECT_EQ(box.min_corner(), (Point{1.0, 2.0}));
-  EXPECT_EQ(box.max_corner(), (Point{3.0, 7.0}));
-}
-
-TEST(MbrTest, IntersectionSemantics) {
-  const Mbr a(Point{0.0, 0.0}, Point{2.0, 2.0});
-  const Mbr b(Point{2.0, 2.0}, Point{3.0, 3.0});  // touching corner
-  const Mbr c(Point{2.1, 0.0}, Point{3.0, 1.0});
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_FALSE(a.Intersects(c));
-  EXPECT_DOUBLE_EQ(a.OverlapVolume(b), 0.0);
-}
-
-TEST(MbrTest, OverlapVolume) {
-  const Mbr a(Point{0.0, 0.0}, Point{2.0, 2.0});
-  const Mbr b(Point{1.0, 1.0}, Point{3.0, 3.0});
-  EXPECT_DOUBLE_EQ(a.OverlapVolume(b), 1.0);
-  EXPECT_DOUBLE_EQ(b.OverlapVolume(a), 1.0);
 }
 
 TEST(MbrTest, Enlargement) {

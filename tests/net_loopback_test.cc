@@ -7,8 +7,9 @@
 // connections; answers are bit-identical to an in-process ArspEngine fed
 // the same data; a repeated query is a cache hit; and the index-work
 // counters prove the dataset was indexed exactly once across all
-// connections. Also covered: the daemon surviving malformed loads, name
-// fingerprinting, drop cascades, clean shutdown, and the slow-query log.
+// connections. Also covered: the daemon surviving malformed loads (crafted
+// snapshots included), name fingerprinting, drop cascades, clean shutdown,
+// and the slow-query log.
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -24,6 +25,8 @@
 
 #include "src/core/engine.h"
 #include "src/core/queries.h"
+#include "src/index/kdtree.h"
+#include "src/io/snapshot.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/obs/metrics.h"
@@ -384,6 +387,49 @@ TEST_F(NetLoopbackTest, MalformedLoadDoesNotKillTheDaemon) {
   auto response = client.Query(WireQuery("good", "auto"));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->result_size, 3);
+}
+
+TEST_F(NetLoopbackTest, CraftedSnapshotLoadDoesNotKillTheDaemon) {
+  // Snapshots with a bad kd child index or instance object id, every
+  // checksum re-sealed: each LOAD is an InvalidArgument reply, and the
+  // same daemon then serves a good query.
+  auto dataset = GenerateFromSpec(kIipSpec);
+  ASSERT_TRUE(dataset.ok());
+  const std::string path = ::testing::TempDir() + "/arsp_net_crafted.arsp";
+  ASSERT_TRUE(snapshot::WriteSnapshot(*dataset, path).ok());
+  const testing_util::SnapshotImage pristine(path);
+
+  net::ArspClient client = Connect();
+  net::LoadDatasetRequest load;
+  load.name = "crafted";
+  load.source = net::LoadSource::kCsvFile;
+  load.payload = ::testing::TempDir() + "/arsp_net_crafted_bad.arsp";
+  for (const bool kd_child : {true, false}) {
+    SCOPED_TRACE(kd_child ? "kd child index" : "instance object id");
+    testing_util::SnapshotImage image = pristine;
+    if (kd_child) {
+      KdNode root = image.Get<KdNode>(snapshot::kKdNodes, 0);
+      root.right = 1 << 30;
+      image.Set(snapshot::kKdNodes, 0, root);
+    } else {
+      image.Set<int32_t>(snapshot::kInstanceObjects, 0, 100000000);
+    }
+    image.Seal();
+    image.Write(load.payload);
+    auto failed = client.LoadDataset(load);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument)
+        << failed.status().ToString();
+  }
+
+  LoadIip(client, "iip");
+  const DatasetHandle handle = AddReferenceIip();
+  auto response =
+      client.Query(WireQuery("iip", "kdtt+", DerivedKind::kTopKObjects));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  auto local = ReferenceSolve(handle, "kdtt+", DerivedKind::kTopKObjects);
+  ASSERT_TRUE(local.ok());
+  ExpectRankedEqual(response->ranked, local->ranked);
 }
 
 TEST_F(NetLoopbackTest, NameBindingsAreContentFingerprinted) {

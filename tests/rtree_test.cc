@@ -118,22 +118,6 @@ TEST(RTreeTest, NodeInvariants) {
   check(tree.root_id());
 }
 
-TEST(RTreeTest, CollectInBox) {
-  Rng rng(5);
-  const auto entries = RandomEntries(300, 2, rng);
-  const RTree tree = RTree::BulkLoad(2, entries);
-  const Mbr box(Point{0.2, 0.2}, Point{0.6, 0.6});
-  std::vector<int> ids;
-  tree.CollectInBox(box, &ids);
-  std::vector<int> expected;
-  for (const auto& e : entries) {
-    if (box.Contains(e.point)) expected.push_back(e.id);
-  }
-  std::sort(ids.begin(), ids.end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(ids, expected);
-}
-
 TEST(RTreeTest, DuplicatePointsAggregate) {
   RTree tree(2, 4);
   for (int i = 0; i < 40; ++i) tree.Insert(Point{0.3, 0.3}, 0.25, i);

@@ -41,8 +41,8 @@ using simd::KernelOps;
 using testing_util::RandomDataset;
 using testing_util::WrRegion;
 
-// Sizes straddling every vector width in play: 0, 1, the 2-lane NEON and
-// 4-lane AVX2 widths ± 1, and larger blocks with ragged tails.
+// Sizes straddling the vector width in play: 0, 1, 2, the 4-lane AVX2
+// width and its multiples ± 1, and larger blocks with ragged tails.
 const int kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64};
 // Every remainder mod 4 after zero, one, two and three full 4-wide chunks
 // (the AVX2 corner kernels finish each row with one masked chunk of the
@@ -53,9 +53,6 @@ std::vector<const KernelOps*> NonScalarTables() {
   std::vector<const KernelOps*> tables;
   if (const KernelOps* avx2 = simd::internal::Avx2OpsOrNull()) {
     tables.push_back(avx2);
-  }
-  if (const KernelOps* neon = simd::internal::NeonOpsOrNull()) {
-    tables.push_back(neon);
   }
   return tables;
 }
@@ -443,18 +440,15 @@ TEST(KernelDispatch, SupportedArchesMatchesTables) {
   ASSERT_FALSE(arches.empty());
   EXPECT_EQ(arches.front(), KernelArch::kScalar);
   const bool has_avx2 = simd::internal::Avx2OpsOrNull() != nullptr;
-  const bool has_neon = simd::internal::NeonOpsOrNull() != nullptr;
   EXPECT_EQ(std::count(arches.begin(), arches.end(), KernelArch::kAvx2),
             has_avx2 ? 1 : 0);
-  EXPECT_EQ(std::count(arches.begin(), arches.end(), KernelArch::kNeon),
-            has_neon ? 1 : 0);
+  EXPECT_EQ(arches.size(), has_avx2 ? 2u : 1u);
 }
 
 TEST(KernelDispatch, UnsupportedOverrideIsRejected) {
   const KernelArch original = simd::ActiveArch();
   const std::vector<KernelArch> arches = simd::SupportedArches();
-  for (const KernelArch arch :
-       {KernelArch::kScalar, KernelArch::kAvx2, KernelArch::kNeon}) {
+  for (const KernelArch arch : {KernelArch::kScalar, KernelArch::kAvx2}) {
     const bool supported =
         std::count(arches.begin(), arches.end(), arch) > 0;
     EXPECT_EQ(simd::internal::SetArchForTesting(arch), supported);

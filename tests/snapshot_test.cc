@@ -5,7 +5,8 @@
 // every registered solver must produce bit-identical probabilities over
 // both — with and without goals, for both constraint families — and every
 // class of malformed file (truncation, corruption, wrong version, foreign
-// endianness) must be rejected with a clean error, never a crash.
+// endianness, re-sealed files with broken index shapes or ids) must be
+// rejected with a clean error, never a crash.
 
 #include "src/io/snapshot.h"
 
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +36,7 @@ using snapshot::SnapshotWriteOptions;
 using snapshot::WriteSnapshot;
 using testing_util::RandomDataset;
 using testing_util::RandomWr;
+using testing_util::SnapshotImage;
 using testing_util::WrRegion;
 
 std::string TempPath(const std::string& name) {
@@ -300,12 +303,14 @@ TEST(SnapshotRejection, CorruptedSectionFailsItsChecksum) {
   const UncertainDataset dataset = RandomDataset(12, 3, 2, 0.0, 509);
   const std::string path = TempPath("corrupt.arsp");
   ASSERT_TRUE(WriteSnapshot(dataset, path).ok());
-  std::string bytes = ReadAll(path);
+  const SnapshotImage pristine(path);
 
-  // Flip one bit deep inside the file (section payload, past header+table).
-  bytes[bytes.size() - 16] = static_cast<char>(bytes[bytes.size() - 16] ^ 0x40);
+  // Flip one bit of a coordinate (section payload, past header+table).
+  SnapshotImage image = pristine;
+  image.Set<uint8_t>(snapshot::kCoords, 13,
+                     image.Get<uint8_t>(snapshot::kCoords, 13) ^ 0x40);
   const std::string bad = TempPath("corrupt_bad.arsp");
-  WriteAll(bad, bytes);
+  image.Write(bad);
 
   const auto strict = LoadSnapshot(bad);
   ASSERT_FALSE(strict.ok());
@@ -316,6 +321,17 @@ TEST(SnapshotRejection, CorruptedSectionFailsItsChecksum) {
   SnapshotLoadOptions trusting;
   trusting.verify_checksums = false;
   EXPECT_TRUE(LoadSnapshot(bad, trusting).ok());
+
+  // ...except the ids solvers index unchecked, which the structural checks
+  // cover: the same flip in an r-tree entry id names no instance.
+  image = pristine;
+  image.Set<uint8_t>(snapshot::kRtEntryIds, 0,
+                     image.Get<uint8_t>(snapshot::kRtEntryIds, 0) ^ 0x40);
+  image.Write(bad);
+  const auto flipped_id = LoadSnapshot(bad, trusting);
+  ASSERT_FALSE(flipped_id.ok());
+  EXPECT_NE(flipped_id.status().message().find("names no instance"),
+            std::string::npos);
 }
 
 TEST(SnapshotRejection, TamperedSectionTableIsCaughtByTheHeaderHash) {
@@ -333,6 +349,111 @@ TEST(SnapshotRejection, TamperedSectionTableIsCaughtByTheHeaderHash) {
   const auto loaded = LoadSnapshot(bad, trusting);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("header hash"), std::string::npos);
+}
+
+// Files with one structural value patched and every checksum and the
+// header hash re-sealed: the loader must refuse each with InvalidArgument,
+// not abort in an index constructor or hand a solver an id it indexes
+// without a bound check.
+TEST(SnapshotRejection, CraftedStructureIsInvalidNotFatal) {
+  const UncertainDataset dataset = RandomDataset(40, 3, 2, 0.0, 511);
+  const PreferenceRegion region = WrRegion(2, 1);
+  SnapshotWriteOptions options;
+  options.scores_region = &region;
+  const std::string path = TempPath("crafted.arsp");
+  ASSERT_TRUE(WriteSnapshot(dataset, path, options).ok());
+  ASSERT_TRUE(LoadSnapshot(path).ok());
+  const SnapshotImage pristine(path);
+  const snapshot::SnapshotMeta meta =
+      pristine.Get<snapshot::SnapshotMeta>(snapshot::kMeta, 0);
+  ASSERT_GT(meta.kd_num_nodes, 1);
+  ASSERT_GT(meta.rt_num_nodes, 1);  // the root is an internal node
+  const size_t root_kids =
+      static_cast<size_t>(meta.rt_root) * (meta.rt_fanout + 1);
+
+  const auto edit_kd_root = [](SnapshotImage& image, auto edit) {
+    KdNode root = image.Get<KdNode>(snapshot::kKdNodes, 0);
+    edit(root);
+    image.Set(snapshot::kKdNodes, 0, root);
+  };
+  const struct {
+    const char* name;
+    std::function<void(SnapshotImage&)> patch;
+  } cases[] = {
+      {"kd child index past the pool",
+       [&](SnapshotImage& image) {
+         edit_kd_root(image,
+                      [&](KdNode& root) { root.right = meta.kd_num_nodes; });
+       }},
+      {"kd child index back at the root",
+       [&](SnapshotImage& image) {
+         edit_kd_root(image, [](KdNode& root) { root.left = 0; });
+       }},
+      {"r-tree kid id past the pool",
+       [&](SnapshotImage& image) {
+         image.Set<int32_t>(snapshot::kRtKids, root_kids,
+                            meta.rt_num_nodes + 7);
+       }},
+      {"r-tree kid id naming the root",
+       [&](SnapshotImage& image) {
+         image.Set<int32_t>(snapshot::kRtKids, root_kids, meta.rt_root);
+       }},
+      {"instance object id",
+       [](SnapshotImage& image) {
+         image.Set<int32_t>(snapshot::kInstanceObjects, 0, 100000000);
+       }},
+      {"score row object id",
+       [](SnapshotImage& image) {
+         image.Set<int32_t>(snapshot::kScoreObjects, 0, 1);
+       }},
+      {"kd item id",
+       [&](SnapshotImage& image) {
+         image.Set<int32_t>(snapshot::kKdItemIds, 0, meta.num_instances);
+       }},
+      {"r-tree entry id",
+       [](SnapshotImage& image) {
+         image.Set<int32_t>(snapshot::kRtEntryIds, 0, -1);
+       }},
+      {"bounds min above max",
+       [](SnapshotImage& image) {
+         image.Set<double>(snapshot::kBounds, 0, 2.0);
+       }},
+  };
+  const std::string bad = TempPath("crafted_bad.arsp");
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    SnapshotImage image = pristine;
+    c.patch(image);
+    image.Seal();
+    image.Write(bad);
+    const auto loaded = LoadSnapshot(bad);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(SnapshotRejection, RTreeFanoutBelowTheMinimumIsInvalidNotFatal) {
+  UncertainDatasetBuilder builder(2);
+  builder.AddSingleton(Point{0.5, 0.5}, 0.9);
+  const auto dataset = builder.Build();
+  ASSERT_TRUE(dataset.ok());
+  const std::string path = TempPath("fanout.arsp");
+  ASSERT_TRUE(WriteSnapshot(*dataset, path).ok());
+  SnapshotImage image(path);
+  auto meta = image.Get<snapshot::SnapshotMeta>(snapshot::kMeta, 0);
+  ASSERT_EQ(meta.rt_num_nodes, 1);
+  // Fan-out 3 with its kid section cut to one node's 3 + 1 slots: every
+  // section length agrees with the meta shape, but no RTree takes 3.
+  meta.rt_fanout = 3;
+  image.Set(snapshot::kMeta, 0, meta);
+  image.SetLength(snapshot::kRtKids, 4 * sizeof(int32_t));
+  const std::string bad = TempPath("fanout_bad.arsp");
+  image.Seal();
+  image.Write(bad);
+  const auto loaded = LoadSnapshot(bad);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotRejection, NonexistentAndEmptyFiles) {

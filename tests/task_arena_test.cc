@@ -4,8 +4,9 @@
 // (try-acquire / release accounting, ARSP_THREADS-independent via the test
 // override) and the shared-queue executor (every task runs exactly once,
 // worker ids are in range, nested submission, repeated RunAndWait rounds,
-// helpers starting before RunAndWait, what tasks_stolen counts, and a
-// serial loop in submission order when the budget grants nothing).
+// helpers starting at the first Submit and before RunAndWait, what
+// tasks_stolen counts, and a serial loop in submission order when the
+// budget grants nothing).
 
 #include "src/common/task_arena.h"
 
@@ -13,6 +14,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -137,6 +141,33 @@ TEST(TaskArenaTest, HelpersStartBeforeRunAndWait) {
   arena.RunAndWait();
   EXPECT_EQ(ran_on.load(), 1);
   EXPECT_EQ(arena.tasks_stolen(), 1);
+}
+
+// Threads in this process: the entries of /proc/self/task, or -1 where
+// the platform has no such directory.
+int ThreadCount() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return -1;
+  return static_cast<int>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
+TEST(TaskArenaTest, HelpersStartAtTheFirstSubmit) {
+  // A traversal builds its arena before it knows whether the walk reaches
+  // the frontier depth; one that never submits must start no thread.
+  ScopedBudget budget(4);
+  const int before = ThreadCount();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this platform";
+  TaskArena arena(4);
+  ASSERT_EQ(arena.num_workers(), 4);
+  EXPECT_EQ(ThreadCount(), before);
+  arena.Submit([](int) {});
+  EXPECT_EQ(ThreadCount(), before + 3);
+  arena.Submit([](int) {});  // later tasks start no more
+  EXPECT_EQ(ThreadCount(), before + 3);
+  arena.RunAndWait();
+  EXPECT_EQ(arena.tasks_spawned(), 2);
 }
 
 TEST(TaskArenaTest, StolenCountsTasksRunByHelpers) {

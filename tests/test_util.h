@@ -5,8 +5,8 @@
 // Example-1-style hand dataset whose coordinates are consistent with the
 // dominance relations the paper states in Examples 1 and 3, a one-call
 // run of a named registry solver, concurrent ArspEngine::Solve calls
-// on one thread each, and the served-query error count from the metrics
-// registry.
+// on one thread each, the served-query error count from the metrics
+// registry, and crafted .arsp snapshot files.
 
 #ifndef ARSP_TESTS_TEST_UTIL_H_
 #define ARSP_TESTS_TEST_UTIL_H_
@@ -14,6 +14,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,6 +28,7 @@
 #include "src/common/rng.h"
 #include "src/core/engine.h"
 #include "src/core/solver.h"
+#include "src/io/snapshot.h"
 #include "src/net/protocol.h"
 #include "src/obs/metrics.h"
 #include "src/prefs/constraint_generators.h"
@@ -184,6 +188,93 @@ inline std::string QueryWithEmptyOptions(uint32_t count) {
   payload.insert(at + 4, size_t{count} * 4, '\0');
   return payload;
 }
+
+/// A snapshot file's bytes, patched in place to craft a malformed file.
+/// Seal recomputes every section checksum and the header hash, so the
+/// loader's checksums pass and only its structural checks stand between
+/// the patched values and a solver.
+class SnapshotImage {
+ public:
+  explicit SnapshotImage(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    bytes_.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    ARSP_CHECK_MSG(bytes_.size() >= sizeof(snapshot::SnapshotHeader),
+                   "cannot read snapshot %s", path.c_str());
+  }
+
+  /// Element `index` of section `id`, read as a T.
+  template <typename T>
+  T Get(uint32_t id, size_t index) const {
+    T value;
+    std::memcpy(&value, bytes_.data() + ElementOffset(id, index, sizeof(T)),
+                sizeof(T));
+    return value;
+  }
+
+  /// Overwrites element `index` of section `id` with `value`.
+  template <typename T>
+  void Set(uint32_t id, size_t index, const T& value) {
+    std::memcpy(&bytes_[ElementOffset(id, index, sizeof(T))], &value,
+                sizeof(T));
+  }
+
+  /// Sets section `id`'s length in the table; its offset stays.
+  void SetLength(uint32_t id, uint64_t length) {
+    snapshot::SectionEntry entry = Entry(id);
+    entry.length = length;
+    std::memcpy(&bytes_[EntryOffset(id)], &entry, sizeof(entry));
+  }
+
+  void Seal() {
+    snapshot::SnapshotHeader header;
+    std::memcpy(&header, bytes_.data(), sizeof(header));
+    const size_t table = sizeof(header);
+    for (uint32_t i = 0; i < header.section_count; ++i) {
+      snapshot::SectionEntry entry;
+      char* at = &bytes_[table + i * sizeof(entry)];
+      std::memcpy(&entry, at, sizeof(entry));
+      entry.checksum = snapshot::Fnv1a(bytes_.data() + entry.offset,
+                                       static_cast<size_t>(entry.length));
+      std::memcpy(at, &entry, sizeof(entry));
+    }
+    header.content_hash = snapshot::Fnv1a(
+        bytes_.data() + table,
+        header.section_count * sizeof(snapshot::SectionEntry));
+    std::memcpy(bytes_.data(), &header, sizeof(header));
+  }
+
+  void Write(const std::string& path) const {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
+  }
+
+ private:
+  size_t EntryOffset(uint32_t id) const {
+    snapshot::SnapshotHeader header;
+    std::memcpy(&header, bytes_.data(), sizeof(header));
+    for (uint32_t i = 0; i < header.section_count; ++i) {
+      const size_t at = sizeof(header) + i * sizeof(snapshot::SectionEntry);
+      snapshot::SectionEntry entry;
+      std::memcpy(&entry, bytes_.data() + at, sizeof(entry));
+      if (entry.id == id) return at;
+    }
+    ARSP_CHECK_MSG(false, "snapshot has no section %u", id);
+    return 0;
+  }
+  snapshot::SectionEntry Entry(uint32_t id) const {
+    snapshot::SectionEntry entry;
+    std::memcpy(&entry, bytes_.data() + EntryOffset(id), sizeof(entry));
+    return entry;
+  }
+  size_t ElementOffset(uint32_t id, size_t index, size_t size) const {
+    const snapshot::SectionEntry entry = Entry(id);
+    ARSP_CHECK((index + 1) * size <= entry.length);
+    return static_cast<size_t>(entry.offset) + index * size;
+  }
+
+  std::string bytes_;
+};
 
 }  // namespace testing_util
 }  // namespace arsp
