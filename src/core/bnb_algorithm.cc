@@ -95,7 +95,8 @@ void ResolveSubtreeZero(const RTree& tree, int node_id,
   }
 }
 
-ArspResult RunBnb(ExecutionContext& context, const BnbOptions& options) {
+ArspResult RunBnb(ExecutionContext& context, const QueryGoal& goal,
+                  const BnbOptions& options) {
   const DatasetView& view = context.view();
   ArspResult result;
   const int n = view.num_instances();
@@ -107,7 +108,7 @@ ArspResult RunBnb(ExecutionContext& context, const BnbOptions& options) {
   const int mapped_dim = mapper.mapped_dim();
   const Point& omega = context.region().vertices().front();
 
-  GoalPruner goal_pruner(context.goal(), view);
+  GoalPruner goal_pruner(goal, view);
   GoalPruner* pruner = goal_pruner.active() ? &goal_pruner : nullptr;
   int64_t rounds = 0;
 
@@ -382,8 +383,9 @@ class BnbSolver : public ArspSolver {
   }
 
  protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
-    return RunBnb(context, options_);
+  StatusOr<ArspResult> SolveImpl(ExecutionContext& context,
+                                 const QueryGoal& goal) override {
+    return RunBnb(context, goal, options_);
   }
 
  private:

@@ -163,7 +163,8 @@ class Dual2dMsSolver : public ArspSolver {
   }
 
  protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
+  StatusOr<ArspResult> SolveImpl(ExecutionContext& context,
+                                 const QueryGoal& /*goal*/) override {
     StatusOr<Dual2dMs> index =
         Dual2dMs::Build(context.view(), max_memory_bytes_);
     if (!index.ok()) return index.status();

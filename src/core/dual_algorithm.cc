@@ -130,7 +130,8 @@ class DualSolver : public ArspSolver {
   uint32_t capabilities() const override { return kCapRequiresWeightRatios; }
 
  protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
+  StatusOr<ArspResult> SolveImpl(ExecutionContext& context,
+                                 const QueryGoal& /*goal*/) override {
     return RunDual(context);
   }
 };

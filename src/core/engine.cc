@@ -40,11 +40,12 @@ class AutoSolver : public ArspSolver {
   }
 
  protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
+  StatusOr<ArspResult> SolveImpl(ExecutionContext& context,
+                                 const QueryGoal& goal) override {
     auto solver =
         SolverRegistry::Create(AutoSelectSolverName(context), options_);
     if (!solver.ok()) return solver.status();
-    return (*solver)->Solve(context);
+    return (*solver)->Solve(context, goal);
   }
 
  private:
@@ -522,35 +523,27 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
     }
     pushdown = want_pushdown &&
                ((*solver)->capabilities() & kCapGoalPushdown) != 0;
-    // Goal pushdown runs on a goal-scoped child context derived over the
-    // *same* view: every artifact (score span included) is shared, pooled
-    // contexts stay goal-free (and therefore reusable across concurrent
-    // mixed-goal queries), and Derive propagates goals through the view
-    // plane — a sweep's per-prefix contexts prune per prefix.
-    std::shared_ptr<ExecutionContext> solve_context = context;
-    if (pushdown) {
-      solve_context = ExecutionContext::Derive(context, view, goal);
-      solve_context->CountBuildsInto(builds);
-    }
+    // A pushdown solves the pooled or view context itself for the goal:
+    // the goal is an argument of Solve, never part of a context, so one
+    // pooled context serves concurrent queries of every goal.
     SolverStats stats;
     ExecutionContext::IndexBuildStats index_before;
-    if (request.trace != nullptr) {
-      index_before = ChainIndexStats(*solve_context);
-    }
+    if (request.trace != nullptr) index_before = ChainIndexStats(*context);
     obs::ScopedSpan solve_span(request.trace, "solve");
     const uint64_t solve_start_ns =
         request.trace != nullptr ? obs::Trace::NowNs() : 0;
-    StatusOr<ArspResult> result = (*solver)->Solve(*solve_context, &stats);
+    StatusOr<ArspResult> result = (*solver)->Solve(
+        *context, pushdown ? goal : QueryGoal::Full(), &stats);
     if (!result.ok()) return result.status();
     if (request.trace != nullptr) {
       // The lazy context preprocessing this solve triggered (index builds,
       // snapshot adoption, score mapping) runs at the head of Solve; carve
       // it out as a child span so the timeline separates setup from
       // traversal, and annotate it with the build-vs-adopt counters. A
-      // pushdown child or a view context triggers builds on its parents,
-      // so the counters cover the whole chain.
+      // view context triggers builds on its parents, so the counters cover
+      // the whole chain.
       const ExecutionContext::IndexBuildStats index_after =
-          ChainIndexStats(*solve_context);
+          ChainIndexStats(*context);
       if (stats.setup_millis > 0.0) {
         obs::Span setup;
         setup.name = "index_setup";

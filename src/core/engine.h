@@ -36,13 +36,14 @@
 //    AnswerGoal. Top-k and count-controlled goals slice a complete result
 //    stored under the full cache key, so one solve serves every later goal
 //    on the same spec. A threshold goal is pushed into the solver when it
-//    advertises kCapGoalPushdown (QueryGoal::PushesDown): the solve
-//    maintains per-object probability bounds, skips objects below the
-//    threshold, and stops early, returning a *partial* result that answers
-//    exactly this threshold. Cache rules: a cached full result serves any
-//    derived goal by slicing (subsumption), while a threshold-pruned
-//    partial result is cached only under a goal-specific key — it is never
-//    returned for a full or different-goal request.
+//    advertises kCapGoalPushdown (QueryGoal::PushesDown): the engine passes
+//    the goal to Solve on the same pooled or view context a full solve
+//    uses, and the solve maintains per-object probability bounds, skips
+//    objects below the threshold, and stops early, returning a *partial*
+//    result that answers exactly this threshold. Cache rules: a cached
+//    full result serves any derived goal by slicing (subsumption), while a
+//    threshold-pruned partial result is cached only under a goal-specific
+//    key — it is never returned for a full or different-goal request.
 //
 // The engine is the designated backend for the ROADMAP's service frontend:
 // a daemon would hold one ArspEngine and translate wire requests into
@@ -299,11 +300,10 @@ class ArspEngine {
   /// Index work done for one handle since it was registered: every build,
   /// reuse and parent hit of every context the engine made for it, counted
   /// once as it happened, whether the context is still pooled, released or
-  /// evicted. Goal-scoped children count toward their request's handle;
-  /// a view's base context counts toward the base handle. Counts never
-  /// decrease; unknown or dropped handles read zero. Sweep tests sum this
-  /// across a base handle and its views to assert "one full index build,
-  /// delta work per view".
+  /// evicted. A view's base context counts toward the base handle. Counts
+  /// never decrease; unknown or dropped handles read zero. Sweep tests sum
+  /// this across a base handle and its views to assert "one full index
+  /// build, delta work per view".
   ExecutionContext::IndexBuildStats index_stats(DatasetHandle handle) const;
 
   /// Aggregated index/score memory of one handle's pooled contexts, split

@@ -15,36 +15,69 @@ namespace arsp {
 
 namespace {
 
-ArspResult RunEnum(const DatasetView& view, const PreferenceRegion& region,
-                   double max_worlds) {
-  ArspResult result;
-  result.instance_probs.assign(
-      static_cast<size_t>(view.num_instances()), 0.0);
-  const std::vector<Point>& vertices = region.vertices();
+// Up to this many instances (a 1 MB table) ENUM decides the F-dominance of
+// every instance pair once per solve rather than once per world; a larger
+// view tests each pair per world, with no table.
+constexpr int kDominanceTableMaxInstances = 1024;
 
+// Accumulates Eq. 2 over every possible world of `view` into `result`;
+// dominates(s, t) says whether instance s F-dominates instance t.
+template <typename Dominates>
+void SumOverWorlds(const DatasetView& view, double max_worlds,
+                   const Dominates& dominates, ArspResult* result) {
+  const int m = view.num_objects();
+  double* probs = result->instance_probs.data();
   ForEachPossibleWorld(
       view,
       [&](const PossibleWorld& world) {
         // An instance is in the world's rskyline iff no other present
         // instance F-dominates it.
-        for (int j = 0; j < view.num_objects(); ++j) {
-          const int tid = world.choice[static_cast<size_t>(j)];
+        const int* choice = world.choice.data();
+        int64_t tests = 0;
+        for (int j = 0; j < m; ++j) {
+          const int tid = choice[j];
           if (tid < 0) continue;
-          const double* t = view.coords(tid);
           bool dominated = false;
-          for (int l = 0; l < view.num_objects() && !dominated; ++l) {
-            if (l == j) continue;
-            const int sid = world.choice[static_cast<size_t>(l)];
-            if (sid < 0) continue;
-            ++result.dominance_tests;
-            dominated = FDominatesVertex(view.coords(sid), t, vertices);
+          for (int l = 0; l < m && !dominated; ++l) {
+            const int sid = choice[l];
+            if (l == j || sid < 0) continue;
+            ++tests;
+            dominated = dominates(sid, tid);
           }
-          if (!dominated) {
-            result.instance_probs[static_cast<size_t>(tid)] += world.prob;
-          }
+          if (!dominated) probs[tid] += world.prob;
         }
+        result->dominance_tests += tests;
       },
       max_worlds);
+}
+
+ArspResult RunEnum(const DatasetView& view, const PreferenceRegion& region,
+                   double max_worlds) {
+  ArspResult result;
+  const int n = view.num_instances();
+  result.instance_probs.assign(static_cast<size_t>(n), 0.0);
+  const std::vector<Point>& vertices = region.vertices();
+  if (n > kDominanceTableMaxInstances) {
+    SumOverWorlds(
+        view, max_worlds,
+        [&](int s, int t) {
+          return FDominatesVertex(view.coords(s), view.coords(t), vertices);
+        },
+        &result);
+    return result;
+  }
+  std::vector<unsigned char> table;  // [t·n + s]: s F-dominates t
+  table.resize(static_cast<size_t>(n) * static_cast<size_t>(n));
+  for (int t = 0; t < n; ++t) {
+    for (int s = 0; s < n; ++s) {
+      table[static_cast<size_t>(t) * n + s] =
+          FDominatesVertex(view.coords(s), view.coords(t), vertices);
+    }
+  }
+  SumOverWorlds(
+      view, max_worlds,
+      [&](int s, int t) { return table[static_cast<size_t>(t) * n + s] != 0; },
+      &result);
   return result;
 }
 
@@ -85,7 +118,8 @@ class EnumSolver : public ArspSolver {
   }
 
  protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
+  StatusOr<ArspResult> SolveImpl(ExecutionContext& context,
+                                 const QueryGoal& /*goal*/) override {
     return RunEnum(context.view(), context.region(), max_worlds_);
   }
 

@@ -103,7 +103,8 @@ class LoopSolver : public ArspSolver {
   uint32_t capabilities() const override { return kCapQuadraticTime; }
 
  protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) override {
+  StatusOr<ArspResult> SolveImpl(ExecutionContext& context,
+                                 const QueryGoal& /*goal*/) override {
     return RunLoop(context.view(), context.region());
   }
 };

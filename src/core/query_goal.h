@@ -7,9 +7,10 @@
 // threshold p > 0 lets the traversal algorithms maintain per-object
 // probability bounds, stop refining an object once its upper bound falls
 // below p, and stop the whole solve once every object is decided.
-// PushesDown() is the one predicate that says which goals travel with the
-// ExecutionContext into solvers advertising kCapGoalPushdown (see
-// GoalPruner in solver.h); the engine routes on it too.
+// PushesDown() is the one predicate that says which goals a solver
+// advertising kCapGoalPushdown prunes for; the goal reaches it as an
+// argument of ArspSolver::Solve (see GoalPruner in solver.h), and the
+// engine routes on the predicate too.
 //
 // Top-k and count-controlled goals do not push down: an object outside the
 // top k still dominates other objects' instances, so the traversal must
@@ -55,8 +56,9 @@ enum class TiePolicy {
   kIncludeTies,
 };
 
-/// Value type carried by ExecutionContext / ArspResult. Default-constructed
-/// goals are kFull, so goal-oblivious code paths keep their semantics.
+/// Value type passed to ArspSolver::Solve and carried by ArspResult.
+/// Default-constructed goals are kFull, so goal-oblivious code paths keep
+/// their semantics.
 struct QueryGoal {
   GoalKind kind = GoalKind::kFull;
   /// Object count for kTopK; negative means "all objects" (treated as full

@@ -302,22 +302,20 @@ class ExecutionContext::SetupTimer {
 };
 
 ExecutionContext::ExecutionContext(const UncertainDataset& dataset,
-                                   PreferenceRegion region, QueryGoal goal)
-    : ExecutionContext(DatasetView(dataset), std::move(region), goal) {}
+                                   PreferenceRegion region)
+    : ExecutionContext(DatasetView(dataset), std::move(region)) {}
 
-ExecutionContext::ExecutionContext(DatasetView view, PreferenceRegion region,
-                                   QueryGoal goal)
-    : view_(std::move(view)), goal_(goal), region_(std::move(region)) {
+ExecutionContext::ExecutionContext(DatasetView view, PreferenceRegion region)
+    : view_(std::move(view)), region_(std::move(region)) {
   ARSP_CHECK_MSG(view_.valid(), "ExecutionContext over an invalid view");
 }
 
 ExecutionContext::ExecutionContext(const UncertainDataset& dataset,
-                                   WeightRatioConstraints wr, QueryGoal goal)
-    : ExecutionContext(DatasetView(dataset), std::move(wr), goal) {}
+                                   WeightRatioConstraints wr)
+    : ExecutionContext(DatasetView(dataset), std::move(wr)) {}
 
-ExecutionContext::ExecutionContext(DatasetView view, WeightRatioConstraints wr,
-                                   QueryGoal goal)
-    : view_(std::move(view)), goal_(goal), wr_(std::move(wr)) {
+ExecutionContext::ExecutionContext(DatasetView view, WeightRatioConstraints wr)
+    : view_(std::move(view)), wr_(std::move(wr)) {
   ARSP_CHECK_MSG(view_.valid(), "ExecutionContext over an invalid view");
   ARSP_CHECK_MSG(view_.num_instances() == 0 || view_.dim() == wr_->dim(),
                  "weight ratio constraints are for dimension %d but the "
@@ -326,23 +324,11 @@ ExecutionContext::ExecutionContext(DatasetView view, WeightRatioConstraints wr,
 }
 
 ExecutionContext::ExecutionContext(
-    std::shared_ptr<const ExecutionContext> parent, DatasetView view,
-    QueryGoal goal)
-    : view_(std::move(view)),
-      goal_(goal),
-      wr_(parent->wr_),
-      parent_(std::move(parent)) {}
+    std::shared_ptr<const ExecutionContext> parent, DatasetView view)
+    : view_(std::move(view)), wr_(parent->wr_), parent_(std::move(parent)) {}
 
 std::shared_ptr<ExecutionContext> ExecutionContext::Derive(
     std::shared_ptr<const ExecutionContext> parent, DatasetView view) {
-  ARSP_CHECK_MSG(parent != nullptr, "Derive: null parent context");
-  const QueryGoal goal = parent->goal_;  // inherit
-  return Derive(std::move(parent), std::move(view), goal);
-}
-
-std::shared_ptr<ExecutionContext> ExecutionContext::Derive(
-    std::shared_ptr<const ExecutionContext> parent, DatasetView view,
-    QueryGoal goal) {
   ARSP_CHECK_MSG(parent != nullptr, "Derive: null parent context");
   ARSP_CHECK_MSG(view.valid(), "Derive: invalid view");
   const DatasetView& parent_view = parent->view();
@@ -350,9 +336,8 @@ std::shared_ptr<ExecutionContext> ExecutionContext::Derive(
                  "Derive: view windows a different base dataset than the "
                  "parent context");
   // Containment: every child instance must be visible through the parent
-  // (O(1) for the identical-window goal children and the prefix ⊆ prefix
-  // case that dominate in practice).
-  if (!parent_view.is_full() && !view.SameRepAs(parent_view)) {
+  // (O(1) for the prefix ⊆ prefix case that dominates in practice).
+  if (!parent_view.is_full()) {
     if (view.is_prefix() && parent_view.is_prefix()) {
       ARSP_CHECK_MSG(view.num_instances() <= parent_view.num_instances(),
                      "Derive: prefix view extends past the parent's prefix");
@@ -365,7 +350,7 @@ std::shared_ptr<ExecutionContext> ExecutionContext::Derive(
     }
   }
   return std::shared_ptr<ExecutionContext>(
-      new ExecutionContext(std::move(parent), std::move(view), goal));
+      new ExecutionContext(std::move(parent), std::move(view)));
 }
 
 const WeightRatioConstraints& ExecutionContext::weight_ratios() const {
@@ -410,12 +395,8 @@ ScoreSpan ExecutionContext::scores() const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (span_ready_) return span_;
   SetupTimer timer(this);
-  if (parent_ != nullptr && view_.SameRepAs(parent_->view())) {
-    // Identical window (a goal-scoped child): the parent's span IS ours.
-    span_ = parent_->scores();
-    Count(&IndexBuildStats::score_reuses);
-  } else if (parent_ != nullptr && view_.is_prefix() &&
-             parent_->view().is_prefix()) {
+  if (parent_ != nullptr && view_.is_prefix() &&
+      parent_->view().is_prefix()) {
     // Prefix-of-prefix: local ids agree, so the parent's buffer truncated
     // to this view's instance count IS this view's buffer. Zero copies.
     span_ = parent_->scores().Prefix(view_.num_instances());
@@ -614,11 +595,12 @@ bool GoalPruner::ExcludedNow(int j) const {
 }
 
 void GoalPruner::Decide(int j, bool excluded) {
-  ARSP_DCHECK(decided_[static_cast<size_t>(j)] == 0);
-  decided_[static_cast<size_t>(j)] = 1;
+  ARSP_DCHECK(Load(decided_[static_cast<size_t>(j)]) == 0);
+  Store(decided_[static_cast<size_t>(j)], static_cast<unsigned char>(1));
   excluded_[static_cast<size_t>(j)] = excluded ? 1 : 0;
-  --undecided_;
-  ++decided_count_;
+  // Resolve calls never overlap (a serial solve, or under the traversal
+  // driver's lock), so a load and a store make the decrement.
+  Store(undecided_, Load(undecided_) - 1);
   if (excluded) ++objects_pruned_;
 }
 
@@ -632,7 +614,7 @@ void GoalPruner::Resolve(int i, double prob) {
   pending_[j] -= view_.prob(i);
   if (pending_[j] < 0.0) pending_[j] = 0.0;  // clamp summation rounding
   --unresolved_[j];
-  if (decided_[j] != 0) return;
+  if (Load(decided_[j]) != 0) return;
   if (unresolved_[j] == 0) {
     Decide(static_cast<int>(j), false);  // exact
   } else if (ExcludedNow(static_cast<int>(j))) {
@@ -641,9 +623,9 @@ void GoalPruner::Resolve(int i, double prob) {
 }
 
 bool GoalPruner::AllDecided(const int* ids, int count) const {
-  if (!active_ || decided_count_ == 0) return false;
+  if (!active_ || Load(undecided_) == num_objects_) return false;
   for (int i = 0; i < count; ++i) {
-    if (decided_[static_cast<size_t>(view_.object_of(ids[i]))] == 0) {
+    if (Load(decided_[static_cast<size_t>(view_.object_of(ids[i]))]) == 0) {
       return false;
     }
   }
@@ -678,7 +660,7 @@ void GoalPruner::Finish(ArspResult* result) const {
     } else {
       b.lower = lower_[sj];
       b.upper = lower_[sj] + pending_[sj];
-      if (decided_[sj] != 0) {
+      if (Load(decided_[sj]) != 0) {
         ARSP_DCHECK(excluded_[sj] != 0);
         result->object_decisions[sj] = ObjectDecision::kExcluded;
       }
@@ -711,11 +693,12 @@ Status ArspSolver::ValidateContext(const ExecutionContext& context) const {
 }
 
 StatusOr<ArspResult> ArspSolver::Solve(ExecutionContext& context,
+                                       const QueryGoal& goal,
                                        SolverStats* stats_out) {
   ARSP_RETURN_IF_ERROR(ValidateContext(context));
   const double setup_before = context.total_setup_millis();
   Stopwatch sw;
-  StatusOr<ArspResult> result = SolveImpl(context);
+  StatusOr<ArspResult> result = SolveImpl(context, goal);
   if (!result.ok() || stats_out == nullptr) return result;
   // Per-run stats start from zero: a pooled context reused across queries
   // must never report cumulative counters. setup_millis is what this run

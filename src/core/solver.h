@@ -25,6 +25,7 @@
 #ifndef ARSP_CORE_SOLVER_H_
 #define ARSP_CORE_SOLVER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -67,13 +68,13 @@ enum SolverCaps : uint32_t {
   /// Work grows exponentially with the mapped dimensionality d' = |V|
   /// (QDTT+'s 2^{d'} quadrant fan-out); harnesses cap the vertex count.
   kCapExponentialInVertices = 1u << 5,
-  /// Honors a threshold ExecutionContext::goal() (QueryGoal::PushesDown):
-  /// maintains per-object probability bounds through a GoalPruner, skips
-  /// objects below the threshold, stops early when every object is
-  /// decided, and may return a partial (is_complete() == false)
-  /// ArspResult. Every other goal gets a complete result. Solvers without
-  /// this flag ignore the goal and return complete results — correct for
-  /// any goal, just without the savings.
+  /// Honors a threshold goal passed to ArspSolver::Solve
+  /// (QueryGoal::PushesDown): maintains per-object probability bounds
+  /// through a GoalPruner, skips objects below the threshold, stops early
+  /// when every object is decided, and may return a partial
+  /// (is_complete() == false) ArspResult. Every other goal gets a complete
+  /// result. Solvers without this flag ignore the goal and return complete
+  /// results — correct for any goal, just without the savings.
   kCapGoalPushdown = 1u << 6,
   /// Honors the "parallelism" solver option: splits the traversal at a
   /// frontier depth into subtree tasks on a TaskArena, with results
@@ -186,6 +187,12 @@ class ExecutionContext;
 /// every object is decided. Decisions are monotone — an object never
 /// becomes undecided again — which is what makes both skips sound.
 ///
+/// Parallel traversal lanes read the decisions (ObjectDecided, AllDecided,
+/// GoalMet) while one lane at a time, holding the driver's lock, calls
+/// Resolve. The decision state is therefore read and written through
+/// relaxed atomics; a lane that reads a stale decision only misses a skip.
+/// Every other member is touched by Resolve and Finish alone.
+///
 /// A pruner built from a goal that does not push down is inactive: every
 /// method is a cheap no-op and solvers pass nullptr into their hot loops
 /// instead.
@@ -206,7 +213,7 @@ class GoalPruner {
   /// use it to skip per-instance work whose only purpose is j's own
   /// probability — never work that feeds *other* objects' probabilities.
   bool ObjectDecided(int j) const {
-    return active_ && decided_[static_cast<size_t>(j)] != 0;
+    return active_ && Load(decided_[static_cast<size_t>(j)]) != 0;
   }
 
   /// True when every instance in `ids[0..count)` belongs to a decided
@@ -215,7 +222,7 @@ class GoalPruner {
 
   /// True when every object is decided: the answer is determined and the
   /// solve can stop.
-  bool GoalMet() const { return active_ && undecided_ == 0; }
+  bool GoalMet() const { return active_ && Load(undecided_) == 0; }
 
   /// True when every instance was resolved (the run degenerated to a full
   /// solve); such a result is complete and answers any goal.
@@ -223,13 +230,6 @@ class GoalPruner {
 
   int64_t objects_pruned() const { return objects_pruned_; }
   int64_t bound_refinements() const { return bound_refinements_; }
-
-  /// Decided-object count / mask (object-indexed, 1 = decided), read by
-  /// SharedGoalState to republish decisions to parallel lanes. The mask
-  /// reference stays valid for the pruner's lifetime; callers snapshot it
-  /// under their own synchronization.
-  int decided_count() const { return decided_count_; }
-  const std::vector<unsigned char>& decided_mask() const { return decided_; }
 
   /// Exports goal, bounds, decisions, completeness, and counters into the
   /// result. Exact objects' bounds are recomputed as instance-order sums
@@ -239,6 +239,18 @@ class GoalPruner {
   void Finish(ArspResult* result) const;
 
  private:
+  // The relaxed atomic accesses of the decision state (see the class
+  // comment). On x86-64 both compile to plain moves.
+  template <typename T>
+  static T Load(const T& value) {
+    return std::atomic_ref<T>(const_cast<T&>(value))
+        .load(std::memory_order_relaxed);
+  }
+  template <typename T>
+  static void Store(T& target, T value) {
+    std::atomic_ref<T>(target).store(value, std::memory_order_relaxed);
+  }
+
   bool ExcludedNow(int j) const;
   void Decide(int j, bool excluded);
 
@@ -251,10 +263,9 @@ class GoalPruner {
   std::vector<double> lower_;    ///< Σ resolved rskyline probabilities
   std::vector<double> pending_;  ///< Σ unresolved existence probs
   std::vector<int> unresolved_;  ///< #instances not yet resolved
-  std::vector<unsigned char> decided_;
+  std::vector<unsigned char> decided_;  ///< read concurrently: Load/Store
   std::vector<unsigned char> excluded_;
-  int undecided_ = 0;
-  int decided_count_ = 0;
+  int undecided_ = 0;  ///< read concurrently: Load/Store
   int64_t resolved_ = 0;
   int64_t objects_pruned_ = 0;
   int64_t bound_refinements_ = 0;
@@ -290,29 +301,35 @@ class ArspSolver {
   /// call the base first.
   virtual Status ValidateContext(const ExecutionContext& context) const;
 
-  /// Validates and runs the algorithm. If `stats_out` is non-null it
-  /// receives this run's SolverStats (wall time via Stopwatch plus the
-  /// ArspResult counters), built fresh for every run — a reused (pooled)
-  /// context never accumulates counters across queries, and several threads
-  /// may solve against one shared context. Caveat: setup_millis is the
-  /// growth of the context's setup total during the run, so when concurrent
-  /// runs first-touch one context, setup paid by one thread can be
-  /// attributed to every overlapping run (their sum can exceed wall setup
-  /// time); counters other than setup_millis are exact.
+  /// Validates and runs the algorithm for `goal`: a kCapGoalPushdown solver
+  /// prunes for a goal that pushes down, every other solver and goal gets
+  /// a complete result. The goal belongs to this run alone, so one context
+  /// serves every goal, on any number of threads at once. If `stats_out` is
+  /// non-null it receives this run's SolverStats (wall time via Stopwatch
+  /// plus the ArspResult counters), built fresh for every run — a reused
+  /// (pooled) context never accumulates counters across queries. Caveat:
+  /// setup_millis is the growth of the context's setup total during the
+  /// run, so when concurrent runs first-touch one context, setup paid by
+  /// one thread can be attributed to every overlapping run (their sum can
+  /// exceed wall setup time); counters other than setup_millis are exact.
   StatusOr<ArspResult> Solve(ExecutionContext& context,
+                             const QueryGoal& goal = QueryGoal::Full(),
                              SolverStats* stats_out = nullptr);
 
  protected:
   /// The algorithm body. Preprocessing comes from the context; anything the
-  /// solver computes here is per-run.
-  virtual StatusOr<ArspResult> SolveImpl(ExecutionContext& context) = 0;
+  /// solver computes here is per-run. Solvers without kCapGoalPushdown
+  /// ignore `goal`.
+  virtual StatusOr<ArspResult> SolveImpl(ExecutionContext& context,
+                                         const QueryGoal& goal) = 0;
 };
 
 /// Once-per-query state shared across solvers: a DatasetView (the query
 /// target — a whole dataset or a zero-copy window of one), the constraint
 /// family, and lazily computed (then cached) preprocessing artifacts. The
 /// view's base dataset must outlive the context (or be owned by the view);
-/// constraints are copied in.
+/// constraints are copied in. A context holds no goal: the goal is an
+/// argument of each ArspSolver::Solve, so every context serves every goal.
 ///
 /// Contexts form a derivation tree: Derive(parent, view) builds a child
 /// context over a sub-view that inherits every view-independent artifact
@@ -333,21 +350,15 @@ class ArspSolver {
 class ExecutionContext {
  public:
   /// Context for a general preference region (weak ranking, interactive, or
-  /// custom vertex sets). `goal` is the execution goal kCapGoalPushdown
-  /// solvers honor (full = classic ARSP); it is immutable, so a context can
-  /// be shared across threads regardless of goal.
-  ExecutionContext(const UncertainDataset& dataset, PreferenceRegion region,
-                   QueryGoal goal = {});
-  ExecutionContext(DatasetView view, PreferenceRegion region,
-                   QueryGoal goal = {});
+  /// custom vertex sets).
+  ExecutionContext(const UncertainDataset& dataset, PreferenceRegion region);
+  ExecutionContext(DatasetView view, PreferenceRegion region);
 
   /// Context for weight ratio constraints. General-F solvers derive the
   /// preference region lazily through region(); DUAL-family solvers read the
   /// ratios directly.
-  ExecutionContext(const UncertainDataset& dataset, WeightRatioConstraints wr,
-                   QueryGoal goal = {});
-  ExecutionContext(DatasetView view, WeightRatioConstraints wr,
-                   QueryGoal goal = {});
+  ExecutionContext(const UncertainDataset& dataset, WeightRatioConstraints wr);
+  ExecutionContext(DatasetView view, WeightRatioConstraints wr);
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
@@ -355,19 +366,9 @@ class ExecutionContext {
   /// Child context over `view` with the parent's constraints. `view` must
   /// window the same base dataset and be contained in the parent's view
   /// (checked). The child shares the parent's constraint artifacts and
-  /// index structures instead of rebuilding them. The child inherits the
-  /// parent's goal; the overload below overrides it — ArspEngine derives a
-  /// goal-scoped child over the *same* view from a pooled (goal-free)
-  /// context, which costs nothing (every artifact, including the score
-  /// span, is shared) and keeps pooled contexts reusable across goals.
+  /// index structures instead of rebuilding them.
   static std::shared_ptr<ExecutionContext> Derive(
       std::shared_ptr<const ExecutionContext> parent, DatasetView view);
-  static std::shared_ptr<ExecutionContext> Derive(
-      std::shared_ptr<const ExecutionContext> parent, DatasetView view,
-      QueryGoal goal);
-
-  /// The execution goal; immutable for the context's lifetime.
-  const QueryGoal& goal() const { return goal_; }
 
   /// The base dataset behind the view.
   const UncertainDataset& dataset() const { return view_.base(); }
@@ -488,14 +489,13 @@ class ExecutionContext {
   class SetupTimer;
 
   ExecutionContext(std::shared_ptr<const ExecutionContext> parent,
-                   DatasetView view, QueryGoal goal);
+                   DatasetView view);
 
   // Bumps one index_stats_ counter, and build_totals_ when set. Callers
   // hold mu_.
   void Count(int64_t IndexBuildStats::*counter) const;
 
   DatasetView view_;
-  QueryGoal goal_;  // immutable after construction
   std::optional<WeightRatioConstraints> wr_;
   std::shared_ptr<const ExecutionContext> parent_;  // nullptr for roots
   // mu_ guards every mutable member below. Recursive because the lazy

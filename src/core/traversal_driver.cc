@@ -20,16 +20,13 @@
 //    IS the merge order), and counters are associative sums (see
 //    TraversalCounters).
 //
-// Goal pushdown under parallelism flows through SharedGoalState: lanes
-// buffer resolutions and flush them to the single authoritative GoalPruner
-// under a lock; decided masks and the global early-exit flag come back as
-// epoch-published snapshots that lanes poll between tasks. Monotone pruning
-// only, so no torn decisions.
+// Goal pushdown under parallelism: lanes read the one GoalPruner's
+// decisions in place and hand it their resolutions in batches under one
+// lock (see GoalChannel). Monotone pruning only, so no torn decisions.
 
 #include "src/core/traversal_driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <limits>
 #include <mutex>
@@ -58,163 +55,62 @@ struct TraversalCounters {
   int64_t early_exit_depth = 0;
 };
 
-/// Cross-lane goal-pushdown state: wraps the query's single authoritative
-/// GoalPruner behind a mutex and republishes its decided-object mask as an
-/// epoch-stamped snapshot that lanes copy between tasks. Because pruner
-/// decisions are monotone (an object, once decided, never becomes
-/// undecided, and the global goal-met flag never clears), a lane acting on
-/// a stale snapshot only *misses* pruning opportunities — it can never
-/// skip work it still needed, so correctness is unconditional and the
-/// final answer set matches serial.
-class SharedGoalState {
- public:
-  /// `pruner` may be null (full goal): then the state is inert and every
-  /// channel built on it behaves as inactive.
-  explicit SharedGoalState(GoalPruner* pruner)
-      : pruner_(pruner != nullptr && pruner->active() ? pruner : nullptr) {
-    if (pruner_ != nullptr) {
-      // Publish the construction-time mask: the pruner pre-decides empty
-      // objects and objects whose whole existence mass is below p, and
-      // lanes should see those from task one.
-      std::lock_guard<std::mutex> lock(mu_);
-      PublishLocked();
-    }
-  }
-
-  bool active() const { return pruner_ != nullptr; }
-
-  /// Global early-exit flag: set once GoalMet() held under the lock.
-  bool stopped() const { return stop_.load(std::memory_order_acquire); }
-
-  /// Applies a batch of (instance id, probability) resolutions to the
-  /// authoritative pruner under the lock, then republishes the decided
-  /// mask (epoch bump) if any new object decision landed.
-  void Flush(const std::vector<std::pair<int, double>>& resolutions) {
-    if (pruner_ == nullptr || resolutions.empty()) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& r : resolutions) {
-      pruner_->Resolve(r.first, r.second);
-    }
-    if (pruner_->GoalMet()) {
-      stop_.store(true, std::memory_order_release);
-    }
-    if (pruner_->decided_count() != published_count_) {
-      PublishLocked();
-    }
-  }
-
-  /// Copies the latest published mask into `mask` iff `*epoch_seen` is
-  /// stale, updating `*epoch_seen` / `*any_decided`.
-  void RefreshSnapshot(std::vector<unsigned char>* mask, uint64_t* epoch_seen,
-                       bool* any_decided) const {
-    if (pruner_ == nullptr) return;
-    const uint64_t current = epoch_.load(std::memory_order_acquire);
-    if (current == *epoch_seen) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    *mask = published_;
-    *any_decided = published_count_ > 0;
-    // Re-read under the lock: the copy above is consistent with at least
-    // this epoch.
-    *epoch_seen = epoch_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void PublishLocked() {
-    published_ = pruner_->decided_mask();
-    published_count_ = pruner_->decided_count();
-    epoch_.fetch_add(1, std::memory_order_release);
-  }
-
-  GoalPruner* const pruner_;
-  mutable std::mutex mu_;
-  std::vector<unsigned char> published_;  // decided mask copy, under mu_
-  int published_count_ = 0;               // decided count at last publish
-  std::atomic<uint64_t> epoch_{1};
-  std::atomic<bool> stop_{false};
-};
-
-/// A lane's view of goal pushdown; one of three modes:
-///  * inactive — full goal, every query is a cheap no-op;
-///  * direct — serial execution: calls straight into the GoalPruner;
-///  * buffered — parallel execution: resolutions accumulate locally and
-///    flush in batches to the SharedGoalState; decided/stopped queries are
-///    answered from the lane's snapshot (refreshed between tasks).
-/// The buffered mode is what makes goal pushdown race-free under
-/// parallelism: the pruner itself is only ever touched under the shared
-/// lock, and snapshots are plain lane-private copies.
+/// A lane's side of goal pushdown. Decisions are always read straight from
+/// the query's one GoalPruner; resolutions reach it one of two ways:
+///  * serial — each Resolve calls the pruner directly;
+///  * parallel — resolutions collect in a lane-local batch, and Flush
+///    applies the batch to the pruner under the driver's lock, at
+///    kFlushBatch entries and at task end.
+/// Lanes read decisions while a flush writes them; GoalPruner makes those
+/// accesses relaxed atomics, and because decisions are monotone (an object
+/// never becomes undecided again, nor does the goal become unmet) a lane
+/// that reads a stale decision only misses a skip. It can never skip work
+/// it still needed, so the answer set matches serial.
 class GoalChannel {
  public:
   static constexpr size_t kFlushBatch = 4096;
 
-  /// Direct mode; a null pruner degrades to inactive.
-  explicit GoalChannel(GoalPruner* pruner) : pruner_(pruner) {}
-  /// Buffered mode; `instance_objects` maps local instance id → object id
-  /// (needed to answer AllDecided from the object-indexed snapshot). An
-  /// inert `shared` degrades to inactive.
-  GoalChannel(SharedGoalState* shared, const int* instance_objects)
-      : shared_(shared->active() ? shared : nullptr),
-        objects_(instance_objects) {}
+  /// A null pruner is inactive (full goal). A null `flush_mu` is serial.
+  GoalChannel(GoalPruner* pruner, std::mutex* flush_mu)
+      : pruner_(pruner), flush_mu_(flush_mu) {}
 
-  bool active() const { return pruner_ != nullptr || shared_ != nullptr; }
+  bool active() const { return pruner_ != nullptr; }
 
   /// Global early-exit: the goal is met, stop traversing everywhere.
-  bool GoalMet() const {
-    if (pruner_ != nullptr) return pruner_->GoalMet();
-    if (shared_ != nullptr) return shared_->stopped();
-    return false;
-  }
+  bool GoalMet() const { return pruner_ != nullptr && pruner_->GoalMet(); }
 
-  /// True when every instance in ids[0..count) belongs to a decided
-  /// object. Buffered mode answers from the lane snapshot — stale is fine,
-  /// it only under-reports (see SharedGoalState).
+  /// True when every instance in ids[0..count) belongs to a decided object.
   bool AllDecided(const int* ids, int count) const {
-    if (pruner_ != nullptr) return pruner_->AllDecided(ids, count);
-    if (shared_ == nullptr || !snapshot_any_) return false;
-    for (int i = 0; i < count; ++i) {
-      const int object = objects_[ids[i]];
-      if (snapshot_[static_cast<size_t>(object)] == 0) return false;
-    }
-    return true;
+    return pruner_ != nullptr && pruner_->AllDecided(ids, count);
   }
 
   /// Reports one instance's exact probability. Callers guard loops with
   /// active() so the full-goal path pays nothing per instance.
   void Resolve(int instance, double prob) {
-    if (pruner_ != nullptr) {
+    if (flush_mu_ == nullptr) {
       pruner_->Resolve(instance, prob);
       return;
     }
-    if (shared_ != nullptr) {
-      buffer_.emplace_back(instance, prob);
-      if (buffer_.size() >= kFlushBatch) Flush();
-    }
+    buffer_.emplace_back(instance, prob);
+    if (buffer_.size() >= kFlushBatch) Flush();
   }
 
-  /// Pushes buffered resolutions to the shared pruner (no-op otherwise).
+  /// Applies the batched resolutions to the pruner (no-op when serial).
   /// Call at task end — resolutions must not outlive their task, or a
   /// long-running lane could starve the global goal check.
   void Flush() {
-    if (shared_ != nullptr && !buffer_.empty()) {
-      shared_->Flush(buffer_);
-      buffer_.clear();
+    if (buffer_.empty()) return;
+    std::lock_guard<std::mutex> lock(*flush_mu_);
+    for (const auto& [instance, prob] : buffer_) {
+      pruner_->Resolve(instance, prob);
     }
-  }
-
-  /// Refreshes the decided-mask snapshot; call between tasks.
-  void BeginTask() {
-    if (shared_ != nullptr) {
-      shared_->RefreshSnapshot(&snapshot_, &epoch_seen_, &snapshot_any_);
-    }
+    buffer_.clear();
   }
 
  private:
-  GoalPruner* pruner_ = nullptr;     // direct mode
-  SharedGoalState* shared_ = nullptr;  // buffered mode
-  const int* objects_ = nullptr;
+  GoalPruner* pruner_;
+  std::mutex* flush_mu_;  // null: serial, Resolve goes straight through
   std::vector<std::pair<int, double>> buffer_;
-  std::vector<unsigned char> snapshot_;  // decided mask, object-indexed
-  uint64_t epoch_seen_ = 0;
-  bool snapshot_any_ = false;
 };
 
 /// Everything one worker needs to traverse a subtree: private (σ, β, χ)
@@ -310,16 +206,13 @@ class TraversalDriver {
       if (arena_->num_workers() < 2) arena_.reset();
     }
     if (!arena_.has_value()) {
-      lanes_.emplace_back(num_objects, GoalChannel(pruner));
+      lanes_.emplace_back(num_objects, GoalChannel(pruner, nullptr));
       return;
     }
     frontier_depth_ =
         DefaultFrontierDepth(policy.branch_factor(), arena_->num_workers());
-    shared_.emplace(pruner);
     for (int w = 0; w < arena_->num_workers(); ++w) {
-      lanes_.emplace_back(num_objects,
-                          GoalChannel(&*shared_, scores_.objects));
-      lanes_.back().channel.BeginTask();
+      lanes_.emplace_back(num_objects, GoalChannel(pruner, &flush_mu_));
     }
   }
 
@@ -467,17 +360,14 @@ class TraversalDriver {
     return false;
   }
 
-  // Turns each child of the frontier parent into one task. A task
-  // refreshes its lane's goal snapshot before the body and flushes its
-  // buffered resolutions after, so a task is the unit of goal-state
-  // propagation.
+  // Turns each child of the frontier parent into one task. A task flushes
+  // its lane's batched resolutions when it ends.
   void Spawn(const TraversalLane& lane, const DepthScratch& parent) {
     const auto shared_seed =
         std::make_shared<const TaskSeed>(TaskSeed{lane.undo, parent.kept});
     for (const TraversalNode& child : parent.children) {
       arena_->Submit([this, shared_seed, child](int worker) {
         TraversalLane& task_lane = lanes_[static_cast<size_t>(worker)];
-        task_lane.channel.BeginTask();
         if (!task_lane.stopped) {  // after global goal-met, skip the replay
           for (const AspTraversalState::Change& add : shared_seed->path) {
             task_lane.state.Add(add.object, add.prob, &task_lane.undo);
@@ -497,8 +387,8 @@ class TraversalDriver {
   double* const probs_;  // result->instance_probs, disjoint subtree writes
   int frontier_depth_ = 0;  // 0 = serial: no tasks
   // Destroyed in reverse: the arena joins its helpers before the lanes and
-  // the shared goal state they use go away.
-  std::optional<SharedGoalState> shared_;
+  // the lock their flushes take go away.
+  std::mutex flush_mu_;  // serializes the lanes' GoalChannel::Flush
   std::deque<TraversalLane> lanes_;  // never moved: workers hold references
   std::optional<TaskArena> arena_;
 };
@@ -555,7 +445,8 @@ Status TraversalSolver::ReadParallelism(const SolverOptions& options) {
   return Status::OK();
 }
 
-StatusOr<ArspResult> TraversalSolver::SolveImpl(ExecutionContext& context) {
+StatusOr<ArspResult> TraversalSolver::SolveImpl(ExecutionContext& context,
+                                                const QueryGoal& goal) {
   const DatasetView& view = context.view();
   ArspResult result;
   result.instance_probs.assign(static_cast<size_t>(view.num_instances()),
@@ -563,7 +454,7 @@ StatusOr<ArspResult> TraversalSolver::SolveImpl(ExecutionContext& context) {
   if (view.num_instances() == 0) return result;
   const ScoreSpan scores = context.scores();
   const std::unique_ptr<PartitionPolicy> policy = MakePolicy(scores);
-  GoalPruner pruner(context.goal(), view);
+  GoalPruner pruner(goal, view);
   TraversalDriver driver(*policy, result.instance_probs.data(),
                          view.num_objects(),
                          pruner.active() ? &pruner : nullptr, parallelism_);

@@ -114,7 +114,8 @@ class TraversalSolver : public ArspSolver {
   /// Configure overrides that accept more keys.
   Status ReadParallelism(const SolverOptions& options);
 
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context) final;
+  StatusOr<ArspResult> SolveImpl(ExecutionContext& context,
+                                 const QueryGoal& goal) final;
 
  private:
   int parallelism_ = 1;

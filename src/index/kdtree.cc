@@ -147,7 +147,7 @@ void KdTree::BuildFrom(const double* coords, const double* weights,
       2 * static_cast<size_t>(n) / static_cast<size_t>(leaf_size) + 2;
   nodes_.reserve(node_estimate);
   node_bounds_.reserve(node_estimate * 2 * static_cast<size_t>(dim_));
-  Build(0, n, leaf_size, coords, weights, ids, perm.data());
+  Build(0, n, leaf_size, coords, ids, perm.data());
 
   // Gather the arenas into build (permutation) order.
   item_coords_.resize(static_cast<size_t>(n) * static_cast<size_t>(dim_));
@@ -172,7 +172,7 @@ void KdTree::BuildFrom(const double* coords, const double* weights,
 }
 
 int KdTree::Build(int begin, int end, int leaf_size, const double* coords,
-                  const double* weights, const int32_t* ids, int32_t* perm) {
+                  const int32_t* ids, int32_t* perm) {
   const int node_idx = static_cast<int>(nodes_.size());
   nodes_.push_back(KdNode{});
   node_bounds_.resize(node_bounds_.size() + 2 * static_cast<size_t>(dim_));
@@ -187,7 +187,6 @@ int KdTree::Build(int begin, int end, int leaf_size, const double* coords,
       lo[k] = std::numeric_limits<double>::infinity();
       hi[k] = -std::numeric_limits<double>::infinity();
     }
-    double sum = 0.0;
     int32_t min_id = kNoIdBound;
     for (int i = begin; i < end; ++i) {
       const int32_t src = perm[i];
@@ -197,10 +196,8 @@ int KdTree::Build(int begin, int end, int leaf_size, const double* coords,
         lo[k] = std::min(lo[k], row[k]);
         hi[k] = std::max(hi[k], row[k]);
       }
-      sum += weights[src];
       min_id = std::min(min_id, ids[src]);
     }
-    node.weight_sum = sum;
     node.min_id = min_id;
   }
   if (end - begin <= leaf_size) return node_idx;
@@ -232,8 +229,8 @@ int KdTree::Build(int begin, int end, int leaf_size, const double* coords,
       coords[static_cast<size_t>(perm[end - 1]) * d + sdim]) {
     return node_idx;
   }
-  const int left = Build(begin, mid, leaf_size, coords, weights, ids, perm);
-  const int right = Build(mid, end, leaf_size, coords, weights, ids, perm);
+  const int left = Build(begin, mid, leaf_size, coords, ids, perm);
+  const int right = Build(mid, end, leaf_size, coords, ids, perm);
   nodes_.mutable_data()[node_idx].left = left;
   nodes_.mutable_data()[node_idx].right = right;
   return node_idx;

@@ -43,21 +43,18 @@ struct KdItem {
 };
 
 /// Flattened kd-tree node: child indexes instead of pointers, item range for
-/// leaves, subtree aggregates. Bounds live in the parallel bounds column
-/// (2 · dim doubles per node). POD with an explicit 32-byte layout so a node
-/// pool serializes as one flat snapshot section.
+/// leaves, the subtree's minimum id. Bounds live in the parallel bounds
+/// column (2 · dim doubles per node). POD of five int32s with no padding,
+/// so a node pool serializes as one flat snapshot section.
 struct KdNode {
-  double weight_sum = 0.0;  ///< subtree weight total; no probe reads it,
-                            ///< but it is part of the .arsp node layout
   int32_t left = -1;    ///< child node indexes; -1 for leaves
   int32_t right = -1;
   int32_t begin = 0;    ///< item range [begin, end) for leaves
   int32_t end = 0;
   int32_t min_id = 0;   ///< minimum item id in the subtree (prefix pruning)
-  int32_t pad = 0;      ///< explicit padding; keeps the file layout exact
   bool is_leaf() const { return left < 0; }
 };
-static_assert(sizeof(KdNode) == 32, "KdNode must have a fixed 32-byte layout");
+static_assert(sizeof(KdNode) == 20, "KdNode must have a fixed 20-byte layout");
 
 /// Immutable kd-tree.
 ///
@@ -151,7 +148,7 @@ class KdTree {
   void BuildFrom(const double* coords, const double* weights,
                  const int32_t* ids, int n, int leaf_size);
   int Build(int begin, int end, int leaf_size, const double* coords,
-            const double* weights, const int32_t* ids, int32_t* perm);
+            const int32_t* ids, int32_t* perm);
 
   const double* item_row(int i) const {
     return item_coords_.data() +

@@ -48,7 +48,7 @@ class PreferenceRegion;
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'A', 'R', 'S', 'P', 'S', 'N', 'A', 'P'};
-inline constexpr uint32_t kVersion = 1;
+inline constexpr uint32_t kVersion = 2;
 inline constexpr uint32_t kEndianMarker = 0x01020304u;
 inline constexpr size_t kSectionAlignment = 64;
 
@@ -162,7 +162,7 @@ struct SnapshotWriteOptions {
   std::vector<std::string> object_names;
 };
 
-/// Builds both indexes over `dataset` and writes a version-1 snapshot.
+/// Builds both indexes over `dataset` and writes a version-2 snapshot.
 /// The dataset must be in-memory (owned columns are not required, but the
 /// writer reads every column once to checksum and serialize it).
 Status WriteSnapshot(const UncertainDataset& dataset, const std::string& path,

@@ -100,14 +100,6 @@ class DatasetView {
   /// zero-copy score-span and index-prefix reuse paths rely on.
   bool is_prefix() const { return rep_->spec.kind != ViewSpec::Kind::kSubset; }
 
-  /// True iff both views are handles to the same internal rep — the O(1)
-  /// "identical window" test (copies of one view share their rep). Used by
-  /// ExecutionContext::Derive to recognize same-view goal children and
-  /// share the parent's artifacts without containment scans or gathers.
-  bool SameRepAs(const DatasetView& other) const {
-    return rep_ == other.rep_;
-  }
-
   /// The spec's CacheKey.
   std::string CacheKey() const { return rep_->spec.CacheKey(); }
 

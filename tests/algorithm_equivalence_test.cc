@@ -185,7 +185,7 @@ void SweepRegistryAgainstEnum(const UncertainDataset& dataset,
     ASSERT_TRUE(solver.ok()) << name;
     const Status applicable = (*solver)->ValidateContext(context);
     SolverStats stats;
-    auto result = (*solver)->Solve(context, &stats);
+    auto result = (*solver)->Solve(context, QueryGoal::Full(), &stats);
     if (!applicable.ok()) {
       // Inapplicable solvers must fail cleanly, never compute garbage.
       EXPECT_FALSE(result.ok()) << name;
@@ -307,7 +307,7 @@ struct PinnedSolve {
   const char* solver;
   int dim;  // = score dimension: 3 is one partial SIMD chunk, 6 is 4 + 2
   int parallelism;
-  PinnedGoal goal;  // solved with this goal in the context
+  PinnedGoal goal;  // the goal passed to Solve
   uint64_t digest;
   int64_t dominance_tests;
   int64_t nodes_visited;
@@ -318,9 +318,9 @@ struct PinnedSolve {
 // candidate filtering, the kAbove03 rows at the commit before top-k
 // pushdown was removed. A top-10 never pushes down, so every top-10 row
 // carries its full row's counters. A threshold pushes down; its rows are
-// serial only, because parallel pushdown prunes on scheduling-dependent
-// snapshots and its counters differ run to run (ParallelDeterminism holds
-// its answers to the serial ones instead).
+// serial only, because parallel pushdown prunes on decisions whose timing
+// depends on the schedule, so its counters differ run to run
+// (ParallelDeterminism holds its answers to the serial ones instead).
 const PinnedSolve kPinned[] = {
     {"kdtt", 3, 1, kFull, 0xcdbc1709f5a8caa5ull, 46503, 243, 0},
     {"kdtt", 3, 1, kTop10, 0x967d572151a5a2cdull, 46503, 243, 0},
@@ -377,14 +377,14 @@ TEST(PinnedBits, TraversalSolversMatchRecordedDigests) {
                               goal.ToString();
     SCOPED_TRACE(label);
     const UncertainDataset dataset = IntegerDataset(1000, pin.dim, 16);
-    ExecutionContext context(dataset, WeakRankingByVertices(pin.dim), goal);
+    ExecutionContext context(dataset, WeakRankingByVertices(pin.dim));
     auto solver = SolverRegistry::Create(pin.solver);
     ASSERT_TRUE(solver.ok());
     SolverOptions options;
     options.SetInt("parallelism", pin.parallelism);
     ASSERT_TRUE((*solver)->Configure(options).ok());
     internal::SetCoreBudgetTotalForTesting(pin.parallelism);
-    auto result = (*solver)->Solve(context);
+    auto result = (*solver)->Solve(context, goal);
     internal::SetCoreBudgetTotalForTesting(0);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (pin.parallelism > 1) {

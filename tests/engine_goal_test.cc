@@ -7,8 +7,8 @@
 // and is NEVER returned for a full or different-goal request, while a
 // cached full result IS reused (sliced) for derived goals, so one top-k
 // solve serves every later goal on its spec — and concurrent Solve calls
-// with mixed goals over one pooled context (the TSan target for
-// goal-scoped child contexts).
+// with mixed goals over one pooled context (the TSan target for solves of
+// different goals sharing one context).
 
 #include "src/core/engine.h"
 
@@ -212,9 +212,9 @@ TEST(EngineGoalPushdown, CountControlledIsPostHocAndMatchesQueriesH) {
 
 TEST(EngineGoalPushdown, MixedGoalsShareOnePooledContextConcurrently) {
   // The TSan target: many concurrent requests with different goals and
-  // solvers against ONE (dataset, constraints) pair. Pooled contexts stay
-  // goal-free; each pushdown request derives a private goal-scoped child,
-  // so the pool must still hold exactly one context afterwards.
+  // solvers against ONE (dataset, constraints) pair. A context holds no
+  // goal, so every request solves the one pooled context for its own goal
+  // and the pool must still hold exactly one context afterwards.
   ArspEngine engine;
   const auto data = NbaData(40);
   const DatasetHandle handle = engine.AddDataset(data);
@@ -256,8 +256,8 @@ TEST(EngineGoalPushdown, MixedGoalsShareOnePooledContextConcurrently) {
 
 TEST(EngineGoalPushdown, GoalsPropagateThroughViewSweeps) {
   // A Fig. 6-style m% sweep with --threshold semantics: every prefix view's
-  // pushdown answer must match its own post-hoc answer, the view contexts
-  // still derive from one base build, and goal children are never pooled.
+  // pushdown answer must match its own post-hoc answer, and the view
+  // contexts still derive from one base build.
   ArspEngine engine;
   const DatasetHandle base = engine.AddDataset(NbaData());
   const int m = engine.dataset(base)->num_objects();
@@ -278,7 +278,7 @@ TEST(EngineGoalPushdown, GoalsPropagateThroughViewSweeps) {
     ASSERT_TRUE(oracle.ok());
     ExpectSameRanked(pushed->ranked, oracle->ranked);
   }
-  // One full score mapping on the base; prefix and goal children reuse it.
+  // One full score mapping on the base; the prefix views reuse it.
   ExecutionContext::IndexBuildStats stats = engine.index_stats(base);
   EXPECT_EQ(stats.score_maps, 1);
 }

@@ -2,7 +2,7 @@
 //
 // Goal-pushdown equivalence: for EVERY registered solver — with and without
 // kCapGoalPushdown, on base datasets and on derived DatasetView contexts —
-// a goal-scoped solve must give exactly the answer that post-hoc slicing of
+// a solve for a goal must give exactly the answer that post-hoc slicing of
 // that solver's full solve gives (the oracle): the same objects in the same
 // order with bit-identical probabilities, because a skipped subtree cannot
 // move any value. ENUM cross-checks on tiny inputs. Tie cases are exercised
@@ -63,28 +63,26 @@ std::vector<QueryGoal> GoalsUnderTest(const ArspResult& reference,
   return goals;
 }
 
-// Solves `name` against a goal-scoped child of `full_context` for each goal
-// and compares against post-hoc slicing of the solver's own full result.
+// Solves `name` on `context` for each goal and compares against post-hoc
+// slicing of the solver's own full result on the same context.
 // Inapplicable solvers are expected to fail validation identically with and
 // without a goal.
 void SweepSolverGoals(const std::string& name,
-                      std::shared_ptr<ExecutionContext> full_context) {
+                      std::shared_ptr<ExecutionContext> context) {
   SCOPED_TRACE(name);
   auto solver = SolverRegistry::Create(name);
   ASSERT_TRUE(solver.ok());
   const bool has_pushdown =
       ((*solver)->capabilities() & kCapGoalPushdown) != 0;
-  if (!(*solver)->ValidateContext(*full_context).ok()) return;
-  auto reference = (*solver)->Solve(*full_context);
+  if (!(*solver)->ValidateContext(*context).ok()) return;
+  auto reference = (*solver)->Solve(*context);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_TRUE(reference->is_complete());
 
-  const DatasetView& view = full_context->view();
+  const DatasetView& view = context->view();
   for (const QueryGoal& goal : GoalsUnderTest(*reference, view)) {
     SCOPED_TRACE(goal.ToString());
-    auto goal_context = ExecutionContext::Derive(full_context, view, goal);
-    ASSERT_EQ(goal_context->goal(), goal);
-    auto result = (*solver)->Solve(*goal_context);
+    auto result = (*solver)->Solve(*context, goal);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     if (!has_pushdown) {
       // Goal-oblivious solvers must return the full answer regardless.
@@ -130,7 +128,7 @@ TEST(GoalEquivalence, RegistrySweepWeakRankingAndSingleInstance2d) {
 }
 
 TEST(GoalEquivalence, RegistrySweepOnDerivedViewContexts) {
-  // Goals must push down through the zero-copy view plane: goal children of
+  // Goals must push down through the zero-copy view plane: goal solves on
   // prefix and subset view contexts (derived from one base context, as the
   // engine's sweep path builds them) answer like sliced full view solves.
   const UncertainDataset dataset = RandomDataset(16, 3, 3, 0.4, 800);
@@ -144,7 +142,6 @@ TEST(GoalEquivalence, RegistrySweepOnDerivedViewContexts) {
     auto view = DatasetView::Create(dataset, spec);
     ASSERT_TRUE(view.ok());
     auto derived = ExecutionContext::Derive(base, *view);
-    ASSERT_TRUE(derived->goal().is_full());  // inherited from the base
     for (const std::string& name : SolverRegistry::Names()) {
       SweepSolverGoals(name, derived);
     }
@@ -164,10 +161,10 @@ TEST(GoalEquivalence, EnumOracleOnTinyInputs) {
   for (const char* name : {"kdtt", "kdtt+", "qdtt+", "mwtt", "bnb"}) {
     for (const QueryGoal& goal :
          {QueryGoal::TopK(2), QueryGoal::Threshold(0.5)}) {
-      ExecutionContext context(dataset, WrRegion(2, 1), goal);
+      ExecutionContext context(dataset, WrRegion(2, 1));
       auto solver = SolverRegistry::Create(name);
       ASSERT_TRUE(solver.ok());
-      auto result = (*solver)->Solve(context);
+      auto result = (*solver)->Solve(context, goal);
       ASSERT_TRUE(result.ok());
       ExpectRankedEquivalent(AnswerGoal(*reference, view, goal),
                              AnswerGoal(*result, context.view(), goal),
@@ -214,8 +211,8 @@ TEST(GoalEquivalence, TiesAtTheKthObjectAndAtTheThreshold) {
     // k = 2 cuts through the tie: id order keeps object 1, drops object 2.
     {
       const QueryGoal goal = QueryGoal::TopK(2);
-      ExecutionContext context(dataset, region, goal);
-      auto result = (*solver)->Solve(context);
+      ExecutionContext context(dataset, region);
+      auto result = (*solver)->Solve(context, goal);
       ASSERT_TRUE(result.ok());
       const auto pushed = AnswerGoal(*result, context.view(), goal);
       ExpectRankedEquivalent(AnswerGoal(*reference, view, goal), pushed,
@@ -226,8 +223,8 @@ TEST(GoalEquivalence, TiesAtTheKthObjectAndAtTheThreshold) {
     // Count-controlled k = 2: the tie extends the answer to 3 objects.
     {
       const QueryGoal goal = QueryGoal::CountControlled(2);
-      ExecutionContext context(dataset, region, goal);
-      auto result = (*solver)->Solve(context);
+      ExecutionContext context(dataset, region);
+      auto result = (*solver)->Solve(context, goal);
       ASSERT_TRUE(result.ok());
       double threshold = 0.0;
       const auto pushed =
@@ -242,8 +239,8 @@ TEST(GoalEquivalence, TiesAtTheKthObjectAndAtTheThreshold) {
     // Threshold exactly equal to the tied probability: both included.
     {
       const QueryGoal goal = QueryGoal::Threshold(probs[1]);
-      ExecutionContext context(dataset, region, goal);
-      auto result = (*solver)->Solve(context);
+      ExecutionContext context(dataset, region);
+      auto result = (*solver)->Solve(context, goal);
       ASSERT_TRUE(result.ok());
       const auto pushed = AnswerGoal(*result, context.view(), goal);
       ExpectRankedEquivalent(AnswerGoal(*reference, view, goal), pushed,

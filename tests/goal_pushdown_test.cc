@@ -135,11 +135,10 @@ TEST(PartialResultGuards, FullResultHelpersRejectPartialResults) {
 
 TEST(PartialResultGuards, AnswerGoalRejectsMismatchedGoal) {
   const UncertainDataset dataset = TwoObjectDataset();
-  ExecutionContext context(dataset, WrRegion(2, 1),
-                           QueryGoal::Threshold(0.6));
+  ExecutionContext context(dataset, WrRegion(2, 1));
   auto solver = SolverRegistry::Create("kdtt+");
   ASSERT_TRUE(solver.ok());
-  auto result = (*solver)->Solve(context);
+  auto result = (*solver)->Solve(context, QueryGoal::Threshold(0.6));
   ASSERT_TRUE(result.ok());
   if (!result->is_complete()) {
     EXPECT_DEATH(
@@ -153,15 +152,14 @@ TEST(PartialResultGuards, AnswerGoalRejectsMismatchedGoal) {
 TEST(GoalPushdown, PartialBoundsEncloseTheTrueProbabilities) {
   const UncertainDataset dataset = RandomDataset(30, 4, 3, 0.3, 42);
   const PreferenceRegion region = WrRegion(3, 2);
-  ExecutionContext full(dataset, region);
+  ExecutionContext context(dataset, region);
   auto solver = SolverRegistry::Create("kdtt+");
   ASSERT_TRUE(solver.ok());
-  auto reference = (*solver)->Solve(full);
+  auto reference = (*solver)->Solve(context);
   ASSERT_TRUE(reference.ok());
   const std::vector<double> truth = ObjectProbabilities(*reference, dataset);
 
-  ExecutionContext context(dataset, region, QueryGoal::Threshold(0.4));
-  auto result = (*solver)->Solve(context);
+  auto result = (*solver)->Solve(context, QueryGoal::Threshold(0.4));
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->object_bounds.size(), truth.size());
   for (size_t j = 0; j < truth.size(); ++j) {
@@ -192,11 +190,11 @@ PushdownSavings RunFig6Case(const std::string& name, const QueryGoal& goal) {
   const PreferenceRegion region = WrRegion(4, 3);
   PushdownSavings out;
   auto solver = SolverRegistry::Create(name).value();
-  ExecutionContext full(dataset, region);
-  const ArspResult reference = solver->Solve(full, &out.full).value();
-  ExecutionContext context(dataset, region, goal);
-  out.goal_result = solver->Solve(context, &out.goal).value();
-  out.oracle = AnswerGoal(reference, full.view(), goal);
+  ExecutionContext context(dataset, region);
+  const ArspResult reference =
+      solver->Solve(context, QueryGoal::Full(), &out.full).value();
+  out.goal_result = solver->Solve(context, goal, &out.goal).value();
+  out.oracle = AnswerGoal(reference, context.view(), goal);
   out.pushed = AnswerGoal(out.goal_result, context.view(), goal);
   return out;
 }
@@ -235,12 +233,12 @@ TEST(GoalPushdown, Fig6RealConfigStrictSavings) {
 
 TEST(GoalPushdown, StatsStringCarriesPruningCounters) {
   const UncertainDataset dataset = GenerateNbaLike(60, 4, 1003, nullptr);
-  ExecutionContext context(dataset, WrRegion(4, 3),
-                           QueryGoal::Threshold(0.5));
+  ExecutionContext context(dataset, WrRegion(4, 3));
   auto solver = SolverRegistry::Create("kdtt+");
   ASSERT_TRUE(solver.ok());
   SolverStats stats;
-  ASSERT_TRUE((*solver)->Solve(context, &stats).ok());
+  ASSERT_TRUE(
+      (*solver)->Solve(context, QueryGoal::Threshold(0.5), &stats).ok());
   const std::string line = stats.ToString();
   EXPECT_NE(line.find("objects_pruned="), std::string::npos);
   EXPECT_NE(line.find("bound_refinements="), std::string::npos);

@@ -4,13 +4,13 @@
 // solver advertising kCapIntraQueryParallel, a parallel solve — any thread
 // count, base context or derived prefix/subset view — produces an
 // instance-probability vector memcmp-identical to the serial solve, and
-// deterministic task counts run to run. Goal-scoped solves (top-k and
+// deterministic task counts run to run. Goal solves (top-k and
 // count-controlled, sliced post hoc, and threshold pushdown) must answer
 // identically to the serial solve: the same objects in the same order with
-// bit-identical probabilities (epoch-published pruning snapshots may skip
-// different subtrees at different times, but a skipped subtree moves no
-// value and the decided answer set is a fixpoint independent of
-// scheduling).
+// bit-identical probabilities (lanes read the pruner's decisions as they
+// land, so they may skip different subtrees at different times, but a
+// skipped subtree moves no value and the decided answer set is a fixpoint
+// independent of scheduling).
 //
 // Also the TSan target for the executor: concurrent Solve calls of
 // parallel queries sharing one pooled ExecutionContext, with the
@@ -123,12 +123,12 @@ void SweepFullSolve(const std::string& name, ExecutionContext& context) {
 // family (top-k and count-controlled are sliced post hoc; the threshold
 // pushes down).
 void SweepGoalSolves(const std::string& name,
-                     std::shared_ptr<ExecutionContext> full_context) {
+                     std::shared_ptr<ExecutionContext> context) {
   SCOPED_TRACE(name);
   auto probe = MakeSolver(name, 0);
   ASSERT_NE(probe, nullptr);
-  if (!probe->ValidateContext(*full_context).ok()) return;
-  const DatasetView& view = full_context->view();
+  if (!probe->ValidateContext(*context).ok()) return;
+  const DatasetView& view = context->view();
   const std::vector<QueryGoal> goals = {
       QueryGoal::TopK(3),
       QueryGoal::Threshold(0.25),
@@ -136,10 +136,9 @@ void SweepGoalSolves(const std::string& name,
   };
   for (const QueryGoal& goal : goals) {
     SCOPED_TRACE(goal.ToString());
-    auto goal_context = ExecutionContext::Derive(full_context, view, goal);
     auto serial_solver = MakeSolver(name, 0);
     ASSERT_NE(serial_solver, nullptr);
-    auto serial = serial_solver->Solve(*goal_context);
+    auto serial = serial_solver->Solve(*context, goal);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     double serial_threshold = 0.0;
     const auto serial_ranked =
@@ -149,7 +148,7 @@ void SweepGoalSolves(const std::string& name,
       ScopedBudget budget(threads);
       auto solver = MakeSolver(name, threads);
       ASSERT_NE(solver, nullptr);
-      auto parallel = solver->Solve(*goal_context);
+      auto parallel = solver->Solve(*context, goal);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       double parallel_threshold = 0.0;
       const auto parallel_ranked =
@@ -233,6 +232,43 @@ TEST(ParallelDeterminism, GoalPushdownSweepOnDerivedViews) {
   auto derived = ExecutionContext::Derive(base, *view);
   for (const std::string& name : ParallelSolverNames()) {
     SweepGoalSolves(name, derived);
+  }
+}
+
+// Parallel pushdown must prune, not only agree with serial. The
+// φ-truncated objects carry an existence mass of 0.9, below p = 0.91, so
+// the pruner excludes them when it is built, before any task runs. Then in
+// every schedule the 2-worker threshold solve spawns tasks, reports pruned
+// objects, visits fewer nodes than the 2-worker full solve, and ranks
+// exactly like the serial solve. Each repeated run gets its own schedule.
+TEST(ParallelDeterminism, ParallelPushdownPrunes) {
+  const UncertainDataset dataset = RandomDataset(200, 2, 3, 0.5, 1700);
+  ExecutionContext context(dataset, WrRegion(3, 2));
+  const QueryGoal goal = QueryGoal::Threshold(0.91);
+  auto serial_solver = MakeSolver("kdtt+", 0);
+  ASSERT_NE(serial_solver, nullptr);
+  auto serial = serial_solver->Solve(context, goal);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const auto serial_ranked = AnswerGoal(*serial, context.view(), goal);
+  ASSERT_FALSE(serial_ranked.empty());
+
+  ScopedBudget budget(2);
+  auto solver = MakeSolver("kdtt+", 2);
+  ASSERT_NE(solver, nullptr);
+  auto full = solver->Solve(context);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_GT(full->tasks_spawned, 0);
+  for (int run = 0; run < 20; ++run) {
+    SCOPED_TRACE(run);
+    auto pushed = solver->Solve(context, goal);
+    ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+    EXPECT_EQ(pushed->parallel_workers, 2);
+    EXPECT_GT(pushed->tasks_spawned, 0);
+    EXPECT_GT(pushed->objects_pruned, 0);
+    EXPECT_LT(pushed->nodes_visited, full->nodes_visited);
+    ExpectRankedEquivalent(serial_ranked,
+                           AnswerGoal(*pushed, context.view(), goal),
+                           "run " + std::to_string(run));
   }
 }
 

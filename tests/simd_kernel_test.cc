@@ -487,9 +487,9 @@ void SweepArchesThroughRegistry(const UncertainDataset& dataset,
       ASSERT_TRUE(solver.ok()) << name;
       // Fresh context per (arch, solver): cached artifacts (score buffers)
       // must be rebuilt under the arch being tested.
-      ExecutionContext context(dataset, region, goal);
+      ExecutionContext context(dataset, region);
       if (!(*solver)->ValidateContext(context).ok()) continue;
-      auto result = (*solver)->Solve(context);
+      auto result = (*solver)->Solve(context, goal);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       PerSolver& ref = reference[name];
       if (!ref.ran) {  // first arch in SupportedArches() is scalar

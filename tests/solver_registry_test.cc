@@ -190,8 +190,9 @@ TEST(Options, ConfiguredOptionsChangeBehaviour) {
   ASSERT_TRUE(wide.ok());
   SolverStats narrow_stats;
   SolverStats wide_stats;
-  auto narrow_result = (*narrow)->Solve(context, &narrow_stats);
-  auto wide_result = (*wide)->Solve(context, &wide_stats);
+  auto narrow_result =
+      (*narrow)->Solve(context, QueryGoal::Full(), &narrow_stats);
+  auto wide_result = (*wide)->Solve(context, QueryGoal::Full(), &wide_stats);
   ASSERT_TRUE(narrow_result.ok());
   ASSERT_TRUE(wide_result.ok());
   EXPECT_LT(MaxAbsDiff(*narrow_result, *wide_result), 1e-10);
@@ -251,7 +252,7 @@ TEST(ExecutionContextTest, PreprocessingIsComputedOnceAndShared) {
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE((*first)->Solve(context).ok());
   SolverStats stats;
-  ASSERT_TRUE((*second)->Solve(context, &stats).ok());
+  ASSERT_TRUE((*second)->Solve(context, QueryGoal::Full(), &stats).ok());
   EXPECT_EQ(stats.solver, "qdtt+");
   EXPECT_EQ(stats.setup_millis, 0.0);
 }
@@ -262,7 +263,7 @@ TEST(ExecutionContextTest, StatsMirrorResultCounters) {
   auto solver = SolverRegistry::Create("kdtt+");
   ASSERT_TRUE(solver.ok());
   SolverStats stats;
-  auto result = (*solver)->Solve(context, &stats);
+  auto result = (*solver)->Solve(context, QueryGoal::Full(), &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(stats.solver, "kdtt+");
   EXPECT_EQ(stats.dominance_tests, result->dominance_tests);
@@ -307,8 +308,8 @@ TEST(ExecutionContextTest, StatsAreFreshPerRunOnReusedContext) {
   ASSERT_TRUE(solver.ok());
   SolverStats first;
   SolverStats second;
-  ASSERT_TRUE((*solver)->Solve(context, &first).ok());
-  ASSERT_TRUE((*solver)->Solve(context, &second).ok());
+  ASSERT_TRUE((*solver)->Solve(context, QueryGoal::Full(), &first).ok());
+  ASSERT_TRUE((*solver)->Solve(context, QueryGoal::Full(), &second).ok());
   EXPECT_GT(first.nodes_visited, 0);
   EXPECT_EQ(first.nodes_visited, second.nodes_visited);  // not doubled
   EXPECT_EQ(first.dominance_tests, second.dominance_tests);
