@@ -51,7 +51,7 @@ std::vector<std::pair<int, double>> TopKObjects(
   std::vector<std::pair<int, double>> ranked;
   ranked.reserve(probs.size());
   for (int j = 0; j < view.num_objects(); ++j) {
-    ranked.emplace_back(view.base_object_id(j), probs[static_cast<size_t>(j)]);
+    ranked.emplace_back(j, probs[static_cast<size_t>(j)]);
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& a, const auto& b) {

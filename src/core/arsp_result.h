@@ -48,14 +48,14 @@ enum class ObjectDecision : uint8_t {
 
 /// Output of an ARSP computation.
 struct ArspResult {
-  /// instance_probs[i] = Pr_rsky of the instance with local id i. In a
+  /// instance_probs[i] = Pr_rsky of the instance with id i. In a
   /// partial result, entries of undecided/excluded objects' unevaluated
   /// instances are 0 placeholders — meaningless, guarded by is_complete().
   std::vector<double> instance_probs;
 
   /// The goal the solve served. kFull for every goal-oblivious solver.
   QueryGoal goal;
-  /// Per-object probability bounds (view-local object order); filled only
+  /// Per-object probability bounds (object order); filled only
   /// by goal-pruned solves, empty otherwise.
   std::vector<ProbabilityBounds> object_bounds;
   /// Per-object decisions, parallel to object_bounds.
@@ -108,8 +108,8 @@ int CountNonZero(const ArspResult& result, double eps = 0.0);
 std::vector<double> ObjectProbabilities(const ArspResult& result,
                                         const UncertainDataset& dataset);
 
-/// View variant: `result` is indexed by view-local instance ids; the output
-/// is in view-local object order.
+/// View variant: `result` covers the view's instances; the output covers
+/// its objects.
 std::vector<double> ObjectProbabilities(const ArspResult& result,
                                         const DatasetView& view);
 
@@ -118,9 +118,8 @@ std::vector<double> ObjectProbabilities(const ArspResult& result,
 std::vector<std::pair<int, double>> TopKObjects(
     const ArspResult& result, const UncertainDataset& dataset, int k);
 
-/// View variant: returned pairs carry *base* object ids (callers map them
-/// to names/metadata of the base dataset), ties break on base id. For full
-/// views this is identical to the dataset overload.
+/// View variant: ranks the view's objects. For full views this is
+/// identical to the dataset overload.
 std::vector<std::pair<int, double>> TopKObjects(
     const ArspResult& result, const DatasetView& view, int k);
 

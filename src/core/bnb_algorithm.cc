@@ -73,25 +73,22 @@ struct PruningSet {
 
 // A Theorem-3 node prune proves Pr_rsky = 0 for every instance under the
 // node; with goal pushdown active those zeros are bound resolutions, so the
-// subtree is walked once to report them (all-delta subtrees and ids outside
-// the view are not the view's instances and are skipped like everywhere
-// else).
-void ResolveSubtreeZero(const RTree& tree, int node_id,
-                        const DatasetView& view, int id_bound,
+// subtree is walked once to report them (ids at or past the view's `n`
+// instances are not the view's and are skipped like everywhere else).
+void ResolveSubtreeZero(const RTree& tree, int node_id, int n,
                         GoalPruner* pruner) {
   const int count = tree.node_count(node_id);
   if (tree.node_is_leaf(node_id)) {
     for (int k = 0; k < count; ++k) {
-      const int local =
-          view.LocalInstanceOf(tree.entry_id(tree.node_kid(node_id, k)));
-      if (local >= 0) pruner->Resolve(local, 0.0);
+      const int id = tree.entry_id(tree.node_kid(node_id, k));
+      if (id < n) pruner->Resolve(id, 0.0);
     }
     return;
   }
   for (int k = 0; k < count; ++k) {
     const int child = tree.node_kid(node_id, k);
-    if (tree.node_min_id(child) >= id_bound) continue;
-    ResolveSubtreeZero(tree, child, view, id_bound, pruner);
+    if (tree.node_min_id(child) >= n) continue;
+    ResolveSubtreeZero(tree, child, n, pruner);
   }
 }
 
@@ -121,16 +118,15 @@ ArspResult RunBnb(ExecutionContext& context, const QueryGoal& goal,
   // and shared through the context; SV is computed on the fly only for
   // instances that survive pruning. The shared_ptr pins the tree for this
   // run even if the context's per-fanout cache evicts it. For a derived
-  // view the tree is the parent's full-coverage one (entry ids are base
-  // instance ids): leaf hits translate through LocalInstanceOf, and
-  // subtrees whose min_id() is past the view's id_bound() are all delta
-  // data — skipped without descent (the prefix-reuse path). Node MBRs of a
-  // shared tree are supersets of the view's true boxes, which only makes
-  // the best-first keys and pruning conservative, never wrong.
+  // view the tree is the parent's full-coverage one: leaf entries with ids
+  // at or past n are not the view's, and subtrees whose min_id() is at or
+  // past n are all delta data — skipped without descent (the prefix-reuse
+  // path). Node MBRs of a shared tree are supersets of the view's true
+  // boxes, which only makes the best-first keys and pruning conservative,
+  // never wrong.
   const std::shared_ptr<const RTree> data_tree_ptr =
       context.instance_rtree(options.rtree_fanout);
   const RTree& data_tree = *data_tree_ptr;
-  const int id_bound = view.id_bound();
 
   std::vector<ObjectState> objects(static_cast<size_t>(m));
   PruningSet pruning_set;  // |P| ≤ m (Theorem 4)
@@ -191,7 +187,7 @@ ArspResult RunBnb(ExecutionContext& context, const QueryGoal& goal,
           if (pruning_set.Prunes(node_mapped)) {
             ++result.nodes_pruned;
             if (pruner != nullptr) {
-              ResolveSubtreeZero(data_tree, node, view, id_bound, pruner);
+              ResolveSubtreeZero(data_tree, node, n, pruner);
             }
             continue;
           }
@@ -200,15 +196,15 @@ ArspResult RunBnb(ExecutionContext& context, const QueryGoal& goal,
         if (data_tree.node_is_leaf(node)) {
           for (int k = 0; k < count; ++k) {
             const int e = data_tree.node_kid(node, k);
-            const int local = view.LocalInstanceOf(data_tree.entry_id(e));
-            if (local < 0) continue;  // outside the view (shared tree)
+            const int id = data_tree.entry_id(e);
+            if (id >= n) continue;  // outside the view (shared tree)
             heap.push(
-                HeapEntry{Score(omega, data_tree.entry_coords(e)), -1, local});
+                HeapEntry{Score(omega, data_tree.entry_coords(e)), -1, id});
           }
         } else {
           for (int k = 0; k < count; ++k) {
             const int child = data_tree.node_kid(node, k);
-            if (data_tree.node_min_id(child) >= id_bound) {
+            if (data_tree.node_min_id(child) >= n) {
               continue;  // all-delta subtree
             }
             heap.push(HeapEntry{Score(omega, data_tree.node_lo(child)),
@@ -217,7 +213,7 @@ ArspResult RunBnb(ExecutionContext& context, const QueryGoal& goal,
         }
         continue;
       }
-      // Instance entry (local id).
+      // Instance entry.
       Point mapped(mapped_dim);
       if (mapped_dim > 0) {
         mapper.MapRowInto(view.coords(entry.instance_id), &mapped[0]);

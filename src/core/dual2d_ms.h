@@ -42,7 +42,7 @@ class Dual2dMs {
                                   size_t max_memory_bytes = size_t{6} << 30);
 
   /// View variant (the Fig. 7b m% sweeps build per-prefix structures
-  /// without materializing the prefix); result rows are view-local ids.
+  /// without materializing the prefix).
   static StatusOr<Dual2dMs> Build(const DatasetView& view,
                                   size_t max_memory_bytes = size_t{6} << 30);
 

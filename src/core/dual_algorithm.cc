@@ -52,13 +52,12 @@ ArspResult RunDual(ExecutionContext& context) {
   if (n == 0) return result;
 
   // Kd-tree over the original points, shared through the context. For a
-  // derived view this is the parent's full-coverage tree (item ids are base
-  // instance ids): probes filter hits through LocalInstanceOf and pass the
-  // view's id_bound so all-delta subtrees are pruned without descent —
-  // the prefix-reuse path that makes m% sweeps pay one tree build total.
+  // derived view this is the parent's full-coverage tree: probes pass the
+  // view's instance count as the id bound, so they report only the view's
+  // instances and prune all-delta subtrees without descent — the
+  // prefix-reuse path that makes m% sweeps pay one tree build total.
   const KdTree& tree = context.instance_kdtree();
   const Mbr& bounds = tree.root_mbr();
-  const int id_bound = view.id_bound();
 
   std::vector<double> sigma(static_cast<size_t>(m), 0.0);
   std::vector<int> touched;
@@ -91,10 +90,8 @@ ArspResult RunDual(ExecutionContext& context) {
 
       ++result.index_probes;
       tree.ForEachInBoxBelow(
-          box, plane, kBelowEps, id_bound, [&](const KdTree::EntryRef& item) {
-            const int si = view.LocalInstanceOf(item.id);
-            if (si < 0) return;  // outside the view (shared tree)
-            const int s_object = view.object_of(si);
+          box, plane, kBelowEps, n, [&](const KdTree::EntryRef& item) {
+            const int s_object = view.object_of(item.id);
             if (s_object == t_object) return;
             if (RegionCode(item.coords, t_row, d) != k) return;
             ++result.dominance_tests;

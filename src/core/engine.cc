@@ -17,41 +17,6 @@ namespace arsp {
 
 namespace {
 
-// --------------------------------------------------------------- "auto"
-
-/// Meta-solver registered as "auto": resolves a concrete solver through
-/// AutoSelectSolverName and delegates. ArspEngine resolves "auto" itself
-/// (so cache keys and responses carry the concrete name); this entry gives
-/// raw SolverRegistry users the identical policy, including options — the
-/// bag is held here and validated against the resolved solver at Solve
-/// time, exactly like the engine path.
-class AutoSolver : public ArspSolver {
- public:
-  const char* name() const override { return "auto"; }
-  const char* display_name() const override { return "AUTO"; }
-  const char* description() const override {
-    return "picks a concrete solver from data shape "
-           "(LOOP for tiny inputs, KDTT+ otherwise, weight ratios included)";
-  }
-
-  Status Configure(const SolverOptions& options) override {
-    options_ = options;
-    return Status::OK();
-  }
-
- protected:
-  StatusOr<ArspResult> SolveImpl(ExecutionContext& context,
-                                 const QueryGoal& goal) override {
-    auto solver =
-        SolverRegistry::Create(AutoSelectSolverName(context), options_);
-    if (!solver.ok()) return solver.status();
-    return (*solver)->Solve(context, goal);
-  }
-
- private:
-  SolverOptions options_;
-};
-
 // Below this instance count the quadratic LOOP scan beats tree setup.
 constexpr int kAutoLoopMaxInstances = 64;
 
@@ -106,12 +71,6 @@ ExecutionContext::IndexBuildStats ChainIndexStats(
 
 }  // namespace
 
-namespace internal {
-std::unique_ptr<ArspSolver> NewAutoSolver() {
-  return std::make_unique<AutoSolver>();
-}
-}  // namespace internal
-
 std::string AutoSelectSolverName(const DatasetView& view) {
   // §V: KDTT+ is the general-purpose default.
   return view.num_instances() <= kAutoLoopMaxInstances ? "loop" : "kdtt+";
@@ -119,6 +78,10 @@ std::string AutoSelectSolverName(const DatasetView& view) {
 
 std::string AutoSelectSolverName(const ExecutionContext& context) {
   return AutoSelectSolverName(context.view());
+}
+
+bool IsAutoName(const std::string& normalized) {
+  return normalized.empty() || normalized == "auto";
 }
 
 // ---------------------------------------------------------- ConstraintSpec
@@ -364,7 +327,7 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
   // request and an explicit request for the same concrete solver share one
   // cache entry, and an auto hit builds no context.
   std::string solver_name = SolverRegistry::Normalize(request.solver);
-  if (solver_name == "auto" || solver_name.empty()) {
+  if (IsAutoName(solver_name)) {
     solver_name = AutoSelectSolverName(view);
   }
 

@@ -22,15 +22,15 @@
 //    lazy-init is locked);
 //  * "auto" solver selection from data shape (LOOP for tiny inputs, KDTT+
 //    otherwise, weight ratios included — the DUAL family stays
-//    explicit-only), resolved from the view before the cache probe. "auto"
-//    is also a registry entry, so raw SolverRegistry users and
-//    `arsp_cli --algo auto` get the same policy;
-//  * AddView(handle, spec) — zero-copy DatasetView windows (full / m%
-//    prefix / arbitrary object subset) registered as first-class query
-//    targets. Pooled view queries derive their ExecutionContext from the
-//    base dataset's pooled context, inheriting its indexes and score
-//    storage, so a Fig. 6-style m% sweep pays exactly one full kd-/R-tree
-//    build plus per-step delta work (asserted via index_stats());
+//    explicit-only), resolved from the view before the cache probe. The
+//    engine is the one place "auto" resolves: it is not a registry entry,
+//    and `arsp_cli --algo auto` reaches it through the engine;
+//  * AddView(handle, spec) — zero-copy DatasetView windows (full or m%
+//    object prefix) registered as first-class query targets. Pooled view
+//    queries derive their ExecutionContext from the base dataset's pooled
+//    context, inheriting its indexes and score storage, so a Fig. 6-style
+//    m% sweep pays exactly one full kd-/R-tree build plus per-step delta
+//    work (asserted via index_stats());
 //  * derived goals — object-level requests (top-k / threshold / count-
 //    controlled) are translated into a QueryGoal and answered by
 //    AnswerGoal. Top-k and count-controlled goals slice a complete result
@@ -251,10 +251,10 @@ class ArspEngine {
 
   /// Registers a zero-copy view over a registered *base* dataset as a
   /// first-class query target: the returned handle works everywhere a
-  /// dataset handle does (Solve, derived queries — ranked
-  /// results carry base object ids). The view shares the base's instance
-  /// payloads; pooled queries against it derive their context from the
-  /// base's pooled context, reusing its indexes and score storage.
+  /// dataset handle does (Solve, derived queries). The view shares the
+  /// base's instance payloads; pooled queries against it derive their
+  /// context from the base's pooled context, reusing its indexes and score
+  /// storage.
   /// InvalidArgument for a view-of-a-view (compose specs against the base
   /// instead); NotFound for unknown handles.
   StatusOr<DatasetHandle> AddView(DatasetHandle base, ViewSpec spec);
@@ -374,8 +374,12 @@ class ArspEngine {
 /// (ARCHITECTURE.md, "Deviations from the paper"), so they run only when
 /// named.
 std::string AutoSelectSolverName(const DatasetView& view);
-/// The same choice for a context's view (the "auto" registry entry).
+/// The same choice for a context's view.
 std::string AutoSelectSolverName(const ExecutionContext& context);
+/// True when a normalized solver name asks for the "auto" policy: "auto"
+/// itself or an empty name. "auto" is no registry entry, so every caller that
+/// must tell it from a registered name asks here.
+bool IsAutoName(const std::string& normalized);
 
 }  // namespace arsp
 

@@ -133,8 +133,7 @@ std::vector<std::pair<int, double>> AnswerGoal(
   for (int j = 0; j < m; ++j) {
     if (result.object_decisions[static_cast<size_t>(j)] ==
         ObjectDecision::kExact) {
-      exact.emplace_back(view.base_object_id(j),
-                         result.object_bounds[static_cast<size_t>(j)].lower);
+      exact.emplace_back(j, result.object_bounds[static_cast<size_t>(j)].lower);
     }
   }
   std::sort(exact.begin(), exact.end(), [](const auto& a, const auto& b) {

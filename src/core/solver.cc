@@ -17,7 +17,6 @@ namespace arsp {
 
 namespace internal {
 // Factories defined in the built-in solver translation units.
-std::unique_ptr<ArspSolver> NewAutoSolver();
 std::unique_ptr<ArspSolver> NewBnbSolver();
 std::unique_ptr<ArspSolver> NewDualSolver();
 std::unique_ptr<ArspSolver> NewDual2dMsSolver();
@@ -38,7 +37,6 @@ struct RegistryEntry {
 
 // Sorted by name, so Names() is this table's order.
 constexpr RegistryEntry kRegistry[] = {
-    {"auto", internal::NewAutoSolver},
     {"bnb", internal::NewBnbSolver},
     {"dual", internal::NewDualSolver},
     {"dual-2d-ms", internal::NewDual2dMsSolver},
@@ -335,20 +333,10 @@ std::shared_ptr<ExecutionContext> ExecutionContext::Derive(
   ARSP_CHECK_MSG(&view.base() == &parent_view.base(),
                  "Derive: view windows a different base dataset than the "
                  "parent context");
-  // Containment: every child instance must be visible through the parent
-  // (O(1) for the prefix ⊆ prefix case that dominates in practice).
-  if (!parent_view.is_full()) {
-    if (view.is_prefix() && parent_view.is_prefix()) {
-      ARSP_CHECK_MSG(view.num_instances() <= parent_view.num_instances(),
-                     "Derive: prefix view extends past the parent's prefix");
-    } else {
-      for (int i = 0; i < view.num_instances(); ++i) {
-        ARSP_CHECK_MSG(
-            parent_view.LocalInstanceOf(view.base_instance_id(i)) >= 0,
-            "Derive: view instance %d is outside the parent's view", i);
-      }
-    }
-  }
+  // Containment: views are object prefixes, so the child fits inside the
+  // parent iff it has no more instances.
+  ARSP_CHECK_MSG(view.num_instances() <= parent_view.num_instances(),
+                 "Derive: prefix view extends past the parent's prefix");
   return std::shared_ptr<ExecutionContext>(
       new ExecutionContext(std::move(parent), std::move(view)));
 }
@@ -395,37 +383,24 @@ ScoreSpan ExecutionContext::scores() const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (span_ready_) return span_;
   SetupTimer timer(this);
-  if (parent_ != nullptr && view_.is_prefix() &&
-      parent_->view().is_prefix()) {
-    // Prefix-of-prefix: local ids agree, so the parent's buffer truncated
-    // to this view's instance count IS this view's buffer. Zero copies.
+  const auto& attached = view_.base().attached_scores();
+  if (parent_ != nullptr) {
+    // The view is a prefix of the parent's, so the parent's buffer
+    // truncated to this view's instance count IS this view's buffer. Zero
+    // copies.
     span_ = parent_->scores().Prefix(view_.num_instances());
     Count(&IndexBuildStats::score_reuses);
+  } else if (view_.is_full() && attached != nullptr &&
+             attached->vertex_hash == mapper().VertexHash()) {
+    // Snapshot-attached pre-mapped scores for this exact vertex matrix
+    // (the hash covers dimensions and every matrix byte, so the section is
+    // bit-identical to what MapView would produce). Only the full view
+    // adopts them, as with the attached kd-tree below.
+    span_ = ScoreSpan{attached->coords.data(), attached->probs.data(),
+                      attached->objects.data(), view_.num_instances(),
+                      attached->mapped_dim};
+    Count(&IndexBuildStats::snapshot_hits);
   } else {
-    if (parent_ != nullptr) {
-      // Subset: gather the parent's already-mapped rows (memcpy per row
-      // beats redoing d'·d multiplications); the parent span itself may be
-      // zero-copy storage higher up the derivation chain.
-      scores_ = parent_->scores().Gather(parent_->view(), view_);
-      Count(&IndexBuildStats::score_reuses);
-      span_ = ScoreSpan::Of(*scores_);
-      span_ready_ = true;
-      return span_;
-    }
-    const auto& attached = view_.base().attached_scores();
-    if (view_.is_full() && attached != nullptr &&
-        attached->vertex_hash == mapper().VertexHash()) {
-      // Snapshot-attached pre-mapped scores for this exact vertex matrix
-      // (the hash covers dimensions and every matrix byte, so the section
-      // is bit-identical to what MapView would produce). Full views only:
-      // row index must equal local instance id.
-      span_ = ScoreSpan{attached->coords.data(), attached->probs.data(),
-                        attached->objects.data(), view_.num_instances(),
-                        attached->mapped_dim};
-      Count(&IndexBuildStats::snapshot_hits);
-      span_ready_ = true;
-      return span_;
-    }
     scores_ = mapper().MapView(view_);
     Count(&IndexBuildStats::score_maps);
     span_ = ScoreSpan::Of(*scores_);

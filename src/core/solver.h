@@ -204,7 +204,7 @@ class GoalPruner {
   /// goal.PushesDown(): false for everything but a threshold p > 0.
   bool active() const { return active_; }
 
-  /// Records the exact rskyline probability of local instance `i`. Must be
+  /// Records the exact rskyline probability of instance `i`. Must be
   /// called exactly once per evaluated instance (zeros included — a pruned
   /// subtree's zeros are resolutions too).
   void Resolve(int i, double prob);
@@ -332,14 +332,12 @@ class ArspSolver {
 /// argument of each ArspSolver::Solve, so every context serves every goal.
 ///
 /// Contexts form a derivation tree: Derive(parent, view) builds a child
-/// context over a sub-view that inherits every view-independent artifact
-/// from its parent — the preference region, the SV(·) mapper, and the
-/// full-coverage kd-/R-trees (probed with the child view's id filter) — and
-/// reuses the parent's SoA score storage where the numbering allows it
-/// (zero-copy span truncation for prefix views, row gather for subsets).
-/// An m% sweep derived from one base context therefore performs exactly one
-/// full index build; index_build_stats() exposes the counters tests assert
-/// this with.
+/// context over a prefix of the parent's view that inherits every artifact
+/// from its parent — the preference region, the SV(·) mapper, the
+/// full-coverage kd-/R-trees (probed with the child's instance count as the
+/// id bound), and the SoA score storage (truncated, zero-copy). An m% sweep
+/// derived from one base context therefore performs exactly one full index
+/// build; index_build_stats() exposes the counters tests assert this with.
 ///
 /// Lazy initialization is thread-safe: accessors serialize on an internal
 /// (recursive — they nest) mutex, and every artifact is immutable once
@@ -364,17 +362,17 @@ class ExecutionContext {
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   /// Child context over `view` with the parent's constraints. `view` must
-  /// window the same base dataset and be contained in the parent's view
-  /// (checked). The child shares the parent's constraint artifacts and
-  /// index structures instead of rebuilding them.
+  /// window the same base dataset and have no more instances than the
+  /// parent's view (checked). The child shares the parent's constraint
+  /// artifacts and index structures instead of rebuilding them.
   static std::shared_ptr<ExecutionContext> Derive(
       std::shared_ptr<const ExecutionContext> parent, DatasetView view);
 
   /// The base dataset behind the view.
   const UncertainDataset& dataset() const { return view_.base(); }
 
-  /// The query target. Solvers read instances exclusively through this
-  /// (local ids) or through scores().
+  /// The query target. Solvers read instances exclusively through this or
+  /// through scores().
   const DatasetView& view() const { return view_; }
 
   /// The parent this context was derived from, or nullptr.
@@ -393,22 +391,21 @@ class ExecutionContext {
   /// parent when derived.
   const ScoreMapper& mapper() const;
 
-  /// SoA score storage of the view's instances (row i = local instance i,
-  /// local object ids): what every tree-traversal solver iterates. Prefix
-  /// views derived from a parent return a truncated window over the
-  /// parent's buffer — zero copies; subset views gather rows from a parent
-  /// buffer that already exists, else map their own rows.
+  /// SoA score storage of the view's instances (row i = instance i): what
+  /// every tree-traversal solver iterates. A derived context returns a
+  /// truncated window over the parent's buffer — zero copies; a root
+  /// context maps its own rows.
   ScoreSpan scores() const;
 
   /// Kd-tree over the view's original instance points (weights =
-  /// probabilities, ids = base instance ids), query-independent; used by
-  /// the DUAL half-space probes. Derived contexts return the parent's tree
-  /// (full coverage — callers filter by view().LocalInstanceOf and prune by
-  /// view().id_bound()); root contexts build from their view once.
+  /// probabilities, ids = instance ids), query-independent; used by the
+  /// DUAL half-space probes. Derived contexts return the parent's tree
+  /// (full coverage — callers skip ids >= view().num_instances()); root
+  /// contexts build from their view once.
   const KdTree& instance_kdtree() const;
 
   /// STR-bulk-loaded R-tree over the view's original instance points (ids =
-  /// base instance ids) with the given fan-out; same sharing rules as
+  /// instance ids) with the given fan-out; same sharing rules as
   /// instance_kdtree. Cached per fan-out value, so callers alternating
   /// fan-outs (ablation benches, mixed batch queries) never rebuild. The
   /// cache holds at most kMaxCachedRtrees trees (long-lived pooled contexts

@@ -55,7 +55,7 @@ struct DepthScratch {
 
 /// How a traversal solver partitions a node's rows into children. Nodes
 /// are slices of order(), a permutation of the score rows (row index ==
-/// local instance id) that starts as the identity. One policy object
+/// instance id) that starts as the identity. One policy object
 /// serves every worker of a solve: Split permutes only its own node's
 /// slice, and the slices of concurrently visited nodes are disjoint.
 class PartitionPolicy {

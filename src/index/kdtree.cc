@@ -17,29 +17,15 @@ KdTree KdTree::FromView(const DatasetView& view, int leaf_size) {
   tree.dim_ = view.dim();
   tree.root_mbr_ = Mbr::Empty(tree.dim_);
   const int n = view.num_instances();
-  AlignedVector<int32_t> ids(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = view.base_instance_id(i);
   if (n == 0) return tree;
-  if (view.is_prefix()) {
-    // Full/prefix views window the base's columnar storage contiguously, so
-    // the builder reads the base columns in place — no staging copy of the
-    // coordinate or probability streams (the satellite-fix path that keeps
-    // peak build memory at ~1× the final arenas).
-    tree.BuildFrom(view.coords(0), view.base().probs_column().data(),
-                   ids.data(), n, leaf_size);
-  } else {
-    AlignedVector<double> coords(static_cast<size_t>(n) *
-                                 static_cast<size_t>(tree.dim_));
-    AlignedVector<double> weights(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const double* row = view.coords(i);
-      std::copy(row, row + tree.dim_,
-                coords.begin() + static_cast<size_t>(i) *
-                                     static_cast<size_t>(tree.dim_));
-      weights[static_cast<size_t>(i)] = view.prob(i);
-    }
-    tree.BuildFrom(coords.data(), weights.data(), ids.data(), n, leaf_size);
-  }
+  // A view's instances are the base's first n, so the builder reads the
+  // base's columnar storage in place — no staging copy of the coordinate
+  // or probability streams (peak build memory stays at ~1× the final
+  // arenas).
+  AlignedVector<int32_t> ids(static_cast<size_t>(n));
+  std::iota(ids.begin(), ids.end(), 0);
+  tree.BuildFrom(view.coords(0), view.base().probs_column().data(),
+                 ids.data(), n, leaf_size);
   return tree;
 }
 

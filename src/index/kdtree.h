@@ -61,9 +61,9 @@ static_assert(sizeof(KdNode) == 20, "KdNode must have a fixed 20-byte layout");
 /// Prefix reuse: every node tracks the minimum item id in its subtree, and
 /// the reporting probes accept an `id_bound` that skips items with
 /// id >= bound — subtrees consisting entirely of such items are pruned
-/// wholesale. A tree built over a full dataset (ids = base instance ids)
+/// wholesale. A tree built over a full dataset (ids = instance ids)
 /// therefore serves every object-prefix DatasetView exactly, with no
-/// per-prefix rebuild: the prefix's id_bound() is the bound.
+/// per-prefix rebuild: the prefix's num_instances() is the bound.
 class KdTree {
  public:
   /// FromFlat's depth limit. Median splits halve the items at every
@@ -82,9 +82,8 @@ class KdTree {
   /// bucket size at leaves.
   explicit KdTree(const std::vector<KdItem>& items, int leaf_size = 16);
 
-  /// Builds over the instances of a DatasetView; item ids are *base*
-  /// instance ids (so view.LocalInstanceOf translates probe hits uniformly
-  /// whether the tree was built from this view or shared from the base).
+  /// Builds over the instances of a DatasetView; item ids are instance ids,
+  /// as in a tree shared from the base.
   static KdTree FromView(const DatasetView& view, int leaf_size = 16);
 
   /// Adopts already-built arenas (the snapshot mmap-load path).

@@ -258,30 +258,14 @@ RTree RTree::BulkLoad(int dim, std::vector<LeafEntry> entries,
 RTree RTree::BulkLoadFromView(const DatasetView& view, int max_entries) {
   const int n = view.num_instances();
   if (n == 0) return RTree(view.dim(), max_entries);
+  // A view's instances are the base's first n, so STR reads the base's
+  // columnar storage in place and sorts only an index permutation — peak
+  // build memory is n int32s over the final arenas, not a second staged
+  // copy of every instance.
   AlignedVector<int32_t> ids(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ids[static_cast<size_t>(i)] = view.base_instance_id(i);
-  }
-  if (view.is_prefix()) {
-    // Full/prefix views window the base's columnar storage contiguously, so
-    // STR reads the base columns in place and sorts only an index
-    // permutation — peak build memory is n int32s over the final arenas,
-    // not a second staged copy of every instance (the old 2× peak).
-    return BulkLoadRaw(view.dim(), max_entries, view.coords(0),
-                       view.base().probs_column().data(), ids.data(), n);
-  }
-  AlignedVector<double> coords(static_cast<size_t>(n) *
-                               static_cast<size_t>(view.dim()));
-  AlignedVector<double> weights(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double* row = view.coords(i);
-    std::copy(row, row + view.dim(),
-              coords.begin() +
-                  static_cast<size_t>(i) * static_cast<size_t>(view.dim()));
-    weights[static_cast<size_t>(i)] = view.prob(i);
-  }
-  return BulkLoadRaw(view.dim(), max_entries, coords.data(), weights.data(),
-                     ids.data(), n);
+  std::iota(ids.begin(), ids.end(), 0);
+  return BulkLoadRaw(view.dim(), max_entries, view.coords(0),
+                     view.base().probs_column().data(), ids.data(), n);
 }
 
 StatusOr<RTree> RTree::FromFlat(int dim, int max_entries, int root_id,

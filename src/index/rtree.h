@@ -46,7 +46,7 @@ static_assert(sizeof(RtNode) == 24, "RtNode must have a fixed 24-byte layout");
 /// with an id and a weight; internal nodes cache subtree weight sums and the
 /// minimum entry id of their subtree. The min-id aggregate is the prefix-
 /// reuse hook: a traversal serving an object-prefix DatasetView skips any
-/// subtree with node_min_id() >= the view's id_bound() — the whole subtree
+/// subtree with node_min_id() >= the view's num_instances() — the subtree
 /// is delta data the prefix has not reached — so one bulk load over the full
 /// dataset serves every prefix without rebuilding.
 class RTree {
@@ -79,12 +79,11 @@ class RTree {
   static RTree BulkLoad(int dim, std::vector<LeafEntry> entries,
                         int max_entries = 16);
 
-  /// Bulk load over the instances of a DatasetView; entry ids are *base*
-  /// instance ids, matching the id convention of shared full-dataset trees
-  /// (probe hits translate through view.LocalInstanceOf either way). Reads
-  /// the view's columnar storage in place and sorts an index permutation —
-  /// peak memory is one int32 per instance over the final arenas, not a
-  /// second copy of every instance.
+  /// Bulk load over the instances of a DatasetView; entry ids are instance
+  /// ids, as in a tree shared from the base. Reads the view's columnar
+  /// storage in place and sorts an index permutation — peak memory is one
+  /// int32 per instance over the final arenas, not a second copy of every
+  /// instance.
   static RTree BulkLoadFromView(const DatasetView& view, int max_entries = 16);
 
   /// Adopts already-built arenas (the snapshot mmap-load path).

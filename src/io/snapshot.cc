@@ -267,9 +267,8 @@ Status WriteSnapshot(const UncertainDataset& dataset, const std::string& path,
 
 // -------------------------------------------------------------------- loader
 
-StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
-                                      const SnapshotLoadOptions& options) {
-  return SnapshotLoader::Load(path, options);
+StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path) {
+  return SnapshotLoader::Load(path);
 }
 
 }  // namespace snapshot
@@ -287,7 +286,7 @@ Status Malformed(const std::string& what) {
 }  // namespace
 
 StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
-    const std::string& path, const snapshot::SnapshotLoadOptions& options) {
+    const std::string& path) {
   auto file_or = snapshot::MmapFile::Open(path);
   if (!file_or.ok()) return file_or.status();
   std::shared_ptr<const snapshot::MmapFile> file = std::move(*file_or);
@@ -352,13 +351,11 @@ StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
     return Status::OK();
   };
 
-  if (options.verify_checksums) {
-    for (const SectionEntry& entry : table) {
-      if (snapshot::Fnv1a(base + entry.offset, entry.length) !=
-          entry.checksum) {
-        return Malformed("section " + std::to_string(entry.id) +
-                         " failed its checksum");
-      }
+  for (const SectionEntry& entry : table) {
+    if (snapshot::Fnv1a(base + entry.offset, entry.length) !=
+        entry.checksum) {
+      return Malformed("section " + std::to_string(entry.id) +
+                       " failed its checksum");
     }
   }
 

@@ -20,10 +20,11 @@
 //   +--------------------+
 //
 // Because every section is the exact byte image of a Column<T> arena, a
-// load is: mmap the file, validate the table (and checksums, unless
-// disabled), and point borrowed Columns at the mapped bytes. No parsing,
-// no copying — the kernel pages data in on first touch, so a 10M-instance
-// dataset serves queries with resident memory far below its file size.
+// load is: mmap the file, validate the table, every section's checksum and
+// the structure, and point borrowed Columns at the mapped bytes. No
+// parsing, no copying — the columns are the file's own pages, which the
+// kernel can drop and read back under memory pressure, so a 10M-instance
+// dataset costs no heap for its columns.
 //
 // The content hash doubles as the daemon's registry fingerprint for
 // snapshot-sourced LOAD_DATASET requests: two files with identical section
@@ -168,14 +169,6 @@ struct SnapshotWriteOptions {
 Status WriteSnapshot(const UncertainDataset& dataset, const std::string& path,
                      const SnapshotWriteOptions& options = {});
 
-struct SnapshotLoadOptions {
-  /// Verify every section's FNV-1a checksum before use. Costs one
-  /// sequential read of the file; structural validation (table bounds,
-  /// section sizes, index shape, and the ranges of the id columns solvers
-  /// index unchecked) always runs regardless.
-  bool verify_checksums = true;
-};
-
 /// A loaded snapshot: the dataset (columns borrowed from the mapping,
 /// indexes and any score section attached), plus identity and size.
 struct LoadedSnapshot {
@@ -187,10 +180,12 @@ struct LoadedSnapshot {
 };
 
 /// Maps `path` and assembles the dataset with zero copy. InvalidArgument
-/// on any malformed, truncated, foreign-endian, wrong-version, or (with
-/// verification on) corrupted file.
-StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
-                                      const SnapshotLoadOptions& options = {});
+/// on any malformed, truncated, foreign-endian, wrong-version, or corrupted
+/// file: the loader verifies every section's FNV-1a checksum (one
+/// sequential read of the file) and then the structure (table bounds,
+/// section sizes, index shape, and the ranges of the id columns solvers
+/// index unchecked).
+StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path);
 
 }  // namespace snapshot
 
@@ -198,8 +193,7 @@ StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
 /// for the snapshot loader.
 class SnapshotLoader {
  public:
-  static StatusOr<snapshot::LoadedSnapshot> Load(
-      const std::string& path, const snapshot::SnapshotLoadOptions& options);
+  static StatusOr<snapshot::LoadedSnapshot> Load(const std::string& path);
 };
 
 }  // namespace arsp

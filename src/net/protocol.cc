@@ -220,7 +220,7 @@ void Fields(auto& c, Is<LoadDatasetResponse> auto& m) {
 }
 
 void Fields(auto& c, Is<AddViewRequest> auto& m) {
-  c(m.base_name, m.view_name, m.spec.kind, m.spec.prefix, m.spec.objects);
+  c(m.base_name, m.view_name, m.spec.kind, m.spec.prefix);
 }
 
 void Fields(auto& c, Is<AddViewResponse> auto& m) {
@@ -334,8 +334,7 @@ class Encoder {
 
 // The fewest bytes one T can encode to: a default T's, since the only
 // variable-length parts (strings, vectors) start empty — 8 per f64, 4 per
-// i32 or string, 16 per ranked entry, 17 per dataset listing, 28 per
-// span.
+// string, 16 per ranked entry, 17 per dataset listing, 28 per span.
 template <class T>
 size_t MinEncodedBytes() {
   static const size_t bytes = [] {
@@ -355,7 +354,7 @@ EnumRange RangeOf(LoadSource) {
   return {static_cast<int>(LoadSource::kGenerator), "LoadSource"};
 }
 EnumRange RangeOf(ViewSpec::Kind) {
-  return {static_cast<int>(ViewSpec::Kind::kSubset), "ViewSpec kind"};
+  return {static_cast<int>(ViewSpec::Kind::kPrefix), "ViewSpec kind"};
 }
 EnumRange RangeOf(DerivedKind) {
   return {static_cast<int>(DerivedKind::kCountControlled), "derived kind"};

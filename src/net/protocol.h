@@ -95,7 +95,10 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 ///     its bytes: an empty list encodes like an empty string), and
 ///     StatsResponse carries the index counters and memory as the engine's
 ///     own IndexBuildStats (snapshot_hits included) and ColumnBytes.
-inline constexpr uint8_t kWireVersion = 10;
+/// v11 (prefix views): every view is the full dataset or an object
+///     prefix, so AddViewRequest lost the subset object list and a
+///     ViewSpec kind above kPrefix (1) is refused.
+inline constexpr uint8_t kWireVersion = 11;
 
 /// Max payload bytes a peer will accept (the max-frame guard). Large enough
 /// for a multi-million-instance probability vector, small enough that a

@@ -71,11 +71,11 @@ const char* GoalLabel(DerivedKind kind) {
 }
 
 // Solver label of a failed query: a registered name (canonical case),
-// `auto` for an empty one, `unknown` for anything else — never the raw
-// client string, which would mint a series per typo.
+// `auto` for `auto` in any case or an empty name, `unknown` for anything
+// else — never the raw client string, which would mint a series per typo.
 std::string ErrorSolverLabel(const std::string& solver) {
-  if (solver.empty()) return "auto";
   const std::string name = SolverRegistry::Normalize(solver);
+  if (IsAutoName(name)) return "auto";
   const std::vector<std::string> names = SolverRegistry::Names();
   return std::binary_search(names.begin(), names.end(), name) ? name
                                                                : "unknown";
@@ -688,12 +688,7 @@ StatusOr<AddViewResponse> EngineBackend::AddView(
   }
   DatasetHandle base_handle;
   std::shared_ptr<const std::vector<std::string>> base_names;
-  // Specs are normalized (Subset sorts + dedups) before keying, so the
-  // idempotency comparison below cannot be defeated by input order.
-  const std::string spec_key =
-      request.spec.kind == ViewSpec::Kind::kSubset
-          ? ViewSpec::Subset(request.spec.objects).CacheKey()
-          : request.spec.CacheKey();
+  const std::string spec_key = request.spec.CacheKey();
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto base = registry_.find(request.base_name);

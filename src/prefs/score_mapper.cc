@@ -2,30 +2,7 @@
 
 #include "src/prefs/score_mapper.h"
 
-#include <cstring>
-
 namespace arsp {
-
-ScoreBuffer ScoreSpan::Gather(const DatasetView& source_view,
-                              const DatasetView& view) const {
-  ScoreBuffer out;
-  out.dim = dim;
-  const int count = view.num_instances();
-  out.coords.resize(static_cast<size_t>(count) * static_cast<size_t>(dim));
-  out.probs.resize(static_cast<size_t>(count));
-  out.objects.resize(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    const int source = source_view.LocalInstanceOf(view.base_instance_id(i));
-    ARSP_CHECK_MSG(source >= 0 && source < n,
-                   "Gather: view instance %d is outside the source span", i);
-    std::memcpy(out.coords.mutable_data() +
-                    static_cast<size_t>(i) * static_cast<size_t>(dim),
-                row(source), sizeof(double) * static_cast<size_t>(dim));
-    out.probs.at_mut(static_cast<size_t>(i)) = prob(source);
-    out.objects.at_mut(static_cast<size_t>(i)) = view.object_of(i);
-  }
-  return out;
-}
 
 ScoreBuffer ScoreMapper::MapView(const DatasetView& view) const {
   ScoreBuffer out;
@@ -38,21 +15,12 @@ ScoreBuffer ScoreMapper::MapView(const DatasetView& view) const {
     MapRowInto(view.coords(i), coords + static_cast<size_t>(i) *
                                             static_cast<size_t>(out.dim));
   }
-  if (view.is_prefix()) {
-    // Local ids are base ids here, so the base's first n probabilities and
-    // object ids already are these streams.
-    const UncertainDataset& base = view.base();
-    out.probs = Column<double>::Borrowed(base.probs_column().data(), rows);
-    out.objects = Column<int32_t>::Borrowed(
-        base.instance_objects_column().data(), rows);
-    return out;
-  }
-  out.probs.resize(rows);
-  out.objects.resize(rows);
-  for (int i = 0; i < n; ++i) {
-    out.probs.at_mut(static_cast<size_t>(i)) = view.prob(i);
-    out.objects.at_mut(static_cast<size_t>(i)) = view.object_of(i);
-  }
+  // A view's ids are its base's, so the base's first n probabilities and
+  // object ids already are these streams.
+  const UncertainDataset& base = view.base();
+  out.probs = Column<double>::Borrowed(base.probs_column().data(), rows);
+  out.objects =
+      Column<int32_t>::Borrowed(base.instance_objects_column().data(), rows);
   return out;
 }
 

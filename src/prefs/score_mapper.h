@@ -7,14 +7,14 @@
 //
 // Mapped scores are stored structure-of-arrays (ScoreBuffer): one contiguous
 // coordinate array (row-major, d' doubles per instance), one probability
-// array, one local-object-id array — both double streams on 64-byte-aligned
+// array, one object-id array — both double streams on 64-byte-aligned
 // storage (src/common/aligned.h). The §III–§IV hot loops touch exactly
 // these three streams, so SoA keeps them dense instead of striding over
 // vector-of-struct Instance records, and the SIMD kernel layer
 // (src/simd/kernels.h) vectorizes over them. Solvers consume a ScoreSpan —
 // a non-owning window — which is how a prefix DatasetView shares its
 // parent's buffer with zero copies (the first n rows of the full buffer
-// *are* the prefix's buffer, local ids included).
+// *are* the prefix's buffer, object ids included).
 //
 // The mapper evaluates SV through the dispatched MapPoint kernel over a
 // dimension-major (transposed) copy of the vertex matrix, so the d' dot
@@ -37,8 +37,8 @@
 
 namespace arsp {
 
-/// Structure-of-arrays score storage for one DatasetView, in local instance
-/// order (row index == local instance id). Each stream is a Column — owned
+/// Structure-of-arrays score storage for one DatasetView, in instance order
+/// (row index == instance id). Each stream is a Column — owned
 /// 64-byte-aligned storage when mapped in memory, borrowed spans when served
 /// from a snapshot's pre-mapped scores section or, for probs/objects, from
 /// the base dataset's own columns (zero copy either way for consumers,
@@ -47,7 +47,7 @@ struct ScoreBuffer {
   int dim = 0;                  ///< mapped dimensionality d'
   Column<double> coords;        ///< size() * dim, row-major
   Column<double> probs;         ///< instance probabilities
-  Column<int32_t> objects;      ///< local object ids
+  Column<int32_t> objects;      ///< object ids
 
   int size() const { return static_cast<int>(probs.size()); }
   const double* row(int i) const {
@@ -76,21 +76,13 @@ struct ScoreSpan {
                      buffer.objects.data(), buffer.size(), buffer.dim};
   }
 
-  /// The window truncated to its first `count` rows. Exact for prefix views
-  /// over the span's view: local ids below `count` are unaffected.
+  /// The window truncated to its first `count` rows: the scores of a
+  /// view whose instances are the span's first `count`.
   ScoreSpan Prefix(int count) const {
     ScoreSpan out = *this;
     out.n = count;
     return out;
   }
-
-  /// Compacts rows of this span (scores of `source_view`, addressed by its
-  /// local ids) down to `view`'s instances, remapping object ids to
-  /// view-local ones. `view` must be contained in `source_view`. Used by
-  /// derived subset contexts to reuse an already-mapped parent buffer
-  /// (memcpy per row) instead of redoing dot products.
-  ScoreBuffer Gather(const DatasetView& source_view,
-                     const DatasetView& view) const;
 };
 
 /// Maps points from the d-dimensional data space to the d'-dimensional
@@ -147,10 +139,9 @@ class ScoreMapper {
     return out;
   }
 
-  /// Maps every instance of `view` into a SoA buffer (local instance order,
-  /// local object ids). For a full or prefix view, probs/objects borrow the
-  /// base dataset's columns, so the buffer must not outlive the base; a
-  /// subset view's are owned copies.
+  /// Maps every instance of `view` into a SoA buffer (instance order).
+  /// probs/objects borrow the base dataset's columns, so the buffer must
+  /// not outlive the base.
   ScoreBuffer MapView(const DatasetView& view) const;
 
  private:

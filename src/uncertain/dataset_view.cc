@@ -2,8 +2,8 @@
 
 #include "src/uncertain/dataset_view.h"
 
-#include <algorithm>
-#include <sstream>
+#include <string>
+#include <vector>
 
 namespace arsp {
 
@@ -18,28 +18,12 @@ ViewSpec ViewSpec::Prefix(int num_objects) {
   return spec;
 }
 
-ViewSpec ViewSpec::Subset(std::vector<int> object_ids) {
-  ViewSpec spec;
-  spec.kind = Kind::kSubset;
-  std::sort(object_ids.begin(), object_ids.end());
-  object_ids.erase(std::unique(object_ids.begin(), object_ids.end()),
-                   object_ids.end());
-  spec.objects = std::move(object_ids);
-  return spec;
-}
-
 std::string ViewSpec::CacheKey() const {
   switch (kind) {
     case Kind::kFull:
       return "full";
     case Kind::kPrefix:
       return "prefix:" + std::to_string(prefix);
-    case Kind::kSubset: {
-      std::ostringstream os;
-      os << "subset:";
-      for (int j : objects) os << j << ',';
-      return os.str();
-    }
   }
   return "";  // unreachable
 }
@@ -55,7 +39,7 @@ DatasetView::DatasetView(std::shared_ptr<const UncertainDataset> base) {
 
 StatusOr<DatasetView> DatasetView::Create(const UncertainDataset& base,
                                           ViewSpec spec) {
-  return CreateImpl(base, nullptr, std::move(spec));
+  return CreateImpl(base, nullptr, spec);
 }
 
 StatusOr<DatasetView> DatasetView::Create(
@@ -64,7 +48,7 @@ StatusOr<DatasetView> DatasetView::Create(
     return Status::InvalidArgument("DatasetView over a null dataset");
   }
   const UncertainDataset& ref = *base;
-  return CreateImpl(ref, std::move(base), std::move(spec));
+  return CreateImpl(ref, std::move(base), spec);
 }
 
 StatusOr<DatasetView> DatasetView::CreateImpl(
@@ -78,7 +62,6 @@ StatusOr<DatasetView> DatasetView::CreateImpl(
     case ViewSpec::Kind::kFull:
       rep->num_objects = base.num_objects();
       rep->num_instances = base.num_instances();
-      rep->id_bound = base.num_instances();
       rep->bounds = base.bounds();
       break;
 
@@ -91,52 +74,14 @@ StatusOr<DatasetView> DatasetView::CreateImpl(
       rep->num_objects = spec.prefix;
       rep->num_instances =
           spec.prefix == 0 ? 0 : base.object_range(spec.prefix - 1).second;
-      rep->id_bound = rep->num_instances;
       rep->bounds = Mbr::Empty(base.dim());
       for (int i = 0; i < rep->num_instances; ++i) {
         rep->bounds.ExtendRow(base.coords(i));
       }
       break;
     }
-
-    case ViewSpec::Kind::kSubset: {
-      for (int j : spec.objects) {
-        if (j < 0 || j >= base.num_objects()) {
-          return Status::InvalidArgument(
-              "view subset object id " + std::to_string(j) +
-              " out of range [0, " + std::to_string(base.num_objects()) + ")");
-        }
-      }
-      // Enforce the sorted/unique invariant here, not just in Subset():
-      // specs are plain structs, and an unsorted or duplicated id list
-      // hand-built by a caller would corrupt the id tables and id_bound
-      // (silently wrong probabilities, not an error).
-      std::sort(spec.objects.begin(), spec.objects.end());
-      spec.objects.erase(std::unique(spec.objects.begin(), spec.objects.end()),
-                         spec.objects.end());
-      rep->num_objects = static_cast<int>(spec.objects.size());
-      rep->bounds = Mbr::Empty(base.dim());
-      rep->local_of_base.assign(static_cast<size_t>(base.num_instances()), -1);
-      rep->object_base_ids = spec.objects;
-      int next = 0;
-      for (int local_j = 0; local_j < rep->num_objects; ++local_j) {
-        const int base_j = spec.objects[static_cast<size_t>(local_j)];
-        const auto [begin, end] = base.object_range(base_j);
-        rep->object_ranges.emplace_back(next, next + (end - begin));
-        for (int i = begin; i < end; ++i) {
-          rep->local_of_base[static_cast<size_t>(i)] = next++;
-          rep->instance_base_ids.push_back(i);
-          rep->instance_objects.push_back(local_j);
-          rep->bounds.ExtendRow(base.coords(i));
-        }
-      }
-      rep->num_instances = next;
-      rep->id_bound =
-          rep->instance_base_ids.empty() ? 0 : rep->instance_base_ids.back() + 1;
-      break;
-    }
   }
-  rep->spec = std::move(spec);
+  rep->spec = spec;
   return DatasetView(std::move(rep));
 }
 

@@ -31,8 +31,7 @@ void ForEachPossibleWorld(const UncertainDataset& dataset,
                           const std::function<void(const PossibleWorld&)>& fn,
                           double max_worlds = 2e7);
 
-/// View variant: enumerates the worlds of the view's objects; choices are
-/// view-local instance ids.
+/// View variant: enumerates the worlds of the view's objects.
 void ForEachPossibleWorld(const DatasetView& view,
                           const std::function<void(const PossibleWorld&)>& fn,
                           double max_worlds = 2e7);

@@ -50,7 +50,7 @@ struct AttachedScores {
   int mapped_dim = 0;
   Column<double> coords;   ///< n × mapped_dim, row-major
   Column<double> probs;    ///< n
-  Column<int32_t> objects; ///< n, local object ids
+  Column<int32_t> objects; ///< n, object ids
 };
 
 /// Immutable uncertain dataset; build through UncertainDatasetBuilder or

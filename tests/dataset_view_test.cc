@@ -1,9 +1,9 @@
 // Copyright 2026 The ARSP Authors.
 //
 // DatasetView unit tests: spec validation, accessor correctness against the
-// base, id remapping in both directions, recomputed bounds, possible-world
-// counts, cache keys, and Materialize (the explicit-copy escape hatch the
-// zero-copy plane is measured against).
+// base, recomputed bounds, possible-world counts, cache keys, and
+// Materialize (the explicit-copy escape hatch the zero-copy plane is
+// measured against).
 
 #include <gtest/gtest.h>
 
@@ -23,30 +23,22 @@ using testing_util::RandomDataset;
 TEST(ViewSpecTest, CacheKeysDistinguishSpecs) {
   EXPECT_EQ(ViewSpec::Full().CacheKey(), "full");
   EXPECT_EQ(ViewSpec::Prefix(7).CacheKey(), "prefix:7");
-  EXPECT_EQ(ViewSpec::Subset({3, 1, 2}).CacheKey(), "subset:1,2,3,");
   EXPECT_NE(ViewSpec::Prefix(7).CacheKey(), ViewSpec::Prefix(8).CacheKey());
-  // Subset() sorts and dedups, so permutations share one key.
-  EXPECT_EQ(ViewSpec::Subset({2, 1, 1}).CacheKey(),
-            ViewSpec::Subset({1, 2}).CacheKey());
 }
 
 TEST(DatasetViewTest, FullViewMirrorsTheBase) {
   const UncertainDataset dataset = RandomDataset(12, 3, 3, 0.3, 11);
   const DatasetView view(dataset);
   EXPECT_TRUE(view.is_full());
-  EXPECT_TRUE(view.is_prefix());
   EXPECT_EQ(view.num_objects(), dataset.num_objects());
   EXPECT_EQ(view.num_instances(), dataset.num_instances());
   EXPECT_EQ(view.dim(), dataset.dim());
-  EXPECT_EQ(view.id_bound(), dataset.num_instances());
   for (int i = 0; i < view.num_instances(); ++i) {
     // Zero-copy: the view's coords are the base's columnar storage rows.
     EXPECT_EQ(view.coords(i), dataset.coords(i));
     EXPECT_EQ(view.point(i), dataset.instance(i).point);
     EXPECT_EQ(view.prob(i), dataset.instance(i).prob);
     EXPECT_EQ(view.object_of(i), dataset.instance(i).object_id);
-    EXPECT_EQ(view.base_instance_id(i), i);
-    EXPECT_EQ(view.LocalInstanceOf(i), i);
   }
   EXPECT_EQ(view.bounds().min_corner(), dataset.bounds().min_corner());
   EXPECT_EQ(view.bounds().max_corner(), dataset.bounds().max_corner());
@@ -61,13 +53,13 @@ TEST(DatasetViewTest, PrefixViewMatchesTakeObjects) {
     const UncertainDataset copy = TakeObjects(dataset, count);
     EXPECT_EQ(view->num_objects(), copy.num_objects());
     EXPECT_EQ(view->num_instances(), copy.num_instances());
-    EXPECT_EQ(view->id_bound(), view->num_instances());
     for (int j = 0; j < copy.num_objects(); ++j) {
       EXPECT_EQ(view->object_range(j), copy.object_range(j));
       EXPECT_DOUBLE_EQ(view->object_prob(j), copy.object_prob(j));
-      EXPECT_EQ(view->base_object_id(j), j);
     }
     for (int i = 0; i < copy.num_instances(); ++i) {
+      // Zero-copy: a prefix's rows are the base's first rows.
+      EXPECT_EQ(view->coords(i), dataset.coords(i));
       EXPECT_EQ(view->point(i), copy.instance(i).point);
       EXPECT_EQ(view->prob(i), copy.instance(i).prob);
       EXPECT_EQ(view->object_of(i), copy.instance(i).object_id);
@@ -75,68 +67,12 @@ TEST(DatasetViewTest, PrefixViewMatchesTakeObjects) {
     EXPECT_EQ(view->bounds().min_corner(), copy.bounds().min_corner());
     EXPECT_EQ(view->bounds().max_corner(), copy.bounds().max_corner());
     EXPECT_DOUBLE_EQ(view->NumPossibleWorlds(), copy.NumPossibleWorlds());
-    // Out-of-prefix base instances do not map into the view.
-    if (view->num_instances() < dataset.num_instances()) {
-      EXPECT_EQ(view->LocalInstanceOf(view->num_instances()), -1);
-    }
-  }
-}
-
-TEST(DatasetViewTest, SubsetViewRemapsIds) {
-  const UncertainDataset dataset = RandomDataset(10, 3, 2, 0.0, 13);
-  const std::vector<int> picked = {7, 2, 4};  // Subset() sorts to {2, 4, 7}
-  auto view = DatasetView::Create(dataset, ViewSpec::Subset(picked));
-  ASSERT_TRUE(view.ok());
-  EXPECT_FALSE(view->is_prefix());
-  EXPECT_EQ(view->num_objects(), 3);
-  const int expected[] = {2, 4, 7};
-  int local_instance = 0;
-  for (int local_j = 0; local_j < 3; ++local_j) {
-    const int base_j = expected[local_j];
-    EXPECT_EQ(view->base_object_id(local_j), base_j);
-    EXPECT_EQ(view->object_size(local_j), dataset.object_size(base_j));
-    EXPECT_DOUBLE_EQ(view->object_prob(local_j), dataset.object_prob(base_j));
-    const auto [begin, end] = dataset.object_range(base_j);
-    for (int i = begin; i < end; ++i, ++local_instance) {
-      EXPECT_EQ(view->base_instance_id(local_instance), i);
-      EXPECT_EQ(view->LocalInstanceOf(i), local_instance);
-      EXPECT_EQ(view->coords(local_instance), dataset.coords(i));
-      EXPECT_EQ(view->object_of(local_instance), local_j);
-    }
-  }
-  EXPECT_EQ(view->num_instances(), local_instance);
-  // Bound is the max member base id + 1 (tight enough to prune suffixes).
-  EXPECT_EQ(view->id_bound(), dataset.object_range(7).second);
-  // Non-member instances map to -1.
-  const auto [b0, e0] = dataset.object_range(0);
-  for (int i = b0; i < e0; ++i) EXPECT_EQ(view->LocalInstanceOf(i), -1);
-}
-
-TEST(DatasetViewTest, HandBuiltUnsortedSubsetSpecsAreNormalized) {
-  // ViewSpec members are public; Create must enforce the sorted/unique
-  // invariant itself — an unsorted or duplicated id list would otherwise
-  // corrupt id_bound and the id tables (silently wrong probabilities).
-  const UncertainDataset dataset = RandomDataset(10, 2, 2, 0.0, 19);
-  ViewSpec hand_built;
-  hand_built.kind = ViewSpec::Kind::kSubset;
-  hand_built.objects = {7, 3, 7, 1};  // unsorted, duplicated
-  auto view = DatasetView::Create(dataset, hand_built);
-  ASSERT_TRUE(view.ok());
-  auto canonical = DatasetView::Create(dataset, ViewSpec::Subset({1, 3, 7}));
-  ASSERT_TRUE(canonical.ok());
-  EXPECT_EQ(view->num_objects(), 3);
-  EXPECT_EQ(view->num_instances(), canonical->num_instances());
-  EXPECT_EQ(view->id_bound(), canonical->id_bound());
-  EXPECT_EQ(view->spec().objects, canonical->spec().objects);
-  for (int i = 0; i < view->num_instances(); ++i) {
-    EXPECT_EQ(view->base_instance_id(i), canonical->base_instance_id(i));
-    EXPECT_EQ(view->object_of(i), canonical->object_of(i));
   }
 }
 
 TEST(DatasetViewTest, MaterializeEqualsView) {
   const UncertainDataset dataset = RandomDataset(9, 4, 3, 0.5, 14);
-  auto view = DatasetView::Create(dataset, ViewSpec::Subset({0, 3, 8}));
+  auto view = DatasetView::Create(dataset, ViewSpec::Prefix(6));
   ASSERT_TRUE(view.ok());
   const UncertainDataset copy = view->Materialize();
   ASSERT_EQ(copy.num_objects(), view->num_objects());
@@ -154,10 +90,8 @@ TEST(DatasetViewTest, InvalidSpecsAreRejected) {
   const UncertainDataset dataset = RandomDataset(5, 2, 2, 0.0, 15);
   EXPECT_FALSE(DatasetView::Create(dataset, ViewSpec::Prefix(-1)).ok());
   EXPECT_FALSE(DatasetView::Create(dataset, ViewSpec::Prefix(6)).ok());
-  EXPECT_FALSE(DatasetView::Create(dataset, ViewSpec::Subset({0, 5})).ok());
-  EXPECT_FALSE(DatasetView::Create(dataset, ViewSpec::Subset({-1})).ok());
   EXPECT_TRUE(DatasetView::Create(dataset, ViewSpec::Prefix(0)).ok());
-  EXPECT_TRUE(DatasetView::Create(dataset, ViewSpec::Subset({})).ok());
+  EXPECT_TRUE(DatasetView::Create(dataset, ViewSpec::Prefix(5)).ok());
 }
 
 TEST(DatasetViewTest, EmptyViewBehaves) {
@@ -166,8 +100,6 @@ TEST(DatasetViewTest, EmptyViewBehaves) {
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->num_objects(), 0);
   EXPECT_EQ(view->num_instances(), 0);
-  EXPECT_EQ(view->id_bound(), 0);
-  EXPECT_EQ(view->LocalInstanceOf(0), -1);
   EXPECT_DOUBLE_EQ(view->NumPossibleWorlds(), 1.0);
   EXPECT_TRUE(view->single_instance_objects());
 }
@@ -186,7 +118,7 @@ TEST(DatasetViewTest, SharedOwnershipKeepsTheBaseAlive) {
 
 TEST(DatasetViewTest, PossibleWorldEnumerationMatchesMaterializedCopy) {
   const UncertainDataset dataset = RandomDataset(5, 2, 2, 0.6, 18);
-  auto view = DatasetView::Create(dataset, ViewSpec::Subset({1, 2, 4}));
+  auto view = DatasetView::Create(dataset, ViewSpec::Prefix(3));
   ASSERT_TRUE(view.ok());
   const UncertainDataset copy = view->Materialize();
   std::vector<PossibleWorld> from_view;

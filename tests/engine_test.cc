@@ -482,45 +482,6 @@ TEST(AutoSelection, SolverNamesAreCaseInsensitive) {
   EXPECT_EQ(lower->result.get(), upper->result.get());
 }
 
-TEST(AutoSelection, RegistryAutoEntryDelegates) {
-  const UncertainDataset dataset = RandomDataset(20, 3, 3, 0.0, 24);
-  ExecutionContext context(dataset, RandomWr(3, 24));
-  auto auto_solver = SolverRegistry::Create("auto");
-  ASSERT_TRUE(auto_solver.ok());
-  auto via_auto = (*auto_solver)->Solve(context);
-  ASSERT_TRUE(via_auto.ok());
-  auto resolved = SolverRegistry::Create(AutoSelectSolverName(context));
-  ASSERT_TRUE(resolved.ok());
-  auto via_resolved = (*resolved)->Solve(context);
-  ASSERT_TRUE(via_resolved.ok());
-  EXPECT_EQ(MaxAbsDiff(*via_auto, *via_resolved), 0.0);
-}
-
-TEST(AutoSelection, RegistryAutoEntryForwardsOptions) {
-  // Options given to the registry "auto" entry reach the resolved solver —
-  // the same behavior as the engine path. Here auto resolves to KDTT+
-  // (above LOOP's 64-instance cutoff), which accepts `parallelism`.
-  const UncertainDataset dataset = RandomDataset(100, 1, 2, 0.0, 29);
-  ExecutionContext context(dataset, RandomWr(2, 29));
-  ASSERT_EQ(AutoSelectSolverName(context), "kdtt+");
-  auto good = SolverRegistry::Create(
-      "auto", SolverOptions().SetInt("parallelism", 2));
-  ASSERT_TRUE(good.ok());
-  EXPECT_TRUE((*good)->Solve(context).ok());
-  // Option values and unknown keys are validated against the resolved
-  // solver at Solve time (resolution needs the context, so Configure
-  // cannot check them): only KDTT+ itself can refuse parallelism=0.
-  for (const SolverOptions& options :
-       {SolverOptions().SetInt("parallelism", 0),
-        SolverOptions().SetInt("not_an_option", 1)}) {
-    auto bad = SolverRegistry::Create("auto", options);
-    ASSERT_TRUE(bad.ok());
-    auto result = (*bad)->Solve(context);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
 // ------------------------------------------------------------ derived specs
 
 TEST(ArspEngineTest, DerivedQueriesMatchQueriesH) {

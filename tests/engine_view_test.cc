@@ -3,13 +3,11 @@
 // Engine-level tests of the zero-copy data plane: AddView handles, the
 // Fig. 6-style m% sweep invariant (exactly one full kd-/R-tree build plus
 // per-view delta work, no TakeObjects copies anywhere on the path), view
-// result-cache fingerprints, derived queries carrying base object ids, and
-// DropDataset cascade semantics.
+// result-cache fingerprints, and DropDataset cascade semantics.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -191,26 +189,6 @@ TEST(EngineViewTest, CacheFingerprintsAreDistinctPerView) {
   const QueryResponse base_again = solve(base);
   EXPECT_TRUE(base_again.cache_hit);
   EXPECT_EQ(base_again.result.get(), base_first.result.get());
-}
-
-TEST(EngineViewTest, RankedResultsCarryBaseObjectIds) {
-  ArspEngine engine;
-  const UncertainDataset data = RandomDataset(12, 2, 2, 0.0, 25);
-  const DatasetHandle base = engine.AddDataset(data);
-  auto view = engine.AddView(base, ViewSpec::Subset({8, 9, 10, 11}));
-  ASSERT_TRUE(view.ok());
-  QueryRequest request;
-  request.dataset = *view;
-  request.constraints = ConstraintSpec::Region(testing_util::WrRegion(2, 1));
-  request.derived.kind = DerivedKind::kTopKObjects;
-  request.derived.k = -1;
-  auto response = engine.Solve(request);
-  ASSERT_TRUE(response.ok());
-  ASSERT_FALSE(response->ranked.empty());
-  std::set<int> allowed = {8, 9, 10, 11};
-  for (const auto& [object, prob] : response->ranked) {
-    EXPECT_TRUE(allowed.count(object)) << object;
-  }
 }
 
 TEST(EngineViewTest, DroppingTheBaseCascadesToViews) {

@@ -129,13 +129,13 @@ TEST(GoalEquivalence, RegistrySweepWeakRankingAndSingleInstance2d) {
 
 TEST(GoalEquivalence, RegistrySweepOnDerivedViewContexts) {
   // Goals must push down through the zero-copy view plane: goal solves on
-  // prefix and subset view contexts (derived from one base context, as the
-  // engine's sweep path builds them) answer like sliced full view solves.
+  // prefix view contexts (derived from one base context, as the engine's
+  // sweep path builds them) answer like sliced full view solves.
   const UncertainDataset dataset = RandomDataset(16, 3, 3, 0.4, 800);
   auto base = std::make_shared<ExecutionContext>(dataset, RandomWr(3, 800));
   const std::vector<ViewSpec> specs = {
       ViewSpec::Prefix(10),
-      ViewSpec::Subset({0, 2, 3, 5, 7, 8, 10, 11, 13, 15}),
+      ViewSpec::Prefix(14),
   };
   for (const ViewSpec& spec : specs) {
     SCOPED_TRACE(spec.CacheKey());

@@ -115,7 +115,7 @@ net::QueryRequestWire WireQuery(const std::string& dataset,
   return request;
 }
 
-// Wire ranked answers must equal the engine's (base ids, probabilities
+// Wire ranked answers must equal the engine's (object ids, probabilities
 // bit-exact, same order).
 void ExpectRankedEqual(const std::vector<net::RankedEntry>& wire,
                        const std::vector<std::pair<int, double>>& local) {
@@ -542,6 +542,20 @@ TEST_F(NetLoopbackTest, BadRequestsAreCleanErrorsAndTheConnectionSurvives) {
   expect_counted();
   // Unknown stats name.
   EXPECT_EQ(client.Stats("nope").status().code(), StatusCode::kNotFound);
+  // A view kind byte past kPrefix (2, the subset kind before wire v11) is
+  // refused at decode and registers nothing.
+  net::AddViewRequest bad_view;
+  bad_view.base_name = "iip";
+  bad_view.view_name = "iip#kind2";
+  bad_view.spec.kind = static_cast<ViewSpec::Kind>(2);
+  auto refused = client.AddView(bad_view);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("bad ViewSpec kind 2"),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ(client.Query(WireQuery("iip#kind2", "kdtt+")).status().code(),
+            StatusCode::kNotFound);
+  expect_counted();
 
   // After all that, the same connection still serves real queries.
   auto response = client.Query(WireQuery("iip", "kdtt+"));
@@ -565,6 +579,13 @@ TEST_F(NetLoopbackTest, UnknownSolverNamesShareOneMetricSeries) {
       obs::MetricsRegistry::Global().RenderPrometheusText();
   EXPECT_EQ(text.find("bogus-"), std::string::npos);
   EXPECT_NE(text.find("solver=\"unknown\""), std::string::npos);
+
+  // `auto` is no registry name, yet a failed `auto` query, in any case,
+  // keeps its own label instead of joining `unknown`.
+  const uint64_t before = testing_util::ErrorQueries("auto");
+  EXPECT_EQ(client.Query(WireQuery("nope", "AUTO")).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(testing_util::ErrorQueries("auto"), before + 1);
 }
 
 TEST_F(NetLoopbackTest, InfiniteRatioBoundIsAnErrorReply) {

@@ -2,7 +2,7 @@
 //
 // The parallel determinism contract, swept across the registry: for every
 // solver advertising kCapIntraQueryParallel, a parallel solve — any thread
-// count, base context or derived prefix/subset view — produces an
+// count, base context or derived prefix view — produces an
 // instance-probability vector memcmp-identical to the serial solve, and
 // deterministic task counts run to run. Goal solves (top-k and
 // count-controlled, sliced post hoc, and threshold pushdown) must answer
@@ -199,11 +199,9 @@ TEST(ParallelDeterminism, FullSolveSweepOnBaseContexts) {
 TEST(ParallelDeterminism, FullSolveSweepOnDerivedViews) {
   const UncertainDataset dataset = RandomDataset(50, 4, 3, 0.4, 1300);
   auto base = std::make_shared<ExecutionContext>(dataset, WrRegion(3, 2));
-  std::vector<int> subset;
-  for (int i = 0; i < 50; i += 2) subset.push_back(i);
   const std::vector<ViewSpec> specs = {
       ViewSpec::Prefix(30),
-      ViewSpec::Subset(subset),
+      ViewSpec::Prefix(45),
   };
   for (const ViewSpec& spec : specs) {
     SCOPED_TRACE(spec.CacheKey());

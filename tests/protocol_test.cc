@@ -52,9 +52,8 @@ AddViewRequest GoldenAddViewRequest() {
   AddViewRequest m;
   m.base_name = "nba";
   m.view_name = "nba#2";
-  m.spec.kind = ViewSpec::Kind::kSubset;
+  m.spec.kind = ViewSpec::Kind::kPrefix;
   m.spec.prefix = 2;
-  m.spec.objects = {7, 3};
   return m;
 }
 
@@ -284,9 +283,6 @@ TEST(WireCodecTest, HostileVectorCountsAreRejectedBeforeAllocation) {
   ExpectHostileCountRejected(GoldenQueryRequest(), [](QueryRequestWire& m) {
     m.options.push_back("");  // strings
   });
-  ExpectHostileCountRejected(GoldenAddViewRequest(), [](AddViewRequest& m) {
-    m.spec.objects.push_back(0);  // i32s
-  });
   ExpectHostileCountRejected(GoldenQueryResponse(), [](QueryResponseWire& m) {
     m.ranked.emplace_back();  // ranked entries
   });
@@ -490,8 +486,7 @@ TEST(ProtocolMessagesTest, LoadDatasetRoundTrip) {
 }
 
 TEST(ProtocolMessagesTest, AddViewRoundTripAllSpecKinds) {
-  for (const ViewSpec& spec :
-       {ViewSpec::Full(), ViewSpec::Prefix(17), ViewSpec::Subset({5, 1, 9})}) {
+  for (const ViewSpec& spec : {ViewSpec::Full(), ViewSpec::Prefix(17)}) {
     AddViewRequest request;
     request.base_name = "base";
     request.view_name = "view";
@@ -500,7 +495,6 @@ TEST(ProtocolMessagesTest, AddViewRoundTripAllSpecKinds) {
     ASSERT_TRUE(decoded.DecodePayload(request.EncodePayload()).ok());
     EXPECT_EQ(decoded.spec.kind, spec.kind);
     EXPECT_EQ(decoded.spec.prefix, spec.prefix);
-    EXPECT_EQ(decoded.spec.objects, spec.objects);
   }
 }
 
@@ -669,7 +663,7 @@ TEST(ProtocolMessagesTest, BadEnumValuesAreRejected) {
   ExpectBadEnumRejected(
       GoldenAddViewRequest(),
       [](AddViewRequest& m) { m.spec.kind = ViewSpec::Kind::kFull; },
-      static_cast<uint8_t>(ViewSpec::Kind::kSubset), 7, "ViewSpec kind");
+      static_cast<uint8_t>(ViewSpec::Kind::kPrefix), 7, "ViewSpec kind");
   ExpectBadEnumRejected(
       GoldenQueryRequest(),
       [](QueryRequestWire& m) {
@@ -701,11 +695,12 @@ TEST(ProtocolMessagesTest, RetryLaterRoundTripAndTruncation) {
 
 // ------------------------------------------------------------ golden bytes
 //
-// Each fixed value's payload, field by field, as the wire v10 encoder
+// Each fixed value's payload, field by field, as the wire v11 encoder
 // writes it. The QUERY bytes and the untraced QUERY_RESULT bytes are the
 // ones v9 wrote too; the traced reply's span tree and the STATS index
-// fields changed in v10. A layout change fails here; it must update these
-// bytes and bump kWireVersion.
+// fields changed in v10, and ADD_VIEW lost its subset object list in v11.
+// A layout change fails here; it must update these bytes and bump
+// kWireVersion.
 
 TEST(WireGoldenBytes, LoadDatasetRequest) {
   EXPECT_EQ(Hex(GoldenLoadDatasetRequest().EncodePayload()),
@@ -728,11 +723,8 @@ TEST(WireGoldenBytes, AddViewRequest) {
   EXPECT_EQ(Hex(GoldenAddViewRequest().EncodePayload()),
             "030000006e6261"  // base_name
             "050000006e62612332"  // view_name
-            "02"  // spec.kind
-            "02000000"  // spec.prefix
-            "02000000"  // spec.objects count
-            "07000000"  // spec.objects[0]
-            "03000000");  // spec.objects[1]
+            "01"  // spec.kind
+            "02000000");  // spec.prefix
 }
 
 TEST(WireGoldenBytes, AddViewResponse) {

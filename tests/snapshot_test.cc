@@ -32,7 +32,6 @@ namespace arsp {
 namespace {
 
 using snapshot::LoadSnapshot;
-using snapshot::SnapshotLoadOptions;
 using snapshot::SnapshotWriteOptions;
 using snapshot::WriteSnapshot;
 using testing_util::RandomDataset;
@@ -342,19 +341,15 @@ TEST(SnapshotRejection, CorruptedSectionFailsItsChecksum) {
   ASSERT_FALSE(strict.ok());
   EXPECT_NE(strict.status().message().find("checksum"), std::string::npos);
 
-  // With verification off the structural checks still pass — this is the
-  // documented trade: no sequential read, trust the bytes.
-  SnapshotLoadOptions trusting;
-  trusting.verify_checksums = false;
-  EXPECT_TRUE(LoadSnapshot(bad, trusting).ok());
-
-  // ...except the ids solvers index unchecked, which the structural checks
-  // cover: the same flip in an r-tree entry id names no instance.
+  // Past the checksums, the structural checks cover the ids solvers index
+  // unchecked: the same flip in an r-tree entry id, re-sealed so every
+  // checksum holds, names no instance.
   image = pristine;
   image.Set<uint8_t>(snapshot::kRtEntryIds, 0,
                      image.Get<uint8_t>(snapshot::kRtEntryIds, 0) ^ 0x40);
+  image.Seal();
   image.Write(bad);
-  const auto flipped_id = LoadSnapshot(bad, trusting);
+  const auto flipped_id = LoadSnapshot(bad);
   ASSERT_FALSE(flipped_id.ok());
   EXPECT_NE(flipped_id.status().message().find("names no instance"),
             std::string::npos);
@@ -369,10 +364,8 @@ TEST(SnapshotRejection, TamperedSectionTableIsCaughtByTheHeaderHash) {
   bytes[64 + 16] = static_cast<char>(bytes[64 + 16] ^ 0x01);
   const std::string bad = TempPath("table_bad.arsp");
   WriteAll(bad, bytes);
-  // Even with checksum verification off, the table hash always runs.
-  SnapshotLoadOptions trusting;
-  trusting.verify_checksums = false;
-  const auto loaded = LoadSnapshot(bad, trusting);
+  // The table hash runs before any section checksum.
+  const auto loaded = LoadSnapshot(bad);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("header hash"), std::string::npos);
 }

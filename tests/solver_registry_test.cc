@@ -24,8 +24,8 @@ using testing_util::WrRegion;
 TEST(SolverRegistry, NamesCoverAllEightFamilies) {
   const std::vector<std::string> names = SolverRegistry::Names();
   const std::vector<std::string> expected = {
-      "auto", "bnb", "dual", "dual-2d-ms", "enum",
-      "kdtt", "kdtt+", "loop", "mwtt", "qdtt+"};
+      "bnb", "dual", "dual-2d-ms", "enum", "kdtt",
+      "kdtt+", "loop", "mwtt", "qdtt+"};
   EXPECT_EQ(names, expected);
   // The registry's names sit in a table apart from each solver's own
   // name(): a swapped row would hand out the wrong algorithm under a name

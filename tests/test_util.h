@@ -156,15 +156,18 @@ inline std::vector<StatusOr<QueryResponse>> SolveConcurrently(
 }
 
 /// The sum of every arsp_queries_total series labelled outcome="error" in
-/// the process-global metrics registry (every server in a test binary
+/// the process-global metrics registry, or of those also labelled
+/// solver=`solver` when one is given (every server in a test binary
 /// counts into it, so callers compare before and after).
-inline uint64_t ErrorQueries() {
+inline uint64_t ErrorQueries(const std::string& solver = "") {
   std::istringstream text(
       obs::MetricsRegistry::Global().RenderPrometheusText());
   uint64_t total = 0;
   for (std::string line; std::getline(text, line);) {
     if (line.rfind("arsp_queries_total{", 0) == 0 &&
-        line.find("outcome=\"error\"") != std::string::npos) {
+        line.find("outcome=\"error\"") != std::string::npos &&
+        (solver.empty() ||
+         line.find("solver=\"" + solver + "\"") != std::string::npos)) {
       total += std::strtoull(line.substr(line.rfind(' ') + 1).c_str(),
                              nullptr, 10);
     }

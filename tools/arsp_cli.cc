@@ -297,7 +297,7 @@ int ValidateSolverChoice(const CliArgs& args) {
       return 2;
     }
   }
-  if (args.algo != "auto") {
+  if (!IsAutoName(args.algo)) {
     auto solver = SolverRegistry::Create(args.algo, options);
     if (!solver.ok()) {
       std::fprintf(stderr, "%s\n", solver.status().ToString().c_str());
