@@ -45,8 +45,7 @@ struct PreparedIndex {
 
 DatasetView PrefixView(int pct) {
   auto view = DatasetView::Create(
-      IipFull(),
-      ViewSpec::Prefix(std::max(1, IipFull().num_objects() * pct / 100)));
+      IipFull(), std::max(1, IipFull().num_objects() * pct / 100));
   ARSP_CHECK_MSG(view.ok(), "%s", view.status().ToString().c_str());
   return std::move(view).value();
 }

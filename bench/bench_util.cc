@@ -103,7 +103,7 @@ DatasetHandle SharedPrefixHandle(const UncertainDataset& full, int count) {
   const auto it = views->find(key);
   if (it != views->end()) return it->second;
   StatusOr<DatasetHandle> handle =
-      SharedEngine().AddView(SharedHandle(full), ViewSpec::Prefix(count));
+      SharedEngine().AddView(SharedHandle(full), count);
   ARSP_CHECK_MSG(handle.ok(), "%s", handle.status().ToString().c_str());
   return views->emplace(key, *handle).first->second;
 }

@@ -187,7 +187,7 @@ DatasetHandle ArspEngine::AddDataset(UncertainDataset dataset) {
 }
 
 StatusOr<DatasetHandle> ArspEngine::AddView(DatasetHandle base,
-                                            ViewSpec spec) {
+                                            int num_objects) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = datasets_.find(base.id);
   if (it == datasets_.end()) {
@@ -200,7 +200,7 @@ StatusOr<DatasetHandle> ArspEngine::AddView(DatasetHandle base,
         " — register views against the base dataset (handle " +
         std::to_string(it->second.base_id) + ") instead");
   }
-  auto view = DatasetView::Create(it->second.dataset, std::move(spec));
+  auto view = DatasetView::Create(it->second.dataset, num_objects);
   if (!view.ok()) return view.status();
   const int id = next_dataset_id_++;
   datasets_.emplace(
@@ -403,18 +403,18 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
       obs::ScopedSpan acquire_span(request.trace, "context_acquire");
       if (context == nullptr) {
         if (base_id != request.dataset.id && request.pool_context) {
-          // View handle with pooling (any spec — a Full-spec view must not
-          // rebuild either): derive from the base dataset's pooled context
-          // so the whole sweep of views over one base shares a single set
-          // of full indexes and one SoA score mapping.
+          // View handle with pooling (any object count — a view of every
+          // object must not rebuild either): derive from the base dataset's
+          // pooled context so the whole sweep of views over one base shares
+          // a single set of full indexes and one SoA score mapping.
           std::shared_ptr<ExecutionContext> parent = FindOrCreatePooledContext(
               base_id, constraint_key, request.constraints, dataset);
           context = ExecutionContext::Derive(std::move(parent), view);
           context->CountBuildsInto(builds);
           acquire_span.Annotate("source", "derived_from_base");
         } else {
-          // Full view, or a cold (pool-less) request: a standalone context
-          // that builds only over its own view.
+          // A base dataset, or a cold (pool-less) request: a standalone
+          // context, which builds its indexes over the base all the same.
           context = NewContext(view, request.constraints, builds);
           acquire_span.Annotate("source", "fresh");
         }

@@ -25,12 +25,14 @@
 //    explicit-only), resolved from the view before the cache probe. The
 //    engine is the one place "auto" resolves: it is not a registry entry,
 //    and `arsp_cli --algo auto` reaches it through the engine;
-//  * AddView(handle, spec) — zero-copy DatasetView windows (full or m%
-//    object prefix) registered as first-class query targets. Pooled view
-//    queries derive their ExecutionContext from the base dataset's pooled
-//    context, inheriting its indexes and score storage, so a Fig. 6-style
-//    m% sweep pays exactly one full kd-/R-tree build plus per-step delta
-//    work (asserted via index_stats());
+//  * AddView(handle, num_objects) — zero-copy DatasetView windows (the
+//    first num_objects objects, the Fig. 6 m% prefix) registered as
+//    first-class query targets. Pooled view queries derive their
+//    ExecutionContext from the base dataset's pooled context, inheriting
+//    its indexes and score storage, so a Fig. 6-style m% sweep pays exactly
+//    one full kd-/R-tree build plus per-step delta work (asserted via
+//    index_stats()). A pool-less view query builds its own context over
+//    the same base-wide indexes, so it answers the same bits;
 //  * derived goals — object-level requests (top-k / threshold / count-
 //    controlled) are translated into a QueryGoal and answered by
 //    AnswerGoal. Top-k and count-controlled goals slice a complete result
@@ -255,9 +257,10 @@ class ArspEngine {
   /// base's instance payloads; pooled queries against it derive their
   /// context from the base's pooled context, reusing its indexes and score
   /// storage.
-  /// InvalidArgument for a view-of-a-view (compose specs against the base
-  /// instead); NotFound for unknown handles.
-  StatusOr<DatasetHandle> AddView(DatasetHandle base, ViewSpec spec);
+  /// InvalidArgument for a view-of-a-view (register it against the base
+  /// instead) or an object count outside [0, base objects]; NotFound for
+  /// unknown handles.
+  StatusOr<DatasetHandle> AddView(DatasetHandle base, int num_objects);
 
   /// The base dataset behind a handle (for view handles, the base; shared
   /// ownership, so the reference stays valid across a concurrent

@@ -385,25 +385,23 @@ ScoreSpan ExecutionContext::scores() const {
   SetupTimer timer(this);
   const auto& attached = view_.base().attached_scores();
   if (parent_ != nullptr) {
-    // The view is a prefix of the parent's, so the parent's buffer
-    // truncated to this view's instance count IS this view's buffer. Zero
-    // copies.
-    span_ = parent_->scores().Prefix(view_.num_instances());
+    // The view is a prefix of the parent's, so the parent's first rows ARE
+    // this view's. Zero copies.
+    const ScoreSpan parent = parent_->scores();
+    span_ = ScoreSpan::Of(parent.coords, parent.dim, view_);
     Count(&IndexBuildStats::score_reuses);
-  } else if (view_.is_full() && attached != nullptr &&
+  } else if (attached != nullptr &&
              attached->vertex_hash == mapper().VertexHash()) {
     // Snapshot-attached pre-mapped scores for this exact vertex matrix
     // (the hash covers dimensions and every matrix byte, so the section is
-    // bit-identical to what MapView would produce). Only the full view
-    // adopts them, as with the attached kd-tree below.
-    span_ = ScoreSpan{attached->coords.data(), attached->probs.data(),
-                      attached->objects.data(), view_.num_instances(),
-                      attached->mapped_dim};
+    // bit-identical to what MapView would produce), truncated to the view.
+    span_ = ScoreSpan::Of(attached->coords.data(), attached->mapped_dim,
+                          view_);
     Count(&IndexBuildStats::snapshot_hits);
   } else {
     scores_ = mapper().MapView(view_);
     Count(&IndexBuildStats::score_maps);
-    span_ = ScoreSpan::Of(*scores_);
+    span_ = ScoreSpan::Of(scores_->coords.data(), scores_->dim, view_);
   }
   span_ready_ = true;
   return span_;
@@ -416,18 +414,13 @@ const KdTree& ExecutionContext::instance_kdtree() const {
     if (parent_ != nullptr) {
       kdtree_ptr_ = &parent_->instance_kdtree();
       Count(&IndexBuildStats::parent_index_hits);
-    } else if (view_.is_full() &&
-               view_.base().attached_kdtree() != nullptr) {
-      // Snapshot-attached prebuilt tree. Only the full view may adopt it:
-      // the attached arenas were built over the whole dataset, and a root
-      // context over a narrower view must build its own tree so probe
-      // results (and their floating-point accumulation orders) match an
-      // in-memory build of that view exactly. The dataset outlives the
-      // context by contract, which pins the shared arenas.
+    } else if (view_.base().attached_kdtree() != nullptr) {
+      // Snapshot-attached prebuilt tree. The dataset outlives the context
+      // by contract, which pins the shared arenas.
       kdtree_ptr_ = view_.base().attached_kdtree().get();
       Count(&IndexBuildStats::snapshot_hits);
     } else {
-      kdtree_.emplace(KdTree::FromView(view_));
+      kdtree_.emplace(KdTree::FromView(DatasetView(view_.base())));
       kdtree_ptr_ = &*kdtree_;
       Count(&IndexBuildStats::kdtree_builds);
     }
@@ -449,20 +442,18 @@ std::shared_ptr<const RTree> ExecutionContext::instance_rtree(
     return it->second.tree;
   }
   SetupTimer timer(this);
-  if (view_.is_full() && view_.base().attached_rtree() != nullptr &&
+  std::shared_ptr<const RTree> tree;
+  if (view_.base().attached_rtree() != nullptr &&
       view_.base().attached_rtree_fanout() == fanout) {
-    // Snapshot-attached prebuilt tree (full views only; see
-    // instance_kdtree). Cached like a built tree so repeat requests skip
-    // the attachment checks.
-    auto attached = view_.base().attached_rtree();
+    // Snapshot-attached prebuilt tree, cached like a built one so repeat
+    // requests skip the attachment checks.
+    tree = view_.base().attached_rtree();
     Count(&IndexBuildStats::snapshot_hits);
-    if (rtrees_.size() >= kMaxCachedRtrees) EvictLeastRecentlyUsed(rtrees_);
-    rtrees_.emplace(fanout, CachedRtree{attached, ++rtree_tick_});
-    return attached;
+  } else {
+    tree = std::make_shared<const RTree>(
+        RTree::BulkLoadFromView(DatasetView(view_.base()), fanout));
+    Count(&IndexBuildStats::rtree_builds);
   }
-  auto tree = std::make_shared<const RTree>(
-      RTree::BulkLoadFromView(view_, fanout));
-  Count(&IndexBuildStats::rtree_builds);
   // Bound the cache: drop the least-recently-used fan-out first (in-flight
   // users of an evicted tree keep it alive through their shared_ptr).
   if (rtrees_.size() >= kMaxCachedRtrees) EvictLeastRecentlyUsed(rtrees_);
@@ -503,23 +494,10 @@ ColumnBytes ExecutionContext::IndexMemoryFootprint() const {
     bytes += cached.tree->memory_bytes();
   }
   if (scores_.has_value()) {
-    // Borrowed probs/objects are the dataset's own columns (MapView over a
-    // full or prefix view), not memory this context holds.
-    const auto add_owned = [&bytes](const auto& column) {
-      if (!column.borrowed()) bytes.Add(column);
-    };
-    add_owned(scores_->coords);
-    add_owned(scores_->probs);
-    add_owned(scores_->objects);
+    bytes.Add(scores_->coords);
   } else if (span_ready_ && parent_ == nullptr) {
-    // Span without owned storage on a root context: snapshot-attached
-    // scores.
-    const auto& attached = view_.base().attached_scores();
-    if (attached != nullptr && span_.coords == attached->coords.data()) {
-      bytes.Add(attached->coords);
-      bytes.Add(attached->probs);
-      bytes.Add(attached->objects);
-    }
+    // A root context's span without owned rows: the snapshot's.
+    bytes.Add(view_.base().attached_scores()->coords);
   }
   return bytes;
 }

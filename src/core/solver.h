@@ -331,13 +331,16 @@ class ArspSolver {
 /// constraints are copied in. A context holds no goal: the goal is an
 /// argument of each ArspSolver::Solve, so every context serves every goal.
 ///
+/// Every context serves its view from artifacts over the whole base: the
+/// kd-/R-trees cover every base instance and are probed with the view's
+/// instance count as the id bound, and the score rows are truncated to the
+/// view. So a view answers the same bits whichever context serves it.
 /// Contexts form a derivation tree: Derive(parent, view) builds a child
 /// context over a prefix of the parent's view that inherits every artifact
-/// from its parent — the preference region, the SV(·) mapper, the
-/// full-coverage kd-/R-trees (probed with the child's instance count as the
-/// id bound), and the SoA score storage (truncated, zero-copy). An m% sweep
-/// derived from one base context therefore performs exactly one full index
-/// build; index_build_stats() exposes the counters tests assert this with.
+/// from its parent — the preference region, the SV(·) mapper, the trees,
+/// and the SoA score storage (zero-copy). An m% sweep derived from one base
+/// context therefore performs exactly one full index build;
+/// index_build_stats() exposes the counters tests assert this with.
 ///
 /// Lazy initialization is thread-safe: accessors serialize on an internal
 /// (recursive — they nest) mutex, and every artifact is immutable once
@@ -392,21 +395,25 @@ class ExecutionContext {
   const ScoreMapper& mapper() const;
 
   /// SoA score storage of the view's instances (row i = instance i): what
-  /// every tree-traversal solver iterates. A derived context returns a
-  /// truncated window over the parent's buffer — zero copies; a root
-  /// context maps its own rows.
+  /// every tree-traversal solver iterates. The mapped coordinates are a
+  /// derived context's parent's rows, a snapshot's pre-mapped rows when
+  /// their vertex hash matches the mapper's (both truncated to the view —
+  /// zero copies), or else a root context's own mapping of the view; the
+  /// probability and object-id streams are the base dataset's columns.
   ScoreSpan scores() const;
 
-  /// Kd-tree over the view's original instance points (weights =
+  /// Kd-tree over the base dataset's original instance points (weights =
   /// probabilities, ids = instance ids), query-independent; used by the
-  /// DUAL half-space probes. Derived contexts return the parent's tree
-  /// (full coverage — callers skip ids >= view().num_instances()); root
-  /// contexts build from their view once.
+  /// DUAL half-space probes. It covers the whole base whatever the view,
+  /// so callers skip ids >= view().num_instances(). Derived contexts
+  /// return the parent's tree; root contexts adopt the snapshot's attached
+  /// tree or build one over the base once.
   const KdTree& instance_kdtree() const;
 
-  /// STR-bulk-loaded R-tree over the view's original instance points (ids =
-  /// instance ids) with the given fan-out; same sharing rules as
-  /// instance_kdtree. Cached per fan-out value, so callers alternating
+  /// STR-bulk-loaded R-tree over the base dataset's original instance
+  /// points (ids = instance ids) with the given fan-out; same sharing rules
+  /// as instance_kdtree (a snapshot's tree is adopted when its fan-out is
+  /// the one asked for). Cached per fan-out value, so callers alternating
   /// fan-outs (ablation benches, mixed batch queries) never rebuild. The
   /// cache holds at most kMaxCachedRtrees trees (long-lived pooled contexts
   /// must not grow one dataset-sized tree per distinct fan-out ever

@@ -12,7 +12,7 @@
 
 namespace arsp {
 
-KdTree KdTree::FromView(const DatasetView& view, int leaf_size) {
+KdTree KdTree::FromView(const DatasetView& view) {
   KdTree tree;
   tree.dim_ = view.dim();
   tree.root_mbr_ = Mbr::Empty(tree.dim_);
@@ -25,7 +25,7 @@ KdTree KdTree::FromView(const DatasetView& view, int leaf_size) {
   AlignedVector<int32_t> ids(static_cast<size_t>(n));
   std::iota(ids.begin(), ids.end(), 0);
   tree.BuildFrom(view.coords(0), view.base().probs_column().data(),
-                 ids.data(), n, leaf_size);
+                 ids.data(), n, kDefaultLeafSize);
   return tree;
 }
 

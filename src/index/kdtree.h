@@ -61,9 +61,10 @@ static_assert(sizeof(KdNode) == 20, "KdNode must have a fixed 20-byte layout");
 /// Prefix reuse: every node tracks the minimum item id in its subtree, and
 /// the reporting probes accept an `id_bound` that skips items with
 /// id >= bound — subtrees consisting entirely of such items are pruned
-/// wholesale. A tree built over a full dataset (ids = instance ids)
-/// therefore serves every object-prefix DatasetView exactly, with no
-/// per-prefix rebuild: the prefix's num_instances() is the bound.
+/// wholesale. A tree built over a whole dataset (ids = instance ids)
+/// therefore serves every DatasetView of it exactly: the view's
+/// num_instances() is the bound. Every ExecutionContext serves its view
+/// this way, so no view builds or probes a tree of its own.
 class KdTree {
  public:
   /// FromFlat's depth limit. Median splits halve the items at every
@@ -78,13 +79,18 @@ class KdTree {
     double weight;
   };
 
+  /// The leaf bucket size of every tree built over a DatasetView (and so
+  /// of every snapshot's attached tree).
+  static constexpr int kDefaultLeafSize = 16;
+
   /// Builds the tree over `items` (may be empty). `leaf_size` bounds the
   /// bucket size at leaves.
-  explicit KdTree(const std::vector<KdItem>& items, int leaf_size = 16);
+  explicit KdTree(const std::vector<KdItem>& items,
+                  int leaf_size = kDefaultLeafSize);
 
-  /// Builds over the instances of a DatasetView; item ids are instance ids,
-  /// as in a tree shared from the base.
-  static KdTree FromView(const DatasetView& view, int leaf_size = 16);
+  /// Builds over the instances of a DatasetView with kDefaultLeafSize
+  /// leaves; item ids are instance ids.
+  static KdTree FromView(const DatasetView& view);
 
   /// Adopts already-built arenas (the snapshot mmap-load path).
   /// InvalidArgument unless the columns have the shape this class's builder

@@ -45,10 +45,10 @@ static_assert(sizeof(RtNode) == 24, "RtNode must have a fixed 24-byte layout");
 /// Dynamic R-tree (quadratic-split insertion, STR bulk load) storing points
 /// with an id and a weight; internal nodes cache subtree weight sums and the
 /// minimum entry id of their subtree. The min-id aggregate is the prefix-
-/// reuse hook: a traversal serving an object-prefix DatasetView skips any
-/// subtree with node_min_id() >= the view's num_instances() — the subtree
-/// is delta data the prefix has not reached — so one bulk load over the full
-/// dataset serves every prefix without rebuilding.
+/// reuse hook: a traversal serving a DatasetView skips any subtree with
+/// node_min_id() >= the view's num_instances() — the subtree is data the
+/// view has not reached — so one bulk load over the whole dataset serves
+/// every view of it, which is how every ExecutionContext serves its view.
 class RTree {
  public:
   /// A point stored at a leaf (construction-side value type; the tree
@@ -80,10 +80,9 @@ class RTree {
                         int max_entries = 16);
 
   /// Bulk load over the instances of a DatasetView; entry ids are instance
-  /// ids, as in a tree shared from the base. Reads the view's columnar
-  /// storage in place and sorts an index permutation — peak memory is one
-  /// int32 per instance over the final arenas, not a second copy of every
-  /// instance.
+  /// ids. Reads the view's columnar storage in place and sorts an index
+  /// permutation — peak memory is one int32 per instance over the final
+  /// arenas, not a second copy of every instance.
   static RTree BulkLoadFromView(const DatasetView& view, int max_entries = 16);
 
   /// Adopts already-built arenas (the snapshot mmap-load path).

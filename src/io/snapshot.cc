@@ -154,8 +154,8 @@ Status WriteSnapshot(const UncertainDataset& dataset, const std::string& path,
   // in-memory paths, so a loaded snapshot answers queries bit-identically
   // to a fresh build over the same data.
   const DatasetView view(dataset);
-  const KdTree kdtree = KdTree::FromView(view, options.kd_leaf_size);
-  const RTree rtree = RTree::BulkLoadFromView(view, options.rtree_fanout);
+  const KdTree kdtree = KdTree::FromView(view);
+  const RTree rtree = RTree::BulkLoadFromView(view);
 
   ScoreBuffer scores;
   uint64_t vertex_hash = 0;
@@ -197,9 +197,9 @@ Status WriteSnapshot(const UncertainDataset& dataset, const std::string& path,
   meta.dim = d;
   meta.num_instances = n;
   meta.num_objects = m;
-  meta.kd_leaf_size = options.kd_leaf_size;
+  meta.kd_leaf_size = KdTree::kDefaultLeafSize;
   meta.kd_num_nodes = kdtree.num_nodes();
-  meta.rt_fanout = options.rtree_fanout;
+  meta.rt_fanout = rtree.max_entries();
   meta.rt_num_nodes = rtree.num_nodes();
   meta.rt_root = rtree.root_id();
   meta.score_mapped_dim = mapped_dim;
@@ -232,11 +232,7 @@ Status WriteSnapshot(const UncertainDataset& dataset, const std::string& path,
   add_col(kRtEntryCoords, rtree.entry_coords_column());
   add_col(kRtEntryWeights, rtree.entry_weights_column());
   add_col(kRtEntryIds, rtree.entry_ids_column());
-  if (has_scores) {
-    add_col(kScoreCoords, scores.coords);
-    add_col(kScoreProbs, scores.probs);
-    add_col(kScoreObjects, scores.objects);
-  }
+  if (has_scores) add_col(kScoreCoords, scores.coords);
   if (has_names) add(kNames, names_blob.data(), names_blob.size());
 
   // Lay out the section table, checksum each section, then fingerprint the
@@ -443,8 +439,8 @@ StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
   // Solvers index per-object and per-instance arrays with the ids below
   // unguarded, so their ranges are structural invariants, not content
   // details: the object ranges are monotonic and cover the instances, each
-  // instance (and score row) names the object whose range holds it, and
-  // each index entry names an instance. Checked in place, in the mapping.
+  // instance names the object whose range holds it, and each index entry
+  // names an instance. Checked in place, in the mapping.
   const auto column = [base](const SectionEntry* entry) {
     return reinterpret_cast<const int32_t*>(base + entry->offset);
   };
@@ -457,17 +453,14 @@ StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
       return Malformed("object starts are not monotonic");
     }
   }
-  const auto check_objects = [m, starts](const int32_t* objects,
-                                         const char* what) -> Status {
-    for (size_t j = 0; j < m; ++j) {
-      for (int32_t i = starts[j]; i < starts[j + 1]; ++i) {
-        if (objects[i] != static_cast<int32_t>(j)) {
-          return Malformed(std::string(what) + " names the wrong object");
-        }
+  const int32_t* objects = column(iobj_s);
+  for (size_t j = 0; j < m; ++j) {
+    for (int32_t i = starts[j]; i < starts[j + 1]; ++i) {
+      if (objects[i] != static_cast<int32_t>(j)) {
+        return Malformed("an instance names the wrong object");
       }
     }
-    return Status::OK();
-  };
+  }
   const auto check_instances = [n](const int32_t* ids,
                                    const char* what) -> Status {
     for (size_t i = 0; i < n; ++i) {
@@ -477,7 +470,6 @@ StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
     }
     return Status::OK();
   };
-  ARSP_RETURN_IF_ERROR(check_objects(column(iobj_s), "an instance"));
   ARSP_RETURN_IF_ERROR(check_instances(column(kd_ids_s), "a kd-tree item"));
   ARSP_RETURN_IF_ERROR(check_instances(column(rt_ids_s), "an r-tree entry"));
 
@@ -525,18 +517,12 @@ StatusOr<snapshot::LoadedSnapshot> SnapshotLoader::Load(
   if (meta.flags & snapshot::kFlagHasScores) {
     const size_t dprime = static_cast<size_t>(meta.score_mapped_dim);
     const SectionEntry* sc_coords_s = nullptr;
-  ARSP_RETURN_IF_ERROR(expect(snapshot::kScoreCoords, n * dprime * sizeof(double), &sc_coords_s));
-    const SectionEntry* sc_probs_s = nullptr;
-  ARSP_RETURN_IF_ERROR(expect(snapshot::kScoreProbs, n * sizeof(double), &sc_probs_s));
-    const SectionEntry* sc_objects_s = nullptr;
-  ARSP_RETURN_IF_ERROR(expect(snapshot::kScoreObjects, n * sizeof(int32_t), &sc_objects_s));
-    ARSP_RETURN_IF_ERROR(check_objects(column(sc_objects_s), "a score row"));
+    ARSP_RETURN_IF_ERROR(expect(snapshot::kScoreCoords,
+                                n * dprime * sizeof(double), &sc_coords_s));
     auto scores = std::make_shared<AttachedScores>();
     scores->vertex_hash = meta.score_vertex_hash;
     scores->mapped_dim = meta.score_mapped_dim;
     scores->coords = f64(sc_coords_s);
-    scores->probs = f64(sc_probs_s);
-    scores->objects = i32(sc_objects_s);
     dataset->AttachScores(std::move(scores));
   }
 

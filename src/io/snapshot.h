@@ -1,11 +1,12 @@
 // Copyright 2026 The ARSP Authors.
 //
 // The .arsp columnar snapshot format — the out-of-core half of the data
-// plane. A snapshot holds everything a daemon needs to serve a dataset:
-// the dataset's columns, its tight bounds, both spatial indexes as flat
-// arenas (KdTree and RTree node pools, exactly the in-memory layout), an
-// optional pre-mapped score section tagged with the preference region's
-// vertex hash, and optional object display names.
+// plane. A snapshot holds everything a daemon needs to serve a dataset
+// and every view of it: the dataset's columns, its tight bounds, both
+// spatial indexes as flat arenas (KdTree and RTree node pools, exactly the
+// in-memory layout and build parameters), an optional section of
+// pre-mapped score coordinates tagged with the preference region's vertex
+// hash, and optional object display names.
 //
 // Layout (all integers little-endian; the endian marker rejects foreign
 // byte orders rather than translating them):
@@ -49,12 +50,18 @@ class PreferenceRegion;
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'A', 'R', 'S', 'P', 'S', 'N', 'A', 'P'};
-inline constexpr uint32_t kVersion = 2;
+/// Version 1 stored 32-byte kd nodes with a subtree weight sum no probe
+/// read; version 2 stored 20-byte ones plus score probability and object-id
+/// sections (copies of kProbs and kInstanceObjects); version 3 ships score
+/// coordinates alone. The loader reads only kVersion.
+inline constexpr uint32_t kVersion = 3;
 inline constexpr uint32_t kEndianMarker = 0x01020304u;
 inline constexpr size_t kSectionAlignment = 64;
 
 /// Section ids. Order in the file follows this numbering; unknown ids in a
 /// newer-minor file are skipped by readers (forward-compatible sections).
+/// Ids 20 and 21 (version 2's score probabilities and object ids) stay
+/// unassigned.
 enum SectionId : uint32_t {
   kMeta = 1,             ///< SnapshotMeta (fixed 64-byte POD)
   kBounds = 2,           ///< 2·dim doubles: bounds min row, max row
@@ -75,8 +82,6 @@ enum SectionId : uint32_t {
   kRtEntryWeights = 17,  ///< n doubles
   kRtEntryIds = 18,      ///< n int32
   kScoreCoords = 19,     ///< n × mapped_dim doubles (optional)
-  kScoreProbs = 20,      ///< n doubles (optional)
-  kScoreObjects = 21,    ///< n int32 (optional)
   kNames = 22,           ///< '\n'-joined object names (optional)
 };
 
@@ -112,7 +117,7 @@ struct SnapshotMeta {
   int32_t rt_fanout = 0;
   int32_t rt_num_nodes = 0;
   int32_t rt_root = -1;
-  int32_t score_mapped_dim = 0;  ///< 0 when no score sections are present
+  int32_t score_mapped_dim = 0;  ///< 0 when no score section is present
   uint32_t flags = 0;            ///< kFlagHasScores | kFlagHasNames
   uint64_t score_vertex_hash = 0;
   uint8_t pad[16] = {};
@@ -152,10 +157,8 @@ class MmapFile {
 };
 
 struct SnapshotWriteOptions {
-  int kd_leaf_size = 16;
-  int rtree_fanout = 16;
   /// When set, the writer pre-maps every instance through the region's
-  /// ScoreMapper and ships the score columns, tagged with the mapper's
+  /// ScoreMapper and ships the score coordinates, tagged with the mapper's
   /// vertex hash. Queries whose region hashes identically mmap their
   /// scores; all other queries map in memory as usual.
   const PreferenceRegion* scores_region = nullptr;
@@ -163,7 +166,10 @@ struct SnapshotWriteOptions {
   std::vector<std::string> object_names;
 };
 
-/// Builds both indexes over `dataset` and writes a version-2 snapshot.
+/// Builds both indexes over `dataset` with the in-memory builders'
+/// defaults (kd leaves of KdTree::kDefaultLeafSize, R-tree fan-out 16), so
+/// a context adopts exactly the trees it would otherwise build, and writes
+/// a version-3 snapshot.
 /// The dataset must be in-memory (owned columns are not required, but the
 /// writer reads every column once to checksum and serialize it).
 Status WriteSnapshot(const UncertainDataset& dataset, const std::string& path,

@@ -220,7 +220,7 @@ void Fields(auto& c, Is<LoadDatasetResponse> auto& m) {
 }
 
 void Fields(auto& c, Is<AddViewRequest> auto& m) {
-  c(m.base_name, m.view_name, m.spec.kind, m.spec.prefix);
+  c(m.base_name, m.view_name, m.num_objects);
 }
 
 void Fields(auto& c, Is<AddViewResponse> auto& m) {
@@ -352,9 +352,6 @@ struct EnumRange {
 };
 EnumRange RangeOf(LoadSource) {
   return {static_cast<int>(LoadSource::kGenerator), "LoadSource"};
-}
-EnumRange RangeOf(ViewSpec::Kind) {
-  return {static_cast<int>(ViewSpec::Kind::kPrefix), "ViewSpec kind"};
 }
 EnumRange RangeOf(DerivedKind) {
   return {static_cast<int>(DerivedKind::kCountControlled), "derived kind"};

@@ -46,7 +46,6 @@
 #include "src/core/engine.h"
 #include "src/core/solver.h"
 #include "src/obs/trace.h"
-#include "src/uncertain/dataset_view.h"
 
 namespace arsp {
 namespace net {
@@ -97,8 +96,11 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 ///     own IndexBuildStats (snapshot_hits included) and ColumnBytes.
 /// v11 (prefix views): every view is the full dataset or an object
 ///     prefix, so AddViewRequest lost the subset object list and a
-///     ViewSpec kind above kPrefix (1) is refused.
-inline constexpr uint8_t kWireVersion = 11;
+///     view kind above prefix (1) is refused.
+/// v12 (a view is an object count): AddViewRequest carries the view's
+///     object count alone, without the kind byte; a count outside the
+///     base's [0, objects] is InvalidArgument from the backend.
+inline constexpr uint8_t kWireVersion = 12;
 
 /// Max payload bytes a peer will accept (the max-frame guard). Large enough
 /// for a multi-million-instance probability vector, small enough that a
@@ -257,7 +259,7 @@ struct LoadDatasetResponse {
 struct AddViewRequest {
   std::string base_name;
   std::string view_name;
-  ViewSpec spec;
+  int32_t num_objects = 0;  ///< the view is the base's first num_objects
 
   std::string EncodePayload() const;
   Status DecodePayload(const std::string& bytes);

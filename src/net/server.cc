@@ -688,7 +688,6 @@ StatusOr<AddViewResponse> EngineBackend::AddView(
   }
   DatasetHandle base_handle;
   std::shared_ptr<const std::vector<std::string>> base_names;
-  const std::string spec_key = request.spec.CacheKey();
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto base = registry_.find(request.base_name);
@@ -702,12 +701,13 @@ StatusOr<AddViewResponse> EngineBackend::AddView(
     }
     const auto existing = registry_.find(request.view_name);
     if (existing != registry_.end()) {
-      // Idempotent re-registration (same base, same window): separate CLI
-      // invocations repeating a sweep reuse the view — and therefore its
-      // derived context and cache entries — instead of erroring out.
+      // Idempotent re-registration (same base, same object count):
+      // separate CLI invocations repeating a sweep reuse the view — and
+      // therefore its derived context and cache entries — instead of
+      // erroring out.
       if (existing->second.is_view &&
           existing->second.base == request.base_name &&
-          existing->second.view_spec_key == spec_key) {
+          existing->second.num_objects == request.num_objects) {
         AddViewResponse response;
         response.name = request.view_name;
         response.num_objects = existing->second.num_objects;
@@ -722,14 +722,13 @@ StatusOr<AddViewResponse> EngineBackend::AddView(
     base_names = base->second.names;
   }
 
-  auto handle = engine_.AddView(base_handle, request.spec);
+  auto handle = engine_.AddView(base_handle, request.num_objects);
   if (!handle.ok()) return handle.status();
   const DatasetView view = engine_.view(*handle);
 
   NamedEntry entry;
   entry.handle = *handle;
   entry.is_view = true;
-  entry.view_spec_key = spec_key;
   entry.base = request.base_name;
   entry.names = std::move(base_names);
   entry.num_objects = view.num_objects();

@@ -32,9 +32,9 @@
 //     match) idempotently returns the existing handle — the cross-
 //     connection amortization clients rely on — while different content is
 //     an InvalidArgument.
-//   * ADD_VIEW binds a view name to a ViewSpec over a base name; view
-//     handles are first-class query targets, and ranked answers carry
-//     *base* object ids + names regardless of the window.
+//   * ADD_VIEW binds a view name to the first num_objects objects of a
+//     base name; view handles are first-class query targets, and ranked
+//     answers carry *base* object ids + names regardless of the window.
 //   * DROP unbinds; dropping a base cascades to its views (mirroring
 //     ArspEngine::DropDataset).
 
@@ -86,7 +86,6 @@ class EngineBackend : public ServiceBackend {
     DatasetHandle handle;
     uint64_t fingerprint = 0;
     bool is_view = false;
-    std::string view_spec_key;     ///< ViewSpec::CacheKey (views only)
     std::string base;              ///< base name (views only)
     std::vector<std::string> views;  ///< view names over this base
     /// Object names of the *base* dataset (ranked ids are base ids).

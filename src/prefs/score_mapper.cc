@@ -8,19 +8,12 @@ ScoreBuffer ScoreMapper::MapView(const DatasetView& view) const {
   ScoreBuffer out;
   out.dim = mapped_dim();
   const int n = view.num_instances();
-  const size_t rows = static_cast<size_t>(n);
-  out.coords.resize(rows * static_cast<size_t>(out.dim));
+  out.coords.resize(static_cast<size_t>(n) * static_cast<size_t>(out.dim));
   double* coords = out.coords.mutable_data();
   for (int i = 0; i < n; ++i) {
     MapRowInto(view.coords(i), coords + static_cast<size_t>(i) *
                                             static_cast<size_t>(out.dim));
   }
-  // A view's ids are its base's, so the base's first n probabilities and
-  // object ids already are these streams.
-  const UncertainDataset& base = view.base();
-  out.probs = Column<double>::Borrowed(base.probs_column().data(), rows);
-  out.objects =
-      Column<int32_t>::Borrowed(base.instance_objects_column().data(), rows);
   return out;
 }
 

@@ -5,16 +5,17 @@
 // space iff SV(t) ⪯ SV(s) (coordinate dominance) in the mapped space, which
 // turns ARSP into the classic ASP problem in d' dimensions.
 //
-// Mapped scores are stored structure-of-arrays (ScoreBuffer): one contiguous
-// coordinate array (row-major, d' doubles per instance), one probability
-// array, one object-id array — both double streams on 64-byte-aligned
-// storage (src/common/aligned.h). The §III–§IV hot loops touch exactly
-// these three streams, so SoA keeps them dense instead of striding over
-// vector-of-struct Instance records, and the SIMD kernel layer
-// (src/simd/kernels.h) vectorizes over them. Solvers consume a ScoreSpan —
-// a non-owning window — which is how a prefix DatasetView shares its
-// parent's buffer with zero copies (the first n rows of the full buffer
-// *are* the prefix's buffer, object ids included).
+// Mapped scores are stored structure-of-arrays: a ScoreBuffer is one
+// contiguous coordinate array (row-major, d' doubles per instance, on
+// 64-byte-aligned storage, src/common/aligned.h). The §III–§IV hot loops
+// read it together with two more streams, the instance probabilities and
+// object ids, which are the base dataset's own columns: a view's ids are
+// its base's, so no copy of either exists. SoA keeps the three streams
+// dense instead of striding over vector-of-struct Instance records, and the
+// SIMD kernel layer (src/simd/kernels.h) vectorizes over them. Solvers
+// consume a ScoreSpan — a non-owning window over all three — which is how
+// a prefix DatasetView shares its parent's buffer with zero copies (the
+// first n rows of the full buffer *are* the prefix's buffer).
 //
 // The mapper evaluates SV through the dispatched MapPoint kernel over a
 // dimension-major (transposed) copy of the vertex matrix, so the d' dot
@@ -37,27 +38,28 @@
 
 namespace arsp {
 
-/// Structure-of-arrays score storage for one DatasetView, in instance order
-/// (row index == instance id). Each stream is a Column — owned
-/// 64-byte-aligned storage when mapped in memory, borrowed spans when served
-/// from a snapshot's pre-mapped scores section or, for probs/objects, from
-/// the base dataset's own columns (zero copy either way for consumers,
-/// which only ever see a ScoreSpan).
+/// The mapped coordinates of one DatasetView's instances, in instance order
+/// (row index == instance id), on owned 64-byte-aligned storage. Solvers
+/// never see it: they read a ScoreSpan over it, or over a snapshot's
+/// attached coordinates.
 struct ScoreBuffer {
-  int dim = 0;                  ///< mapped dimensionality d'
-  Column<double> coords;        ///< size() * dim, row-major
-  Column<double> probs;         ///< instance probabilities
-  Column<int32_t> objects;      ///< object ids
+  int dim = 0;            ///< mapped dimensionality d'
+  Column<double> coords;  ///< size() * dim, row-major
 
-  int size() const { return static_cast<int>(probs.size()); }
+  int size() const {
+    return dim == 0 ? 0
+                    : static_cast<int>(coords.size() /
+                                       static_cast<size_t>(dim));
+  }
   const double* row(int i) const {
     return coords.data() + static_cast<size_t>(i) * static_cast<size_t>(dim);
   }
 };
 
 /// Non-owning window over score storage — what solvers iterate. Plain
-/// pointers so a span can alias either its context's own buffer or a parent
-/// context's (zero-copy prefix reuse).
+/// pointers so a span can alias either its context's own coordinates or a
+/// parent context's (zero-copy prefix reuse); probabilities and object ids
+/// always point at the base dataset's columns.
 struct ScoreSpan {
   const double* coords = nullptr;
   const double* probs = nullptr;
@@ -71,17 +73,13 @@ struct ScoreSpan {
   double prob(int i) const { return probs[static_cast<size_t>(i)]; }
   int object(int i) const { return objects[static_cast<size_t>(i)]; }
 
-  static ScoreSpan Of(const ScoreBuffer& buffer) {
-    return ScoreSpan{buffer.coords.data(), buffer.probs.data(),
-                     buffer.objects.data(), buffer.size(), buffer.dim};
-  }
-
-  /// The window truncated to its first `count` rows: the scores of a
-  /// view whose instances are the span's first `count`.
-  ScoreSpan Prefix(int count) const {
-    ScoreSpan out = *this;
-    out.n = count;
-    return out;
+  /// The scores of `view` whose mapped rows (`dim` doubles each) start at
+  /// `coords`, with the base's probability and object-id columns.
+  static ScoreSpan Of(const double* coords, int dim, const DatasetView& view) {
+    const UncertainDataset& base = view.base();
+    return ScoreSpan{coords, base.probs_column().data(),
+                     base.instance_objects_column().data(),
+                     view.num_instances(), dim};
   }
 };
 
@@ -139,9 +137,8 @@ class ScoreMapper {
     return out;
   }
 
-  /// Maps every instance of `view` into a SoA buffer (instance order).
-  /// probs/objects borrow the base dataset's columns, so the buffer must
-  /// not outlive the base.
+  /// Maps every instance of `view` into a coordinate buffer (instance
+  /// order).
   ScoreBuffer MapView(const DatasetView& view) const;
 
  private:

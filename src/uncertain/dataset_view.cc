@@ -11,77 +11,52 @@ namespace {
 constexpr double kProbEps = 1e-9;
 }  // namespace
 
-ViewSpec ViewSpec::Prefix(int num_objects) {
-  ViewSpec spec;
-  spec.kind = Kind::kPrefix;
-  spec.prefix = num_objects;
-  return spec;
-}
-
-std::string ViewSpec::CacheKey() const {
-  switch (kind) {
-    case Kind::kFull:
-      return "full";
-    case Kind::kPrefix:
-      return "prefix:" + std::to_string(prefix);
-  }
-  return "";  // unreachable
-}
-
 DatasetView::DatasetView(const UncertainDataset& base)
-    : DatasetView(CreateImpl(base, nullptr, ViewSpec::Full()).value().rep_) {}
+    : DatasetView(CreateImpl(base, nullptr, base.num_objects()).value().rep_) {}
 
 DatasetView::DatasetView(std::shared_ptr<const UncertainDataset> base) {
   ARSP_CHECK_MSG(base != nullptr, "DatasetView over a null dataset");
   const UncertainDataset& ref = *base;
-  rep_ = CreateImpl(ref, std::move(base), ViewSpec::Full()).value().rep_;
+  rep_ = CreateImpl(ref, std::move(base), ref.num_objects()).value().rep_;
 }
 
 StatusOr<DatasetView> DatasetView::Create(const UncertainDataset& base,
-                                          ViewSpec spec) {
-  return CreateImpl(base, nullptr, spec);
+                                          int num_objects) {
+  return CreateImpl(base, nullptr, num_objects);
 }
 
 StatusOr<DatasetView> DatasetView::Create(
-    std::shared_ptr<const UncertainDataset> base, ViewSpec spec) {
+    std::shared_ptr<const UncertainDataset> base, int num_objects) {
   if (base == nullptr) {
     return Status::InvalidArgument("DatasetView over a null dataset");
   }
   const UncertainDataset& ref = *base;
-  return CreateImpl(ref, std::move(base), spec);
+  return CreateImpl(ref, std::move(base), num_objects);
 }
 
 StatusOr<DatasetView> DatasetView::CreateImpl(
     const UncertainDataset& base, std::shared_ptr<const UncertainDataset> owner,
-    ViewSpec spec) {
+    int num_objects) {
+  if (num_objects < 0 || num_objects > base.num_objects()) {
+    return Status::InvalidArgument(
+        "view object count " + std::to_string(num_objects) +
+        " out of range [0, " + std::to_string(base.num_objects()) + "]");
+  }
   auto rep = std::make_shared<Rep>();
   rep->base = &base;
   rep->owner = std::move(owner);
-
-  switch (spec.kind) {
-    case ViewSpec::Kind::kFull:
-      rep->num_objects = base.num_objects();
-      rep->num_instances = base.num_instances();
-      rep->bounds = base.bounds();
-      break;
-
-    case ViewSpec::Kind::kPrefix: {
-      if (spec.prefix < 0 || spec.prefix > base.num_objects()) {
-        return Status::InvalidArgument(
-            "view prefix " + std::to_string(spec.prefix) +
-            " out of range [0, " + std::to_string(base.num_objects()) + "]");
-      }
-      rep->num_objects = spec.prefix;
-      rep->num_instances =
-          spec.prefix == 0 ? 0 : base.object_range(spec.prefix - 1).second;
-      rep->bounds = Mbr::Empty(base.dim());
-      for (int i = 0; i < rep->num_instances; ++i) {
-        rep->bounds.ExtendRow(base.coords(i));
-      }
-      break;
+  rep->num_objects = num_objects;
+  if (num_objects == base.num_objects()) {
+    rep->num_instances = base.num_instances();
+    rep->bounds = base.bounds();
+  } else {
+    rep->num_instances =
+        num_objects == 0 ? 0 : base.object_range(num_objects - 1).second;
+    rep->bounds = Mbr::Empty(base.dim());
+    for (int i = 0; i < rep->num_instances; ++i) {
+      rep->bounds.ExtendRow(base.coords(i));
     }
   }
-  rep->spec = spec;
   return DatasetView(std::move(rep));
 }
 

@@ -7,23 +7,23 @@
 // from scratch per prefix.
 //
 // A DatasetView is a cheap immutable handle (shared internal rep, freely
-// copyable) over a base dataset:
-//   * full view   — the whole dataset,
-//   * prefix view — the first `m` objects (the Fig. 6 m% case).
-// Instances are stored contiguously per object, so a view's instances are
-// the base's first num_instances() instances and its ids are the base's
-// ids: objects 0..num_objects()-1 and instances 0..num_instances()-1,
-// instances of one object contiguous — exactly the contract of a standalone
-// dataset, so solvers run unchanged on views. A view holds no id table and
-// never duplicates instance payloads (points/probabilities), only a
-// recomputed bounding box. An index built over the whole base serves every
-// view as is: its entries with id < num_instances() are the view's.
+// copyable) over a base dataset's first num_objects() objects (the Fig. 6
+// m% case; the whole dataset is the view of all its objects). The object
+// count is all a view is. Instances are stored contiguously per object, so
+// a view's instances are the base's first num_instances() instances and
+// its ids are the base's ids: objects 0..num_objects()-1 and instances
+// 0..num_instances()-1, instances of one object contiguous — exactly the
+// contract of a standalone dataset, so solvers run unchanged on views. A
+// view holds no id table and never duplicates instance payloads
+// (points/probabilities), only a recomputed bounding box. An index built
+// over the whole base serves every view as is: its entries with
+// id < num_instances() are the view's, which is how every ExecutionContext
+// serves a view (src/core/solver.h).
 
 #ifndef ARSP_UNCERTAIN_DATASET_VIEW_H_
 #define ARSP_UNCERTAIN_DATASET_VIEW_H_
 
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "src/common/status.h"
@@ -32,26 +32,6 @@
 #include "src/uncertain/uncertain_dataset.h"
 
 namespace arsp {
-
-/// Descriptor of which objects of a base dataset a view exposes. Specs are
-/// plain values: build one with Full/Prefix and pass it to
-/// DatasetView::Create (or ArspEngine::AddView).
-struct ViewSpec {
-  enum class Kind { kFull, kPrefix };
-
-  Kind kind = Kind::kFull;
-  /// Object count for kPrefix.
-  int prefix = 0;
-
-  static ViewSpec Full() { return ViewSpec{}; }
-  static ViewSpec Prefix(int num_objects);
-
-  /// Textual encoding ("full" / "prefix:m"), for logs, tests, and callers
-  /// keying their own view registries. ArspEngine does NOT use it: engine
-  /// fingerprints are handle ids, which identify a view exactly (the spec
-  /// is pinned at AddView).
-  std::string CacheKey() const;
-};
 
 /// Immutable zero-copy window over an UncertainDataset. Cheap to copy (the
 /// internal rep is shared); default-constructed views are invalid until
@@ -67,22 +47,18 @@ class DatasetView {
   /// Full view sharing ownership of the base.
   explicit DatasetView(std::shared_ptr<const UncertainDataset> base);
 
-  /// View per `spec`; InvalidArgument on out-of-range prefixes. Non-owning.
+  /// View of the first `num_objects` objects; InvalidArgument unless
+  /// 0 <= num_objects <= base.num_objects(). Non-owning.
   static StatusOr<DatasetView> Create(const UncertainDataset& base,
-                                      ViewSpec spec);
+                                      int num_objects);
 
-  /// View per `spec`, sharing ownership of the base.
+  /// View of the first `num_objects` objects, sharing ownership of the
+  /// base.
   static StatusOr<DatasetView> Create(
-      std::shared_ptr<const UncertainDataset> base, ViewSpec spec);
+      std::shared_ptr<const UncertainDataset> base, int num_objects);
 
   bool valid() const { return rep_ != nullptr; }
   const UncertainDataset& base() const { return *rep_->base; }
-
-  /// True iff the view was built as the full view of its base.
-  bool is_full() const { return rep_->spec.kind == ViewSpec::Kind::kFull; }
-
-  /// The spec's CacheKey.
-  std::string CacheKey() const { return rep_->spec.CacheKey(); }
 
   int dim() const { return rep_->base->dim(); }
   int num_objects() const { return rep_->num_objects; }
@@ -129,7 +105,6 @@ class DatasetView {
   struct Rep {
     const UncertainDataset* base = nullptr;
     std::shared_ptr<const UncertainDataset> owner;  // may be null
-    ViewSpec spec;
     int num_objects = 0;
     int num_instances = 0;
     Mbr bounds;
@@ -137,7 +112,7 @@ class DatasetView {
 
   static StatusOr<DatasetView> CreateImpl(
       const UncertainDataset& base,
-      std::shared_ptr<const UncertainDataset> owner, ViewSpec spec);
+      std::shared_ptr<const UncertainDataset> owner, int num_objects);
 
   explicit DatasetView(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
 

@@ -267,9 +267,7 @@ UncertainDataset TakeObjects(const UncertainDataset& dataset, int count) {
   ARSP_CHECK(count >= 1 && count <= dataset.num_objects());
   // The explicit-copy path: a materialized prefix view. Query paths that
   // only need to *read* the prefix should use DatasetView directly.
-  return DatasetView::Create(dataset, ViewSpec::Prefix(count))
-      .value()
-      .Materialize();
+  return DatasetView::Create(dataset, count).value().Materialize();
 }
 
 namespace {

@@ -44,13 +44,12 @@ struct Instance {
 /// Pre-mapped SV(·) scores shipped inside a snapshot: valid only for the
 /// preference-region vertex set identified by `vertex_hash` (an FNV-1a hash
 /// of the dimension-major vertex matrix — see ScoreMapper::VertexHash).
-/// ExecutionContext::scores() borrows these columns when the hash matches.
+/// ExecutionContext::scores() borrows the coordinates when the hash
+/// matches; the probabilities and object ids are the dataset's own columns.
 struct AttachedScores {
   uint64_t vertex_hash = 0;
   int mapped_dim = 0;
-  Column<double> coords;   ///< n × mapped_dim, row-major
-  Column<double> probs;    ///< n
-  Column<int32_t> objects; ///< n, object ids
+  Column<double> coords;  ///< n × mapped_dim, row-major
 };
 
 /// Immutable uncertain dataset; build through UncertainDatasetBuilder or

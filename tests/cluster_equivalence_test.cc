@@ -327,7 +327,7 @@ TEST(ClusterEquivalence, ViewsRouteAcrossShards) {
   net::AddViewRequest add;
   add.base_name = dataset.name;
   add.view_name = "iip#25";
-  add.spec = ViewSpec::Prefix(25);
+  add.num_objects = 25;
   auto through = coordinator->AddView(add);
   ASSERT_TRUE(through.ok()) << through.status().ToString();
   EXPECT_EQ(through->num_objects, 25);

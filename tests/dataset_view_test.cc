@@ -1,7 +1,7 @@
 // Copyright 2026 The ARSP Authors.
 //
-// DatasetView unit tests: spec validation, accessor correctness against the
-// base, recomputed bounds, possible-world counts, cache keys, and
+// DatasetView unit tests: object-count validation, accessor correctness
+// against the base, recomputed bounds, possible-world counts, and
 // Materialize (the explicit-copy escape hatch the zero-copy plane is
 // measured against).
 
@@ -20,16 +20,9 @@ namespace {
 
 using testing_util::RandomDataset;
 
-TEST(ViewSpecTest, CacheKeysDistinguishSpecs) {
-  EXPECT_EQ(ViewSpec::Full().CacheKey(), "full");
-  EXPECT_EQ(ViewSpec::Prefix(7).CacheKey(), "prefix:7");
-  EXPECT_NE(ViewSpec::Prefix(7).CacheKey(), ViewSpec::Prefix(8).CacheKey());
-}
-
 TEST(DatasetViewTest, FullViewMirrorsTheBase) {
   const UncertainDataset dataset = RandomDataset(12, 3, 3, 0.3, 11);
   const DatasetView view(dataset);
-  EXPECT_TRUE(view.is_full());
   EXPECT_EQ(view.num_objects(), dataset.num_objects());
   EXPECT_EQ(view.num_instances(), dataset.num_instances());
   EXPECT_EQ(view.dim(), dataset.dim());
@@ -48,7 +41,7 @@ TEST(DatasetViewTest, FullViewMirrorsTheBase) {
 TEST(DatasetViewTest, PrefixViewMatchesTakeObjects) {
   const UncertainDataset dataset = RandomDataset(15, 4, 2, 0.4, 12);
   for (int count : {1, 5, 15}) {
-    auto view = DatasetView::Create(dataset, ViewSpec::Prefix(count));
+    auto view = DatasetView::Create(dataset, count);
     ASSERT_TRUE(view.ok());
     const UncertainDataset copy = TakeObjects(dataset, count);
     EXPECT_EQ(view->num_objects(), copy.num_objects());
@@ -72,7 +65,7 @@ TEST(DatasetViewTest, PrefixViewMatchesTakeObjects) {
 
 TEST(DatasetViewTest, MaterializeEqualsView) {
   const UncertainDataset dataset = RandomDataset(9, 4, 3, 0.5, 14);
-  auto view = DatasetView::Create(dataset, ViewSpec::Prefix(6));
+  auto view = DatasetView::Create(dataset, 6);
   ASSERT_TRUE(view.ok());
   const UncertainDataset copy = view->Materialize();
   ASSERT_EQ(copy.num_objects(), view->num_objects());
@@ -88,15 +81,15 @@ TEST(DatasetViewTest, MaterializeEqualsView) {
 
 TEST(DatasetViewTest, InvalidSpecsAreRejected) {
   const UncertainDataset dataset = RandomDataset(5, 2, 2, 0.0, 15);
-  EXPECT_FALSE(DatasetView::Create(dataset, ViewSpec::Prefix(-1)).ok());
-  EXPECT_FALSE(DatasetView::Create(dataset, ViewSpec::Prefix(6)).ok());
-  EXPECT_TRUE(DatasetView::Create(dataset, ViewSpec::Prefix(0)).ok());
-  EXPECT_TRUE(DatasetView::Create(dataset, ViewSpec::Prefix(5)).ok());
+  EXPECT_FALSE(DatasetView::Create(dataset, -1).ok());
+  EXPECT_FALSE(DatasetView::Create(dataset, 6).ok());
+  EXPECT_TRUE(DatasetView::Create(dataset, 0).ok());
+  EXPECT_TRUE(DatasetView::Create(dataset, 5).ok());
 }
 
 TEST(DatasetViewTest, EmptyViewBehaves) {
   const UncertainDataset dataset = RandomDataset(5, 2, 2, 0.0, 16);
-  auto view = DatasetView::Create(dataset, ViewSpec::Prefix(0));
+  auto view = DatasetView::Create(dataset, 0);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->num_objects(), 0);
   EXPECT_EQ(view->num_instances(), 0);
@@ -108,7 +101,7 @@ TEST(DatasetViewTest, SharedOwnershipKeepsTheBaseAlive) {
   auto owned = std::make_shared<const UncertainDataset>(
       RandomDataset(6, 2, 2, 0.0, 17));
   const UncertainDataset* raw = owned.get();
-  auto view = DatasetView::Create(owned, ViewSpec::Prefix(3));
+  auto view = DatasetView::Create(owned, 3);
   ASSERT_TRUE(view.ok());
   owned.reset();  // the view keeps the dataset alive
   EXPECT_EQ(&view->base(), raw);
@@ -118,7 +111,7 @@ TEST(DatasetViewTest, SharedOwnershipKeepsTheBaseAlive) {
 
 TEST(DatasetViewTest, PossibleWorldEnumerationMatchesMaterializedCopy) {
   const UncertainDataset dataset = RandomDataset(5, 2, 2, 0.6, 18);
-  auto view = DatasetView::Create(dataset, ViewSpec::Prefix(3));
+  auto view = DatasetView::Create(dataset, 3);
   ASSERT_TRUE(view.ok());
   const UncertainDataset copy = view->Materialize();
   std::vector<PossibleWorld> from_view;

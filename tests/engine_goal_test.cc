@@ -264,7 +264,7 @@ TEST(EngineGoalPushdown, GoalsPropagateThroughViewSweeps) {
   for (int pct : {40, 70, 100}) {
     SCOPED_TRACE(pct);
     const int count = std::max(1, m * pct / 100);
-    auto view_handle = engine.AddView(base, ViewSpec::Prefix(count));
+    auto view_handle = engine.AddView(base, count);
     ASSERT_TRUE(view_handle.ok());
     QueryRequest request = ThresholdRequest(*view_handle, 0.4);
     request.use_cache = false;

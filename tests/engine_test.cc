@@ -218,7 +218,7 @@ TEST(ArspEngineTest, DropDatasetFreesItsCachedResults) {
   ArspEngine engine;
   const DatasetHandle base =
       engine.AddDataset(RandomDataset(20, 3, 3, 0.0, 33));
-  auto view = engine.AddView(base, ViewSpec::Prefix(10));
+  auto view = engine.AddView(base, 10);
   ASSERT_TRUE(view.ok());
   const DatasetHandle other =
       engine.AddDataset(RandomDataset(20, 3, 3, 0.0, 34));
@@ -453,7 +453,7 @@ TEST(EngineTracing, IndexSetupCountsBuildsTriggeredOnParentContexts) {
               (std::map<std::string, std::string>{{"score_maps", "1"}}));
   }
   {
-    auto view = engine.AddView(handle, ViewSpec::Prefix(35));
+    auto view = engine.AddView(handle, 35);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     obs::Trace trace(2, "engine_query");
     QueryRequest request = WrRequest(*view, 3, 32, "kdtt+");

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -33,12 +34,12 @@ TEST(EngineViewTest, AddViewValidation) {
   ArspEngine engine;
   const DatasetHandle base =
       engine.AddDataset(RandomDataset(10, 2, 2, 0.0, 21));
-  EXPECT_FALSE(engine.AddView(DatasetHandle{999}, ViewSpec::Prefix(1)).ok());
-  EXPECT_FALSE(engine.AddView(base, ViewSpec::Prefix(11)).ok());
-  auto view = engine.AddView(base, ViewSpec::Prefix(5));
+  EXPECT_FALSE(engine.AddView(DatasetHandle{999}, 1).ok());
+  EXPECT_FALSE(engine.AddView(base, 11).ok());
+  auto view = engine.AddView(base, 5);
   ASSERT_TRUE(view.ok());
   // Views of views are rejected with a pointer back to the base.
-  auto nested = engine.AddView(*view, ViewSpec::Prefix(2));
+  auto nested = engine.AddView(*view, 2);
   ASSERT_FALSE(nested.ok());
   EXPECT_EQ(nested.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.view(*view).num_objects(), 5);
@@ -61,7 +62,7 @@ TEST(EngineViewTest, PrefixSweepBuildsIndexesExactlyOnce) {
   std::vector<DatasetHandle> views;
   for (int pct = 10; pct <= 100; pct += 10) {
     auto view = engine.AddView(
-        base, ViewSpec::Prefix(std::max(1, m * pct / 100)));
+        base, std::max(1, m * pct / 100));
     ASSERT_TRUE(view.ok());
     views.push_back(*view);
   }
@@ -100,12 +101,12 @@ TEST(EngineViewTest, PrefixSweepBuildsIndexesExactlyOnce) {
 }
 
 TEST(EngineViewTest, FullSpecViewDerivesInsteadOfRebuilding) {
-  // A Full-spec view is still a view handle: its pooled queries must
+  // A view of every object is still a view handle: its pooled queries must
   // derive from the base context, not pay a duplicate full build.
   ArspEngine engine;
   const DatasetHandle base =
       engine.AddDataset(RandomDataset(20, 2, 3, 0.0, 30));
-  auto alias = engine.AddView(base, ViewSpec::Full());
+  auto alias = engine.AddView(base, 20);
   ASSERT_TRUE(alias.ok());
   const auto wr = testing_util::RandomWr(3, 30);
   for (const DatasetHandle handle : {base, *alias}) {
@@ -129,7 +130,7 @@ TEST(EngineViewTest, ViewResultsMatchMaterializedCopies) {
   const auto region = testing_util::WrRegion(3, 1);
 
   for (int count : {6, 13, 25}) {
-    auto view_handle = engine.AddView(base, ViewSpec::Prefix(count));
+    auto view_handle = engine.AddView(base, count);
     ASSERT_TRUE(view_handle.ok());
     const DatasetHandle copy_handle =
         engine.AddDataset(TakeObjects(data, count));
@@ -151,12 +152,41 @@ TEST(EngineViewTest, ViewResultsMatchMaterializedCopies) {
   }
 }
 
+TEST(EngineViewTest, PooledAndPoolLessViewQueriesGiveTheSameBits) {
+  // One view handle, two context paths: a pooled request derives from the
+  // base's context, a pool-less one builds its own. Both serve the view
+  // from indexes over the base, so the result cache may key them alike.
+  ArspEngine engine;
+  const DatasetHandle base =
+      engine.AddDataset(RandomDataset(30, 3, 3, 0.3, 103));
+  auto view = engine.AddView(base, 7);
+  ASSERT_TRUE(view.ok());
+  std::vector<double> probs[2];
+  for (const bool pool : {false, true}) {
+    QueryRequest request;
+    request.dataset = *view;
+    request.constraints =
+        ConstraintSpec::WeightRatios(testing_util::RandomWr(3, 991));
+    request.solver = "dual";
+    request.use_cache = false;
+    request.pool_context = pool;
+    auto response = engine.Solve(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    probs[pool] = response->result->instance_probs;
+  }
+  ASSERT_EQ(probs[0].size(), probs[1].size());
+  ASSERT_FALSE(probs[0].empty());
+  EXPECT_EQ(std::memcmp(probs[0].data(), probs[1].data(),
+                        probs[0].size() * sizeof(double)),
+            0);
+}
+
 TEST(EngineViewTest, CacheFingerprintsAreDistinctPerView) {
   ArspEngine engine;
   const DatasetHandle base =
       engine.AddDataset(RandomDataset(20, 2, 2, 0.0, 24));
-  auto half = engine.AddView(base, ViewSpec::Prefix(10));
-  auto full_view = engine.AddView(base, ViewSpec::Prefix(20));
+  auto half = engine.AddView(base, 10);
+  auto full_view = engine.AddView(base, 20);
   ASSERT_TRUE(half.ok());
   ASSERT_TRUE(full_view.ok());
   const auto region = testing_util::WrRegion(2, 1);
@@ -195,7 +225,7 @@ TEST(EngineViewTest, DroppingTheBaseCascadesToViews) {
   ArspEngine engine;
   const DatasetHandle base =
       engine.AddDataset(RandomDataset(10, 2, 2, 0.0, 26));
-  auto view = engine.AddView(base, ViewSpec::Prefix(4));
+  auto view = engine.AddView(base, 4);
   ASSERT_TRUE(view.ok());
   ASSERT_TRUE(engine.DropDataset(base).ok());
   EXPECT_EQ(engine.dataset(*view), nullptr);
@@ -209,8 +239,8 @@ TEST(EngineViewTest, DroppingTheBaseCascadesToViews) {
   // Dropping a view leaves the base (and sibling views) alone.
   const DatasetHandle base2 =
       engine.AddDataset(RandomDataset(10, 2, 2, 0.0, 27));
-  auto v1 = engine.AddView(base2, ViewSpec::Prefix(3));
-  auto v2 = engine.AddView(base2, ViewSpec::Prefix(7));
+  auto v1 = engine.AddView(base2, 3);
+  auto v2 = engine.AddView(base2, 7);
   ASSERT_TRUE(v1.ok());
   ASSERT_TRUE(v2.ok());
   ASSERT_TRUE(engine.DropDataset(*v1).ok());
@@ -232,7 +262,7 @@ TEST(EngineViewTest, ConcurrentViewSweepMatchesSerialAndBuildsOnce) {
   std::vector<QueryRequest> requests;
   for (int pct = 10; pct <= 100; pct += 10) {
     auto view = engine.AddView(
-        base, ViewSpec::Prefix(std::max(1, data.num_objects() * pct / 100)));
+        base, std::max(1, data.num_objects() * pct / 100));
     ASSERT_TRUE(view.ok());
     views.push_back(*view);
     QueryRequest request;
@@ -263,7 +293,7 @@ TEST(EngineViewTest, AutoSelectionSeesTheViewShape) {
   ArspEngine engine;
   const DatasetHandle base =
       engine.AddDataset(RandomDataset(200, 3, 3, 0.0, 28));
-  auto tiny = engine.AddView(base, ViewSpec::Prefix(5));
+  auto tiny = engine.AddView(base, 5);
   ASSERT_TRUE(tiny.ok());
   QueryRequest request;
   request.dataset = *tiny;

@@ -200,7 +200,7 @@ TEST_F(NetLoopbackTest, ViewScopedQueryMatchesInProcessAnswer) {
   net::AddViewRequest add;
   add.base_name = "iip";
   add.view_name = "iip#120";
-  add.spec = ViewSpec::Prefix(120);
+  add.num_objects = 120;
   auto view = client.AddView(add);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->num_objects, 120);
@@ -210,7 +210,7 @@ TEST_F(NetLoopbackTest, ViewScopedQueryMatchesInProcessAnswer) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->num_objects, 120);
   // Same name, different window: refused.
-  add.spec = ViewSpec::Prefix(60);
+  add.num_objects = 60;
   EXPECT_FALSE(client.AddView(add).ok());
 
   net::QueryRequestWire request = WireQuery("iip#120", "kdtt+");
@@ -219,7 +219,7 @@ TEST_F(NetLoopbackTest, ViewScopedQueryMatchesInProcessAnswer) {
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
 
   const DatasetHandle base = AddReferenceIip();
-  auto local_view = reference_.AddView(base, ViewSpec::Prefix(120));
+  auto local_view = reference_.AddView(base, 120);
   ASSERT_TRUE(local_view.ok());
   auto local = ReferenceSolve(*local_view, "kdtt+", DerivedKind::kNone);
   ASSERT_TRUE(local.ok());
@@ -343,7 +343,7 @@ TEST_F(NetLoopbackTest, ViewSweepReusesTheBaseIndexAcrossConnections) {
     net::AddViewRequest add;
     add.base_name = "iip";
     add.view_name = "iip#prefix:" + std::to_string(count);
-    add.spec = ViewSpec::Prefix(count);
+    add.num_objects = count;
     ASSERT_TRUE(client.AddView(add).ok());
     auto response = client.Query(WireQuery(add.view_name, "dual"));
     ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -479,7 +479,7 @@ TEST_F(NetLoopbackTest, DropCascadesFromBaseToViews) {
   net::AddViewRequest add;
   add.base_name = "iip";
   add.view_name = "iip#50";
-  add.spec = ViewSpec::Prefix(50);
+  add.num_objects = 50;
   ASSERT_TRUE(client.AddView(add).ok());
 
   ASSERT_TRUE(client.Drop("iip").ok());
@@ -542,20 +542,24 @@ TEST_F(NetLoopbackTest, BadRequestsAreCleanErrorsAndTheConnectionSurvives) {
   expect_counted();
   // Unknown stats name.
   EXPECT_EQ(client.Stats("nope").status().code(), StatusCode::kNotFound);
-  // A view kind byte past kPrefix (2, the subset kind before wire v11) is
-  // refused at decode and registers nothing.
-  net::AddViewRequest bad_view;
-  bad_view.base_name = "iip";
-  bad_view.view_name = "iip#kind2";
-  bad_view.spec.kind = static_cast<ViewSpec::Kind>(2);
-  auto refused = client.AddView(bad_view);
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refused.status().message().find("bad ViewSpec kind 2"),
-            std::string::npos)
-      << refused.status().ToString();
-  EXPECT_EQ(client.Query(WireQuery("iip#kind2", "kdtt+")).status().code(),
-            StatusCode::kNotFound);
-  expect_counted();
+  // A view object count outside the base's [0, objects] is refused and
+  // registers nothing.
+  for (const int32_t num_objects : {-1, 1 << 30}) {
+    net::AddViewRequest bad_view;
+    bad_view.base_name = "iip";
+    bad_view.view_name = "iip#bad";
+    bad_view.num_objects = num_objects;
+    auto refused = client.AddView(bad_view);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find(
+                  "view object count " + std::to_string(num_objects) +
+                  " out of range"),
+              std::string::npos)
+        << refused.status().ToString();
+    EXPECT_EQ(client.Query(WireQuery("iip#bad", "kdtt+")).status().code(),
+              StatusCode::kNotFound);
+    expect_counted();
+  }
 
   // After all that, the same connection still serves real queries.
   auto response = client.Query(WireQuery("iip", "kdtt+"));

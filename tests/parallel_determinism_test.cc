@@ -199,13 +199,9 @@ TEST(ParallelDeterminism, FullSolveSweepOnBaseContexts) {
 TEST(ParallelDeterminism, FullSolveSweepOnDerivedViews) {
   const UncertainDataset dataset = RandomDataset(50, 4, 3, 0.4, 1300);
   auto base = std::make_shared<ExecutionContext>(dataset, WrRegion(3, 2));
-  const std::vector<ViewSpec> specs = {
-      ViewSpec::Prefix(30),
-      ViewSpec::Prefix(45),
-  };
-  for (const ViewSpec& spec : specs) {
-    SCOPED_TRACE(spec.CacheKey());
-    auto view = DatasetView::Create(dataset, spec);
+  for (const int num_objects : {30, 45}) {
+    SCOPED_TRACE(num_objects);
+    auto view = DatasetView::Create(dataset, num_objects);
     ASSERT_TRUE(view.ok());
     auto derived = ExecutionContext::Derive(base, *view);
     for (const std::string& name : ParallelSolverNames()) {
@@ -225,7 +221,7 @@ TEST(ParallelDeterminism, GoalPushdownSweep) {
 TEST(ParallelDeterminism, GoalPushdownSweepOnDerivedViews) {
   const UncertainDataset dataset = RandomDataset(40, 3, 3, 0.4, 1500);
   auto base = std::make_shared<ExecutionContext>(dataset, WrRegion(3, 2));
-  auto view = DatasetView::Create(dataset, ViewSpec::Prefix(25));
+  auto view = DatasetView::Create(dataset, 25);
   ASSERT_TRUE(view.ok());
   auto derived = ExecutionContext::Derive(base, *view);
   for (const std::string& name : ParallelSolverNames()) {

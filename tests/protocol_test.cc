@@ -52,8 +52,7 @@ AddViewRequest GoldenAddViewRequest() {
   AddViewRequest m;
   m.base_name = "nba";
   m.view_name = "nba#2";
-  m.spec.kind = ViewSpec::Kind::kPrefix;
-  m.spec.prefix = 2;
+  m.num_objects = 2;
   return m;
 }
 
@@ -485,16 +484,17 @@ TEST(ProtocolMessagesTest, LoadDatasetRoundTrip) {
   EXPECT_TRUE(decoded_response.reused);
 }
 
-TEST(ProtocolMessagesTest, AddViewRoundTripAllSpecKinds) {
-  for (const ViewSpec& spec : {ViewSpec::Full(), ViewSpec::Prefix(17)}) {
+TEST(ProtocolMessagesTest, AddViewRoundTripsTheObjectCount) {
+  for (const int32_t num_objects : {0, 17, -1}) {
     AddViewRequest request;
     request.base_name = "base";
     request.view_name = "view";
-    request.spec = spec;
+    request.num_objects = num_objects;
     AddViewRequest decoded;
     ASSERT_TRUE(decoded.DecodePayload(request.EncodePayload()).ok());
-    EXPECT_EQ(decoded.spec.kind, spec.kind);
-    EXPECT_EQ(decoded.spec.prefix, spec.prefix);
+    EXPECT_EQ(decoded.base_name, "base");
+    EXPECT_EQ(decoded.view_name, "view");
+    EXPECT_EQ(decoded.num_objects, num_objects);
   }
 }
 
@@ -661,10 +661,6 @@ TEST(ProtocolMessagesTest, BadEnumValuesAreRejected) {
       [](LoadDatasetRequest& m) { m.source = LoadSource::kCsvText; },
       static_cast<uint8_t>(LoadSource::kGenerator), 250, "LoadSource");
   ExpectBadEnumRejected(
-      GoldenAddViewRequest(),
-      [](AddViewRequest& m) { m.spec.kind = ViewSpec::Kind::kFull; },
-      static_cast<uint8_t>(ViewSpec::Kind::kPrefix), 7, "ViewSpec kind");
-  ExpectBadEnumRejected(
       GoldenQueryRequest(),
       [](QueryRequestWire& m) {
         m.derived_kind = DerivedKind::kObjectsAboveThreshold;
@@ -695,10 +691,11 @@ TEST(ProtocolMessagesTest, RetryLaterRoundTripAndTruncation) {
 
 // ------------------------------------------------------------ golden bytes
 //
-// Each fixed value's payload, field by field, as the wire v11 encoder
+// Each fixed value's payload, field by field, as the wire v12 encoder
 // writes it. The QUERY bytes and the untraced QUERY_RESULT bytes are the
 // ones v9 wrote too; the traced reply's span tree and the STATS index
-// fields changed in v10, and ADD_VIEW lost its subset object list in v11.
+// fields changed in v10, ADD_VIEW lost its subset object list in v11 and
+// its view kind byte in v12.
 // A layout change fails here; it must update these bytes and bump
 // kWireVersion.
 
@@ -723,8 +720,7 @@ TEST(WireGoldenBytes, AddViewRequest) {
   EXPECT_EQ(Hex(GoldenAddViewRequest().EncodePayload()),
             "030000006e6261"  // base_name
             "050000006e62612332"  // view_name
-            "01"  // spec.kind
-            "02000000");  // spec.prefix
+            "02000000");  // num_objects
 }
 
 TEST(WireGoldenBytes, AddViewResponse) {

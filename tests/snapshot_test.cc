@@ -105,8 +105,11 @@ TEST(SnapshotRoundTrip, ColumnsNamesAndBoundsAreBitIdentical) {
 
 TEST(SnapshotRoundTrip, AttachedIndexesMatchFreshBuildsBitExactly) {
   const UncertainDataset dataset = RandomDataset(25, 3, 2, 0.0, 502, true);
+  const PreferenceRegion region = WrRegion(2, 1);
   const std::string path = TempPath("indexes.arsp");
-  ASSERT_TRUE(WriteSnapshot(dataset, path).ok());
+  SnapshotWriteOptions options;
+  options.scores_region = &region;
+  ASSERT_TRUE(WriteSnapshot(dataset, path, options).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok());
 
@@ -120,6 +123,8 @@ TEST(SnapshotRoundTrip, AttachedIndexesMatchFreshBuildsBitExactly) {
                      fresh_kd.node_bounds_column());
   ExpectColumnsEqual(snap_kd.item_coords_column(),
                      fresh_kd.item_coords_column());
+  ExpectColumnsEqual(snap_kd.item_weights_column(),
+                     fresh_kd.item_weights_column());
   ExpectColumnsEqual(snap_kd.item_ids_column(), fresh_kd.item_ids_column());
   ExpectColumnsEqual(snap_rt.nodes_column(), fresh_rt.nodes_column());
   ExpectColumnsEqual(snap_rt.node_bounds_column(),
@@ -127,7 +132,19 @@ TEST(SnapshotRoundTrip, AttachedIndexesMatchFreshBuildsBitExactly) {
   ExpectColumnsEqual(snap_rt.node_kids_column(), fresh_rt.node_kids_column());
   ExpectColumnsEqual(snap_rt.entry_coords_column(),
                      fresh_rt.entry_coords_column());
+  ExpectColumnsEqual(snap_rt.entry_weights_column(),
+                     fresh_rt.entry_weights_column());
+  ExpectColumnsEqual(snap_rt.entry_ids_column(), fresh_rt.entry_ids_column());
   EXPECT_EQ(snap_rt.root_id(), fresh_rt.root_id());
+
+  // The score section is the mapped coordinates, nothing else.
+  const ScoreMapper mapper(region);
+  const ScoreBuffer fresh_scores = mapper.MapView(view);
+  const auto& snap_scores = loaded->dataset->attached_scores();
+  ASSERT_NE(snap_scores, nullptr);
+  EXPECT_EQ(snap_scores->vertex_hash, mapper.VertexHash());
+  EXPECT_EQ(snap_scores->mapped_dim, fresh_scores.dim);
+  ExpectColumnsEqual(snap_scores->coords, fresh_scores.coords);
 }
 
 // Every registered solver, both constraint families, full solves and goal
@@ -206,7 +223,6 @@ TEST(SnapshotEquivalence, AttachedArtifactsAreAdoptedNotRebuilt) {
   const std::string path = TempPath("adopt.arsp");
   SnapshotWriteOptions options;
   options.scores_region = &region;
-  options.rtree_fanout = 16;
   ASSERT_TRUE(WriteSnapshot(dataset, path, options).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok());
@@ -231,6 +247,78 @@ TEST(SnapshotEquivalence, AttachedArtifactsAreAdoptedNotRebuilt) {
   other_context.scores();
   EXPECT_EQ(other_context.index_build_stats().snapshot_hits, 0);
   EXPECT_EQ(other_context.index_build_stats().score_maps, 1);
+}
+
+// Every view of a snapshot is served from its artifacts: a root context
+// over a prefix view adopts the attached kd-tree, R-tree and scores (no
+// build, no mapping) and answers bit for bit like a root context over the
+// same prefix of the in-memory dataset, for every solver and both
+// constraint families.
+TEST(SnapshotEquivalence, PrefixViewsAdoptTheArtifactsAndMatchInMemory) {
+  const auto dataset = std::make_shared<const UncertainDataset>(
+      RandomDataset(18, 3, 3, 0.25, 512));
+  const PreferenceRegion region = WrRegion(3, 2);
+  const WeightRatioConstraints wr = RandomWr(3, 78);
+  const std::string path = TempPath("prefix_views.arsp");
+  SnapshotWriteOptions options;
+  options.scores_region = &region;
+  ASSERT_TRUE(WriteSnapshot(*dataset, path, options).ok());
+  auto loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok());
+  const auto snap = loaded->dataset;
+
+  for (const int num_objects : {6, 13}) {
+    SCOPED_TRACE(std::to_string(num_objects) + " objects");
+    const DatasetView mem_view =
+        DatasetView::Create(dataset, num_objects).value();
+    const DatasetView snap_view =
+        DatasetView::Create(snap, num_objects).value();
+
+    ExecutionContext adopting(snap_view, region);
+    adopting.instance_kdtree();
+    adopting.instance_rtree(16);
+    adopting.scores();
+    const auto stats = adopting.index_build_stats();
+    EXPECT_EQ(stats.snapshot_hits, 3);
+    EXPECT_EQ(stats.kdtree_builds, 0);
+    EXPECT_EQ(stats.rtree_builds, 0);
+    EXPECT_EQ(stats.score_maps, 0);
+
+    for (const std::string& name : SolverRegistry::Names()) {
+      auto solver = SolverRegistry::Create(name);
+      ASSERT_TRUE(solver.ok()) << name;
+      // ENUM on the larger prefix would blow the world budget.
+      if (((*solver)->capabilities() & kCapExponentialTime) &&
+          mem_view.NumPossibleWorlds() > 5e5) {
+        continue;
+      }
+      for (int family = 0; family < 2; ++family) {
+        SCOPED_TRACE(name + (family == 0 ? "/region" : "/wr"));
+        auto mem_context =
+            family == 0
+                ? std::make_unique<ExecutionContext>(mem_view, region)
+                : std::make_unique<ExecutionContext>(mem_view, wr);
+        auto snap_context =
+            family == 0
+                ? std::make_unique<ExecutionContext>(snap_view, region)
+                : std::make_unique<ExecutionContext>(snap_view, wr);
+        const StatusOr<ArspResult> mem_result = (*solver)->Solve(*mem_context);
+        const StatusOr<ArspResult> snap_result =
+            (*solver)->Solve(*snap_context);
+        ASSERT_EQ(mem_result.ok(), snap_result.ok());
+        if (!mem_result.ok()) continue;  // inapplicable either way
+        ASSERT_EQ(mem_result->instance_probs.size(),
+                  static_cast<size_t>(mem_view.num_instances()));
+        ASSERT_EQ(snap_result->instance_probs.size(),
+                  mem_result->instance_probs.size());
+        EXPECT_EQ(std::memcmp(snap_result->instance_probs.data(),
+                              mem_result->instance_probs.data(),
+                              mem_result->instance_probs.size() *
+                                  sizeof(double)),
+                  0);
+      }
+    }
+  }
 }
 
 TEST(SnapshotIdentity, FingerprintIsContentNotPath) {
@@ -295,22 +383,22 @@ TEST(SnapshotRejection, WrongMagicVersionAndEndianness) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
   }
-  {
-    // Version 1 stored 32-byte kd nodes, with a subtree weight sum no probe
-    // read; version 2 stores 20-byte ones. A version-1 file is refused at
-    // its header, before any of its nodes could be misread.
-    ASSERT_EQ(snapshot::kVersion, 2u);
+  // Version 1 stored 32-byte kd nodes, with a subtree weight sum no probe
+  // read; version 2 stored the score probabilities and object ids again.
+  // Either is refused at its header, before any section could be misread.
+  ASSERT_EQ(snapshot::kVersion, 3u);
+  for (const uint32_t old_version : {1u, 2u}) {
     std::string mutated = bytes;
-    const uint32_t version_one = 1;
     std::memcpy(&mutated[offsetof(snapshot::SnapshotHeader, version)],
-                &version_one, sizeof(version_one));
+                &old_version, sizeof(old_version));
     WriteAll(bad, mutated);
     const auto loaded = LoadSnapshot(bad);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(
-        loaded.status().message().find("unsupported snapshot version 1"),
-        std::string::npos)
+    EXPECT_NE(loaded.status().message().find(
+                  "unsupported snapshot version " +
+                  std::to_string(old_version)),
+              std::string::npos)
         << loaded.status().ToString();
   }
   {
@@ -420,10 +508,6 @@ TEST(SnapshotRejection, CraftedStructureIsInvalidNotFatal) {
       {"instance object id",
        [](SnapshotImage& image) {
          image.Set<int32_t>(snapshot::kInstanceObjects, 0, 100000000);
-       }},
-      {"score row object id",
-       [](SnapshotImage& image) {
-         image.Set<int32_t>(snapshot::kScoreObjects, 0, 1);
        }},
       {"kd item id",
        [&](SnapshotImage& image) {

@@ -1,11 +1,12 @@
 // Copyright 2026 The ARSP Authors.
 //
-// View-vs-copy equivalence: for random datasets and prefix specs, every
+// View-vs-copy equivalence: for random datasets and prefix views, every
 // registry solver run on a DatasetView must agree with the same solver run
 // on the materialized copy of that view — both as a standalone view context
 // and as a context Derived from the full-view parent (the zero-copy data
-// plane's two execution paths). Plus SoA-vs-AoS
-// ScoreMapper identity (bit-exact) and the zero-copy span-sharing property
+// plane's two execution paths), and those two must give the same bits: one
+// view, one answer. Plus SoA-vs-AoS ScoreMapper identity (bit-exact), the
+// score spans' base columns, and the zero-copy span-sharing property
 // itself.
 
 #include <gtest/gtest.h>
@@ -25,10 +26,12 @@ namespace {
 using testing_util::RandomDataset;
 using testing_util::RandomWr;
 
-// Both solver runs perform identical arithmetic on identical values, except
-// that B&B's shared-tree traversal may drain tied heap entries in a
-// different order (summation order inside σ), so agreement is asserted to a
-// tight tolerance rather than bit-exactly.
+// A view context and the copy's perform identical arithmetic on identical
+// values, except that indexes over the base and over the copy differ in
+// shape: B&B may drain tied heap entries and DUAL may visit kd leaves in a
+// different order (summation order inside σ), so view-vs-copy agreement is
+// asserted to a tight tolerance rather than bit-exactly. The two view
+// contexts share the base's indexes and must agree bit for bit.
 constexpr double kTol = 1e-12;
 
 ArspResult MustSolve(const std::string& name, ExecutionContext& context) {
@@ -45,10 +48,11 @@ ArspResult MustSolve(const std::string& name, ExecutionContext& context) {
 //   (a) the materialized copy,
 //   (b) a standalone context over the view,
 //   (c) a context derived from a full-view parent,
-// and asserts (a) == (b) == (c).
+// and asserts (a) ≈ (b) and (a) ≈ (c) to kTol, and (b) == (c) bit for bit.
 void CheckAllSolvers(const std::shared_ptr<const UncertainDataset>& base,
-                     const ViewSpec& spec) {
-  auto view = DatasetView::Create(base, spec);
+                     int num_objects) {
+  SCOPED_TRACE(std::to_string(num_objects) + " objects");
+  auto view = DatasetView::Create(base, num_objects);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   const UncertainDataset copy = view->Materialize();
 
@@ -91,12 +95,19 @@ void CheckAllSolvers(const std::shared_ptr<const UncertainDataset>& base,
     const ArspResult on_copy = MustSolve(name, *copy_context);
     const ArspResult standalone = MustSolve(name, *view_context);
     EXPECT_LE(MaxAbsDiff(on_copy, standalone), kTol)
-        << name << " standalone view vs copy, spec " << spec.CacheKey();
+        << name << " standalone view vs copy";
 
     auto derived = ExecutionContext::Derive(parent, *view);
     const ArspResult via_parent = MustSolve(name, *derived);
     EXPECT_LE(MaxAbsDiff(on_copy, via_parent), kTol)
-        << name << " derived view vs copy, spec " << spec.CacheKey();
+        << name << " derived view vs copy";
+    ASSERT_EQ(standalone.instance_probs.size(),
+              via_parent.instance_probs.size());
+    EXPECT_EQ(std::memcmp(standalone.instance_probs.data(),
+                          via_parent.instance_probs.data(),
+                          standalone.instance_probs.size() * sizeof(double)),
+              0)
+        << name << " standalone view vs derived view";
   }
 }
 
@@ -104,7 +115,7 @@ TEST(ViewEquivalence, PrefixViewsSmall2d) {
   auto base = std::make_shared<const UncertainDataset>(
       RandomDataset(8, 1, 2, 0.5, 101));  // single-instance: dual-2d-ms runs
   for (int count : {1, 3, 8}) {
-    CheckAllSolvers(base, ViewSpec::Prefix(count));
+    CheckAllSolvers(base, count);
   }
 }
 
@@ -112,7 +123,7 @@ TEST(ViewEquivalence, PrefixViewsMultiInstance3d) {
   auto base = std::make_shared<const UncertainDataset>(
       RandomDataset(30, 3, 3, 0.3, 103));
   for (int count : {7, 19, 30}) {
-    CheckAllSolvers(base, ViewSpec::Prefix(count));
+    CheckAllSolvers(base, count);
   }
 }
 
@@ -121,8 +132,8 @@ TEST(ViewEquivalence, DuplicateProneGridData) {
   // where leaf/chi handling and tie batching must agree across paths.
   auto base = std::make_shared<const UncertainDataset>(
       RandomDataset(20, 3, 2, 0.4, 105, /*grid=*/true));
-  CheckAllSolvers(base, ViewSpec::Prefix(11));
-  CheckAllSolvers(base, ViewSpec::Prefix(17));
+  CheckAllSolvers(base, 11);
+  CheckAllSolvers(base, 17);
 }
 
 // ---------------------------------------------------------- SoA identity
@@ -141,48 +152,34 @@ TEST(ScoreMapperSoA, MapViewMatchesAosMapBitExactly) {
     for (int k = 0; k < buffer.dim; ++k) {
       EXPECT_EQ(aos[k], soa[k]) << "instance " << i << " coord " << k;
     }
-    EXPECT_EQ(buffer.probs[static_cast<size_t>(i)], dataset.instance(i).prob);
-    EXPECT_EQ(buffer.objects[static_cast<size_t>(i)],
-              dataset.instance(i).object_id);
   }
 }
 
-TEST(ScoreMapperSoA, MapViewBorrowsBaseColumnsForFullAndPrefixViews) {
-  // Views need no copy of probs/objects: a view's ids are its base's, so
-  // the base's columns are the streams. The span matches the copied
-  // mapping bit for bit.
-  const UncertainDataset dataset = RandomDataset(30, 3, 3, 0.2, 109);
+TEST(ScoreMapperSoA, ContextSpansReadTheBaseColumnsForFullAndPrefixViews) {
+  // Scores hold mapped coordinates only: a view's ids are its base's, so a
+  // context's span reads the probabilities and object ids straight from
+  // the base's columns, and its coordinates are the view's mapped rows.
+  const auto dataset = std::make_shared<const UncertainDataset>(
+      RandomDataset(30, 3, 3, 0.2, 109));
   const PreferenceRegion region = testing_util::WrRegion(3, 2);
   const ScoreMapper mapper(region);
-  for (const DatasetView& view :
-       {DatasetView(dataset),
-        DatasetView::Create(dataset, ViewSpec::Prefix(12)).value()}) {
-    SCOPED_TRACE(view.CacheKey());
-    const ScoreBuffer buffer = mapper.MapView(view);
-    EXPECT_FALSE(buffer.coords.borrowed());
-    EXPECT_TRUE(buffer.probs.borrowed());
-    EXPECT_TRUE(buffer.objects.borrowed());
-    EXPECT_EQ(buffer.probs.data(), dataset.probs_column().data());
-    EXPECT_EQ(buffer.objects.data(), dataset.instance_objects_column().data());
+  for (const int num_objects : {dataset->num_objects(), 12}) {
+    SCOPED_TRACE(std::to_string(num_objects) + " objects");
+    const DatasetView view = DatasetView::Create(dataset, num_objects).value();
+    ExecutionContext context(view, region);
+    const ScoreSpan span = context.scores();
     const int n = view.num_instances();
     const int dim = mapper.mapped_dim();
-    std::vector<double> coords(static_cast<size_t>(n * dim));
-    std::vector<double> probs(static_cast<size_t>(n));
-    std::vector<int> objects(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      mapper.MapRowInto(view.coords(i), &coords[static_cast<size_t>(i * dim)]);
-      probs[static_cast<size_t>(i)] = view.prob(i);
-      objects[static_cast<size_t>(i)] = view.object_of(i);
-    }
-    const ScoreSpan span = ScoreSpan::Of(buffer);
     ASSERT_EQ(span.n, n);
     ASSERT_EQ(span.dim, dim);
+    EXPECT_EQ(span.probs, dataset->probs_column().data());
+    EXPECT_EQ(span.objects, dataset->instance_objects_column().data());
+    std::vector<double> coords(static_cast<size_t>(n * dim));
+    for (int i = 0; i < n; ++i) {
+      mapper.MapRowInto(view.coords(i), &coords[static_cast<size_t>(i * dim)]);
+    }
     EXPECT_EQ(std::memcmp(span.coords, coords.data(),
                           coords.size() * sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(span.probs, probs.data(),
-                          probs.size() * sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(span.objects, objects.data(),
-                          objects.size() * sizeof(int)), 0);
   }
 }
 
@@ -194,7 +191,7 @@ TEST(ZeroCopyDataPlane, PrefixChildSharesTheParentsScoreStorage) {
   const PreferenceRegion region = testing_util::WrRegion(3, 2);
   auto parent =
       std::make_shared<ExecutionContext>(DatasetView(base), region);
-  auto prefix = DatasetView::Create(base, ViewSpec::Prefix(9)).value();
+  auto prefix = DatasetView::Create(base, 9).value();
   auto child = ExecutionContext::Derive(parent, prefix);
 
   const ScoreSpan child_span = child->scores();
@@ -222,8 +219,8 @@ TEST(ZeroCopyDataPlane, DeriveRejectsForeignBasesAndOversizedViews) {
       RandomDataset(10, 2, 2, 0.0, 109));
   const PreferenceRegion region = testing_util::WrRegion(2, 1);
   auto parent_prefix = std::make_shared<ExecutionContext>(
-      DatasetView::Create(base, ViewSpec::Prefix(4)).value(), region);
-  auto longer = DatasetView::Create(base, ViewSpec::Prefix(7)).value();
+      DatasetView::Create(base, 4).value(), region);
+  auto longer = DatasetView::Create(base, 7).value();
   EXPECT_DEATH(ExecutionContext::Derive(parent_prefix, longer), "prefix");
 }
 

@@ -478,7 +478,7 @@ int RunSweep(const CliArgs& args, net::ServiceBackend& backend,
     net::AddViewRequest add;
     add.base_name = dataset_name;
     add.view_name = dataset_name + "#prefix:" + std::to_string(count);
-    add.spec = ViewSpec::Prefix(count);
+    add.num_objects = count;
     auto view = backend.AddView(add);
     if (!view.ok()) {
       std::fprintf(stderr, "%s\n", view.status().ToString().c_str());

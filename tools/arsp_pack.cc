@@ -9,15 +9,15 @@
 // Usage:
 //   arsp_pack --input data.csv [--header] --output data.arsp
 //   arsp_pack --generate "iip:n=1000000,m=10000,d=3" --output big.arsp
-//            [--leaf-size N]     (kd-tree leaf capacity, default 16)
-//            [--fanout N]        (R-tree max entries, 4..1024, default 16)
 //            [--scores SPEC]     (pre-map scores for one constraint spec,
 //                                 "wr:l1,h1[,...]" or "rank:c"; queries
 //                                 whose region matches mmap their scores)
 //
 // Packing is the expensive half of the out-of-core split: it pays the CSV
 // parse / generation plus both index builds once, so every later load is a
-// validation pass over the section table.
+// validation pass over the section table. The indexes are built with the
+// in-memory defaults, so a served query adopts exactly the trees it would
+// otherwise build.
 
 #include <chrono>
 #include <cstdio>
@@ -28,11 +28,9 @@
 #include <vector>
 
 #include "src/core/engine.h"
-#include "src/index/rtree.h"
 #include "src/io/csv.h"
 #include "src/io/snapshot.h"
 #include "src/uncertain/generators.h"
-#include "tools/cli_args.h"
 
 namespace {
 
@@ -44,7 +42,7 @@ void PrintUsage() {
       "usage: arsp_pack --input data.csv [--header] --output out.arsp\n"
       "       arsp_pack --generate \"iip:n=...,m=...,d=...\" --output "
       "out.arsp\n"
-      "                 [--leaf-size N] [--fanout N] [--scores SPEC]\n");
+      "                 [--scores SPEC]\n");
 }
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
@@ -80,26 +78,6 @@ int main(int argc, char** argv) {
       output = value();
     } else if (arg == "--scores") {
       scores_spec = value();
-    } else if (arg == "--leaf-size") {
-      const char* v = value();
-      if (!cli::internal::ParseIntStrict(v, &options.kd_leaf_size) ||
-          options.kd_leaf_size < 1) {
-        std::fprintf(stderr,
-                     "--leaf-size must be an integer >= 1 (got '%s')\n", v);
-        PrintUsage();
-        return 2;
-      }
-    } else if (arg == "--fanout") {
-      const char* v = value();
-      if (!cli::internal::ParseIntStrict(v, &options.rtree_fanout) ||
-          options.rtree_fanout < RTree::kMinFanout ||
-          options.rtree_fanout > RTree::kMaxFanout) {
-        std::fprintf(stderr,
-                     "--fanout must be an integer in [%d, %d] (got '%s')\n",
-                     RTree::kMinFanout, RTree::kMaxFanout, v);
-        PrintUsage();
-        return 2;
-      }
     } else if (arg == "--header") {
       header = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -168,10 +146,8 @@ int main(int argc, char** argv) {
   std::ifstream packed(output, std::ios::binary | std::ios::ate);
   const long long bytes = packed ? static_cast<long long>(packed.tellg()) : 0;
   const std::string scores_note =
-      scores_spec.empty() ? "" : ", scores " + scores_spec;
-  std::printf(
-      "packed %s: %lld bytes (kd leaf %d, rt fanout %d%s) in %.1f ms\n",
-      output.c_str(), bytes, options.kd_leaf_size, options.rtree_fanout,
-      scores_note.c_str(), pack_ms);
+      scores_spec.empty() ? "" : " (scores " + scores_spec + ")";
+  std::printf("packed %s: %lld bytes%s in %.1f ms\n", output.c_str(), bytes,
+              scores_note.c_str(), pack_ms);
   return 0;
 }
