@@ -74,10 +74,10 @@ void RunCase(benchmark::State& state, const UncertainDataset& dataset, int c,
 }
 
 // The m% panels run on engine-held prefix views instead of TakeObjects
-// copies: no instance payloads are duplicated, and the pooled view
-// contexts derive from the base dataset's, so one sweep performs a single
-// full index build / SV(·) mapping plus per-prefix delta work — the cost
-// model the paper's Fig. 6 actually varies.
+// copies: no instance payloads are duplicated, and the view queries share
+// the base dataset's pooled artifacts, so one sweep performs a single full
+// index build / SV(·) mapping — the cost model the paper's Fig. 6
+// actually varies.
 void RunPrefixCase(benchmark::State& state, const UncertainDataset& full,
                    int pct, int c, const std::string& algo) {
   const int count = std::max(1, full.num_objects() * pct / 100);

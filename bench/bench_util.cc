@@ -122,9 +122,9 @@ ArspResult RunAlgoOnHandle(const std::string& algo, DatasetHandle handle,
     request.constraints = ConstraintSpec::Region(region);
   }
   request.solver = algo;
-  // The warm view path: pooled contexts (views derive from the base's, so
-  // a sweep shares one set of full indexes) but no result cache — every
-  // iteration still runs the solver.
+  // The warm view path: pooled contexts (views share the base's
+  // artifacts, so a sweep shares one set of full indexes) but no result
+  // cache — every iteration still runs the solver.
   request.use_cache = false;
   request.pool_context = true;
   StatusOr<QueryResponse> response = engine.Solve(request);

@@ -63,10 +63,10 @@ DatasetHandle SharedPrefixHandle(const UncertainDataset& full, int count);
 
 /// Runs a registered solver against an engine handle (dataset or view).
 /// Context pooling is ON and result caching OFF: iterations measure the
-/// warm view path — zero-copy score spans and shared indexes derived from
-/// the base context — which is the point of the Fig. 6 m% sweeps. The
-/// first call on a base pays the one full build; every prefix view after
-/// it is delta work only.
+/// warm view path — zero-copy score spans and indexes shared with the
+/// base's pooled context — which is the point of the Fig. 6 m% sweeps.
+/// The first call on a base pays the one full build; every prefix view
+/// after it builds nothing.
 ArspResult RunAlgoOnHandle(const std::string& algo, DatasetHandle handle,
                            const PreferenceRegion& region,
                            const WeightRatioConstraints* wr = nullptr);

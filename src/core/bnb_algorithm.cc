@@ -117,11 +117,11 @@ ArspResult RunBnb(ExecutionContext& context, const QueryGoal& goal,
   // The bulk-loaded R-tree over the *original* space is query-independent
   // and shared through the context; SV is computed on the fly only for
   // instances that survive pruning. The shared_ptr pins the tree for this
-  // run even if the context's per-fanout cache evicts it. For a derived
-  // view the tree is the parent's full-coverage one: leaf entries with ids
-  // at or past n are not the view's, and subtrees whose min_id() is at or
-  // past n are all delta data — skipped without descent (the prefix-reuse
-  // path). Node MBRs of a shared tree are supersets of the view's true
+  // run even if the context's per-fanout cache evicts it. The tree covers
+  // the whole base: for a prefix view, leaf entries with ids at or past n
+  // are not the view's, and subtrees whose min_id() is at or past n lie
+  // wholly past the view — skipped without descent (the prefix-reuse
+  // path). Node MBRs of a base-wide tree are supersets of the view's true
   // boxes, which only makes the best-first keys and pruning conservative,
   // never wrong.
   const std::shared_ptr<const RTree> data_tree_ptr =

@@ -51,11 +51,11 @@ ArspResult RunDual(ExecutionContext& context) {
   result.instance_probs.assign(static_cast<size_t>(n), 0.0);
   if (n == 0) return result;
 
-  // Kd-tree over the original points, shared through the context. For a
-  // derived view this is the parent's full-coverage tree: probes pass the
-  // view's instance count as the id bound, so they report only the view's
-  // instances and prune all-delta subtrees without descent — the
-  // prefix-reuse path that makes m% sweeps pay one tree build total.
+  // Kd-tree over the original points, shared through the context. It
+  // covers the whole base: probes pass the view's instance count as the id
+  // bound, so they report only the view's instances and prune subtrees
+  // wholly past the view without descent — the prefix-reuse path that
+  // makes m% sweeps pay one tree build total.
   const KdTree& tree = context.instance_kdtree();
   const Mbr& bounds = tree.root_mbr();
 

@@ -45,7 +45,8 @@ QueryGoal GoalForDerived(const DerivedSpec& derived) {
   return goal;
 }
 
-// A root context over `view` that counts its index work into `builds`.
+// A context over `view` with artifacts of its own, whose index work counts
+// into `builds`.
 std::shared_ptr<ExecutionContext> NewContext(
     DatasetView view, const ConstraintSpec& constraints,
     std::shared_ptr<ExecutionContext::BuildTotals> builds) {
@@ -56,17 +57,6 @@ std::shared_ptr<ExecutionContext> NewContext(
                            std::move(view), constraints.region());
   context->CountBuildsInto(std::move(builds));
   return context;
-}
-
-// The index work of `context` and every context it derives from: what a
-// solve on it can have triggered.
-ExecutionContext::IndexBuildStats ChainIndexStats(
-    const ExecutionContext& context) {
-  ExecutionContext::IndexBuildStats total;
-  for (const ExecutionContext* c = &context; c != nullptr; c = c->parent()) {
-    total += c->index_build_stats();
-  }
-  return total;
 }
 
 }  // namespace
@@ -290,14 +280,12 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
   const bool cacheable =
       request.use_cache && options_.result_cache_capacity > 0;
 
-  // Dataset lookup + context pool (short critical section). Key
-  // serialization is skipped entirely for pool-less, cache-bypassing
-  // requests (the benchmark path) — nothing would read the keys.
-  std::shared_ptr<const UncertainDataset> dataset;  // keep-alive
-  DatasetView view;
+  // Dataset lookup (short critical section). Key serialization is skipped
+  // entirely for pool-less, cache-bypassing requests (the benchmark path) —
+  // nothing would read the keys.
+  DatasetView view;  // shares ownership of its base: a keep-alive
   int base_id = -1;
   std::shared_ptr<ExecutionContext::BuildTotals> builds;
-  std::shared_ptr<ExecutionContext> context;
   const std::string constraint_key =
       request.pool_context || cacheable ? request.constraints.CacheKey()
                                         : std::string();
@@ -308,19 +296,11 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
       return Status::NotFound("unknown dataset handle " +
                               std::to_string(request.dataset.id));
     }
-    dataset = it->second.dataset;
     view = it->second.view;
     base_id = it->second.base_id;
     builds = it->second.builds;
-    if (request.pool_context) {
-      const auto key = std::make_pair(request.dataset.id, constraint_key);
-      const auto pooled = contexts_.find(key);
-      if (pooled != contexts_.end()) {
-        pooled->second.last_used = ++pool_tick_;
-        context = pooled->second.context;
-      }
-    }
   }
+  const bool is_view = base_id != request.dataset.id;
   // Solver names are normalized up front: registry lookup is
   // case-insensitive and cache keys must agree with it ("AUTO"/"KDTT+"
   // alias "auto"/"kdtt+"). "auto" resolves from the view alone, so an auto
@@ -399,59 +379,57 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
   }
 
   if (!response.cache_hit) {
+    std::shared_ptr<ExecutionContext> context;
+    // True iff this request put its base's artifacts into the pool as a
+    // transient entry, which it takes out again once the result cache holds
+    // its answer (below).
+    bool pooled_transient = false;
     {
       obs::ScopedSpan acquire_span(request.trace, "context_acquire");
-      if (context == nullptr) {
-        if (base_id != request.dataset.id && request.pool_context) {
-          // View handle with pooling (any object count — a view of every
-          // object must not rebuild either): derive from the base dataset's
-          // pooled context so the whole sweep of views over one base shares
-          // a single set of full indexes and one SoA score mapping.
-          std::shared_ptr<ExecutionContext> parent = FindOrCreatePooledContext(
-              base_id, constraint_key, request.constraints, dataset);
-          context = ExecutionContext::Derive(std::move(parent), view);
-          context->CountBuildsInto(builds);
-          acquire_span.Annotate("source", "derived_from_base");
-        } else {
-          // A base dataset, or a cold (pool-less) request: a standalone
-          // context, which builds its indexes over the base all the same.
-          context = NewContext(view, request.constraints, builds);
-          acquire_span.Annotate("source", "fresh");
+      if (request.pool_context) {
+        std::lock_guard<std::mutex> lock(mu_);
+        // Pool only while the base is registered (artifacts pooled under a
+        // dropped id would be unreachable forever). Concurrent callers on
+        // the same base and constraints converge on one entry, so
+        // overlapping requests share its lazy builds.
+        const auto base = datasets_.find(base_id);
+        if (base != datasets_.end()) {
+          const auto [it, inserted] =
+              contexts_.try_emplace(std::make_pair(base_id, constraint_key));
+          PooledContext& pooled = it->second;
+          // A cache-off request keeps what it pools, even an entry a
+          // cacheable miss put there: only the pool can answer its repeat.
+          // So does a view request: every later view step reuses the
+          // base's artifacts.
+          const bool pins = !cacheable || is_view;
+          if (inserted) {
+            pooled.context = NewContext(base->second.view,
+                                        request.constraints,
+                                        base->second.builds);
+            pooled_transient = !pins;
+            pooled.transient = pooled_transient;
+          } else if (pins) {
+            pooled.transient = false;
+          }
+          pooled.last_used = ++pool_tick_;
+          context = pooled.context;
+          acquire_span.Annotate("source", inserted ? "fresh" : "pooled");
+          // Bound the pool: evict the least-recently-used entry beyond the
+          // cap (shared ownership keeps in-flight solves on it safe).
+          const size_t capacity =
+              std::max<size_t>(1, options_.context_pool_capacity);
+          while (contexts_.size() > capacity) {
+            EvictLeastRecentlyUsed(contexts_);
+          }
         }
-      } else {
-        acquire_span.Annotate("source", "pooled");
       }
-    }
-    // True iff this request put `context` into the pool as a transient
-    // entry, which it takes out again once the result cache holds its
-    // answer (below).
-    bool pooled_transient = false;
-    if (request.pool_context) {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Pool only if the dataset was not concurrently dropped (a context
-      // pooled under a dead id would be unreachable forever). Another
-      // thread may have pooled the same key meanwhile; keep the first so
-      // concurrent callers converge on one context (re-pooling an already
-      // pooled context converges on itself). Pooling while the solve runs
-      // lets overlapping requests on the same constraints share its lazy
-      // builds either way.
-      if (datasets_.count(request.dataset.id) > 0) {
-        const auto [it, inserted] = contexts_.emplace(
-            std::make_pair(request.dataset.id, constraint_key),
-            PooledContext{context, 0, cacheable});
-        it->second.last_used = ++pool_tick_;
-        // A cache-off request keeps whatever it pools, even an entry a
-        // cacheable miss put there: only the pool can answer its repeat.
-        if (!cacheable) it->second.transient = false;
-        pooled_transient = inserted && cacheable;
-        context = it->second.context;
-        // Bound the pool: evict the least-recently-used context beyond
-        // the cap (shared ownership keeps in-flight solves on it safe).
-        const size_t capacity =
-            std::max<size_t>(1, options_.context_pool_capacity);
-        while (contexts_.size() > capacity) {
-          EvictLeastRecentlyUsed(contexts_);
-        }
+      if (context == nullptr) {
+        // A pool-less request: artifacts of its own, which cover the base
+        // all the same.
+        context = NewContext(view, request.constraints, builds);
+        acquire_span.Annotate("source", "fresh");
+      } else if (is_view) {
+        context = context->ForView(view);
       }
     }
     response.solver = solver_name;
@@ -491,7 +469,7 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
     // pooled context serves concurrent queries of every goal.
     SolverStats stats;
     ExecutionContext::IndexBuildStats index_before;
-    if (request.trace != nullptr) index_before = ChainIndexStats(*context);
+    if (request.trace != nullptr) index_before = context->index_build_stats();
     obs::ScopedSpan solve_span(request.trace, "solve");
     const uint64_t solve_start_ns =
         request.trace != nullptr ? obs::Trace::NowNs() : 0;
@@ -502,11 +480,10 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
       // The lazy context preprocessing this solve triggered (index builds,
       // snapshot adoption, score mapping) runs at the head of Solve; carve
       // it out as a child span so the timeline separates setup from
-      // traversal, and annotate it with the build-vs-adopt counters. A
-      // view context triggers builds on its parents, so the counters cover
-      // the whole chain.
+      // traversal, and annotate it with the build-vs-adopt counters of the
+      // artifacts the context shares.
       const ExecutionContext::IndexBuildStats index_after =
-          ChainIndexStats(*context);
+          context->index_build_stats();
       if (stats.setup_millis > 0.0) {
         obs::Span setup;
         setup.name = "index_setup";
@@ -522,10 +499,6 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
         note("rtree_builds",
              index_after.rtree_builds - index_before.rtree_builds);
         note("score_maps", index_after.score_maps - index_before.score_maps);
-        note("score_reuses",
-             index_after.score_reuses - index_before.score_reuses);
-        note("parent_index_hits", index_after.parent_index_hits -
-                                      index_before.parent_index_hits);
         note("snapshot_adopts",
              index_after.snapshot_hits - index_before.snapshot_hits);
         request.trace->AdoptChild(std::move(setup));
@@ -566,7 +539,7 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
       // request has since claimed it.
       if (pooled_transient) {
         const auto pooled =
-            contexts_.find(std::make_pair(request.dataset.id, constraint_key));
+            contexts_.find(std::make_pair(base_id, constraint_key));
         if (pooled != contexts_.end() && pooled->second.context == context &&
             pooled->second.transient) {
           contexts_.erase(pooled);
@@ -604,37 +577,6 @@ StatusOr<QueryResponse> ArspEngine::Solve(const QueryRequest& request) {
     goal_span.Annotate("ranked", static_cast<int64_t>(response.ranked.size()));
   }
   return response;
-}
-
-std::shared_ptr<ExecutionContext> ArspEngine::FindOrCreatePooledContext(
-    int base_id, const std::string& constraint_key,
-    const ConstraintSpec& constraints,
-    const std::shared_ptr<const UncertainDataset>& base_dataset) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto pool_key = std::make_pair(base_id, constraint_key);
-  const auto pooled = contexts_.find(pool_key);
-  if (pooled != contexts_.end()) {
-    pooled->second.last_used = ++pool_tick_;
-    // A view base stays pooled, even if a cacheable miss on the base
-    // handle pooled it: every later view step derives from it.
-    pooled->second.transient = false;
-    return pooled->second.context;
-  }
-  // Pool, and count its index work toward the base handle, only while the
-  // base is still registered (a context pooled under a dead id would be
-  // unreachable forever).
-  const auto base = datasets_.find(base_id);
-  auto context =
-      NewContext(DatasetView(base_dataset), constraints,
-                 base != datasets_.end() ? base->second.builds : nullptr);
-  if (base != datasets_.end()) {
-    contexts_.emplace(pool_key, PooledContext{context, ++pool_tick_});
-    const size_t capacity = std::max<size_t>(1, options_.context_pool_capacity);
-    while (contexts_.size() > capacity) {
-      EvictLeastRecentlyUsed(contexts_);
-    }
-  }
-  return context;
 }
 
 ExecutionContext::IndexBuildStats ArspEngine::index_stats(

@@ -8,12 +8,13 @@
 //
 //  * typed QueryRequest / QueryResponse instead of hand-assembled
 //    ExecutionContext + SolverRegistry + queries.h plumbing per driver;
-//  * a context pool keyed by (dataset, constraint fingerprint), so
-//    concurrent and repeated queries against the same dataset/constraints
-//    share preprocessing. A context stays pooled only while the result
-//    cache cannot answer its repeat: a cacheable miss pools its context
-//    while it solves, then releases it once its result is cached. Contexts
-//    of cache-off requests and view bases stay pooled until evicted;
+//  * a context pool keyed by (base dataset, constraint fingerprint), so
+//    concurrent and repeated queries against the same dataset, or any view
+//    of it, under the same constraints share preprocessing. A context
+//    stays pooled only while the result cache cannot answer its repeat: a
+//    cacheable miss on a base dataset pools its context while it solves,
+//    then releases it once its result is cached. Contexts that cache-off
+//    requests or view requests used stay pooled until evicted;
 //  * an LRU result cache keyed by (dataset fingerprint — the handle id,
 //    which uniquely and immutably identifies a registered dataset or view —
 //    constraints, solver, options) in front of ArspSolver::Solve;
@@ -27,12 +28,12 @@
 //    and `arsp_cli --algo auto` reaches it through the engine;
 //  * AddView(handle, num_objects) — zero-copy DatasetView windows (the
 //    first num_objects objects, the Fig. 6 m% prefix) registered as
-//    first-class query targets. Pooled view queries derive their
-//    ExecutionContext from the base dataset's pooled context, inheriting
-//    its indexes and score storage, so a Fig. 6-style m% sweep pays exactly
-//    one full kd-/R-tree build plus per-step delta work (asserted via
-//    index_stats()). A pool-less view query builds its own context over
-//    the same base-wide indexes, so it answers the same bits;
+//    first-class query targets. A pooled view query solves on a context
+//    for its view over the base dataset's pooled artifacts (indexes and
+//    score rows), so a Fig. 6-style m% sweep pays exactly one full
+//    kd-/R-tree build and one score mapping (asserted via index_stats()).
+//    A pool-less view query builds artifacts of its own over the same
+//    base, so it answers the same bits;
 //  * derived goals — object-level requests (top-k / threshold / count-
 //    controlled) are translated into a QueryGoal and answered by
 //    AnswerGoal. Top-k and count-controlled goals slice a complete result
@@ -47,9 +48,9 @@
 //    threshold-pruned partial result is cached only under a goal-specific
 //    key — it is never returned for a full or different-goal request.
 //
-// The engine is the designated backend for the ROADMAP's service frontend:
-// a daemon would hold one ArspEngine and translate wire requests into
-// QueryRequests.
+// The engine is the backend of the service frontend: `arspd` holds one
+// ArspEngine in an EngineBackend (src/net/server.h), which translates wire
+// requests into QueryRequests.
 
 #ifndef ARSP_CORE_ENGINE_H_
 #define ARSP_CORE_ENGINE_H_
@@ -222,8 +223,9 @@ struct EngineOptions {
   /// cap are evicted (in-flight solves keep theirs alive via shared
   /// ownership). Contexts hold dataset-sized artifacts, so a long-lived
   /// service serving many distinct constraints needs this bound. Mostly
-  /// cache-off requests and view bases fill it: a cacheable miss releases
-  /// its context once the result cache holds its answer. Must be ≥ 1.
+  /// cache-off and view requests fill it: a cacheable miss on a base
+  /// dataset releases its context once the result cache holds its answer.
+  /// Must be ≥ 1.
   size_t context_pool_capacity = 64;
 };
 
@@ -254,9 +256,8 @@ class ArspEngine {
   /// Registers a zero-copy view over a registered *base* dataset as a
   /// first-class query target: the returned handle works everywhere a
   /// dataset handle does (Solve, derived queries). The view shares the
-  /// base's instance payloads; pooled queries against it derive their
-  /// context from the base's pooled context, reusing its indexes and score
-  /// storage.
+  /// base's instance payloads; pooled queries against it solve over the
+  /// base's pooled artifacts, reusing its indexes and score rows.
   /// InvalidArgument for a view-of-a-view (register it against the base
   /// instead) or an object count outside [0, base objects]; NotFound for
   /// unknown handles.
@@ -300,13 +301,14 @@ class ArspEngine {
   /// Number of pooled ExecutionContexts currently alive.
   size_t pooled_contexts() const;
 
-  /// Index work done for one handle since it was registered: every build,
-  /// reuse and parent hit of every context the engine made for it, counted
+  /// Index work done for one handle since it was registered: every build
+  /// and snapshot adoption on artifacts the engine made for it, counted
   /// once as it happened, whether the context is still pooled, released or
-  /// evicted. A view's base context counts toward the base handle. Counts
-  /// never decrease; unknown or dropped handles read zero. Sweep tests sum
-  /// this across a base handle and its views to assert "one full index
-  /// build, delta work per view".
+  /// evicted. Pooled artifacts count toward the base handle, the artifacts
+  /// of a pool-less request toward the handle it names. Counts never
+  /// decrease; unknown or dropped handles read zero. Sweep tests sum this
+  /// across a base handle and its views to assert "one full index build
+  /// for the whole sweep".
   ExecutionContext::IndexBuildStats index_stats(DatasetHandle handle) const;
 
   /// Aggregated index/score memory of one handle's pooled contexts, split
@@ -332,8 +334,8 @@ class ArspEngine {
   struct PooledContext {
     std::shared_ptr<ExecutionContext> context;
     uint64_t last_used = 0;  ///< tick of the most recent checkout
-    /// Pooled by a cacheable miss, which releases it once its result is
-    /// cached. Cleared when a cache-off request or a view pools it too.
+    /// Pooled by a cacheable miss on the base, which releases it once its
+    /// result is cached. Cleared when a cache-off or view request uses it.
     bool transient = false;
   };
 
@@ -348,20 +350,13 @@ class ArspEngine {
     std::shared_ptr<ExecutionContext::BuildTotals> builds;
   };
 
-  /// Pooled full-view context for (base_id, constraint_key), creating (and
-  /// capacity-evicting) one when absent. If the base entry was concurrently
-  /// dropped the fresh context is returned unpooled (correct, just not
-  /// reusable).
-  std::shared_ptr<ExecutionContext> FindOrCreatePooledContext(
-      int base_id, const std::string& constraint_key,
-      const ConstraintSpec& constraints,
-      const std::shared_ptr<const UncertainDataset>& base_dataset);
-
   EngineOptions options_;
   mutable std::mutex mu_;
   int next_dataset_id_ = 0;
   uint64_t pool_tick_ = 0;
   std::map<int, DatasetEntry> datasets_;
+  /// Keyed by (base id, constraint key); each context is over its base's
+  /// full view.
   std::map<std::pair<int, std::string>, PooledContext> contexts_;
   LruList lru_;  ///< front = most recently used
   std::unordered_map<std::string, LruList::iterator> cache_index_;

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "src/common/lru.h"
@@ -278,25 +279,55 @@ std::string SolverOptions::CacheKey() const {
 
 // -------------------------------------------------------------- context
 
-// Lazy accessors nest (scores() -> mapper() -> region()); only the
-// outermost timer records, so a shared wall-clock span is counted once.
-// Instances only live inside accessor bodies that hold mu_, which makes the
-// depth counter and the accumulated total safe under concurrency.
-class ExecutionContext::SetupTimer {
- public:
-  explicit SetupTimer(const ExecutionContext* context)
-      : context_(context), outermost_(context->setup_depth_ == 0) {
-    ++context_->setup_depth_;
-  }
-  ~SetupTimer() {
-    --context_->setup_depth_;
-    if (outermost_) context_->total_setup_millis_ += sw_.ElapsedMillis();
+struct ExecutionContext::Shared {
+  // Lazy accessors nest (scores() -> mapper() -> region()); only the
+  // outermost timer records, so a shared wall-clock span is counted once.
+  // Timers only live inside accessor bodies that hold mu, which makes the
+  // depth counter and the accumulated total safe under concurrency.
+  class SetupTimer {
+   public:
+    explicit SetupTimer(Shared& shared)
+        : shared_(shared), outermost_(shared.setup_depth == 0) {
+      ++shared_.setup_depth;
+    }
+    ~SetupTimer() {
+      --shared_.setup_depth;
+      if (outermost_) shared_.setup_millis += sw_.ElapsedMillis();
+    }
+
+   private:
+    Shared& shared_;
+    const bool outermost_;
+    Stopwatch sw_;
+  };
+
+  struct CachedRtree {
+    std::shared_ptr<const RTree> tree;
+    uint64_t last_used = 0;  ///< tick of the most recent request
+  };
+
+  // Bumps one counter, and `totals` when set. Callers hold mu.
+  void Count(int64_t IndexBuildStats::*counter) {
+    ++(stats.*counter);
+    if (totals != nullptr) totals->Add(counter);
   }
 
- private:
-  const ExecutionContext* context_;
-  const bool outermost_;
-  Stopwatch sw_;
+  std::optional<WeightRatioConstraints> wr;  // immutable
+  // mu guards every member below. Recursive because the lazy accessors
+  // nest.
+  std::recursive_mutex mu;
+  std::optional<PreferenceRegion> region;
+  std::optional<ScoreMapper> mapper;
+  std::optional<ScoreBuffer> mapped_scores;  // when not the snapshot's
+  const Column<double>* score_coords = nullptr;  // mapped or the snapshot's
+  int score_dim = 0;
+  std::shared_ptr<const KdTree> kdtree;  // built or the snapshot's
+  std::map<int, CachedRtree> rtrees;     // keyed by fan-out
+  uint64_t rtree_tick = 0;
+  IndexBuildStats stats;
+  std::shared_ptr<BuildTotals> totals;
+  int setup_depth = 0;
+  double setup_millis = 0.0;
 };
 
 ExecutionContext::ExecutionContext(const UncertainDataset& dataset,
@@ -304,8 +335,9 @@ ExecutionContext::ExecutionContext(const UncertainDataset& dataset,
     : ExecutionContext(DatasetView(dataset), std::move(region)) {}
 
 ExecutionContext::ExecutionContext(DatasetView view, PreferenceRegion region)
-    : view_(std::move(view)), region_(std::move(region)) {
+    : ExecutionContext(std::move(view), std::make_shared<Shared>()) {
   ARSP_CHECK_MSG(view_.valid(), "ExecutionContext over an invalid view");
+  shared_->region = std::move(region);
 }
 
 ExecutionContext::ExecutionContext(const UncertainDataset& dataset,
@@ -313,198 +345,151 @@ ExecutionContext::ExecutionContext(const UncertainDataset& dataset,
     : ExecutionContext(DatasetView(dataset), std::move(wr)) {}
 
 ExecutionContext::ExecutionContext(DatasetView view, WeightRatioConstraints wr)
-    : view_(std::move(view)), wr_(std::move(wr)) {
+    : ExecutionContext(std::move(view), std::make_shared<Shared>()) {
   ARSP_CHECK_MSG(view_.valid(), "ExecutionContext over an invalid view");
-  ARSP_CHECK_MSG(view_.num_instances() == 0 || view_.dim() == wr_->dim(),
+  ARSP_CHECK_MSG(view_.num_instances() == 0 || view_.dim() == wr.dim(),
                  "weight ratio constraints are for dimension %d but the "
                  "dataset has dimension %d",
-                 wr_->dim(), view_.dim());
+                 wr.dim(), view_.dim());
+  shared_->wr = std::move(wr);
 }
 
-ExecutionContext::ExecutionContext(
-    std::shared_ptr<const ExecutionContext> parent, DatasetView view)
-    : view_(std::move(view)), wr_(parent->wr_), parent_(std::move(parent)) {}
+ExecutionContext::ExecutionContext(DatasetView view,
+                                   std::shared_ptr<Shared> shared)
+    : view_(std::move(view)), shared_(std::move(shared)) {}
 
-std::shared_ptr<ExecutionContext> ExecutionContext::Derive(
-    std::shared_ptr<const ExecutionContext> parent, DatasetView view) {
-  ARSP_CHECK_MSG(parent != nullptr, "Derive: null parent context");
-  ARSP_CHECK_MSG(view.valid(), "Derive: invalid view");
-  const DatasetView& parent_view = parent->view();
-  ARSP_CHECK_MSG(&view.base() == &parent_view.base(),
-                 "Derive: view windows a different base dataset than the "
-                 "parent context");
-  // Containment: views are object prefixes, so the child fits inside the
-  // parent iff it has no more instances.
-  ARSP_CHECK_MSG(view.num_instances() <= parent_view.num_instances(),
-                 "Derive: prefix view extends past the parent's prefix");
+std::shared_ptr<ExecutionContext> ExecutionContext::ForView(
+    DatasetView view) const {
+  ARSP_CHECK_MSG(view.valid() && &view.base() == &view_.base(),
+                 "ForView: the view windows a different base dataset");
   return std::shared_ptr<ExecutionContext>(
-      new ExecutionContext(std::move(parent), std::move(view)));
+      new ExecutionContext(std::move(view), shared_));
+}
+
+bool ExecutionContext::has_weight_ratios() const {
+  return shared_->wr.has_value();
 }
 
 const WeightRatioConstraints& ExecutionContext::weight_ratios() const {
-  ARSP_CHECK_MSG(wr_.has_value(),
+  ARSP_CHECK_MSG(shared_->wr.has_value(),
                  "context was not built from weight ratio constraints");
-  return *wr_;
+  return *shared_->wr;
 }
 
 const PreferenceRegion& ExecutionContext::region() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (region_ptr_ == nullptr) {
-    if (region_.has_value()) {
-      region_ptr_ = &*region_;
-    } else if (parent_ != nullptr) {
-      SetupTimer timer(this);  // charges parent work this call triggers
-      region_ptr_ = &parent_->region();
-    } else {
-      SetupTimer timer(this);
-      region_ = PreferenceRegion::FromWeightRatios(weight_ratios());
-      region_ptr_ = &*region_;
-    }
+  std::lock_guard<std::recursive_mutex> lock(shared_->mu);
+  if (!shared_->region.has_value()) {
+    Shared::SetupTimer timer(*shared_);
+    shared_->region = PreferenceRegion::FromWeightRatios(weight_ratios());
   }
-  return *region_ptr_;
+  return *shared_->region;
 }
 
 const ScoreMapper& ExecutionContext::mapper() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (mapper_ptr_ == nullptr) {
-    if (parent_ != nullptr) {
-      SetupTimer timer(this);
-      mapper_ptr_ = &parent_->mapper();
-    } else {
-      SetupTimer timer(this);
-      mapper_.emplace(region());
-      mapper_ptr_ = &*mapper_;
-    }
+  std::lock_guard<std::recursive_mutex> lock(shared_->mu);
+  if (!shared_->mapper.has_value()) {
+    Shared::SetupTimer timer(*shared_);
+    shared_->mapper.emplace(region());
   }
-  return *mapper_ptr_;
+  return *shared_->mapper;
 }
 
 ScoreSpan ExecutionContext::scores() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (span_ready_) return span_;
-  SetupTimer timer(this);
-  const auto& attached = view_.base().attached_scores();
-  if (parent_ != nullptr) {
-    // The view is a prefix of the parent's, so the parent's first rows ARE
-    // this view's. Zero copies.
-    const ScoreSpan parent = parent_->scores();
-    span_ = ScoreSpan::Of(parent.coords, parent.dim, view_);
-    Count(&IndexBuildStats::score_reuses);
-  } else if (attached != nullptr &&
-             attached->vertex_hash == mapper().VertexHash()) {
-    // Snapshot-attached pre-mapped scores for this exact vertex matrix
-    // (the hash covers dimensions and every matrix byte, so the section is
-    // bit-identical to what MapView would produce), truncated to the view.
-    span_ = ScoreSpan::Of(attached->coords.data(), attached->mapped_dim,
-                          view_);
-    Count(&IndexBuildStats::snapshot_hits);
-  } else {
-    scores_ = mapper().MapView(view_);
-    Count(&IndexBuildStats::score_maps);
-    span_ = ScoreSpan::Of(scores_->coords.data(), scores_->dim, view_);
+  std::lock_guard<std::recursive_mutex> lock(shared_->mu);
+  if (shared_->score_coords == nullptr) {
+    Shared::SetupTimer timer(*shared_);
+    const auto& attached = view_.base().attached_scores();
+    if (attached != nullptr &&
+        attached->vertex_hash == mapper().VertexHash()) {
+      // Snapshot-attached pre-mapped scores for this exact vertex matrix
+      // (the hash covers dimensions and every matrix byte, so the section is
+      // bit-identical to what MapView would produce).
+      shared_->score_coords = &attached->coords;
+      shared_->score_dim = attached->mapped_dim;
+      shared_->Count(&IndexBuildStats::snapshot_hits);
+    } else {
+      shared_->mapped_scores = mapper().MapView(DatasetView(view_.base()));
+      shared_->score_coords = &shared_->mapped_scores->coords;
+      shared_->score_dim = shared_->mapped_scores->dim;
+      shared_->Count(&IndexBuildStats::score_maps);
+    }
   }
-  span_ready_ = true;
-  return span_;
+  // The view's instances are the base's first rows: zero copies.
+  return ScoreSpan::Of(shared_->score_coords->data(), shared_->score_dim,
+                       view_);
 }
 
 const KdTree& ExecutionContext::instance_kdtree() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (kdtree_ptr_ == nullptr) {
-    SetupTimer timer(this);
-    if (parent_ != nullptr) {
-      kdtree_ptr_ = &parent_->instance_kdtree();
-      Count(&IndexBuildStats::parent_index_hits);
-    } else if (view_.base().attached_kdtree() != nullptr) {
-      // Snapshot-attached prebuilt tree. The dataset outlives the context
-      // by contract, which pins the shared arenas.
-      kdtree_ptr_ = view_.base().attached_kdtree().get();
-      Count(&IndexBuildStats::snapshot_hits);
+  std::lock_guard<std::recursive_mutex> lock(shared_->mu);
+  if (shared_->kdtree == nullptr) {
+    Shared::SetupTimer timer(*shared_);
+    if (view_.base().attached_kdtree() != nullptr) {
+      shared_->kdtree = view_.base().attached_kdtree();  // snapshot's
+      shared_->Count(&IndexBuildStats::snapshot_hits);
     } else {
-      kdtree_.emplace(KdTree::FromView(DatasetView(view_.base())));
-      kdtree_ptr_ = &*kdtree_;
-      Count(&IndexBuildStats::kdtree_builds);
+      shared_->kdtree = std::make_shared<const KdTree>(
+          KdTree::FromView(DatasetView(view_.base())));
+      shared_->Count(&IndexBuildStats::kdtree_builds);
     }
   }
-  return *kdtree_ptr_;
+  return *shared_->kdtree;
 }
 
 std::shared_ptr<const RTree> ExecutionContext::instance_rtree(
     int fanout) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (parent_ != nullptr) {
-    SetupTimer timer(this);
-    Count(&IndexBuildStats::parent_index_hits);
-    return parent_->instance_rtree(fanout);
-  }
-  const auto it = rtrees_.find(fanout);
-  if (it != rtrees_.end()) {
-    it->second.last_used = ++rtree_tick_;
+  std::lock_guard<std::recursive_mutex> lock(shared_->mu);
+  const auto it = shared_->rtrees.find(fanout);
+  if (it != shared_->rtrees.end()) {
+    it->second.last_used = ++shared_->rtree_tick;
     return it->second.tree;
   }
-  SetupTimer timer(this);
+  Shared::SetupTimer timer(*shared_);
   std::shared_ptr<const RTree> tree;
   if (view_.base().attached_rtree() != nullptr &&
       view_.base().attached_rtree_fanout() == fanout) {
     // Snapshot-attached prebuilt tree, cached like a built one so repeat
     // requests skip the attachment checks.
     tree = view_.base().attached_rtree();
-    Count(&IndexBuildStats::snapshot_hits);
+    shared_->Count(&IndexBuildStats::snapshot_hits);
   } else {
     tree = std::make_shared<const RTree>(
         RTree::BulkLoadFromView(DatasetView(view_.base()), fanout));
-    Count(&IndexBuildStats::rtree_builds);
+    shared_->Count(&IndexBuildStats::rtree_builds);
   }
   // Bound the cache: drop the least-recently-used fan-out first (in-flight
   // users of an evicted tree keep it alive through their shared_ptr).
-  if (rtrees_.size() >= kMaxCachedRtrees) EvictLeastRecentlyUsed(rtrees_);
-  rtrees_.emplace(fanout, CachedRtree{tree, ++rtree_tick_});
+  if (shared_->rtrees.size() >= kMaxCachedRtrees) {
+    EvictLeastRecentlyUsed(shared_->rtrees);
+  }
+  shared_->rtrees.emplace(fanout,
+                          Shared::CachedRtree{tree, ++shared_->rtree_tick});
   return tree;
 }
 
-bool ExecutionContext::single_instance_objects() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (!single_instance_.has_value()) {
-    single_instance_ = view_.single_instance_objects();
-  }
-  return *single_instance_;
-}
-
 ExecutionContext::IndexBuildStats ExecutionContext::index_build_stats() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return index_stats_;
+  std::lock_guard<std::recursive_mutex> lock(shared_->mu);
+  return shared_->stats;
 }
 
 void ExecutionContext::CountBuildsInto(std::shared_ptr<BuildTotals> totals) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  build_totals_ = std::move(totals);
-}
-
-void ExecutionContext::Count(int64_t IndexBuildStats::*counter) const {
-  ++(index_stats_.*counter);
-  if (build_totals_ != nullptr) build_totals_->Add(counter);
+  std::lock_guard<std::recursive_mutex> lock(shared_->mu);
+  shared_->totals = std::move(totals);
 }
 
 ColumnBytes ExecutionContext::IndexMemoryFootprint() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::recursive_mutex> lock(shared_->mu);
   ColumnBytes bytes;
-  if (kdtree_ptr_ != nullptr && parent_ == nullptr) {
-    bytes += kdtree_ptr_->memory_bytes();
-  }
-  for (const auto& [fanout, cached] : rtrees_) {
+  if (shared_->kdtree != nullptr) bytes += shared_->kdtree->memory_bytes();
+  for (const auto& [fanout, cached] : shared_->rtrees) {
     bytes += cached.tree->memory_bytes();
   }
-  if (scores_.has_value()) {
-    bytes.Add(scores_->coords);
-  } else if (span_ready_ && parent_ == nullptr) {
-    // A root context's span without owned rows: the snapshot's.
-    bytes.Add(view_.base().attached_scores()->coords);
-  }
+  if (shared_->score_coords != nullptr) bytes.Add(*shared_->score_coords);
   return bytes;
 }
 
 double ExecutionContext::total_setup_millis() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return total_setup_millis_;
+  std::lock_guard<std::recursive_mutex> lock(shared_->mu);
+  return shared_->setup_millis;
 }
 
 // ---------------------------------------------------------- goal pruner
@@ -637,7 +622,7 @@ Status ArspSolver::ValidateContext(const ExecutionContext& context) const {
         std::to_string(context.dataset().dim()) + ")");
   }
   if ((caps & kCapRequiresSingleInstanceObjects) &&
-      !context.single_instance_objects()) {
+      !context.view().single_instance_objects()) {
     return Status::FailedPrecondition(
         std::string(display_name()) +
         " requires single-instance objects (the IIP regime)");
@@ -670,16 +655,7 @@ StatusOr<ArspResult> ArspSolver::Solve(ExecutionContext& context,
   stats.tasks_spawned = result->tasks_spawned;
   stats.tasks_stolen = result->tasks_stolen;
   stats.parallel_workers = result->parallel_workers;
-  // Index artifacts live on the root ancestor (children delegate R-trees,
-  // alias the kd-tree, and share the score span), and IndexMemoryFootprint
-  // charges each artifact to its owning context so engine-wide sums don't
-  // double count. Per-query stats therefore read the root's footprint —
-  // that is what backed this solve.
-  const ExecutionContext* footprint_context = &context;
-  while (footprint_context->parent() != nullptr) {
-    footprint_context = footprint_context->parent();
-  }
-  const ColumnBytes footprint = footprint_context->IndexMemoryFootprint();
+  const ColumnBytes footprint = context.IndexMemoryFootprint();
   stats.index_bytes_resident = static_cast<int64_t>(footprint.resident);
   stats.index_bytes_mapped = static_cast<int64_t>(footprint.mapped);
   stats.peak_rss_bytes = PeakRssBytes();

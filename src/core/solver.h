@@ -9,14 +9,14 @@
 //                        Solve() entry point.
 //  * SolverRegistry    — the table of built-in solvers by name, so drivers
 //                        never hand-roll string dispatch.
-//  * ExecutionContext  — owns the once-per-query preprocessing every solver
-//                        would otherwise recompute: the §III-B score-space
-//                        mapping SV(·), the SoA score storage the traversal
-//                        solvers iterate, query-independent index structures
-//                        over the original points, and the instrumentation
-//                        of the last run. Contexts target a DatasetView and
-//                        can be Derived from a parent context, inheriting
-//                        its artifacts (the zero-copy data plane).
+//  * ExecutionContext  — a DatasetView over the once-per-query preprocessing
+//                        every solver would otherwise recompute: the §III-B
+//                        score-space mapping SV(·), the SoA score storage
+//                        the traversal solvers iterate, query-independent
+//                        index structures over the original points, and
+//                        counters of the index work. The artifacts cover
+//                        the whole base dataset, so every view of it can
+//                        share them (the zero-copy data plane).
 //
 // Adding a solver: subclass ArspSolver in the algorithm's .cc file, define
 // internal::New<X>Solver() there, and add one row to the registry table in
@@ -30,7 +30,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -273,8 +272,8 @@ class GoalPruner {
 
 /// Interface every ARSP algorithm implements. Solvers are cheap to construct
 /// and carry only configuration; all per-query state lives in the
-/// ExecutionContext so one context can be solved by many algorithms (and,
-/// later, by many threads against read-only preprocessing).
+/// ExecutionContext so one context can be solved by many algorithms, on
+/// many threads at once.
 class ArspSolver {
  public:
   virtual ~ArspSolver() = default;
@@ -325,29 +324,27 @@ class ArspSolver {
 };
 
 /// Once-per-query state shared across solvers: a DatasetView (the query
-/// target — a whole dataset or a zero-copy window of one), the constraint
-/// family, and lazily computed (then cached) preprocessing artifacts. The
-/// view's base dataset must outlive the context (or be owned by the view);
-/// constraints are copied in. A context holds no goal: the goal is an
-/// argument of each ArspSolver::Solve, so every context serves every goal.
+/// target — a whole dataset or an object prefix of one) over the artifacts
+/// of one (base dataset, constraints) pair — the preference region, the
+/// SV(·) mapper, the mapped score rows, the kd-tree and the R-trees — each
+/// computed lazily over the whole base (or adopted from a snapshot's), then
+/// cached. The view's base dataset must outlive the context (or be owned by
+/// the view); constraints are copied in. A context holds no goal: the goal
+/// is an argument of each ArspSolver::Solve, so every context serves every
+/// goal.
 ///
-/// Every context serves its view from artifacts over the whole base: the
-/// kd-/R-trees cover every base instance and are probed with the view's
+/// The kd-/R-trees cover every base instance and are probed with the view's
 /// instance count as the id bound, and the score rows are truncated to the
-/// view. So a view answers the same bits whichever context serves it.
-/// Contexts form a derivation tree: Derive(parent, view) builds a child
-/// context over a prefix of the parent's view that inherits every artifact
-/// from its parent — the preference region, the SV(·) mapper, the trees,
-/// and the SoA score storage (zero-copy). An m% sweep derived from one base
-/// context therefore performs exactly one full index build;
+/// view, so a view answers the same bits whichever context serves it.
+/// ForView(view) makes a context for another view of the same base over the
+/// same artifacts: an m% sweep served that way builds each index once, and
 /// index_build_stats() exposes the counters tests assert this with.
 ///
-/// Lazy initialization is thread-safe: accessors serialize on an internal
-/// (recursive — they nest) mutex, and every artifact is immutable once
-/// built, so ArspEngine can run many solvers against one pooled context
-/// concurrently; threads only contend during first touch. Child contexts
-/// lock themselves, then (on first touch) their parent — never the reverse,
-/// so the hierarchy cannot deadlock.
+/// Lazy initialization is thread-safe: accessors serialize on one recursive
+/// mutex (they nest) that every context over the same artifacts shares, and
+/// every artifact is immutable once built, so ArspEngine can run many
+/// solvers against one pooled context and its views concurrently; threads
+/// only contend during first touch.
 class ExecutionContext {
  public:
   /// Context for a general preference region (weak ranking, interactive, or
@@ -364,12 +361,10 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  /// Child context over `view` with the parent's constraints. `view` must
-  /// window the same base dataset and have no more instances than the
-  /// parent's view (checked). The child shares the parent's constraint
-  /// artifacts and index structures instead of rebuilding them.
-  static std::shared_ptr<ExecutionContext> Derive(
-      std::shared_ptr<const ExecutionContext> parent, DatasetView view);
+  /// A context for `view` over this context's artifacts and constraints.
+  /// `view` must window the same base dataset (checked); any object count
+  /// will do, because the artifacts cover the whole base.
+  std::shared_ptr<ExecutionContext> ForView(DatasetView view) const;
 
   /// The base dataset behind the view.
   const UncertainDataset& dataset() const { return view_.base(); }
@@ -378,41 +373,35 @@ class ExecutionContext {
   /// through scores().
   const DatasetView& view() const { return view_; }
 
-  /// The parent this context was derived from, or nullptr.
-  const ExecutionContext* parent() const { return parent_.get(); }
-
-  bool has_weight_ratios() const { return wr_.has_value(); }
+  bool has_weight_ratios() const;
   /// The weight ratio constraints; only valid when has_weight_ratios().
   const WeightRatioConstraints& weight_ratios() const;
 
   /// The preference region Ω; derived from the weight ratios on first use
-  /// when the context was built from them. Shared with the parent when
-  /// derived.
+  /// when the context was built from them.
   const PreferenceRegion& region() const;
 
-  /// The §III-B score mapper SV(·) for region(). Cached; shared with the
-  /// parent when derived.
+  /// The §III-B score mapper SV(·) for region(). Cached.
   const ScoreMapper& mapper() const;
 
   /// SoA score storage of the view's instances (row i = instance i): what
   /// every tree-traversal solver iterates. The mapped coordinates are a
-  /// derived context's parent's rows, a snapshot's pre-mapped rows when
-  /// their vertex hash matches the mapper's (both truncated to the view —
-  /// zero copies), or else a root context's own mapping of the view; the
-  /// probability and object-id streams are the base dataset's columns.
+  /// snapshot's pre-mapped rows when their vertex hash matches the
+  /// mapper's, or else a mapping of the whole base made once; either way
+  /// truncated to the view (zero copies). The probability and object-id
+  /// streams are the base dataset's columns.
   ScoreSpan scores() const;
 
   /// Kd-tree over the base dataset's original instance points (weights =
   /// probabilities, ids = instance ids), query-independent; used by the
   /// DUAL half-space probes. It covers the whole base whatever the view,
-  /// so callers skip ids >= view().num_instances(). Derived contexts
-  /// return the parent's tree; root contexts adopt the snapshot's attached
-  /// tree or build one over the base once.
+  /// so callers skip ids >= view().num_instances(). The snapshot's attached
+  /// tree when there is one, else built over the base once.
   const KdTree& instance_kdtree() const;
 
   /// STR-bulk-loaded R-tree over the base dataset's original instance
-  /// points (ids = instance ids) with the given fan-out; same sharing rules
-  /// as instance_kdtree (a snapshot's tree is adopted when its fan-out is
+  /// points (ids = instance ids) with the given fan-out; covers the base
+  /// like instance_kdtree (a snapshot's tree is adopted when its fan-out is
   /// the one asked for). Cached per fan-out value, so callers alternating
   /// fan-outs (ablation benches, mixed batch queries) never rebuild. The
   /// cache holds at most kMaxCachedRtrees trees (long-lived pooled contexts
@@ -424,20 +413,14 @@ class ExecutionContext {
   /// Bound on distinct fan-outs cached by instance_rtree.
   static constexpr size_t kMaxCachedRtrees = 8;
 
-  /// True iff every object in the view has exactly one instance (the IIP
-  /// regime).
-  bool single_instance_objects() const;
-
-  /// Data-plane instrumentation: what this context built itself versus
-  /// served through its parent. A sweep of derived views over one base
-  /// context must show exactly one full kd/R build in the whole tree.
+  /// Data-plane instrumentation: what was built over the artifacts versus
+  /// adopted from a snapshot. A sweep of views served from one set of
+  /// artifacts must show exactly one full kd/R build.
   struct IndexBuildStats {
-    int64_t kdtree_builds = 0;   ///< kd-trees this context built
-    int64_t rtree_builds = 0;    ///< R-trees this context bulk-loaded
-    int64_t score_maps = 0;      ///< SoA buffers filled by dot-product runs
-    int64_t score_reuses = 0;    ///< spans served from the parent's buffer
-    int64_t parent_index_hits = 0;  ///< index requests served by the parent
-    int64_t snapshot_hits = 0;      ///< artifacts adopted from a snapshot
+    int64_t kdtree_builds = 0;   ///< kd-trees built over the base
+    int64_t rtree_builds = 0;    ///< R-trees bulk-loaded over the base
+    int64_t score_maps = 0;      ///< score rows filled by dot-product runs
+    int64_t snapshot_hits = 0;   ///< artifacts adopted from a snapshot
 
     /// Field-wise accumulation — the one place that must know every
     /// counter, so aggregators (engine, CLI, tests) cannot drift.
@@ -445,17 +428,17 @@ class ExecutionContext {
       kdtree_builds += other.kdtree_builds;
       rtree_builds += other.rtree_builds;
       score_maps += other.score_maps;
-      score_reuses += other.score_reuses;
-      parent_index_hits += other.parent_index_hits;
       snapshot_hits += other.snapshot_hits;
       return *this;
     }
   };
+  /// The index work done on this context's artifacts, by any context that
+  /// shares them.
   IndexBuildStats index_build_stats() const;
 
-  /// Running IndexBuildStats that many contexts add to as they work, so the
-  /// counts outlive every one of them. ArspEngine keeps one per dataset
-  /// handle. Thread-safe.
+  /// Running IndexBuildStats that many artifact sets add to as they work,
+  /// so the counts outlive every one of them. ArspEngine keeps one per
+  /// dataset handle. Thread-safe.
   class BuildTotals {
    public:
     void Add(int64_t IndexBuildStats::*counter) {
@@ -477,55 +460,27 @@ class ExecutionContext {
   void CountBuildsInto(std::shared_ptr<BuildTotals> totals);
 
   /// Resident vs. mapped bytes of the index and score artifacts this context
-  /// currently serves queries with (its kd-tree, cached R-trees, and score
-  /// buffer — whether built in memory or adopted from a snapshot). Artifacts
-  /// shared from a parent context or not yet lazily built are not counted.
+  /// serves queries with (its kd-tree, cached R-trees, and score rows —
+  /// whether built in memory or adopted from a snapshot). Artifacts not yet
+  /// lazily built are not counted. Every context over the same artifacts
+  /// reports the same bytes.
   ColumnBytes IndexMemoryFootprint() const;
 
-  /// Total lazy-preprocessing wall time paid on this context so far, in
-  /// milliseconds. Monotonic; ArspSolver::Solve diffs it around a run to
-  /// attribute the setup that run triggered. Parent work triggered through
-  /// a derived context is charged to the derived context's total too.
+  /// Total lazy-preprocessing wall time paid on this context's artifacts so
+  /// far, by any context that shares them, in milliseconds. Monotonic;
+  /// ArspSolver::Solve diffs it around a run to attribute the setup that
+  /// run triggered.
   double total_setup_millis() const;
 
  private:
-  // Accumulates lazy-preprocessing wall time into total_setup_millis_.
-  class SetupTimer;
+  // The artifacts of one (base dataset, constraints) pair and the lock and
+  // counters that go with them; defined in solver.cc.
+  struct Shared;
 
-  ExecutionContext(std::shared_ptr<const ExecutionContext> parent,
-                   DatasetView view);
-
-  // Bumps one index_stats_ counter, and build_totals_ when set. Callers
-  // hold mu_.
-  void Count(int64_t IndexBuildStats::*counter) const;
+  ExecutionContext(DatasetView view, std::shared_ptr<Shared> shared);
 
   DatasetView view_;
-  std::optional<WeightRatioConstraints> wr_;
-  std::shared_ptr<const ExecutionContext> parent_;  // nullptr for roots
-  // mu_ guards every mutable member below. Recursive because the lazy
-  // accessors nest (scores() -> mapper() -> region()).
-  mutable std::recursive_mutex mu_;
-  mutable std::optional<PreferenceRegion> region_;
-  mutable std::optional<ScoreMapper> mapper_;
-  mutable const PreferenceRegion* region_ptr_ = nullptr;  // own or parent's
-  mutable const ScoreMapper* mapper_ptr_ = nullptr;       // own or parent's
-  mutable std::optional<ScoreBuffer> scores_;  // owned storage, when any
-  mutable ScoreSpan span_;                     // handed to solvers
-  mutable bool span_ready_ = false;
-  mutable std::optional<KdTree> kdtree_;
-  mutable const KdTree* kdtree_ptr_ = nullptr;  // own or parent's
-  struct CachedRtree {
-    std::shared_ptr<const RTree> tree;
-    uint64_t last_used = 0;  ///< tick of the most recent request
-  };
-
-  mutable std::map<int, CachedRtree> rtrees_;  // keyed by fan-out
-  mutable uint64_t rtree_tick_ = 0;
-  mutable std::optional<bool> single_instance_;
-  mutable IndexBuildStats index_stats_;
-  std::shared_ptr<BuildTotals> build_totals_;
-  mutable int setup_depth_ = 0;
-  mutable double total_setup_millis_ = 0.0;
+  std::shared_ptr<Shared> shared_;
 };
 
 /// The built-in solvers by name: one sorted {name, factory} table in

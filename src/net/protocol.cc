@@ -270,8 +270,7 @@ void Fields(auto& c, Is<DatasetInfo> auto& m) {
 }
 
 void Fields(auto& c, Is<ExecutionContext::IndexBuildStats> auto& m) {
-  c(m.kdtree_builds, m.rtree_builds, m.score_maps, m.score_reuses,
-    m.parent_index_hits, m.snapshot_hits);
+  c(m.kdtree_builds, m.rtree_builds, m.score_maps, m.snapshot_hits);
 }
 
 void Fields(auto& c, Is<ColumnBytes> auto& m) { c(m.resident, m.mapped); }

@@ -100,7 +100,11 @@ inline constexpr uint16_t kWireMagic = 0xA75F;
 /// v12 (a view is an object count): AddViewRequest carries the view's
 ///     object count alone, without the kind byte; a count outside the
 ///     base's [0, objects] is InvalidArgument from the backend.
-inline constexpr uint8_t kWireVersion = 12;
+/// v13 (shared artifacts): StatsResponse's IndexBuildStats lost its two
+///     counters of work served through a parent context (score reuses
+///     and parent index hits): a context shares its base's artifacts
+///     instead of deriving from a parent.
+inline constexpr uint8_t kWireVersion = 13;
 
 /// Max payload bytes a peer will accept (the max-frame guard). Large enough
 /// for a multi-million-instance probability vector, small enough that a

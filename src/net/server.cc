@@ -703,8 +703,7 @@ StatusOr<AddViewResponse> EngineBackend::AddView(
     if (existing != registry_.end()) {
       // Idempotent re-registration (same base, same object count):
       // separate CLI invocations repeating a sweep reuse the view — and
-      // therefore its derived context and cache entries — instead of
-      // erroring out.
+      // therefore its cache entries — instead of erroring out.
       if (existing->second.is_view &&
           existing->second.base == request.base_name &&
           existing->second.num_objects == request.num_objects) {

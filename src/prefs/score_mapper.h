@@ -14,7 +14,7 @@
 // dense instead of striding over vector-of-struct Instance records, and the
 // SIMD kernel layer (src/simd/kernels.h) vectorizes over them. Solvers
 // consume a ScoreSpan — a non-owning window over all three — which is how
-// a prefix DatasetView shares its parent's buffer with zero copies (the
+// a prefix DatasetView shares its base's buffer with zero copies (the
 // first n rows of the full buffer *are* the prefix's buffer).
 //
 // The mapper evaluates SV through the dispatched MapPoint kernel over a
@@ -57,9 +57,9 @@ struct ScoreBuffer {
 };
 
 /// Non-owning window over score storage — what solvers iterate. Plain
-/// pointers so a span can alias either its context's own coordinates or a
-/// parent context's (zero-copy prefix reuse); probabilities and object ids
-/// always point at the base dataset's columns.
+/// pointers so a span can alias the first rows of coordinates mapped over
+/// the whole base or a snapshot's (zero-copy prefix reuse); probabilities
+/// and object ids always point at the base dataset's columns.
 struct ScoreSpan {
   const double* coords = nullptr;
   const double* probs = nullptr;

@@ -401,7 +401,7 @@ TEST(ClusterEquivalence, StatsSumTheShardsIndexWorkAndMemory) {
   EXPECT_EQ(front->index_memory.resident, memory.resident);
   EXPECT_EQ(front->index_memory.mapped, memory.mapped);
   EXPECT_EQ(front->index_work.score_maps, work.score_maps);
-  EXPECT_EQ(front->index_work.score_reuses, work.score_reuses);
+  EXPECT_EQ(front->index_work.kdtree_builds, work.kdtree_builds);
 }
 
 TEST(ClusterEquivalence, UnknownNamesAndBadSpecsFailCleanly) {

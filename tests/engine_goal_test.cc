@@ -257,7 +257,7 @@ TEST(EngineGoalPushdown, MixedGoalsShareOnePooledContextConcurrently) {
 TEST(EngineGoalPushdown, GoalsPropagateThroughViewSweeps) {
   // A Fig. 6-style m% sweep with --threshold semantics: every prefix view's
   // pushdown answer must match its own post-hoc answer, and the view
-  // contexts still derive from one base build.
+  // contexts still share one base build.
   ArspEngine engine;
   const DatasetHandle base = engine.AddDataset(NbaData());
   const int m = engine.dataset(base)->num_objects();

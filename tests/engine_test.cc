@@ -429,12 +429,12 @@ std::map<std::string, std::string> IndexSetupNotes(const obs::Span& span) {
   return {};
 }
 
-TEST(EngineTracing, IndexSetupCountsBuildsTriggeredOnParentContexts) {
+TEST(EngineTracing, IndexSetupCountsBuildsOnTheSharedArtifacts) {
   // A cold threshold pushdown solves the context it pools for its goal,
   // so its index_setup span shows that context's own score mapping and
-  // nothing else. A cold view query solves a child of the base's pooled
-  // context: the score rows are mapped on the parent, and the traced
-  // index_setup span must still report that mapping.
+  // nothing else. A cold view query solves a context for its view over the
+  // base's pooled artifacts: the score rows are mapped over the base, and
+  // the traced index_setup span must report that mapping.
   ArspEngine engine;
   const DatasetHandle handle =
       engine.AddDataset(RandomDataset(70, 3, 3, 0.2, 31));
@@ -462,8 +462,8 @@ TEST(EngineTracing, IndexSetupCountsBuildsTriggeredOnParentContexts) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     trace.Finish();
     const auto notes = IndexSetupNotes(trace.root());
-    EXPECT_EQ(notes, (std::map<std::string, std::string>{
-                         {"score_maps", "1"}, {"score_reuses", "1"}}));
+    EXPECT_EQ(notes,
+              (std::map<std::string, std::string>{{"score_maps", "1"}}));
   }
 }
 

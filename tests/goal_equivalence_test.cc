@@ -1,7 +1,7 @@
 // Copyright 2026 The ARSP Authors.
 //
 // Goal-pushdown equivalence: for EVERY registered solver — with and without
-// kCapGoalPushdown, on base datasets and on derived DatasetView contexts —
+// kCapGoalPushdown, on base datasets and on shared DatasetView contexts —
 // a solve for a goal must give exactly the answer that post-hoc slicing of
 // that solver's full solve gives (the oracle): the same objects in the same
 // order with bit-identical probabilities, because a skipped subtree cannot
@@ -127,19 +127,19 @@ TEST(GoalEquivalence, RegistrySweepWeakRankingAndSingleInstance2d) {
   }
 }
 
-TEST(GoalEquivalence, RegistrySweepOnDerivedViewContexts) {
+TEST(GoalEquivalence, RegistrySweepOnSharedViewContexts) {
   // Goals must push down through the zero-copy view plane: goal solves on
-  // prefix view contexts (derived from one base context, as the engine's
-  // sweep path builds them) answer like sliced full view solves.
+  // prefix view contexts (over one base context's artifacts, as the
+  // engine's sweep path makes them) answer like sliced full view solves.
   const UncertainDataset dataset = RandomDataset(16, 3, 3, 0.4, 800);
   auto base = std::make_shared<ExecutionContext>(dataset, RandomWr(3, 800));
   for (const int num_objects : {10, 14}) {
     SCOPED_TRACE(num_objects);
     auto view = DatasetView::Create(dataset, num_objects);
     ASSERT_TRUE(view.ok());
-    auto derived = ExecutionContext::Derive(base, *view);
+    auto shared = base->ForView(*view);
     for (const std::string& name : SolverRegistry::Names()) {
-      SweepSolverGoals(name, derived);
+      SweepSolverGoals(name, shared);
     }
   }
 }

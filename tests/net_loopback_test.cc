@@ -336,8 +336,8 @@ TEST_F(NetLoopbackTest, ViewSweepReusesTheBaseIndexAcrossConnections) {
     LoadIip(loader, "iip");
   }
   // An m% sweep driven over the wire, one connection per step (the CLI's
-  // --connect --subset shape): every step derives from the base's pooled
-  // context instead of rebuilding.
+  // --connect --subset shape): every step solves over the base's pooled
+  // artifacts instead of rebuilding.
   for (int count : {40, 80, 120, 160, 200}) {
     net::ArspClient client = Connect();
     net::AddViewRequest add;
@@ -355,7 +355,6 @@ TEST_F(NetLoopbackTest, ViewSweepReusesTheBaseIndexAcrossConnections) {
   ASSERT_TRUE(stats.ok());
   ASSERT_TRUE(stats->has_index_stats);
   EXPECT_EQ(stats->index_work.kdtree_builds, 1);  // ONE for base + views
-  EXPECT_GE(stats->index_work.parent_index_hits, 5);
 }
 
 TEST_F(NetLoopbackTest, MalformedLoadDoesNotKillTheDaemon) {

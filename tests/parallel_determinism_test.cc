@@ -2,7 +2,7 @@
 //
 // The parallel determinism contract, swept across the registry: for every
 // solver advertising kCapIntraQueryParallel, a parallel solve — any thread
-// count, base context or derived prefix view — produces an
+// count, base context or shared prefix view — produces an
 // instance-probability vector memcmp-identical to the serial solve, and
 // deterministic task counts run to run. Goal solves (top-k and
 // count-controlled, sliced post hoc, and threshold pushdown) must answer
@@ -196,16 +196,16 @@ TEST(ParallelDeterminism, FullSolveSweepOnBaseContexts) {
   }
 }
 
-TEST(ParallelDeterminism, FullSolveSweepOnDerivedViews) {
+TEST(ParallelDeterminism, FullSolveSweepOnSharedViews) {
   const UncertainDataset dataset = RandomDataset(50, 4, 3, 0.4, 1300);
   auto base = std::make_shared<ExecutionContext>(dataset, WrRegion(3, 2));
   for (const int num_objects : {30, 45}) {
     SCOPED_TRACE(num_objects);
     auto view = DatasetView::Create(dataset, num_objects);
     ASSERT_TRUE(view.ok());
-    auto derived = ExecutionContext::Derive(base, *view);
+    auto shared = base->ForView(*view);
     for (const std::string& name : ParallelSolverNames()) {
-      SweepFullSolve(name, *derived);
+      SweepFullSolve(name, *shared);
     }
   }
 }
@@ -218,14 +218,14 @@ TEST(ParallelDeterminism, GoalPushdownSweep) {
   }
 }
 
-TEST(ParallelDeterminism, GoalPushdownSweepOnDerivedViews) {
+TEST(ParallelDeterminism, GoalPushdownSweepOnSharedViews) {
   const UncertainDataset dataset = RandomDataset(40, 3, 3, 0.4, 1500);
   auto base = std::make_shared<ExecutionContext>(dataset, WrRegion(3, 2));
   auto view = DatasetView::Create(dataset, 25);
   ASSERT_TRUE(view.ok());
-  auto derived = ExecutionContext::Derive(base, *view);
+  auto shared = base->ForView(*view);
   for (const std::string& name : ParallelSolverNames()) {
-    SweepGoalSolves(name, derived);
+    SweepGoalSolves(name, shared);
   }
 }
 

@@ -165,8 +165,6 @@ StatsResponse GoldenStatsResponse() {
   m.index_work.kdtree_builds = 1;
   m.index_work.rtree_builds = 2;
   m.index_work.score_maps = 3;
-  m.index_work.score_reuses = 4;
-  m.index_work.parent_index_hits = 5;
   m.index_work.snapshot_hits = 6;
   m.index_memory.resident = 7;
   m.index_memory.mapped = 8;
@@ -567,7 +565,7 @@ TEST(ProtocolMessagesTest, StatsRoundTrip) {
                        true}};
   response.has_index_stats = true;
   response.index_work.kdtree_builds = 1;
-  response.index_work.parent_index_hits = 9;
+  response.index_work.snapshot_hits = 9;
   response.index_memory.mapped = 4096;
   response.kernel_arch = "avx2";
   StatsResponse decoded;
@@ -582,7 +580,7 @@ TEST(ProtocolMessagesTest, StatsRoundTrip) {
   EXPECT_EQ(decoded.kernel_arch, "avx2");
   EXPECT_TRUE(decoded.has_index_stats);
   EXPECT_EQ(decoded.index_work.kdtree_builds, 1);
-  EXPECT_EQ(decoded.index_work.parent_index_hits, 9);
+  EXPECT_EQ(decoded.index_work.snapshot_hits, 9);
   EXPECT_EQ(decoded.index_memory.mapped, 4096u);
 }
 
@@ -691,11 +689,12 @@ TEST(ProtocolMessagesTest, RetryLaterRoundTripAndTruncation) {
 
 // ------------------------------------------------------------ golden bytes
 //
-// Each fixed value's payload, field by field, as the wire v12 encoder
+// Each fixed value's payload, field by field, as the wire v13 encoder
 // writes it. The QUERY bytes and the untraced QUERY_RESULT bytes are the
 // ones v9 wrote too; the traced reply's span tree and the STATS index
 // fields changed in v10, ADD_VIEW lost its subset object list in v11 and
-// its view kind byte in v12.
+// its view kind byte in v12, and the STATS index fields lost two counters
+// in v13.
 // A layout change fails here; it must update these bytes and bump
 // kWireVersion.
 
@@ -864,8 +863,6 @@ TEST(WireGoldenBytes, StatsResponse) {
             "0100000000000000"  // index_work.kdtree_builds
             "0200000000000000"  // index_work.rtree_builds
             "0300000000000000"  // index_work.score_maps
-            "0400000000000000"  // index_work.score_reuses
-            "0500000000000000"  // index_work.parent_index_hits
             "0600000000000000"  // index_work.snapshot_hits
             "0700000000000000"  // index_memory.resident
             "0800000000000000"  // index_memory.mapped

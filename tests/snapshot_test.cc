@@ -249,11 +249,10 @@ TEST(SnapshotEquivalence, AttachedArtifactsAreAdoptedNotRebuilt) {
   EXPECT_EQ(other_context.index_build_stats().score_maps, 1);
 }
 
-// Every view of a snapshot is served from its artifacts: a root context
-// over a prefix view adopts the attached kd-tree, R-tree and scores (no
-// build, no mapping) and answers bit for bit like a root context over the
-// same prefix of the in-memory dataset, for every solver and both
-// constraint families.
+// Every view of a snapshot is served from its artifacts: a context over a
+// prefix view adopts the attached kd-tree, R-tree and scores (no build, no
+// mapping) and answers bit for bit like a context over the same prefix of
+// the in-memory dataset, for every solver and both constraint families.
 TEST(SnapshotEquivalence, PrefixViewsAdoptTheArtifactsAndMatchInMemory) {
   const auto dataset = std::make_shared<const UncertainDataset>(
       RandomDataset(18, 3, 3, 0.25, 512));

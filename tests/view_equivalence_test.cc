@@ -3,10 +3,10 @@
 // View-vs-copy equivalence: for random datasets and prefix views, every
 // registry solver run on a DatasetView must agree with the same solver run
 // on the materialized copy of that view — both as a standalone view context
-// and as a context Derived from the full-view parent (the zero-copy data
-// plane's two execution paths), and those two must give the same bits: one
+// and as a context over a full-view context's artifacts (ForView, the path
+// the engine's pool takes), and those two must give the same bits: one
 // view, one answer. Plus SoA-vs-AoS ScoreMapper identity (bit-exact), the
-// score spans' base columns, and the zero-copy span-sharing property
+// score spans' base columns, and the zero-copy artifact-sharing property
 // itself.
 
 #include <gtest/gtest.h>
@@ -47,7 +47,7 @@ ArspResult MustSolve(const std::string& name, ExecutionContext& context) {
 // the context — both paths must agree on that too) on:
 //   (a) the materialized copy,
 //   (b) a standalone context over the view,
-//   (c) a context derived from a full-view parent,
+//   (c) a context for the view over a full-view context's artifacts,
 // and asserts (a) ≈ (b) and (a) ≈ (c) to kTol, and (b) == (c) bit for bit.
 void CheckAllSolvers(const std::shared_ptr<const UncertainDataset>& base,
                      int num_objects) {
@@ -78,10 +78,10 @@ void CheckAllSolvers(const std::shared_ptr<const UncertainDataset>& base,
       return use_wr ? std::make_unique<ExecutionContext>(*view, wr)
                     : std::make_unique<ExecutionContext>(*view, region);
     };
-    auto parent = use_wr ? std::make_shared<ExecutionContext>(
-                               DatasetView(base), wr)
-                         : std::make_shared<ExecutionContext>(
-                               DatasetView(base), region);
+    auto full = use_wr ? std::make_shared<ExecutionContext>(
+                             DatasetView(base), wr)
+                       : std::make_shared<ExecutionContext>(
+                             DatasetView(base), region);
 
     auto copy_context = make_copy_context();
     const Status copy_ok = (*probe)->ValidateContext(*copy_context);
@@ -97,17 +97,17 @@ void CheckAllSolvers(const std::shared_ptr<const UncertainDataset>& base,
     EXPECT_LE(MaxAbsDiff(on_copy, standalone), kTol)
         << name << " standalone view vs copy";
 
-    auto derived = ExecutionContext::Derive(parent, *view);
-    const ArspResult via_parent = MustSolve(name, *derived);
-    EXPECT_LE(MaxAbsDiff(on_copy, via_parent), kTol)
-        << name << " derived view vs copy";
+    auto shared = full->ForView(*view);
+    const ArspResult via_shared = MustSolve(name, *shared);
+    EXPECT_LE(MaxAbsDiff(on_copy, via_shared), kTol)
+        << name << " shared view vs copy";
     ASSERT_EQ(standalone.instance_probs.size(),
-              via_parent.instance_probs.size());
+              via_shared.instance_probs.size());
     EXPECT_EQ(std::memcmp(standalone.instance_probs.data(),
-                          via_parent.instance_probs.data(),
+                          via_shared.instance_probs.data(),
                           standalone.instance_probs.size() * sizeof(double)),
               0)
-        << name << " standalone view vs derived view";
+        << name << " standalone view vs shared view";
   }
 }
 
@@ -183,45 +183,52 @@ TEST(ScoreMapperSoA, ContextSpansReadTheBaseColumnsForFullAndPrefixViews) {
   }
 }
 
-// ------------------------------------------------- zero-copy span sharing
+// --------------------------------------------- zero-copy artifact sharing
 
-TEST(ZeroCopyDataPlane, PrefixChildSharesTheParentsScoreStorage) {
+TEST(ZeroCopyDataPlane, ViewsOfOneBaseShareTheArtifactsByPointer) {
   auto base = std::make_shared<const UncertainDataset>(
       RandomDataset(20, 3, 3, 0.0, 108));
   const PreferenceRegion region = testing_util::WrRegion(3, 2);
-  auto parent =
-      std::make_shared<ExecutionContext>(DatasetView(base), region);
-  auto prefix = DatasetView::Create(base, 9).value();
-  auto child = ExecutionContext::Derive(parent, prefix);
+  const DatasetView prefix = DatasetView::Create(base, 9).value();
+  auto first = std::make_shared<ExecutionContext>(prefix, region);
+  // No containment: the artifacts cover the base, so a context over the
+  // 9-object prefix can serve the whole base too.
+  auto second = first->ForView(DatasetView(base));
 
-  const ScoreSpan child_span = child->scores();
-  const ScoreSpan parent_span = parent->scores();
-  // The child's span aliases the parent's buffer — no copy was made.
-  EXPECT_EQ(child_span.coords, parent_span.coords);
-  EXPECT_EQ(child_span.probs, parent_span.probs);
-  EXPECT_EQ(child_span.objects, parent_span.objects);
-  EXPECT_EQ(child_span.n, prefix.num_instances());
-  EXPECT_LT(child_span.n, parent_span.n);
+  const ScoreSpan first_span = first->scores();
+  const ScoreSpan second_span = second->scores();
+  // Both spans alias one buffer, mapped once over the whole base.
+  EXPECT_EQ(first_span.coords, second_span.coords);
+  EXPECT_EQ(first_span.probs, second_span.probs);
+  EXPECT_EQ(first_span.objects, second_span.objects);
+  EXPECT_EQ(first_span.n, prefix.num_instances());
+  EXPECT_EQ(second_span.n, base->num_instances());
+  EXPECT_LT(first_span.n, second_span.n);
 
-  const auto stats = child->index_build_stats();
-  EXPECT_EQ(stats.score_maps, 0);
-  EXPECT_EQ(stats.score_reuses, 1);
+  // Index sharing: one kd-tree and one R-tree, by pointer.
+  EXPECT_EQ(&first->instance_kdtree(), &second->instance_kdtree());
+  EXPECT_EQ(first->instance_rtree(16).get(), second->instance_rtree(16).get());
 
-  // Index sharing: the child's kd-tree is literally the parent's.
-  EXPECT_EQ(&child->instance_kdtree(), &parent->instance_kdtree());
-  EXPECT_EQ(child->instance_rtree(16).get(), parent->instance_rtree(16).get());
-  EXPECT_EQ(child->index_build_stats().kdtree_builds, 0);
-  EXPECT_EQ(parent->index_build_stats().kdtree_builds, 1);
+  // One build of each, counted once on the artifacts both contexts share.
+  for (const ExecutionContext* context : {first.get(), second.get()}) {
+    const auto stats = context->index_build_stats();
+    EXPECT_EQ(stats.score_maps, 1);
+    EXPECT_EQ(stats.kdtree_builds, 1);
+    EXPECT_EQ(stats.rtree_builds, 1);
+    EXPECT_EQ(stats.snapshot_hits, 0);
+  }
 }
 
-TEST(ZeroCopyDataPlane, DeriveRejectsForeignBasesAndOversizedViews) {
+TEST(ZeroCopyDataPlane, ForViewRejectsAForeignBase) {
+  // Equal contents, distinct datasets: artifacts belong to one base object.
   auto base = std::make_shared<const UncertainDataset>(
       RandomDataset(10, 2, 2, 0.0, 109));
+  auto twin = std::make_shared<const UncertainDataset>(
+      RandomDataset(10, 2, 2, 0.0, 109));
   const PreferenceRegion region = testing_util::WrRegion(2, 1);
-  auto parent_prefix = std::make_shared<ExecutionContext>(
-      DatasetView::Create(base, 4).value(), region);
-  auto longer = DatasetView::Create(base, 7).value();
-  EXPECT_DEATH(ExecutionContext::Derive(parent_prefix, longer), "prefix");
+  const ExecutionContext context(DatasetView::Create(base, 4).value(),
+                                 region);
+  EXPECT_DEATH(context.ForView(DatasetView(twin)), "different base");
 }
 
 }  // namespace

@@ -16,8 +16,8 @@
 //                                    engine's result cache serves repeats)
 //            [--subset m%[,m%...]]  (run the query per object-prefix view —
 //                                    the paper's Fig. 6 m% sweep — and print
-//                                    a per-subset stats table; views derive
-//                                    their contexts from the base dataset's,
+//                                    a per-subset stats table; views share
+//                                    the base dataset's pooled artifacts,
 //                                    so the sweep pays one full index build)
 //            [--algo NAME|auto] [--opt key=value ...] [--stats]
 //            [--threads N]          (intra-query workers per solve: 0 =
@@ -218,12 +218,11 @@ void PrintIndexWorkLine(const net::StatsResponse& before,
   const ExecutionContext::IndexBuildStats& a = after.index_work;
   std::printf(
       "index work across sweep: kd_builds=%lld rtree_builds=%lld "
-      "score_maps=%lld score_reuses=%lld parent_index_hits=%lld\n",
+      "score_maps=%lld snapshot_adopts=%lld\n",
       static_cast<long long>(a.kdtree_builds - b.kdtree_builds),
       static_cast<long long>(a.rtree_builds - b.rtree_builds),
       static_cast<long long>(a.score_maps - b.score_maps),
-      static_cast<long long>(a.score_reuses - b.score_reuses),
-      static_cast<long long>(a.parent_index_hits - b.parent_index_hits));
+      static_cast<long long>(a.snapshot_hits - b.snapshot_hits));
 }
 
 // --stats summary from the backend's STATS reply. Only a server fills the
@@ -455,15 +454,17 @@ int WriteResultCsvs(const CliArgs& args, const net::LoadDatasetRequest& load,
 
 // --subset: the m% sweep over backend-held prefix views. View names encode
 // the window, so repeated sweeps against a daemon (separate CLI runs
-// included) reuse its views, derived contexts, and cache entries.
+// included) reuse its views, the base's pooled artifacts, and cache
+// entries.
 int RunSweep(const CliArgs& args, net::ServiceBackend& backend,
              const std::string& dataset_name, const std::string& spec,
              int num_objects) {
   const bool derived_goal =
       args.topk.has_value() || args.threshold.has_value();
-  // One full build on the base context + per-view delta work is the
-  // data-plane invariant; the counters make it visible. A long-lived daemon
-  // counts earlier work too, so the line reports the sweep's difference.
+  // One full build (or snapshot adoption) of each artifact for the whole
+  // sweep is the data-plane invariant; the counters make it visible. A
+  // long-lived daemon counts earlier work too, so the line reports the
+  // sweep's difference.
   net::StatsRequest stats_request;
   stats_request.dataset = dataset_name;
   auto before = backend.Stats(stats_request);
